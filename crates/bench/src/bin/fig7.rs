@@ -12,10 +12,10 @@ use txmm_bench::table1_config;
 use txmm_models::Arch;
 
 fn main() {
-    let events: usize = std::env::var("TXMM_MAX_EVENTS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
+    let events = txmm::corpus::event_bound_from_env(4).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
     println!("== Fig. 7: distribution of synthesis times ({events}-event x86 Forbid tests) ==\n");
     let tele = txmm_bench::telemetry_from_args();
     let mut session = Session::new();

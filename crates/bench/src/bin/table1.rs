@@ -97,10 +97,10 @@ fn run_arch(session: &mut Session, arch: Arch, tm: &str, base: &str, max_events:
 }
 
 fn main() {
-    let max_events: usize = std::env::var("TXMM_MAX_EVENTS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
+    let max_events = txmm::corpus::event_bound_from_env(4).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
     println!("== Table 1: testing the transactional x86 and Power models ==");
     println!("   (paper bounds: |E| ≤ 7/6 with SAT + hours; ours: |E| ≤ {max_events})\n");
     let tele = txmm_bench::telemetry_from_args();

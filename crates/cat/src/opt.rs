@@ -532,9 +532,6 @@ fn compact(mut c: Chunk) -> Chunk {
     c
 }
 
-// Folded values are short-lived compile-time scratch; the 520-byte
-// `Rel` variant never reaches a hot path.
-#[allow(clippy::large_enum_variant)]
 enum FoldVal {
     R(Rel),
     S(EventSet),

@@ -8,8 +8,8 @@
 //!
 //! The row-parallel ops (union, intersection, difference, complement,
 //! composition, closures) compute word-by-word into the destination
-//! register — no 520-byte `Rel` temporaries on the hot path — and
-//! builtin loads row-copy straight out of the shared analysis caches.
+//! register — no `Rel` temporaries on the hot path — and builtin loads
+//! row-copy straight out of the shared analysis caches.
 //! Ops that genuinely permute rows (inverse, the lifts) fall back to
 //! whole-value evaluation, as does any op whose destination aliases an
 //! operand it reads out of row order; register compaction is free to

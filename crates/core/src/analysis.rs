@@ -12,9 +12,9 @@
 //! The caches use [`std::cell::OnceCell`], so an analysis is cheap to
 //! construct (no relation is computed until first use) and single
 //! threaded by design: parallel drivers build one analysis per worker.
-//! Cached relations are boxed: an unused cache slot costs a pointer,
-//! not an inline `Rel`, keeping the analysis struct small enough to
-//! build once per candidate in the enumeration hot loop.
+//! Cached relations sit inline in their slots: at 34 bytes a `Rel` is
+//! cheap to hold even in a slot that stays empty, and filling a slot
+//! allocates nothing.
 
 use std::cell::OnceCell;
 
@@ -28,10 +28,9 @@ use crate::set::EventSet;
 /// `check_all` sweep to claim its own key.
 const MEMO_SLOTS: usize = 8;
 
-/// One lazily-initialised relation slot (boxed so empty slots are
-/// pointer-sized).
+/// One lazily-initialised relation slot.
 #[derive(Default)]
-struct RelCache(OnceCell<Box<Rel>>);
+struct RelCache(OnceCell<Rel>);
 
 impl RelCache {
     fn new() -> RelCache {
@@ -39,7 +38,7 @@ impl RelCache {
     }
 
     fn get_or(&self, f: impl FnOnce() -> Rel) -> &Rel {
-        self.0.get_or_init(|| Box::new(f()))
+        self.0.get_or_init(f)
     }
 }
 
@@ -91,7 +90,7 @@ pub struct ExecutionAnalysis<'x> {
     strong_isol_atomic: RelCache,
     txn_cancels_rmw: RelCache,
     // Model-specific txn-independent relations, keyed by name.
-    memos: [OnceCell<(&'static str, Box<Rel>)>; MEMO_SLOTS],
+    memos: [OnceCell<(&'static str, Rel)>; MEMO_SLOTS],
 }
 
 fn fence_index(f: Fence) -> usize {
@@ -154,7 +153,7 @@ impl<'x> ExecutionAnalysis<'x> {
     /// reflects the seeded value.
     pub fn with_fr(x: &'x Execution, fr: Rel) -> ExecutionAnalysis<'x> {
         let a = ExecutionAnalysis::new(x);
-        let _ = a.fr.0.set(Box::new(fr));
+        let _ = a.fr.0.set(fr);
         a
     }
 
@@ -510,9 +509,9 @@ impl<'x> ExecutionAnalysis<'x> {
         }
         for cell in &self.memos {
             match cell.get() {
-                Some((k, r)) if *k == key => return **r,
+                Some((k, r)) if *k == key => return *r,
                 Some(_) => continue,
-                None => return *cell.get_or_init(|| (key, Box::new(f()))).1,
+                None => return cell.get_or_init(|| (key, f())).1,
             }
         }
         // Every slot claimed by another key: compute without caching.
@@ -583,14 +582,14 @@ pub struct TxnFreeBase {
 impl TxnFreeBase {
     /// Capture every txn-independent slot `a` has materialised.
     pub fn capture(a: &ExecutionAnalysis<'_>) -> TxnFreeBase {
-        let rel = |c: &RelCache| c.0.get().map(|b| **b);
+        let rel = |c: &RelCache| c.0.get().copied();
         let mut fence_rels: [Option<Rel>; Fence::ALL.len()] = Default::default();
         for (slot, cache) in fence_rels.iter_mut().zip(&a.fence_rels) {
             *slot = rel(cache);
         }
         let mut memos: [Option<(&'static str, Rel)>; MEMO_SLOTS] = Default::default();
         for (slot, cell) in memos.iter_mut().zip(&a.memos) {
-            *slot = cell.get().map(|(k, r)| (*k, **r));
+            *slot = cell.get().copied();
         }
         TxnFreeBase {
             events: a.x.events().to_vec(),

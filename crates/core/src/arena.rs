@@ -9,7 +9,7 @@
 //!
 //! * [`PackedExecution`] — a whole execution in one flat `Copy` value:
 //!   events in a fixed `[Event; MAX_EVENTS]` array mirroring `Rel`'s
-//!   `[u64; MAX_EVENTS]` rows, transaction classes as
+//!   `[Row; MAX_EVENTS]` rows, transaction classes as
 //!   ([`EventSet`], atomic-flag) pairs. Packing and comparing are pure
 //!   word operations; no allocation anywhere.
 //! * [`ExecArena`] — an interning store of packed executions: equal
@@ -54,7 +54,7 @@ const FILLER_EVENT: Event = Event {
     attrs: Attrs::NONE,
 };
 
-/// A whole execution in one inline `Copy` value (≈ 5 KiB): events and
+/// A whole execution in one inline `Copy` value (592 bytes): events and
 /// transactions in fixed arrays, relations as the existing inline
 /// [`Rel`] bit-matrices. Packing, copying, hashing and comparing never
 /// allocate.

@@ -33,9 +33,9 @@ impl ThreadEvents {
                 len += 1;
             }
         }
-        // Order by po (insertion sort over ≤ 64 inline slots). Ids are
-        // id-ordered already in every constructor this crate ships, but
-        // `from_parts` accepts any per-thread total order.
+        // Order by po (insertion sort over ≤ MAX_EVENTS inline slots).
+        // Ids are id-ordered already in every constructor this crate
+        // ships, but `from_parts` accepts any per-thread total order.
         for i in 1..len {
             let mut j = i;
             while j > 0 && x.po.contains(ids[j] as usize, ids[j - 1] as usize) {

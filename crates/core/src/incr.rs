@@ -70,7 +70,7 @@ use std::time::Instant;
 use crate::analysis::ExecutionAnalysis;
 use crate::exec::Execution;
 use crate::rel::Rel;
-use crate::set::{EventSet, MAX_EVENTS};
+use crate::set::{EventSet, Row, MAX_EVENTS};
 
 /// Per-model viability test over a partial execution.
 ///
@@ -239,7 +239,7 @@ impl PruneStats {
 #[derive(Clone, Copy)]
 pub struct IncrOrder {
     n: usize,
-    reach: [u64; MAX_EVENTS],
+    reach: [Row; MAX_EVENTS],
 }
 
 impl IncrOrder {
@@ -268,7 +268,7 @@ impl IncrOrder {
         if self.reach[a] & delta == delta {
             return true; // already known
         }
-        let abit = 1u64 << a;
+        let abit: Row = 1 << a;
         for i in 0..self.n {
             if i == a || self.reach[i] & abit != 0 {
                 self.reach[i] |= delta;

@@ -8,41 +8,32 @@
 //! `empty` consistency predicates.
 //!
 //! Executions are tiny (the paper's bounds stop at nine events), so a row
-//! of a relation is a single `u64` and every operation is a handful of
-//! word operations. Rows live in a fixed inline array rather than a
-//! heap `Vec`: relation algebra is completely allocation-free, which
-//! matters because enumeration and model checking construct millions of
-//! intermediate relations.
+//! of a relation is a single [`Row`] word with one bit per possible
+//! event, and every operation is a handful of word operations. Rows live
+//! in a fixed inline array rather than a heap `Vec`: relation algebra is
+//! completely allocation-free, which matters because enumeration and
+//! model checking construct millions of intermediate relations. With
+//! [`MAX_EVENTS`] = 16 and 16-bit rows a whole relation is 34 bytes, so
+//! those temporaries cost little to zero, copy and compare.
 
 use crate::event::EventId;
-use crate::set::{EventSet, MAX_EVENTS};
+use crate::set::{EventSet, Row, MAX_EVENTS};
 use std::fmt;
 
 /// A binary relation over events `0..n`.
 ///
-/// Invariant: `rows[n..]` is always all-zero, so equality and hashing
-/// over the first `n` rows agree with the semantic relation.
-#[derive(Clone, Copy, Eq)]
+/// Invariant: `rows[n..]` is always all-zero and no row has a bit at or
+/// past `n`, so the derived equality and hashing over the whole array
+/// agree with the semantic relation.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rel {
-    n: usize,
-    rows: [u64; MAX_EVENTS],
+    n: u8,
+    rows: [Row; MAX_EVENTS],
 }
 
-// Manual impls so comparison and hashing touch only the `n` live rows
-// (the zero-tail invariant makes them equivalent to whole-array
-// versions): fixpoint convergence tests and verdict-cache lookups run
-// these on every check, and `n` is typically 4–6 of the 64 rows.
-impl PartialEq for Rel {
-    fn eq(&self, other: &Rel) -> bool {
-        self.n == other.n && self.rows[..self.n] == other.rows[..other.n]
-    }
-}
-
-impl std::hash::Hash for Rel {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.n.hash(state);
-        self.rows[..self.n].hash(state);
-    }
+/// The row mask of a universe of `n` events.
+fn row_mask(n: usize) -> Row {
+    EventSet::universe(n).bits() as Row
 }
 
 impl Rel {
@@ -50,16 +41,15 @@ impl Rel {
     pub fn empty(n: usize) -> Rel {
         assert!(n <= MAX_EVENTS, "relation universe too large: {n}");
         Rel {
-            n,
+            n: n as u8,
             rows: [0; MAX_EVENTS],
         }
     }
 
     /// The full relation `n × n`.
     pub fn full(n: usize) -> Rel {
-        let mask = EventSet::universe(n).bits();
         let mut r = Rel::empty(n);
-        r.rows[..n].fill(mask);
+        r.rows[..n].fill(row_mask(n));
         r
     }
 
@@ -86,7 +76,7 @@ impl Rel {
     /// The Cartesian product `a × b`.
     pub fn cross(n: usize, a: EventSet, b: EventSet) -> Rel {
         let mut r = Rel::empty(n);
-        let bb = b.inter(EventSet::universe(n)).bits();
+        let bb = b.bits() as Row & row_mask(n);
         for e in a.iter() {
             if e < n {
                 r.rows[e] = bb;
@@ -106,63 +96,70 @@ impl Rel {
 
     /// The universe size.
     pub fn size(&self) -> usize {
-        self.n
+        self.n as usize
+    }
+
+    /// The `n` live rows.
+    fn live(&self) -> &[Row] {
+        &self.rows[..self.size()]
     }
 
     /// Add the pair `(a, b)`.
     pub fn add(&mut self, a: EventId, b: EventId) {
         assert!(
-            a < self.n && b < self.n,
+            a < self.size() && b < self.size(),
             "pair ({a},{b}) out of range {}",
             self.n
         );
-        self.rows[a] |= 1u64 << b;
+        self.rows[a] |= 1 << b;
     }
 
     /// Remove the pair `(a, b)`.
     pub fn remove(&mut self, a: EventId, b: EventId) {
-        assert!(a < self.n && b < self.n);
-        self.rows[a] &= !(1u64 << b);
+        assert!(a < self.size() && b < self.size());
+        self.rows[a] &= !(1 << b);
     }
 
     /// Membership test.
     pub fn contains(&self, a: EventId, b: EventId) -> bool {
-        a < self.n && b < self.n && self.rows[a] & (1u64 << b) != 0
+        a < self.size() && b < self.size() && self.rows[a] & (1 << b) != 0
     }
 
     /// The successors of `a` as a set.
     pub fn row(&self, a: EventId) -> EventSet {
-        EventSet::from_bits(self.rows[a])
+        EventSet::from_bits(self.rows[a].into())
     }
 
-    /// The raw bit-row `i` (`i < n`). With [`Rel::set_word`], lets hot
-    /// interpreters (the `.cat` VM) compute row-wise into an existing
-    /// relation instead of materialising 520-byte temporaries.
+    /// The raw bit-row `i` (`i < n`), widened to the `u64` of an
+    /// [`EventSet`]. With [`Rel::set_word`], lets hot interpreters (the
+    /// `.cat` VM) compute row-wise into an existing relation instead of
+    /// materialising temporaries.
     #[inline]
     pub fn word(&self, i: usize) -> u64 {
-        debug_assert!(i < self.n);
-        self.rows[i]
+        debug_assert!(i < self.size());
+        self.rows[i].into()
     }
 
-    /// Overwrite bit-row `i`. Restricted to `i < n` so the zero-tail
-    /// invariant is preserved.
+    /// Overwrite bit-row `i` with `w`, whose bits must lie below `n`.
+    /// Restricted to `i < n` so the zero-tail invariant is preserved.
     #[inline]
     pub fn set_word(&mut self, i: usize, w: u64) {
-        debug_assert!(i < self.n);
-        self.rows[i] = w;
+        debug_assert!(i < self.size() && w >> self.n == 0);
+        self.rows[i] = w as Row;
     }
 
     /// Copy another relation's live rows into this one (same universe).
     #[inline]
     pub fn copy_from(&mut self, src: &Rel) {
         debug_assert_eq!(self.n, src.n);
-        self.rows[..self.n].copy_from_slice(&src.rows[..self.n]);
+        let n = self.size();
+        self.rows[..n].copy_from_slice(&src.rows[..n]);
     }
 
-    fn zip(&self, other: &Rel, f: impl Fn(u64, u64) -> u64) -> Rel {
+    fn zip(&self, other: &Rel, f: impl Fn(Row, Row) -> Row) -> Rel {
         assert_eq!(self.n, other.n, "relation universe mismatch");
-        let mut r = Rel::empty(self.n);
-        for i in 0..self.n {
+        let mut r = Rel::empty(self.size());
+        for i in 0..self.size() {
             r.rows[i] = f(self.rows[i], other.rows[i]);
         }
         r
@@ -185,9 +182,10 @@ impl Rel {
 
     /// Complement with respect to the full `n × n` relation (`¬`).
     pub fn complement(&self) -> Rel {
-        let mask = EventSet::universe(self.n).bits();
-        let mut r = Rel::empty(self.n);
-        for i in 0..self.n {
+        let n = self.size();
+        let mask = row_mask(n);
+        let mut r = Rel::empty(n);
+        for i in 0..n {
             r.rows[i] = !self.rows[i] & mask;
         }
         r
@@ -195,13 +193,14 @@ impl Rel {
 
     /// Inverse (`r⁻¹`).
     pub fn inverse(&self) -> Rel {
-        let mut r = Rel::empty(self.n);
-        for a in 0..self.n {
+        let n = self.size();
+        let mut r = Rel::empty(n);
+        for a in 0..n {
             let mut bits = self.rows[a];
             while bits != 0 {
                 let b = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                r.rows[b] |= 1u64 << a;
+                r.rows[b] |= 1 << a;
             }
         }
         r
@@ -210,10 +209,11 @@ impl Rel {
     /// Relational composition (`r1 ; r2`).
     pub fn seq(&self, other: &Rel) -> Rel {
         assert_eq!(self.n, other.n, "relation universe mismatch");
-        let mut r = Rel::empty(self.n);
-        for a in 0..self.n {
+        let n = self.size();
+        let mut r = Rel::empty(n);
+        for a in 0..n {
             let mut mids = self.rows[a];
-            let mut out = 0u64;
+            let mut out: Row = 0;
             while mids != 0 {
                 let m = mids.trailing_zeros() as usize;
                 mids &= mids - 1;
@@ -226,13 +226,13 @@ impl Rel {
 
     /// Reflexive closure (`r?`).
     pub fn opt(&self) -> Rel {
-        self.union(&Rel::id(self.n))
+        self.union(&Rel::id(self.size()))
     }
 
     /// Reflexive closure, in place.
     pub fn reflexive_close(&mut self) {
-        for e in 0..self.n {
-            self.rows[e] |= 1u64 << e;
+        for e in 0..self.size() {
+            self.rows[e] |= 1 << e;
         }
     }
 
@@ -246,10 +246,11 @@ impl Rel {
 
     /// Transitive closure, in place.
     pub fn transitive_close(&mut self) {
-        for k in 0..self.n {
+        let n = self.size();
+        for k in 0..n {
             let through_k = self.rows[k];
-            let bit = 1u64 << k;
-            for i in 0..self.n {
+            let bit: Row = 1 << k;
+            for i in 0..n {
                 if self.rows[i] & bit != 0 {
                     self.rows[i] |= through_k;
                 }
@@ -267,9 +268,10 @@ impl Rel {
 
     /// Keep only pairs whose source is in `s`.
     pub fn restrict_domain(&self, s: EventSet) -> Rel {
-        let mut r = Rel::empty(self.n);
+        let n = self.size();
+        let mut r = Rel::empty(n);
         for a in s.iter() {
-            if a < self.n {
+            if a < n {
                 r.rows[a] = self.rows[a];
             }
         }
@@ -278,9 +280,10 @@ impl Rel {
 
     /// Keep only pairs whose target is in `s`.
     pub fn restrict_range(&self, s: EventSet) -> Rel {
-        let mask = s.inter(EventSet::universe(self.n)).bits();
-        let mut r = Rel::empty(self.n);
-        for i in 0..self.n {
+        let n = self.size();
+        let mask = s.bits() as Row & row_mask(n);
+        let mut r = Rel::empty(n);
+        for i in 0..n {
             r.rows[i] = self.rows[i] & mask;
         }
         r
@@ -289,7 +292,7 @@ impl Rel {
     /// The set of sources.
     pub fn domain(&self) -> EventSet {
         let mut s = EventSet::EMPTY;
-        for a in 0..self.n {
+        for a in 0..self.size() {
             if self.rows[a] != 0 {
                 s.insert(a);
             }
@@ -299,29 +302,26 @@ impl Rel {
 
     /// The set of targets.
     pub fn range(&self) -> EventSet {
-        let mut bits = 0u64;
-        for &row in &self.rows[..self.n] {
+        let mut bits: Row = 0;
+        for &row in self.live() {
             bits |= row;
         }
-        EventSet::from_bits(bits)
+        EventSet::from_bits(bits.into())
     }
 
     /// Is the relation empty? (`empty(r)` in `.cat`.)
     pub fn is_empty(&self) -> bool {
-        self.rows[..self.n].iter().all(|&r| r == 0)
+        self.live().iter().all(|&r| r == 0)
     }
 
     /// Number of pairs.
     pub fn len(&self) -> usize {
-        self.rows[..self.n]
-            .iter()
-            .map(|r| r.count_ones() as usize)
-            .sum()
+        self.live().iter().map(|r| r.count_ones() as usize).sum()
     }
 
     /// Does the relation contain a pair `(e, e)`?
     pub fn is_irreflexive(&self) -> bool {
-        (0..self.n).all(|e| self.rows[e] & (1u64 << e) == 0)
+        (0..self.size()).all(|e| self.rows[e] & (1 << e) == 0)
     }
 
     /// Is the relation free of cycles? (`acyclic(r)` ⟺ `irreflexive(r⁺)`.)
@@ -333,14 +333,15 @@ impl Rel {
         if !self.is_irreflexive() {
             return false;
         }
+        let n = self.size();
         let mut rows = self.rows;
-        for k in 0..self.n {
+        for k in 0..n {
             let through_k = rows[k];
-            let bit = 1u64 << k;
-            for (i, row) in rows.iter_mut().enumerate().take(self.n) {
+            let bit: Row = 1 << k;
+            for (i, row) in rows.iter_mut().enumerate().take(n) {
                 if *row & bit != 0 {
                     *row |= through_k;
-                    if *row & (1u64 << i) != 0 {
+                    if *row & (1 << i) != 0 {
                         return false;
                     }
                 }
@@ -352,9 +353,9 @@ impl Rel {
     /// Is `self ⊆ other`?
     pub fn is_subset(&self, other: &Rel) -> bool {
         assert_eq!(self.n, other.n);
-        self.rows[..self.n]
+        self.live()
             .iter()
-            .zip(&other.rows[..self.n])
+            .zip(other.live())
             .all(|(&a, &b)| a & !b == 0)
     }
 
@@ -370,7 +371,7 @@ impl Rel {
 
     /// Iterate over all pairs, in row-major order.
     pub fn pairs(&self) -> impl Iterator<Item = (EventId, EventId)> + '_ {
-        (0..self.n).flat_map(move |a| self.row(a).iter().map(move |b| (a, b)))
+        (0..self.size()).flat_map(move |a| self.row(a).iter().map(move |b| (a, b)))
     }
 
     /// Is `r` a strict total order when restricted to `s`?

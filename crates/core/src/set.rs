@@ -1,13 +1,27 @@
-//! Dense event sets over a small universe (≤ 64 events), as bit-sets.
+//! Dense event sets over a small universe (≤ [`MAX_EVENTS`] events), as
+//! bit-sets, plus the [`Row`] word a relation keeps each of its rows in.
 
 use crate::event::EventId;
 use std::fmt;
 
 /// The maximum number of events an execution may contain.
 ///
-/// Every relation row and event set fits in one `u64`; the paper's own
-/// bounds (|E| ≤ 9) are far below this.
-pub const MAX_EVENTS: usize = 64;
+/// Sized to the executions the system handles: the paper's synthesis
+/// bounds stop at |E| = 7 (x86) and 6 (Power), the walks use at most 7
+/// events and the largest served litmus program has 9. Programs past
+/// the cap are refused before any relation is built.
+pub const MAX_EVENTS: usize = 16;
+
+/// One bit-row of a relation: bit `j` of row `i` is the pair `(i, j)`.
+///
+/// [`crate::Rel`] stores `MAX_EVENTS` of these inline, so the row width
+/// sets the size of every relation temporary a model check builds.
+pub type Row = u16;
+
+const _: () = assert!(
+    Row::BITS as usize >= MAX_EVENTS,
+    "a Row must hold MAX_EVENTS bits"
+);
 
 /// A set of events, represented as a 64-bit mask.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -20,11 +34,7 @@ impl EventSet {
     /// The set `{0, 1, ..., n-1}`.
     pub fn universe(n: usize) -> EventSet {
         assert!(n <= MAX_EVENTS, "universe too large: {n}");
-        if n == MAX_EVENTS {
-            EventSet(!0)
-        } else {
-            EventSet((1u64 << n) - 1)
-        }
+        EventSet((1u64 << n) - 1)
     }
 
     /// The singleton `{e}`.

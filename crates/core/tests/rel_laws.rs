@@ -1,10 +1,12 @@
 //! Property-style tests pinning down the relational-algebra laws the
-//! `[u64; MAX_EVENTS]` inline representation must satisfy. Relations
+//! `[Row; MAX_EVENTS]` inline representation must satisfy. Relations
 //! are sampled with a deterministic xorshift generator, so any failure
 //! reproduces from its printed seed.
 
 use txmm_core::rng::SplitMix64;
-use txmm_core::{stronglift, union_all, weaklift, EventSet, Rel, MAX_EVENTS};
+use txmm_core::{
+    stronglift, union_all, weaklift, EventSet, Execution, PackedExecution, Rel, MAX_EVENTS,
+};
 
 const CASES: u64 = 256;
 
@@ -27,8 +29,8 @@ fn arb_set(rng: &mut SplitMix64, n: usize) -> EventSet {
 
 fn sizes(seed: u64) -> usize {
     // Cover every execution size the paper uses (≤ 9) plus the
-    // bit-matrix edge cases around the u64 row boundary.
-    const NS: [usize; 8] = [1, 2, 3, 5, 7, 9, 63, MAX_EVENTS];
+    // bit-matrix edge cases at the row-width boundary.
+    const NS: [usize; 8] = [1, 2, 3, 5, 7, 9, MAX_EVENTS - 1, MAX_EVENTS];
     NS[(seed % NS.len() as u64) as usize]
 }
 
@@ -203,4 +205,18 @@ fn max_universe_boundary() {
     assert_eq!(full.seq(&full), full);
     assert!(!full.is_acyclic());
     assert_eq!(id.inverse(), id);
+}
+
+#[test]
+fn kernel_types_stay_right_sized() {
+    // Every model check builds and copies relations by value, and the
+    // arena stores packed executions inline: growing these types makes
+    // every temporary and every interned execution dearer. Raise a
+    // bound only together with MAX_EVENTS or the row width.
+    assert!(std::mem::size_of::<Rel>() <= 34, "Rel grew");
+    assert!(std::mem::size_of::<Execution>() <= 312, "Execution grew");
+    assert!(
+        std::mem::size_of::<PackedExecution>() <= 592,
+        "PackedExecution grew"
+    );
 }

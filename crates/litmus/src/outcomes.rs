@@ -315,8 +315,8 @@ pub struct Candidate {
     /// Values written to each location in coherence order.
     pub co_order: Vec<Vec<u32>>,
     /// Bitmask over [`ProgramSkeleton::txns`] classes aborted here
-    /// (at most [`txmm_core::MAX_EVENTS`] single-event classes fit a
-    /// program, so `u64` covers every mask).
+    /// (at most [`txmm_core::MAX_EVENTS`] (16) single-event classes fit
+    /// a program, so `u64` covers every mask).
     pub aborted: u64,
 }
 
@@ -534,9 +534,8 @@ pub fn enumerate_candidates(
     let sk = ProgramSkeleton::from_litmus(t)?;
     let nthreads = t.threads.len();
     let nlocs = sk.max_loc().map(|l| l as usize + 1).unwrap_or(0);
-    // At most MAX_EVENTS (64) single-event classes fit a program, so
-    // u64 masks cover every split; the u128 shift keeps the count of
-    // splits representable at exactly 64 classes.
+    // At most MAX_EVENTS (16) single-event classes fit a program, so
+    // u64 masks cover every split.
     let splits: u128 = 1u128 << sk.txns.len();
     let mut visited = 0usize;
 
@@ -1247,13 +1246,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn oversized_counts_saturate_instead_of_overflowing() {
+    /// `stores` same-location stores on one thread and `loads` loads of
+    /// that location on another.
+    fn wide(stores: u32, loads: usize) -> LitmusTest {
         use crate::ast::{AccessMode, Instr};
-        // 7 same-location stores + 42 loads: 7! x 8^42 ~ 2^138 exceeds
-        // u128; the closed-form count must saturate, not panic (debug)
-        // or wrap (release).
-        let stores: Vec<Instr> = (1..=7u32)
+        let stores: Vec<Instr> = (1..=stores)
             .map(|v| {
                 Instr::plain(Op::Store {
                     loc: 0,
@@ -1262,7 +1259,7 @@ mod tests {
                 })
             })
             .collect();
-        let loads: Vec<Instr> = (0..42usize)
+        let loads: Vec<Instr> = (0..loads)
             .map(|r| {
                 Instr::plain(Op::Load {
                     reg: r,
@@ -1271,22 +1268,33 @@ mod tests {
                 })
             })
             .collect();
-        let t = LitmusTest {
+        LitmusTest {
             name: "wide".into(),
             arch: Arch::X86,
             threads: vec![stores, loads],
             post: vec![],
-        };
-        let count = candidate_count(&t).expect("counts");
-        assert_eq!(count, u128::MAX, "saturated, not wrapped");
+        }
+    }
+
+    #[test]
+    fn oversized_counts_saturate_instead_of_overflowing() {
+        // 7 same-location stores + 42 loads (7! x 8^42 ~ 2^138 would
+        // exceed u128) is past the event cap: refused before counting.
+        let e = candidate_count(&wide(7, 42)).unwrap_err();
+        assert!(matches!(e, LitmusConvertError::TooManyEvents(49)), "{e}");
+        assert_eq!(e.to_string(), "program has 49 events (max 16)");
+        // The widest program within the cap counts exactly: 7! x 8^9.
+        assert_eq!(
+            candidate_count(&wide(7, 9)).expect("counts"),
+            5040 * 8u128.pow(9)
+        );
     }
 
     #[test]
     fn deep_transaction_masks_saturate_without_shift_overflow() {
         use crate::ast::{AccessMode, Instr};
-        // 33 single-store transactions: more than a u32 mask holds. The
-        // count must short-circuit (every split contributes >= 1
-        // candidate) rather than shift-overflow or walk 2^33 masks.
+        // 33 single-store transactions: more than a u32 mask holds, and
+        // more events than the cap. Refused before any mask is formed.
         let mut instrs = Vec::new();
         for v in 1..=33u32 {
             instrs.push(Instr::plain(Op::TxBegin {
@@ -1306,7 +1314,8 @@ mod tests {
             threads: vec![instrs],
             post: vec![],
         };
-        assert_eq!(candidate_count(&t).expect("counts"), u128::MAX);
+        let e = candidate_count(&t).unwrap_err();
+        assert!(matches!(e, LitmusConvertError::TooManyEvents(33)), "{e}");
     }
 
     /// A stable identity for a candidate: the full graph plus the

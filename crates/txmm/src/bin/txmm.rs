@@ -155,10 +155,16 @@ fn cmd_gen(args: &[String]) -> ExitCode {
         );
         return ExitCode::FAILURE;
     };
-    let events: usize = flag_values(args, "--events")
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
+    let events = match flag_values(args, "--events").first() {
+        None => 3,
+        Some(v) => match txmm::corpus::parse_event_bound(v) {
+            Ok(n) => n,
+            Err(e) => {
+                eprintln!("error: --events: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+    };
     let dir = PathBuf::from(dir);
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("error: cannot create {}: {e}", dir.display());
@@ -798,4 +804,21 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn gen_refuses_event_bounds_past_the_cap() {
+        let dir = std::env::temp_dir().join(format!("txmm-gen-cap-{}", std::process::id()));
+        for bad in ["17", "65"] {
+            let args: Vec<String> = [dir.to_str().expect("utf-8 path"), "--events", bad]
+                .map(String::from)
+                .to_vec();
+            assert_eq!(cmd_gen(&args), ExitCode::FAILURE, "--events {bad}");
+        }
+        assert!(!dir.exists(), "refused before creating the directory");
+    }
 }

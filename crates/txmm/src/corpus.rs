@@ -2,6 +2,7 @@
 //! CI smoke corpus, and the serving integration tests (one definition,
 //! so they cannot silently diverge).
 
+use txmm_core::MAX_EVENTS;
 use txmm_litmus::{litmus_from_execution, render};
 use txmm_models::{catalog, Arch};
 use txmm_synth::EnumConfig;
@@ -32,6 +33,28 @@ pub fn sanitise(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
         .collect()
+}
+
+/// Parse a synthesis event bound (`txmm gen --events N`, the
+/// `TXMM_MAX_EVENTS` of the Table 1/Fig. 7 drivers): an integer in
+/// `1..=MAX_EVENTS`. No relation holds more than [`MAX_EVENTS`] events,
+/// so a larger bound would only panic inside the walk.
+pub fn parse_event_bound(s: &str) -> Result<usize, String> {
+    match s.parse::<usize>() {
+        Ok(n) if (1..=MAX_EVENTS).contains(&n) => Ok(n),
+        _ => Err(format!(
+            "event bound must be an integer in 1..={MAX_EVENTS}, got {s:?}"
+        )),
+    }
+}
+
+/// The event bound set in `TXMM_MAX_EVENTS` (see [`parse_event_bound`]),
+/// or `default` when the variable is unset.
+pub fn event_bound_from_env(default: usize) -> Result<usize, String> {
+    match std::env::var("TXMM_MAX_EVENTS") {
+        Ok(v) => parse_event_bound(&v).map_err(|e| format!("TXMM_MAX_EVENTS: {e}")),
+        Err(_) => Ok(default),
+    }
 }
 
 /// The standard generated corpus as `(file-stem, litmus source)` pairs:
@@ -98,6 +121,16 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), corpus.len());
+    }
+
+    #[test]
+    fn event_bounds_past_the_cap_are_refused() {
+        assert_eq!(parse_event_bound("1"), Ok(1));
+        assert_eq!(parse_event_bound("16"), Ok(MAX_EVENTS));
+        for bad in ["0", "17", "65", "-3", "four", ""] {
+            let e = parse_event_bound(bad).unwrap_err();
+            assert!(e.contains("1..=16"), "{bad}: {e}");
+        }
     }
 
     #[test]

@@ -849,30 +849,32 @@ mod tests {
     fn pathological_programs_refused_without_panic() {
         use txmm_litmus::{Instr, Op};
         let mode = txmm_litmus::AccessMode::default();
-        // Wide: 7 stores + 42 loads of one location (count saturates).
-        let stores: Vec<Instr> = (1..=7u32)
-            .map(|v| {
-                Instr::plain(Op::Store {
-                    loc: 0,
-                    value: v,
-                    mode,
+        // `n` loads of one location after 7 stores to it.
+        let wide = |n: usize| {
+            let stores: Vec<Instr> = (1..=7u32)
+                .map(|v| {
+                    Instr::plain(Op::Store {
+                        loc: 0,
+                        value: v,
+                        mode,
+                    })
                 })
-            })
-            .collect();
-        let loads: Vec<Instr> = (0..42usize)
-            .map(|r| {
-                Instr::plain(Op::Load {
-                    reg: r,
-                    loc: 0,
-                    mode,
+                .collect();
+            let loads: Vec<Instr> = (0..n)
+                .map(|r| {
+                    Instr::plain(Op::Load {
+                        reg: r,
+                        loc: 0,
+                        mode,
+                    })
                 })
-            })
-            .collect();
-        let wide = LitmusTest {
-            name: "wide".into(),
-            arch: Arch::X86,
-            threads: vec![stores, loads],
-            post: vec![],
+                .collect();
+            LitmusTest {
+                name: format!("wide{n}"),
+                arch: Arch::X86,
+                threads: vec![stores, loads],
+                post: vec![],
+            }
         };
         // Deep: 33 single-store transactions (mask wider than u32).
         let mut instrs = Vec::new();
@@ -895,10 +897,15 @@ mod tests {
             post: vec![],
         };
         let mut s = Session::new();
-        for t in [wide, deep] {
+        // Past the event cap: refused by size before any counting.
+        for (t, events) in [(wide(42), 49), (deep, 33)] {
             let e = s.outcomes(&t.name.clone(), &t, None).unwrap_err();
-            assert!(e.contains("limit"), "{e}");
+            assert_eq!(e, format!("program has {events} events (max 16)"));
         }
+        // Within the cap, 7! x 8^9 candidates: refused by the count cap.
+        let t = wide(9);
+        let e = s.outcomes(&t.name.clone(), &t, None).unwrap_err();
+        assert!(e.contains("limit"), "{e}");
     }
 
     #[test]

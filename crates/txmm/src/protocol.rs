@@ -85,6 +85,11 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ProtocolError> {
     Err(ProtocolError(msg.into()))
 }
 
+/// The deepest array/object nesting [`parse_json`] accepts. Wire frames
+/// nest a few levels; the reader recurses once per level, so the bound
+/// keeps a line of `[`s from overflowing the handler thread's stack.
+const MAX_DEPTH: usize = 64;
+
 struct Reader<'a> {
     b: &'a [u8],
     i: usize,
@@ -196,9 +201,14 @@ impl<'a> Reader<'a> {
             .ok_or_else(|| ProtocolError(format!("bad number at byte {start}")))
     }
 
-    fn value(&mut self) -> Result<Json, ProtocolError> {
+    /// One value nested inside `depth` arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, ProtocolError> {
         self.skip_ws();
         match self.peek() {
+            Some(b'{' | b'[') if depth == MAX_DEPTH => err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.i
+            )),
             Some(b'{') => {
                 self.i += 1;
                 let mut fields = Vec::new();
@@ -212,7 +222,7 @@ impl<'a> Reader<'a> {
                     let k = self.string()?;
                     self.skip_ws();
                     self.eat(b':')?;
-                    fields.push((k, self.value()?));
+                    fields.push((k, self.value(depth + 1)?));
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.i += 1,
@@ -233,7 +243,7 @@ impl<'a> Reader<'a> {
                     return Ok(Json::Arr(items));
                 }
                 loop {
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.i += 1,
@@ -261,7 +271,7 @@ pub fn parse_json(s: &str) -> Result<Json, ProtocolError> {
         b: s.as_bytes(),
         i: 0,
     };
-    let v = r.value()?;
+    let v = r.value(0)?;
     r.skip_ws();
     if r.i != s.len() {
         return err(format!("trailing input at byte {}", r.i));
@@ -617,6 +627,16 @@ mod tests {
             .to_string()
             .contains("missing string field \"file\""));
         assert!(Request::parse("not json").is_err());
+        // Nesting is bounded, so a line of brackets cannot exhaust the
+        // stack; the bound still admits any realistic request.
+        let deep = "[".repeat(200_000);
+        assert!(Request::parse(&deep)
+            .unwrap_err()
+            .to_string()
+            .contains("nesting deeper than 64"));
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse_json(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse_json(&nest(MAX_DEPTH + 1)).is_err());
         assert!(
             Request::parse("{\"cmd\":\"check\",\"file\":\"f\",\"src\":\"s\",\"models\":3}")
                 .is_err()

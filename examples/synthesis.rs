@@ -10,10 +10,10 @@ use txmm::litmus::render;
 use txmm::prelude::*;
 
 fn main() {
-    let events: usize = std::env::var("TXMM_MAX_EVENTS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
+    let events = txmm::corpus::event_bound_from_env(3).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
 
     let cfg = EnumConfig {
         arch: Arch::X86,

@@ -472,6 +472,54 @@ fn malformed_requests_keep_the_connection_alive() {
     line.clear();
     stream.read_line(&mut line).expect("terminator");
     assert_eq!(line, "\n");
+    // A line of brackets far under the line limit would recurse past
+    // the handler's stack; it gets an error frame instead.
+    stream
+        .get_mut()
+        .write_all(format!("{}\n", "[".repeat(200_000)).as_bytes())
+        .expect("send nested brackets");
+    line.clear();
+    stream.read_line(&mut line).expect("error line");
+    assert!(line.starts_with("{\"error\""), "{line}");
+    assert!(line.contains("nesting deeper than"), "{line}");
+    line.clear();
+    stream.read_line(&mut line).expect("terminator");
+    assert_eq!(line, "\n");
+    // A program one event past the cap is refused by name, as a check
+    // and as an outcomes request.
+    let mut src = String::from("big17 (x86)\nInitially: x = 0\nthread 0:\n");
+    for v in 1..=8 {
+        src += &format!("  x <- {v}\n");
+    }
+    src += "thread 1:\n";
+    for r in 0..9 {
+        src += &format!("  r{r} <- x\n");
+    }
+    src += "Test: 1:r0 = 0\n";
+    let file = "big17.litmus".to_string();
+    for req in [
+        Request::Check {
+            file: file.clone(),
+            src: src.clone(),
+            models: None,
+            trace: None,
+        },
+        Request::Outcomes {
+            file: file.clone(),
+            src: src.clone(),
+            models: None,
+            max_candidates: None,
+            trace: None,
+        },
+    ] {
+        let got = roundtrip(&mut stream, &req);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert!(
+            got[0].contains("\"error\":\"program has 17 events (max 16)\""),
+            "{}",
+            got[0]
+        );
+    }
     // The same connection still serves real requests.
     let models = roundtrip(&mut stream, &Request::Models);
     assert!(!models.is_empty());
