@@ -6,18 +6,20 @@
 //! reference interpreter on an |E| <= 4 fuzz-shaped corpus:
 //!
 //! ```text
-//! cat-vm/headline: |E|<=4 corpus=2032 execs x86-tm | native 1.04M
-//! checks/s | vm 1.06M checks/s | reference 0.14M checks/s | vm 7.6x
-//! reference (2.9x end-to-end)
-//! cat-vm/headline: aggregate vm 9.9x reference across the fuzz corpus
-//! cat-vm/outcomes: corpus=50 --with-cat | cold 446 tables/s | warm
-//! 6252 tables/s (14.0x cold) | compile: 100 misses, 11650 hits, 100
-//! tiers, 1015us
+//! cat-vm/headline: |E|<=4 corpus=2032 execs x86-tm | native 7.26M
+//! checks/s | vm 1.86M checks/s | reference 0.44M checks/s | vm 4.3x
+//! reference (1.9x end-to-end)
+//! cat-vm/headline: aggregate vm 6.5x reference across the fuzz corpus
+//! cat-vm/outcomes: corpus=50 --with-cat | cold 468 tables/s | warm
+//! 3355 tables/s (7.2x cold) | compile: 100 misses, 2033 hits, 100
+//! tiers, 1685us
 //! ```
 //!
-//! (Measured on the CI container; the VM edges out even the native
-//! models on Power/ARMv8 because its row-wise register ops skip the
-//! whole-`Rel` temporaries the hand-written `derived()` paths build.)
+//! (Measured on a 2-vCPU Xeon container. The VM, the reference
+//! interpreter and the native models all run the same whole-`Rel`
+//! kernel: the VM gains on the interpreter by skipping the AST walk and
+//! name lookups and by sharing subexpressions, and its per-op dispatch
+//! leaves it behind the native models.)
 
 use std::time::{Duration, Instant};
 

@@ -12,7 +12,7 @@
 //! The caches use [`std::cell::OnceCell`], so an analysis is cheap to
 //! construct (no relation is computed until first use) and single
 //! threaded by design: parallel drivers build one analysis per worker.
-//! Cached relations sit inline in their slots: at 34 bytes a `Rel` is
+//! Cached relations sit inline in their slots: at 40 bytes a `Rel` is
 //! cheap to hold even in a slot that stays empty, and filling a slot
 //! allocates nothing.
 

@@ -1,15 +1,15 @@
 //! An arena for executions: inline, `Copy`-cheap storage.
 //!
-//! [`crate::rel::Rel`] already keeps its rows in a fixed inline array so
-//! the whole relational algebra is allocation-free, but [`Execution`]
-//! itself still heap-allocates its event and transaction lists. That
-//! cost is invisible for a single check and dominant for a long-lived
-//! serving process that interns thousands of executions. This module
-//! closes the gap:
+//! [`crate::rel::Rel`] already keeps its bit blocks in a fixed inline
+//! array so the whole relational algebra is allocation-free, but
+//! [`Execution`] itself still heap-allocates its event and transaction
+//! lists. That cost is invisible for a single check and dominant for a
+//! long-lived serving process that interns thousands of executions.
+//! This module closes the gap:
 //!
 //! * [`PackedExecution`] — a whole execution in one flat `Copy` value:
-//!   events in a fixed `[Event; MAX_EVENTS]` array mirroring `Rel`'s
-//!   `[Row; MAX_EVENTS]` rows, transaction classes as
+//!   events in a fixed `[Event; MAX_EVENTS]` array, sized to the same
+//!   cap as `Rel`'s blocks, transaction classes as
 //!   ([`EventSet`], atomic-flag) pairs. Packing and comparing are pure
 //!   word operations; no allocation anywhere.
 //! * [`ExecArena`] — an interning store of packed executions: equal
@@ -54,7 +54,7 @@ const FILLER_EVENT: Event = Event {
     attrs: Attrs::NONE,
 };
 
-/// A whole execution in one inline `Copy` value (592 bytes): events and
+/// A whole execution in one inline `Copy` value (640 bytes): events and
 /// transactions in fixed arrays, relations as the existing inline
 /// [`Rel`] bit-matrices. Packing, copying, hashing and comparing never
 /// allocate.

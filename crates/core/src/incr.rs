@@ -14,9 +14,9 @@
 //! This module provides the machinery both construction paths share:
 //!
 //! * [`IncrOrder`] — an online cycle detector over a growing relation
-//!   (dense reachability rows, O(|E|) words per inserted edge), used
-//!   for the per-location coherence gate `acyclic(po_loc | com)` and
-//!   for every delta-plan obligation;
+//!   (a reachability [`Rel`], a few block-word operations per inserted
+//!   edge), used for the per-location coherence gate
+//!   `acyclic(po_loc | com)` and for every delta-plan obligation;
 //! * [`PartialCandidate`] — an execution whose `rf`/`co` are grown in
 //!   place together with a *partial* `fr` (only the from-reads edges
 //!   that are already forced), with pooled width-aware checkpoint
@@ -70,7 +70,7 @@ use std::time::Instant;
 use crate::analysis::ExecutionAnalysis;
 use crate::exec::Execution;
 use crate::rel::Rel;
-use crate::set::{EventSet, Row, MAX_EVENTS};
+use crate::set::EventSet;
 
 /// Per-model viability test over a partial execution.
 ///
@@ -232,56 +232,46 @@ impl PruneStats {
 
 /// Online cycle detection over a growing relation.
 ///
-/// Maintains, for every event, the set of events *strictly* reachable
-/// from it. Inserting an edge is O(|E|) words: the new target's
-/// reachability row is OR-ed into every row that already reaches the
-/// source. `Copy`, so a depth-first walk checkpoints it by value.
+/// Maintains the *strict* reachability relation of the edges inserted
+/// so far. Inserting `a → b` unions in `pred*(a) × succ*(b)`, the
+/// reflexive predecessors of `a` times the reflexive successors of `b`:
+/// a handful of block-word operations. `Copy`, so a depth-first walk
+/// checkpoints it by value.
 #[derive(Clone, Copy)]
 pub struct IncrOrder {
-    n: usize,
-    reach: [Row; MAX_EVENTS],
+    reach: Rel,
 }
 
 impl IncrOrder {
     /// An empty order over `n` events.
     pub fn new(n: usize) -> IncrOrder {
-        assert!(n <= MAX_EVENTS);
         IncrOrder {
-            n,
-            reach: [0; MAX_EVENTS],
+            reach: Rel::empty(n),
         }
     }
 
     /// Does a (non-empty) path lead from `a` to `b`?
     pub fn reaches(&self, a: usize, b: usize) -> bool {
-        self.reach[a] & (1 << b) != 0
+        self.reach.contains(a, b)
     }
 
     /// Insert `a → b`. Returns `false` iff the edge closes a cycle
     /// (the detector is then stale and must be restored or discarded).
     pub fn insert(&mut self, a: usize, b: usize) -> bool {
-        debug_assert!(a < self.n && b < self.n);
-        if a == b || self.reach[b] & (1 << a) != 0 {
+        let n = self.reach.size();
+        debug_assert!(a < n && b < n);
+        if a == b || self.reach.contains(b, a) {
             return false;
         }
-        let delta = self.reach[b] | (1 << b);
-        if self.reach[a] & delta == delta {
+        let mut succ = self.reach.row(b);
+        succ.insert(b);
+        if succ.is_subset(self.reach.row(a)) {
             return true; // already known
         }
-        let abit: Row = 1 << a;
-        for i in 0..self.n {
-            if i == a || self.reach[i] & abit != 0 {
-                self.reach[i] |= delta;
-            }
-        }
+        let mut pred = self.reach.col(a);
+        pred.insert(a);
+        self.reach = self.reach.union(&Rel::cross(n, pred, succ));
         true
-    }
-
-    /// Copy another detector's live rows into this one (same width).
-    #[inline]
-    fn copy_from(&mut self, src: &IncrOrder) {
-        debug_assert_eq!(self.n, src.n);
-        self.reach[..self.n].copy_from_slice(&src.reach[..src.n]);
     }
 }
 
@@ -554,8 +544,9 @@ impl PartialCandidate {
         self.coh_ok
     }
 
-    /// Save the mutable state before a choice point. Frames pool and
-    /// copy only the live `|E|` rows of each relation/detector.
+    /// Save the mutable state before a choice point. Frames are pooled,
+    /// so a mark copies relation and detector values and allocates
+    /// nothing once the pool is warm.
     pub fn mark(&mut self) {
         if self.depth == self.frames.len() {
             self.frames.push(Frame {
@@ -573,15 +564,13 @@ impl PartialCandidate {
             });
         } else {
             let f = &mut self.frames[self.depth];
-            f.rf.copy_from(self.x.rf());
-            f.co.copy_from(self.x.co());
-            f.fr.copy_from(&self.fr);
-            f.coh.copy_from(&self.coh);
+            f.rf = *self.x.rf();
+            f.co = *self.x.co();
+            f.fr = self.fr;
+            f.coh = self.coh;
             f.coh_ok = self.coh_ok;
             if let Some(ds) = &self.delta {
-                for (dst, src) in f.obls.iter_mut().zip(&ds.obls) {
-                    dst.copy_from(src);
-                }
+                f.obls.copy_from_slice(&ds.obls);
                 f.ok = ds.ok;
                 f.rmw_bad = ds.rmw_bad;
             }
@@ -593,15 +582,13 @@ impl PartialCandidate {
     /// (the frame stays live, so a loop can rewind once per branch).
     pub fn rewind(&mut self) {
         let f = &self.frames[self.depth - 1];
-        self.x.rf.copy_from(&f.rf);
-        self.x.co.copy_from(&f.co);
-        self.fr.copy_from(&f.fr);
-        self.coh.copy_from(&f.coh);
+        self.x.rf = f.rf;
+        self.x.co = f.co;
+        self.fr = f.fr;
+        self.coh = f.coh;
         self.coh_ok = f.coh_ok;
         if let Some(ds) = &mut self.delta {
-            for (dst, src) in ds.obls.iter_mut().zip(&f.obls) {
-                dst.copy_from(src);
-            }
+            ds.obls.copy_from_slice(&f.obls);
             ds.ok = f.ok;
             ds.rmw_bad = f.rmw_bad;
         }
@@ -877,6 +864,40 @@ mod tests {
         for a in 0..5 {
             for b in 0..5 {
                 assert_eq!(o.reaches(a, b), tc.contains(a, b), "({a},{b})");
+            }
+        }
+        // Seeded edge sequences at and past the 8×8 block boundary: an
+        // insert is refused exactly when the edge closes a cycle (the
+        // detector is then restored, as a walk would), and otherwise
+        // reachability stays the closure of the accepted edges.
+        for n in [5, 8, 9, 16] {
+            for seed in 0..8u64 {
+                let mut rng = crate::rng::SplitMix64::seed_from_u64(seed ^ ((n as u64) << 32));
+                let mut o = IncrOrder::new(n);
+                let mut r = Rel::empty(n);
+                let (mut accepted, mut refused) = (0, 0);
+                for _ in 0..3 * n {
+                    let (a, b) = (rng.below(n), rng.below(n));
+                    let mut with = r;
+                    with.add(a, b);
+                    let saved = o;
+                    if o.insert(a, b) {
+                        assert!(with.is_acyclic(), "n {n} seed {seed}: ({a},{b}) accepted");
+                        r = with;
+                        accepted += 1;
+                    } else {
+                        assert!(!with.is_acyclic(), "n {n} seed {seed}: ({a},{b}) refused");
+                        o = saved;
+                        refused += 1;
+                    }
+                    let tc = r.plus();
+                    for x in 0..n {
+                        for y in 0..n {
+                            assert_eq!(o.reaches(x, y), tc.contains(x, y), "n {n} seed {seed}");
+                        }
+                    }
+                }
+                assert!(accepted > 0 && refused > 0, "n {n} seed {seed}");
             }
         }
     }

@@ -15,14 +15,14 @@
 //!
 //! * [`rel::Rel`] — dense, allocation-free bit-matrix relations with
 //!   the full `.cat` operator set (`; | & \ ¬ ⁻¹ ? + *`, `[s]`,
-//!   `acyclic`, ...), rows stored inline;
+//!   `acyclic`, ...), stored inline as 8×8 bit blocks;
 //! * [`exec::Execution`] — executions with derived relations (`fr`,
 //!   `com`, `rfe`/`fre`/`coe`, fence relations, `stxn`, `tfence`, `scr`);
 //! * [`analysis::ExecutionAnalysis`] — the shared per-execution cache
 //!   of derived relations every model checks against;
 //! * [`arena::PackedExecution`] / [`arena::ExecArena`] — whole
 //!   executions as inline `Copy` values, interned for long-lived
-//!   serving (events/txns in fixed arrays mirroring `Rel`'s rows);
+//!   serving (events/txns in fixed arrays of `MAX_EVENTS` slots);
 //! * [`wf`] — the well-formedness conditions;
 //! * [`build::ExecBuilder`] — a fluent constructor;
 //! * [`display`] — text and Graphviz rendering.

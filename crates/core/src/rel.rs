@@ -1,4 +1,4 @@
-//! Binary relations over a small event universe, as dense bit-matrices.
+//! Binary relations over a small event universe, as blocked bit-matrices.
 //!
 //! This module implements the relational algebra that axiomatic memory
 //! models are written in (§2.1 of the paper and the `.cat` language):
@@ -7,81 +7,242 @@
 //! (`*`) closure, set-lifting `[s]`, and the `acyclic` / `irreflexive` /
 //! `empty` consistency predicates.
 //!
-//! Executions are tiny (the paper's bounds stop at nine events), so a row
-//! of a relation is a single [`Row`] word with one bit per possible
-//! event, and every operation is a handful of word operations. Rows live
-//! in a fixed inline array rather than a heap `Vec`: relation algebra is
-//! completely allocation-free, which matters because enumeration and
-//! model checking construct millions of intermediate relations. With
-//! [`MAX_EVENTS`] = 16 and 16-bit rows a whole relation is 34 bytes, so
-//! those temporaries cost little to zero, copy and compare.
+//! Executions are tiny (the walks stop at seven events and the largest
+//! served litmus program has nine), so a relation is a 2×2 matrix of
+//! 8×8 bit blocks, one `u64` each: bit `8i + j` of a block is the pair
+//! `(i, j)` of that block, so byte `i` is row `i`. A relation over at
+//! most eight events lives entirely in the first block and the other
+//! three stay zero. Composition and closure are then straight-line word
+//! operations on that one block: eight steps, one per pivot `k`, each a
+//! single multiply forming the outer product of the left operand's
+//! column `k` and the right operand's row `k`, with no branch on the
+//! data. Relations over 9–[`MAX_EVENTS`] events run the same block
+//! product over all four blocks. The blocks live inline, so relation
+//! algebra is completely allocation-free, which matters because
+//! enumeration and model checking construct millions of intermediate
+//! relations; a whole relation is 40 bytes.
 
 use crate::event::EventId;
-use crate::set::{EventSet, Row, MAX_EVENTS};
+use crate::set::{EventSet, MAX_EVENTS};
 use std::fmt;
+
+const _: () = assert!(MAX_EVENTS <= 16, "a Rel holds a 2×2 matrix of 8×8 blocks");
+
+/// Bit 0 of every byte: column 0 of a block.
+const COL0: u64 = 0x0101_0101_0101_0101;
+
+/// The diagonal of a block.
+const DIAG: u64 = 0x8040_2010_0804_0201;
+
+/// The bits of rows `0..r` and columns `0..c` of one block (`r, c ≤ 8`).
+const fn square(r: usize, c: usize) -> u64 {
+    let rows = if r >= 8 { !0 } else { (1u64 << (8 * r)) - 1 };
+    rows & (COL0 * ((1u64 << c) - 1))
+}
+
+/// Per event count `n`, the four block masks of the `n × n` square.
+const MASKS: [[u64; 4]; MAX_EVENTS + 1] = {
+    let mut t = [[0; 4]; MAX_EVENTS + 1];
+    let mut n = 0;
+    while n <= MAX_EVENTS {
+        let lo = if n < 8 { n } else { 8 };
+        let hi = n - lo;
+        t[n] = [
+            square(lo, lo),
+            square(lo, hi),
+            square(hi, lo),
+            square(hi, hi),
+        ];
+        n += 1;
+    }
+    t
+};
+
+/// Spread bit `i` of `x`'s low byte to bit `8i` (a column of a block),
+/// in three halving steps.
+#[inline]
+fn spread(x: u64) -> u64 {
+    let mut x = x & 0xff;
+    x = (x | (x << 28)) & 0x0000_000f_0000_000f;
+    x = (x | (x << 14)) & 0x0003_0003_0003_0003;
+    (x | (x << 7)) & COL0
+}
+
+/// A block whose row `i` is all-ones iff bit `i` of `x`'s low byte is set.
+#[inline]
+fn fill_rows(x: u64) -> u64 {
+    spread(x) * 0xff
+}
+
+/// A block whose every row is `x`'s low byte.
+#[inline]
+fn fill_cols(x: u64) -> u64 {
+    (x & 0xff) * COL0
+}
+
+/// Gather bit `8i` of `x` (the only bits set) into bit `i`: the inverse
+/// of [`spread`].
+#[inline]
+fn gather(x: u64) -> u64 {
+    x.wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
+/// The OR of a block's rows.
+#[inline]
+fn fold_rows(mut x: u64) -> u64 {
+    x |= x >> 32;
+    x |= x >> 16;
+    x |= x >> 8;
+    x & 0xff
+}
+
+/// Bit `i` is set iff row `i` of the block is non-empty.
+#[inline]
+fn nonempty_rows(x: u64) -> u64 {
+    let mut t = x | (x >> 4);
+    t |= t >> 2;
+    t |= t >> 1;
+    gather(t & COL0)
+}
+
+/// The outer product of column `k` of block `a` and row `k` of block
+/// `b`: row `i` is `b`'s row `k` iff `(i, k)` is in `a`. One multiply:
+/// the column's bits sit 8 apart and the row is below 256, so the
+/// partial products never overlap.
+#[inline]
+fn outer(a: u64, b: u64, k: usize) -> u64 {
+    ((a >> k) & COL0) * ((b >> (8 * k)) & 0xff)
+}
+
+/// The Boolean product of two blocks: one outer product per pivot.
+#[inline]
+fn mul(a: u64, b: u64) -> u64 {
+    let mut c = 0;
+    for k in 0..8 {
+        c |= outer(a, b, k);
+    }
+    c
+}
+
+/// The transitive closure of one block: Warshall, one pivot per step.
+#[inline]
+fn close(mut a: u64) -> u64 {
+    for k in 0..8 {
+        a |= outer(a, a, k);
+    }
+    a
+}
+
+/// The product of two 2×2 block matrices: eight block products. Kept
+/// out of line so the one-block path of [`Rel::seq`] stays small.
+#[inline(never)]
+fn mul_wide(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
+    std::array::from_fn(|k| {
+        let (i, j) = (k >> 1, k & 1);
+        mul(a[2 * i], b[j]) | mul(a[2 * i + 1], b[2 + j])
+    })
+}
+
+/// Warshall over the first `n` pivots of a 2×2 block matrix, in place.
+#[inline(never)]
+fn close_wide(b: &mut [u64; 4], n: usize) {
+    for k in 0..n {
+        // Pivot k: block (i, j) gains column k of block (i, k/8) times
+        // row k of block (k/8, j).
+        let (kb, kk) = (k >> 3, k & 7);
+        for i in 0..2 {
+            let col = b[2 * i + kb];
+            for j in 0..2 {
+                b[2 * i + j] |= outer(col, b[2 * kb + j], kk);
+            }
+        }
+    }
+}
+
+/// The transpose of one block (three rounds of delta swaps).
+#[inline]
+fn transpose(mut x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00aa_00aa_00aa_00aa;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_cccc_0000_cccc;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_f0f0_f0f0;
+    x ^ t ^ (t << 28)
+}
 
 /// A binary relation over events `0..n`.
 ///
-/// Invariant: `rows[n..]` is always all-zero and no row has a bit at or
-/// past `n`, so the derived equality and hashing over the whole array
-/// agree with the semantic relation.
+/// `b` is the 2×2 block matrix `[b[0] b[1]; b[2] b[3]]`: the pair
+/// `(i, j)` is bit `8 (i mod 8) + (j mod 8)` of block
+/// `2 ⌊i/8⌋ + ⌊j/8⌋`.
+///
+/// Invariant: no bit lies outside the `n × n` square (for `n ≤ 8` every
+/// block but `b[0]` is zero), so the derived equality and hashing over
+/// the whole array agree with the semantic relation.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rel {
     n: u8,
-    rows: [Row; MAX_EVENTS],
+    b: [u64; 4],
 }
 
-/// The row mask of a universe of `n` events.
-fn row_mask(n: usize) -> Row {
-    EventSet::universe(n).bits() as Row
+/// The block index and bit of the pair `(a, b)`.
+#[inline]
+fn at(a: EventId, b: EventId) -> (usize, u64) {
+    (2 * (a >> 3) + (b >> 3), 1 << (8 * (a & 7) + (b & 7)))
 }
 
 impl Rel {
     /// The empty relation over `n` events.
+    #[inline]
     pub fn empty(n: usize) -> Rel {
         assert!(n <= MAX_EVENTS, "relation universe too large: {n}");
         Rel {
             n: n as u8,
-            rows: [0; MAX_EVENTS],
+            b: [0; 4],
         }
     }
 
     /// The full relation `n × n`.
+    #[inline]
     pub fn full(n: usize) -> Rel {
         let mut r = Rel::empty(n);
-        r.rows[..n].fill(row_mask(n));
+        r.b = MASKS[n];
         r
     }
 
     /// The identity relation over `n` events.
+    #[inline]
     pub fn id(n: usize) -> Rel {
         let mut r = Rel::empty(n);
-        for e in 0..n {
-            r.add(e, e);
-        }
+        r.reflexive_close();
         r
     }
 
     /// The identity restricted to a set: the `.cat` construct `[s]`.
+    #[inline]
     pub fn id_on(n: usize, s: EventSet) -> Rel {
+        let s = s.bits() & EventSet::universe(n).bits();
         let mut r = Rel::empty(n);
-        for e in s.iter() {
-            if e < n {
-                r.add(e, e);
-            }
-        }
+        r.b[0] = fill_cols(s) & DIAG;
+        r.b[3] = fill_cols(s >> 8) & DIAG;
         r
     }
 
     /// The Cartesian product `a × b`.
+    #[inline]
     pub fn cross(n: usize, a: EventSet, b: EventSet) -> Rel {
+        let u = EventSet::universe(n).bits();
+        let (a, b) = (a.bits() & u, b.bits() & u);
+        // Each block is one outer product (see `outer`).
+        let rows = [spread(a), spread(a >> 8)];
+        let cols = [b & 0xff, (b >> 8) & 0xff];
         let mut r = Rel::empty(n);
-        let bb = b.bits() as Row & row_mask(n);
-        for e in a.iter() {
-            if e < n {
-                r.rows[e] = bb;
-            }
-        }
+        r.b = [
+            rows[0] * cols[0],
+            rows[0] * cols[1],
+            rows[1] * cols[0],
+            rows[1] * cols[1],
+        ];
         r
     }
 
@@ -95,149 +256,136 @@ impl Rel {
     }
 
     /// The universe size.
+    #[inline]
     pub fn size(&self) -> usize {
         self.n as usize
     }
 
-    /// The `n` live rows.
-    fn live(&self) -> &[Row] {
-        &self.rows[..self.size()]
-    }
-
     /// Add the pair `(a, b)`.
+    #[inline]
     pub fn add(&mut self, a: EventId, b: EventId) {
         assert!(
             a < self.size() && b < self.size(),
             "pair ({a},{b}) out of range {}",
             self.n
         );
-        self.rows[a] |= 1 << b;
+        let (k, bit) = at(a, b);
+        self.b[k] |= bit;
     }
 
     /// Remove the pair `(a, b)`.
+    #[inline]
     pub fn remove(&mut self, a: EventId, b: EventId) {
         assert!(a < self.size() && b < self.size());
-        self.rows[a] &= !(1 << b);
+        let (k, bit) = at(a, b);
+        self.b[k] &= !bit;
     }
 
     /// Membership test.
+    #[inline]
     pub fn contains(&self, a: EventId, b: EventId) -> bool {
-        a < self.size() && b < self.size() && self.rows[a] & (1 << b) != 0
+        if a >= self.size() || b >= self.size() {
+            return false;
+        }
+        let (k, bit) = at(a, b);
+        self.b[k] & bit != 0
     }
 
     /// The successors of `a` as a set.
+    #[inline]
     pub fn row(&self, a: EventId) -> EventSet {
-        EventSet::from_bits(self.rows[a].into())
+        let (k, sh) = (2 * (a >> 3), 8 * (a & 7));
+        let lo = (self.b[k] >> sh) & 0xff;
+        let hi = (self.b[k + 1] >> sh) & 0xff;
+        EventSet::from_bits(lo | hi << 8)
     }
 
-    /// The raw bit-row `i` (`i < n`), widened to the `u64` of an
-    /// [`EventSet`]. With [`Rel::set_word`], lets hot interpreters (the
-    /// `.cat` VM) compute row-wise into an existing relation instead of
-    /// materialising temporaries.
+    /// The predecessors of `b` as a set.
     #[inline]
-    pub fn word(&self, i: usize) -> u64 {
-        debug_assert!(i < self.size());
-        self.rows[i].into()
+    pub fn col(&self, b: EventId) -> EventSet {
+        let (k, sh) = (b >> 3, b & 7);
+        let lo = gather((self.b[k] >> sh) & COL0);
+        let hi = gather((self.b[k + 2] >> sh) & COL0);
+        EventSet::from_bits(lo | hi << 8)
     }
 
-    /// Overwrite bit-row `i` with `w`, whose bits must lie below `n`.
-    /// Restricted to `i < n` so the zero-tail invariant is preserved.
     #[inline]
-    pub fn set_word(&mut self, i: usize, w: u64) {
-        debug_assert!(i < self.size() && w >> self.n == 0);
-        self.rows[i] = w as Row;
-    }
-
-    /// Copy another relation's live rows into this one (same universe).
-    #[inline]
-    pub fn copy_from(&mut self, src: &Rel) {
-        debug_assert_eq!(self.n, src.n);
-        let n = self.size();
-        self.rows[..n].copy_from_slice(&src.rows[..n]);
-    }
-
-    fn zip(&self, other: &Rel, f: impl Fn(Row, Row) -> Row) -> Rel {
+    fn zip(&self, other: &Rel, f: impl Fn(u64, u64) -> u64) -> Rel {
         assert_eq!(self.n, other.n, "relation universe mismatch");
-        let mut r = Rel::empty(self.size());
-        for i in 0..self.size() {
-            r.rows[i] = f(self.rows[i], other.rows[i]);
+        Rel {
+            n: self.n,
+            b: std::array::from_fn(|k| f(self.b[k], other.b[k])),
         }
-        r
     }
 
     /// Union.
+    #[inline]
     pub fn union(&self, other: &Rel) -> Rel {
         self.zip(other, |a, b| a | b)
     }
 
     /// Intersection.
+    #[inline]
     pub fn inter(&self, other: &Rel) -> Rel {
         self.zip(other, |a, b| a & b)
     }
 
     /// Difference (`\`).
+    #[inline]
     pub fn minus(&self, other: &Rel) -> Rel {
         self.zip(other, |a, b| a & !b)
     }
 
     /// Complement with respect to the full `n × n` relation (`¬`).
+    #[inline]
     pub fn complement(&self) -> Rel {
-        let n = self.size();
-        let mask = row_mask(n);
-        let mut r = Rel::empty(n);
-        for i in 0..n {
-            r.rows[i] = !self.rows[i] & mask;
-        }
-        r
+        self.zip(&Rel::full(self.size()), |a, m| !a & m)
     }
 
-    /// Inverse (`r⁻¹`).
+    /// Inverse (`r⁻¹`): transpose each block and swap the off-diagonal
+    /// pair.
+    #[inline]
     pub fn inverse(&self) -> Rel {
-        let n = self.size();
-        let mut r = Rel::empty(n);
-        for a in 0..n {
-            let mut bits = self.rows[a];
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                r.rows[b] |= 1 << a;
-            }
+        let mut r = *self;
+        r.b[0] = transpose(self.b[0]);
+        if self.n > 8 {
+            r.b[1] = transpose(self.b[2]);
+            r.b[2] = transpose(self.b[1]);
+            r.b[3] = transpose(self.b[3]);
         }
         r
     }
 
-    /// Relational composition (`r1 ; r2`).
+    /// Relational composition (`r1 ; r2`): the 2×2 block product.
+    #[inline]
     pub fn seq(&self, other: &Rel) -> Rel {
         assert_eq!(self.n, other.n, "relation universe mismatch");
-        let n = self.size();
-        let mut r = Rel::empty(n);
-        for a in 0..n {
-            let mut mids = self.rows[a];
-            let mut out: Row = 0;
-            while mids != 0 {
-                let m = mids.trailing_zeros() as usize;
-                mids &= mids - 1;
-                out |= other.rows[m];
-            }
-            r.rows[a] = out;
-        }
-        r
+        let b = match self.n {
+            0..=8 => [mul(self.b[0], other.b[0]), 0, 0, 0],
+            _ => mul_wide(&self.b, &other.b),
+        };
+        Rel { n: self.n, b }
     }
 
     /// Reflexive closure (`r?`).
+    #[inline]
     pub fn opt(&self) -> Rel {
-        self.union(&Rel::id(self.size()))
+        let mut r = *self;
+        r.reflexive_close();
+        r
     }
 
     /// Reflexive closure, in place.
+    #[inline]
     pub fn reflexive_close(&mut self) {
-        for e in 0..self.size() {
-            self.rows[e] |= 1 << e;
-        }
+        let m = &MASKS[self.size()];
+        self.b[0] |= m[0] & DIAG;
+        self.b[3] |= m[3] & DIAG;
     }
 
-    /// Transitive closure (`r⁺`), via bit-parallel Warshall: `n²` word
-    /// operations, no intermediate relations.
+    /// Transitive closure (`r⁺`), via Warshall over the blocks: one
+    /// pivot per step, no intermediate relations.
+    #[inline]
     pub fn plus(&self) -> Rel {
         let mut r = *self;
         r.transitive_close();
@@ -245,20 +393,16 @@ impl Rel {
     }
 
     /// Transitive closure, in place.
+    #[inline]
     pub fn transitive_close(&mut self) {
-        let n = self.size();
-        for k in 0..n {
-            let through_k = self.rows[k];
-            let bit: Row = 1 << k;
-            for i in 0..n {
-                if self.rows[i] & bit != 0 {
-                    self.rows[i] |= through_k;
-                }
-            }
+        match self.n {
+            0..=8 => self.b[0] = close(self.b[0]),
+            n => close_wide(&mut self.b, n as usize),
         }
     }
 
     /// Reflexive-transitive closure (`r*`).
+    #[inline]
     pub fn star(&self) -> Rel {
         let mut r = *self;
         r.transitive_close();
@@ -267,96 +411,74 @@ impl Rel {
     }
 
     /// Keep only pairs whose source is in `s`.
+    #[inline]
     pub fn restrict_domain(&self, s: EventSet) -> Rel {
-        let n = self.size();
-        let mut r = Rel::empty(n);
-        for a in s.iter() {
-            if a < n {
-                r.rows[a] = self.rows[a];
-            }
+        let s = s.bits();
+        let rows = [fill_rows(s), fill_rows(s >> 8)];
+        let mut r = *self;
+        for (k, w) in r.b.iter_mut().enumerate() {
+            *w &= rows[k >> 1];
         }
         r
     }
 
     /// Keep only pairs whose target is in `s`.
+    #[inline]
     pub fn restrict_range(&self, s: EventSet) -> Rel {
-        let n = self.size();
-        let mask = s.bits() as Row & row_mask(n);
-        let mut r = Rel::empty(n);
-        for i in 0..n {
-            r.rows[i] = self.rows[i] & mask;
+        let s = s.bits();
+        let cols = [fill_cols(s), fill_cols(s >> 8)];
+        let mut r = *self;
+        for (k, w) in r.b.iter_mut().enumerate() {
+            *w &= cols[k & 1];
         }
         r
     }
 
     /// The set of sources.
+    #[inline]
     pub fn domain(&self) -> EventSet {
-        let mut s = EventSet::EMPTY;
-        for a in 0..self.size() {
-            if self.rows[a] != 0 {
-                s.insert(a);
-            }
-        }
-        s
+        let lo = nonempty_rows(self.b[0] | self.b[1]);
+        let hi = nonempty_rows(self.b[2] | self.b[3]);
+        EventSet::from_bits(lo | hi << 8)
     }
 
     /// The set of targets.
+    #[inline]
     pub fn range(&self) -> EventSet {
-        let mut bits: Row = 0;
-        for &row in self.live() {
-            bits |= row;
-        }
-        EventSet::from_bits(bits.into())
+        let lo = fold_rows(self.b[0] | self.b[2]);
+        let hi = fold_rows(self.b[1] | self.b[3]);
+        EventSet::from_bits(lo | hi << 8)
     }
 
     /// Is the relation empty? (`empty(r)` in `.cat`.)
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.live().iter().all(|&r| r == 0)
+        self.b.iter().all(|&w| w == 0)
     }
 
     /// Number of pairs.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.live().iter().map(|r| r.count_ones() as usize).sum()
+        self.b.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Does the relation contain a pair `(e, e)`?
+    #[inline]
     pub fn is_irreflexive(&self) -> bool {
-        (0..self.size()).all(|e| self.rows[e] & (1 << e) == 0)
+        (self.b[0] | self.b[3]) & DIAG == 0
     }
 
     /// Is the relation free of cycles? (`acyclic(r)` ⟺ `irreflexive(r⁺)`.)
-    ///
-    /// Warshall over a scratch copy of the live rows, bailing out the
-    /// moment any diagonal bit appears.
+    #[inline]
     pub fn is_acyclic(&self) -> bool {
-        // Cheap pre-check: a reflexive pair is already a cycle.
-        if !self.is_irreflexive() {
-            return false;
-        }
-        let n = self.size();
-        let mut rows = self.rows;
-        for k in 0..n {
-            let through_k = rows[k];
-            let bit: Row = 1 << k;
-            for (i, row) in rows.iter_mut().enumerate().take(n) {
-                if *row & bit != 0 {
-                    *row |= through_k;
-                    if *row & (1 << i) != 0 {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+        self.plus().is_irreflexive()
     }
 
     /// Is `self ⊆ other`?
+    #[inline]
     pub fn is_subset(&self, other: &Rel) -> bool {
         assert_eq!(self.n, other.n);
-        self.live()
-            .iter()
-            .zip(other.live())
-            .all(|(&a, &b)| a & !b == 0)
+        self.b.iter().zip(&other.b).all(|(&a, &b)| a & !b == 0)
     }
 
     /// Is the relation symmetric?

@@ -1,5 +1,5 @@
 //! Dense event sets over a small universe (≤ [`MAX_EVENTS`] events), as
-//! bit-sets, plus the [`Row`] word a relation keeps each of its rows in.
+//! bit-sets.
 
 use crate::event::EventId;
 use std::fmt;
@@ -9,19 +9,9 @@ use std::fmt;
 /// Sized to the executions the system handles: the paper's synthesis
 /// bounds stop at |E| = 7 (x86) and 6 (Power), the walks use at most 7
 /// events and the largest served litmus program has 9. Programs past
-/// the cap are refused before any relation is built.
+/// the cap are refused before any relation is built. [`crate::Rel`] is
+/// laid out for this cap: a 2×2 matrix of 8×8 bit blocks.
 pub const MAX_EVENTS: usize = 16;
-
-/// One bit-row of a relation: bit `j` of row `i` is the pair `(i, j)`.
-///
-/// [`crate::Rel`] stores `MAX_EVENTS` of these inline, so the row width
-/// sets the size of every relation temporary a model check builds.
-pub type Row = u16;
-
-const _: () = assert!(
-    Row::BITS as usize >= MAX_EVENTS,
-    "a Row must hold MAX_EVENTS bits"
-);
 
 /// A set of events, represented as a 64-bit mask.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

@@ -45,6 +45,8 @@ pub struct PowerRelations {
     pub hb: Rel,
     /// The propagation relation.
     pub prop: Rel,
+    /// `hb*`, which both `prop` and the Observation axiom compose with.
+    pub hbstar: Rel,
 }
 
 impl Power {
@@ -141,13 +143,13 @@ impl Power {
         let ihb = ppo.union(&fence).union(&sx_ctrl_isync);
 
         let rfe = a.rfe();
-        let frecoe = a.fre().union(a.coe());
+        let frecoe_star = a.fre().union(a.coe()).star();
 
         // thb = (rfe ∪ ((fre ∪ coe)* ; ihb))* ; (fre ∪ coe)* ; rfe?
         let thb = rfe
-            .union(&frecoe.star().seq(&ihb))
+            .union(&frecoe_star.seq(&ihb))
             .star()
-            .seq(&frecoe.star())
+            .seq(&frecoe_star)
             .seq(&rfe.opt());
 
         // hb = (rfe? ; ihb ; rfe?) ∪ weaklift(thb, stxn)
@@ -183,6 +185,7 @@ impl Power {
             thb,
             hb,
             prop,
+            hbstar,
         }
     }
 }
@@ -206,20 +209,19 @@ impl Model for Power {
 
     fn derived(&self, a: &ExecutionAnalysis<'_>) -> Derived {
         let rels = self.relations(a);
-        let hbstar = rels.hb.star();
         let mut d = Derived::new();
         d.insert("ppo", rels.ppo);
         d.insert("fence", rels.fence);
         d.insert("ihb", rels.ihb);
         d.insert("thb", rels.thb);
         d.insert("propagation", a.co().union(&rels.prop));
-        d.insert("observation", a.fre().seq(&rels.prop).seq(&hbstar));
+        d.insert("observation", a.fre().seq(&rels.prop).seq(&rels.hbstar));
         d.insert("prop", rels.prop);
         if self.tm {
             d.insert("txnorder", stronglift(&rels.hb, a.stxn()));
         }
         d.insert("hb", rels.hb);
-        d.insert("hbstar", hbstar);
+        d.insert("hbstar", rels.hbstar);
         d
     }
 
