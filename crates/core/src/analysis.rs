@@ -389,15 +389,11 @@ impl<'x> ExecutionAnalysis<'x> {
         self.stxnat.get_or(|| self.x.stxnat())
     }
 
-    /// Implicit transaction-boundary fences.
+    /// Implicit transaction-boundary fences, in the closed form
+    /// `po ∩ ¬stxn ∩ (T×E ∪ E×T)` (see [`Execution::tfence`]).
     pub fn tfence(&self) -> &Rel {
-        self.tfence.get_or(|| {
-            let stxn = *self.stxn();
-            let nstxn = stxn.complement();
-            let enter = nstxn.seq(&stxn);
-            let exit = stxn.seq(&nstxn);
-            self.x.po().inter(&enter.union(&exit))
-        })
+        self.tfence
+            .get_or(|| crate::exec::tfence_of(self.x.po(), self.stxn()))
     }
 
     /// `tfence⁺` (the body of `TxnCancelsRMW`).
@@ -497,8 +493,17 @@ impl<'x> ExecutionAnalysis<'x> {
     ///
     /// Models use this to split a derived relation into its fixed part
     /// (computed once per rf/co structure) plus the cheap txn-varying
-    /// remainder: the x86 `hb` and ARMv8 `ob` fixed unions and the
-    /// Power `ppo` fixpoint all qualify.
+    /// remainder. The shipped keys, at most six per analysis even when
+    /// every model checks one execution:
+    ///
+    /// * `x86.hb` — the x86 `hb` union without `tfence`;
+    /// * `armv8.ob` — the ARMv8 `ob` union without its txn terms;
+    /// * `power.ppo` — the Power `ppo` fixpoint;
+    /// * `power.ihb`, `power.frecoe*`, `power.come*` — Power's `ihb`
+    ///   without `tfence`, `(fre ∪ coe)*` and `come*`.
+    ///
+    /// The Power keys serve `power`, `power-tm` and every Fig. 6
+    /// ablation alike: none of them reads a highlight.
     pub fn memo(&self, key: &'static str, f: impl FnOnce() -> Rel) -> Rel {
         if let Some(s) = self.shared {
             for (k, r) in s.memos.iter().flatten() {
@@ -528,8 +533,9 @@ impl Execution {
 
 /// The transaction-independent analysis slots of one execution,
 /// captured by value so they can seed the analyses of sibling
-/// executions that differ **only** in their transaction classes
-/// (`Execution::with_txns` variants of one rf/co assignment).
+/// executions that differ **only** in their transaction classes (the
+/// layouts of one rf/co assignment, which the walks switch in place
+/// with `Execution::set_txn_layout`).
 ///
 /// The enumerators check every transaction layout of a completed rf/co
 /// candidate back to back; without sharing, each layout re-derives

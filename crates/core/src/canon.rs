@@ -27,6 +27,13 @@
 //!    a finished candidate is canonical iff its structure serialisation
 //!    is minimal among its automorphic images — a stateless test, which
 //!    is what lets the enumerator stream with **no dedup set at all**.
+//!    The key splits at the transaction boundary into a txn-free prefix
+//!    (rf, co, addr, ctrl, data, rmw) and a txn suffix. The walks emit
+//!    every transaction layout of one rf/co assignment back to back, so
+//!    [`LayoutOrbit`] compares the prefixes once for the whole group and
+//!    only the automorphisms whose prefix ties the identity's compare
+//!    suffixes, once per layout. [`struct_canonical`] is the one-shot
+//!    form, kept as the test-side reference.
 //!
 //! Composing the stages picks exactly one representative per
 //! [`canon_key`]-equivalence class of the generated space (threads are
@@ -34,9 +41,14 @@
 //! permutation is shape-preserving), which the differential suite
 //! checks against the seed generate-then-dedup path.
 
-use crate::event::EventKind;
+use crate::event::{EventKind, Loc};
 use crate::exec::Execution;
 use crate::rel::Rel;
+use crate::set::MAX_EVENTS;
+
+/// First-occurrence location renumbering: one slot per [`Loc`], so any
+/// location id a program names has one.
+const LOCS: usize = Loc::MAX as usize + 1;
 
 /// A fixed total order on event kinds for serialisation.
 pub fn kind_tag(k: EventKind) -> u8 {
@@ -75,7 +87,7 @@ fn serialise(x: &Execution, perm: &[usize]) -> Vec<u8> {
         newid[old] = new;
     }
     // Location relabelling by first occurrence in the new order.
-    let mut locmap = [u8::MAX; 64];
+    let mut locmap = [u8::MAX; LOCS];
     let mut next = 0u8;
     let mut out = Vec::with_capacity(x.len() * 4 + 64);
     out.push(nt as u8);
@@ -104,13 +116,25 @@ fn serialise(x: &Execution, perm: &[usize]) -> Vec<u8> {
 /// Append the relational part (rf/co/deps/rmw/txns) of `x` under the
 /// event renumbering `newid`.
 fn push_structure(out: &mut Vec<u8>, x: &Execution, newid: &[usize]) {
+    push_prefix(out, x, newid);
+    push_txns(out, x, newid);
+}
+
+/// Append the txn-free relations (rf, co, addr, ctrl, data, rmw) of
+/// `x` under `newid`: a tagged, sorted pair list per relation. The
+/// renamed relation's row-major pairs are the sorted renamed pairs, so
+/// no list is collected. Every relation keeps its pair count under
+/// renaming, so prefixes of one execution under any two renumberings
+/// have the same length and the same tags at the same offsets.
+fn push_prefix(out: &mut Vec<u8>, x: &Execution, newid: &[usize]) {
     let push_rel = |out: &mut Vec<u8>, tag: u8, rel: &Rel| {
-        let mut pairs: Vec<(usize, usize)> =
-            rel.pairs().map(|(a, b)| (newid[a], newid[b])).collect();
-        pairs.sort_unstable();
+        let mut renamed = Rel::empty(rel.size());
+        for (a, b) in rel.pairs() {
+            renamed.add(newid[a], newid[b]);
+        }
         out.push(255);
         out.push(tag);
-        for (a, b) in pairs {
+        for (a, b) in renamed.pairs() {
             out.push(a as u8);
             out.push(b as u8);
         }
@@ -121,7 +145,11 @@ fn push_structure(out: &mut Vec<u8>, x: &Execution, newid: &[usize]) {
     push_rel(out, 3, x.ctrl());
     push_rel(out, 4, x.data());
     push_rel(out, 5, x.rmw());
-    // Transactions: sorted class lists with atomic flags.
+}
+
+/// Append the transaction classes of `x` under `newid`: sorted class
+/// lists with atomic flags.
+fn push_txns(out: &mut Vec<u8>, x: &Execution, newid: &[usize]) {
     let mut classes: Vec<(Vec<usize>, bool)> = x
         .txns()
         .iter()
@@ -211,7 +239,7 @@ pub struct Label {
 fn serialise_labels(shape: &[usize], labels: &[Label], perm: &[usize], out: &mut Vec<u8>) {
     out.clear();
     let offsets = thread_offsets(shape);
-    let mut locmap = [u8::MAX; 64];
+    let mut locmap = [u8::MAX; LOCS];
     let mut next = 0u8;
     for &t in perm {
         for l in &labels[offsets[t]..offsets[t] + shape[t]] {
@@ -308,21 +336,32 @@ pub fn label_canonical(shape: &[usize], labels: &[Label]) -> Option<Vec<Vec<usiz
 
 // ---- Stage 3: structure ------------------------------------------------
 
-/// Serialise only the relational part of `x` under a thread
-/// permutation. Labels are invariant under stage-2 automorphisms, so
-/// this is all that can distinguish automorphic images of a finished
-/// candidate.
-pub fn struct_key(x: &Execution, perm: &[usize]) -> Vec<u8> {
-    let mut order: Vec<usize> = Vec::with_capacity(x.len());
+/// The event renumbering of a thread permutation: threads in `perm`
+/// order, program order within each.
+fn renumbering(x: &Execution, perm: &[usize]) -> [usize; MAX_EVENTS] {
+    let mut newid = [0usize; MAX_EVENTS];
+    let mut next = 0;
     for &t in perm {
-        order.extend(x.thread_events(t as u8));
+        for old in x.thread_events(t as u8) {
+            newid[old] = next;
+            next += 1;
+        }
     }
-    let mut newid = vec![0usize; x.len()];
-    for (new, &old) in order.iter().enumerate() {
-        newid[old] = new;
-    }
+    newid
+}
+
+fn is_identity(perm: &[usize]) -> bool {
+    perm.iter().enumerate().all(|(i, &t)| i == t)
+}
+
+/// Serialise only the relational part of `x` under a thread
+/// permutation: the txn-free prefix, then the txn suffix. Labels are
+/// invariant under stage-2 automorphisms, so this is all that can
+/// distinguish automorphic images of a finished candidate.
+pub fn struct_key(x: &Execution, perm: &[usize]) -> Vec<u8> {
+    let newid = renumbering(x, perm);
     let mut out = Vec::with_capacity(x.len() * 4 + 32);
-    push_structure(&mut out, x, &newid);
+    push_structure(&mut out, x, &newid[..x.len()]);
     out
 }
 
@@ -339,6 +378,79 @@ pub fn struct_canonical(x: &Execution, auts: &[Vec<usize>]) -> bool {
     auts.iter()
         .filter(|p| **p != identity)
         .all(|p| struct_key(x, p) >= id_key)
+}
+
+/// Stage 3 decided once per txn-free structure: the
+/// [`struct_canonical`] verdict of every transaction layout of one
+/// rf/co assignment.
+///
+/// Under every automorphism the txn-free prefix of [`struct_key`] has
+/// the same length and the same tags at the same offsets (renaming
+/// keeps pair counts), so the key comparison is decided by the prefix
+/// unless the prefixes tie. [`LayoutOrbit::decide`] compares them once
+/// per structure: a smaller image rejects every layout, a larger one
+/// can never undercut the identity whatever the transactions, and only
+/// ties are kept. [`LayoutOrbit::canonical`] then compares the txn
+/// suffixes of the ties, once per layout. The scratch buffers are
+/// reused across structures, so neither call allocates once warm
+/// (suffix comparisons aside).
+#[derive(Debug, Default)]
+pub struct LayoutOrbit {
+    /// Renumberings of the automorphisms whose prefix ties the
+    /// identity's; the identity's own renumbering is `id`.
+    ties: Vec<[usize; MAX_EVENTS]>,
+    id: [usize; MAX_EVENTS],
+    id_buf: Vec<u8>,
+    buf: Vec<u8>,
+}
+
+impl LayoutOrbit {
+    /// Decide the txn-free prefix of `x` against the stage-2
+    /// automorphisms `auts` (identity included). `false` when some
+    /// automorphic image has a strictly smaller prefix: no transaction
+    /// layout over this structure is canonical. The transaction
+    /// classes `x` currently holds are ignored.
+    pub fn decide(&mut self, x: &Execution, auts: &[Vec<usize>]) -> bool {
+        self.ties.clear();
+        if auts.len() <= 1 {
+            return true;
+        }
+        let n = x.len();
+        let identity: [usize; MAX_EVENTS] = std::array::from_fn(|t| t);
+        self.id = renumbering(x, &identity[..x.num_threads()]);
+        self.id_buf.clear();
+        push_prefix(&mut self.id_buf, x, &self.id[..n]);
+        for p in auts.iter().filter(|p| !is_identity(p)) {
+            let newid = renumbering(x, p);
+            self.buf.clear();
+            push_prefix(&mut self.buf, x, &newid[..n]);
+            match self.buf.cmp(&self.id_buf) {
+                std::cmp::Ordering::Less => return false,
+                std::cmp::Ordering::Equal => self.ties.push(newid),
+                std::cmp::Ordering::Greater => {}
+            }
+        }
+        true
+    }
+
+    /// [`struct_canonical`] of `x`, one transaction layout over the
+    /// structure the last [`LayoutOrbit::decide`] accepted.
+    pub fn canonical(&mut self, x: &Execution) -> bool {
+        if self.ties.is_empty() {
+            return true;
+        }
+        let n = x.len();
+        self.id_buf.clear();
+        push_txns(&mut self.id_buf, x, &self.id[..n]);
+        for newid in &self.ties {
+            self.buf.clear();
+            push_txns(&mut self.buf, x, &newid[..n]);
+            if self.buf < self.id_buf {
+                return false;
+            }
+        }
+        true
+    }
 }
 
 #[cfg(test)]
@@ -430,6 +542,34 @@ mod tests {
     }
 
     #[test]
+    fn every_location_id_has_a_slot() {
+        // Location ids span all of `Loc`: the highest one relabels like
+        // the lowest, in the full key and in the label stage alike.
+        let build = |loc: Loc| {
+            let mut b = ExecBuilder::new();
+            let t0 = b.new_thread();
+            let w = b.write(t0, loc);
+            let r = b.read(t0, loc);
+            b.rf(w, r);
+            let t1 = b.new_thread();
+            b.read(t1, loc);
+            b.build().unwrap()
+        };
+        assert_eq!(canon_key(&build(Loc::MAX)), canon_key(&build(0)));
+        assert_eq!(canon_key(&build(100)), canon_key(&build(0)));
+        let w = |loc| Label {
+            tag: 1,
+            attrs: 0,
+            loc: Some(loc),
+        };
+        let high = label_canonical(&[1, 1], &[w(Loc::MAX), w(100)]).map(|a| a.len());
+        assert_eq!(
+            high,
+            label_canonical(&[1, 1], &[w(0), w(1)]).map(|a| a.len())
+        );
+    }
+
+    #[test]
     fn permutation_count() {
         assert_eq!(permutations(3).len(), 6);
         assert_eq!(permutations(0).len(), 1);
@@ -512,5 +652,39 @@ mod tests {
         // Trivial automorphism group: everything is canonical.
         assert!(struct_canonical(&build(true), &[vec![0, 1]]));
         assert!(struct_canonical(&build(false), &[vec![0, 1]]));
+        // The per-structure split agrees: co decides in the prefix.
+        let mut orbit = LayoutOrbit::default();
+        assert_eq!(orbit.decide(&build(true), &auts), a);
+        assert_eq!(orbit.decide(&build(false), &auts), b);
+    }
+
+    #[test]
+    fn layout_orbit_compares_txns_only_on_prefix_ties() {
+        // Two identical single-write threads on distinct locations: the
+        // txn-free prefix ties under the swap, so the transactions
+        // decide. Exactly one of "txn on thread 0" / "txn on thread 1"
+        // is canonical, and the split agrees with the one-shot test.
+        let build = |txn_on: Option<usize>| {
+            let mut b = ExecBuilder::new();
+            let t0 = b.new_thread();
+            let w0 = b.write(t0, 0);
+            let t1 = b.new_thread();
+            let w1 = b.write(t1, 1);
+            if let Some(t) = txn_on {
+                b.txn(&[[w0, w1][t]]);
+            }
+            b.build().unwrap()
+        };
+        let auts = vec![vec![0, 1], vec![1, 0]];
+        let mut orbit = LayoutOrbit::default();
+        assert!(orbit.decide(&build(None), &auts), "prefixes tie");
+        let mut kept = 0;
+        for layout in [None, Some(0), Some(1)] {
+            let x = build(layout);
+            let got = orbit.canonical(&x);
+            assert_eq!(got, struct_canonical(&x, &auts), "{layout:?}");
+            kept += usize::from(got);
+        }
+        assert_eq!(kept, 2, "the empty layout and one of the two txns");
     }
 }

@@ -150,6 +150,10 @@ impl Iterator for LocSet {
 
 impl ExactSizeIterator for LocSet {}
 
+/// The class id of an event outside every transaction, in the
+/// per-event class tables of [`Execution::set_txn_layout`].
+pub const NO_TXN: u8 = u8::MAX;
+
 /// One successful transaction: a contiguous run of events on one thread.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TxnClass {
@@ -536,13 +540,11 @@ impl Execution {
     }
 
     /// Implicit transaction fences (§5.2):
-    /// `tfence = po ∩ ((¬stxn ; stxn) ∪ (stxn ; ¬stxn))`.
+    /// `tfence = po ∩ ((¬stxn ; stxn) ∪ (stxn ; ¬stxn))`, derived in
+    /// the closed form `po ∩ ¬stxn ∩ (T×E ∪ E×T)` with `T` the
+    /// transactional events.
     pub fn tfence(&self) -> Rel {
-        let stxn = self.stxn();
-        let nstxn = stxn.complement();
-        let enter = nstxn.seq(&stxn);
-        let exit = stxn.seq(&nstxn);
-        self.po.inter(&enter.union(&exit))
+        tfence_of(&self.po, &self.stxn())
     }
 
     /// Critical regions derived from the lock/unlock call events, in the
@@ -626,12 +628,52 @@ impl Execution {
         e
     }
 
-    /// Replace the transaction classes in place (the allocation-free
-    /// [`Execution::with_txns`] for enumerators cycling layouts over
-    /// one structure).
+    /// Replace the transaction classes in place.
     pub fn set_txns(&mut self, txns: Vec<TxnClass>) {
         self.txn_index = Some(build_txn_index(self.events.len(), &txns));
         self.txns = txns;
+    }
+
+    /// Rewrite the transaction classes in place from a per-event class
+    /// table: class `c` holds, in id order, every event `e` with
+    /// `class_of[e] == c`, and events mapped to [`NO_TXN`] stay outside
+    /// every transaction. Class ids must be dense from 0; every class
+    /// gets the `atomic` flag.
+    ///
+    /// The class list, the member buffers and the txn index are all
+    /// reused: buffers of classes the new layout does not need move to
+    /// `spare`, and new classes draw from it, so a walk cycling layouts
+    /// over one structure allocates nothing once `spare` is warm.
+    pub fn set_txn_layout(&mut self, class_of: &[u8], atomic: bool, spare: &mut Vec<Vec<EventId>>) {
+        let class_of = &class_of[..self.events.len()];
+        let classes = class_of
+            .iter()
+            .filter(|&&c| c != NO_TXN)
+            .map(|&c| c as usize + 1)
+            .max()
+            .unwrap_or(0);
+        while self.txns.len() > classes {
+            let mut dropped = self.txns.pop().expect("more classes than needed");
+            dropped.events.clear();
+            spare.push(dropped.events);
+        }
+        for t in &mut self.txns {
+            t.events.clear();
+            t.atomic = atomic;
+        }
+        while self.txns.len() < classes {
+            let events = spare.pop().unwrap_or_default();
+            self.txns.push(TxnClass { events, atomic });
+        }
+        let idx = self.txn_index.get_or_insert_with(Vec::new);
+        idx.clear();
+        idx.resize(class_of.len(), None);
+        for (e, &c) in class_of.iter().enumerate() {
+            if c != NO_TXN {
+                self.txns[c as usize].events.push(e);
+                idx[e] = Some(u32::from(c));
+            }
+        }
     }
 
     /// Remove event `e`, dropping incident edges and re-indexing.
@@ -730,6 +772,13 @@ impl Execution {
         )
     }
 
+    /// Mutable access to the communication relations `(rf, co)`, for
+    /// walks that re-point one execution at each completed rf/co
+    /// assignment instead of building a new one.
+    pub fn comm_mut(&mut self) -> (&mut Rel, &mut Rel) {
+        (&mut self.rf, &mut self.co)
+    }
+
     /// Mutable access to an event (attribute downgrades).
     pub fn event_mut(&mut self, e: EventId) -> &mut Event {
         &mut self.events[e]
@@ -745,6 +794,21 @@ impl Execution {
         self.txn_index = None;
         &mut self.txns
     }
+}
+
+/// `tfence = po ∩ ((¬stxn ; stxn) ∪ (stxn ; ¬stxn))` in closed form.
+///
+/// `stxn` is an equivalence on the transactional events `T` (its
+/// domain), so `(a, b) ∈ ¬stxn ; stxn` iff `b ∈ T` and `a` lies outside
+/// `b`'s class: the witness is `b` itself, and every member of `b`'s
+/// class is `stxn`-related to `a` when `a` shares it. Symmetrically for
+/// the exit half, hence `tfence = po ∩ ¬stxn ∩ (T×E ∪ E×T)`: one
+/// difference and two products instead of two compositions.
+pub(crate) fn tfence_of(po: &Rel, stxn: &Rel) -> Rel {
+    let n = po.size();
+    let (t, all) = (stxn.domain(), EventSet::universe(n));
+    po.minus(stxn)
+        .inter(&Rel::cross(n, t, all).union(&Rel::cross(n, all, t)))
 }
 
 #[cfg(test)]
@@ -871,6 +935,101 @@ mod tests {
         assert!(tf.contains(w2, r3));
         assert!(!tf.contains(r1, w2));
         assert!(!tf.contains(w0, r3));
+    }
+
+    /// The closed form equals the paper's composition on seeded
+    /// executions at every size the kernel admits: random kinds and
+    /// thread splits, and per thread a random run of disjoint
+    /// contiguous transactions (atomic or not).
+    #[test]
+    fn tfence_closed_form_matches_the_composition() {
+        use crate::rng::SplitMix64;
+        for n in 1..=MAX_EVENTS {
+            for seed in 0..24u64 {
+                let mut rng = SplitMix64::seed_from_u64(seed * 131 + n as u64);
+                let threads = 1 + rng.below(n.min(4));
+                let mut events = Vec::with_capacity(n);
+                for e in 0..n {
+                    let tid = (e * threads / n) as Tid;
+                    events.push(match rng.below(3) {
+                        0 => Event::read(tid, 0),
+                        1 => Event::write(tid, 1),
+                        _ => Event::fence(tid, Fence::MFence),
+                    });
+                }
+                let mut po = Rel::empty(n);
+                for a in 0..n {
+                    for b in a + 1..n {
+                        if events[a].tid == events[b].tid {
+                            po.add(a, b);
+                        }
+                    }
+                }
+                let mut txns = Vec::new();
+                let mut e = 0;
+                while e < n {
+                    let tid = events[e].tid;
+                    let mut end = e;
+                    while end + 1 < n && events[end + 1].tid == tid && rng.below(3) != 0 {
+                        end += 1;
+                    }
+                    if rng.below(2) == 0 {
+                        txns.push(TxnClass {
+                            events: (e..=end).collect(),
+                            atomic: rng.below(2) == 0,
+                        });
+                    }
+                    e = end + 1;
+                }
+                let empty = Rel::empty(n);
+                let x = Execution::from_parts(
+                    events, po, empty, empty, empty, empty, empty, empty, txns,
+                );
+                let stxn = x.stxn();
+                let nstxn = stxn.complement();
+                let composed = po.inter(&nstxn.seq(&stxn).union(&stxn.seq(&nstxn)));
+                assert_eq!(x.tfence(), composed, "n={n} seed={seed}");
+                assert_eq!(*x.analysis().tfence(), composed, "n={n} seed={seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn set_txn_layout_reuses_buffers_and_reindexes() {
+        let mut b = ExecBuilder::new();
+        let t0 = b.new_thread();
+        let w0 = b.write(t0, 0);
+        let r0 = b.read(t0, 0);
+        let t1 = b.new_thread();
+        let w1 = b.write(t1, 1);
+        let mut x = b.build().unwrap();
+        let mut spare = Vec::new();
+        // Two classes, then one, then none, then two again: the
+        // dropped buffers come back from `spare`.
+        x.set_txn_layout(&[0, 0, 1], true, &mut spare);
+        assert_eq!(x.txns().len(), 2);
+        assert_eq!(x.txns()[0].events, vec![w0, r0]);
+        assert_eq!(x.txns()[1].events, vec![w1]);
+        assert!(x.txns().iter().all(|t| t.atomic));
+        assert_eq!((x.txn_of(r0), x.txn_of(w1)), (Some(0), Some(1)));
+        x.set_txn_layout(&[NO_TXN, 0, NO_TXN], false, &mut spare);
+        assert_eq!(
+            x.txns(),
+            [TxnClass {
+                events: vec![r0],
+                atomic: false
+            }]
+        );
+        assert_eq!((x.txn_of(w0), x.txn_of(r0)), (None, Some(0)));
+        assert_eq!(spare.len(), 1);
+        x.set_txn_layout(&[NO_TXN; 3], false, &mut spare);
+        assert!(x.txns().is_empty());
+        assert_eq!(x.txn_of(r0), None);
+        assert_eq!(spare.len(), 2);
+        x.set_txn_layout(&[0, 1, NO_TXN], false, &mut spare);
+        assert!(spare.is_empty());
+        assert_eq!(x, x.with_txns(x.txns().to_vec()));
+        assert_eq!((x.txn_of(w0), x.txn_of(r0)), (Some(0), Some(1)));
     }
 
     #[test]

@@ -126,24 +126,6 @@ pub trait PruneOracle: Sync {
     fn event_monotone(&self) -> bool {
         false
     }
-
-    /// Does a clean viability verdict on a **complete** execution
-    /// (every read assigned, every coherence order total, transaction
-    /// classes fixed) decide full-model consistency, with delta plans
-    /// that answer every probe incrementally (exact plans, txns
-    /// known)?
-    ///
-    /// When true, the consistent enumerator assigns transaction
-    /// layouts *before* the rf/co walk and trusts surviving leaves
-    /// without a downstream full-model re-check: the oracle's leaf
-    /// verdict **is** the model's. Native models whose `viable` runs
-    /// the full axiom set and whose txn-aware plans are exact return
-    /// true; conservative oracles (monotone `.cat` cores with
-    /// uncovered checks, inexact-plan models) keep the default
-    /// `false` and stay on the filter-at-the-leaves path.
-    fn txn_aware_exact(&self) -> bool {
-        false
-    }
 }
 
 /// An oracle that never prunes: the pruned walks degrade to plain

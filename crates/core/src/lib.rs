@@ -67,7 +67,7 @@ pub use arena::{ExecArena, ExecId, PackedExecution};
 pub use build::ExecBuilder;
 pub use canon::canon_key;
 pub use event::{loc_name, Attrs, Call, Event, EventId, EventKind, Fence, Loc, Tid};
-pub use exec::{CrClass, Execution, LocSet, ThreadEvents, TxnClass};
+pub use exec::{CrClass, Execution, LocSet, ThreadEvents, TxnClass, NO_TXN};
 pub use incr::{
     judge_batch, set_delta_validation, ComposeRule, DeltaPlan, EdgeKind, EdgeSel, IncrOrder, Lift,
     NoPrune, Obligation, PartialCandidate, PruneOracle, PruneStats,

@@ -4,11 +4,11 @@
 //! forbidding. This is the per-axiom justification of §5.2 in
 //! executable form.
 
-use txmm_core::{stronglift, union_all, weaklift, ExecutionAnalysis, Rel};
+use txmm_core::ExecutionAnalysis;
 
 use crate::arch::Arch;
 use crate::model::{Checker, Derived, Model};
-use crate::power::Power;
+use crate::power::{Highlights, Power};
 
 /// Which Fig. 6 highlight to drop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,11 +28,31 @@ pub enum PowerAblation {
     NoTfence,
 }
 
-/// The transactional Power model with one highlight removed.
+impl PowerAblation {
+    /// The highlight this ablation drops.
+    fn dropped(self) -> Highlights {
+        match self {
+            PowerAblation::NoTprop1 => Highlights::TPROP1,
+            PowerAblation::NoTprop2 => Highlights::TPROP2,
+            PowerAblation::NoThb => Highlights::THB,
+            PowerAblation::NoTxnCancelsRmw => Highlights::TXN_CANCELS_RMW,
+            PowerAblation::NoTfence => Highlights::TFENCE,
+        }
+    }
+}
+
+/// The transactional Power model with one highlight removed: the Fig. 6
+/// body of [`Power`] over every highlight but the dropped one.
 #[derive(Debug, Clone, Copy)]
 pub struct PowerAblated {
     /// The dropped axiom/relation.
     pub drop: PowerAblation,
+}
+
+impl PowerAblated {
+    fn highlights(&self) -> Highlights {
+        Highlights::ALL.without(self.drop.dropped())
+    }
 }
 
 impl Model for PowerAblated {
@@ -55,81 +75,11 @@ impl Model for PowerAblated {
     }
 
     fn derived(&self, a: &ExecutionAnalysis<'_>) -> Derived {
-        // Reconstruct Fig. 6 with the chosen piece removed. We reuse the
-        // baseline machinery for ppo and rebuild the highlighted parts.
-        use txmm_core::Fence;
-        let n = a.len();
-        let w = a.writes();
-        let r = a.reads();
-        let stxn = a.stxn();
-        let ppo = Power::ppo(a);
-        let sync = a.fence_rel(Fence::Sync);
-        let lwsync = a.fence_rel(Fence::Lwsync).minus(&Rel::cross(n, w, r));
-        let tfence = a.tfence();
-        let mut fence = sync.union(&lwsync);
-        if self.drop != PowerAblation::NoTfence {
-            fence = fence.union(tfence);
-        }
-        let sx = a.writes().inter(a.rmw().range());
-        let sx_ctrl_isync = Rel::id_on(n, sx)
-            .seq(a.ctrl())
-            .inter(a.fence_rel(Fence::Isync));
-        let ihb = ppo.union(&fence).union(&sx_ctrl_isync);
-        let rfe = a.rfe();
-        let frecoe = a.fre().union(a.coe());
-        let thb = rfe
-            .union(&frecoe.star().seq(&ihb))
-            .star()
-            .seq(&frecoe.star())
-            .seq(&rfe.opt());
-        let mut hb = rfe.opt().seq(&ihb).seq(&rfe.opt());
-        if self.drop != PowerAblation::NoThb {
-            hb = hb.union(&weaklift(&thb, stxn));
-        }
-        let efence = rfe.opt().seq(&fence).seq(&rfe.opt());
-        let hbstar = hb.star();
-        let idw = Rel::id_on(n, w);
-        let prop1 = idw.seq(&efence).seq(&hbstar).seq(&idw);
-        let sync_t = if self.drop == PowerAblation::NoTfence {
-            *sync
-        } else {
-            sync.union(tfence)
-        };
-        let prop2 = a
-            .come()
-            .star()
-            .seq(&efence.star())
-            .seq(&hbstar)
-            .seq(&sync_t)
-            .seq(&hbstar);
-        let mut prop = prop1.union(&prop2);
-        if self.drop != PowerAblation::NoTprop1 {
-            prop = prop.union(&rfe.seq(stxn).seq(&idw));
-        }
-        if self.drop != PowerAblation::NoTprop2 {
-            prop = union_all(n, [&prop, &stxn.seq(rfe)]);
-        }
-
-        let mut d = Derived::new();
-        d.insert("propagation", a.co().union(&prop));
-        d.insert("observation", a.fre().seq(&prop).seq(&hbstar));
-        d.insert("txnorder", stronglift(&hb, stxn));
-        d.insert("prop", prop);
-        d.insert("hb", hb);
-        d
+        Power::fig6_derived(a, self.highlights())
     }
 
     fn axioms(&self, a: &ExecutionAnalysis<'_>, d: &Derived, c: &mut Checker) {
-        c.acyclic("Coherence", a.coherence());
-        c.empty("RMWIsol", a.rmw_isol());
-        c.acyclic("Order", d.expect("hb"));
-        c.acyclic("Propagation", d.expect("propagation"));
-        c.irreflexive("Observation", d.expect("observation"));
-        c.acyclic("StrongIsol", a.strong_isol());
-        c.acyclic("TxnOrder", d.expect("txnorder"));
-        if self.drop != PowerAblation::NoTxnCancelsRmw {
-            c.empty("TxnCancelsRMW", a.txn_cancels_rmw());
-        }
+        Power::fig6_axioms(a, d, c, self.highlights());
     }
 }
 
@@ -152,6 +102,37 @@ mod tests {
             drop: PowerAblation::NoTprop2
         }
         .consistent(&x));
+    }
+
+    const ALL_DROPS: [PowerAblation; 5] = [
+        PowerAblation::NoTprop1,
+        PowerAblation::NoTprop2,
+        PowerAblation::NoThb,
+        PowerAblation::NoTxnCancelsRmw,
+        PowerAblation::NoTfence,
+    ];
+
+    #[test]
+    fn memoised_parts_are_shared_by_every_variant() {
+        // `power`, `power-tm` and the ablations memoise under the same
+        // keys: one shared analysis, checked by every variant in either
+        // order, gives each the verdict of a private analysis.
+        let mut models: Vec<Box<dyn Model>> = vec![Box::new(Power::tm()), Box::new(Power::base())];
+        for drop in ALL_DROPS {
+            models.push(Box::new(PowerAblated { drop }));
+        }
+        for entry in catalog::all() {
+            let x = &entry.exec;
+            let private: Vec<_> = models.iter().map(|m| m.check(x)).collect();
+            let forward = x.analysis();
+            let backward = x.analysis();
+            for (i, m) in models.iter().enumerate() {
+                assert_eq!(m.check_analysis(&forward), private[i], "{}", entry.name);
+            }
+            for (i, m) in models.iter().enumerate().rev() {
+                assert_eq!(m.check_analysis(&backward), private[i], "{}", entry.name);
+            }
+        }
     }
 
     #[test]

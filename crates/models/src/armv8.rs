@@ -170,11 +170,6 @@ impl PruneOracle for Armv8 {
         true // pairwise builtins and monotone compositions only
     }
 
-    fn txn_aware_exact(&self) -> bool {
-        true // viable == the full check; `ob` decomposes exactly and
-             // TxnCancelsRMW is pre-decided into `plan.dead`
-    }
-
     // Exact decomposition of `ob`: the fixed part is `ob` on the base
     // analysis (communication empty), and the communication-dependent
     // terms are `come` (direct external feeds) plus four per-edge

@@ -45,7 +45,7 @@ pub use arch::{Arch, VocabError};
 pub use armv8::Armv8;
 pub use cpp::Cpp;
 pub use model::{check_models, consistent_pair, Checker, Derived, Model, Verdict};
-pub use power::Power;
+pub use power::{Highlights, Power};
 pub use sc::{strong_isolation, strong_isolation_atomic, weak_isolation, Sc, Tsc};
 pub use x86::X86;
 

@@ -131,6 +131,14 @@ impl Derived {
         Derived::default()
     }
 
+    /// An empty table with room for `n` relations, so a model that
+    /// knows its entry count allocates once per check.
+    pub fn with_capacity(n: usize) -> Derived {
+        Derived {
+            rels: Vec::with_capacity(n),
+        }
+    }
+
     /// Add a named relation (last insert wins on lookup collisions).
     pub fn insert(&mut self, name: &'static str, rel: Rel) -> &mut Self {
         self.rels.push((name, rel));

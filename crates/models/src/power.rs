@@ -14,6 +14,11 @@
 //!   barrier) and `tprop2 = stxn ; rfe` (multicopy-atomic transactional
 //!   writes) join `prop`;
 //! * `StrongIsol`, `TxnOrder`, and `TxnCancelsRMW`.
+//!
+//! One body ([`Power::relations`] and the derived table and axioms
+//! built on it) serves every variant: it takes the set of
+//! [`Highlights`] to include — all for `power-tm`, none for `power`,
+//! all but one for each ablation ([`crate::PowerAblated`]).
 
 use txmm_core::incr::{ComposeRule, DeltaPlan, EdgeKind, EdgeSel, Lift, Obligation, PruneOracle};
 use txmm_core::Fence;
@@ -27,6 +32,42 @@ use crate::model::{Checker, Derived, Model};
 pub struct Power {
     /// Interpret transactions?
     pub tm: bool,
+}
+
+/// A set of Fig. 6 highlights: the paper's transactional additions to
+/// the herding-cats Power model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Highlights(u8);
+
+impl Highlights {
+    /// `tfence` joins `fence` and the `sync` term of `prop2`.
+    pub const TFENCE: Highlights = Highlights(1);
+    /// `weaklift(thb, stxn)` joins `hb`.
+    pub const THB: Highlights = Highlights(1 << 1);
+    /// `tprop1 = rfe ; stxn ; [W]` joins `prop`.
+    pub const TPROP1: Highlights = Highlights(1 << 2);
+    /// `tprop2 = stxn ; rfe` joins `prop`.
+    pub const TPROP2: Highlights = Highlights(1 << 3);
+    /// The StrongIsol axiom.
+    pub const STRONG_ISOL: Highlights = Highlights(1 << 4);
+    /// The TxnOrder axiom over `txnorder = stronglift(hb, stxn)`.
+    pub const TXN_ORDER: Highlights = Highlights(1 << 5);
+    /// The TxnCancelsRMW axiom.
+    pub const TXN_CANCELS_RMW: Highlights = Highlights(1 << 6);
+    /// The baseline model: no highlight.
+    pub const NONE: Highlights = Highlights(0);
+    /// The transactional model: every highlight.
+    pub const ALL: Highlights = Highlights((1 << 7) - 1);
+
+    /// This set with `h` removed.
+    pub fn without(self, h: Highlights) -> Highlights {
+        Highlights(self.0 & !h.0)
+    }
+
+    /// Does this set include every highlight of `h`?
+    pub fn contains(self, h: Highlights) -> bool {
+        self.0 & h.0 == h.0
+    }
 }
 
 /// The intermediate relations of the Power model, exposed so tests and
@@ -58,6 +99,15 @@ impl Power {
     /// The non-transactional baseline.
     pub fn base() -> Power {
         Power { tm: false }
+    }
+
+    /// The Fig. 6 highlights this variant includes.
+    fn highlights(&self) -> Highlights {
+        if self.tm {
+            Highlights::ALL
+        } else {
+            Highlights::NONE
+        }
     }
 
     /// Preserved program order: the ii/ic/ci/cc least fixpoint of
@@ -115,35 +165,50 @@ impl Power {
         idr.seq(&ii).seq(&idr).union(&idr.seq(&ic).seq(&idw))
     }
 
-    /// Compute every intermediate relation of Fig. 6.
-    pub fn relations(&self, a: &ExecutionAnalysis<'_>) -> PowerRelations {
+    /// Compute every intermediate relation of Fig. 6 with the given
+    /// highlights.
+    ///
+    /// The txn-independent parts shared by every variant are memoised
+    /// (see [`ExecutionAnalysis::memo`]): `ihb` without `tfence`,
+    /// `(fre ∪ coe)*` and `come*`, beside the `ppo` fixpoint. A leaf
+    /// checker replays them across the transaction layouts of one rf/co
+    /// structure, so a layout re-derives only what reads `stxn`.
+    pub fn relations(a: &ExecutionAnalysis<'_>, hl: Highlights) -> PowerRelations {
         let n = a.len();
         let w = a.writes();
-        let r = a.reads();
-        let stxn = a.stxn();
+        let has = |h| hl.contains(h);
 
         let ppo = Power::ppo(a);
 
         let sync = a.fence_rel(Fence::Sync);
-        let lwsync = a.fence_rel(Fence::Lwsync).minus(&Rel::cross(n, w, r));
-        let mut fence = sync.union(&lwsync);
-        let tfence = a.tfence();
-        if self.tm {
-            fence = fence.union(tfence);
-        }
-
-        // Footnote 3: a ctrl+isync sequence may begin at a
-        // store-exclusive; this orders the successful lock write before
-        // the critical region (the spinlock idiom of [29, §B.2.1.1]).
-        let sx = a.writes().inter(a.rmw().range());
-        let sx_ctrl_isync = Rel::id_on(n, sx)
-            .seq(a.ctrl())
-            .inter(a.fence_rel(Fence::Isync));
-
-        let ihb = ppo.union(&fence).union(&sx_ctrl_isync);
+        let lwsync = a
+            .fence_rel(Fence::Lwsync)
+            .minus(&Rel::cross(n, w, a.reads()));
+        let fence_base = sync.union(&lwsync);
+        let ihb_base = a.memo("power.ihb", || {
+            // Footnote 3: a ctrl+isync sequence may begin at a
+            // store-exclusive; this orders the successful lock write
+            // before the critical region (the spinlock idiom of [29,
+            // §B.2.1.1]).
+            let sx = w.inter(a.rmw().range());
+            let sx_ctrl_isync = Rel::id_on(n, sx)
+                .seq(a.ctrl())
+                .inter(a.fence_rel(Fence::Isync));
+            ppo.union(&fence_base).union(&sx_ctrl_isync)
+        });
+        let (fence, ihb, sync_t) = if has(Highlights::TFENCE) {
+            let tfence = a.tfence();
+            (
+                fence_base.union(tfence),
+                ihb_base.union(tfence),
+                sync.union(tfence),
+            )
+        } else {
+            (fence_base, ihb_base, *sync)
+        };
 
         let rfe = a.rfe();
-        let frecoe_star = a.fre().union(a.coe()).star();
+        let frecoe_star = a.memo("power.frecoe*", || a.fre().union(a.coe()).star());
 
         // thb = (rfe ∪ ((fre ∪ coe)* ; ihb))* ; (fre ∪ coe)* ; rfe?
         let thb = rfe
@@ -154,8 +219,8 @@ impl Power {
 
         // hb = (rfe? ; ihb ; rfe?) ∪ weaklift(thb, stxn)
         let mut hb = rfe.opt().seq(&ihb).seq(&rfe.opt());
-        if self.tm {
-            hb = hb.union(&weaklift(&thb, stxn));
+        if has(Highlights::THB) {
+            hb = hb.union(&weaklift(&thb, a.stxn()));
         }
 
         // prop
@@ -163,19 +228,18 @@ impl Power {
         let hbstar = hb.star();
         let idw = Rel::id_on(n, w);
         let prop1 = idw.seq(&efence).seq(&hbstar).seq(&idw);
-        let sync_t = if self.tm { sync.union(tfence) } else { *sync };
-        let prop2 = a
-            .come()
-            .star()
+        let come_star = a.memo("power.come*", || a.come().star());
+        let prop2 = come_star
             .seq(&efence.star())
             .seq(&hbstar)
             .seq(&sync_t)
             .seq(&hbstar);
         let mut prop = prop1.union(&prop2);
-        if self.tm {
-            let tprop1 = rfe.seq(stxn).seq(&idw);
-            let tprop2 = stxn.seq(rfe);
-            prop = union_all(n, [&prop, &tprop1, &tprop2]);
+        if has(Highlights::TPROP1) {
+            prop = prop.union(&rfe.seq(a.stxn()).seq(&idw));
+        }
+        if has(Highlights::TPROP2) {
+            prop = prop.union(&a.stxn().seq(rfe));
         }
 
         PowerRelations {
@@ -186,6 +250,48 @@ impl Power {
             hb,
             prop,
             hbstar,
+        }
+    }
+
+    /// [`Model::derived`] of the variant with highlights `hl`.
+    pub(crate) fn fig6_derived(a: &ExecutionAnalysis<'_>, hl: Highlights) -> Derived {
+        let rels = Power::relations(a, hl);
+        let mut d = Derived::with_capacity(10);
+        d.insert("ppo", rels.ppo);
+        d.insert("fence", rels.fence);
+        d.insert("ihb", rels.ihb);
+        d.insert("thb", rels.thb);
+        d.insert("propagation", a.co().union(&rels.prop));
+        d.insert("observation", a.fre().seq(&rels.prop).seq(&rels.hbstar));
+        d.insert("prop", rels.prop);
+        if hl.contains(Highlights::TXN_ORDER) {
+            d.insert("txnorder", stronglift(&rels.hb, a.stxn()));
+        }
+        d.insert("hb", rels.hb);
+        d.insert("hbstar", rels.hbstar);
+        d
+    }
+
+    /// [`Model::axioms`] of the variant with highlights `hl`.
+    pub(crate) fn fig6_axioms(
+        a: &ExecutionAnalysis<'_>,
+        d: &Derived,
+        c: &mut Checker,
+        hl: Highlights,
+    ) {
+        c.acyclic("Coherence", a.coherence());
+        c.empty("RMWIsol", a.rmw_isol());
+        c.acyclic("Order", d.expect("hb"));
+        c.acyclic("Propagation", d.expect("propagation"));
+        c.irreflexive("Observation", d.expect("observation"));
+        if hl.contains(Highlights::STRONG_ISOL) {
+            c.acyclic("StrongIsol", a.strong_isol());
+        }
+        if hl.contains(Highlights::TXN_ORDER) {
+            c.acyclic("TxnOrder", d.expect("txnorder"));
+        }
+        if hl.contains(Highlights::TXN_CANCELS_RMW) {
+            c.empty("TxnCancelsRMW", a.txn_cancels_rmw());
         }
     }
 }
@@ -208,34 +314,11 @@ impl Model for Power {
     }
 
     fn derived(&self, a: &ExecutionAnalysis<'_>) -> Derived {
-        let rels = self.relations(a);
-        let mut d = Derived::new();
-        d.insert("ppo", rels.ppo);
-        d.insert("fence", rels.fence);
-        d.insert("ihb", rels.ihb);
-        d.insert("thb", rels.thb);
-        d.insert("propagation", a.co().union(&rels.prop));
-        d.insert("observation", a.fre().seq(&rels.prop).seq(&rels.hbstar));
-        d.insert("prop", rels.prop);
-        if self.tm {
-            d.insert("txnorder", stronglift(&rels.hb, a.stxn()));
-        }
-        d.insert("hb", rels.hb);
-        d.insert("hbstar", rels.hbstar);
-        d
+        Power::fig6_derived(a, self.highlights())
     }
 
     fn axioms(&self, a: &ExecutionAnalysis<'_>, d: &Derived, c: &mut Checker) {
-        c.acyclic("Coherence", a.coherence());
-        c.empty("RMWIsol", a.rmw_isol());
-        c.acyclic("Order", d.expect("hb"));
-        c.acyclic("Propagation", d.expect("propagation"));
-        c.irreflexive("Observation", d.expect("observation"));
-        if self.tm {
-            c.acyclic("StrongIsol", a.strong_isol());
-            c.acyclic("TxnOrder", d.expect("txnorder"));
-            c.empty("TxnCancelsRMW", a.txn_cancels_rmw());
-        }
+        Power::fig6_axioms(a, d, c, self.highlights());
     }
 
     fn prune_oracle(&self, _txns_known: bool) -> Option<&dyn PruneOracle> {
@@ -270,7 +353,7 @@ impl PruneOracle for Power {
     fn delta_plan(&self, x: &Execution) -> Option<DeltaPlan> {
         let n = x.len();
         let base = ExecutionAnalysis::with_fr(x, Rel::empty(n));
-        let rels = self.relations(&base);
+        let rels = Power::relations(&base, self.highlights());
         let everything = EventSet::from_bits(u64::MAX);
         let mut plan = DeltaPlan::fallback(x, true);
         plan.obls.push(Obligation {
@@ -619,6 +702,27 @@ mod tests {
         // addr dependency ry -> rx preserved; plain write pair not.
         assert!(ppo.contains(2, 3));
         assert!(!ppo.contains(0, 1));
+    }
+
+    #[test]
+    fn derived_names_are_pinned() {
+        let x = wrc_txn();
+        let names = |m: Power| m.derived(&x.analysis()).names().collect::<Vec<_>>();
+        let base = [
+            "ppo",
+            "fence",
+            "ihb",
+            "thb",
+            "propagation",
+            "observation",
+            "prop",
+            "hb",
+            "hbstar",
+        ];
+        assert_eq!(names(Power::base()), base);
+        let mut tm = base.to_vec();
+        tm.insert(7, "txnorder");
+        assert_eq!(names(Power::tm()), tm);
     }
 
     #[test]

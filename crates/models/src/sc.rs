@@ -55,10 +55,6 @@ impl PruneOracle for Sc {
         true // po and com are preserved pointwise under event growth
     }
 
-    fn txn_aware_exact(&self) -> bool {
-        true // viable == the full check; the plan answers every probe
-    }
-
     // The single axiom decomposes exactly: seed po, feed com edge by
     // edge. Exact — a clean detector IS the axiom.
     fn delta_plan(&self, x: &Execution) -> Option<DeltaPlan> {
@@ -126,10 +122,6 @@ impl PruneOracle for Tsc {
 
     fn event_monotone(&self) -> bool {
         true // as Sc; the lift only grows with hb and the txn classes
-    }
-
-    fn txn_aware_exact(&self) -> bool {
-        true // both obligations decompose exactly with stxn fixed
     }
 
     // Order as for Sc; TxnOrder = stronglift(po ∪ com, stxn)

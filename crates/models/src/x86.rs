@@ -132,10 +132,6 @@ impl PruneOracle for X86 {
         true // pairwise builtins and monotone compositions only
     }
 
-    fn txn_aware_exact(&self) -> bool {
-        true // viable == the full check; the plan (incl. TM lifts) is exact
-    }
-
     // Exact decomposition: hb = (fixed mfence ∪ ppo ∪ implied) ∪
     // rfe ∪ fr ∪ co, so the Order obligation seeds the fixed part
     // (hb on the base analysis, whose communication is empty) and

@@ -26,17 +26,24 @@
 //! doomed relation subtrees during it, and the stateless automorphism
 //! test picks class representatives at the leaves. Consistency is a
 //! class invariant, so the two prunings commute.
+//!
+//! The leaves are the unpruned walk's: each completed rf/co assignment
+//! (a *group*) is copied into one execution per label assignment, and
+//! the shared leaf path (`Leaves`, in the enumerate module) switches every
+//! transaction layout into it in place, deciding the txn-free half of
+//! the symmetry test once per group. [`LeafChecker`] then re-derives
+//! only the layout-dependent relations per layout.
 
-use txmm_core::canon::{kind_tag, label_canonical, struct_canonical, Label};
+use txmm_core::canon::{kind_tag, label_canonical, Label};
 use txmm_core::incr::{judge_batch, NoPrune, PartialCandidate, PruneOracle, PruneStats};
-use txmm_core::{Event, EventKind, EventSet, Execution, Rel, TxnClass, TxnFreeBase};
+use txmm_core::{Event, EventKind, EventSet, Execution, Rel, TxnFreeBase};
 use txmm_models::Model;
 
 use txmm_obs::WalkProgress;
 
 use crate::enumerate::{
-    config_shapes, enumerate_labels, for_deps, for_txns, kinds_for, shape_tids, walk_plan, CandSeq,
-    EnumConfig, Frontier, StructureSpace, Subtree,
+    config_shapes, enumerate_labels, for_deps, kinds_for, shape_tids, walk_plan, CandSeq,
+    EnumConfig, Frontier, Keep, Leaves, StructureSpace, Subtree,
 };
 use crate::par::worker_count;
 use crate::steal::{run_with_progress, StealStats};
@@ -96,17 +103,20 @@ pub fn oracle_for(model: &dyn Model, txns_known: bool) -> &dyn PruneOracle {
     model.prune_oracle(txns_known).unwrap_or(&NoPrune)
 }
 
-/// A full-model consistency filter over the pruned leaf stream that
-/// shares txn-independent analysis slots across consecutive
-/// candidates.
+/// A full-model consistency filter over a leaf stream that shares
+/// txn-independent analysis slots across consecutive candidates.
 ///
-/// The walk emits every transaction layout of one completed rf/co
-/// assignment back to back; those siblings differ only in `txns`, so
-/// `fr`, `com`, the equivalences and the fence relations — the bulk of
-/// a full check — are identical. The checker captures them from the
-/// first sibling's analysis ([`TxnFreeBase`]) and re-seeds each
-/// follow-up analysis after a fingerprint match, re-deriving from
-/// scratch only when the underlying structure actually changed.
+/// Both structure walks emit every transaction layout of one completed
+/// rf/co assignment back to back; those siblings differ only in `txns`,
+/// so `fr`, `com`, the equivalences, the fence relations and the
+/// models' memoised txn-free relations (the x86 `hb` and ARMv8 `ob`
+/// fixed unions, Power's `ppo`, `ihb`, `(fre ∪ coe)*` and `come*`) —
+/// the bulk of a full check — are identical. The checker captures them
+/// from the first sibling's analysis ([`TxnFreeBase`]) and re-seeds
+/// each follow-up analysis after a fingerprint match, re-deriving from
+/// scratch only when the underlying structure actually changed. The
+/// consistent walks check every leaf through one, and so does Table 1
+/// synthesis for its transactional model.
 pub struct LeafChecker<'m> {
     model: &'m dyn Model,
     base: Option<TxnFreeBase>,
@@ -157,12 +167,7 @@ struct Walk<'a> {
 }
 
 impl<'a> Walk<'a> {
-    fn new(
-        cfg: &EnumConfig,
-        events: &[Event],
-        space: &'a StructureSpace,
-        oracle: &'a dyn PruneOracle,
-    ) -> Walk<'a> {
+    fn new(events: &[Event], space: &'a StructureSpace, oracle: &'a dyn PruneOracle) -> Walk<'a> {
         let n = events.len();
         let read_loc_writes = space
             .reads
@@ -196,7 +201,7 @@ impl<'a> Walk<'a> {
             fact,
             co_suffix,
             rf_suffix,
-            txn_leaves: space.txn_leaves(cfg),
+            txn_leaves: space.txn_leaves(),
         }
     }
 
@@ -367,159 +372,75 @@ impl<'a> Walk<'a> {
     }
 }
 
-/// Build the transaction classes of one layout choice (`txn_ivs` is
-/// one interval list per thread over that thread's slot vector).
-fn build_txns(
-    thread_slots: &[Vec<usize>],
-    txn_ivs: &[Vec<(usize, usize)>],
-    atomic: bool,
-) -> Vec<TxnClass> {
-    txn_ivs
-        .iter()
-        .enumerate()
-        .flat_map(|(t, ivs)| {
-            let slots = &thread_slots[t];
-            ivs.iter().map(move |&(i, j)| TxnClass {
-                events: slots[i..=j].to_vec(),
-                atomic,
-            })
-        })
-        .collect()
-}
-
 /// Walk the structure space over one labelled event vector with oracle
 /// pruning; `visit` receives every surviving class representative.
 ///
-/// Two phase orders:
-///
-/// * **classic** (`txn_first == false`) — rf/co are walked once per
-///   (rmw, deps) choice with a transaction-agnostic oracle, and every
-///   transaction layout is expanded at the leaves. Survivors are *not*
-///   yet filtered by a full model check.
-/// * **txn-first** (`txn_first == true`) — the transaction layout is
-///   fixed *before* the rf/co walk and `oracle` must be the model's
-///   txns-known oracle with [`PruneOracle::txn_aware_exact`]. Every
-///   probe then decides full-model consistency of the partial
-///   candidate, so a surviving complete leaf **is** consistent — no
-///   downstream model check, no per-layout re-check, no `with_txns`
-///   clone. The walk repeats per layout, but probes are answered from
-///   delta state, which is far cheaper than a full check at every
-///   (leaf × layout).
+/// rf/co are walked once per (rmw, deps) choice with a
+/// transaction-agnostic oracle, and [`Leaves`] expands every
+/// transaction layout of each completed rf/co group in place over one
+/// execution per label assignment. Survivors are *not* yet filtered by
+/// a full model check.
 fn pruned_structures(
     cfg: &EnumConfig,
     events: &[Event],
     oracle: &dyn PruneOracle,
-    txn_first: bool,
     st: &mut PruneStats,
-    keep: &mut dyn FnMut(&Execution) -> bool,
+    leaves: &mut Leaves,
+    keep: &mut Keep<'_>,
     visit: &mut dyn FnMut(&Execution),
 ) {
     let n = events.len();
     let space = StructureSpace::new(cfg, events);
-    let mut walk = Walk::new(cfg, events, &space, oracle);
-    if txn_first {
-        // Layouts are enumerated outside the walk: a cut below skips
-        // rf/co assignments of the *current* layout only.
-        walk.txn_leaves = 1;
-    }
-    let atomic_opts: &[bool] = if cfg.atomic_txns {
-        &[false, true]
-    } else {
-        &[false]
-    };
+    let walk = Walk::new(events, &space, oracle);
+    let empty = Rel::empty(n);
+    // The execution every group of this label assignment is copied
+    // into and every layout switched in: the walk's own partial
+    // candidate keeps its empty transaction classes for the oracle.
+    let mut y = space.execution(events, empty, empty, empty, empty);
     for rmws in &space.rmw_sets {
         let mut rmw = Rel::empty(n);
         for &(a, b) in rmws {
             rmw.add(a, b);
         }
         for_deps(cfg, events, &space.dep_slots, &mut |addr, ctrl, data| {
-            let start = |txns: Vec<TxnClass>, walk: &Walk<'_>, st: &mut PruneStats| {
-                let base = Execution::from_parts(
-                    events.to_vec(),
-                    space.po,
-                    *addr,
-                    *ctrl,
-                    *data,
-                    rmw,
-                    Rel::empty(n),
-                    Rel::empty(n),
-                    txns,
+            let base = space.execution(events, *addr, *ctrl, *data, rmw);
+            let mut pc = PartialCandidate::with_oracle(base, oracle);
+            // Structure-only violations (no rf/co yet) kill the whole
+            // subtree at once.
+            if !pc.viable(oracle, st) {
+                walk.cut(
+                    st,
+                    walk.rf_suffix[0]
+                        .saturating_mul(walk.co_suffix[0])
+                        .saturating_mul(walk.txn_leaves),
                 );
-                let pc = PartialCandidate::with_oracle(base, oracle);
-                // Structure-only violations (no rf/co yet) kill the
-                // whole subtree at once.
-                if !pc.viable(oracle, st) {
-                    walk.cut(
-                        st,
-                        walk.rf_suffix[0]
-                            .saturating_mul(walk.co_suffix[0])
-                            .saturating_mul(walk.txn_leaves),
-                    );
-                    return None;
-                }
-                Some(pc)
-            };
-            if txn_first {
-                for_txns(&space.thread_slots, &space.txn_options, &mut |txn_ivs| {
-                    for &atomic in atomic_opts {
-                        let txns = build_txns(&space.thread_slots, txn_ivs, atomic);
-                        if txns.is_empty() && atomic {
-                            continue;
-                        }
-                        let Some(mut pc) = start(txns, &walk, st) else {
-                            continue;
-                        };
-                        walk.rf(0, &mut pc, st, &mut |x| {
-                            debug_assert!(x.check_wf().is_ok(), "{:?}", x.check_wf());
-                            if keep(x) {
-                                visit(x);
-                            }
-                        });
-                    }
-                });
-            } else {
-                let Some(mut pc) = start(vec![], &walk, st) else {
-                    return;
-                };
-                walk.rf(0, &mut pc, st, &mut |x| {
-                    // One clone per completed rf/co assignment; the
-                    // layouts cycle through it via `set_txns`.
-                    let mut y = x.clone();
-                    for_txns(&space.thread_slots, &space.txn_options, &mut |txn_ivs| {
-                        for &atomic in atomic_opts {
-                            let txns = build_txns(&space.thread_slots, txn_ivs, atomic);
-                            if txns.is_empty() && atomic {
-                                continue;
-                            }
-                            y.set_txns(txns);
-                            debug_assert!(y.check_wf().is_ok(), "{:?}", y.check_wf());
-                            if keep(&y) {
-                                visit(&y);
-                            }
-                        }
-                    });
-                });
+                return;
             }
+            let (a, c, d, r) = y.deps_mut();
+            (*a, *c, *d, *r) = (*addr, *ctrl, *data, rmw);
+            walk.rf(0, &mut pc, st, &mut |x| {
+                let (rf, co) = y.comm_mut();
+                (*rf, *co) = (*x.rf(), *x.co());
+                leaves.emit(&space, &mut y, keep, visit);
+            });
         });
     }
 }
 
 /// Walk one frontier subtree with oracle pruning (the pruned analogue
-/// of [`crate::enumerate::enumerate_subtree`]). `txn_first` selects
-/// the phase order of [`pruned_structures`]; it requires a txns-known
-/// oracle with [`PruneOracle::txn_aware_exact`].
+/// of [`crate::enumerate::enumerate_subtree`]).
 pub fn pruned_subtree(
     cfg: &EnumConfig,
     shape: &[usize],
     sub: &Subtree,
     oracle: &dyn PruneOracle,
-    txn_first: bool,
     st: &mut PruneStats,
     visit: &mut dyn FnMut(&Execution),
 ) {
     let kinds = kinds_for(cfg);
     let evkinds: Vec<EventKind> = sub.kind_choice.iter().map(|&i| kinds[i as usize]).collect();
     let tids = shape_tids(shape);
+    let mut leaves = Leaves::default();
     enumerate_labels(cfg, &tids, &evkinds, &mut |events| {
         let labels: Vec<Label> = events
             .iter()
@@ -536,9 +457,9 @@ pub fn pruned_subtree(
             cfg,
             events,
             oracle,
-            txn_first,
             st,
-            &mut |x| struct_canonical(x, &auts),
+            &mut leaves,
+            &mut Keep::Orbit(&auts),
             visit,
         );
     });
@@ -554,13 +475,12 @@ pub fn enumerate_pruned(
     oracle: &dyn PruneOracle,
     visit: &mut dyn FnMut(&Execution),
 ) -> PruneStats {
-    walk_pruned(cfg, oracle, false, None, visit)
+    walk_pruned(cfg, oracle, None, visit)
 }
 
 fn walk_pruned(
     cfg: &EnumConfig,
     oracle: &dyn PruneOracle,
-    txn_first: bool,
     progress: Option<&WalkProgress>,
     visit: &mut dyn FnMut(&Execution),
 ) -> PruneStats {
@@ -577,7 +497,6 @@ fn walk_pruned(
             &shapes[sub.shape_idx],
             &sub,
             oracle,
-            txn_first,
             &mut st,
             &mut |x| {
                 emitted += 1;
@@ -612,7 +531,7 @@ where
     FI: Fn(usize) -> S + Sync,
     FV: Fn(CandSeq, &Execution, &mut S) + Sync,
 {
-    visit_pruned_par_mode(cfg, oracle, false, workers, None, init, visit)
+    visit_pruned_par_progress(cfg, oracle, workers, None, init, visit)
 }
 
 /// [`visit_pruned_par`] with optional live progress: the walk plan is
@@ -622,24 +541,6 @@ where
 pub fn visit_pruned_par_progress<S, FI, FV>(
     cfg: &EnumConfig,
     oracle: &dyn PruneOracle,
-    workers: usize,
-    progress: Option<&WalkProgress>,
-    init: FI,
-    visit: FV,
-) -> (Vec<S>, PruneStats, StealStats)
-where
-    S: Send,
-    FI: Fn(usize) -> S + Sync,
-    FV: Fn(CandSeq, &Execution, &mut S) + Sync,
-{
-    visit_pruned_par_mode(cfg, oracle, false, workers, progress, init, visit)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn visit_pruned_par_mode<S, FI, FV>(
-    cfg: &EnumConfig,
-    oracle: &dyn PruneOracle,
-    txn_first: bool,
     workers: usize,
     progress: Option<&WalkProgress>,
     init: FI,
@@ -663,18 +564,10 @@ where
             let mut emit = 0u32;
             let (s, st) = state;
             let before = (st.subtrees_cut, st.candidates_skipped);
-            pruned_subtree(
-                cfg,
-                &shapes[sub.shape_idx],
-                &sub,
-                oracle,
-                txn_first,
-                st,
-                &mut |x| {
-                    visit((sub.seq, emit), x, s);
-                    emit += 1;
-                },
-            );
+            pruned_subtree(cfg, &shapes[sub.shape_idx], &sub, oracle, st, &mut |x| {
+                visit((sub.seq, emit), x, s);
+                emit += 1;
+            });
             if let Some(p) = progress {
                 p.subtree_done(
                     sub.weight,
@@ -700,14 +593,6 @@ where
 /// transaction-agnostic oracle accelerates the walk; a [`LeafChecker`]
 /// (txn-independent slots shared by reference across the layouts of
 /// each rf/co assignment) decides at the leaves.
-///
-/// The txn-first walk ([`enumerate_consistent_txn_first`]) needs no
-/// leaf check at all, but measures *slower* here: repeating the rf/co
-/// walk per transaction layout multiplies delta probes (4.6M against
-/// 72k for x86-tm at |E| = 5, three detectors fed per edge) past the
-/// cost of the shared-slot leaf checks it saves — 5.5 s against 1.8 s
-/// on one core of a 2-vCPU Xeon — so the classic order stays the
-/// default.
 pub fn enumerate_consistent(
     cfg: &EnumConfig,
     model: &dyn Model,
@@ -715,29 +600,11 @@ pub fn enumerate_consistent(
 ) -> PruneStats {
     let oracle = oracle_for(model, false);
     let mut check = LeafChecker::new(model);
-    walk_pruned(cfg, oracle, false, None, &mut |x| {
+    walk_pruned(cfg, oracle, None, &mut |x| {
         if check.consistent(x) {
             visit(x);
         }
     })
-}
-
-/// [`enumerate_consistent`] over the **txn-first** walk: transaction
-/// layouts are fixed before the rf/co stages and the model's
-/// txns-known oracle decides full consistency probe by probe, so the
-/// surviving stream needs no leaf check. `None` unless that oracle is
-/// [`PruneOracle::txn_aware_exact`] (Power, C++ and `.cat` programs
-/// would multiply expensive fallback probes by the layout count).
-pub fn enumerate_consistent_txn_first(
-    cfg: &EnumConfig,
-    model: &dyn Model,
-    visit: &mut dyn FnMut(&Execution),
-) -> Option<PruneStats> {
-    let oracle = oracle_for(model, true);
-    if !oracle.txn_aware_exact() {
-        return None;
-    }
-    Some(walk_pruned(cfg, oracle, true, None, visit))
 }
 
 /// Count the model-consistent classes (sequential).
@@ -762,10 +629,9 @@ pub fn count_consistent_par_progress(
     progress: Option<&WalkProgress>,
 ) -> (usize, PruneStats) {
     let oracle = oracle_for(model, false);
-    let (counts, st, _) = visit_pruned_par_mode(
+    let (counts, st, _) = visit_pruned_par_progress(
         cfg,
         oracle,
-        false,
         workers,
         progress,
         |_| (0usize, LeafChecker::new(model)),
@@ -833,40 +699,6 @@ mod tests {
         let st = enumerate_pruned(&cfg, oracle_for(&X86::tm(), false), &mut |_| survivors += 1);
         assert!(survivors <= total_unpruned);
         assert!(st.candidates_skipped > 0);
-    }
-
-    /// The txn-first walk yields exactly the classic walk's consistent
-    /// classes (and exercises the txns-known exact delta plans, which
-    /// the classic walk never builds).
-    #[test]
-    fn txn_first_matches_classic() {
-        for (cfg, model) in [
-            (
-                EnumConfig::hw(txmm_models::Arch::X86, 3),
-                &X86::tm() as &dyn Model,
-            ),
-            (
-                EnumConfig::hw(txmm_models::Arch::Sc, 3),
-                &txmm_models::Tsc as &dyn Model,
-            ),
-        ] {
-            let mut classic = HashSet::new();
-            enumerate_consistent(&cfg, model, &mut |x| {
-                classic.insert(canon_key(x));
-            });
-            let mut first = HashSet::new();
-            let st = enumerate_consistent_txn_first(&cfg, model, &mut |x| {
-                assert!(first.insert(canon_key(x)), "duplicate class");
-            })
-            .expect("txn-aware exact oracle");
-            assert_eq!(first, classic, "{}", model.name());
-            assert!(st.delta_answers > 0, "txn-aware plan never consulted");
-        }
-        // Inexact txns-known plans refuse the mode.
-        let cfg = EnumConfig::hw(txmm_models::Arch::Power, 3);
-        assert!(
-            enumerate_consistent_txn_first(&cfg, &txmm_models::Power::tm(), &mut |_| {}).is_none()
-        );
     }
 
     #[test]

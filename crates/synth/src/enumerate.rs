@@ -17,6 +17,20 @@
 //! so the engine streams exactly one representative per symmetry class
 //! while carrying **no dedup set and no candidate buffer**.
 //!
+//! ## Transaction layouts
+//!
+//! Every rf/co assignment fans out into every transaction layout: each
+//! way of cutting each thread into po-contiguous transactions (89
+//! layouts per assignment on a five-event single thread, 233 on six),
+//! times the atomic flag for C++. A label assignment lists its layouts
+//! once, as a table of per-event class ids built at its first completed
+//! rf/co assignment, and the walks switch each layout into one
+//! execution in place (`Execution::set_txn_layout`): no class vector,
+//! txn index or execution is rebuilt per layout. The last symmetry
+//! stage splits the same way: its txn-free half is decided once per
+//! rf/co assignment ([`txmm_core::canon::LayoutOrbit`]), and a layout
+//! is compared only when that half ties under some automorphism.
+//!
 //! [`Frontier`] is the resumable form of that decomposition: a lazy
 //! iterator of subtree jobs. The sequential drivers ([`enumerate`],
 //! [`count`]) walk it in order; the parallel drivers ([`visit_par`],
@@ -30,12 +44,13 @@
 //! suite checks the streaming engine emits exactly the same canonical
 //! classes.
 
+use std::cell::OnceCell;
 use std::collections::HashSet;
 
 use txmm_core::canon::{
-    canon_key, kind_rows_sorted, kind_tag, label_canonical, struct_canonical, Label,
+    canon_key, kind_rows_sorted, kind_tag, label_canonical, Label, LayoutOrbit,
 };
-use txmm_core::{Attrs, Event, EventKind, Execution, Fence, Rel, TxnClass};
+use txmm_core::{Attrs, Event, EventId, EventKind, Execution, Fence, Rel, MAX_EVENTS, NO_TXN};
 use txmm_models::Arch;
 
 use crate::par::worker_count;
@@ -153,7 +168,9 @@ fn attr_options(cfg: &EnumConfig, kind: EventKind) -> Vec<Attrs> {
 
 /// Disjoint contiguous interval covers of `0..k` (transaction layouts on
 /// one thread): each position is either outside any transaction or in
-/// exactly one interval.
+/// exactly one interval. The pre-table layout source, kept as the
+/// reference the layout table is tested against.
+#[cfg(test)]
 fn interval_sets(k: usize) -> Vec<Vec<(usize, usize)>> {
     fn go(i: usize, k: usize) -> Vec<Vec<(usize, usize)>> {
         if i >= k {
@@ -175,6 +192,17 @@ fn interval_sets(k: usize) -> Vec<Vec<(usize, usize)>> {
         out
     }
     go(0, k)
+}
+
+/// The number of transaction layouts of a `k`-event thread: position
+/// 0 is either outside every transaction (`c(k - 1)` layouts of the
+/// rest) or opens one of length `l` (`c(k - l)` layouts of the rest).
+fn interval_count(k: usize) -> u64 {
+    let mut c = vec![1u64; k + 1];
+    for m in 1..=k {
+        c[m] = c[m - 1].saturating_add(c[..m].iter().fold(0u64, |s, &x| s.saturating_add(x)));
+    }
+    c[k]
 }
 
 /// The thread shapes (non-increasing partitions) the enumeration of
@@ -356,6 +384,7 @@ pub fn enumerate_subtree(
     let kinds = kinds_for(cfg);
     let evkinds: Vec<EventKind> = sub.kind_choice.iter().map(|&i| kinds[i as usize]).collect();
     let tids = shape_tids(shape);
+    let mut leaves = Leaves::default();
     enumerate_labels(cfg, &tids, &evkinds, &mut |events| {
         let labels: Vec<Label> = events
             .iter()
@@ -369,7 +398,7 @@ pub fn enumerate_subtree(
             return; // Symmetry-duplicate label prefix: prune the
                     // whole relation/transaction subtree.
         };
-        assign_structure(cfg, events, &mut |x| struct_canonical(x, &auts), visit);
+        assign_structure(cfg, events, &mut leaves, &mut Keep::Orbit(&auts), visit);
     });
 }
 
@@ -607,6 +636,16 @@ fn assign_attrs(
 
 // ---- Structure enumeration ---------------------------------------------
 
+/// One transaction layout of a label assignment: the class id of every
+/// event slot ([`NO_TXN`] outside every transaction), plus the atomic
+/// flag every class carries. Class ids follow the layout's thread-major,
+/// interval order, which is the order of its `txns()` classes.
+#[derive(Debug)]
+pub(crate) struct TxnLayout {
+    pub(crate) class: [u8; MAX_EVENTS],
+    pub(crate) atomic: bool,
+}
+
 /// The structure choice space over one fully labelled event vector:
 /// everything [`assign_structure`] and the pruned walker
 /// ([`crate::consistent`]) enumerate once kinds, locations and
@@ -627,8 +666,14 @@ pub(crate) struct StructureSpace {
     pub(crate) loc_writes: Vec<Vec<usize>>,
     /// Event slots per thread.
     pub(crate) thread_slots: Vec<Vec<usize>>,
-    /// Per thread: the candidate transaction interval layouts.
-    pub(crate) txn_options: Vec<Vec<Vec<(usize, usize)>>>,
+    /// Enumerate transactions at all, and atomic ones too.
+    txns: bool,
+    atomic_txns: bool,
+    /// Leaf candidates per complete rf/co assignment.
+    txn_leaves: u64,
+    /// Every transaction layout, built at the first completed rf/co
+    /// assignment (see [`StructureSpace::layouts`]).
+    layouts: OnceCell<Vec<TxnLayout>>,
 }
 
 impl StructureSpace {
@@ -715,13 +760,21 @@ impl StructureSpace {
         let thread_slots: Vec<Vec<usize>> = (0..nthreads)
             .map(|t| (0..n).filter(|&e| events[e].tid as usize == t).collect())
             .collect();
-        let txn_options: Vec<Vec<Vec<(usize, usize)>>> = if cfg.txns {
+        // The layout table's length, known before the table exists:
+        // per-thread interval covers multiply, and every non-empty
+        // layout comes once more with the atomic flag.
+        let layouts: u64 = if cfg.txns {
             thread_slots
                 .iter()
-                .map(|slots| interval_sets(slots.len()))
-                .collect()
+                .map(|slots| interval_count(slots.len()))
+                .fold(1, u64::saturating_mul)
         } else {
-            thread_slots.iter().map(|_| vec![vec![]]).collect()
+            1
+        };
+        let txn_leaves = if cfg.atomic_txns {
+            layouts.saturating_mul(2).saturating_sub(1)
+        } else {
+            layouts
         };
 
         StructureSpace {
@@ -732,66 +785,211 @@ impl StructureSpace {
             rf_options,
             loc_writes,
             thread_slots,
-            txn_options,
+            txns: cfg.txns,
+            atomic_txns: cfg.atomic_txns,
+            txn_leaves,
+            layouts: OnceCell::new(),
         }
     }
 
-    /// Leaf candidates per complete rf/co assignment: transaction
-    /// layout combinations times the atomic flag (the all-empty layout
-    /// is enumerated once, never with `atomic` set).
-    pub(crate) fn txn_leaves(&self, cfg: &EnumConfig) -> u64 {
-        let t: u64 = self.txn_options.iter().map(|o| o.len() as u64).product();
-        if cfg.atomic_txns {
-            t.saturating_mul(2).saturating_sub(1)
-        } else {
-            t
+    /// An execution over `events` with this space's program order, the
+    /// given dependencies and rmw pairs, and no communication or
+    /// transactions yet.
+    pub(crate) fn execution(
+        &self,
+        events: &[Event],
+        addr: Rel,
+        ctrl: Rel,
+        data: Rel,
+        rmw: Rel,
+    ) -> Execution {
+        let empty = Rel::empty(events.len());
+        Execution::from_parts(
+            events.to_vec(),
+            self.po,
+            addr,
+            ctrl,
+            data,
+            rmw,
+            empty,
+            empty,
+            Vec::new(),
+        )
+    }
+
+    /// Leaf candidates per complete rf/co assignment: the length of the
+    /// layout table (transaction layout combinations times the atomic
+    /// flag; the all-empty layout is enumerated once, never with
+    /// `atomic` set).
+    pub(crate) fn txn_leaves(&self) -> u64 {
+        self.txn_leaves
+    }
+
+    /// Every transaction layout, in walk order: threads outermost
+    /// (thread 0 slowest); within a thread, position by position, first
+    /// outside every transaction, then opening one of each length; the
+    /// atomic flag innermost, skipping the empty atomic layout. Built
+    /// on first use, so a label assignment whose every rf/co assignment
+    /// is cut never pays for it.
+    pub(crate) fn layouts(&self) -> &[TxnLayout] {
+        self.layouts.get_or_init(|| {
+            let mut table = Vec::with_capacity(self.txn_leaves as usize);
+            let mut class = [NO_TXN; MAX_EVENTS];
+            self.fill_layouts(0, 0, 0, &mut class, &mut table);
+            debug_assert_eq!(table.len() as u64, self.txn_leaves);
+            table
+        })
+    }
+
+    /// Extend the layout prefix in `class` (threads before `t` and
+    /// positions before `i` on thread `t` decided, `next` classes
+    /// opened) to every completion, in walk order.
+    fn fill_layouts(
+        &self,
+        t: usize,
+        i: usize,
+        next: u8,
+        class: &mut [u8; MAX_EVENTS],
+        table: &mut Vec<TxnLayout>,
+    ) {
+        if t == self.thread_slots.len() {
+            table.push(TxnLayout {
+                class: *class,
+                atomic: false,
+            });
+            if self.atomic_txns && next > 0 {
+                table.push(TxnLayout {
+                    class: *class,
+                    atomic: true,
+                });
+            }
+            return;
+        }
+        let slots = &self.thread_slots[t];
+        if i == slots.len() || !self.txns {
+            return self.fill_layouts(t + 1, 0, next, class, table);
+        }
+        self.fill_layouts(t, i + 1, next, class, table);
+        for j in i..slots.len() {
+            for &e in &slots[i..=j] {
+                class[e] = next;
+            }
+            self.fill_layouts(t, j + 1, next + 1, class, table);
+        }
+        for &e in &slots[i..] {
+            class[e] = NO_TXN;
+        }
+    }
+}
+
+/// How the leaf path picks class representatives among the layouts it
+/// emits.
+pub(crate) enum Keep<'k> {
+    /// The streaming engine's stateless automorphism test against these
+    /// stage-2 automorphisms, with the txn-free half decided once per
+    /// rf/co group ([`LayoutOrbit`]).
+    Orbit(&'k [Vec<usize>]),
+    /// A per-candidate filter (the reference path's canon-key dedup
+    /// set, or a test's keep-everything).
+    Each(&'k mut dyn FnMut(&Execution) -> bool),
+}
+
+/// The leaf path both structure walks share: every transaction layout
+/// of one completed rf/co group, switched in place into one execution.
+///
+/// A layout costs only what it changes: [`Execution::set_txn_layout`]
+/// rewrites the classes and the txn index in their existing buffers
+/// (dropped class buffers wait in `spare`), and the symmetry test
+/// compares the txn-free structure once per group, not per layout. The
+/// scratch state carries over from group to group and from one label
+/// assignment to the next.
+#[derive(Default)]
+pub(crate) struct Leaves {
+    orbit: LayoutOrbit,
+    spare: Vec<Vec<EventId>>,
+}
+
+impl Leaves {
+    /// Emit the kept layouts of the group `x` holds: rf and co are
+    /// complete, and its transaction classes are overwritten.
+    pub(crate) fn emit(
+        &mut self,
+        space: &StructureSpace,
+        x: &mut Execution,
+        keep: &mut Keep<'_>,
+        visit: &mut dyn FnMut(&Execution),
+    ) {
+        let layouts = space.layouts();
+        match keep {
+            Keep::Orbit(auts) => {
+                if !self.orbit.decide(x, auts) {
+                    debug_assert!(!txmm_core::canon::struct_canonical(x, auts));
+                    return;
+                }
+                for l in layouts {
+                    x.set_txn_layout(&l.class, l.atomic, &mut self.spare);
+                    debug_assert!(x.check_wf().is_ok(), "{:?}", x.check_wf());
+                    let kept = self.orbit.canonical(x);
+                    debug_assert_eq!(kept, txmm_core::canon::struct_canonical(x, auts));
+                    if kept {
+                        visit(x);
+                    }
+                }
+            }
+            Keep::Each(keep) => {
+                for l in layouts {
+                    x.set_txn_layout(&l.class, l.atomic, &mut self.spare);
+                    debug_assert!(x.check_wf().is_ok(), "{:?}", x.check_wf());
+                    if keep(x) {
+                        visit(x);
+                    }
+                }
+            }
         }
     }
 }
 
 /// Enumerate rmw pairs, dependencies, rf, co and transactions over
-/// fully labelled events; `keep` decides whether a finished candidate
-/// is the class representative (the streaming engine's stateless
-/// automorphism test, or the reference path's canon-key dedup set).
-fn assign_structure(
+/// fully labelled events, switching one execution in place through
+/// every choice; `keep` picks the class representatives among each
+/// rf/co group's transaction layouts.
+pub(crate) fn assign_structure(
     cfg: &EnumConfig,
     events: &[Event],
-    keep: &mut dyn FnMut(&Execution) -> bool,
+    leaves: &mut Leaves,
+    keep: &mut Keep<'_>,
     visit: &mut dyn FnMut(&Execution),
 ) {
     let n = events.len();
     let space = StructureSpace::new(cfg, events);
-    let StructureSpace {
-        po,
-        rmw_sets,
-        dep_slots,
-        reads,
-        rf_options,
-        loc_writes,
-        thread_slots,
-        txn_options,
-    } = &space;
-    let po = *po;
     // co: permutations of writes per location.
-    let co_options: Vec<Vec<Vec<usize>>> =
-        loc_writes.iter().map(|ws| permutations_of(ws)).collect();
+    let co_options: Vec<Vec<Vec<usize>>> = space
+        .loc_writes
+        .iter()
+        .map(|ws| permutations_of(ws))
+        .collect();
+    let empty = Rel::empty(n);
+    let mut x = space.execution(events, empty, empty, empty, empty);
 
     // Iterate the cross product.
-    for rmws in rmw_sets {
+    for rmws in &space.rmw_sets {
         let mut rmw = Rel::empty(n);
         for &(a, b) in rmws {
             rmw.add(a, b);
         }
-        for_deps(cfg, events, dep_slots, &mut |addr, ctrl, data| {
-            for_rf(reads, rf_options, &mut |rf_choice| {
+        for_deps(cfg, events, &space.dep_slots, &mut |addr, ctrl, data| {
+            let (a, c, d, r) = x.deps_mut();
+            (*a, *c, *d, *r) = (*addr, *ctrl, *data, rmw);
+            for_rf(&space.reads, &space.rf_options, &mut |rf_choice| {
                 for_co(&co_options, &mut |co_perms| {
-                    let mut rf = Rel::empty(n);
-                    for (i, &r) in reads.iter().enumerate() {
+                    let (rf, co) = x.comm_mut();
+                    *rf = Rel::empty(n);
+                    for (i, &r) in space.reads.iter().enumerate() {
                         if let Some(w) = rf_choice[i] {
                             rf.add(w, r);
                         }
                     }
-                    let mut co = Rel::empty(n);
+                    *co = Rel::empty(n);
                     for perm in co_perms {
                         for i in 0..perm.len() {
                             for j in (i + 1)..perm.len() {
@@ -799,44 +997,7 @@ fn assign_structure(
                             }
                         }
                     }
-                    for_txns(thread_slots, txn_options, &mut |txn_ivs| {
-                        let atomic_opts: &[bool] = if cfg.atomic_txns {
-                            &[false, true]
-                        } else {
-                            &[false]
-                        };
-                        for &atomic in atomic_opts {
-                            let txns: Vec<TxnClass> = txn_ivs
-                                .iter()
-                                .enumerate()
-                                .flat_map(|(t, ivs)| {
-                                    let slots = &thread_slots[t];
-                                    ivs.iter().map(move |&(i, j)| TxnClass {
-                                        events: slots[i..=j].to_vec(),
-                                        atomic,
-                                    })
-                                })
-                                .collect();
-                            if txns.is_empty() && atomic {
-                                continue;
-                            }
-                            let x = Execution::from_parts(
-                                events.to_vec(),
-                                po,
-                                *addr,
-                                *ctrl,
-                                *data,
-                                rmw,
-                                rf,
-                                co,
-                                txns,
-                            );
-                            debug_assert!(x.check_wf().is_ok(), "{:?}", x.check_wf());
-                            if keep(&x) {
-                                visit(&x);
-                            }
-                        }
-                    });
+                    leaves.emit(&space, &mut x, keep, visit);
                 });
             });
         });
@@ -857,11 +1018,14 @@ pub fn enumerate_reference(cfg: &EnumConfig, visit: &mut dyn FnMut(&Execution)) 
         let tids = shape_tids(&shape);
         let n = cfg.events;
         let mut seen: HashSet<Vec<u8>> = HashSet::new();
+        let mut leaves = Leaves::default();
         let mut kind_choice = vec![0usize; n];
         loop {
             let evkinds: Vec<EventKind> = kind_choice.iter().map(|&i| kinds[i]).collect();
             enumerate_labels(cfg, &tids, &evkinds, &mut |events| {
-                assign_structure(cfg, events, &mut |x| seen.insert(canon_key(x)), visit);
+                let mut dedup = |x: &Execution| seen.insert(canon_key(x));
+                let mut keep = Keep::Each(&mut dedup);
+                assign_structure(cfg, events, &mut leaves, &mut keep, visit);
             });
             // Odometer.
             let mut i = 0;
@@ -1023,32 +1187,11 @@ fn for_co(options: &[Vec<Vec<usize>>], k: &mut dyn FnMut(&[Vec<usize>])) {
     go(0, options, &mut acc, k);
 }
 
-/// Per-thread transaction layouts: for each thread, the chosen list of
-/// member intervals.
-type TxnLayouts = Vec<Vec<(usize, usize)>>;
-
-pub(crate) type TxnVisitor<'k> = &'k mut dyn FnMut(&[Vec<(usize, usize)>]);
-
-pub(crate) fn for_txns(threads: &[Vec<usize>], options: &[TxnLayouts], k: TxnVisitor<'_>) {
-    fn go(i: usize, options: &[TxnLayouts], acc: &mut TxnLayouts, k: TxnVisitor<'_>) {
-        if i == options.len() {
-            k(acc);
-            return;
-        }
-        for ivs in &options[i] {
-            acc.push(ivs.clone());
-            go(i + 1, options, acc, k);
-            acc.pop();
-        }
-    }
-    let _ = threads;
-    let mut acc = Vec::new();
-    go(0, options, &mut acc, k);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use txmm_core::canon::{struct_canonical, struct_key};
+    use txmm_core::TxnClass;
 
     #[test]
     fn shapes_are_non_increasing() {
@@ -1092,6 +1235,241 @@ mod tests {
             total += 1;
         });
         assert!(total > 10, "got {total}");
+    }
+
+    /// The pre-table layout builder, kept test-side: per-thread
+    /// interval covers in an odometer with thread 0 slowest, the atomic
+    /// flag innermost, the empty atomic layout skipped.
+    fn reference_layouts(
+        thread_slots: &[Vec<usize>],
+        txns: bool,
+        atomic_txns: bool,
+    ) -> Vec<Vec<TxnClass>> {
+        fn go(
+            t: usize,
+            covers: &[Vec<Vec<(usize, usize)>>],
+            acc: &mut Vec<Vec<(usize, usize)>>,
+            out: &mut Vec<Vec<Vec<(usize, usize)>>>,
+        ) {
+            if t == covers.len() {
+                out.push(acc.clone());
+                return;
+            }
+            for ivs in &covers[t] {
+                acc.push(ivs.clone());
+                go(t + 1, covers, acc, out);
+                acc.pop();
+            }
+        }
+        let covers: Vec<Vec<Vec<(usize, usize)>>> = thread_slots
+            .iter()
+            .map(|slots| {
+                if txns {
+                    interval_sets(slots.len())
+                } else {
+                    vec![vec![]]
+                }
+            })
+            .collect();
+        let mut choices = Vec::new();
+        go(0, &covers, &mut Vec::new(), &mut choices);
+        let atomic_opts: &[bool] = if atomic_txns {
+            &[false, true]
+        } else {
+            &[false]
+        };
+        let mut out = Vec::new();
+        for ivs in &choices {
+            for &atomic in atomic_opts {
+                let classes: Vec<TxnClass> = ivs
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(t, ivs)| {
+                        let slots = &thread_slots[t];
+                        ivs.iter().map(move |&(i, j)| TxnClass {
+                            events: slots[i..=j].to_vec(),
+                            atomic,
+                        })
+                    })
+                    .collect();
+                if !(classes.is_empty() && atomic) {
+                    out.push(classes);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn layout_table_matches_the_reference_builder() {
+        for n in 1..=5 {
+            for shape in shapes(n, n, n) {
+                let tids = shape_tids(&shape);
+                let events: Vec<Event> = tids.iter().map(|&t| Event::write(t, 0)).collect();
+                for (txns, atomic_txns) in
+                    [(true, false), (true, true), (false, false), (false, true)]
+                {
+                    let cfg = EnumConfig {
+                        txns,
+                        atomic_txns,
+                        ..EnumConfig::hw(Arch::Cpp, n)
+                    };
+                    let space = StructureSpace::new(&cfg, &events);
+                    let want = reference_layouts(&space.thread_slots, txns, atomic_txns);
+                    let table = space.layouts();
+                    let product: u64 = if txns {
+                        shape
+                            .iter()
+                            .map(|&k| interval_sets(k).len() as u64)
+                            .product()
+                    } else {
+                        1
+                    };
+                    let count = if atomic_txns {
+                        2 * product - 1
+                    } else {
+                        product
+                    };
+                    let ctx = format!("{shape:?} txns={txns} atomic={atomic_txns}");
+                    assert_eq!(table.len() as u64, count, "{ctx}");
+                    assert_eq!(space.txn_leaves(), count, "{ctx}");
+                    assert_eq!(table.len(), want.len(), "{ctx}");
+                    // Switch every layout into one execution, in order,
+                    // with a shared spare pool, as the walks do.
+                    let empty = Rel::empty(n);
+                    let mut x = space.execution(&events, empty, empty, empty, empty);
+                    let mut spare = Vec::new();
+                    for (i, (l, classes)) in table.iter().zip(&want).enumerate() {
+                        x.set_txn_layout(&l.class, l.atomic, &mut spare);
+                        assert_eq!(x.txns(), &classes[..], "{ctx} layout {i}");
+                        for e in 0..n {
+                            let owner = classes.iter().position(|c| c.events.contains(&e));
+                            assert_eq!(x.txn_of(e), owner, "{ctx} layout {i} event {e}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Splits a [`struct_key`] at the transaction tag: the txn-free
+    /// prefix is everything before the `255, 6` marker (event ids and
+    /// relation tags never reach 255).
+    fn key_prefix(key: &[u8]) -> &[u8] {
+        let at = key
+            .windows(2)
+            .position(|w| w == [255, 6])
+            .expect("txn tag present");
+        &key[..at]
+    }
+
+    /// The per-group symmetry test against the one-shot
+    /// [`struct_canonical`], on every layout of every group of every
+    /// label assignment with a non-trivial automorphism group. Returns
+    /// (layouts compared, groups rejected whole, groups with a prefix
+    /// tie), the last computed independently from split keys.
+    fn check_layout_orbit(cfg: &EnumConfig) -> (u64, u64, u64) {
+        let kinds = kinds_for(cfg);
+        let shapes = config_shapes(cfg);
+        let (mut layouts, mut rejected, mut tied) = (0u64, 0u64, 0u64);
+        for sub in Frontier::new(cfg) {
+            let shape = &shapes[sub.shape_idx];
+            let evkinds: Vec<EventKind> =
+                sub.kind_choice.iter().map(|&i| kinds[i as usize]).collect();
+            let tids = shape_tids(shape);
+            let mut leaves = Leaves::default();
+            enumerate_labels(cfg, &tids, &evkinds, &mut |events| {
+                let labels: Vec<Label> = events
+                    .iter()
+                    .map(|ev| Label {
+                        tag: kind_tag(ev.kind),
+                        attrs: ev.attrs.bits(),
+                        loc: ev.loc,
+                    })
+                    .collect();
+                let Some(auts) = label_canonical(shape, &labels) else {
+                    return;
+                };
+                if auts.len() < 2 {
+                    return;
+                }
+                let mut orbit = LayoutOrbit::default();
+                let mut group: Option<[Rel; 6]> = None;
+                let mut accepted = false;
+                let mut keep_all = |x: &Execution| {
+                    let free = [*x.rf(), *x.co(), *x.addr(), *x.ctrl(), *x.data(), *x.rmw()];
+                    if group != Some(free) {
+                        group = Some(free);
+                        accepted = orbit.decide(x, &auts);
+                        rejected += u64::from(!accepted);
+                        let identity: Vec<usize> = (0..auts[0].len()).collect();
+                        let id_key = struct_key(x, &identity);
+                        tied += u64::from(auts.iter().any(|p| {
+                            *p != identity && key_prefix(&struct_key(x, p)) == key_prefix(&id_key)
+                        }));
+                    }
+                    let got = accepted && orbit.canonical(x);
+                    assert_eq!(got, struct_canonical(x, &auts), "{x:?} under {auts:?}");
+                    layouts += 1;
+                    false
+                };
+                assign_structure(
+                    cfg,
+                    events,
+                    &mut leaves,
+                    &mut Keep::Each(&mut keep_all),
+                    &mut |_| {},
+                );
+            });
+        }
+        (layouts, rejected, tied)
+    }
+
+    fn orbit_spaces(events: usize) -> Vec<EnumConfig> {
+        vec![
+            EnumConfig::hw(Arch::X86, events),
+            EnumConfig::hw(Arch::Power, events),
+            EnumConfig {
+                arch: Arch::Cpp,
+                events,
+                max_threads: 2,
+                max_locs: 2,
+                fences: false,
+                deps: false,
+                rmws: false,
+                txns: true,
+                attrs: true,
+                atomic_txns: true,
+            },
+        ]
+    }
+
+    /// Every space must exercise both shortcuts: a group rejected on
+    /// its prefix alone and a group whose prefix ties.
+    fn assert_layout_orbit(bounds: std::ops::RangeInclusive<usize>) {
+        for space in 0..orbit_spaces(1).len() {
+            let mut totals = (0, 0, 0);
+            for events in bounds.clone() {
+                let (l, r, t) = check_layout_orbit(&orbit_spaces(events)[space]);
+                totals = (totals.0 + l, totals.1 + r, totals.2 + t);
+            }
+            let (layouts, rejected, tied) = totals;
+            let name = format!("{:?} |E| in {bounds:?}", orbit_spaces(1)[space].arch);
+            assert!(layouts > 0, "{name}: no symmetric label assignment");
+            assert!(rejected > 0, "{name}: no group rejected whole");
+            assert!(tied > 0, "{name}: no prefix tie");
+        }
+    }
+
+    #[test]
+    fn layout_orbit_matches_struct_canonical() {
+        assert_layout_orbit(1..=3);
+    }
+
+    #[test]
+    #[ignore = "minutes in debug; the CI prune-smoke job runs it in release"]
+    fn layout_orbit_matches_struct_canonical_at_four_events() {
+        assert_layout_orbit(4..=4);
     }
 
     #[test]

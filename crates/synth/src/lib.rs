@@ -40,8 +40,7 @@ pub mod weaken;
 pub use canon::canon_key;
 pub use consistent::{
     count_consistent, count_consistent_par, count_consistent_par_progress, enumerate_consistent,
-    enumerate_consistent_txn_first, enumerate_pruned, oracle_for, visit_pruned_par,
-    visit_pruned_par_progress, LeafChecker,
+    enumerate_pruned, oracle_for, visit_pruned_par, visit_pruned_par_progress, LeafChecker,
 };
 pub use diff::{distinguish, distinguish_seq, equivalent, equivalent_seq};
 pub use enumerate::{

@@ -4,8 +4,10 @@
 //! Synthesis consumes the streaming enumerator on the work-stealing
 //! pool: candidates are checked against the models on whichever worker
 //! enumerates them — no buffering wave, no per-candidate clone of the
-//! space, and one shared [`txmm_core::ExecutionAnalysis`] per
-//! candidate. Found tests carry their position in the sequential
+//! space. Each worker checks the transactional model through its own
+//! [`LeafChecker`], so the transaction layouts of one rf/co assignment,
+//! which the enumerator emits back to back, share their txn-free
+//! analysis slots. Found tests carry their position in the sequential
 //! enumeration order, so the Forbid suite comes out in the exact order
 //! the sequential pipeline would produce after a final sort of the
 //! (tiny) result set.
@@ -19,7 +21,7 @@ use txmm_core::Execution;
 use txmm_models::Model;
 
 use crate::canon::canon_key;
-use crate::consistent::{oracle_for, visit_pruned_par};
+use crate::consistent::{oracle_for, visit_pruned_par, LeafChecker};
 use crate::enumerate::{enumerate, CandSeq, EnumConfig};
 use crate::par::worker_count;
 use crate::weaken::weakenings;
@@ -97,8 +99,8 @@ pub fn synthesise_streamed_progress(
         cfg,
         workers.max(1),
         progress,
-        |_| Vec::new(),
-        |seq, x, found: &mut Vec<(CandSeq, FoundTest)>| {
+        |_| (Vec::new(), LeafChecker::new(tm)),
+        |seq, x, (found, check): &mut (Vec<(CandSeq, FoundTest)>, LeafChecker)| {
             candidates.fetch_add(1, Ordering::Relaxed);
             if let Some(b) = budget {
                 if overrun.load(Ordering::Relaxed) || start.elapsed() > b {
@@ -106,7 +108,7 @@ pub fn synthesise_streamed_progress(
                     return;
                 }
             }
-            if let Some(f) = forbid_test(cfg, tm, base, x) {
+            if let Some(f) = forbid_test(cfg, tm, check, base, x) {
                 if let Some(p) = progress {
                     p.add_classes(1);
                 }
@@ -120,7 +122,8 @@ pub fn synthesise_streamed_progress(
             }
         },
     );
-    let mut stamped: Vec<(CandSeq, FoundTest)> = states.into_iter().flatten().collect();
+    let mut stamped: Vec<(CandSeq, FoundTest)> =
+        states.into_iter().flat_map(|(found, _)| found).collect();
     stamped.sort_by_key(|(seq, _)| *seq);
     let forbid: Vec<FoundTest> = stamped.into_iter().map(|(_, f)| f).collect();
     let complete = !overrun.load(Ordering::Relaxed);
@@ -146,17 +149,19 @@ pub fn synthesise_streamed_progress(
 }
 
 /// Is `x` a Forbid test (conditions (a)–(d) above)? Returns the
-/// execution to record.
+/// execution to record. `check` decides `tm` on the enumerated
+/// candidates, sharing txn-free slots across a group's layouts.
 fn forbid_test(
     cfg: &EnumConfig,
     tm: &dyn Model,
+    check: &mut LeafChecker,
     base: &dyn Model,
     x: &Execution,
 ) -> Option<Execution> {
     if x.txns().is_empty() {
         return None;
     }
-    if tm.consistent(x) {
+    if check.consistent(x) {
         return None;
     }
     if !base.consistent(&x.erase_txns()) {
@@ -190,8 +195,8 @@ pub fn synthesise_pruned(
         cfg,
         oracle,
         worker_count(),
-        |_| Vec::new(),
-        |seq, x, found: &mut Vec<(CandSeq, FoundTest)>| {
+        |_| (Vec::new(), LeafChecker::new(tm)),
+        |seq, x, (found, check): &mut (Vec<(CandSeq, FoundTest)>, LeafChecker)| {
             candidates.fetch_add(1, Ordering::Relaxed);
             if let Some(b) = budget {
                 if overrun.load(Ordering::Relaxed) || start.elapsed() > b {
@@ -199,7 +204,7 @@ pub fn synthesise_pruned(
                     return;
                 }
             }
-            if let Some(f) = forbid_test(cfg, tm, base, x) {
+            if let Some(f) = forbid_test(cfg, tm, check, base, x) {
                 found.push((
                     seq,
                     FoundTest {
@@ -210,7 +215,8 @@ pub fn synthesise_pruned(
             }
         },
     );
-    let mut stamped: Vec<(CandSeq, FoundTest)> = states.into_iter().flatten().collect();
+    let mut stamped: Vec<(CandSeq, FoundTest)> =
+        states.into_iter().flat_map(|(found, _)| found).collect();
     stamped.sort_by_key(|(seq, _)| *seq);
     let forbid: Vec<FoundTest> = stamped.into_iter().map(|(_, f)| f).collect();
     let complete = !overrun.load(Ordering::Relaxed);
@@ -249,6 +255,7 @@ pub fn synthesise_seq(
     let mut forbid = Vec::new();
     let mut candidates = 0usize;
     let mut complete = true;
+    let mut check = LeafChecker::new(tm);
 
     enumerate(cfg, &mut |x| {
         candidates += 1;
@@ -258,7 +265,7 @@ pub fn synthesise_seq(
                 return;
             }
         }
-        if let Some(f) = forbid_test(cfg, tm, base, x) {
+        if let Some(f) = forbid_test(cfg, tm, &mut check, base, x) {
             forbid.push(FoundTest {
                 exec: f,
                 at: start.elapsed(),

@@ -41,7 +41,7 @@ use std::time::Duration;
 use txmm_cat::{parse as parse_cat, CatModel};
 use txmm_core::arena::{ExecArena, ExecId};
 use txmm_core::{Execution, ExecutionAnalysis};
-use txmm_hwsim::{ArmSim, PowerSim, Simulator, TsoSim};
+use txmm_hwsim::{ArmSim, PowerSim, Simulator, TsoSim, MAX_LOCS};
 use txmm_litmus::litmus_from_execution;
 use txmm_models::{registry, Arch, Checker, Derived, Model, Verdict};
 use txmm_synth::{canon_key, EnumConfig, SuiteResult};
@@ -662,10 +662,15 @@ impl Session {
     /// Would the execution be observable on the simulated hardware of
     /// `arch`? Answers come from the exhaustive operational simulators
     /// and are cached per (execution, architecture). `None` for
-    /// architectures without a simulator (SC, C++) and for executions
-    /// using lock/unlock call events (abstract, not runnable).
+    /// architectures without a simulator (SC, C++), for executions
+    /// using lock/unlock call events (abstract, not runnable) and for
+    /// executions touching a location the simulators do not model
+    /// (`hwsim::MAX_LOCS` and up).
     pub fn observable(&mut self, x: &Execution, arch: Arch) -> Option<bool> {
-        if !matches!(arch, Arch::X86 | Arch::Power | Arch::Armv8) || !x.calls().is_empty() {
+        if !matches!(arch, Arch::X86 | Arch::Power | Arch::Armv8)
+            || !x.calls().is_empty()
+            || x.locations().any(|l| l as usize >= MAX_LOCS)
+        {
             return None;
         }
         let id = self.intern(x);

@@ -520,6 +520,58 @@ fn malformed_requests_keep_the_connection_alive() {
             got[0]
         );
     }
+    // Location ids past what the simulators model (8) and past what a
+    // small location table would hold (64) get structured frames, and
+    // the one shard keeps serving a good check after each.
+    let (good_file, good_src) = corpus().swap_remove(0);
+    let good = Request::Check {
+        file: good_file,
+        src: good_src,
+        models: None,
+        trace: None,
+    };
+    for loc in ["l9", "l100"] {
+        let src = format!(
+            "far (x86)\nInitially: {loc} = 0\nthread 0:\n  {loc} <- 1\n  r0 <- {loc}\n\
+             thread 1:\n  r1 <- {loc}\nTest: 1:r1 = 0\n"
+        );
+        let file = format!("{loc}.litmus");
+        let check = roundtrip(
+            &mut stream,
+            &Request::Check {
+                file: file.clone(),
+                src: src.clone(),
+                models: None,
+                trace: None,
+            },
+        );
+        assert_eq!(check.len(), 1, "{check:?}");
+        assert!(check[0].contains("\"verdicts\""), "{}", check[0]);
+        assert!(check[0].contains("\"observable\":null"), "{}", check[0]);
+        let after = roundtrip(&mut stream, &good);
+        assert!(after[0].contains("\"verdicts\""), "{loc} check: {after:?}");
+        let outcomes = roundtrip(
+            &mut stream,
+            &Request::Outcomes {
+                file,
+                src,
+                models: None,
+                max_candidates: None,
+                trace: None,
+            },
+        );
+        assert_eq!(outcomes.len(), 1, "{outcomes:?}");
+        assert!(
+            outcomes[0].contains("\"error\":\"program uses location"),
+            "{}",
+            outcomes[0]
+        );
+        let after = roundtrip(&mut stream, &good);
+        assert!(
+            after[0].contains("\"verdicts\""),
+            "{loc} outcomes: {after:?}"
+        );
+    }
     // The same connection still serves real requests.
     let models = roundtrip(&mut stream, &Request::Models);
     assert!(!models.is_empty());

@@ -8,8 +8,11 @@
 //! The CI `enumeration-smoke` job runs this in release mode including
 //! the `#[ignore]`d heavyweight bounds.
 
-use txmm::models::{Arch, Armv8, Model, Power, X86};
-use txmm::synth::{count_consistent_par, count_par, EnumConfig};
+use txmm::core::Execution;
+use txmm::models::{Arch, Armv8, Cpp, Model, Power, X86};
+use txmm::synth::{
+    canon_key, count_consistent_par, count_par, enumerate, enumerate_consistent, EnumConfig,
+};
 
 fn golden(arch: Arch, events: usize, expect: usize) {
     let got = count_par(&EnumConfig::hw(arch, events));
@@ -27,6 +30,85 @@ fn golden_consistent(arch: Arch, model: &dyn Model, events: usize, expect: usize
         got, expect,
         "{arch:?} |E|={events}: consistent class count drifted"
     );
+}
+
+/// FNV-1a over the canonical keys of a candidate stream, in the order
+/// the stream emits them (each key length-prefixed, so the digest pins
+/// the class set, the class count and the emission order at once).
+fn emission_digest(walk: impl FnOnce(&mut dyn FnMut(&Execution))) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |b: u8| {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    };
+    walk(&mut |x| {
+        let key = canon_key(x);
+        for b in (key.len() as u32).to_le_bytes() {
+            eat(b);
+        }
+        for b in key {
+            eat(b);
+        }
+    });
+    h
+}
+
+/// The streaming engine and the pruned consistent walk emit their
+/// representatives in a pinned order: the same classes, the same
+/// representatives and the same sequence as when these digests were
+/// taken. Parallel walks stamp candidates with their sequential
+/// position, so this order is also what Table 1's Forbid list and the
+/// benchmark's seeded leaf samples are built on.
+#[test]
+fn emission_order_is_pinned() {
+    let cpp_atomic = EnumConfig {
+        arch: Arch::Cpp,
+        events: 3,
+        max_threads: 2,
+        max_locs: 2,
+        fences: false,
+        deps: false,
+        rmws: false,
+        txns: true,
+        attrs: true,
+        atomic_txns: true,
+    };
+    let cases: [(&str, EnumConfig, &dyn Model, u64, u64); 3] = [
+        (
+            "x86 |E|=4",
+            EnumConfig::hw(Arch::X86, 4),
+            &X86::tm(),
+            0xce49_5aa3_f60b_04fd,
+            0x102a_062f_4296_3ec3,
+        ),
+        (
+            "power |E|=3",
+            EnumConfig::hw(Arch::Power, 3),
+            &Power::tm(),
+            0x84bc_7146_894a_2373,
+            0xc05e_00fd_397e_9ec3,
+        ),
+        (
+            "cpp atomic-txns |E|=3",
+            cpp_atomic,
+            &Cpp::tm(),
+            0x7412_5010_1141_b805,
+            0x47ee_1b17_dedd_8415,
+        ),
+    ];
+    let mut drifted = Vec::new();
+    for (name, cfg, model, all, consistent) in cases {
+        let got_all = emission_digest(|f| enumerate(&cfg, f));
+        let got_consistent = emission_digest(|f| {
+            enumerate_consistent(&cfg, model, f);
+        });
+        if (got_all, got_consistent) != (all, consistent) {
+            drifted.push(format!(
+                "{name}: enumerate {got_all:#018x}, consistent {got_consistent:#018x}"
+            ));
+        }
+    }
+    assert!(drifted.is_empty(), "emission order drifted: {drifted:#?}");
 }
 
 #[test]

@@ -19,7 +19,9 @@
 
 use std::collections::HashSet;
 
-use txmm::core::{canon_key, ExecutionAnalysis, PruneOracle};
+use txmm::core::{
+    canon_key, EventSet, ExecutionAnalysis, PartialCandidate, PruneOracle, PruneStats, Rel,
+};
 use txmm::models::{Arch, Armv8, Cpp, Model, Power, Sc, Tsc, X86};
 use txmm::synth::{enumerate, enumerate_consistent, EnumConfig};
 
@@ -210,6 +212,69 @@ fn assert_delta_matches_recompute(events: usize, skip_slow: bool) {
             }
         }
     }
+
+    // Transactions known: exact plans over fixed transaction classes
+    // (the lifted obligations x86-tm and TSC add for a non-empty
+    // `stxn`, which the outcome engine builds for every abort split)
+    // are cross-checked on every transactional candidate. A class of
+    // TxnOrder-only violations needs four events (a two-event
+    // transaction, a po-later read and an external write).
+    for (name, cfg, models) in spaces(events) {
+        if !matches!(cfg.arch, Arch::Sc | Arch::X86) {
+            continue;
+        }
+        for model in &models {
+            let oracle = model.prune_oracle(true).expect("native oracle");
+            let answered = replay_with_txns_known(&cfg, oracle);
+            assert!(
+                answered > 0,
+                "{name}/{}: no txns-known delta answer",
+                model.name()
+            );
+        }
+    }
+}
+
+/// Rebuild every enumerated candidate that has transactions on a
+/// [`PartialCandidate`] whose classes are already fixed — rf sources
+/// read by read, then each location's coherence order write by write —
+/// probing after every step. Returns the probes the delta plan
+/// answered; with validation armed, each is checked against recompute.
+fn replay_with_txns_known(cfg: &EnumConfig, oracle: &dyn PruneOracle) -> u64 {
+    let mut st = PruneStats::default();
+    enumerate(cfg, &mut |x| {
+        if x.txns().is_empty() {
+            return;
+        }
+        let n = x.len();
+        let mut base = x.clone();
+        let (rf, co) = base.comm_mut();
+        (*rf, *co) = (Rel::empty(n), Rel::empty(n));
+        let mut pc = PartialCandidate::with_oracle(base, oracle);
+        let writes = x.writes();
+        for r in x.reads().iter() {
+            match x.rf().col(r).iter().next() {
+                Some(w) => pc.assign_rf(w, r),
+                None => {
+                    let loc = x.event(r).loc.expect("reads have a location");
+                    pc.assign_init_read(r, writes.inter(x.at_loc(loc)));
+                }
+            }
+            pc.probe(oracle, &mut st);
+        }
+        for loc in x.locations() {
+            let mut order: Vec<usize> = writes.inter(x.at_loc(loc)).iter().collect();
+            // co-earlier writes have more co successors.
+            order.sort_by_key(|&w| std::cmp::Reverse(x.co().row(w).len()));
+            let mut placed = EventSet::default();
+            for w in order {
+                pc.push_co(placed, w);
+                placed.insert(w);
+                pc.probe(oracle, &mut st);
+            }
+        }
+    });
+    st.delta_answers
 }
 
 #[test]
