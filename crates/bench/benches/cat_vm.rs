@@ -30,7 +30,7 @@ use txmm_cat::cat_model;
 use txmm_core::Execution;
 use txmm_models::registry::by_name;
 use txmm_models::{catalog, Arch};
-use txmm_synth::{enumerate, EnumConfig};
+use txmm_synth::{EnumConfig, Walk};
 
 /// A sampled |E| <= 4 execution corpus in the differential-fuzz shape
 /// (fences, RMWs and transaction layouts for `arch`), strided down to
@@ -49,7 +49,7 @@ fn exec_corpus(arch: Arch) -> Vec<Execution> {
         atomic_txns: false,
     };
     let mut all = Vec::new();
-    enumerate(&cfg, &mut |x| all.push(x.clone()));
+    Walk::new(&cfg).for_each(|x| all.push(x.clone()));
     let stride = (all.len() / 2000).max(1);
     all.into_iter().step_by(stride).collect()
 }

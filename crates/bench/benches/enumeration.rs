@@ -1,25 +1,22 @@
 //! Enumeration-throughput benchmarks: the streaming, incrementally
-//! canonicalised engine against the seed generate-then-dedup path, and
-//! the work-stealing pool against the seed static shape-shard split.
+//! canonicalised engine against the seed generate-then-dedup path.
 //!
 //! The headline is the bound push: `x86-5-stream` enumerates the full
 //! |E| = 5 x86 hardware space (6,094,392 canonical classes) in seconds
 //! with bounded memory, where the seed path pays |threads|! full-
 //! execution serialisations per candidate plus a canonical-key set the
 //! size of the space per shape.
-//!
-//! `shape-imbalance` prints (once, untimed) how much of the |E| = 4
-//! candidate space the single largest thread shape holds — the share
-//! that bounds any static per-shape split, and the reason the
-//! work-stealing pool splits *within* shapes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use txmm_bench::table1_config;
 use txmm_models::Arch;
-use txmm_synth::enumerate::config_shapes;
-use txmm_synth::{
-    count, count_par, count_reference, enumerate_shape, par_map, stream_par, EnumConfig,
-};
+use txmm_synth::{enumerate_reference, EnumConfig, Walk};
+
+/// Candidates of the seed generate-then-dedup path.
+fn count_reference(cfg: &EnumConfig) -> usize {
+    let mut n = 0usize;
+    enumerate_reference(cfg, &mut |_| n += 1);
+    n
+}
 
 fn bench_streaming_vs_reference(c: &mut Criterion) {
     let mut g = c.benchmark_group("enumerate");
@@ -27,7 +24,7 @@ fn bench_streaming_vs_reference(c: &mut Criterion) {
     for events in [3, 4] {
         let cfg = EnumConfig::hw(Arch::X86, events);
         g.bench_with_input(BenchmarkId::new("x86-stream", events), &cfg, |b, cfg| {
-            b.iter(|| count(std::hint::black_box(cfg)))
+            b.iter(|| Walk::new(std::hint::black_box(cfg)).workers(1).count())
         });
         g.bench_with_input(BenchmarkId::new("x86-reference", events), &cfg, |b, cfg| {
             b.iter(|| count_reference(std::hint::black_box(cfg)))
@@ -35,59 +32,10 @@ fn bench_streaming_vs_reference(c: &mut Criterion) {
     }
     let power = EnumConfig::hw(Arch::Power, 3);
     g.bench_with_input(BenchmarkId::new("power-stream", 3), &power, |b, cfg| {
-        b.iter(|| count(std::hint::black_box(cfg)))
+        b.iter(|| Walk::new(std::hint::black_box(cfg)).workers(1).count())
     });
     g.bench_with_input(BenchmarkId::new("power-reference", 3), &power, |b, cfg| {
         b.iter(|| count_reference(std::hint::black_box(cfg)))
-    });
-    g.finish();
-}
-
-/// The seed parallel split: one shard per thread shape, whole shards
-/// handed to `par_map`'s worker pool.
-fn count_static_shards(cfg: &EnumConfig) -> usize {
-    par_map(config_shapes(cfg), |shape| {
-        let mut n = 0usize;
-        enumerate_shape(cfg, &shape, &mut |_| n += 1);
-        n
-    })
-    .into_iter()
-    .sum()
-}
-
-fn bench_work_stealing_vs_static(c: &mut Criterion) {
-    // Untimed context: the largest shape's share of the space bounds the
-    // static split's best case (its wall-clock can never drop below the
-    // biggest shard), while the stealing pool splits that shape into
-    // hundreds of subtree jobs.
-    let cfg = table1_config(Arch::X86, 4);
-    let per_shape: Vec<usize> = config_shapes(&cfg)
-        .iter()
-        .map(|shape| {
-            let mut n = 0usize;
-            enumerate_shape(&cfg, shape, &mut |_| n += 1);
-            n
-        })
-        .collect();
-    let total: usize = per_shape.iter().sum();
-    let biggest = per_shape.iter().copied().max().unwrap_or(0);
-    eprintln!(
-        "shape-imbalance x86-4: {} shapes, biggest holds {}/{} candidates ({:.0}%) — \
-         static-split speedup is capped at {:.2}x on any core count",
-        per_shape.len(),
-        biggest,
-        total,
-        100.0 * biggest as f64 / total.max(1) as f64,
-        total as f64 / biggest.max(1) as f64,
-    );
-
-    let mut g = c.benchmark_group("split");
-    g.sample_size(10);
-    g.bench_with_input(BenchmarkId::new("x86-static-shards", 4), &cfg, |b, cfg| {
-        b.iter(|| count_static_shards(std::hint::black_box(cfg)))
-    });
-    g.bench_with_input(BenchmarkId::new("x86-work-stealing", 4), &cfg, |b, cfg| {
-        b.iter(|| count_par(std::hint::black_box(cfg)))
     });
     g.finish();
 }
@@ -101,7 +49,7 @@ fn bench_five_events(c: &mut Criterion) {
     // minutes and a space-sized key set.
     let cfg = EnumConfig::hw(Arch::X86, 5);
     g.bench_with_input(BenchmarkId::new("x86-5-stream", 5), &cfg, |b, cfg| {
-        b.iter(|| count_par(std::hint::black_box(cfg)))
+        b.iter(|| Walk::new(std::hint::black_box(cfg)).count())
     });
     g.finish();
 }
@@ -113,7 +61,7 @@ fn bench_bounded_stream(c: &mut Criterion) {
     // path) versus raw counting: the price of streaming delivery.
     let cfg = EnumConfig::hw(Arch::X86, 3);
     g.bench_with_input(BenchmarkId::new("x86-channel", 3), &cfg, |b, cfg| {
-        b.iter(|| stream_par(cfg.clone(), 256).count())
+        b.iter(|| Walk::new(cfg).stream(256).count())
     });
     g.finish();
 }
@@ -121,7 +69,6 @@ fn bench_bounded_stream(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_streaming_vs_reference,
-    bench_work_stealing_vs_static,
     bench_five_events,
     bench_bounded_stream
 );

@@ -3,11 +3,13 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use txmm_models::{Arch, Power, X86};
-use txmm_synth::EnumConfig;
-use txmm_verify::{check_compilation, check_lock_elision, check_monotonicity, ElisionTarget};
+use txmm_synth::{EnumConfig, Walk};
+use txmm_verify::{
+    check_compilation, check_lock_elision, check_monotonicity, compile_cfg, ElisionTarget,
+};
 
-fn cfg(arch: Arch, events: usize) -> EnumConfig {
-    EnumConfig {
+fn walk(arch: Arch, events: usize) -> Walk<'static> {
+    Walk::new(&EnumConfig {
         arch,
         events,
         max_threads: 2,
@@ -18,7 +20,7 @@ fn cfg(arch: Arch, events: usize) -> EnumConfig {
         txns: true,
         attrs: false,
         atomic_txns: false,
-    }
+    })
 }
 
 fn bench_metatheory(c: &mut Criterion) {
@@ -26,21 +28,22 @@ fn bench_metatheory(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("monotonicity-power-2", |b| {
         b.iter(|| {
-            check_monotonicity(&cfg(Arch::Power, 2), &Power::tm(), None)
+            check_monotonicity(&walk(Arch::Power, 2), &Power::tm(), None)
                 .counterexample
                 .is_some()
         })
     });
     g.bench_function("monotonicity-x86-3", |b| {
         b.iter(|| {
-            check_monotonicity(&cfg(Arch::X86, 3), &X86::tm(), None)
+            check_monotonicity(&walk(Arch::X86, 3), &X86::tm(), None)
                 .counterexample
                 .is_none()
         })
     });
+    let cpp = Walk::new(&compile_cfg(3));
     g.bench_function("compile-cpp-to-armv8-3", |b| {
         b.iter(|| {
-            check_compilation(3, Arch::Armv8, None)
+            check_compilation(&cpp, Arch::Armv8, None)
                 .counterexample
                 .is_none()
         })

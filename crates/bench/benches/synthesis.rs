@@ -2,8 +2,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use txmm_bench::table1_config;
-use txmm_models::{Arch, Power, Sc, Tsc, X86};
-use txmm_synth::{count, count_par, synthesise, synthesise_seq, EnumConfig};
+use txmm_models::{Arch, Model, Power, Sc, Tsc, X86};
+use txmm_synth::{synthesise, EnumConfig, Walk};
 
 fn bench_enumeration(c: &mut Criterion) {
     let mut g = c.benchmark_group("enumerate");
@@ -11,64 +11,46 @@ fn bench_enumeration(c: &mut Criterion) {
     for events in [2, 3] {
         let cfg = table1_config(Arch::X86, events);
         g.bench_with_input(BenchmarkId::new("x86", events), &cfg, |b, cfg| {
-            b.iter(|| count(std::hint::black_box(cfg)))
+            b.iter(|| Walk::new(std::hint::black_box(cfg)).workers(1).count())
         });
         g.bench_with_input(BenchmarkId::new("x86-par", events), &cfg, |b, cfg| {
-            b.iter(|| count_par(std::hint::black_box(cfg)))
+            b.iter(|| Walk::new(std::hint::black_box(cfg)).count())
+        });
+    }
+    g.finish();
+}
+
+/// One Table 1 style row at |E| = 3, on every worker and on one.
+fn synthesis_row(
+    c: &mut Criterion,
+    name: &str,
+    tm: &dyn Model,
+    base: &dyn Model,
+    cfg: &EnumConfig,
+) {
+    let mut g = c.benchmark_group("synthesise");
+    g.sample_size(10);
+    for (suffix, walk) in [("", Walk::new(cfg)), ("-seq", Walk::new(cfg).workers(1))] {
+        g.bench_function(format!("{name}-forbid-3{suffix}"), |b| {
+            b.iter(|| synthesise(&walk, tm, base, None).forbid.len())
         });
     }
     g.finish();
 }
 
 fn bench_synthesis(c: &mut Criterion) {
-    let mut g = c.benchmark_group("synthesise");
-    g.sample_size(10);
-    let x86cfg = table1_config(Arch::X86, 3);
-    g.bench_function("x86-forbid-3", |b| {
-        b.iter(|| {
-            synthesise(&x86cfg, &X86::tm(), &X86::base(), None)
-                .forbid
-                .len()
-        })
-    });
-    g.bench_function("x86-forbid-3-seq", |b| {
-        b.iter(|| {
-            synthesise_seq(&x86cfg, &X86::tm(), &X86::base(), None)
-                .forbid
-                .len()
-        })
-    });
-    let pcfg = table1_config(Arch::Power, 3);
-    g.bench_function("power-forbid-3", |b| {
-        b.iter(|| {
-            synthesise(&pcfg, &Power::tm(), &Power::base(), None)
-                .forbid
-                .len()
-        })
-    });
-    g.bench_function("power-forbid-3-seq", |b| {
-        b.iter(|| {
-            synthesise_seq(&pcfg, &Power::tm(), &Power::base(), None)
-                .forbid
-                .len()
-        })
-    });
-    let tsc_cfg = EnumConfig {
-        arch: Arch::Sc,
-        events: 3,
+    let x86 = table1_config(Arch::X86, 3);
+    synthesis_row(c, "x86", &X86::tm(), &X86::base(), &x86);
+    let power = table1_config(Arch::Power, 3);
+    synthesis_row(c, "power", &Power::tm(), &Power::base(), &power);
+    let tsc = EnumConfig {
         max_threads: 2,
         max_locs: 2,
         fences: false,
-        deps: false,
         rmws: false,
-        txns: true,
-        attrs: false,
-        atomic_txns: false,
+        ..EnumConfig::hw(Arch::Sc, 3)
     };
-    g.bench_function("tsc-forbid-3", |b| {
-        b.iter(|| synthesise(&tsc_cfg, &Tsc, &Sc, None).forbid.len())
-    });
-    g.finish();
+    synthesis_row(c, "tsc", &Tsc, &Sc, &tsc);
 }
 
 criterion_group!(benches, bench_enumeration, bench_synthesis);

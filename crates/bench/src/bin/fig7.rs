@@ -17,7 +17,7 @@ fn main() {
         std::process::exit(1);
     });
     println!("== Fig. 7: distribution of synthesis times ({events}-event x86 Forbid tests) ==\n");
-    let tele = txmm_bench::telemetry_from_args();
+    let tele = txmm::obs::Telemetry::from_args();
     let mut session = Session::new();
     if let Some(t) = &tele {
         session.set_walk_progress(Some(t.progress.clone()));

@@ -103,7 +103,7 @@ fn main() {
     });
     println!("== Table 1: testing the transactional x86 and Power models ==");
     println!("   (paper bounds: |E| ≤ 7/6 with SAT + hours; ours: |E| ≤ {max_events})\n");
-    let tele = txmm_bench::telemetry_from_args();
+    let tele = txmm::obs::Telemetry::from_args();
     let mut session = Session::new();
     if let Some(t) = &tele {
         session.set_walk_progress(Some(t.progress.clone()));

@@ -25,85 +25,16 @@ use txmm_synth::EnumConfig;
 /// The synthesis configuration used for Table 1 rows.
 pub fn table1_config(arch: Arch, events: usize) -> EnumConfig {
     EnumConfig {
-        arch,
-        events,
-        max_threads: 3,
         max_locs: 2,
-        fences: true,
         deps: arch == Arch::Power,
-        rmws: true,
-        txns: true,
         attrs: false,
-        atomic_txns: false,
+        ..EnumConfig::hw(arch, events)
     }
 }
 
 /// Pretty seconds.
 pub fn secs(d: Duration) -> String {
     format!("{:.2}s", d.as_secs_f64())
-}
-
-/// Live walk telemetry for the bench drivers, parsed from the process
-/// arguments: `--progress[=SECS]` starts a heartbeat reporter on
-/// stderr, `--metrics-listen ADDR` a scrapeable metrics sidecar.
-/// Returns `None` (zero overhead) when neither flag is present.
-///
-/// Attach the progress handle with [`Session::set_walk_progress`] and
-/// call [`BenchTelemetry::finish`] after the last walk so the final
-/// frame's totals match the run.
-pub struct BenchTelemetry {
-    /// The shared accumulator to hand to the session.
-    pub progress: std::sync::Arc<txmm::obs::WalkProgress>,
-    reporter: Option<txmm::obs::Reporter>,
-    _sidecar: Option<txmm::obs::MetricsSidecar>,
-}
-
-impl BenchTelemetry {
-    /// Stop the heartbeat, emitting the final frame.
-    pub fn finish(self) {
-        if let Some(r) = self.reporter {
-            r.finish();
-        }
-    }
-}
-
-/// Parse telemetry flags from `std::env::args`; see [`BenchTelemetry`].
-pub fn telemetry_from_args() -> Option<BenchTelemetry> {
-    let mut interval: Option<f64> = None;
-    let mut listen: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--progress" {
-            interval = Some(1.0);
-        } else if let Some(v) = a.strip_prefix("--progress=") {
-            interval = v.parse().ok().filter(|s| *s > 0.0).or(Some(1.0));
-        } else if a == "--metrics-listen" {
-            listen = args.next();
-        }
-    }
-    if interval.is_none() && listen.is_none() {
-        return None;
-    }
-    txmm::obs::publish_process_info();
-    let progress = std::sync::Arc::new(txmm::obs::WalkProgress::new());
-    let sidecar = listen.map(|addr| {
-        let s = txmm::obs::serve_metrics(&addr).expect("metrics sidecar");
-        eprintln!("metrics sidecar listening on {}", s.addr());
-        s
-    });
-    let reporter = interval.map(|secs| {
-        txmm::obs::Reporter::start(
-            progress.clone(),
-            Duration::from_secs_f64(secs),
-            txmm::obs::ProgressSink::Stderr,
-        )
-        .expect("progress reporter")
-    });
-    Some(BenchTelemetry {
-        progress,
-        reporter,
-        _sidecar: sidecar,
-    })
 }
 
 /// Format a consistency verdict like the paper's tables, served (and

@@ -2,7 +2,7 @@
 //!
 //! A [`Chunk`] is a register-machine program over two register banks —
 //! relations ([`RReg`]) and event sets ([`SReg`]) — produced by
-//! [`crate::compile`] and executed by [`crate::vm::Vm`]. Every name is
+//! [`mod@crate::compile`] and executed by [`crate::vm::Vm`]. Every name is
 //! resolved at compile time: builtin references become [`Op::LoadR`] /
 //! [`Op::LoadS`] against the shared `ExecutionAnalysis`, `let` bindings
 //! become register aliases, and `let rec` groups become fixpoint loops

@@ -64,10 +64,17 @@ pub fn lower(file: &CatFile) -> Result<Chunk, EvalError> {
     for decl in &file.decls {
         l.decl(decl)?;
     }
+    let (Ok(rel_regs), Ok(set_regs)) = (u16::try_from(l.rel_regs), u16::try_from(l.set_regs))
+    else {
+        return err(format!(
+            "model needs more than {} relation or set registers",
+            u16::MAX
+        ));
+    };
     Ok(Chunk {
         ops: l.ops,
-        rel_regs: l.rel_regs,
-        set_regs: l.set_regs,
+        rel_regs,
+        set_regs,
         names: l.names,
         fix_groups: l.fix_groups,
         rel_consts: Vec::new(),
@@ -78,8 +85,10 @@ pub fn lower(file: &CatFile) -> Result<Chunk, EvalError> {
 
 struct Lowerer {
     ops: Vec<Op>,
-    rel_regs: u16,
-    set_regs: u16,
+    /// Registers allocated so far. Counted wider than a register index,
+    /// so a program past the index space is refused, not wrapped.
+    rel_regs: u32,
+    set_regs: u32,
     names: Vec<&'static str>,
     fix_groups: Vec<(u32, u32)>,
     env: HashMap<String, Val>,
@@ -87,13 +96,13 @@ struct Lowerer {
 
 impl Lowerer {
     fn rreg(&mut self) -> RReg {
-        let r = RReg(self.rel_regs);
+        let r = RReg(self.rel_regs as u16);
         self.rel_regs += 1;
         r
     }
 
     fn sreg(&mut self) -> SReg {
-        let s = SReg(self.set_regs);
+        let s = SReg(self.set_regs as u16);
         self.set_regs += 1;
         s
     }
@@ -361,6 +370,28 @@ mod tests {
                 "{name} keeps its checks"
             );
         }
+    }
+
+    #[test]
+    fn register_overflow_is_refused_not_wrapped() {
+        // `let r0 = po`, then links `let rK = rK-1 | po`: each link
+        // takes two relation registers (the builtin and the union).
+        let chain = |links: usize| {
+            let mut src = String::from("let r0 = po\n");
+            for k in 1..=links {
+                src += &format!("let r{k} = r{} | po\n", k - 1);
+            }
+            src
+        };
+        let lowered = |links: usize| lower(&parse(&chain(links)).unwrap());
+        assert_eq!(lowered(1).unwrap().rel_regs, 3);
+        let last = (u16::MAX as usize - 1) / 2;
+        assert_eq!(lowered(last).unwrap().rel_regs, u16::MAX);
+        let e = compile(&parse(&chain(last + 1)).unwrap()).unwrap_err();
+        assert_eq!(
+            e.message,
+            "model needs more than 65535 relation or set registers"
+        );
     }
 
     // One diagnostic test per construct class, mirroring the

@@ -11,7 +11,7 @@
 //! `acyclic`/`irreflexive`/`empty` checks.
 //!
 //! Models compile to a relation-algebra bytecode ([`chunk`]) through a
-//! lowering pass ([`compile`]) and an optimiser ([`opt`]), and checks
+//! lowering pass ([`mod@compile`]) and an optimiser ([`opt`]), and checks
 //! execute on a register VM ([`vm`]) specialised per event count. The
 //! AST interpreter survives as `CatModel::check_reference` for
 //! differential testing.

@@ -43,7 +43,7 @@ mod tests {
     use super::*;
     use txmm_models::catalog::{self, Expect};
     use txmm_models::registry::by_name;
-    use txmm_synth::{enumerate, EnumConfig};
+    use txmm_synth::{EnumConfig, Walk};
 
     #[test]
     fn all_sources_parse() {
@@ -82,7 +82,7 @@ mod tests {
             let stride = if cfg!(debug_assertions) { 7 } else { 1 };
             let mut seen = 0usize;
             let mut checked = 0usize;
-            enumerate(&cfg, &mut |x| {
+            Walk::new(&cfg).for_each(|x| {
                 seen += 1;
                 if !seen.is_multiple_of(stride) {
                     return;
@@ -134,7 +134,7 @@ mod tests {
             let stride = if cfg!(debug_assertions) { 7 } else { 1 };
             let mut seen = 0usize;
             let mut checked = 0usize;
-            enumerate(&cfg, &mut |x| {
+            Walk::new(&cfg).for_each(|x| {
                 seen += 1;
                 if !seen.is_multiple_of(stride) {
                     return;

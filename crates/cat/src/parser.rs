@@ -21,6 +21,13 @@
 //!
 //! The infix/postfix `*` ambiguity resolves by lookahead: `*` followed
 //! by a primary-start token is the cross product.
+//!
+//! Every later pass (lowering, the reference interpreter, dropping the
+//! tree) recurses once per tree level, so the parser refuses trees
+//! deeper than [`MAX_DEPTH`]: a name is one level, and every operator,
+//! bracket and parenthesis adds one, so a chain `a | a | ... | a` of
+//! `k` terms is `k` levels deep, and so is `k - 1` parentheses around a
+//! name.
 
 use crate::lexer::{lex, LexError, Token};
 use std::fmt;
@@ -139,9 +146,22 @@ const UNSUPPORTED_DECLS: &[&str] = &[
     "deadness",
 ];
 
+/// The deepest expression tree [`parse`] builds, parentheses included.
+/// The deepest shipped model's tree is 10 levels deep; the bound leaves
+/// room for hand-written models while keeping the parser's own
+/// recursion (about fifteen frames per parenthesis) inside a 2 MiB
+/// thread stack in unoptimised builds.
+pub const MAX_DEPTH: usize = 128;
+
+/// An expression and the depth of its tree.
+type Tree = (Expr, usize);
+
 struct Parser {
     tokens: Vec<(Token, u32)>,
     pos: usize,
+    /// Brackets, parentheses and prefix operators open around the
+    /// current token: the parser's own recursion depth.
+    nesting: usize,
 }
 
 impl Parser {
@@ -221,7 +241,7 @@ impl Parser {
                         Some(Token::Irreflexive) => CheckKind::Irreflexive,
                         _ => CheckKind::Empty,
                     };
-                    let expr = self.expr()?;
+                    let (expr, _) = self.expr()?;
                     let name = if matches!(self.peek(), Some(Token::As)) {
                         self.next();
                         self.ident()?
@@ -246,48 +266,65 @@ impl Parser {
     fn binding(&mut self) -> Result<(String, Expr), ParseError> {
         let name = self.ident()?;
         self.expect(&Token::Eq)?;
-        let e = self.expr()?;
+        let (e, _) = self.expr()?;
         Ok((name, e))
     }
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
+    /// The depth of a node over children at most `below` deep.
+    fn node(&self, below: usize) -> Result<usize, ParseError> {
+        if below >= MAX_DEPTH {
+            return self.err(format!("expression nests deeper than {MAX_DEPTH}"));
+        }
+        Ok(below + 1)
+    }
+
+    /// Parse with `f` one level further in, refusing before the
+    /// recursion could outgrow [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Tree, ParseError>) -> Result<Tree, ParseError> {
+        if self.nesting >= MAX_DEPTH {
+            return self.err(format!("expression nests deeper than {MAX_DEPTH}"));
+        }
+        self.nesting += 1;
+        let t = f(self);
+        self.nesting -= 1;
+        t
+    }
+
+    fn expr(&mut self) -> Result<Tree, ParseError> {
         self.alt()
     }
 
-    fn alt(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.diff()?;
-        while matches!(self.peek(), Some(Token::Bar)) {
+    /// A left-associative chain of `next` operands joined by `op`.
+    fn chain(
+        &mut self,
+        op: Token,
+        next: fn(&mut Self) -> Result<Tree, ParseError>,
+        join: fn(Box<Expr>, Box<Expr>) -> Expr,
+    ) -> Result<Tree, ParseError> {
+        let (mut e, mut d) = next(self)?;
+        while self.peek() == Some(&op) {
             self.next();
-            e = Expr::Union(Box::new(e), Box::new(self.diff()?));
+            let (r, rd) = next(self)?;
+            d = self.node(d.max(rd))?;
+            e = join(Box::new(e), Box::new(r));
         }
-        Ok(e)
+        Ok((e, d))
     }
 
-    fn diff(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.inter()?;
-        while matches!(self.peek(), Some(Token::Backslash)) {
-            self.next();
-            e = Expr::Diff(Box::new(e), Box::new(self.inter()?));
-        }
-        Ok(e)
+    fn alt(&mut self) -> Result<Tree, ParseError> {
+        self.chain(Token::Bar, Self::diff, Expr::Union)
     }
 
-    fn inter(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.seq()?;
-        while matches!(self.peek(), Some(Token::Amp)) {
-            self.next();
-            e = Expr::Inter(Box::new(e), Box::new(self.seq()?));
-        }
-        Ok(e)
+    fn diff(&mut self) -> Result<Tree, ParseError> {
+        self.chain(Token::Backslash, Self::inter, Expr::Diff)
     }
 
-    fn seq(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.cross()?;
-        while matches!(self.peek(), Some(Token::Semi)) {
-            self.next();
-            e = Expr::Seq(Box::new(e), Box::new(self.cross()?));
-        }
-        Ok(e)
+    fn inter(&mut self) -> Result<Tree, ParseError> {
+        self.chain(Token::Amp, Self::seq, Expr::Inter)
+    }
+
+    fn seq(&mut self) -> Result<Tree, ParseError> {
+        self.chain(Token::Semi, Self::cross, Expr::Seq)
     }
 
     fn starts_primary(t: Option<&Token>) -> bool {
@@ -301,85 +338,79 @@ impl Parser {
         )
     }
 
-    fn cross(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.postfix()?;
-        loop {
-            if matches!(self.peek(), Some(Token::Star))
-                && Self::starts_primary(self.tokens.get(self.pos + 1).map(|(t, _)| t))
-            {
-                self.next();
-                e = Expr::Cross(Box::new(e), Box::new(self.postfix()?));
-            } else {
-                break;
-            }
-        }
-        Ok(e)
+    /// Is the token after the current one the start of a primary?
+    fn primary_follows(&self) -> bool {
+        Self::starts_primary(self.tokens.get(self.pos + 1).map(|(t, _)| t))
     }
 
-    fn postfix(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.prefix()?;
+    fn cross(&mut self) -> Result<Tree, ParseError> {
+        let (mut e, mut d) = self.postfix()?;
+        while matches!(self.peek(), Some(Token::Star)) && self.primary_follows() {
+            self.next();
+            let (r, rd) = self.postfix()?;
+            d = self.node(d.max(rd))?;
+            e = Expr::Cross(Box::new(e), Box::new(r));
+        }
+        Ok((e, d))
+    }
+
+    fn postfix(&mut self) -> Result<Tree, ParseError> {
+        let (mut e, mut d) = self.prefix()?;
         loop {
-            match self.peek() {
-                Some(Token::Plus) => {
-                    self.next();
-                    e = Expr::Plus(Box::new(e));
-                }
-                Some(Token::Star)
-                    if !Self::starts_primary(self.tokens.get(self.pos + 1).map(|(t, _)| t)) =>
-                {
-                    self.next();
-                    e = Expr::Star(Box::new(e));
-                }
-                Some(Token::Question) => {
-                    self.next();
-                    e = Expr::Opt(Box::new(e));
-                }
-                Some(Token::Inverse) => {
-                    self.next();
-                    e = Expr::Inverse(Box::new(e));
-                }
+            let wrap: fn(Box<Expr>) -> Expr = match self.peek() {
+                Some(Token::Plus) => Expr::Plus,
+                Some(Token::Star) if !self.primary_follows() => Expr::Star,
+                Some(Token::Question) => Expr::Opt,
+                Some(Token::Inverse) => Expr::Inverse,
                 _ => break,
-            }
+            };
+            self.next();
+            d = self.node(d)?;
+            e = wrap(Box::new(e));
         }
-        Ok(e)
+        Ok((e, d))
     }
 
-    fn prefix(&mut self) -> Result<Expr, ParseError> {
+    fn prefix(&mut self) -> Result<Tree, ParseError> {
         if matches!(self.peek(), Some(Token::Tilde)) {
             self.next();
-            return Ok(Expr::Complement(Box::new(self.prefix()?)));
+            let (e, d) = self.nested(Self::prefix)?;
+            return Ok((Expr::Complement(Box::new(e)), self.node(d)?));
         }
         self.primary()
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
+    fn primary(&mut self) -> Result<Tree, ParseError> {
         let line = self.line();
         match self.next() {
             Some(Token::Ident(name)) => {
                 if matches!(self.peek(), Some(Token::LParen)) {
                     self.next();
-                    let mut args = vec![self.expr()?];
+                    let (first, mut d) = self.nested(Self::expr)?;
+                    let mut args = vec![first];
                     while matches!(self.peek(), Some(Token::Comma)) {
                         self.next();
-                        args.push(self.expr()?);
+                        let (arg, ad) = self.nested(Self::expr)?;
+                        d = d.max(ad);
+                        args.push(arg);
                     }
                     self.expect(&Token::RParen)?;
-                    Ok(Expr::Call(name, args, line))
+                    Ok((Expr::Call(name, args, line), self.node(d)?))
                 } else {
-                    Ok(Expr::Ident(name, line))
+                    Ok((Expr::Ident(name, line), 1))
                 }
             }
             Some(Token::LBracket) => {
-                let e = self.expr()?;
+                let (e, d) = self.nested(Self::expr)?;
                 self.expect(&Token::RBracket)?;
-                Ok(Expr::IdOn(Box::new(e)))
+                Ok((Expr::IdOn(Box::new(e)), self.node(d)?))
             }
             Some(Token::LParen) => {
-                let e = self.expr()?;
+                let (e, d) = self.nested(Self::expr)?;
                 self.expect(&Token::RParen)?;
-                Ok(e)
+                Ok((e, self.node(d)?))
             }
-            Some(Token::Underscore) => Ok(Expr::Universe),
+            Some(Token::Underscore) => Ok((Expr::Universe, 1)),
             Some(Token::Str(_)) => Err(ParseError {
                 line,
                 message: "unsupported construct: string literal in expression".into(),
@@ -395,7 +426,11 @@ impl Parser {
 /// Parse `.cat` source into a model file.
 pub fn parse(src: &str) -> Result<CatFile, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        nesting: 0,
+    };
     p.model()
 }
 
@@ -503,6 +538,73 @@ mod tests {
             panic!()
         };
         assert!(matches!(bindings[0].1, Expr::Complement(_)));
+    }
+
+    /// The deepest tree of a parsed file, computed independently.
+    fn file_depth(f: &CatFile) -> usize {
+        fn depth(e: &Expr) -> usize {
+            1 + match e {
+                Expr::Ident(..) | Expr::Universe => 0,
+                Expr::Union(a, b)
+                | Expr::Inter(a, b)
+                | Expr::Diff(a, b)
+                | Expr::Seq(a, b)
+                | Expr::Cross(a, b) => depth(a).max(depth(b)),
+                Expr::Plus(a)
+                | Expr::Star(a)
+                | Expr::Opt(a)
+                | Expr::Inverse(a)
+                | Expr::Complement(a)
+                | Expr::IdOn(a) => depth(a),
+                Expr::Call(_, args, _) => args.iter().map(depth).max().unwrap_or(0),
+            }
+        }
+        f.decls
+            .iter()
+            .flat_map(|d| match d {
+                Decl::Let { bindings, .. } => bindings.iter().map(|(_, e)| e).collect(),
+                Decl::Check { expr, .. } => vec![expr],
+            })
+            .map(depth)
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn depth_is_bounded_for_nesting_and_chains() {
+        // Parentheses build no node, but count as a level each.
+        let nested = |d: usize| {
+            let open = "(".repeat(d - 1);
+            let close = ")".repeat(d - 1);
+            format!("acyclic {open}po{close} as Deep")
+        };
+        let chain = |d: usize| format!("acyclic {} as Long", vec!["po"; d].join(" | "));
+        let complements = |d: usize| format!("let x = {}po", "~".repeat(d - 1));
+        let bounded = |make: fn(usize) -> String, tree: usize| {
+            let at = parse(&make(MAX_DEPTH)).expect("a tree at the bound parses");
+            assert_eq!(file_depth(&at), tree);
+            let past = parse(&make(MAX_DEPTH + 1)).unwrap_err();
+            assert_eq!(
+                past.message,
+                format!("expression nests deeper than {MAX_DEPTH}")
+            );
+        };
+        bounded(nested, 1);
+        bounded(chain, MAX_DEPTH);
+        bounded(complements, MAX_DEPTH);
+        // Far past the bound, the parser refuses instead of recursing.
+        assert!(parse(&nested(200_000)).is_err());
+        assert!(parse(&chain(200_000)).is_err());
+    }
+
+    #[test]
+    fn shipped_models_sit_well_inside_the_bound() {
+        let deepest = crate::SOURCES
+            .iter()
+            .map(|(_, src)| file_depth(&parse(src).expect("shipped model parses")))
+            .max()
+            .expect("shipped models");
+        assert_eq!(deepest, 10);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   sums every live handle of a `(name, labels)` series at collection
 //!   time, so independent components (e.g. one `Session` per daemon
 //!   shard) keep private handles that aggregate globally.
-//! - [`span`]: RAII timers (`span!("vm.check")`) that record into a
+//! - [`mod@span`]: RAII timers (`span!("vm.check")`) that record into a
 //!   per-span-name histogram and, when the current request carries a
 //!   trace ID, append to a bounded per-request [`Trace`] timeline.
 //! - [`slow`]: a bounded ring of the slowest requests seen so far.
@@ -28,12 +28,12 @@ pub mod slow;
 pub mod span;
 
 pub use metrics::{
-    bucket_bound, bucket_index, global, Counter, Gauge, Histogram, HistogramSnapshot, Registry,
-    BUCKETS,
+    bucket_bound, bucket_index, global, json_escape, Counter, Gauge, Histogram, HistogramSnapshot,
+    Registry, BUCKETS,
 };
 pub use progress::{
     publish_process_info, resident_bytes, serve_metrics, LaneSnapshot, MetricsSidecar,
-    ProgressSink, ProgressSnapshot, Reporter, WalkProgress, WorkerLane,
+    ProgressSink, ProgressSnapshot, Reporter, Telemetry, WalkProgress, WorkerLane,
 };
 pub use slow::{SlowEntry, Slowest};
 pub use span::{with_trace, SpanGuard, SpanRecord, Trace, TRACE_SPAN_CAP};

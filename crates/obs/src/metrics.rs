@@ -154,8 +154,7 @@ impl Histogram {
         self.0.record(v);
     }
 
-    /// Record `n` observations of `v` at once (see
-    /// [`HistogramCore::record_n`]).
+    /// Record `n` observations of `v` at once.
     #[inline]
     pub fn record_n(&self, v: u64, n: u64) {
         self.0.record_n(v, n);
@@ -582,13 +581,19 @@ fn prom_escape_label(s: &str) -> String {
         .replace('\n', "\\n")
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Escape a string for embedding in a JSON string literal: quotes,
+/// backslashes, and control characters (`\n`, `\r` and `\t` in their
+/// short forms, the rest as `\u00XX`). The daemon's wire frames and the
+/// metrics JSON both escape through this.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
@@ -815,5 +820,11 @@ mod tests {
         c.inc();
         let prom = reg.render_prom();
         assert!(prom.contains("file=\"a\\\"b\\\\c\""), "{prom}");
+        // JSON strings: short forms for \n, \r and \t, \u00XX for the
+        // other control characters.
+        assert_eq!(
+            json_escape("q\"b\\n\nr\rt\tz\u{1}"),
+            "q\\\"b\\\\n\\nr\\rt\\tz\\u0001"
+        );
     }
 }

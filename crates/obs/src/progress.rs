@@ -590,6 +590,67 @@ fn serve_conn(stream: TcpStream) {
     }
 }
 
+/// Live walk telemetry asked for on the command line:
+/// `--progress[=SECS]` starts a heartbeat [`Reporter`] on stderr, and
+/// `--metrics-listen ADDR` a [`MetricsSidecar`]. Hand `progress` to the
+/// walks, and call [`Telemetry::finish`] after the last one so the
+/// final frame's totals match the run.
+pub struct Telemetry {
+    /// The shared accumulator the walks report into.
+    pub progress: Arc<WalkProgress>,
+    reporter: Option<Reporter>,
+    _sidecar: Option<MetricsSidecar>,
+}
+
+impl Telemetry {
+    /// Parse the flags from the process arguments; `None` (no
+    /// overhead) when neither is present.
+    pub fn from_args() -> Option<Telemetry> {
+        let mut interval: Option<f64> = None;
+        let mut listen: Option<String> = None;
+        let mut args = std::env::args().skip(1);
+        while let Some(a) = args.next() {
+            if a == "--progress" {
+                interval = Some(1.0);
+            } else if let Some(v) = a.strip_prefix("--progress=") {
+                interval = v.parse().ok().filter(|s| *s > 0.0).or(Some(1.0));
+            } else if a == "--metrics-listen" {
+                listen = args.next();
+            }
+        }
+        if interval.is_none() && listen.is_none() {
+            return None;
+        }
+        publish_process_info();
+        let progress = Arc::new(WalkProgress::new());
+        let sidecar = listen.map(|addr| {
+            let s = serve_metrics(&addr).expect("metrics sidecar");
+            eprintln!("metrics sidecar listening on {}", s.addr());
+            s
+        });
+        let reporter = interval.map(|secs| {
+            Reporter::start(
+                progress.clone(),
+                Duration::from_secs_f64(secs),
+                ProgressSink::Stderr,
+            )
+            .expect("progress reporter")
+        });
+        Some(Telemetry {
+            progress,
+            reporter,
+            _sidecar: sidecar,
+        })
+    }
+
+    /// Stop the heartbeat, emitting the final frame.
+    pub fn finish(self) {
+        if let Some(r) = self.reporter {
+            r.finish();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

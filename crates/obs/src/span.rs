@@ -114,7 +114,7 @@ fn span_histogram(name: &'static str) -> Histogram {
     })
 }
 
-/// An in-flight span. Created by [`SpanGuard::enter`] (or the [`span!`]
+/// An in-flight span. Created by [`SpanGuard::enter`] (or the [`crate::span!`]
 /// macro); records on `finish()` or drop.
 pub struct SpanGuard {
     name: &'static str,

@@ -1,56 +1,34 @@
-//! Consistency-guided enumeration: the streaming engine of
-//! [`crate::enumerate`] with the incremental consistency engine of
-//! [`txmm_core::incr`] threaded through the relation stages.
+//! Consistency-guided enumeration: the structure walk of
+//! [`mod@crate::enumerate`] with the incremental consistency engine of
+//! [`txmm_core::incr`] threaded through the rf/co stages. A
+//! [`Walk`](crate::Walk) with an oracle runs it.
 //!
-//! The plain enumerator materialises every well-formed rf/co/txn
-//! combination and leaves consistency to the caller. Here every rf
-//! source and every coherence placement is applied to a
+//! Every rf source and coherence placement is applied to a
 //! [`PartialCandidate`] the moment it is chosen, and a per-model
 //! [`PruneOracle`] — sound on partial executions by monotonicity —
-//! abandons the whole relation subtree the instant the partial
-//! communication relations close a forbidden cycle. Pruned subtrees
-//! are *counted*, never built.
+//! abandons the whole subtree the instant the partial communication
+//! relations close a forbidden cycle. Cut subtrees are *counted*, never
+//! built. An oracle rejection certifies that no completion (any rf/co
+//! extension, any transaction layout) is consistent, so filtering the
+//! pruned stream by the full model yields exactly the consistent
+//! classes of the unpruned walk; `tests/pruning_differential.rs` pins
+//! this at |E| ≤ 4 for all six model spaces.
 //!
-//! Soundness is the monotonicity argument of `txmm_core::incr`: an
-//! oracle rejection certifies that **no completion** of the partial
-//! candidate (any rf/co extension, any transaction layout) is
-//! consistent, so filtering the pruned stream by the full model check
-//! at the leaves yields exactly `enumerate · filter consistent` — the
-//! same canonical classes, the same representatives. The differential
-//! suite (`tests/pruning_differential.rs`) pins this at |E| ≤ 4 for
-//! all six model spaces.
-//!
-//! The walk composes with the orbit-minimality pruning of
-//! [`crate::enumerate`]: kind- and label-canonicalisation cut symmetry
-//! duplicates before structure assignment begins, the oracle cuts
-//! doomed relation subtrees during it, and the stateless automorphism
-//! test picks class representatives at the leaves. Consistency is a
-//! class invariant, so the two prunings commute.
-//!
-//! The leaves are the unpruned walk's: each completed rf/co assignment
-//! (a *group*) is copied into one execution per label assignment, and
-//! the shared leaf path (`Leaves`, in the enumerate module) switches every
-//! transaction layout into it in place, deciding the txn-free half of
-//! the symmetry test once per group. [`LeafChecker`] then re-derives
-//! only the layout-dependent relations per layout.
+//! Symmetry cuts and oracle cuts commute (consistency is a class
+//! invariant). Each completed rf/co assignment (a *group*) is copied
+//! into one execution per label assignment, the shared leaf path
+//! (`Leaves`) switches every transaction layout into it in place, and
+//! [`LeafChecker`] re-derives only the layout-dependent relations.
 
-use txmm_core::canon::{kind_tag, label_canonical, Label};
 use txmm_core::incr::{judge_batch, NoPrune, PartialCandidate, PruneOracle, PruneStats};
 use txmm_core::{Event, EventKind, EventSet, Execution, Rel, TxnFreeBase};
 use txmm_models::Model;
 
-use txmm_obs::WalkProgress;
-
-use crate::enumerate::{
-    config_shapes, enumerate_labels, for_deps, kinds_for, shape_tids, walk_plan, CandSeq,
-    EnumConfig, Frontier, Keep, Leaves, StructureSpace, Subtree,
-};
-use crate::par::worker_count;
-use crate::steal::{run_with_progress, StealStats};
+use crate::enumerate::{for_deps, EnumConfig, Keep, Leaves, StructureSpace};
 
 /// Process-wide prune telemetry, published once per completed walk
 /// (the walks run per request, so handles are created exactly once).
-fn publish_prune(st: &PruneStats) {
+pub(crate) fn publish_prune(st: &PruneStats) {
     use std::sync::OnceLock;
     static COUNTERS: OnceLock<([txmm_obs::Counter; 6], txmm_obs::Histogram)> = OnceLock::new();
     let ([cut, skipped, calls, micros, delta, fallback], batch_size) = COUNTERS.get_or_init(|| {
@@ -144,10 +122,10 @@ impl<'m> LeafChecker<'m> {
 
 // ---- The pruned structure walk -----------------------------------------
 
-/// Shared state of one structure walk: the choice space, the oracle,
-/// and the precomputed arity products that let a cut count exactly how
-/// many candidates it skipped.
-struct Walk<'a> {
+/// Shared state of one pruned rf/co walk: the choice space, the
+/// oracle, and the precomputed arity products that let a cut count
+/// exactly how many candidates it skipped.
+struct RfCoWalk<'a> {
     oracle: &'a dyn PruneOracle,
     space: &'a StructureSpace,
     /// Per read: every same-location write (the init read is
@@ -166,8 +144,12 @@ struct Walk<'a> {
     txn_leaves: u64,
 }
 
-impl<'a> Walk<'a> {
-    fn new(events: &[Event], space: &'a StructureSpace, oracle: &'a dyn PruneOracle) -> Walk<'a> {
+impl<'a> RfCoWalk<'a> {
+    fn new(
+        events: &[Event],
+        space: &'a StructureSpace,
+        oracle: &'a dyn PruneOracle,
+    ) -> RfCoWalk<'a> {
         let n = events.len();
         let read_loc_writes = space
             .reads
@@ -194,7 +176,7 @@ impl<'a> Walk<'a> {
         for i in (0..space.reads.len()).rev() {
             rf_suffix[i] = rf_suffix[i + 1].saturating_mul(space.rf_options[i].len() as u64);
         }
-        Walk {
+        RfCoWalk {
             oracle,
             space,
             read_loc_writes,
@@ -380,7 +362,7 @@ impl<'a> Walk<'a> {
 /// transaction layout of each completed rf/co group in place over one
 /// execution per label assignment. Survivors are *not* yet filtered by
 /// a full model check.
-fn pruned_structures(
+pub(crate) fn pruned_structures(
     cfg: &EnumConfig,
     events: &[Event],
     oracle: &dyn PruneOracle,
@@ -391,7 +373,7 @@ fn pruned_structures(
 ) {
     let n = events.len();
     let space = StructureSpace::new(cfg, events);
-    let walk = Walk::new(events, &space, oracle);
+    let walk = RfCoWalk::new(events, &space, oracle);
     let empty = Rel::empty(n);
     // The execution every group of this label assignment is copied
     // into and every layout switched in: the walk's own partial
@@ -427,232 +409,12 @@ fn pruned_structures(
     }
 }
 
-/// Walk one frontier subtree with oracle pruning (the pruned analogue
-/// of [`crate::enumerate::enumerate_subtree`]).
-pub fn pruned_subtree(
-    cfg: &EnumConfig,
-    shape: &[usize],
-    sub: &Subtree,
-    oracle: &dyn PruneOracle,
-    st: &mut PruneStats,
-    visit: &mut dyn FnMut(&Execution),
-) {
-    let kinds = kinds_for(cfg);
-    let evkinds: Vec<EventKind> = sub.kind_choice.iter().map(|&i| kinds[i as usize]).collect();
-    let tids = shape_tids(shape);
-    let mut leaves = Leaves::default();
-    enumerate_labels(cfg, &tids, &evkinds, &mut |events| {
-        let labels: Vec<Label> = events
-            .iter()
-            .map(|ev| Label {
-                tag: kind_tag(ev.kind),
-                attrs: ev.attrs.bits(),
-                loc: ev.loc,
-            })
-            .collect();
-        let Some(auts) = label_canonical(shape, &labels) else {
-            return; // Symmetry-duplicate label prefix.
-        };
-        pruned_structures(
-            cfg,
-            events,
-            oracle,
-            st,
-            &mut leaves,
-            &mut Keep::Orbit(&auts),
-            visit,
-        );
-    });
-}
-
-// ---- Drivers ------------------------------------------------------------
-
-/// Sequentially walk the whole space with oracle pruning. `visit` sees
-/// every class representative the oracle could not rule out; run the
-/// full model check on them to recover exactly the consistent classes.
-pub fn enumerate_pruned(
-    cfg: &EnumConfig,
-    oracle: &dyn PruneOracle,
-    visit: &mut dyn FnMut(&Execution),
-) -> PruneStats {
-    walk_pruned(cfg, oracle, None, visit)
-}
-
-fn walk_pruned(
-    cfg: &EnumConfig,
-    oracle: &dyn PruneOracle,
-    progress: Option<&WalkProgress>,
-    visit: &mut dyn FnMut(&Execution),
-) -> PruneStats {
-    if let Some(p) = progress {
-        p.add_total(walk_plan(cfg).weight);
-    }
-    let shapes = config_shapes(cfg);
-    let mut st = PruneStats::default();
-    for sub in Frontier::new(cfg) {
-        let before = (st.subtrees_cut, st.candidates_skipped);
-        let mut emitted = 0u64;
-        pruned_subtree(
-            cfg,
-            &shapes[sub.shape_idx],
-            &sub,
-            oracle,
-            &mut st,
-            &mut |x| {
-                emitted += 1;
-                visit(x);
-            },
-        );
-        if let Some(p) = progress {
-            p.subtree_done(
-                sub.weight,
-                emitted,
-                st.subtrees_cut - before.0,
-                st.candidates_skipped - before.1,
-            );
-        }
-    }
-    publish_prune(&st);
-    st
-}
-
-/// Parallel pruned walk on the work-stealing pool; the per-worker
-/// states come back in worker order with the merged prune counters.
-/// [`CandSeq`] orders the *surviving* stream deterministically.
-pub fn visit_pruned_par<S, FI, FV>(
-    cfg: &EnumConfig,
-    oracle: &dyn PruneOracle,
-    workers: usize,
-    init: FI,
-    visit: FV,
-) -> (Vec<S>, PruneStats, StealStats)
-where
-    S: Send,
-    FI: Fn(usize) -> S + Sync,
-    FV: Fn(CandSeq, &Execution, &mut S) + Sync,
-{
-    visit_pruned_par_progress(cfg, oracle, workers, None, init, visit)
-}
-
-/// [`visit_pruned_par`] with optional live progress: the walk plan is
-/// declared up front, and every completed subtree flushes its weight,
-/// emit count and prune-cut deltas into `progress`. With `None` the
-/// walk is identical to [`visit_pruned_par`].
-pub fn visit_pruned_par_progress<S, FI, FV>(
-    cfg: &EnumConfig,
-    oracle: &dyn PruneOracle,
-    workers: usize,
-    progress: Option<&WalkProgress>,
-    init: FI,
-    visit: FV,
-) -> (Vec<S>, PruneStats, StealStats)
-where
-    S: Send,
-    FI: Fn(usize) -> S + Sync,
-    FV: Fn(CandSeq, &Execution, &mut S) + Sync,
-{
-    if let Some(p) = progress {
-        p.add_total(walk_plan(cfg).weight);
-    }
-    let shapes = config_shapes(cfg);
-    let (pairs, steal) = run_with_progress(
-        Frontier::new(cfg),
-        workers,
-        progress,
-        |w| (init(w), PruneStats::default()),
-        |sub: Subtree, state: &mut (S, PruneStats)| {
-            let mut emit = 0u32;
-            let (s, st) = state;
-            let before = (st.subtrees_cut, st.candidates_skipped);
-            pruned_subtree(cfg, &shapes[sub.shape_idx], &sub, oracle, st, &mut |x| {
-                visit((sub.seq, emit), x, s);
-                emit += 1;
-            });
-            if let Some(p) = progress {
-                p.subtree_done(
-                    sub.weight,
-                    emit as u64,
-                    st.subtrees_cut - before.0,
-                    st.candidates_skipped - before.1,
-                );
-            }
-        },
-    );
-    let mut states = Vec::with_capacity(pairs.len());
-    let mut st = PruneStats::default();
-    for (s, ps) in pairs {
-        states.push(s);
-        st.merge(&ps);
-    }
-    publish_prune(&st);
-    (states, st, steal)
-}
-
-/// Enumerate exactly the model-consistent classes of the space,
-/// streaming one representative per class through `visit`. The
-/// transaction-agnostic oracle accelerates the walk; a [`LeafChecker`]
-/// (txn-independent slots shared by reference across the layouts of
-/// each rf/co assignment) decides at the leaves.
-pub fn enumerate_consistent(
-    cfg: &EnumConfig,
-    model: &dyn Model,
-    visit: &mut dyn FnMut(&Execution),
-) -> PruneStats {
-    let oracle = oracle_for(model, false);
-    let mut check = LeafChecker::new(model);
-    walk_pruned(cfg, oracle, None, &mut |x| {
-        if check.consistent(x) {
-            visit(x);
-        }
-    })
-}
-
-/// Count the model-consistent classes (sequential).
-pub fn count_consistent(cfg: &EnumConfig, model: &dyn Model) -> (usize, PruneStats) {
-    let mut n = 0usize;
-    let st = enumerate_consistent(cfg, model, &mut |_| n += 1);
-    (n, st)
-}
-
-/// Parallel [`count_consistent`] on the work-stealing pool.
-pub fn count_consistent_par(cfg: &EnumConfig, model: &dyn Model) -> (usize, PruneStats) {
-    count_consistent_par_progress(cfg, model, worker_count(), None)
-}
-
-/// [`count_consistent_par`] with optional live progress: classes kept
-/// by the leaf check land in `progress` as they are found, so a
-/// heartbeat reporter's final frame totals equal the returned count.
-pub fn count_consistent_par_progress(
-    cfg: &EnumConfig,
-    model: &dyn Model,
-    workers: usize,
-    progress: Option<&WalkProgress>,
-) -> (usize, PruneStats) {
-    let oracle = oracle_for(model, false);
-    let (counts, st, _) = visit_pruned_par_progress(
-        cfg,
-        oracle,
-        workers,
-        progress,
-        |_| (0usize, LeafChecker::new(model)),
-        |_, x, (n, check)| {
-            if check.consistent(x) {
-                *n += 1;
-                if let Some(p) = progress {
-                    p.add_classes(1);
-                }
-            }
-        },
-    );
-    (counts.into_iter().map(|(n, _)| n).sum(), st)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::canon::canon_key;
-    use crate::enumerate::enumerate;
+    use crate::Walk;
     use std::collections::HashSet;
+    use txmm_core::canon::canon_key;
     use txmm_models::{Sc, X86};
 
     /// Pruned-consistent must equal enumerate-then-filter: same
@@ -667,13 +429,13 @@ mod tests {
             (EnumConfig::hw(txmm_models::Arch::Sc, 3), &Sc as &dyn Model),
         ] {
             let mut filtered = HashSet::new();
-            enumerate(&cfg, &mut |x| {
+            Walk::new(&cfg).for_each(|x| {
                 if model.consistent(x) {
                     filtered.insert(canon_key(x));
                 }
             });
             let mut pruned = HashSet::new();
-            let st = enumerate_consistent(&cfg, model, &mut |x| {
+            let st = Walk::new(&cfg).consistent(model).for_each(|x| {
                 assert!(pruned.insert(canon_key(x)), "duplicate class");
             });
             assert_eq!(pruned, filtered, "{}", model.name());
@@ -691,12 +453,14 @@ mod tests {
     fn skip_counts_are_exact() {
         let cfg = EnumConfig::hw(txmm_models::Arch::X86, 3);
         let mut total_unpruned = 0u64;
-        enumerate(&cfg, &mut |_| total_unpruned += 1);
+        Walk::new(&cfg).for_each(|_| total_unpruned += 1);
         // Count *all* survivors (pre-keep candidates are not visible,
         // so compare in class units: survivors + a skipped lower bound
         // cannot exceed the unpruned candidate count).
         let mut survivors = 0u64;
-        let st = enumerate_pruned(&cfg, oracle_for(&X86::tm(), false), &mut |_| survivors += 1);
+        let st = Walk::new(&cfg)
+            .prune(oracle_for(&X86::tm(), false))
+            .for_each(|_| survivors += 1);
         assert!(survivors <= total_unpruned);
         assert!(st.candidates_skipped > 0);
     }
@@ -704,8 +468,10 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let cfg = EnumConfig::hw(txmm_models::Arch::X86, 3);
-        let (seq, seq_st) = count_consistent(&cfg, &X86::tm());
-        let (par, par_st) = count_consistent_par(&cfg, &X86::tm());
+        let tm = X86::tm();
+        let walk = Walk::new(&cfg).consistent(&tm);
+        let (seq, seq_st) = walk.clone().workers(1).count();
+        let (par, par_st) = walk.workers(3).count();
         assert_eq!(seq, par);
         assert_eq!(seq_st.subtrees_cut, par_st.subtrees_cut);
         assert_eq!(seq_st.candidates_skipped, par_st.candidates_skipped);
@@ -716,13 +482,13 @@ mod tests {
         // A model without an oracle degrades to enumerate-and-check.
         let cfg = EnumConfig::hw(txmm_models::Arch::Sc, 3);
         let mut filtered = 0usize;
-        enumerate(&cfg, &mut |x| {
+        Walk::new(&cfg).for_each(|x| {
             if Sc.consistent(x) {
                 filtered += 1;
             }
         });
         let mut got = 0usize;
-        let st = enumerate_pruned(&cfg, &NoPrune, &mut |x| {
+        let st = Walk::new(&cfg).prune(&NoPrune).for_each(|x| {
             if Sc.consistent(x) {
                 got += 1;
             }

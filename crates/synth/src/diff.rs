@@ -4,128 +4,86 @@
 //! under `M` but consistent under `N` — the seed operation behind axiom
 //! refinement (§4.1).
 //!
-//! The search consumes the streaming enumerator on the work-stealing
-//! pool ([`crate::enumerate::visit_par`]): candidates are checked on
-//! whichever worker enumerates them, witnesses carry their position in
-//! the sequential enumeration order, and a final sort makes the
-//! parallel result identical to the sequential one (the sequential
-//! versions are kept as differential references).
-
-use std::sync::atomic::{AtomicBool, Ordering};
+//! Both searches are one [`Walk::search`]: candidates are checked on
+//! whichever worker enumerates them, and witnesses come back in
+//! emission order, the same at every worker count.
 
 use txmm_core::Execution;
 use txmm_models::{consistent_pair, Model};
 
-use crate::enumerate::{enumerate, visit_par, CandSeq, EnumConfig};
-use crate::par::worker_count;
+use crate::walk::{Probe, Walk};
 
-/// Executions distinguishing `m` (forbids) from `n` (allows), up to the
-/// configured size; keeps the first `limit` witnesses (in enumeration
-/// order) when given.
-///
-/// Runs on the work-stealing pool; the result lists the same witnesses
-/// in the same order as [`distinguish_seq`].
+/// Executions of `walk` distinguishing `m` (forbids) from `n` (allows);
+/// keeps the first `limit` witnesses (in emission order) when given.
 pub fn distinguish(
-    cfg: &EnumConfig,
+    walk: &Walk,
     m: &dyn Model,
     n: &dyn Model,
     limit: Option<usize>,
 ) -> Vec<Execution> {
-    let (states, _) = visit_par(
-        cfg,
-        worker_count(),
-        |_| Vec::new(),
-        |seq, x, found: &mut Vec<(CandSeq, Execution)>| {
+    let mut found = walk
+        .search(
+            None,
+            |_| (),
+            |x, _| match consistent_pair(m, n, x) {
+                (false, true) => Probe::Hit(x.clone()),
+                _ => Probe::Pass,
+            },
+        )
+        .hits;
+    if let Some(l) = limit {
+        found.truncate(l);
+    }
+    found
+}
+
+/// Are the two models equivalent on every execution of `walk`? The
+/// first disagreement stops the search.
+pub fn equivalent(walk: &Walk, m: &dyn Model, n: &dyn Model) -> bool {
+    walk.search(
+        None,
+        |_| (),
+        |x, _| {
             let (mc, nc) = consistent_pair(m, n, x);
-            if !mc && nc {
-                found.push((seq, x.clone()));
+            if mc == nc {
+                Probe::Pass
+            } else {
+                Probe::Stop(())
             }
         },
-    );
-    let mut all: Vec<(CandSeq, Execution)> = states.into_iter().flatten().collect();
-    all.sort_by_key(|(seq, _)| *seq);
-    if let Some(l) = limit {
-        all.truncate(l);
-    }
-    all.into_iter().map(|(_, x)| x).collect()
-}
-
-/// The sequential reference implementation of [`distinguish`].
-pub fn distinguish_seq(
-    cfg: &EnumConfig,
-    m: &dyn Model,
-    n: &dyn Model,
-    limit: Option<usize>,
-) -> Vec<Execution> {
-    let mut out = Vec::new();
-    enumerate(cfg, &mut |x| {
-        if let Some(l) = limit {
-            if out.len() >= l {
-                return;
-            }
-        }
-        let (mc, nc) = consistent_pair(m, n, x);
-        if !mc && nc {
-            out.push(x.clone());
-        }
-    });
-    out
-}
-
-/// Are the two models equivalent on every execution up to the bound?
-///
-/// Candidates stream across the work-stealing pool; the first
-/// disagreement anywhere stops every worker at its next candidate.
-pub fn equivalent(cfg: &EnumConfig, m: &dyn Model, n: &dyn Model) -> bool {
-    let diverged = AtomicBool::new(false);
-    crate::enumerate::for_each_par(cfg, |x| {
-        if diverged.load(Ordering::Relaxed) {
-            return;
-        }
-        let (mc, nc) = consistent_pair(m, n, x);
-        if mc != nc {
-            diverged.store(true, Ordering::Relaxed);
-        }
-    });
-    !diverged.load(Ordering::Relaxed)
-}
-
-/// The sequential reference implementation of [`equivalent`].
-pub fn equivalent_seq(cfg: &EnumConfig, m: &dyn Model, n: &dyn Model) -> bool {
-    let mut eq = true;
-    enumerate(cfg, &mut |x| {
-        if !eq {
-            return;
-        }
-        let (mc, nc) = consistent_pair(m, n, x);
-        if mc != nc {
-            eq = false;
-        }
-    });
-    eq
+    )
+    .hits
+    .is_empty()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::canon::canon_key;
+    use crate::EnumConfig;
+    use txmm_core::canon::canon_key;
     use txmm_models::{Arch, Sc, Tsc, X86};
+
+    /// A two-thread, two-location space with no dependencies or
+    /// attributes.
+    fn space(arch: Arch, events: usize, fences: bool, rmws: bool, txns: bool) -> EnumConfig {
+        EnumConfig {
+            arch,
+            events,
+            max_threads: 2,
+            max_locs: 2,
+            fences,
+            deps: false,
+            rmws,
+            txns,
+            attrs: false,
+            atomic_txns: false,
+        }
+    }
 
     #[test]
     fn sc_vs_tsc_differ_only_with_txns() {
-        let cfg = EnumConfig {
-            arch: Arch::Sc,
-            events: 3,
-            max_threads: 2,
-            max_locs: 2,
-            fences: false,
-            deps: false,
-            rmws: false,
-            txns: true,
-            attrs: false,
-            atomic_txns: false,
-        };
-        let found = distinguish(&cfg, &Tsc, &Sc, Some(5));
+        let cfg = space(Arch::Sc, 3, false, false, true);
+        let found = distinguish(&Walk::new(&cfg), &Tsc, &Sc, Some(5));
         assert!(!found.is_empty());
         for x in &found {
             assert!(
@@ -138,77 +96,54 @@ mod tests {
     #[test]
     fn sc_stronger_than_x86() {
         // SC forbids store buffering; x86 allows it.
-        let cfg = EnumConfig {
-            arch: Arch::X86,
-            events: 4,
-            max_threads: 2,
-            max_locs: 2,
-            fences: false,
-            deps: false,
-            rmws: false,
-            txns: false,
-            attrs: false,
-            atomic_txns: false,
-        };
-        let found = distinguish(&cfg, &Sc, &X86::base(), Some(1));
+        let cfg = space(Arch::X86, 4, false, false, false);
+        let walk = Walk::new(&cfg);
+        let found = distinguish(&walk, &Sc, &X86::base(), Some(1));
         assert!(!found.is_empty());
         // The reverse direction finds nothing: x86 never forbids what SC
         // allows.
-        let rev = distinguish(&cfg, &X86::base(), &Sc, Some(1));
+        let rev = distinguish(&walk, &X86::base(), &Sc, Some(1));
         assert!(rev.is_empty());
     }
 
     #[test]
     fn model_self_equivalence() {
-        let cfg = EnumConfig {
-            arch: Arch::X86,
-            events: 3,
-            max_threads: 2,
-            max_locs: 2,
-            fences: true,
-            deps: false,
-            rmws: true,
-            txns: false,
-            attrs: false,
-            atomic_txns: false,
-        };
-        assert!(equivalent(&cfg, &X86::base(), &X86::base()));
+        let cfg = space(Arch::X86, 3, true, true, false);
+        let walk = Walk::new(&cfg);
+        assert!(equivalent(&walk, &X86::base(), &X86::base()));
         assert!(
-            equivalent(&cfg, &X86::base(), &X86::tm()),
+            equivalent(&walk, &X86::base(), &X86::tm()),
             "equal without transactions"
         );
     }
 
     #[test]
     fn parallel_matches_sequential() {
-        let cfg = EnumConfig {
-            arch: Arch::Sc,
-            events: 3,
-            max_threads: 2,
-            max_locs: 2,
-            fences: false,
-            deps: false,
-            rmws: false,
-            txns: true,
-            attrs: false,
-            atomic_txns: false,
-        };
-        let par: Vec<_> = distinguish(&cfg, &Tsc, &Sc, None)
+        let cfg = space(Arch::Sc, 3, false, false, true);
+        let par_walk = Walk::new(&cfg).workers(3);
+        let seq_walk = Walk::new(&cfg).workers(1);
+        let par: Vec<_> = distinguish(&par_walk, &Tsc, &Sc, None)
             .iter()
             .map(canon_key)
             .collect();
-        let seq: Vec<_> = distinguish_seq(&cfg, &Tsc, &Sc, None)
+        let seq: Vec<_> = distinguish(&seq_walk, &Tsc, &Sc, None)
             .iter()
             .map(canon_key)
             .collect();
         assert_eq!(par, seq, "same witnesses in the same enumeration order");
         // Limits truncate the same prefix.
-        let par2: Vec<_> = distinguish(&cfg, &Tsc, &Sc, Some(3))
+        let par2: Vec<_> = distinguish(&par_walk, &Tsc, &Sc, Some(3))
             .iter()
             .map(canon_key)
             .collect();
         assert_eq!(par2, seq[..3]);
-        assert_eq!(equivalent(&cfg, &Tsc, &Sc), equivalent_seq(&cfg, &Tsc, &Sc));
-        assert_eq!(equivalent(&cfg, &Sc, &Sc), equivalent_seq(&cfg, &Sc, &Sc));
+        assert_eq!(
+            equivalent(&par_walk, &Tsc, &Sc),
+            equivalent(&seq_walk, &Tsc, &Sc)
+        );
+        assert_eq!(
+            equivalent(&par_walk, &Sc, &Sc),
+            equivalent(&seq_walk, &Sc, &Sc)
+        );
     }
 }

@@ -32,29 +32,21 @@
 //! is compared only when that half ties under some automorphism.
 //!
 //! [`Frontier`] is the resumable form of that decomposition: a lazy
-//! iterator of subtree jobs. The sequential drivers ([`enumerate`],
-//! [`count`]) walk it in order; the parallel drivers ([`visit_par`],
-//! [`for_each_par`], [`count_par`], [`stream_par`]) feed it to the
-//! work-stealing pool ([`crate::steal`]), which splits *within* a shape
-//! — one huge shape no longer serialises a core's worth of work the way
-//! the seed shape-shard `par_map` split did.
+//! iterator of subtree jobs. A [`Walk`](crate::Walk) walks it, in order
+//! on one worker or across the work-stealing pool ([`crate::steal`]),
+//! which splits *within* a shape, so one huge shape never serialises a
+//! core's worth of work.
 //!
 //! The seed generate-then-dedup pipeline survives as
-//! [`enumerate_reference`] / [`count_reference`]: the differential
-//! suite checks the streaming engine emits exactly the same canonical
-//! classes.
+//! [`enumerate_reference`]: the differential suite checks the streaming
+//! engine emits exactly the same canonical classes.
 
 use std::cell::OnceCell;
 use std::collections::HashSet;
 
-use txmm_core::canon::{
-    canon_key, kind_rows_sorted, kind_tag, label_canonical, Label, LayoutOrbit,
-};
+use txmm_core::canon::{canon_key, kind_rows_sorted, kind_tag, LayoutOrbit};
 use txmm_core::{Attrs, Event, EventId, EventKind, Execution, Fence, Rel, MAX_EVENTS, NO_TXN};
 use txmm_models::Arch;
-
-use crate::par::worker_count;
-use crate::steal::{run_with, StealStats};
 
 /// What the enumerator may use.
 #[derive(Debug, Clone)]
@@ -225,35 +217,18 @@ pub struct Subtree {
     /// Index into [`config_shapes`].
     pub shape_idx: usize,
     /// Closed-form size proxy for the subtree (rf choices × co
-    /// orderings of its kind assignment) — the weight unit of
-    /// [`WalkPlan`] progress accounting.
+    /// orderings of its kind assignment) — the weight unit of progress
+    /// accounting ([`walk_weight`]).
     pub weight: u64,
     /// Kind index per event slot (into the config's kind vocabulary).
     pub(crate) kind_choice: Vec<u8>,
 }
 
-/// Total work of one enumeration walk, in [`Subtree::weight`] units.
-/// Computed by a dry pass over the frontier (a few thousand odometer
-/// steps — negligible against the walk itself).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalkPlan {
-    /// Frontier subtrees the walk will claim.
-    pub subtrees: u64,
-    /// Summed subtree weights (the denominator of "fraction done").
-    pub weight: u64,
-}
-
-/// Plan the walk over `cfg`: subtree count and total weight.
-pub fn walk_plan(cfg: &EnumConfig) -> WalkPlan {
-    let mut plan = WalkPlan {
-        subtrees: 0,
-        weight: 0,
-    };
-    for sub in Frontier::new(cfg) {
-        plan.subtrees += 1;
-        plan.weight = plan.weight.saturating_add(sub.weight);
-    }
-    plan
+/// Total work of the walk over `cfg`, in [`Subtree::weight`] units (the
+/// denominator of "fraction done"): a dry pass over the frontier, a few
+/// thousand odometer steps, negligible against the walk itself.
+pub fn walk_weight(cfg: &EnumConfig) -> u64 {
+    Frontier::new(cfg).fold(0, |w, sub| w.saturating_add(sub.weight))
 }
 
 /// The per-subtree weight: with `w` writes and `r` reads in the kind
@@ -298,11 +273,7 @@ pub struct Frontier {
 impl Frontier {
     /// The frontier over the whole configuration.
     pub fn new(cfg: &EnumConfig) -> Frontier {
-        Frontier::over_shapes(cfg, config_shapes(cfg))
-    }
-
-    /// A frontier restricted to the given shapes (shape-shard callers).
-    fn over_shapes(cfg: &EnumConfig, shapes: Vec<Vec<usize>>) -> Frontier {
+        let shapes = config_shapes(cfg);
         let kinds = kinds_for(cfg);
         let tags = kinds.iter().map(|&k| kind_tag(k)).collect();
         let state = if shapes.is_empty() {
@@ -317,11 +288,6 @@ impl Frontier {
             state,
             seq: 0,
         }
-    }
-
-    /// The shape of a subtree this frontier yielded.
-    pub fn shape(&self, sub: &Subtree) -> &[usize] {
-        &self.shapes[sub.shape_idx]
     }
 
     fn advance(&mut self) {
@@ -373,35 +339,6 @@ impl Iterator for Frontier {
     }
 }
 
-/// Enumerate one subtree, streaming exactly one representative per
-/// symmetry class through `visit`.
-pub fn enumerate_subtree(
-    cfg: &EnumConfig,
-    shape: &[usize],
-    sub: &Subtree,
-    visit: &mut dyn FnMut(&Execution),
-) {
-    let kinds = kinds_for(cfg);
-    let evkinds: Vec<EventKind> = sub.kind_choice.iter().map(|&i| kinds[i as usize]).collect();
-    let tids = shape_tids(shape);
-    let mut leaves = Leaves::default();
-    enumerate_labels(cfg, &tids, &evkinds, &mut |events| {
-        let labels: Vec<Label> = events
-            .iter()
-            .map(|ev| Label {
-                tag: kind_tag(ev.kind),
-                attrs: ev.attrs.bits(),
-                loc: ev.loc,
-            })
-            .collect();
-        let Some(auts) = label_canonical(shape, &labels) else {
-            return; // Symmetry-duplicate label prefix: prune the
-                    // whole relation/transaction subtree.
-        };
-        assign_structure(cfg, events, &mut leaves, &mut Keep::Orbit(&auts), visit);
-    });
-}
-
 pub(crate) fn shape_tids(shape: &[usize]) -> Vec<u8> {
     let mut tids = Vec::with_capacity(shape.iter().sum());
     for (t, &sz) in shape.iter().enumerate() {
@@ -410,150 +347,11 @@ pub(crate) fn shape_tids(shape: &[usize]) -> Vec<u8> {
     tids
 }
 
-/// Enumerate every candidate execution with the given thread shape,
-/// invoking `visit` on each (deduplicated up to symmetry *within* the
-/// shape — which is total, since canonical keys never collide across
-/// shapes).
-pub fn enumerate_shape(cfg: &EnumConfig, shape: &[usize], visit: &mut dyn FnMut(&Execution)) {
-    for sub in Frontier::over_shapes(cfg, vec![shape.to_vec()]) {
-        enumerate_subtree(cfg, shape, &sub, visit);
-    }
-}
-
-/// Enumerate all candidate executions of exactly `cfg.events` events,
-/// invoking `visit` on each (deduplicated up to symmetry). Streaming
-/// and allocation-bounded: no candidate buffer, no dedup set.
-pub fn enumerate(cfg: &EnumConfig, visit: &mut dyn FnMut(&Execution)) {
-    let frontier = Frontier::new(cfg);
-    let shapes = frontier.shapes.clone();
-    for sub in frontier {
-        enumerate_subtree(cfg, &shapes[sub.shape_idx], &sub, visit);
-    }
-}
-
-// ---- Parallel drivers ---------------------------------------------------
-
 /// Position of a candidate in the sequential enumeration order:
-/// (subtree sequence number, emit index within the subtree). Sorting
-/// parallel results by this key reproduces [`enumerate`]'s order
+/// (subtree sequence number, leaf index within the subtree). Sorting
+/// parallel results by this key reproduces the one-worker order
 /// exactly.
 pub type CandSeq = (u64, u32);
-
-/// Run `visit` over every candidate on `workers` work-stealing threads.
-///
-/// Each worker owns a private state built by `init`; the states come
-/// back in worker order together with the pool counters, so callers
-/// merge (and, via [`CandSeq`], order) results deterministically.
-pub fn visit_par<S, FI, FV>(
-    cfg: &EnumConfig,
-    workers: usize,
-    init: FI,
-    visit: FV,
-) -> (Vec<S>, StealStats)
-where
-    S: Send,
-    FI: Fn(usize) -> S + Sync,
-    FV: Fn(CandSeq, &Execution, &mut S) + Sync,
-{
-    visit_par_progress(cfg, workers, None, init, visit)
-}
-
-/// [`visit_par`] with optional live progress: the walk plan is
-/// declared up front and every completed subtree flushes its weight
-/// and emit count into `progress`. With `None` the walk is identical
-/// to [`visit_par`].
-pub fn visit_par_progress<S, FI, FV>(
-    cfg: &EnumConfig,
-    workers: usize,
-    progress: Option<&txmm_obs::WalkProgress>,
-    init: FI,
-    visit: FV,
-) -> (Vec<S>, StealStats)
-where
-    S: Send,
-    FI: Fn(usize) -> S + Sync,
-    FV: Fn(CandSeq, &Execution, &mut S) + Sync,
-{
-    if let Some(p) = progress {
-        p.add_total(walk_plan(cfg).weight);
-    }
-    let shapes = config_shapes(cfg);
-    let frontier = Frontier::over_shapes(cfg, shapes.clone());
-    crate::steal::run_with_progress(
-        frontier,
-        workers,
-        progress,
-        init,
-        |sub: Subtree, state: &mut S| {
-            let mut emit = 0u32;
-            enumerate_subtree(cfg, &shapes[sub.shape_idx], &sub, &mut |x| {
-                visit((sub.seq, emit), x, state);
-                emit += 1;
-            });
-            if let Some(p) = progress {
-                p.subtree_done(sub.weight, emit as u64, 0, 0);
-            }
-        },
-    )
-}
-
-/// Streaming parallel enumeration: `f` runs on the pool's workers, one
-/// call per candidate, in no particular order.
-pub fn for_each_par<F: Fn(&Execution) + Sync>(cfg: &EnumConfig, f: F) -> StealStats {
-    let (_, stats) = visit_par(cfg, worker_count(), |_| (), |_, x, _| f(x));
-    stats
-}
-
-/// A bounded stream of enumerated candidates: workers enumerate on a
-/// background pool and block once `capacity` candidates are in flight,
-/// so a slow consumer never buffers the space (the memory bound the
-/// seed `enumerate_par -> Vec<Execution>` materialisation lacked).
-///
-/// Dropping the iterator aborts the producers: subtrees already being
-/// enumerated finish generating (emitting nothing), every remaining
-/// frontier subtree is skipped with one atomic load, and the pool
-/// drains promptly instead of walking the rest of the space.
-pub fn stream_par(cfg: EnumConfig, capacity: usize) -> impl Iterator<Item = Execution> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    let (tx, rx) = std::sync::mpsc::sync_channel::<Execution>(capacity.max(1));
-    std::thread::spawn(move || {
-        let gone = AtomicBool::new(false);
-        let shapes = config_shapes(&cfg);
-        let frontier = Frontier::over_shapes(&cfg, shapes.clone());
-        run_with(
-            frontier,
-            worker_count(),
-            |_| tx.clone(),
-            |sub: Subtree, tx| {
-                if gone.load(Ordering::Relaxed) {
-                    return; // Receiver hung up: skip the whole subtree.
-                }
-                enumerate_subtree(&cfg, &shapes[sub.shape_idx], &sub, &mut |x| {
-                    if gone.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    if tx.send(x.clone()).is_err() {
-                        gone.store(true, Ordering::Relaxed);
-                    }
-                });
-            },
-        );
-    });
-    rx.into_iter()
-}
-
-/// Count the executions the enumerator produces (test/diagnostic aid).
-pub fn count(cfg: &EnumConfig) -> usize {
-    let mut n = 0usize;
-    enumerate(cfg, &mut |_| n += 1);
-    n
-}
-
-/// Parallel [`count`] on the work-stealing pool.
-pub fn count_par(cfg: &EnumConfig) -> usize {
-    let (counts, _) = visit_par(cfg, worker_count(), |_| 0usize, |_, _, n| *n += 1);
-    counts.into_iter().sum()
-}
 
 // ---- Label enumeration --------------------------------------------------
 
@@ -1047,13 +845,6 @@ pub fn enumerate_reference(cfg: &EnumConfig, visit: &mut dyn FnMut(&Execution)) 
     }
 }
 
-/// Count over [`enumerate_reference`].
-pub fn count_reference(cfg: &EnumConfig) -> usize {
-    let mut n = 0usize;
-    enumerate_reference(cfg, &mut |_| n += 1);
-    n
-}
-
 // ---- Structure helpers --------------------------------------------------
 
 fn subsets<T: Clone>(items: &[T]) -> Vec<Vec<T>> {
@@ -1190,7 +981,8 @@ fn for_co(options: &[Vec<Vec<usize>>], k: &mut dyn FnMut(&[Vec<usize>])) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txmm_core::canon::{struct_canonical, struct_key};
+    use crate::Walk;
+    use txmm_core::canon::{label_canonical, struct_canonical, struct_key, Label};
     use txmm_core::TxnClass;
 
     #[test]
@@ -1217,19 +1009,12 @@ mod tests {
     #[test]
     fn tiny_enumeration_wellformed() {
         let cfg = EnumConfig {
-            arch: Arch::X86,
-            events: 2,
             max_threads: 2,
             max_locs: 2,
-            fences: true,
-            deps: false,
-            rmws: true,
-            txns: true,
-            attrs: false,
-            atomic_txns: false,
+            ..EnumConfig::hw(Arch::X86, 2)
         };
         let mut total = 0;
-        enumerate(&cfg, &mut |x| {
+        Walk::new(&cfg).for_each(|x| {
             assert!(x.check_wf().is_ok());
             assert!(txmm_models::Arch::X86.validate(x).is_ok());
             total += 1;
@@ -1474,8 +1259,8 @@ mod tests {
 
     #[test]
     fn enumeration_deterministic() {
-        let cfg = EnumConfig::hw(Arch::X86, 3);
-        assert_eq!(count(&cfg), count(&cfg));
+        let walk = Walk::new(&EnumConfig::hw(Arch::X86, 3)).workers(1);
+        assert_eq!(walk.count().0, walk.count().0);
     }
 
     #[test]
@@ -1484,7 +1269,7 @@ mod tests {
         // one representative per canonical class.
         for cfg in [EnumConfig::hw(Arch::X86, 3), EnumConfig::hw(Arch::Sc, 3)] {
             let mut keys = HashSet::new();
-            enumerate(&cfg, &mut |x| {
+            Walk::new(&cfg).for_each(|x| {
                 assert!(keys.insert(canon_key(x)), "duplicate class emitted");
             });
         }
@@ -1496,28 +1281,28 @@ mod tests {
         // emit the same canonical-key set (representatives may differ).
         let cfg = EnumConfig::hw(Arch::X86, 3);
         let mut stream_keys = HashSet::new();
-        enumerate(&cfg, &mut |x| {
+        Walk::new(&cfg).for_each(|x| {
             stream_keys.insert(canon_key(x));
         });
         let mut ref_keys = HashSet::new();
+        let mut ref_count = 0;
         enumerate_reference(&cfg, &mut |x| {
             ref_keys.insert(canon_key(x));
+            ref_count += 1;
         });
         assert_eq!(stream_keys.len(), ref_keys.len());
         assert_eq!(stream_keys, ref_keys);
-        assert_eq!(count(&cfg), count_reference(&cfg));
+        assert_eq!(Walk::new(&cfg).count().0, ref_count);
     }
 
     #[test]
     fn parallel_enumeration_matches_sequential() {
         let cfg = EnumConfig::hw(Arch::X86, 3);
         let mut seq = Vec::new();
-        enumerate(&cfg, &mut |x| seq.push(canon_key(x)));
-        // Work-stealing drivers: same candidates, and sorting by CandSeq
+        Walk::new(&cfg).for_each(|x| seq.push(canon_key(x)));
+        // Work-stealing walks: same candidates, and sorting by CandSeq
         // reproduces the sequential order exactly.
-        let (mut states, _) = visit_par(
-            &cfg,
-            3,
+        let (mut states, _, _) = Walk::new(&cfg).workers(3).visit(
             |_| Vec::new(),
             |seq, x, s: &mut Vec<(CandSeq, Vec<u8>)>| s.push((seq, canon_key(x))),
         );
@@ -1527,20 +1312,23 @@ mod tests {
         for ((_, a), b) in par.iter().zip(&seq) {
             assert_eq!(a, b);
         }
-        assert_eq!(count_par(&cfg), count(&cfg));
+        assert_eq!(
+            Walk::new(&cfg).workers(3).count().0,
+            Walk::new(&cfg).workers(1).count().0
+        );
     }
 
     #[test]
     fn stream_par_is_bounded_and_complete() {
-        let cfg = EnumConfig::hw(Arch::X86, 3);
-        let expect = count(&cfg);
+        let walk = Walk::new(&EnumConfig::hw(Arch::X86, 3));
+        let expect = walk.count().0;
         // A tiny channel forces producer back-pressure; the stream still
         // delivers the whole space.
-        let got = stream_par(cfg.clone(), 4).count();
+        let got = walk.clone().stream(4).count();
         assert_eq!(got, expect);
         // Dropping the stream early stops the producers (no hang, no
         // panic) — take a prefix and let the iterator fall.
-        let some: Vec<Execution> = stream_par(cfg, 2).take(5).collect();
+        let some: Vec<Execution> = walk.stream(2).take(5).collect();
         assert_eq!(some.len(), 5);
     }
 
@@ -1556,11 +1344,13 @@ mod tests {
         assert_eq!(seqs, (0..seqs.len() as u64).collect::<Vec<_>>());
         // Walking the subtrees reproduces the sequential enumeration.
         let shapes = config_shapes(&cfg);
+        let walk = Walk::new(&cfg);
+        let mut lane = walk.lane();
         let mut n = 0usize;
         for sub in first.iter().chain(&rest) {
-            enumerate_subtree(&cfg, &shapes[sub.shape_idx], sub, &mut |_| n += 1);
+            walk.subtree(&shapes, sub, &mut lane, |_, _| n += 1);
         }
-        assert_eq!(n, count(&cfg));
+        assert_eq!(n, walk.count().0);
     }
 
     #[test]
@@ -1568,20 +1358,16 @@ mod tests {
         // The 4-event store-buffering execution (both reads from init)
         // must appear in the x86 enumeration.
         let cfg = EnumConfig {
-            arch: Arch::X86,
-            events: 4,
             max_threads: 2,
             max_locs: 2,
             fences: false,
-            deps: false,
             rmws: false,
             txns: false,
-            attrs: false,
-            atomic_txns: false,
+            ..EnumConfig::hw(Arch::X86, 4)
         };
         let sb_key = canon_key(&txmm_models::catalog::sb(None, false, false));
         let mut found = false;
-        enumerate(&cfg, &mut |x| {
+        Walk::new(&cfg).for_each(|x| {
             if canon_key(x) == sb_key {
                 found = true;
             }
@@ -1592,19 +1378,16 @@ mod tests {
     #[test]
     fn armv8_attrs_enumerated() {
         let cfg = EnumConfig {
-            arch: Arch::Armv8,
-            events: 2,
             max_threads: 2,
             max_locs: 1,
             fences: false,
             deps: false,
             rmws: false,
             txns: false,
-            attrs: true,
-            atomic_txns: false,
+            ..EnumConfig::hw(Arch::Armv8, 2)
         };
         let mut with_acq = 0;
-        enumerate(&cfg, &mut |x| {
+        Walk::new(&cfg).for_each(|x| {
             if !x.acq().is_empty() {
                 with_acq += 1;
             }

@@ -6,8 +6,13 @@
 //! minimally-forbidden ("Forbid") and maximally-allowed ("Allow")
 //! conformance suites.
 //!
-//! * [`enumerate`] — candidate-execution generation per architecture;
-//! * [`canon`] — canonical forms (thread/location symmetry reduction);
+//! * [`walk`] — the one walk engine: a [`Walk`] is a bounded search
+//!   over the candidate space (config, optional prune oracle, workers,
+//!   optional progress) that every sweep below runs through;
+//! * [`mod@enumerate`] — candidate-execution generation per
+//!   architecture: the subtree frontier and the structure walk;
+//! * [`consistent`] — the consistency-pruned structure walk;
+//! * [`steal`] — the work-stealing pool walks run on;
 //! * [`weaken`] — the ⊏ order: event removal, dependency removal,
 //!   event downgrade, transaction-boundary stripping;
 //! * [`suites`] — Forbid/Allow synthesis with discovery timestamps
@@ -15,7 +20,7 @@
 //! * [`diff`] — model-difference search (Memalloy's original mode).
 //!
 //! ```
-//! use txmm_synth::{suites::synthesise, EnumConfig};
+//! use txmm_synth::{synthesise, EnumConfig, Walk};
 //! use txmm_models::{Arch, Sc, Tsc};
 //!
 //! // At three events, TSC-vs-SC synthesis rediscovers the isolation
@@ -24,34 +29,29 @@
 //! cfg.fences = false;
 //! cfg.rmws = false;
 //! cfg.max_threads = 2;
-//! let r = synthesise(&cfg, &Tsc, &Sc, None);
+//! let r = synthesise(&Walk::new(&cfg), &Tsc, &Sc, None);
 //! assert!(r.forbid.len() >= 4);
+//!
+//! // One worker walks the same candidates in the same order.
+//! let one = synthesise(&Walk::new(&cfg).workers(1), &Tsc, &Sc, None);
+//! assert_eq!(one.forbid.len(), r.forbid.len());
 //! ```
 
-pub mod canon;
 pub mod consistent;
 pub mod diff;
 pub mod enumerate;
-pub mod par;
 pub mod steal;
 pub mod suites;
+pub mod walk;
 pub mod weaken;
 
-pub use canon::canon_key;
-pub use consistent::{
-    count_consistent, count_consistent_par, count_consistent_par_progress, enumerate_consistent,
-    enumerate_pruned, oracle_for, visit_pruned_par, visit_pruned_par_progress, LeafChecker,
-};
-pub use diff::{distinguish, distinguish_seq, equivalent, equivalent_seq};
-pub use enumerate::{
-    count, count_par, count_reference, enumerate, enumerate_reference, enumerate_shape,
-    for_each_par, stream_par, visit_par, visit_par_progress, walk_plan, CandSeq, EnumConfig,
-    Frontier, Subtree, WalkPlan,
-};
-pub use par::par_map;
-pub use steal::{run_with, run_with_progress, StealStats};
-pub use suites::{
-    synthesise, synthesise_pruned, synthesise_seq, synthesise_streamed,
-    synthesise_streamed_progress, txn_histogram, FoundTest, SuiteResult,
+pub use consistent::{oracle_for, LeafChecker};
+pub use diff::{distinguish, equivalent};
+pub use enumerate::{enumerate_reference, walk_weight, CandSeq, EnumConfig, Frontier, Subtree};
+pub use steal::{run_with_progress, worker_count, StealStats};
+pub use suites::{synthesise, txn_histogram, FoundTest, SuiteResult};
+pub use txmm_core::canon::canon_key;
+pub use walk::{
+    count_consistent_par_progress, enumerate, visit_pruned_par_progress, Probe, Search, Walk,
 };
 pub use weaken::weakenings;

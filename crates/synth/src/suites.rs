@@ -1,30 +1,24 @@
 //! Conformance-suite synthesis (§4.2): the minimally-forbidden
 //! ("Forbid") and maximally-allowed ("Allow") test sets of Table 1.
 //!
-//! Synthesis consumes the streaming enumerator on the work-stealing
-//! pool: candidates are checked against the models on whichever worker
-//! enumerates them — no buffering wave, no per-candidate clone of the
-//! space. Each worker checks the transactional model through its own
-//! [`LeafChecker`], so the transaction layouts of one rf/co assignment,
-//! which the enumerator emits back to back, share their txn-free
-//! analysis slots. Found tests carry their position in the sequential
-//! enumeration order, so the Forbid suite comes out in the exact order
-//! the sequential pipeline would produce after a final sort of the
-//! (tiny) result set.
+//! Synthesis is one [`Walk::search`]. Each worker checks the
+//! transactional model through its own [`LeafChecker`], so the
+//! transaction layouts of one rf/co assignment, which the walk emits
+//! back to back, share their txn-free analysis slots, and the Forbid
+//! tests come back in emission order at every worker count.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use txmm_core::incr::PruneStats;
 use txmm_core::Execution;
 use txmm_models::Model;
 
-use crate::canon::canon_key;
-use crate::consistent::{oracle_for, visit_pruned_par, LeafChecker};
-use crate::enumerate::{enumerate, CandSeq, EnumConfig};
-use crate::par::worker_count;
+use crate::consistent::LeafChecker;
+use crate::enumerate::EnumConfig;
+use crate::walk::{Probe, Walk};
 use crate::weaken::weakenings;
+use txmm_core::canon::canon_key;
 
 /// One synthesised test with its discovery time (for Fig. 7).
 pub struct FoundTest {
@@ -43,95 +37,51 @@ pub struct SuiteResult {
     /// False when the time budget ran out before the space was covered
     /// (the paper's "non-exhaustive" marker).
     pub complete: bool,
-    /// How many candidate executions were examined.
+    /// How many candidate executions were examined (on a pruned walk,
+    /// the survivors).
     pub candidates: usize,
+    /// The walk's prune counters.
+    pub prune: PruneStats,
     /// Total synthesis time.
     pub elapsed: Duration,
 }
 
 /// Synthesise the Forbid and Allow sets for `tm` against its non-TM
-/// baseline, at exactly `cfg.events` events, checking candidates on the
-/// work-stealing pool.
+/// baseline over the candidates of `walk`.
 ///
 /// A candidate `X` lands in Forbid when (a) it has at least one
 /// transaction, (b) the transactional model forbids it, (c) the baseline
 /// allows it with transactions erased, and (d) it is ⊏-minimal: every
 /// one-step weakening is consistent under the transactional model.
+///
+/// By (c), the walk may prune with the *baseline's*
+/// transaction-agnostic oracle (`Walk::prune(oracle_for(base, false))`):
+/// a partial candidate it rules out fails (c) under every transaction
+/// layout.
 pub fn synthesise(
-    cfg: &EnumConfig,
+    walk: &Walk,
     tm: &dyn Model,
     base: &dyn Model,
     budget: Option<Duration>,
-) -> SuiteResult {
-    synthesise_streamed(cfg, tm, base, budget, worker_count())
-}
-
-/// The streamed work-stealing implementation behind [`synthesise`],
-/// with the worker count explicit so tests can exercise the
-/// split-and-merge logic deterministically regardless of core count.
-pub fn synthesise_streamed(
-    cfg: &EnumConfig,
-    tm: &dyn Model,
-    base: &dyn Model,
-    budget: Option<Duration>,
-    workers: usize,
-) -> SuiteResult {
-    synthesise_streamed_progress(cfg, tm, base, budget, workers, None)
-}
-
-/// [`synthesise_streamed`] with optional live progress: candidates
-/// examined and Forbid tests found (as "classes kept") flush into
-/// `progress` as the walk runs. With `None` the sweep is identical to
-/// [`synthesise_streamed`].
-pub fn synthesise_streamed_progress(
-    cfg: &EnumConfig,
-    tm: &dyn Model,
-    base: &dyn Model,
-    budget: Option<Duration>,
-    workers: usize,
-    progress: Option<&txmm_obs::WalkProgress>,
 ) -> SuiteResult {
     let start = Instant::now();
-    let candidates = AtomicUsize::new(0);
-    let overrun = AtomicBool::new(false);
-
-    let (states, _) = crate::enumerate::visit_par_progress(
-        cfg,
-        workers.max(1),
-        progress,
-        |_| (Vec::new(), LeafChecker::new(tm)),
-        |seq, x, (found, check): &mut (Vec<(CandSeq, FoundTest)>, LeafChecker)| {
-            candidates.fetch_add(1, Ordering::Relaxed);
-            if let Some(b) = budget {
-                if overrun.load(Ordering::Relaxed) || start.elapsed() > b {
-                    overrun.store(true, Ordering::Relaxed);
-                    return;
-                }
-            }
-            if let Some(f) = forbid_test(cfg, tm, check, base, x) {
-                if let Some(p) = progress {
-                    p.add_classes(1);
-                }
-                found.push((
-                    seq,
-                    FoundTest {
-                        exec: f,
-                        at: start.elapsed(),
-                    },
-                ));
-            }
+    let cfg = walk.config();
+    let found = walk.search(
+        budget,
+        |_| LeafChecker::new(tm),
+        |x, check| match forbid_test(cfg, tm, check, base, x) {
+            Some(exec) => Probe::Hit(FoundTest {
+                exec,
+                at: start.elapsed(),
+            }),
+            None => Probe::Pass,
         },
     );
-    let mut stamped: Vec<(CandSeq, FoundTest)> =
-        states.into_iter().flat_map(|(found, _)| found).collect();
-    stamped.sort_by_key(|(seq, _)| *seq);
-    let forbid: Vec<FoundTest> = stamped.into_iter().map(|(_, f)| f).collect();
-    let complete = !overrun.load(Ordering::Relaxed);
 
     // Allow set: consistent one-step weakenings, deduplicated.
     let mut allow = Vec::new();
     let mut seen = HashSet::new();
-    for f in &forbid {
+    for f in &found.hits {
         for w in weakenings(&f.exec, cfg.arch) {
             if tm.consistent(&w) && seen.insert(canon_key(&w)) {
                 allow.push(w);
@@ -140,10 +90,11 @@ pub fn synthesise_streamed_progress(
     }
 
     SuiteResult {
-        forbid,
+        forbid: found.hits,
         allow,
-        complete,
-        candidates: candidates.into_inner(),
+        complete: found.complete,
+        candidates: found.checked,
+        prune: found.prune,
         elapsed: start.elapsed(),
     }
 }
@@ -172,126 +123,6 @@ fn forbid_test(
     minimal.then(|| x.clone())
 }
 
-/// [`synthesise`] over the consistency-pruned stream: the *baseline*
-/// model's transaction-agnostic prune oracle cuts rf/co subtrees no
-/// completion can rescue. Sound for Forbid search because condition
-/// (c) requires the transaction-erased candidate to be baseline-
-/// consistent — a candidate whose partial communication relations
-/// already violate the baseline's monotone core fails (c) under every
-/// transaction layout. Returns the suite together with the prune
-/// counters; `candidates` counts the *surviving* candidates examined.
-pub fn synthesise_pruned(
-    cfg: &EnumConfig,
-    tm: &dyn Model,
-    base: &dyn Model,
-    budget: Option<Duration>,
-) -> (SuiteResult, PruneStats) {
-    let start = Instant::now();
-    let candidates = AtomicUsize::new(0);
-    let overrun = AtomicBool::new(false);
-
-    let oracle = oracle_for(base, false);
-    let (states, prune, _) = visit_pruned_par(
-        cfg,
-        oracle,
-        worker_count(),
-        |_| (Vec::new(), LeafChecker::new(tm)),
-        |seq, x, (found, check): &mut (Vec<(CandSeq, FoundTest)>, LeafChecker)| {
-            candidates.fetch_add(1, Ordering::Relaxed);
-            if let Some(b) = budget {
-                if overrun.load(Ordering::Relaxed) || start.elapsed() > b {
-                    overrun.store(true, Ordering::Relaxed);
-                    return;
-                }
-            }
-            if let Some(f) = forbid_test(cfg, tm, check, base, x) {
-                found.push((
-                    seq,
-                    FoundTest {
-                        exec: f,
-                        at: start.elapsed(),
-                    },
-                ));
-            }
-        },
-    );
-    let mut stamped: Vec<(CandSeq, FoundTest)> =
-        states.into_iter().flat_map(|(found, _)| found).collect();
-    stamped.sort_by_key(|(seq, _)| *seq);
-    let forbid: Vec<FoundTest> = stamped.into_iter().map(|(_, f)| f).collect();
-    let complete = !overrun.load(Ordering::Relaxed);
-
-    let mut allow = Vec::new();
-    let mut seen = HashSet::new();
-    for f in &forbid {
-        for w in weakenings(&f.exec, cfg.arch) {
-            if tm.consistent(&w) && seen.insert(canon_key(&w)) {
-                allow.push(w);
-            }
-        }
-    }
-
-    (
-        SuiteResult {
-            forbid,
-            allow,
-            complete,
-            candidates: candidates.into_inner(),
-            elapsed: start.elapsed(),
-        },
-        prune,
-    )
-}
-
-/// The sequential reference implementation of [`synthesise`]; kept for
-/// differential tests and the parallel-speedup benchmark.
-pub fn synthesise_seq(
-    cfg: &EnumConfig,
-    tm: &dyn Model,
-    base: &dyn Model,
-    budget: Option<Duration>,
-) -> SuiteResult {
-    let start = Instant::now();
-    let mut forbid = Vec::new();
-    let mut candidates = 0usize;
-    let mut complete = true;
-    let mut check = LeafChecker::new(tm);
-
-    enumerate(cfg, &mut |x| {
-        candidates += 1;
-        if let Some(b) = budget {
-            if start.elapsed() > b {
-                complete = false;
-                return;
-            }
-        }
-        if let Some(f) = forbid_test(cfg, tm, &mut check, base, x) {
-            forbid.push(FoundTest {
-                exec: f,
-                at: start.elapsed(),
-            });
-        }
-    });
-
-    let mut allow = Vec::new();
-    let mut seen = HashSet::new();
-    for f in &forbid {
-        for w in weakenings(&f.exec, cfg.arch) {
-            if tm.consistent(&w) && seen.insert(canon_key(&w)) {
-                allow.push(w);
-            }
-        }
-    }
-
-    SuiteResult {
-        forbid,
-        allow,
-        complete,
-        candidates,
-        elapsed: start.elapsed(),
-    }
-}
-
 /// Count how many transactions each Forbid test has (the paper reports
 /// the 1/2/3-transaction split in §5.3).
 pub fn txn_histogram(forbid: &[FoundTest]) -> [usize; 4] {
@@ -306,27 +137,20 @@ pub fn txn_histogram(forbid: &[FoundTest]) -> [usize; 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consistent::oracle_for;
     use txmm_models::{Arch, Sc, Tsc, X86};
 
     fn x86_cfg(events: usize) -> EnumConfig {
         EnumConfig {
-            arch: Arch::X86,
-            events,
-            max_threads: 3,
             max_locs: 2,
-            fences: true,
-            deps: false,
-            rmws: true,
-            txns: true,
-            attrs: false,
-            atomic_txns: false,
+            ..EnumConfig::hw(Arch::X86, events)
         }
     }
 
     #[test]
     fn no_two_event_x86_forbid_tests() {
         // Matches Table 1: |E| = 2 yields zero Forbid tests for x86.
-        let r = synthesise(&x86_cfg(2), &X86::tm(), &X86::base(), None);
+        let r = synthesise(&Walk::new(&x86_cfg(2)), &X86::tm(), &X86::base(), None);
         assert!(r.complete);
         assert_eq!(r.forbid.len(), 0, "paper reports 0 tests at |E|=2");
     }
@@ -334,7 +158,7 @@ mod tests {
     #[test]
     fn three_event_x86_forbid_tests_exist() {
         // Table 1 reports 4 Forbid tests at |E| = 3.
-        let r = synthesise(&x86_cfg(3), &X86::tm(), &X86::base(), None);
+        let r = synthesise(&Walk::new(&x86_cfg(3)), &X86::tm(), &X86::base(), None);
         assert!(r.complete);
         assert!(
             !r.forbid.is_empty(),
@@ -359,18 +183,13 @@ mod tests {
         // Running the synthesiser for TSC against SC at |E| = 3 must
         // rediscover the four isolation shapes of Fig. 3.
         let cfg = EnumConfig {
-            arch: Arch::Sc,
-            events: 3,
             max_threads: 2,
             max_locs: 2,
             fences: false,
-            deps: false,
             rmws: false,
-            txns: true,
-            attrs: false,
-            atomic_txns: false,
+            ..EnumConfig::hw(Arch::Sc, 3)
         };
-        let r = synthesise(&cfg, &Tsc, &Sc, None);
+        let r = synthesise(&Walk::new(&cfg), &Tsc, &Sc, None);
         let keys: HashSet<Vec<u8>> = r.forbid.iter().map(|f| canon_key(&f.exec)).collect();
         for which in ['a', 'b', 'c'] {
             let fig = txmm_models::catalog::fig3(which);
@@ -389,11 +208,11 @@ mod tests {
 
     #[test]
     fn parallel_synthesis_matches_sequential() {
-        let cfg = x86_cfg(3);
+        let walk = Walk::new(&x86_cfg(3));
         // Force multiple workers, so the work-stealing split-and-merge
         // logic is exercised even on one core.
-        let par = synthesise_streamed(&cfg, &X86::tm(), &X86::base(), None, 3);
-        let seq = synthesise_seq(&cfg, &X86::tm(), &X86::base(), None);
+        let par = synthesise(&walk.clone().workers(3), &X86::tm(), &X86::base(), None);
+        let seq = synthesise(&walk.workers(1), &X86::tm(), &X86::base(), None);
         assert_eq!(par.candidates, seq.candidates);
         assert_eq!(par.complete, seq.complete);
         let keys = |r: &SuiteResult| {
@@ -413,9 +232,16 @@ mod tests {
 
     #[test]
     fn pruned_synthesis_matches_plain() {
-        let cfg = x86_cfg(3);
-        let plain = synthesise(&cfg, &X86::tm(), &X86::base(), None);
-        let (pruned, st) = synthesise_pruned(&cfg, &X86::tm(), &X86::base(), None);
+        let walk = Walk::new(&x86_cfg(3));
+        let plain = synthesise(&walk, &X86::tm(), &X86::base(), None);
+        let base = X86::base();
+        let pruned = synthesise(
+            &walk.prune(oracle_for(&base, false)),
+            &X86::tm(),
+            &base,
+            None,
+        );
+        let st = pruned.prune;
         assert!(pruned.complete);
         let keys = |r: &SuiteResult| {
             r.forbid
@@ -433,7 +259,7 @@ mod tests {
 
     #[test]
     fn histogram_counts_txns() {
-        let r = synthesise(&x86_cfg(3), &X86::tm(), &X86::base(), None);
+        let r = synthesise(&Walk::new(&x86_cfg(3)), &X86::tm(), &X86::base(), None);
         let h = txn_histogram(&r.forbid);
         assert_eq!(h[0], 0, "every Forbid test has a transaction");
         assert_eq!(h.iter().sum::<usize>(), r.forbid.len());

@@ -645,10 +645,10 @@ impl SessionPool {
     }
 
     /// Hot-reload the pool's user `.cat` files into every shard: files
-    /// are re-read and re-parsed once here (a parse failure aborts the
-    /// reload with a structured error and leaves every shard serving
-    /// the old models), then each shard replaces its registrations in
-    /// place. Returns the reloaded model names.
+    /// are re-read, parsed and compiled once here (a file that fails
+    /// either aborts the reload with a structured error and leaves every
+    /// shard serving the old models), then each shard replaces its
+    /// registrations in place. Returns the reloaded model names.
     pub fn reload(&self) -> Result<Vec<String>, String> {
         let mut sources = Vec::with_capacity(self.cat_files.len());
         for path in &self.cat_files {
@@ -660,7 +660,8 @@ impl SessionPool {
                 .unwrap_or("user-model")
                 .to_string();
             // Validate before touching any shard.
-            txmm_cat::parse(&src).map_err(|e| format!("{name}: {e}"))?;
+            let file = txmm_cat::parse(&src).map_err(|e| format!("{name}: {e}"))?;
+            txmm_cat::compile(&file).map_err(|e| format!("{name}: {e}"))?;
             sources.push((name, src));
         }
         let sources = Arc::new(sources);
@@ -688,7 +689,7 @@ impl SessionPool {
             Ok(names) => {
                 let list = names
                     .iter()
-                    .map(|n| format!("\"{}\"", crate::serve::json_escape(n)))
+                    .map(|n| format!("\"{}\"", txmm_obs::json_escape(n)))
                     .collect::<Vec<_>>()
                     .join(",");
                 format!(
@@ -698,7 +699,7 @@ impl SessionPool {
             }
             Err(e) => format!(
                 "{{\"error\":\"{}\",\"code\":\"reload\"}}",
-                crate::serve::json_escape(&e)
+                txmm_obs::json_escape(&e)
             ),
         }
     }
@@ -817,12 +818,12 @@ impl SessionPool {
             .iter()
             .map(|e| {
                 let trace_id = match &e.trace_id {
-                    Some(t) => format!("\"{}\"", crate::serve::json_escape(t)),
+                    Some(t) => format!("\"{}\"", txmm_obs::json_escape(t)),
                     None => "null".to_string(),
                 };
                 format!(
                     "{{\"what\":\"{}\",\"micros\":{},\"trace_id\":{trace_id}}}",
-                    crate::serve::json_escape(&e.what),
+                    txmm_obs::json_escape(&e.what),
                     e.micros
                 )
             })
@@ -886,8 +887,8 @@ impl SessionPool {
             .map(|(name, arch, tm)| {
                 format!(
                     "{{\"model\":\"{}\",\"arch\":\"{}\",\"tm\":{tm}}}",
-                    crate::serve::json_escape(name),
-                    crate::serve::json_escape(arch)
+                    txmm_obs::json_escape(name),
+                    txmm_obs::json_escape(arch)
                 )
             })
             .collect()

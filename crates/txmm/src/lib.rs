@@ -70,7 +70,7 @@ pub mod prelude {
     pub use txmm_hwsim::{ArmSim, Oracle, PowerSim, Simulator, TsoSim};
     pub use txmm_litmus::{execution_from_litmus, litmus_from_execution, LitmusTest};
     pub use txmm_models::prelude::*;
-    pub use txmm_synth::{synthesise, EnumConfig};
+    pub use txmm_synth::{synthesise, EnumConfig, Walk};
     pub use txmm_verify::{
         check_compilation, check_lock_elision, check_monotonicity, ElisionTarget,
     };

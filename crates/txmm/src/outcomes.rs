@@ -558,9 +558,10 @@ impl Session {
             } else {
                 1
             };
-            let (states, _stats) = txmm_synth::steal::run_with(
+            let (states, _stats) = txmm_synth::steal::run_with_progress(
                 jobs.into_iter(),
                 workers,
+                None,
                 |_| Vec::new(),
                 |(id, x), out: &mut Vec<(txmm_core::arena::ExecId, txmm_models::Verdict)>| {
                     out.push((id, model.check_analysis(&x.analysis())));

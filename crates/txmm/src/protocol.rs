@@ -24,7 +24,7 @@
 
 use std::fmt;
 
-use crate::serve::json_escape;
+use txmm_obs::json_escape;
 
 /// A parsed JSON value (the subset a request can contain).
 #[derive(Debug, Clone, PartialEq)]

@@ -37,6 +37,7 @@ use txmm_core::Execution;
 use txmm_hwsim::Outcome;
 use txmm_litmus::{execution_from_litmus, parse_litmus, LitmusTest};
 use txmm_models::{Arch, Verdict};
+use txmm_obs::json_escape;
 
 use crate::outcomes::OutcomeReport;
 use crate::session::{ModelRef, Session};
@@ -270,24 +271,6 @@ pub fn collect_litmus_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
         .collect();
     files.sort();
     Ok(files)
-}
-
-/// Escape a string for embedding in a JSON literal (shared with the
-/// daemon's wire protocol).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Render one served result as a JSONL line (no trailing newline).

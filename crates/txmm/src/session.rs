@@ -44,7 +44,7 @@ use txmm_core::{Execution, ExecutionAnalysis};
 use txmm_hwsim::{ArmSim, PowerSim, Simulator, TsoSim, MAX_LOCS};
 use txmm_litmus::litmus_from_execution;
 use txmm_models::{registry, Arch, Checker, Derived, Model, Verdict};
-use txmm_synth::{canon_key, EnumConfig, SuiteResult};
+use txmm_synth::{canon_key, EnumConfig, SuiteResult, Walk};
 use txmm_verify::{CompileResult, ElisionResult, ElisionTarget, MonotonicityResult, TheoremResult};
 
 /// Handle of a registered model within one [`Session`].
@@ -592,7 +592,8 @@ impl Session {
         /// interning loop; small, so a slow intern path back-pressures
         /// the producers instead of buffering the space.
         const STREAM_CAPACITY: usize = 256;
-        txmm_synth::stream_par(cfg.clone(), STREAM_CAPACITY)
+        Walk::new(cfg)
+            .stream(STREAM_CAPACITY)
             .map(|x| self.intern(&x))
             .collect()
     }
@@ -731,9 +732,10 @@ impl Session {
     //
     // The bounded enumerate-and-check pipelines, exposed here so driver
     // binaries configure one Session rather than wiring synth/verify by
-    // hand. Sweeps stream fresh candidates (every execution distinct),
-    // so they bypass the verdict cache by design and parallelise over
-    // thread-shape shards internally.
+    // hand. Each sweep is one `Walk` over the unpruned space on every
+    // core, split into subtree jobs on the work-stealing pool. Sweeps
+    // stream fresh candidates (every execution distinct), so they
+    // bypass the verdict cache by design.
 
     /// Forbid/Allow conformance-suite synthesis (Table 1, Fig. 7).
     pub fn synthesise(
@@ -743,14 +745,8 @@ impl Session {
         base: ModelRef,
         budget: Option<Duration>,
     ) -> SuiteResult {
-        txmm_synth::synthesise_streamed_progress(
-            cfg,
-            self.model(tm),
-            self.model(base),
-            budget,
-            txmm_synth::par::worker_count(),
-            self.walk_progress.as_deref(),
-        )
+        let walk = Walk::new(cfg).progress(self.walk_progress.as_deref());
+        txmm_synth::synthesise(&walk, self.model(tm), self.model(base), budget)
     }
 
     /// Model-difference search (§4.1).
@@ -761,7 +757,7 @@ impl Session {
         n: ModelRef,
         limit: Option<usize>,
     ) -> Vec<Execution> {
-        txmm_synth::distinguish(cfg, self.model(m), self.model(n), limit)
+        txmm_synth::distinguish(&Walk::new(cfg), self.model(m), self.model(n), limit)
     }
 
     /// Bounded monotonicity check (§8.1).
@@ -771,7 +767,7 @@ impl Session {
         m: ModelRef,
         budget: Option<Duration>,
     ) -> MonotonicityResult {
-        txmm_verify::check_monotonicity(cfg, self.model(m), budget)
+        txmm_verify::check_monotonicity(&Walk::new(cfg), self.model(m), budget)
     }
 
     /// Bounded C++-to-hardware compilation soundness (§8.2).
@@ -781,7 +777,8 @@ impl Session {
         target: Arch,
         budget: Option<Duration>,
     ) -> CompileResult {
-        txmm_verify::check_compilation(events, target, budget)
+        let walk = Walk::new(&txmm_verify::compile_cfg(events));
+        txmm_verify::check_compilation(&walk, target, budget)
     }
 
     /// Bounded lock-elision soundness (§8.3).
@@ -795,12 +792,12 @@ impl Session {
 
     /// Bounded validation of Theorem 7.2.
     pub fn check_theorem_7_2(&self, events: usize, budget: Option<Duration>) -> TheoremResult {
-        txmm_verify::check_theorem_7_2(events, budget)
+        txmm_verify::check_theorem_7_2(&Walk::new(&txmm_verify::theorem_cfg(events)), budget)
     }
 
     /// Bounded validation of Theorem 7.3.
     pub fn check_theorem_7_3(&self, events: usize, budget: Option<Duration>) -> TheoremResult {
-        txmm_verify::check_theorem_7_3(events, budget)
+        txmm_verify::check_theorem_7_3(&Walk::new(&txmm_verify::theorem_cfg(events)), budget)
     }
 }
 
@@ -973,22 +970,15 @@ mod tests {
     fn enumeration_streams_into_the_arena() {
         let mut s = Session::new();
         let cfg = EnumConfig {
-            arch: Arch::X86,
-            events: 2,
             max_threads: 2,
             max_locs: 2,
-            fences: true,
-            deps: false,
-            rmws: true,
-            txns: true,
-            attrs: false,
-            atomic_txns: false,
+            ..EnumConfig::hw(Arch::X86, 2)
         };
         let ids = s.intern_enumeration(&cfg);
         // One id per streamed candidate, all distinct: the streaming
         // enumerator emits one representative per canonical class and
         // the arena keys by that class.
-        assert_eq!(ids.len(), txmm_synth::count(&cfg));
+        assert_eq!(ids.len(), Walk::new(&cfg).count().0);
         let mut uniq = ids.clone();
         uniq.sort_unstable();
         uniq.dedup();
@@ -1006,16 +996,11 @@ mod tests {
         let tsc = s.resolve("TSC").unwrap();
         let sc = s.resolve("SC").unwrap();
         let cfg = EnumConfig {
-            arch: Arch::Sc,
-            events: 3,
             max_threads: 2,
             max_locs: 2,
             fences: false,
-            deps: false,
             rmws: false,
-            txns: true,
-            attrs: false,
-            atomic_txns: false,
+            ..EnumConfig::hw(Arch::Sc, 3)
         };
         let r = s.synthesise(&cfg, tsc, sc, None);
         assert!(r.forbid.len() >= 4);

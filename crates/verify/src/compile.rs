@@ -5,17 +5,17 @@
 //! leading/trailing fences; the π relation preserves `po`, dependencies,
 //! `rf`, `co` and — the paper's extension — all `stxn` edges.
 //!
-//! Soundness is checked by bounded search for a pair `(X, Y)` with `X`
-//! C++-inconsistent (and race-free), `Y = map(X)` target-consistent.
+//! Soundness is checked by bounded search (one [`Walk::search`]) for a
+//! pair `(X, Y)` with `X` C++-inconsistent (and race-free), `Y = map(X)`
+//! target-consistent.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use txmm_core::{Attrs, Event, EventKind, Execution, Fence, Rel, TxnClass};
 use txmm_models::{Arch, Cpp, Model};
-use txmm_synth::enumerate::{visit_par, CandSeq};
-use txmm_synth::par::worker_count;
-use txmm_synth::{enumerate, EnumConfig};
+use txmm_synth::{EnumConfig, Probe, Walk};
+
+use crate::CheckResult;
 
 /// Emit the target instruction sequence for one C++ event.
 ///
@@ -213,30 +213,19 @@ pub fn map_execution(x: &Execution, target: Arch) -> Execution {
     )
 }
 
-/// The outcome of a bounded compilation-soundness check.
-pub struct CompileResult {
-    /// A violating pair `(X, Y)`.
-    pub counterexample: Option<(Execution, Execution)>,
-    /// Executions examined (race-free candidates).
-    pub checked: usize,
-    /// Wall-clock time.
-    pub elapsed: Duration,
-    /// Whole space covered at this bound?
-    pub complete: bool,
-}
+/// The outcome of a bounded compilation-soundness check: a violating
+/// pair `(X, map(X))`; `checked` counts the race-free candidates.
+pub type CompileResult = CheckResult<(Execution, Execution)>;
 
-fn compile_cfg(events: usize) -> EnumConfig {
+/// The C++ space a compilation check walks at `events` events.
+pub fn compile_cfg(events: usize) -> EnumConfig {
     EnumConfig {
-        arch: Arch::Cpp,
-        events,
         max_threads: 2,
         max_locs: 2,
         fences: false,
-        deps: false,
         rmws: false,
-        txns: true,
         attrs: true,
-        atomic_txns: false,
+        ..EnumConfig::hw(Arch::Cpp, events)
     }
 }
 
@@ -249,109 +238,45 @@ fn compile_target(target: Arch) -> Box<dyn Model> {
     }
 }
 
-/// Does mapping `x` to the target expose an unsound compilation? The
-/// candidate counts (`checked`) only when the hypotheses hold.
-fn compile_violation(
+/// Does mapping `x` to the target expose an unsound compilation? Only
+/// C++-inconsistent, race-free candidates count as checked.
+fn compile_probe(
     cpp: &Cpp,
     tgt: &dyn Model,
     target: Arch,
     x: &Execution,
-    checked: &mut usize,
-) -> Option<(Execution, Execution)> {
+) -> Probe<(Execution, Execution)> {
     let a = x.analysis();
     if cpp.consistent_analysis(&a) || cpp.racy_analysis(&a) {
-        return None;
+        return Probe::Skip;
     }
-    *checked += 1;
     let y = map_execution(x, target);
     debug_assert!(y.check_wf().is_ok());
     if tgt.consistent(&y) {
-        Some((x.clone(), y))
+        Probe::Stop((x.clone(), y))
     } else {
-        None
+        Probe::Pass
     }
 }
 
-/// Search for an unsound compilation: `X` inconsistent and race-free in
-/// C++, `map(X)` consistent on the target. Candidates stream across the
-/// work-stealing pool; a counterexample on any worker stops the others
-/// (the earliest in enumeration order is reported).
-pub fn check_compilation(events: usize, target: Arch, budget: Option<Duration>) -> CompileResult {
-    type Found = (CandSeq, (Execution, Execution));
-    let cfg = compile_cfg(events);
-    let cpp = Cpp::tm();
-    let tgt = compile_target(target);
-    let start = Instant::now();
-    let stop = AtomicBool::new(false);
-    let overrun = AtomicBool::new(false);
-    let checked_total = AtomicUsize::new(0);
-    let (states, _) = visit_par(
-        &cfg,
-        worker_count(),
-        |_| None::<Found>,
-        |seq, x, counterexample| {
-            if counterexample.is_some() || stop.load(Ordering::Relaxed) {
-                return;
-            }
-            if let Some(b) = budget {
-                if start.elapsed() > b {
-                    overrun.store(true, Ordering::Relaxed);
-                    stop.store(true, Ordering::Relaxed);
-                    return;
-                }
-            }
-            let mut checked = 0usize;
-            if let Some(pair) = compile_violation(&cpp, tgt.as_ref(), target, x, &mut checked) {
-                *counterexample = Some((seq, pair));
-                stop.store(true, Ordering::Relaxed);
-            }
-            checked_total.fetch_add(checked, Ordering::Relaxed);
-        },
+/// Search the C++ candidates of `walk` (see [`compile_cfg`]) for an
+/// unsound compilation: `X` inconsistent and race-free in C++, `map(X)`
+/// consistent on the target. The earliest counterexample in emission
+/// order is reported, at any worker count.
+pub fn check_compilation(walk: &Walk, target: Arch, budget: Option<Duration>) -> CompileResult {
+    assert_eq!(
+        walk.config().arch,
+        Arch::Cpp,
+        "compilation maps C++ executions"
     );
-    let best = states
-        .into_iter()
-        .flatten()
-        .min_by_key(|(seq, _)| *seq)
-        .map(|(_, pair)| pair);
-    CompileResult {
-        counterexample: best,
-        checked: checked_total.into_inner(),
-        elapsed: start.elapsed(),
-        complete: !overrun.load(Ordering::Relaxed),
-    }
-}
-
-/// The sequential reference implementation of [`check_compilation`].
-pub fn check_compilation_seq(
-    events: usize,
-    target: Arch,
-    budget: Option<Duration>,
-) -> CompileResult {
-    let cfg = compile_cfg(events);
     let cpp = Cpp::tm();
     let tgt = compile_target(target);
-    let start = Instant::now();
-    let mut checked = 0usize;
-    let mut counterexample = None;
-    let mut complete = true;
-    enumerate(&cfg, &mut |x| {
-        if counterexample.is_some() {
-            return;
-        }
-        if let Some(b) = budget {
-            if start.elapsed() > b {
-                complete = false;
-                return;
-            }
-        }
-        counterexample = compile_violation(&cpp, tgt.as_ref(), target, x, &mut checked);
-    });
-    CompileResult {
-        counterexample,
-        checked,
-        elapsed: start.elapsed(),
-        complete,
-    }
+    walk.search(
+        budget,
+        |_| (),
+        |x, _| compile_probe(&cpp, tgt.as_ref(), target, x),
+    )
+    .into()
 }
 
 #[cfg(test)]
@@ -442,7 +367,7 @@ mod tests {
     #[test]
     fn compilation_sound_small_bound() {
         for target in [Arch::X86, Arch::Armv8, Arch::Power] {
-            let r = check_compilation(3, target, None);
+            let r = check_compilation(&Walk::new(&compile_cfg(3)), target, None);
             assert!(
                 r.counterexample.is_none(),
                 "compilation to {target:?} must be sound (Table 2)"
@@ -453,8 +378,9 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_reference() {
-        let par = check_compilation(3, Arch::X86, None);
-        let seq = check_compilation_seq(3, Arch::X86, None);
+        let walk = Walk::new(&compile_cfg(3));
+        let par = check_compilation(&walk.clone().workers(3), Arch::X86, None);
+        let seq = check_compilation(&walk.workers(1), Arch::X86, None);
         assert_eq!(par.checked, seq.checked);
         assert_eq!(par.complete, seq.complete);
         assert_eq!(par.counterexample.is_some(), seq.counterexample.is_some());

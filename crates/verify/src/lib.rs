@@ -12,6 +12,12 @@
 //!   Table 3), rediscovering Example 1.1 on ARMv8;
 //! * [`theorems`] — bounded validation of Theorems 7.2 and 7.3.
 //!
+//! Every bounded check takes a [`Walk`](txmm_synth::Walk) — the space,
+//! the worker count and an optional prune oracle — and is one
+//! [`Walk::search`](txmm_synth::Walk::search): the earliest
+//! counterexample in emission order is reported at any worker count,
+//! and a budget that runs out leaves `complete == false`.
+//!
 //! ```
 //! use txmm_verify::elision::{check_lock_elision, ElisionTarget};
 //!
@@ -24,12 +30,35 @@ pub mod elision;
 pub mod monotonic;
 pub mod theorems;
 
-pub use compile::{check_compilation, check_compilation_seq, map_execution, CompileResult};
+use std::time::Duration;
+
+use txmm_synth::Search;
+
+/// The outcome of a bounded check.
+pub struct CheckResult<T> {
+    /// The earliest counterexample in emission order, if any.
+    pub counterexample: Option<T>,
+    /// Candidates that satisfied the hypotheses and were checked, up to
+    /// the counterexample.
+    pub checked: usize,
+    /// Wall-clock time.
+    pub elapsed: Duration,
+    /// False when the budget ran out before the check was decided.
+    pub complete: bool,
+}
+
+impl<T> From<Search<T>> for CheckResult<T> {
+    fn from(s: Search<T>) -> CheckResult<T> {
+        CheckResult {
+            counterexample: s.hits.into_iter().next(),
+            checked: s.checked,
+            elapsed: s.elapsed,
+            complete: s.complete,
+        }
+    }
+}
+
+pub use compile::{check_compilation, compile_cfg, map_execution, CompileResult};
 pub use elision::{check_lock_elision, expand, violates_cr_order, ElisionResult, ElisionTarget};
-pub use monotonic::{
-    check_monotonicity, check_monotonicity_seq, txn_extensions, MonotonicityResult,
-};
-pub use theorems::{
-    check_theorem_7_2, check_theorem_7_2_seq, check_theorem_7_3, check_theorem_7_3_seq,
-    check_tm_conservative, TheoremResult,
-};
+pub use monotonic::{check_monotonicity, txn_extensions, MonotonicityResult};
+pub use theorems::{check_theorem_7_2, check_theorem_7_3, theorem_cfg, TheoremResult};

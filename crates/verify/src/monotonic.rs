@@ -1,33 +1,22 @@
 //! Monotonicity checking (§8.1): introducing, enlarging or coalescing
 //! transactions must never make an inconsistent execution consistent.
 //!
-//! The bounded check consumes the streaming enumerator on the
-//! work-stealing pool (candidates checked on whichever worker
-//! enumerates them, so one big thread shape spreads across every
-//! core); a counterexample found anywhere stops the other workers
-//! early. The sequential version is kept as the differential reference.
+//! The bounded check is one [`Walk::search`]: candidates are checked
+//! on whichever worker enumerates them, and the earliest
+//! counterexample in emission order ends the search.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use txmm_core::{Execution, TxnClass};
 use txmm_models::Model;
-use txmm_synth::enumerate::{visit_par, CandSeq};
-use txmm_synth::par::worker_count;
-use txmm_synth::{enumerate, EnumConfig};
+use txmm_synth::{Probe, Walk};
 
-/// The outcome of a bounded monotonicity check.
-pub struct MonotonicityResult {
-    /// A violating pair `(X, Y)`: `X` inconsistent, `Y = X` with more
-    /// `stxn` edges, `Y` consistent.
-    pub counterexample: Option<(Execution, Execution)>,
-    /// Executions examined.
-    pub checked: usize,
-    /// Wall-clock time.
-    pub elapsed: Duration,
-    /// Whether the whole space (at this bound) was covered.
-    pub complete: bool,
-}
+use crate::CheckResult;
+
+/// The outcome of a bounded monotonicity check: a violating pair
+/// `(X, Y)` has `X` inconsistent, `Y = X` with more `stxn` edges, and
+/// `Y` consistent.
+pub type MonotonicityResult = CheckResult<(Execution, Execution)>;
 
 /// One-step transaction *extensions* of `x`: the inverse of weakening
 /// clause (v), plus coalescing of adjacent transactions.
@@ -110,92 +99,23 @@ fn violation_at(model: &dyn Model, x: &Execution) -> Option<(Execution, Executio
     None
 }
 
-/// Bounded monotonicity check for one model at one event count, run on
-/// the work-stealing candidate stream across every core.
-///
-/// A counterexample on any worker stops the others at their next
-/// candidate, so `checked` can undercount relative to
-/// [`check_monotonicity_seq`] once a violation exists; on violation-free
-/// (and unbudgeted) runs the two agree exactly. When several workers
-/// find violations, the earliest in enumeration order is reported.
+/// Bounded monotonicity check for one model over the candidates of
+/// `walk`. The earliest counterexample in emission order is reported,
+/// and `checked` counts the candidates up to it, at any worker count.
 pub fn check_monotonicity(
-    cfg: &EnumConfig,
+    walk: &Walk,
     model: &dyn Model,
     budget: Option<Duration>,
 ) -> MonotonicityResult {
-    type Found = (CandSeq, (Execution, Execution));
-    let start = Instant::now();
-    let stop = AtomicBool::new(false);
-    let overrun = AtomicBool::new(false);
-    let (states, _) = visit_par(
-        cfg,
-        worker_count(),
-        |_| (0usize, None::<Found>),
-        |seq, x, (checked, counterexample)| {
-            if counterexample.is_some() || stop.load(Ordering::Relaxed) {
-                return;
-            }
-            if let Some(b) = budget {
-                if start.elapsed() > b {
-                    overrun.store(true, Ordering::Relaxed);
-                    stop.store(true, Ordering::Relaxed);
-                    return;
-                }
-            }
-            *checked += 1;
-            if let Some(pair) = violation_at(model, x) {
-                *counterexample = Some((seq, pair));
-                stop.store(true, Ordering::Relaxed);
-            }
+    walk.search(
+        budget,
+        |_| (),
+        |x, _| match violation_at(model, x) {
+            Some(pair) => Probe::Stop(pair),
+            None => Probe::Pass,
         },
-    );
-    let mut checked = 0usize;
-    let mut best: Option<Found> = None;
-    for (c, cex) in states {
-        checked += c;
-        if let Some((seq, pair)) = cex {
-            if best.as_ref().is_none_or(|(s, _)| seq < *s) {
-                best = Some((seq, pair));
-            }
-        }
-    }
-    MonotonicityResult {
-        counterexample: best.map(|(_, pair)| pair),
-        checked,
-        elapsed: start.elapsed(),
-        complete: !overrun.load(Ordering::Relaxed),
-    }
-}
-
-/// The sequential reference implementation of [`check_monotonicity`].
-pub fn check_monotonicity_seq(
-    cfg: &EnumConfig,
-    model: &dyn Model,
-    budget: Option<Duration>,
-) -> MonotonicityResult {
-    let start = Instant::now();
-    let mut checked = 0usize;
-    let mut counterexample = None;
-    let mut complete = true;
-    enumerate(cfg, &mut |x| {
-        if counterexample.is_some() {
-            return;
-        }
-        if let Some(b) = budget {
-            if start.elapsed() > b {
-                complete = false;
-                return;
-            }
-        }
-        checked += 1;
-        counterexample = violation_at(model, x);
-    });
-    MonotonicityResult {
-        counterexample,
-        checked,
-        elapsed: start.elapsed(),
-        complete,
-    }
+    )
+    .into()
 }
 
 #[cfg(test)]
@@ -203,6 +123,24 @@ mod tests {
     use super::*;
     use txmm_core::ExecBuilder;
     use txmm_models::{Arch, Armv8, Power, X86};
+    use txmm_synth::{canon_key, EnumConfig};
+
+    /// A space with rmws and transactions, and no dependencies or
+    /// attributes; one thread and location is the §8.1 split-rmw space.
+    fn space(arch: Arch, events: usize, threads: usize, fences: bool) -> Walk<'static> {
+        Walk::new(&EnumConfig {
+            arch,
+            events,
+            max_threads: threads,
+            max_locs: threads,
+            fences,
+            deps: false,
+            rmws: true,
+            txns: true,
+            attrs: false,
+            atomic_txns: false,
+        })
+    }
 
     #[test]
     fn extensions_cover_intro_enlarge_coalesce() {
@@ -232,19 +170,7 @@ mod tests {
     fn power_counterexample_at_two_events() {
         // §8.1: the split-rmw execution is inconsistent
         // (TxnCancelsRMW) but coalescing makes it consistent.
-        let cfg = EnumConfig {
-            arch: Arch::Power,
-            events: 2,
-            max_threads: 1,
-            max_locs: 1,
-            fences: false,
-            deps: false,
-            rmws: true,
-            txns: true,
-            attrs: false,
-            atomic_txns: false,
-        };
-        let r = check_monotonicity(&cfg, &Power::tm(), None);
+        let r = check_monotonicity(&space(Arch::Power, 2, 1, false), &Power::tm(), None);
         let (x, y) = r.counterexample.expect("paper finds a c'ex at |E| = 2");
         // The violation is TxnCancelsRMW: an rmw straddling a
         // transaction boundary, cured by growing/merging the txn.
@@ -259,81 +185,40 @@ mod tests {
 
     #[test]
     fn armv8_counterexample_at_two_events() {
-        let cfg = EnumConfig {
-            arch: Arch::Armv8,
-            events: 2,
-            max_threads: 1,
-            max_locs: 1,
-            fences: false,
-            deps: false,
-            rmws: true,
-            txns: true,
-            attrs: false,
-            atomic_txns: false,
-        };
-        let r = check_monotonicity(&cfg, &Armv8::tm(), None);
+        let r = check_monotonicity(&space(Arch::Armv8, 2, 1, false), &Armv8::tm(), None);
         assert!(r.counterexample.is_some());
     }
 
     #[test]
     fn parallel_matches_sequential_reference() {
-        // Violation-free sweep: the sharded and sequential checkers
-        // examine the same space and agree exactly.
-        let cfg = EnumConfig {
-            arch: Arch::X86,
-            events: 3,
-            max_threads: 2,
-            max_locs: 2,
-            fences: false,
-            deps: false,
-            rmws: true,
-            txns: true,
-            attrs: false,
-            atomic_txns: false,
-        };
-        let par = check_monotonicity(&cfg, &X86::tm(), None);
-        let seq = check_monotonicity_seq(&cfg, &X86::tm(), None);
+        // Violation-free sweep: three workers and one examine the same
+        // space and agree exactly.
+        let cfg = space(Arch::X86, 3, 2, false);
+        let par = check_monotonicity(&cfg.clone().workers(3), &X86::tm(), None);
+        let seq = check_monotonicity(&cfg.workers(1), &X86::tm(), None);
         assert_eq!(par.checked, seq.checked);
         assert_eq!(par.complete, seq.complete);
         assert!(par.counterexample.is_none() && seq.counterexample.is_none());
-        // Violating sweep: both find a counterexample.
-        let cfg = EnumConfig {
-            arch: Arch::Power,
-            events: 2,
-            max_threads: 1,
-            max_locs: 1,
-            fences: false,
-            deps: false,
-            rmws: true,
-            txns: true,
-            attrs: false,
-            atomic_txns: false,
+        // Violating sweep: both find the same earliest counterexample
+        // after the same number of candidates.
+        let cfg = space(Arch::Power, 2, 1, false);
+        let par = check_monotonicity(&cfg.clone().workers(3), &Power::tm(), None);
+        let seq = check_monotonicity(&cfg.workers(1), &Power::tm(), None);
+        let keys = |r: &MonotonicityResult| {
+            r.counterexample
+                .as_ref()
+                .map(|(x, y)| (canon_key(x), canon_key(y)))
         };
-        assert!(check_monotonicity(&cfg, &Power::tm(), None)
-            .counterexample
-            .is_some());
-        assert!(check_monotonicity_seq(&cfg, &Power::tm(), None)
-            .counterexample
-            .is_some());
+        assert!(seq.counterexample.is_some());
+        assert_eq!(keys(&par), keys(&seq));
+        assert_eq!(par.checked, seq.checked);
     }
 
     #[test]
     fn x86_monotone_at_small_bounds() {
         // Table 2: no counterexample for x86 (paper checks 6 events; we
         // check 3 here, the bench pushes further).
-        let cfg = EnumConfig {
-            arch: Arch::X86,
-            events: 3,
-            max_threads: 2,
-            max_locs: 2,
-            fences: true,
-            deps: false,
-            rmws: true,
-            txns: true,
-            attrs: false,
-            atomic_txns: false,
-        };
-        let r = check_monotonicity(&cfg, &X86::tm(), None);
+        let r = check_monotonicity(&space(Arch::X86, 3, 2, true), &X86::tm(), None);
         assert!(r.counterexample.is_none(), "x86 TM is monotone");
         assert!(r.complete);
         assert!(r.checked > 0);

@@ -4,233 +4,123 @@
 //! to a bound (the same regime Memalloy uses for Table 2) and leave
 //! random deeper exploration to the proptest suites.
 //!
-//! Every sweep consumes the streaming enumerator on the work-stealing
-//! pool (candidates checked on whichever worker enumerates them); a
-//! counterexample on any worker stops the others. Sequential references
-//! are kept for differential testing.
+//! Each check is one [`Walk::search`] over a C++ space: candidates are
+//! checked on whichever worker enumerates them, and the earliest
+//! counterexample in emission order ends the search.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use txmm_core::{Execution, ExecutionAnalysis};
+use txmm_core::Execution;
 use txmm_models::{Arch, Cpp, Model, Tsc};
-use txmm_synth::enumerate::{visit_par, CandSeq};
-use txmm_synth::par::worker_count;
-use txmm_synth::{enumerate, EnumConfig};
+use txmm_synth::{EnumConfig, Probe, Walk};
 
-/// The outcome of a bounded theorem check.
-pub struct TheoremResult {
-    /// An execution violating the theorem, if any.
-    pub counterexample: Option<Execution>,
-    /// Executions satisfying the hypotheses that were checked.
-    pub checked: usize,
-    /// Wall-clock time.
-    pub elapsed: Duration,
-}
+use crate::compile::compile_cfg;
+use crate::CheckResult;
 
-fn cpp_cfg(events: usize) -> EnumConfig {
+/// The outcome of a bounded theorem check: an execution violating the
+/// theorem, if any.
+pub type TheoremResult = CheckResult<Execution>;
+
+/// The C++ space the theorem checks walk at `events` events: the
+/// compilation space with atomic transactions.
+pub fn theorem_cfg(events: usize) -> EnumConfig {
     EnumConfig {
-        arch: Arch::Cpp,
-        events,
-        max_threads: 2,
-        max_locs: 2,
-        fences: false,
-        deps: false,
-        rmws: false,
-        txns: true,
-        attrs: true,
         atomic_txns: true,
+        ..compile_cfg(events)
     }
 }
 
-/// Run one theorem's per-candidate predicate over the work-stealing
-/// candidate stream.
-///
-/// `test` returns `None` when the hypotheses fail, `Some(false)` for a
-/// checked candidate that satisfies the conclusion, and `Some(true)`
-/// for a counterexample. When several workers find counterexamples, the
-/// earliest in enumeration order is reported.
-fn sharded_sweep(
-    cfg: &EnumConfig,
-    budget: Option<Duration>,
-    test: impl Fn(&Execution, &ExecutionAnalysis<'_>) -> Option<bool> + Sync,
-) -> TheoremResult {
-    type Found = (CandSeq, Execution);
-    let start = Instant::now();
-    let stop = AtomicBool::new(false);
-    let (states, _) = visit_par(
-        cfg,
-        worker_count(),
-        |_| (0usize, None::<Found>),
-        |seq, x, (checked, counterexample)| {
-            if counterexample.is_some() || stop.load(Ordering::Relaxed) {
-                return;
-            }
-            if let Some(b) = budget {
-                if start.elapsed() > b {
-                    stop.store(true, Ordering::Relaxed);
-                    return;
-                }
-            }
-            let a = x.analysis();
-            match test(x, &a) {
-                None => {}
-                Some(false) => *checked += 1,
-                Some(true) => {
-                    *checked += 1;
-                    *counterexample = Some((seq, x.clone()));
-                    stop.store(true, Ordering::Relaxed);
-                }
-            }
-        },
-    );
-    let mut checked = 0usize;
-    let mut best: Option<Found> = None;
-    for (c, cex) in states {
-        checked += c;
-        if let Some((seq, x)) = cex {
-            if best.as_ref().is_none_or(|(s, _)| seq < *s) {
-                best = Some((seq, x));
-            }
-        }
-    }
-    TheoremResult {
-        counterexample: best.map(|(_, x)| x),
-        checked,
-        elapsed: start.elapsed(),
-    }
-}
-
-/// The sequential counterpart of [`sharded_sweep`].
-fn sequential_sweep(
-    cfg: &EnumConfig,
-    budget: Option<Duration>,
-    mut test: impl FnMut(&Execution, &ExecutionAnalysis<'_>) -> Option<bool>,
-) -> TheoremResult {
-    let start = Instant::now();
-    let mut checked = 0usize;
-    let mut counterexample = None;
-    enumerate(cfg, &mut |x| {
-        if counterexample.is_some() {
-            return;
-        }
-        if let Some(b) = budget {
-            if start.elapsed() > b {
-                return;
-            }
-        }
-        let a = x.analysis();
-        match test(x, &a) {
-            None => {}
-            Some(false) => checked += 1,
-            Some(true) => {
-                checked += 1;
-                counterexample = Some(x.clone());
-            }
-        }
-    });
-    TheoremResult {
-        counterexample,
-        checked,
-        elapsed: start.elapsed(),
-    }
-}
-
-/// Theorem 7.2's per-candidate predicate.
-fn theorem_7_2_test(m: &Cpp, x: &Execution, a: &ExecutionAnalysis<'_>) -> Option<bool> {
-    if !m.consistent_analysis(a) || m.racy_analysis(a) || !Cpp::atomic_txns_wellformed(x) {
-        return None;
+/// Theorem 7.2's per-candidate probe.
+fn theorem_7_2_probe(m: &Cpp, x: &Execution) -> Probe<Execution> {
+    let a = x.analysis();
+    if !m.consistent_analysis(&a) || m.racy_analysis(&a) || !Cpp::atomic_txns_wellformed(x) {
+        return Probe::Skip;
     }
     if a.stxnat().is_empty() {
-        return None;
+        return Probe::Skip;
     }
-    Some(!a.strong_isol_atomic().is_acyclic())
+    if a.strong_isol_atomic().is_acyclic() {
+        Probe::Pass
+    } else {
+        Probe::Stop(x.clone())
+    }
 }
 
-/// Theorem 7.2: in race-free C++ executions whose atomic transactions
-/// contain no atomic operations, atomic transactions are strongly
-/// isolated: `acyclic(stronglift(com, stxnat))`.
-pub fn check_theorem_7_2(events: usize, budget: Option<Duration>) -> TheoremResult {
+/// Theorem 7.2 over the C++ candidates of `walk` (see [`theorem_cfg`]):
+/// in race-free C++ executions whose atomic transactions contain no
+/// atomic operations, atomic transactions are strongly isolated:
+/// `acyclic(stronglift(com, stxnat))`.
+pub fn check_theorem_7_2(walk: &Walk, budget: Option<Duration>) -> TheoremResult {
+    assert_eq!(walk.config().arch, Arch::Cpp, "Theorem 7.2 is about C++");
     let m = Cpp::tm();
-    sharded_sweep(&cpp_cfg(events), budget, |x, a| theorem_7_2_test(&m, x, a))
+    walk.search(budget, |_| (), |x, _| theorem_7_2_probe(&m, x))
+        .into()
 }
 
-/// The sequential reference implementation of [`check_theorem_7_2`].
-pub fn check_theorem_7_2_seq(events: usize, budget: Option<Duration>) -> TheoremResult {
-    let m = Cpp::tm();
-    sequential_sweep(&cpp_cfg(events), budget, |x, a| theorem_7_2_test(&m, x, a))
-}
-
-/// Theorem 7.3's per-candidate predicate.
-fn theorem_7_3_test(m: &Cpp, x: &Execution, a: &ExecutionAnalysis<'_>) -> Option<bool> {
+/// Theorem 7.3's per-candidate probe.
+fn theorem_7_3_probe(m: &Cpp, x: &Execution) -> Probe<Execution> {
     // Hypotheses: stxn = stxnat, Ato = SC, NoRace, consistency, plus
     // the specification's vocabulary condition on atomic transactions.
     if x.txns().iter().any(|t| !t.atomic) {
-        return None;
+        return Probe::Skip;
     }
+    let a = x.analysis();
     if a.ato() != a.sc_events() {
-        return None;
+        return Probe::Skip;
     }
     if !Cpp::atomic_txns_wellformed(x) {
-        return None;
+        return Probe::Skip;
     }
-    if !m.consistent_analysis(a) || m.racy_analysis(a) {
-        return None;
+    if !m.consistent_analysis(&a) || m.racy_analysis(&a) {
+        return Probe::Skip;
     }
-    Some(!Tsc.consistent_analysis(a))
+    if Tsc.consistent_analysis(&a) {
+        Probe::Pass
+    } else {
+        Probe::Stop(x.clone())
+    }
 }
 
-/// Theorem 7.3 (transactional SC-DRF): a consistent C++ execution with
-/// no relaxed transactions, no non-SC atomics and no races is consistent
+/// Theorem 7.3 (transactional SC-DRF) over the C++ candidates of
+/// `walk` (see [`theorem_cfg`]): a consistent C++ execution with no
+/// relaxed transactions, no non-SC atomics and no races is consistent
 /// under TSC.
-pub fn check_theorem_7_3(events: usize, budget: Option<Duration>) -> TheoremResult {
+pub fn check_theorem_7_3(walk: &Walk, budget: Option<Duration>) -> TheoremResult {
+    assert_eq!(walk.config().arch, Arch::Cpp, "Theorem 7.3 is about C++");
     let m = Cpp::tm();
-    sharded_sweep(&cpp_cfg(events), budget, |x, a| theorem_7_3_test(&m, x, a))
-}
-
-/// The sequential reference implementation of [`check_theorem_7_3`].
-pub fn check_theorem_7_3_seq(events: usize, budget: Option<Duration>) -> TheoremResult {
-    let m = Cpp::tm();
-    sequential_sweep(&cpp_cfg(events), budget, |x, a| theorem_7_3_test(&m, x, a))
-}
-
-/// The baseline sanity statement of §8: TM models agree with their
-/// baselines on transaction-free executions.
-pub fn check_tm_conservative(cfg: &EnumConfig, tm: &dyn Model, base: &dyn Model) -> TheoremResult {
-    let mut cfg = cfg.clone();
-    cfg.txns = false;
-    sharded_sweep(&cfg, None, |_, a| {
-        Some(tm.consistent_analysis(a) != base.consistent_analysis(a))
-    })
+    walk.search(budget, |_| (), |x, _| theorem_7_3_probe(&m, x))
+        .into()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use txmm_models::{Armv8, Power, X86};
+    use txmm_synth::equivalent;
 
     #[test]
     fn theorem_7_2_holds_to_three_events() {
-        let r = check_theorem_7_2(3, None);
+        let r = check_theorem_7_2(&Walk::new(&theorem_cfg(3)), None);
         assert!(r.counterexample.is_none(), "Theorem 7.2 must hold");
         assert!(r.checked > 0, "hypotheses must be satisfiable");
     }
 
     #[test]
     fn theorem_7_3_holds_to_three_events() {
-        let r = check_theorem_7_3(3, None);
+        let r = check_theorem_7_3(&Walk::new(&theorem_cfg(3)), None);
         assert!(r.counterexample.is_none(), "Theorem 7.3 must hold");
         assert!(r.checked > 0);
     }
 
     #[test]
     fn parallel_matches_sequential_reference() {
-        let par = check_theorem_7_2(3, None);
-        let seq = check_theorem_7_2_seq(3, None);
-        assert_eq!(par.checked, seq.checked);
-        assert_eq!(par.counterexample, seq.counterexample);
-        let par = check_theorem_7_3(3, None);
-        let seq = check_theorem_7_3_seq(3, None);
+        let walk = Walk::new(&theorem_cfg(3));
+        let (par, seq) = (walk.clone().workers(3), walk.workers(1));
+        let (par_r, seq_r) = (check_theorem_7_2(&par, None), check_theorem_7_2(&seq, None));
+        assert_eq!(par_r.checked, seq_r.checked);
+        assert_eq!(par_r.counterexample, seq_r.counterexample);
+        let par = check_theorem_7_3(&par, None);
+        let seq = check_theorem_7_3(&seq, None);
         assert_eq!(par.checked, seq.checked);
         assert_eq!(par.counterexample, seq.counterexample);
     }
@@ -247,20 +137,15 @@ mod tests {
             (Box::new(Armv8::tm()), Box::new(Armv8::base()), Arch::Armv8),
         ] {
             let cfg = EnumConfig {
-                arch,
-                events: 3,
                 max_threads: 2,
                 max_locs: 2,
-                fences: true,
-                deps: arch != Arch::X86,
-                rmws: true,
                 txns: false,
-                attrs: arch == Arch::Armv8,
-                atomic_txns: false,
+                ..EnumConfig::hw(arch, 3)
             };
-            let r = check_tm_conservative(&cfg, tm.as_ref(), base.as_ref());
+            // The baseline sanity statement of §8: TM models agree with
+            // their baselines on transaction-free executions.
             assert!(
-                r.counterexample.is_none(),
+                equivalent(&Walk::new(&cfg), tm.as_ref(), base.as_ref()),
                 "{} must equal its baseline without transactions",
                 tm.name()
             );

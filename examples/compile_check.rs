@@ -9,7 +9,7 @@
 use txmm::core::display;
 use txmm::models::Cpp;
 use txmm::prelude::*;
-use txmm::verify::map_execution;
+use txmm::verify::{compile_cfg, map_execution};
 
 fn main() {
     // A C++ message-passing program with a release/acquire flag and a
@@ -45,8 +45,9 @@ fn main() {
     // The bounded soundness check of Table 2: no C++-forbidden,
     // race-free execution maps to a target-consistent one.
     println!("== bounded compilation-soundness check (|E| = 3) ==");
+    let walk = Walk::new(&compile_cfg(3));
     for target in [Arch::X86, Arch::Power, Arch::Armv8] {
-        let r = check_compilation(3, target, None);
+        let r = check_compilation(&walk, target, None);
         println!(
             "  C++ -> {:<6}  {} race-free forbidden executions checked in {:.2}s: {}",
             target.name(),

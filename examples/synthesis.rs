@@ -28,7 +28,7 @@ fn main() {
         atomic_txns: false,
     };
     println!("synthesising x86 Forbid/Allow suites at |E| = {events} ...");
-    let r = synthesise(&cfg, &X86::tm(), &X86::base(), None);
+    let r = synthesise(&Walk::new(&cfg), &X86::tm(), &X86::base(), None);
     println!(
         "{} candidates -> {} Forbid, {} Allow ({:.2}s, {})\n",
         r.candidates,

@@ -20,7 +20,7 @@ use txmm::core::rng::SplitMix64;
 use txmm::core::TxnClass;
 use txmm::models::registry::by_name;
 use txmm::models::Arch;
-use txmm::synth::{enumerate, EnumConfig};
+use txmm::synth::{EnumConfig, Walk};
 
 fn fuzz_config(arch: Arch, fences: bool, rmws: bool) -> EnumConfig {
     EnumConfig {
@@ -47,7 +47,7 @@ fn differential_fuzz_sampled(cfg: &EnumConfig, names: &[&str], seed: u64, denomi
         let native = by_name(name).expect("native model");
         let mut rng = SplitMix64::seed_from_u64(seed);
         let mut checked = 0usize;
-        enumerate(cfg, &mut |x| {
+        Walk::new(cfg).for_each(|x| {
             if denominator > 1 && rng.below(denominator) != 0 {
                 return;
             }
@@ -174,7 +174,7 @@ fn randomised_txn_fuzz(
     let native = by_name(native_name).expect("native model");
     let mut rng = SplitMix64::seed_from_u64(seed);
     let mut checked = 0usize;
-    enumerate(&cfg, &mut |x| {
+    Walk::new(&cfg).for_each(|x| {
         if checked >= budget || rng.below(8) != 0 {
             return;
         }
@@ -244,7 +244,7 @@ fn vm_reference_differential(
 ) {
     let mut rng = SplitMix64::seed_from_u64(seed);
     let mut checked = 0usize;
-    enumerate(cfg, &mut |x| {
+    Walk::new(cfg).for_each(|x| {
         if denominator > 1 && rng.below(denominator) != 0 {
             return;
         }

@@ -296,31 +296,90 @@ fn max_candidates_unlocks_post_litmus_scale_outcome_tables() {
     server.join().expect("clean shutdown");
 }
 
-#[test]
-fn reload_swaps_cat_models_without_restart() {
-    // A daemon started with --cat answers with the file's semantics;
-    // rewriting the file and sending `reload` swaps the model in every
-    // shard without dropping the connection, and a broken rewrite
-    // answers a structured error while the old model keeps serving.
-    let dir = std::env::temp_dir().join(format!("txmm-daemon-reload-{}", std::process::id()));
+/// A daemon on `shards` shards serving `src` as the user model `probe`,
+/// from a fresh file: the file, the address and the server thread.
+fn probe_daemon(tag: &str, shards: usize, src: &str) -> (PathBuf, String, thread::JoinHandle<()>) {
+    let dir = std::env::temp_dir().join(format!("txmm-daemon-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
     let cat = dir.join("probe.cat");
-    std::fs::write(&cat, "acyclic po | com as Order\n").expect("write cat");
-
+    std::fs::write(&cat, src).expect("write cat");
     let pool = SessionPool::new(&PoolConfig {
-        shards: 2,
+        shards,
         cat_files: vec![cat.clone()],
         ..PoolConfig::default()
     })
     .expect("pool builds");
     let daemon = Daemon::bind(&ListenAddr::Tcp("127.0.0.1:0".into()), pool).expect("binds");
     let addr = daemon.local_addr().to_string();
-    let server = thread::spawn(move || daemon.run().expect("daemon runs"));
+    (
+        cat,
+        addr,
+        thread::spawn(move || daemon.run().expect("daemon runs")),
+    )
+}
 
-    let (file, src) = corpus()
+/// The corpus's plain store-buffering test.
+fn plain_sb() -> (String, String) {
+    corpus()
         .into_iter()
         .find(|(f, _)| f.contains("sb") && !f.contains("mfence") && !f.contains("txn"))
-        .expect("sb test in the corpus");
+        .expect("sb test in the corpus")
+}
+
+/// `.cat` files past the parser's depth bound or the compiler's
+/// register space: each reload answers a structured error frame, and the
+/// daemon keeps serving the old program.
+#[test]
+fn reload_refuses_cat_files_past_the_limits() {
+    let (cat, addr, server) = probe_daemon("limits", 1, "acyclic po | com as Order\n");
+    let (file, src) = plain_sb();
+    let check = Request::Check {
+        file,
+        src,
+        models: Some(vec!["probe".into()]),
+        trace: None,
+    };
+    let mut stream = BufReader::new(TcpStream::connect(&addr).expect("connect"));
+    let before = roundtrip(&mut stream, &check);
+    assert!(
+        before[0].contains("\"probe\":{\"consistent\":false"),
+        "SC-strength probe forbids SB: {}",
+        before[0]
+    );
+
+    let deep = format!(
+        "acyclic {}po{} as Deep\n",
+        "(".repeat(5_000),
+        ")".repeat(5_000)
+    );
+    let long = format!("acyclic {} as Long\n", vec!["po"; 200_000].join("|"));
+    let mut lets = String::from("let r0 = po\n");
+    for k in 1..50_000 {
+        lets += &format!("let r{k} = r{} | po\n", k - 1);
+    }
+    for (what, bad) in [("nesting", deep), ("chain", long), ("lets", lets)] {
+        std::fs::write(&cat, bad).expect("rewrite cat");
+        let err = roundtrip(&mut stream, &Request::Reload);
+        assert!(err[0].starts_with("{\"error\""), "{what}: {}", err[0]);
+        assert!(err[0].contains("\"code\":\"reload\""), "{what}: {}", err[0]);
+        let still = roundtrip(&mut stream, &check);
+        assert_eq!(still, before, "{what}: the old program keeps serving");
+    }
+
+    let bye = roundtrip(&mut stream, &Request::Shutdown);
+    assert_eq!(bye, vec!["{\"ok\":\"shutdown\"}".to_string()]);
+    server.join().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(cat.parent().expect("temp dir"));
+}
+
+#[test]
+fn reload_swaps_cat_models_without_restart() {
+    // A daemon started with --cat answers with the file's semantics;
+    // rewriting the file and sending `reload` swaps the model in every
+    // shard without dropping the connection, and a broken rewrite
+    // answers a structured error while the old model keeps serving.
+    let (cat, addr, server) = probe_daemon("reload", 2, "acyclic po | com as Order\n");
+    let (file, src) = plain_sb();
     let check = Request::Outcomes {
         file: file.clone(),
         src: src.clone(),
@@ -386,7 +445,7 @@ fn reload_swaps_cat_models_without_restart() {
     let bye = roundtrip(&mut stream, &Request::Shutdown);
     assert_eq!(bye, vec!["{\"ok\":\"shutdown\"}".to_string()]);
     server.join().expect("clean shutdown");
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(cat.parent().expect("temp dir"));
 }
 
 #[test]

@@ -17,7 +17,7 @@ use std::collections::HashSet;
 
 use txmm::core::canon_key;
 use txmm::models::Arch;
-use txmm::synth::{count_par, enumerate, enumerate_reference, EnumConfig};
+use txmm::synth::{enumerate_reference, EnumConfig, Walk};
 
 /// The six model spaces of the paper: SC/TSC, the three hardware
 /// architectures, C++, and C++ with atomic transactions.
@@ -44,12 +44,12 @@ fn spaces(events: usize) -> Vec<(&'static str, EnumConfig)> {
     ]
 }
 
-/// Key-set and count equality between the streaming engine (sequential
-/// and work-stealing drivers) and the seed reference.
+/// Key-set and count equality between the streaming engine (on the
+/// calling thread and on the work-stealing pool) and the seed reference.
 fn assert_stream_matches_reference(name: &str, cfg: &EnumConfig) {
     let mut stream_keys = HashSet::new();
     let mut streamed = 0usize;
-    enumerate(cfg, &mut |x| {
+    Walk::new(cfg).for_each(|x| {
         streamed += 1;
         stream_keys.insert(canon_key(x));
     });
@@ -70,9 +70,9 @@ fn assert_stream_matches_reference(name: &str, cfg: &EnumConfig) {
     assert_eq!(streamed, reference, "{name}: candidate totals differ");
     assert_eq!(stream_keys, ref_keys, "{name}: canonical-key sets differ");
     assert_eq!(
-        count_par(cfg),
+        Walk::new(cfg).count().0,
         reference,
-        "{name}: work-stealing count_par differs"
+        "{name}: work-stealing count differs"
     );
 }
 

@@ -1,4 +1,4 @@
-//! Golden `count_par` values per architecture, pinned so canonicalisation
+//! Golden `Walk::count` values per architecture, pinned so canonicalisation
 //! regressions — over-pruning (counts drop) or under-pruning (counts
 //! rise) — fail fast. The counts equal the number of canonical
 //! (symmetry-reduced) classes of the default hardware spaces, and were
@@ -10,12 +10,10 @@
 
 use txmm::core::Execution;
 use txmm::models::{Arch, Armv8, Cpp, Model, Power, X86};
-use txmm::synth::{
-    canon_key, count_consistent_par, count_par, enumerate, enumerate_consistent, EnumConfig,
-};
+use txmm::synth::{canon_key, EnumConfig, Walk};
 
 fn golden(arch: Arch, events: usize, expect: usize) {
-    let got = count_par(&EnumConfig::hw(arch, events));
+    let (got, _) = Walk::new(&EnumConfig::hw(arch, events)).count();
     assert_eq!(
         got, expect,
         "{arch:?} |E|={events}: canonical class count drifted (over- or under-pruning)"
@@ -25,7 +23,9 @@ fn golden(arch: Arch, events: usize, expect: usize) {
 /// Golden *consistent*-class counts through the pruned walk: drops
 /// mean over-pruning, rises mean the oracle or the model weakened.
 fn golden_consistent(arch: Arch, model: &dyn Model, events: usize, expect: usize) {
-    let (got, _) = count_consistent_par(&EnumConfig::hw(arch, events), model);
+    let (got, _) = Walk::new(&EnumConfig::hw(arch, events))
+        .consistent(model)
+        .count();
     assert_eq!(
         got, expect,
         "{arch:?} |E|={events}: consistent class count drifted"
@@ -98,9 +98,11 @@ fn emission_order_is_pinned() {
     ];
     let mut drifted = Vec::new();
     for (name, cfg, model, all, consistent) in cases {
-        let got_all = emission_digest(|f| enumerate(&cfg, f));
+        let got_all = emission_digest(|f| {
+            Walk::new(&cfg).for_each(f);
+        });
         let got_consistent = emission_digest(|f| {
-            enumerate_consistent(&cfg, model, f);
+            Walk::new(&cfg).consistent(model).for_each(f);
         });
         if (got_all, got_consistent) != (all, consistent) {
             drifted.push(format!(
@@ -204,7 +206,9 @@ fn golden_consistent_full(arch: Arch, model: &dyn Model, events: usize, pinned: 
         eprintln!("{arch:?} |E|={events}: skipped (set PRUNE_BENCH_FULL=1 to run)");
         return;
     }
-    let (got, _) = count_consistent_par(&EnumConfig::hw(arch, events), model);
+    let (got, _) = Walk::new(&EnumConfig::hw(arch, events))
+        .consistent(model)
+        .count();
     match pinned {
         Some(expect) => assert_eq!(
             got, expect,

@@ -11,7 +11,7 @@
 
 use txmm::litmus::litmus_from_execution;
 use txmm::prelude::*;
-use txmm::synth::enumerate;
+use txmm::synth::Walk;
 
 fn soundness(arch: Arch, events: usize) {
     let model = txmm::models::registry::by_name(match arch {
@@ -37,7 +37,7 @@ fn soundness(arch: Arch, events: usize) {
     let mut seen = 0usize;
     let mut observable_count = 0usize;
     let mut total = 0usize;
-    enumerate(&cfg, &mut |x| {
+    Walk::new(&cfg).for_each(|x| {
         seen += 1;
         if !seen.is_multiple_of(stride) {
             return;
@@ -101,7 +101,7 @@ fn oracle_conservatism_scope() {
         atomic_txns: false,
     };
     let mut diffs = 0usize;
-    enumerate(&cfg, &mut |x| {
+    Walk::new(&cfg).for_each(|x| {
         if exact.admits(x) != p8.admits(x) {
             diffs += 1;
             assert!(

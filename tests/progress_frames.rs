@@ -14,7 +14,7 @@ use txmm::obs::{serve_metrics, ProgressSink, Reporter, WalkProgress};
 use txmm::protocol::{parse_json, Json};
 use txmm::serve::{outcomes_jsonl_line, ServedOutcomes};
 use txmm::session::Session;
-use txmm::synth::{count_consistent_par_progress, par::worker_count, EnumConfig};
+use txmm::synth::{worker_count, EnumConfig, Walk};
 
 fn num(v: &Json, key: &str) -> f64 {
     match v.get(key) {
@@ -50,12 +50,11 @@ fn heartbeat_frames_are_monotone_and_final_totals_match() {
         ProgressSink::File(path.clone()),
     )
     .expect("reporter starts");
-    let (n, stats) = count_consistent_par_progress(
-        &EnumConfig::hw(Arch::X86, 4),
-        &X86::tm(),
-        worker_count(),
-        Some(&progress),
-    );
+    let tm = X86::tm();
+    let (n, stats) = Walk::new(&EnumConfig::hw(Arch::X86, 4))
+        .consistent(&tm)
+        .progress(Some(&progress))
+        .count();
     reporter.finish();
     let frames = frames_from(&path);
     let _ = std::fs::remove_file(&path);
@@ -139,12 +138,12 @@ fn corpus_generation_is_identical_with_telemetry() {
 #[test]
 fn metrics_sidecar_exposes_walk_counters() {
     let progress = Arc::new(WalkProgress::new());
-    let (_n, _stats) = count_consistent_par_progress(
-        &EnumConfig::hw(Arch::X86, 3),
-        &X86::tm(),
-        2,
-        Some(&progress),
-    );
+    let tm = X86::tm();
+    let (_n, _stats) = Walk::new(&EnumConfig::hw(Arch::X86, 3))
+        .consistent(&tm)
+        .workers(2)
+        .progress(Some(&progress))
+        .count();
     let sidecar = serve_metrics("127.0.0.1:0").expect("sidecar binds");
     let mut stream =
         BufReader::new(std::net::TcpStream::connect(sidecar.addr()).expect("sidecar reachable"));

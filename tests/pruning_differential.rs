@@ -5,8 +5,8 @@
 //!
 //! Three layers are exercised:
 //!
-//! * **Structure enumeration** ([`enumerate_consistent`] vs
-//!   [`enumerate`] + `model.consistent`): six model spaces at |E| = 3
+//! * **Structure enumeration** (`Walk::consistent` vs an unpruned
+//!   `Walk` + `model.consistent`): six model spaces at |E| = 3
 //!   in the regular suite, the cheap spaces at |E| = 4 behind
 //!   `#[ignore]` for the CI `prune-smoke` release job.
 //! * **Outcome tables** (pruned Session vs `set_prune(false)`): the
@@ -23,7 +23,7 @@ use txmm::core::{
     canon_key, EventSet, ExecutionAnalysis, PartialCandidate, PruneOracle, PruneStats, Rel,
 };
 use txmm::models::{Arch, Armv8, Cpp, Model, Power, Sc, Tsc, X86};
-use txmm::synth::{enumerate, enumerate_consistent, EnumConfig};
+use txmm::synth::{EnumConfig, Walk};
 
 type Space = (&'static str, EnumConfig, Vec<Box<dyn Model>>);
 
@@ -77,7 +77,7 @@ fn spaces(events: usize) -> Vec<Space> {
 fn assert_pruned_matches_filtered(name: &str, cfg: &EnumConfig, model: &dyn Model) {
     let mut pruned_keys = HashSet::new();
     let mut pruned = 0usize;
-    let st = enumerate_consistent(cfg, model, &mut |x| {
+    let st = Walk::new(cfg).consistent(model).for_each(|x| {
         pruned += 1;
         pruned_keys.insert(canon_key(x));
     });
@@ -88,7 +88,7 @@ fn assert_pruned_matches_filtered(name: &str, cfg: &EnumConfig, model: &dyn Mode
     );
 
     let mut plain_keys = HashSet::new();
-    enumerate(cfg, &mut |x| {
+    Walk::new(cfg).for_each(|x| {
         if model.consistent(x) {
             plain_keys.insert(canon_key(x));
         }
@@ -202,7 +202,9 @@ fn assert_delta_matches_recompute(events: usize, skip_slow: bool) {
         }
         for model in &models {
             let mut classes = 0usize;
-            let st = enumerate_consistent(&cfg, model.as_ref(), &mut |_| classes += 1);
+            let st = Walk::new(&cfg)
+                .consistent(model.as_ref())
+                .for_each(|_| classes += 1);
             assert!(classes > 0, "{name}: empty consistent space");
             if model.prune_oracle(false).is_some() {
                 assert!(
@@ -242,7 +244,7 @@ fn assert_delta_matches_recompute(events: usize, skip_slow: bool) {
 /// answered; with validation armed, each is checked against recompute.
 fn replay_with_txns_known(cfg: &EnumConfig, oracle: &dyn PruneOracle) -> u64 {
     let mut st = PruneStats::default();
-    enumerate(cfg, &mut |x| {
+    Walk::new(cfg).for_each(|x| {
         if x.txns().is_empty() {
             return;
         }
@@ -337,7 +339,7 @@ fn cat_oracles_never_overprune_complete_executions() {
             _ => Arch::Sc,
         };
         let mut spot_checks = 0usize;
-        enumerate(&EnumConfig::hw(arch, 3), &mut |x| {
+        Walk::new(&EnumConfig::hw(arch, 3)).for_each(|x| {
             // Keep the per-model cost bounded: every 17th class is a
             // deterministic spot-check sample of the space.
             spot_checks += 1;

@@ -220,3 +220,64 @@ fn relation_laws() {
         assert!(fr.inter(&x.co().inverse()).is_empty(), "seed {seed}");
     }
 }
+
+/// A sweep whose budget runs out says so, on one worker and on three:
+/// `complete` is false, no counterexample (or Forbid test) is reported,
+/// and fewer candidates were checked than the whole walk checks.
+#[test]
+fn exhausted_budgets_report_incomplete() {
+    use std::time::Duration;
+    use txmm::verify::{
+        check_compilation, check_monotonicity, check_theorem_7_2, check_theorem_7_3, compile_cfg,
+        theorem_cfg,
+    };
+    let zero = Some(Duration::ZERO);
+    let table1 = EnumConfig {
+        max_locs: 2,
+        ..EnumConfig::hw(Arch::X86, 3)
+    };
+    // The §8.1 split-rmw space: monotonicity fails here, so an empty
+    // result under the budget is the budget's doing.
+    let split_rmw = EnumConfig {
+        max_threads: 1,
+        max_locs: 1,
+        fences: false,
+        deps: false,
+        ..EnumConfig::hw(Arch::Power, 2)
+    };
+    for workers in [1, 3] {
+        let walk = |cfg: &EnumConfig| Walk::new(cfg).workers(workers);
+
+        let full = synthesise(&walk(&table1), &X86::tm(), &X86::base(), None);
+        let cut = synthesise(&walk(&table1), &X86::tm(), &X86::base(), zero);
+        assert!(full.complete && !full.forbid.is_empty());
+        assert!(!cut.complete, "synthesis, {workers} workers");
+        assert!(cut.forbid.is_empty() && cut.allow.is_empty());
+        assert!(cut.candidates < full.candidates);
+
+        let full = check_monotonicity(&walk(&split_rmw), &Power::tm(), None);
+        let cut = check_monotonicity(&walk(&split_rmw), &Power::tm(), zero);
+        assert!(full.complete && full.counterexample.is_some());
+        assert!(!cut.complete, "monotonicity, {workers} workers");
+        assert!(cut.counterexample.is_none() && cut.checked < full.checked);
+
+        let cpp = walk(&compile_cfg(2));
+        let full = check_compilation(&cpp, Arch::X86, None);
+        let cut = check_compilation(&cpp, Arch::X86, zero);
+        assert!(full.complete && full.checked > 0);
+        assert!(!cut.complete, "compilation, {workers} workers");
+        assert!(cut.counterexample.is_none() && cut.checked < full.checked);
+
+        let cpp = walk(&theorem_cfg(2));
+        for (name, check) in [
+            ("7.2", check_theorem_7_2 as fn(&Walk, _) -> _),
+            ("7.3", check_theorem_7_3),
+        ] {
+            let full = check(&cpp, None);
+            let cut = check(&cpp, zero);
+            assert!(full.complete && full.checked > 0, "Theorem {name}");
+            assert!(!cut.complete, "Theorem {name}, {workers} workers");
+            assert!(cut.counterexample.is_none() && cut.checked < full.checked);
+        }
+    }
+}
