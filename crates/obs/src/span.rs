@@ -2,9 +2,11 @@
 //! when the current request carries a trace ID, a bounded per-request
 //! timeline.
 //!
-//! The current [`Trace`] is thread-local; a request that hops threads
-//! (daemon handler -> shard worker) re-installs it on each side with
-//! [`with_trace`], and the `Arc<Trace>` accumulates spans from both.
+//! The current [`Trace`] is thread-local and installed with
+//! [`with_trace`]. The daemon serves each request on its connection
+//! thread, so one install covers every stage; work fanned out to other
+//! threads re-installs the same `Arc<Trace>` there, and it accumulates
+//! spans from all of them.
 
 use crate::metrics::{global, Histogram};
 use std::cell::RefCell;

@@ -14,7 +14,9 @@
 //!                                    table as JSONL
 //! txmm serve --listen <addr> [opts]  run the txmm-serverd daemon on a
 //!                                    TCP (host:port) or unix:<path>
-//!                                    socket; --shards N sets the pool,
+//!                                    socket; --shards N splits the
+//!                                    caches into N locked Sessions (at
+//!                                    most N requests compute at once),
 //!                                    --max-conns N caps concurrent
 //!                                    connections (busy error past it)
 //! txmm check <file...> [opts]        alias for serve

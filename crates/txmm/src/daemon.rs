@@ -2,39 +2,50 @@
 //! [`Session`] pool**.
 //!
 //! The Session engine is long-lived by design; this module adds the
-//! missing transport (ROADMAP: "a daemon/socket mode for `txmm serve`")
-//! without a global lock around the engine:
+//! socket transport without one global lock around the engine:
 //!
-//! * **Sharded pool** ([`SessionPool`]): N worker threads, each owning
-//!   one `Session`. Work reaches a shard over its own
-//!   `std::sync::mpsc` channel, so concurrent clients batch into
-//!   shards without contending on a shared mutex.
-//! * **Canonical-key dispatch**: a request's litmus text is parsed and
-//!   converted on the *connection handler* thread (the cheap,
-//!   embarrassingly-parallel stages), then routed by a hash of the
-//!   execution's canonical (symmetry-reduced) key. Repeats of a test —
-//!   and all its thread/location-symmetric variants — always land on
-//!   the same shard, so the pool's caches collectively behave like one
-//!   warm cache even though no state is shared between shards.
+//! * **Sharded pool** ([`SessionPool`]): N shards, each one `Session`
+//!   behind its own `Mutex`. The connection thread that parsed a
+//!   request locks the shard the request routes to, runs the Session
+//!   call itself and releases the lock before it renders and writes the
+//!   answer. At most N requests compute at once, and a single `check`
+//!   or `outcomes` request never changes threads on its way through.
+//! * **Key routing**: a request's litmus text is parsed and converted
+//!   on its connection thread, then routed by a hash of the execution's
+//!   canonical (symmetry-reduced) key. Repeats of a test — and all its
+//!   thread/location-symmetric variants — always land on the same shard,
+//!   so the pool's caches collectively behave like one warm cache even
+//!   though no cache is shared between shards, and none needs a lock of
+//!   its own.
 //! * **JSONL wire protocol** ([`crate::protocol`]): `check`, `batch`,
 //!   `models`, `stats` and graceful `shutdown` requests, each answered
 //!   by JSONL lines and a blank-line terminator. Payload lines reuse
 //!   [`crate::serve::jsonl_line`], so daemon answers are byte-identical
 //!   to one-shot `txmm serve` output over the same tests.
+//! * **Batches**: `batch` and directory `outcomes` requests route their
+//!   files on up to one scoped thread per shard, then serve each busy
+//!   shard's files in input order on one thread per shard, so every
+//!   busy shard computes at once and no two of them queue on one lock.
+//! * **Contained panics**: a request that panics, inside a Session call
+//!   or outside one, is answered with an `internal` error frame; its
+//!   connection and its shard keep serving. In a batch only the file
+//!   that panicked gets that frame.
 //!
 //! ```text
-//! clients ──TCP/Unix──► handler threads ──parse/convert──► shard channels
-//!                                                             │ │ │
-//!                                             Session ◄───────┘ │ │
-//!                                             Session ◄─────────┘ │
-//!                                             Session ◄───────────┘
+//! clients ──TCP/Unix──► connection thread: parse ─► route ─► lock ─► render ─► write
+//!                       (one per client)                     │
+//!                                        Mutex<Session> 0 ◄──┤
+//!                                        Mutex<Session> 1 ◄──┤
+//!                                        Mutex<Session> 2 ◄──┘
 //! ```
 
+use std::any::Any;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -46,12 +57,13 @@ use crate::serve::{
     check_parsed, collect_litmus_files, jsonl_line, outcomes_jsonl_line, parse_outcomes_request,
     parse_request, ParsedTest, Served, ServedOutcomes, StageMicros, TestFailure,
 };
-use crate::session::{ModelRef, Session, SessionStats};
+use crate::session::{ModelRef, Session, SessionStats, SessionTelemetry};
 
 /// How to build the pool's Sessions.
 #[derive(Debug, Clone, Default)]
 pub struct PoolConfig {
-    /// Worker count; 0 means one per available core (capped at 8).
+    /// Shard count, which is also how many requests may compute at
+    /// once; 0 means one per available core (capped at 8).
     pub shards: usize,
     /// Also register the shipped `.cat` twins (`<name>.cat`).
     pub with_cat: bool,
@@ -70,52 +82,20 @@ impl PoolConfig {
     }
 }
 
-/// One unit of shard work.
-enum Job {
-    /// Run the verdict/observe stages and reply with the finished
-    /// JSONL payload line for response slot `seq`.
-    Check {
-        seq: usize,
-        parsed: Box<ParsedTest>,
-        models: Option<Vec<String>>,
-        reply: mpsc::Sender<(usize, String)>,
-        queued: Instant,
-        trace: Option<Arc<txmm_obs::Trace>>,
-    },
-    /// Enumerate a program's candidate executions and reply with the
-    /// outcome-table payload line for response slot `seq`.
-    Outcomes {
-        seq: usize,
-        file: String,
-        test: Box<LitmusTest>,
-        models: Option<Vec<String>>,
-        max_candidates: Option<u128>,
-        reply: mpsc::Sender<(usize, String)>,
-        queued: Instant,
-        trace: Option<Arc<txmm_obs::Trace>>,
-    },
-    /// Replace the shard's user `.cat` models in place (hot reload).
-    Reload {
-        sources: Arc<Vec<(String, String)>>,
-        reply: mpsc::Sender<Result<Vec<String>, String>>,
-    },
-    /// Snapshot this shard's counters.
-    Stats { reply: mpsc::Sender<ShardSnapshot> },
-}
-
 /// One shard's counters, as reported by the `stats` request.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardSnapshot {
     /// Shard index.
     pub shard: usize,
-    /// Check jobs completed by this shard.
+    /// Check and outcomes requests this shard answered.
     pub served: u64,
-    /// Jobs enqueued but not yet completed at snapshot time.
+    /// Requests waiting for or holding this shard at snapshot time.
     pub depth: u64,
     /// The shard Session's cache and arena counters.
     pub session: SessionStats,
-    /// Accumulated per-stage serving time across this shard's jobs
-    /// (parse/convert ticked on handler threads, verdict/observe here).
+    /// Accumulated per-stage serving time across this shard's requests
+    /// (every stage ticks on the thread serving the request, not on a
+    /// shard thread; `other` includes the wait for the shard).
     pub stages: StageMicros,
     /// The shard Session's walk-progress accumulator (cumulative over
     /// every outcome walk the shard has run; all zero before the
@@ -140,10 +120,68 @@ pub struct WalkSnapshot {
     pub classes: u64,
 }
 
+/// One shard: a Session behind a lock, plus everything `stats` reads
+/// without taking that lock.
 struct Shard {
-    tx: mpsc::Sender<Job>,
-    enqueued: Arc<AtomicU64>,
-    completed: Arc<AtomicU64>,
+    session: Mutex<Session>,
+    /// Requests waiting for or holding `session`.
+    depth: AtomicUsize,
+    /// Requests answered, and the sum of their stage times.
+    tally: Mutex<(u64, StageMicros)>,
+    /// The Session's counters and `.cat` compile-stat sources.
+    telemetry: Arc<SessionTelemetry>,
+    /// The Session's walk-progress accumulator.
+    walk: Arc<txmm_obs::WalkProgress>,
+    /// `txmm_shard_queue_wait_microseconds{shard}`.
+    lock_wait: txmm_obs::Histogram,
+}
+
+/// Decrements a counter when dropped, however its scope is left.
+struct Leave<'a>(&'a AtomicUsize);
+
+impl Drop for Leave<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+impl Shard {
+    /// Run one Session call under this shard's lock: the only place a
+    /// shard lock is taken, so no code path holds two. Keeps `depth`,
+    /// and times the wait for the lock into `lock_wait`; returns the
+    /// wait in microseconds beside the call's result.
+    ///
+    /// A panic inside `call` unwinds through the guard and poisons the
+    /// lock, and the next caller takes the Session back with
+    /// `into_inner`. That is sound because the Session's caches are
+    /// insert-only and each insert stores a finished value: a call cut
+    /// short leaves no half-written entry, only work a later request
+    /// redoes.
+    fn lock<R>(&self, call: impl FnOnce(&mut Session) -> R) -> (R, u64) {
+        self.depth.fetch_add(1, Ordering::SeqCst);
+        let _leave = Leave(&self.depth);
+        let queued = Instant::now();
+        let mut session = self.session.lock().unwrap_or_else(PoisonError::into_inner);
+        let wait = queued.elapsed().as_micros() as u64;
+        self.lock_wait.record(wait);
+        (call(&mut session), wait)
+    }
+
+    /// Add one request's stage times, counting it as served if it was
+    /// answered.
+    fn record(&self, answered: bool, stages: &StageMicros) {
+        let mut tally = self.tally.lock().unwrap_or_else(PoisonError::into_inner);
+        tally.0 += u64::from(answered);
+        add_stages(&mut tally.1, stages);
+    }
+}
+
+fn add_stages(sum: &mut StageMicros, s: &StageMicros) {
+    sum.parse += s.parse;
+    sum.convert += s.convert;
+    sum.verdict += s.verdict;
+    sum.observe += s.observe;
+    sum.other += s.other;
 }
 
 /// How many of the slowest requests the daemon remembers for `stats`.
@@ -166,9 +204,11 @@ const REQUEST_CMDS: [&str; 10] = [
 ];
 
 /// Pre-registered request-level observability: one counter + latency
-/// histogram per command, and the slowest-requests ring.
+/// histogram per command, the panic counter and the slowest-requests
+/// ring.
 struct PoolObs {
     cmds: Vec<(&'static str, txmm_obs::Counter, txmm_obs::Histogram)>,
+    panics: txmm_obs::Counter,
     slowest: txmm_obs::Slowest,
 }
 
@@ -194,6 +234,10 @@ impl PoolObs {
                     )
                 })
                 .collect(),
+            panics: reg.counter(
+                "txmm_request_panics_total",
+                "Requests, or files of a batch, that panicked and were answered with an internal error.",
+            ),
             slowest: txmm_obs::Slowest::new(SLOWEST_CAP),
         }
     }
@@ -207,15 +251,13 @@ impl PoolObs {
     }
 }
 
-/// The sharded Session pool. See the module docs for the dispatch
+/// The sharded Session pool. See the module docs for the routing
 /// rules; all methods take `&self` and are safe to call from many
-/// handler threads at once.
+/// connection threads at once.
 pub struct SessionPool {
     shards: Vec<Shard>,
-    workers: Vec<thread::JoinHandle<()>>,
-    /// Requests that failed before reaching a shard (parse/convert
-    /// failures, unknown models), mirrored into
-    /// `txmm_dispatch_failures_total`.
+    /// Failed requests (parse/convert failures, unknown models, refused
+    /// programs, panics), mirrored into `txmm_dispatch_failures_total`.
     failures: txmm_obs::Counter,
     /// `(name, arch, is_tm)` of every registered model, in registry
     /// order (identical on every shard).
@@ -250,7 +292,7 @@ fn build_session(cfg: &PoolConfig) -> Result<Session, String> {
 /// Resolve a model-name filter against a shard Session.
 fn resolve_filter(
     session: &Session,
-    models: &Option<Vec<String>>,
+    models: Option<&[String]>,
 ) -> Result<Option<Vec<ModelRef>>, String> {
     match models {
         None => Ok(None),
@@ -266,179 +308,60 @@ fn resolve_filter(
     }
 }
 
-fn worker(
-    shard: usize,
-    mut session: Session,
-    rx: mpsc::Receiver<Job>,
-    completed: Arc<AtomicU64>,
-    queue_wait: txmm_obs::Histogram,
-) {
-    let mut served = 0u64;
-    let mut stages = StageMicros::default();
-    for job in rx {
-        match job {
-            Job::Check {
-                seq,
-                parsed,
-                models,
-                reply,
-                queued,
-                trace,
-            } => {
-                let wait_micros = queued.elapsed().as_micros() as u64;
-                queue_wait.record(wait_micros);
-                let line = txmm_obs::with_trace(trace.as_ref(), || {
-                    match resolve_filter(&session, &models) {
-                        Ok(filter) => {
-                            let report = check_parsed(&mut session, &parsed, filter.as_deref());
-                            stages.parse += report.stages.parse;
-                            stages.convert += report.stages.convert;
-                            stages.verdict += report.stages.verdict;
-                            stages.observe += report.stages.observe;
-                            // Queue wait is part of the request's wall
-                            // time but not of any compute stage.
-                            stages.other += report.stages.other + wait_micros;
-                            served += 1;
-                            jsonl_line(&Served::Report(report))
-                        }
-                        Err(e) => error_line(&e),
-                    }
-                });
-                completed.fetch_add(1, Ordering::Relaxed);
-                let _ = reply.send((seq, line));
-            }
-            Job::Outcomes {
-                seq,
-                file,
-                test,
-                models,
-                max_candidates,
-                reply,
-                queued,
-                trace,
-            } => {
-                let wait_micros = queued.elapsed().as_micros() as u64;
-                queue_wait.record(wait_micros);
-                let line = txmm_obs::with_trace(trace.as_ref(), || {
-                    match resolve_filter(&session, &models) {
-                        Ok(filter) => {
-                            let _span = txmm_obs::span!("serve.outcomes");
-                            let s = match session.outcomes_capped(
-                                &file,
-                                &test,
-                                filter.as_deref(),
-                                max_candidates,
-                            ) {
-                                Ok(r) => {
-                                    served += 1;
-                                    ServedOutcomes::Report(r)
-                                }
-                                Err(e) => ServedOutcomes::Failure(TestFailure { file, error: e }),
-                            };
-                            outcomes_jsonl_line(&s)
-                        }
-                        Err(e) => error_line(&e),
-                    }
-                });
-                stages.other += wait_micros;
-                completed.fetch_add(1, Ordering::Relaxed);
-                let _ = reply.send((seq, line));
-            }
-            Job::Reload { sources, reply } => {
-                let mut reloaded = Vec::with_capacity(sources.len());
-                let mut result = Ok(());
-                for (name, src) in sources.iter() {
-                    match session.reload_cat_source(name, src) {
-                        Ok(_) => reloaded.push(name.clone()),
-                        Err(e) => {
-                            result = Err(e);
-                            break;
-                        }
-                    }
-                }
-                completed.fetch_add(1, Ordering::Relaxed);
-                let _ = reply.send(result.map(|()| reloaded));
-            }
-            Job::Stats { reply } => {
-                let walk = match session.walk_progress() {
-                    Some(p) => {
-                        let s = p.snapshot();
-                        WalkSnapshot {
-                            work_done: s.done,
-                            work_total: s.total,
-                            subtrees: s.subtrees,
-                            candidates: s.candidates,
-                            classes: s.classes,
-                        }
-                    }
-                    None => WalkSnapshot::default(),
-                };
-                let _ = reply.send(ShardSnapshot {
-                    shard,
-                    served,
-                    depth: 0, // filled in by the pool from its counters
-                    session: session.stats(),
-                    stages,
-                    walk,
-                });
-            }
-        }
-    }
-}
-
 impl SessionPool {
-    /// Build the shard Sessions (surfacing `.cat` registration errors
-    /// synchronously) and start one worker thread per shard.
+    /// Build the shard Sessions, surfacing `.cat` registration errors
+    /// synchronously.
     pub fn new(cfg: &PoolConfig) -> Result<SessionPool, String> {
-        let n = cfg.shard_count();
-        let mut shards = Vec::with_capacity(n);
-        let mut workers = Vec::with_capacity(n);
-        let mut models = Vec::new();
-        for i in 0..n {
-            let mut session = build_session(cfg)?;
-            // Each shard accumulates its own walk progress; the global
-            // registry sums the per-shard series, so a `metrics` scrape
-            // sees pool-wide walk counters while `stats` breaks them
-            // out per shard.
-            session.set_walk_progress(Some(Arc::new(txmm_obs::WalkProgress::new())));
-            if i == 0 {
-                models = session
-                    .models()
-                    .map(|m| {
-                        let m = session.model(m);
-                        (m.name().to_string(), m.arch().name().to_string(), m.is_tm())
-                    })
-                    .collect();
-            }
-            let (tx, rx) = mpsc::channel();
-            let enqueued = Arc::new(AtomicU64::new(0));
-            let completed = Arc::new(AtomicU64::new(0));
-            let done = Arc::clone(&completed);
-            let queue_wait = txmm_obs::global().histogram_with(
-                "txmm_shard_queue_wait_microseconds",
-                "Time a job waited on its shard channel before a worker picked it up.",
-                &[("shard", &i.to_string())],
-            );
-            workers.push(thread::spawn(move || {
-                worker(i, session, rx, done, queue_wait)
-            }));
-            shards.push(Shard {
-                tx,
-                enqueued,
-                completed,
-            });
-        }
-        Ok(SessionPool {
+        let sessions = (0..cfg.shard_count())
+            .map(|_| build_session(cfg))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(SessionPool::with_sessions(sessions, cfg.cat_files.clone()))
+    }
+
+    /// A pool over ready-made shard Sessions with identical registries.
+    fn with_sessions(sessions: Vec<Session>, cat_files: Vec<PathBuf>) -> SessionPool {
+        let first = &sessions[0];
+        let models = first
+            .models()
+            .map(|m| {
+                let m = first.model(m);
+                (m.name().to_string(), m.arch().name().to_string(), m.is_tm())
+            })
+            .collect();
+        let shards = sessions
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut session)| {
+                // Each shard accumulates its own walk progress; the
+                // global registry sums the per-shard series, so a
+                // `metrics` scrape sees pool-wide walk counters while
+                // `stats` breaks them out per shard.
+                let walk = Arc::new(txmm_obs::WalkProgress::new());
+                session.set_walk_progress(Some(Arc::clone(&walk)));
+                Shard {
+                    telemetry: Arc::clone(&session.stats),
+                    session: Mutex::new(session),
+                    depth: AtomicUsize::new(0),
+                    tally: Mutex::default(),
+                    walk,
+                    lock_wait: txmm_obs::global().histogram_with(
+                        "txmm_shard_queue_wait_microseconds",
+                        "Time a request waited for its shard's Session lock.",
+                        &[("shard", &i.to_string())],
+                    ),
+                }
+            })
+            .collect();
+        SessionPool {
             shards,
-            workers,
             failures: txmm_obs::global().counter(
                 "txmm_dispatch_failures_total",
-                "Requests that failed before or at a shard (parse errors, unknown models).",
+                "Requests that failed (parse errors, unknown models, refused programs, panics).",
             ),
             models,
-            cat_files: cfg.cat_files.clone(),
+            cat_files,
             obs: PoolObs::new(),
-        })
+        }
     }
 
     /// Number of shards.
@@ -446,21 +369,21 @@ impl SessionPool {
         self.shards.len()
     }
 
-    /// `(name, arch, is_tm)` for every registered model.
-    pub fn models(&self) -> &[(String, String, bool)] {
-        &self.models
+    /// The shard a request key routes to.
+    fn route(&self, key: &[u8]) -> usize {
+        (fnv1a(key) as usize) % self.shards.len()
     }
 
     /// Serve one litmus source; returns the response payload line.
     pub fn check(&self, file: &str, src: &str, models: Option<Vec<String>>) -> String {
-        self.check_many(vec![(file.to_string(), src.to_string())], models)
-            .pop()
-            .expect("one response per request")
+        match self.route_check(file, src) {
+            Ok((shard, parsed)) => self.serve_check(shard, &parsed, models.as_deref()),
+            Err(line) => line,
+        }
     }
 
-    /// [`SessionPool::check`] with a client trace: spans from the
-    /// handler-side parse/convert and the shard-side verdict/observe
-    /// both land on `trace`.
+    /// [`SessionPool::check`] with a client trace: the spans of every
+    /// stage land on `trace`.
     pub fn check_traced(
         &self,
         file: &str,
@@ -468,13 +391,7 @@ impl SessionPool {
         models: Option<Vec<String>>,
         trace: &Arc<txmm_obs::Trace>,
     ) -> String {
-        self.check_many_traced(
-            vec![(file.to_string(), src.to_string())],
-            models,
-            Some(trace),
-        )
-        .pop()
-        .expect("one response per request")
+        txmm_obs::with_trace(Some(trace), || self.check(file, src, models))
     }
 
     /// Serve many litmus sources concurrently across the shards,
@@ -484,59 +401,57 @@ impl SessionPool {
         items: Vec<(String, String)>,
         models: Option<Vec<String>>,
     ) -> Vec<String> {
-        self.check_many_traced(items, models, None)
+        self.fan_out(
+            &items,
+            |(file, src)| self.route_check(file, src),
+            |shard, parsed| self.serve_check(shard, &parsed, models.as_deref()),
+        )
     }
 
-    fn check_many_traced(
+    /// Parse and convert on this thread, and route by the execution's
+    /// canonical key.
+    fn route_check(&self, file: &str, src: &str) -> Result<(usize, ParsedTest), String> {
+        self.routed(parse_request(file, src), |parsed| canon_key(&parsed.exec))
+    }
+
+    /// Route a parsed request by `key`; a source that failed to parse is
+    /// answered here (`check` and `outcomes` render a failure alike).
+    fn routed<P>(
         &self,
-        items: Vec<(String, String)>,
-        models: Option<Vec<String>>,
-        trace: Option<&Arc<txmm_obs::Trace>>,
-    ) -> Vec<String> {
-        let n = items.len();
-        let mut out: Vec<Option<String>> = Vec::new();
-        out.resize_with(n, || None);
-        let (reply, replies) = mpsc::channel();
-        let mut pending = 0usize;
-        for (seq, (file, src)) in items.into_iter().enumerate() {
-            // Parse/convert on this (handler) thread; only well-formed
-            // executions travel to a shard.
-            match txmm_obs::with_trace(trace, || parse_request(&file, &src)) {
-                Err(f) => {
-                    self.failures.inc();
-                    out[seq] = Some(jsonl_line(&Served::Failure(f)));
-                }
-                Ok(parsed) => {
-                    let shard = &self.shards
-                        [(fnv1a(&canon_key(&parsed.exec)) as usize) % self.shards.len()];
-                    let parsed = Box::new(parsed);
-                    shard.enqueued.fetch_add(1, Ordering::Relaxed);
-                    let job = Job::Check {
-                        seq,
-                        parsed,
-                        models: models.clone(),
-                        reply: reply.clone(),
-                        queued: Instant::now(),
-                        trace: trace.cloned(),
-                    };
-                    if shard.tx.send(job).is_err() {
-                        out[seq] = Some(error_line("shard worker unavailable"));
-                    } else {
-                        pending += 1;
-                    }
-                }
-            }
-        }
-        drop(reply);
-        for (seq, line) in replies.iter().take(pending) {
-            if line.starts_with("{\"error\"") {
+        parsed: Result<P, TestFailure>,
+        key: impl FnOnce(&P) -> Vec<u8>,
+    ) -> Result<(usize, P), String> {
+        match parsed {
+            Ok(p) => Ok((self.route(&key(&p)), p)),
+            Err(f) => {
                 self.failures.inc();
+                Err(jsonl_line(&Served::Failure(f)))
             }
-            out[seq] = Some(line);
         }
-        out.into_iter()
-            .map(|slot| slot.unwrap_or_else(|| error_line("shard worker died")))
-            .collect()
+    }
+
+    /// Run the verdict and observe stages under `shard`'s lock, and
+    /// render after releasing it.
+    fn serve_check(&self, shard: usize, parsed: &ParsedTest, models: Option<&[String]>) -> String {
+        let shard = &self.shards[shard];
+        let (report, wait) = shard.lock(|s| {
+            resolve_filter(s, models).map(|filter| check_parsed(s, parsed, filter.as_deref()))
+        });
+        #[cfg(test)]
+        tests::fault_after_session(&parsed.file);
+        match report {
+            Ok(mut report) => {
+                // The lock wait is part of the request's wall time but
+                // of no compute stage.
+                report.stages.other += wait;
+                shard.record(true, &report.stages);
+                jsonl_line(&Served::Report(report))
+            }
+            Err(e) => {
+                self.failures.inc();
+                error_line(&e)
+            }
+        }
     }
 
     /// Serve one litmus source through the outcome engine; returns the
@@ -548,107 +463,125 @@ impl SessionPool {
         models: Option<Vec<String>>,
         max_candidates: Option<u128>,
     ) -> String {
-        self.outcomes_many(
-            vec![(file.to_string(), src.to_string())],
-            models,
-            max_candidates,
-        )
-        .pop()
-        .expect("one response per request")
+        match self.route_outcomes(file, src) {
+            Ok((shard, test)) => {
+                self.serve_outcomes(shard, file, &test, models.as_deref(), max_candidates)
+            }
+            Err(line) => line,
+        }
     }
 
-    /// [`SessionPool::outcomes`] with a client trace installed on both
-    /// sides of the shard hop.
-    pub fn outcomes_traced(
-        &self,
-        file: &str,
-        src: &str,
-        models: Option<Vec<String>>,
-        max_candidates: Option<u128>,
-        trace: &Arc<txmm_obs::Trace>,
-    ) -> String {
-        self.outcomes_many_traced(
-            vec![(file.to_string(), src.to_string())],
-            models,
-            max_candidates,
-            Some(trace),
-        )
-        .pop()
-        .expect("one response per request")
-    }
-
-    /// Serve many litmus sources through the outcome engine,
-    /// concurrently across the shards, one payload line per input in
-    /// input order. Dispatch is keyed by a hash of the *program* key
+    /// Parse on this thread and route by the *program* key
     /// ([`txmm_litmus::program_key`]) — there is no pinned execution to
-    /// key by — so repeats of a program (under any postcondition)
-    /// always land on the shard holding its warm outcome table.
-    pub fn outcomes_many(
-        &self,
-        items: Vec<(String, String)>,
-        models: Option<Vec<String>>,
-        max_candidates: Option<u128>,
-    ) -> Vec<String> {
-        self.outcomes_many_traced(items, models, max_candidates, None)
+    /// key by — so repeats of a program (under any postcondition) land
+    /// on the shard holding its warm outcome table.
+    fn route_outcomes(&self, file: &str, src: &str) -> Result<(usize, LitmusTest), String> {
+        self.routed(parse_outcomes_request(file, src), txmm_litmus::program_key)
     }
 
-    fn outcomes_many_traced(
+    /// Walk under `shard`'s lock, and render after releasing it.
+    fn serve_outcomes(
         &self,
-        items: Vec<(String, String)>,
-        models: Option<Vec<String>>,
+        shard: usize,
+        file: &str,
+        test: &LitmusTest,
+        models: Option<&[String]>,
         max_candidates: Option<u128>,
-        trace: Option<&Arc<txmm_obs::Trace>>,
-    ) -> Vec<String> {
-        let n = items.len();
-        let mut out: Vec<Option<String>> = Vec::new();
-        out.resize_with(n, || None);
-        let (reply, replies) = mpsc::channel();
-        let mut pending = 0usize;
-        for (seq, (file, src)) in items.into_iter().enumerate() {
-            match txmm_obs::with_trace(trace, || parse_outcomes_request(&file, &src)) {
-                Err(f) => {
-                    self.failures.inc();
-                    out[seq] = Some(outcomes_jsonl_line(&ServedOutcomes::Failure(f)));
-                }
-                Ok(test) => {
-                    let key = txmm_litmus::program_key(&test);
-                    let shard = &self.shards[(fnv1a(&key) as usize) % self.shards.len()];
-                    shard.enqueued.fetch_add(1, Ordering::Relaxed);
-                    let job = Job::Outcomes {
-                        seq,
-                        file,
-                        test: Box::new(test),
-                        models: models.clone(),
-                        max_candidates,
-                        reply: reply.clone(),
-                        queued: Instant::now(),
-                        trace: trace.cloned(),
-                    };
-                    if shard.tx.send(job).is_err() {
-                        out[seq] = Some(error_line("shard worker unavailable"));
-                    } else {
-                        pending += 1;
-                    }
-                }
-            }
-        }
-        drop(reply);
-        for (seq, line) in replies.iter().take(pending) {
-            if line.contains("\"error\"") {
+    ) -> String {
+        let shard = &self.shards[shard];
+        let (result, wait) = shard.lock(|s| {
+            resolve_filter(s, models).map(|filter| {
+                let _span = txmm_obs::span!("serve.outcomes");
+                s.outcomes_capped(file, test, filter.as_deref(), max_candidates)
+            })
+        });
+        let stages = StageMicros {
+            other: wait,
+            ..StageMicros::default()
+        };
+        shard.record(matches!(result, Ok(Ok(_))), &stages);
+        match result {
+            Ok(Ok(report)) => outcomes_jsonl_line(&ServedOutcomes::Report(report)),
+            Ok(Err(error)) => {
                 self.failures.inc();
+                let file = file.to_string();
+                outcomes_jsonl_line(&ServedOutcomes::Failure(TestFailure { file, error }))
             }
-            out[seq] = Some(line);
+            Err(e) => {
+                self.failures.inc();
+                error_line(&e)
+            }
         }
-        out.into_iter()
-            .map(|slot| slot.unwrap_or_else(|| error_line("shard worker died")))
-            .collect()
+    }
+
+    /// Serve `items` in input order, in two passes that each use at
+    /// most one scoped thread per shard. First those threads route
+    /// items taken from a shared cursor; then every shard with work
+    /// gets one thread that serves that shard's items in input order,
+    /// so every busy shard computes at once and no two threads wait on
+    /// one lock. A panic answers only its own item.
+    fn fan_out<T: Sync, P: Send>(
+        &self,
+        items: &[T],
+        route: impl Fn(&T) -> Result<(usize, P), String> + Sync,
+        serve: impl Fn(usize, P) -> String + Sync,
+    ) -> Vec<String> {
+        let cursor = AtomicUsize::new(0);
+        let threads = self.shards.len().min(items.len());
+        let routed = on_threads(vec![(); threads], |()| {
+            let mut mine = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else {
+                    return mine;
+                };
+                mine.push((i, self.contain(|| route(item)).and_then(|routed| routed)));
+            }
+        });
+        let mut routed: Vec<_> = routed.into_iter().flatten().collect();
+        routed.sort_unstable_by_key(|&(i, _)| i);
+        let mut lines = vec![String::new(); items.len()];
+        let mut queues: Vec<Vec<(usize, P)>> = self.shards.iter().map(|_| Vec::new()).collect();
+        for (i, routed) in routed {
+            match routed {
+                Ok((shard, p)) => queues[shard].push((i, p)),
+                Err(line) => lines[i] = line,
+            }
+        }
+        let busy: Vec<_> = queues
+            .into_iter()
+            .enumerate()
+            .filter(|(_, queue)| !queue.is_empty())
+            .collect();
+        let served = on_threads(busy, |(shard, queue)| {
+            let serve_one = |p| self.contain(|| serve(shard, p)).unwrap_or_else(|l| l);
+            queue
+                .into_iter()
+                .map(|(i, p)| (i, serve_one(p)))
+                .collect::<Vec<_>>()
+        });
+        for (i, line) in served.into_iter().flatten() {
+            lines[i] = line;
+        }
+        lines
+    }
+
+    /// Run `f`, answering a panic with an `internal` frame that counts
+    /// in `failures` and `txmm_request_panics_total`.
+    fn contain<R>(&self, f: impl FnOnce() -> R) -> Result<R, String> {
+        panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+            self.failures.inc();
+            self.obs.panics.inc();
+            internal_line(payload.as_ref())
+        })
     }
 
     /// Hot-reload the pool's user `.cat` files into every shard: files
     /// are re-read, parsed and compiled once here (a file that fails
     /// either aborts the reload with a structured error and leaves every
-    /// shard serving the old models), then each shard replaces its
-    /// registrations in place. Returns the reloaded model names.
+    /// shard serving the old models), then each shard, one at a time,
+    /// replaces its registrations in place under its lock. Returns the
+    /// reloaded model names.
     pub fn reload(&self) -> Result<Vec<String>, String> {
         let mut sources = Vec::with_capacity(self.cat_files.len());
         for path in &self.cat_files {
@@ -664,23 +597,15 @@ impl SessionPool {
             txmm_cat::compile(&file).map_err(|e| format!("{name}: {e}"))?;
             sources.push((name, src));
         }
-        let sources = Arc::new(sources);
-        let mut names = Vec::new();
         for shard in &self.shards {
-            let (reply, rx) = mpsc::channel();
-            shard.enqueued.fetch_add(1, Ordering::Relaxed);
-            shard
-                .tx
-                .send(Job::Reload {
-                    sources: Arc::clone(&sources),
-                    reply,
-                })
-                .map_err(|_| "shard worker unavailable".to_string())?;
-            names = rx
-                .recv()
-                .map_err(|_| "shard worker died during reload".to_string())??;
+            let (reloaded, _) = shard.lock(|s| {
+                sources
+                    .iter()
+                    .try_for_each(|(name, src)| s.reload_cat_source(name, src).map(drop))
+            });
+            reloaded?;
         }
-        Ok(names)
+        Ok(sources.into_iter().map(|(name, _)| name).collect())
     }
 
     /// Render the `reload` response line.
@@ -704,23 +629,34 @@ impl SessionPool {
         }
     }
 
-    /// Snapshot every shard (in shard order) plus the dispatch-level
-    /// failure count.
+    /// Snapshot every shard (in shard order) plus the failure count,
+    /// without taking any Session lock: in-flight requests show up in
+    /// `depth` and in the walk counters instead of delaying the answer.
     pub fn stats(&self) -> (Vec<ShardSnapshot>, u64) {
-        let mut out = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let (reply, rx) = mpsc::channel();
-            if shard.tx.send(Job::Stats { reply }).is_err() {
-                continue;
-            }
-            if let Ok(mut snap) = rx.recv() {
-                let enq = shard.enqueued.load(Ordering::Relaxed);
-                let done = shard.completed.load(Ordering::Relaxed);
-                snap.depth = enq.saturating_sub(done);
-                out.push(snap);
-            }
-        }
-        (out, self.failures.get())
+        let shards = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(shard, s)| {
+                let (served, stages) = *s.tally.lock().unwrap_or_else(PoisonError::into_inner);
+                let walk = s.walk.snapshot();
+                ShardSnapshot {
+                    shard,
+                    served,
+                    depth: s.depth.load(Ordering::SeqCst) as u64,
+                    session: s.telemetry.snapshot(),
+                    stages,
+                    walk: WalkSnapshot {
+                        work_done: walk.done,
+                        work_total: walk.total,
+                        subtrees: walk.subtrees,
+                        candidates: walk.candidates,
+                        classes: walk.classes,
+                    },
+                }
+            })
+            .collect();
+        (shards, self.failures.get())
     }
 
     /// Render the `stats` response line.
@@ -753,11 +689,7 @@ impl SessionPool {
             total.prune_fallbacks += s.session.prune_fallbacks;
             total.prune_batches += s.session.prune_batches;
             total.prune_batched_placements += s.session.prune_batched_placements;
-            stages.parse += s.stages.parse;
-            stages.convert += s.stages.convert;
-            stages.verdict += s.stages.verdict;
-            stages.observe += s.stages.observe;
-            stages.other += s.stages.other;
+            add_stages(&mut stages, &s.stages);
         }
         let rate = |hits: u64, misses: u64| -> String {
             let total = hits + misses;
@@ -894,13 +826,24 @@ impl SessionPool {
             .collect()
     }
 
-    /// Drain the shard channels and join the workers.
-    pub fn shutdown(self) {
-        drop(self.shards);
-        for w in self.workers {
-            let _ = w.join();
-        }
-    }
+    /// Tear the pool down; dropping it does the same.
+    pub fn shutdown(self) {}
+}
+
+/// Run every job on a scoped thread of its own and collect the results
+/// in job order.
+fn on_threads<J: Send, R: Send>(jobs: Vec<J>, run: impl Fn(J) -> R + Sync) -> Vec<R> {
+    let run = &run;
+    thread::scope(|scope| {
+        let threads: Vec<_> = jobs
+            .into_iter()
+            .map(|job| scope.spawn(move || run(job)))
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().unwrap_or_else(|p| panic::resume_unwind(p)))
+            .collect()
+    })
 }
 
 // ---- The socket front-end ---------------------------------------------
@@ -978,22 +921,12 @@ impl Write for Conn {
 /// The serving daemon: a listener plus the shard pool.
 pub struct Daemon {
     listener: Listener,
-    pool: Arc<SessionPool>,
-    stop: Arc<AtomicBool>,
+    pool: SessionPool,
+    stop: AtomicBool,
     local_addr: String,
     /// Connection limit; `None` means unbounded (the seed behaviour:
-    /// every connection gets a handler thread).
+    /// every connection gets a connection thread).
     max_conns: Option<usize>,
-}
-
-/// Decrements the live-connection gauge when a handler exits, however
-/// it exits.
-struct ConnGuard(Arc<AtomicUsize>);
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
 }
 
 impl Daemon {
@@ -1035,8 +968,8 @@ impl Daemon {
         };
         Ok(Daemon {
             listener,
-            pool: Arc::new(pool),
-            stop: Arc::new(AtomicBool::new(false)),
+            pool,
+            stop: AtomicBool::new(false),
             local_addr,
             max_conns: None,
         })
@@ -1044,7 +977,7 @@ impl Daemon {
 
     /// Limit concurrent connections: connections past the limit are
     /// answered with one structured [`crate::protocol::busy_line`]
-    /// frame and closed instead of getting a handler thread, which
+    /// frame and closed instead of getting a connection thread, which
     /// back-pressures clients while in-flight requests keep their
     /// resources. `0` means unbounded.
     pub fn with_max_conns(mut self, max_conns: usize) -> Daemon {
@@ -1058,18 +991,20 @@ impl Daemon {
     }
 
     /// Accept and serve clients until a `shutdown` request, then drain
-    /// in-flight connections and tear the pool down.
+    /// in-flight connections.
     pub fn run(self) -> io::Result<()> {
         match &self.listener {
             Listener::Tcp(l) => l.set_nonblocking(true)?,
             #[cfg(unix)]
             Listener::Unix(l) => l.set_nonblocking(true)?,
         }
-        let handlers: Arc<Mutex<Vec<thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let live_conns = Arc::new(AtomicUsize::new(0));
-        loop {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
+        let (pool, stop) = (&self.pool, &self.stop);
+        let live_conns = AtomicUsize::new(0);
+        // Connection threads are scoped, so leaving the scope drains
+        // every accepted connection.
+        let result = thread::scope(|scope| loop {
+            if stop.load(Ordering::SeqCst) {
+                return Ok(());
             }
             let accepted = match &self.listener {
                 Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
@@ -1080,7 +1015,7 @@ impl Daemon {
                 Ok(mut conn) => {
                     // Connection limit: refuse past the cap with one
                     // structured busy frame instead of spawning a
-                    // handler, so a connection flood cannot exhaust
+                    // thread, so a connection flood cannot exhaust
                     // threads and in-flight clients keep their shards.
                     if let Some(max) = self.max_conns {
                         if live_conns.load(Ordering::SeqCst) >= max {
@@ -1091,46 +1026,30 @@ impl Daemon {
                         }
                     }
                     live_conns.fetch_add(1, Ordering::SeqCst);
-                    let guard = ConnGuard(Arc::clone(&live_conns));
-                    let pool = Arc::clone(&self.pool);
-                    let stop = Arc::clone(&self.stop);
-                    let mut handlers = handlers.lock().unwrap();
-                    // Reap finished handlers as new connections arrive,
-                    // so a long-lived daemon doesn't accumulate one
-                    // joinable thread per connection ever accepted.
-                    let (done, live): (Vec<_>, Vec<_>) = std::mem::take(&mut *handlers)
-                        .into_iter()
-                        .partition(|h| h.is_finished());
-                    *handlers = live;
-                    for h in done {
-                        let _ = h.join();
-                    }
-                    handlers.push(thread::spawn(move || {
-                        let _guard = guard;
-                        handle_client(conn, &pool, &stop)
-                    }));
+                    let leave = Leave(&live_conns);
+                    scope.spawn(move || {
+                        let _leave = leave;
+                        handle_client(conn, pool, stop)
+                    });
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     thread::sleep(Duration::from_millis(5));
                 }
-                Err(e) => return Err(e),
+                Err(e) => {
+                    // Let the open connections notice and end, so the
+                    // scope can close.
+                    stop.store(true, Ordering::SeqCst);
+                    return Err(e);
+                }
             }
-        }
-        // Drain: finish every accepted connection, then stop the pool.
-        let handlers = std::mem::take(&mut *handlers.lock().unwrap());
-        for h in handlers {
-            let _ = h.join();
-        }
-        if let Ok(pool) = Arc::try_unwrap(self.pool) {
-            pool.shutdown();
-        }
+        });
         #[cfg(unix)]
         if let Listener::Unix(_) = &self.listener {
             if let Some(path) = self.local_addr.strip_prefix("unix:") {
                 let _ = std::fs::remove_file(path);
             }
         }
-        Ok(())
+        result
     }
 }
 
@@ -1153,155 +1072,119 @@ fn request_meta(req: &Request) -> (&'static str, String, Option<String>) {
     }
 }
 
+/// Run `serve` under the request's client trace, if it sent one, and
+/// echo the trace (`trace_id` + span timeline) on the answer, error
+/// lines included; untraced answers stay byte-identical to one-shot
+/// serving.
+fn traced(trace: Option<String>, serve: impl FnOnce() -> String) -> String {
+    let Some(id) = trace else {
+        return serve();
+    };
+    let trace = txmm_obs::Trace::new(&id);
+    let line = txmm_obs::with_trace(Some(&trace), serve);
+    crate::serve::attach_trace(&line, &trace)
+}
+
+/// Answer every `.litmus` file in `dir`, in name order, spread over the
+/// shards by [`SessionPool::fan_out`]; each file is read where it is
+/// routed.
+fn serve_dir<P: Send>(
+    pool: &SessionPool,
+    dir: &str,
+    route: impl Fn(String, String) -> Result<(usize, P), String> + Sync,
+    serve: impl Fn(usize, P) -> String + Sync,
+) -> Vec<String> {
+    let files = match collect_litmus_files(Path::new(dir)) {
+        Ok(files) if files.is_empty() => {
+            return vec![error_line(&format!("no .litmus files in {dir}"))]
+        }
+        Ok(files) => files,
+        Err(e) => return vec![error_line(&format!("cannot read {dir}: {e}"))],
+    };
+    let read_and_route = |path: &PathBuf| {
+        let file = path.display().to_string();
+        match std::fs::read_to_string(path) {
+            Ok(src) => route(file, src),
+            Err(e) => Err(jsonl_line(&Served::Failure(TestFailure {
+                file,
+                error: e.to_string(),
+            }))),
+        }
+    };
+    pool.fan_out(&files, read_and_route, serve)
+}
+
 /// Answer one request with its response lines (without the blank-line
 /// terminator); `true` in the second slot means shutdown was requested.
 fn answer(pool: &SessionPool, req: Request) -> (Vec<String>, bool) {
-    match req {
+    let lines = match req {
         Request::Check {
             file,
             src,
             models,
             trace,
-        } => {
-            let line = match &trace {
-                // The trace echo (`trace_id` + span timeline) goes on
-                // every traced response, error lines included; untraced
-                // responses stay byte-identical to one-shot serving.
-                Some(id) => {
-                    let tr = txmm_obs::Trace::new(id);
-                    let line = pool.check_traced(&file, &src, models, &tr);
-                    crate::serve::attach_trace(&line, &tr)
-                }
-                None => pool.check(&file, &src, models),
-            };
-            (vec![line], false)
-        }
-        Request::Batch { dir, models } => {
-            let files = match collect_litmus_files(std::path::Path::new(&dir)) {
-                Ok(fs) => fs,
-                Err(e) => return (vec![error_line(&format!("cannot read {dir}: {e}"))], false),
-            };
-            if files.is_empty() {
-                return (
-                    vec![error_line(&format!("no .litmus files in {dir}"))],
-                    false,
-                );
-            }
-            let mut items = Vec::with_capacity(files.len());
-            let mut out: Vec<Option<String>> = Vec::new();
-            out.resize_with(files.len(), || None);
-            let mut indices = Vec::new();
-            for (i, path) in files.iter().enumerate() {
-                let file = path.display().to_string();
-                match std::fs::read_to_string(path) {
-                    Ok(src) => {
-                        indices.push(i);
-                        items.push((file, src));
-                    }
-                    Err(e) => {
-                        out[i] = Some(jsonl_line(&Served::Failure(crate::serve::TestFailure {
-                            file,
-                            error: e.to_string(),
-                        })));
-                    }
-                }
-            }
-            for (i, line) in indices.into_iter().zip(pool.check_many(items, models)) {
-                out[i] = Some(line);
-            }
-            (
-                out.into_iter()
-                    .map(|slot| slot.expect("every file answered"))
-                    .collect(),
-                false,
-            )
-        }
+        } => vec![traced(trace, || pool.check(&file, &src, models))],
+        Request::Batch { dir, models } => serve_dir(
+            pool,
+            &dir,
+            |file, src| pool.route_check(&file, &src),
+            |shard, parsed| pool.serve_check(shard, &parsed, models.as_deref()),
+        ),
         Request::Outcomes {
             file,
             src,
             models,
             max_candidates,
             trace,
-        } => {
-            let line = match &trace {
-                Some(id) => {
-                    let tr = txmm_obs::Trace::new(id);
-                    let line = pool.outcomes_traced(&file, &src, models, max_candidates, &tr);
-                    crate::serve::attach_trace(&line, &tr)
-                }
-                None => pool.outcomes(&file, &src, models, max_candidates),
-            };
-            (vec![line], false)
-        }
+        } => vec![traced(trace, || {
+            pool.outcomes(&file, &src, models, max_candidates)
+        })],
         Request::OutcomesBatch {
             dir,
             models,
             max_candidates,
-        } => {
-            let files = match collect_litmus_files(std::path::Path::new(&dir)) {
-                Ok(fs) => fs,
-                Err(e) => return (vec![error_line(&format!("cannot read {dir}: {e}"))], false),
-            };
-            if files.is_empty() {
-                return (
-                    vec![error_line(&format!("no .litmus files in {dir}"))],
-                    false,
-                );
-            }
-            let mut items = Vec::with_capacity(files.len());
-            let mut out: Vec<Option<String>> = Vec::new();
-            out.resize_with(files.len(), || None);
-            let mut indices = Vec::new();
-            for (i, path) in files.iter().enumerate() {
-                let file = path.display().to_string();
-                match std::fs::read_to_string(path) {
-                    Ok(src) => {
-                        indices.push(i);
-                        items.push((file, src));
-                    }
-                    Err(e) => {
-                        out[i] = Some(outcomes_jsonl_line(&ServedOutcomes::Failure(TestFailure {
-                            file,
-                            error: e.to_string(),
-                        })));
-                    }
-                }
-            }
-            for (i, line) in
-                indices
-                    .into_iter()
-                    .zip(pool.outcomes_many(items, models, max_candidates))
-            {
-                out[i] = Some(line);
-            }
-            (
-                out.into_iter()
-                    .map(|slot| slot.expect("every file answered"))
-                    .collect(),
-                false,
-            )
+        } => serve_dir(
+            pool,
+            &dir,
+            |file, src| {
+                let (shard, test) = pool.route_outcomes(&file, &src)?;
+                Ok((shard, (file, test)))
+            },
+            |shard, (file, test)| {
+                pool.serve_outcomes(shard, &file, &test, models.as_deref(), max_candidates)
+            },
+        ),
+        Request::Reload => vec![pool.reload_line()],
+        Request::Models => pool.model_lines(),
+        Request::Stats => vec![pool.stats_line()],
+        Request::Metrics { prom: true } => {
+            // Prometheus exposition is multi-line; ship each line of
+            // the page in the frame (none are blank, so the frame
+            // terminator stays unambiguous).
+            txmm_obs::global()
+                .render_prom()
+                .lines()
+                .filter(|l| !l.trim().is_empty())
+                .map(str::to_string)
+                .collect()
         }
-        Request::Reload => (vec![pool.reload_line()], false),
-        Request::Models => (pool.model_lines(), false),
-        Request::Stats => (vec![pool.stats_line()], false),
-        Request::Metrics { prom } => {
-            let lines = if prom {
-                // Prometheus exposition is multi-line; ship each line of
-                // the page in the frame (none are blank, so the frame
-                // terminator stays unambiguous).
-                txmm_obs::global()
-                    .render_prom()
-                    .lines()
-                    .filter(|l| !l.trim().is_empty())
-                    .map(str::to_string)
-                    .collect()
-            } else {
-                vec![txmm_obs::global().render_json()]
-            };
-            (lines, false)
-        }
-        Request::Shutdown => (vec!["{\"ok\":\"shutdown\"}".to_string()], true),
-    }
+        Request::Metrics { prom: false } => vec![txmm_obs::global().render_json()],
+        Request::Shutdown => return (vec!["{\"ok\":\"shutdown\"}".to_string()], true),
+    };
+    (lines, false)
+}
+
+/// The frame a request that panicked is answered with.
+fn internal_line(payload: &(dyn Any + Send)) -> String {
+    let msg = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("panic");
+    format!(
+        "{{\"error\":\"internal error: {}\",\"code\":\"internal\"}}",
+        txmm_obs::json_escape(msg)
+    )
 }
 
 /// Serve one connection: request lines in, framed responses out.
@@ -1333,7 +1216,12 @@ fn handle_client(mut conn: Conn, pool: &SessionPool, stop: &AtomicBool) {
             let (lines, shutdown) = match Request::parse(line) {
                 Ok(req) => {
                     let (cmd, what, trace_id) = request_meta(&req);
-                    let result = answer(pool, req);
+                    // A panic, inside a Session call or outside one,
+                    // answers an `internal` frame; this connection and
+                    // the shard keep serving.
+                    let result = pool
+                        .contain(|| answer(pool, req))
+                        .unwrap_or_else(|line| (vec![line], false));
                     pool.obs.observe(
                         cmd,
                         &what,
@@ -1393,7 +1281,143 @@ fn handle_client(mut conn: Conn, pool: &SessionPool, stop: &AtomicBool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{parse_json, Json};
     use crate::serve::serve_source;
+    use std::io::{BufRead, BufReader};
+    use std::sync::Barrier;
+    use txmm_core::{ExecutionAnalysis, PruneOracle};
+    use txmm_models::{Arch, Checker, Derived, Model};
+
+    /// A `check` of this file panics on its connection thread after its
+    /// Session call, with the shard lock released.
+    const PANIC_AFTER_SESSION: &str = "panic-after-session.litmus";
+
+    /// The fault point [`SessionPool::serve_check`] passes once its
+    /// Session call has returned.
+    pub(super) fn fault_after_session(file: &str) {
+        if file == PANIC_AFTER_SESSION {
+            panic!("injected fault after the Session call");
+        }
+    }
+
+    /// A model that misbehaves on purpose and allows whatever it lets
+    /// through.
+    enum Faulty {
+        /// Panic on the execution with this canonical key.
+        PanicOn(Vec<u8>),
+        /// Meet the barrier twice per check: once to show the check
+        /// holds its shard, once to be let go.
+        Gate(Arc<Barrier>),
+    }
+
+    impl Model for Faulty {
+        fn name(&self) -> &'static str {
+            "faulty"
+        }
+
+        fn arch(&self) -> Arch {
+            Arch::Sc
+        }
+
+        fn is_tm(&self) -> bool {
+            false
+        }
+
+        fn derived(&self, _: &ExecutionAnalysis<'_>) -> Derived {
+            Derived::new()
+        }
+
+        fn axioms(&self, a: &ExecutionAnalysis<'_>, _: &Derived, _: &mut Checker) {
+            match self {
+                Faulty::PanicOn(key) if canon_key(a.exec()) == *key => {
+                    panic!("injected fault in a model check")
+                }
+                Faulty::PanicOn(_) => {}
+                Faulty::Gate(gate) => {
+                    gate.wait();
+                    gate.wait();
+                }
+            }
+        }
+
+        fn prune_oracle(&self, _txns_known: bool) -> Option<&dyn PruneOracle> {
+            Some(self)
+        }
+    }
+
+    /// Keeps every partial execution, so `outcomes` takes the pruned
+    /// walk and meets the faulty check in its sink.
+    impl PruneOracle for Faulty {
+        fn viable(&self, _: &ExecutionAnalysis<'_>) -> bool {
+            true
+        }
+    }
+
+    /// A one-shard pool whose Session also registers `model`.
+    fn one_shard_pool(model: Faulty) -> SessionPool {
+        let mut session = Session::new();
+        session.register_model(Box::new(model));
+        SessionPool::with_sessions(vec![session], Vec::new())
+    }
+
+    /// Send one request and read its response frame.
+    fn roundtrip(stream: &mut BufReader<TcpStream>, req: &Request) -> Vec<String> {
+        let line = format!("{}\n", req.to_line());
+        stream.get_mut().write_all(line.as_bytes()).expect("send");
+        let mut lines = Vec::new();
+        loop {
+            let mut line = String::new();
+            let n = stream.read_line(&mut line).expect("read");
+            assert!(n > 0, "server closed mid-frame (got {lines:?})");
+            match line.trim_end_matches('\n') {
+                "" => return lines,
+                l => lines.push(l.to_string()),
+            }
+        }
+    }
+
+    fn check_req(file: &str, src: &str) -> Request {
+        Request::Check {
+            file: file.to_string(),
+            src: src.to_string(),
+            models: None,
+            trace: None,
+        }
+    }
+
+    fn stats_num(stream: &mut BufReader<TcpStream>, key: &str) -> f64 {
+        let stats = roundtrip(stream, &Request::Stats);
+        match parse_json(&stats[0]).expect("stats is JSON").get(key) {
+            Some(Json::Num(n)) => *n,
+            other => panic!("stats[{key}] = {other:?}"),
+        }
+    }
+
+    /// `(work_done, work_total)` of the first shard's walk progress.
+    fn walk_progress(stream: &mut BufReader<TcpStream>) -> (f64, f64) {
+        let stats = roundtrip(stream, &Request::Stats);
+        let stats = parse_json(&stats[0]).expect("stats is JSON");
+        let walk = stats
+            .get("per_shard")
+            .and_then(Json::as_arr)
+            .expect("per_shard")[0]
+            .get("walk")
+            .expect("walk");
+        match (walk.get("work_done"), walk.get("work_total")) {
+            (Some(Json::Num(done)), Some(Json::Num(total))) => (*done, *total),
+            other => panic!("walk = {other:?}"),
+        }
+    }
+
+    fn outcomes_req(file: &str, src: &str) -> Request {
+        Request::Outcomes {
+            file: file.to_string(),
+            src: src.to_string(),
+            models: None,
+            max_candidates: None,
+            trace: None,
+        }
+    }
 
     fn small_corpus() -> Vec<(String, String)> {
         crate::corpus::generate(3)
@@ -1494,5 +1518,160 @@ mod tests {
         assert!(lines.iter().any(|l| l.contains("\"model\":\"x86-tm\"")));
         assert!(lines.iter().any(|l| l.contains("\"model\":\"x86-tm.cat\"")));
         pool.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_request_gets_an_internal_frame_and_nothing_else_changes() {
+        let corpus = small_corpus();
+        let (good_file, good_src) = &corpus[0];
+        let (victim_file, victim_src) = &corpus[1];
+        let victim = parse_request(victim_file, victim_src).expect("parses").exec;
+        let pool = one_shard_pool(Faulty::PanicOn(canon_key(&victim)));
+        let panics = pool.obs.panics.clone();
+        let daemon = Daemon::bind(&ListenAddr::Tcp("127.0.0.1:0".into()), pool).expect("binds");
+        let addr = daemon.local_addr().to_string();
+        let server = thread::spawn(move || daemon.run().expect("daemon runs"));
+        let connect = || BufReader::new(TcpStream::connect(&addr).expect("connect"));
+        let (mut a, mut b) = (connect(), connect());
+        let good = check_req(good_file, good_src);
+        let want = roundtrip(&mut b, &good);
+        assert!(
+            want[0].contains("\"faulty\":{\"consistent\":true"),
+            "{want:?}"
+        );
+
+        // A panic inside the Session call, with the shard lock held.
+        let internal =
+            "{\"error\":\"internal error: injected fault in a model check\",\"code\":\"internal\"}";
+        assert_eq!(
+            roundtrip(&mut a, &check_req(victim_file, victim_src)),
+            [internal]
+        );
+        assert_eq!(panics.get(), 1);
+        let misses = stats_num(&mut a, "verdict_misses");
+        assert_eq!(roundtrip(&mut a, &good), want, "the shard serves on");
+        assert_eq!(
+            stats_num(&mut a, "verdict_misses"),
+            misses,
+            "an execution cached before the panic is still a hit"
+        );
+
+        // A panic after the Session call, with the lock released.
+        let (_, other_src) = &corpus[2];
+        assert_eq!(
+            roundtrip(&mut a, &check_req(PANIC_AFTER_SESSION, other_src)),
+            ["{\"error\":\"internal error: injected fault after the Session call\",\"code\":\"internal\"}"]
+        );
+        assert_eq!(panics.get(), 2);
+        assert_eq!(roundtrip(&mut a, &good), want);
+        assert_eq!(stats_num(&mut a, "failures"), 2.0);
+
+        // A panicking `outcomes` walk leaves the walk progress level.
+        assert_eq!(
+            roundtrip(&mut a, &outcomes_req(victim_file, victim_src)),
+            [internal]
+        );
+        assert_eq!(panics.get(), 3);
+        let (done, total) = walk_progress(&mut a);
+        assert!(total > 0.0 && done == total, "work {done} of {total}");
+
+        // In a `batch` and a directory `outcomes`, the panic answers
+        // only the victim's own slot; every other file gets the answer
+        // it gets on its own.
+        let dir = std::env::temp_dir().join(format!("txmm-fault-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let mut files: Vec<(String, &str)> = corpus[..4]
+            .iter()
+            .map(|(file, src)| {
+                let path = dir.join(file);
+                std::fs::write(&path, src).expect("write");
+                (path.display().to_string(), src.as_str())
+            })
+            .collect();
+        files.sort();
+        let victim_path = dir.join(victim_file).display().to_string();
+        let dir = dir.display().to_string();
+        let batch = Request::Batch {
+            dir: dir.clone(),
+            models: None,
+        };
+        let outcomes = Request::OutcomesBatch {
+            dir: dir.clone(),
+            models: None,
+            max_candidates: None,
+        };
+        for (req, single) in [
+            (batch, check_req as fn(&str, &str) -> Request),
+            (outcomes, outcomes_req),
+        ] {
+            let before = panics.get();
+            let lines = roundtrip(&mut a, &req);
+            assert_eq!(lines.len(), files.len(), "{lines:?}");
+            for ((path, src), line) in files.iter().zip(&lines) {
+                if *path == victim_path {
+                    assert_eq!(line, internal);
+                } else {
+                    assert_eq!(roundtrip(&mut a, &single(path, src)), [line.as_str()]);
+                }
+            }
+            assert_eq!(panics.get(), before + 1);
+        }
+        std::fs::remove_dir_all(&dir).expect("remove temp dir");
+        let (done, total) = walk_progress(&mut a);
+        assert!(done == total, "work {done} of {total}");
+        assert_eq!(stats_num(&mut a, "failures"), 5.0);
+
+        // The other connection saw nothing.
+        assert_eq!(roundtrip(&mut b, &good), want);
+        assert_eq!(
+            roundtrip(&mut b, &Request::Shutdown),
+            ["{\"ok\":\"shutdown\"}"]
+        );
+        server.join().expect("clean shutdown");
+    }
+
+    #[test]
+    fn stats_answers_while_a_request_holds_the_only_shard() {
+        let gate = Arc::new(Barrier::new(2));
+        let pool = one_shard_pool(Faulty::Gate(Arc::clone(&gate)));
+        let (file, src) = small_corpus().remove(0);
+        thread::scope(|s| {
+            let held = s.spawn(|| pool.check(&file, &src, Some(vec!["faulty".into()])));
+            gate.wait();
+            // The check holds the shard until the second `wait`.
+            let stats = s.spawn(|| pool.stats_line());
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !stats.is_finished() && Instant::now() < deadline {
+                thread::sleep(Duration::from_millis(5));
+            }
+            let answered = stats.is_finished();
+            gate.wait();
+            assert!(answered, "stats waited for the held shard");
+            let line = stats.join().expect("stats");
+            assert!(
+                line.contains("\"per_shard\":[{\"shard\":0,\"served\":0,\"depth\":1,"),
+                "{line}"
+            );
+            let held = held.join().expect("check");
+            assert!(held.contains("\"faulty\":{\"consistent\":true"), "{held}");
+        });
+        assert_eq!(pool.stats().0[0].depth, 0);
+    }
+
+    #[test]
+    fn failures_count_typed_results_not_rendered_text() {
+        let pool = SessionPool::new(&PoolConfig {
+            shards: 1,
+            ..PoolConfig::default()
+        })
+        .unwrap();
+        let src = "error (x86)\nthread 0:\n  x <- 1\nthread 1:\n  r0 <- x\n";
+        let line = pool.outcomes("error.litmus", src, None, None);
+        assert!(line.contains("\"name\":\"error\""), "{line}");
+        assert!(line.contains("\"candidates\":2"), "{line}");
+        assert_eq!(pool.stats().1, 0, "a test named `error` is no failure");
+        let refused = pool.outcomes("error.litmus", src, None, Some(1));
+        assert!(refused.contains("(limit 1)"), "{refused}");
+        assert_eq!(pool.stats().1, 1);
     }
 }

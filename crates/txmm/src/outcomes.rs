@@ -235,6 +235,39 @@ fn pruned_candidates_par(
     Ok((visited, stats, all))
 }
 
+/// A sequential walk's single work unit: declared when the walk starts
+/// and flushed when dropped, so a walk cut short by an error or by a
+/// panicking model check still leaves `work_done` level with
+/// `work_total`.
+struct WalkUnit<'a> {
+    progress: Option<&'a txmm_obs::WalkProgress>,
+    total: u64,
+    /// `(candidates, cuts, skipped)`, set once the walk has returned.
+    tally: (u64, u64, u64),
+}
+
+impl<'a> WalkUnit<'a> {
+    fn start(progress: Option<&'a txmm_obs::WalkProgress>, total: u64) -> WalkUnit<'a> {
+        if let Some(p) = progress {
+            p.add_total(total);
+        }
+        WalkUnit {
+            progress,
+            total,
+            tally: (0, 0, 0),
+        }
+    }
+}
+
+impl Drop for WalkUnit<'_> {
+    fn drop(&mut self) {
+        if let Some(p) = self.progress {
+            let (candidates, cuts, skipped) = self.tally;
+            p.subtree_done(self.total, candidates, cuts, skipped);
+        }
+    }
+}
+
 impl Session {
     /// Program-level outcome enumeration: build (or fetch) the
     /// program's candidate table, check every canonical class under the
@@ -416,24 +449,18 @@ impl Session {
             (visited, pstats)
         } else {
             // The sequential walk has no per-split granularity to
-            // report against, so the whole program is one work unit
-            // flushed when the walk returns.
+            // report against, so the whole program is one work unit.
             let total = txmm_litmus::candidate_count(t)
                 .map(|n| n.min(u64::MAX as u128) as u64)
                 .unwrap_or(0);
-            if let Some(p) = progress {
-                p.add_total(total);
-            }
+            let mut unit = WalkUnit::start(progress, total);
             let (visited, pstats) = txmm_litmus::enumerate_candidates_pruned(t, oracle, &mut sink)
                 .map_err(|e| e.to_string())?;
-            if let Some(p) = progress {
-                p.subtree_done(
-                    total,
-                    visited as u64,
-                    pstats.subtrees_cut,
-                    pstats.candidates_skipped,
-                );
-            }
+            unit.tally = (
+                visited as u64,
+                pstats.subtrees_cut,
+                pstats.candidates_skipped,
+            );
             (visited, pstats)
         };
         self.stats.interned.set(self.arena.len() as i64);

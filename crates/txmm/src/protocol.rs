@@ -87,7 +87,7 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ProtocolError> {
 
 /// The deepest array/object nesting [`parse_json`] accepts. Wire frames
 /// nest a few levels; the reader recurses once per level, so the bound
-/// keeps a line of `[`s from overflowing the handler thread's stack.
+/// keeps a line of `[`s from overflowing the connection thread's stack.
 const MAX_DEPTH: usize = 64;
 
 struct Reader<'a> {
@@ -336,7 +336,9 @@ pub enum Request {
     Reload,
     /// List the registered models.
     Models,
-    /// Cache hit-rates, per-shard queue depths and stage timings.
+    /// Cache hit-rates, per-shard depths (requests waiting for or
+    /// holding the shard), walk progress and stage timings; answered
+    /// without waiting for in-flight requests.
     Stats,
     /// The process-wide metrics registry: one JSON line by default, or
     /// Prometheus text exposition (multi-line) with `"format":"prom"`.

@@ -24,11 +24,12 @@
 //! AST), *convert* (AST → pinned candidate execution), *verdict*
 //! (cached model checking) and *observe* (cached hardware simulation) —
 //! and the stages are exposed separately ([`parse_request`] /
-//! [`check_parsed`]) so the socket daemon can run parse/convert on
-//! connection-handler threads and dispatch the execution to a Session
-//! shard. Each stage is timed on its own; under the sharded pool the
-//! parse/convert clock and the verdict/observe clock tick on different
-//! threads, and a whole-call wall clock would double-count queueing.
+//! [`check_parsed`]) so the socket daemon can parse and convert before
+//! it takes a Session shard's lock, and hold the lock only for the
+//! verdict and observe stages. Each stage is timed on its own, on the
+//! thread that runs it (for a single request, its connection thread);
+//! the daemon books its wait for the shard lock under
+//! [`StageMicros::other`].
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -54,9 +55,9 @@ pub struct StageMicros {
     /// Hardware-simulator observability (including its cache lookups).
     pub observe: u64,
     /// Everything between the named stages: report assembly, stats
-    /// snapshots, and (under the daemon) shard queue wait. Kept
-    /// explicit so the stages always sum to the recorded end-to-end
-    /// time instead of silently under-reporting.
+    /// snapshots, and (under the daemon) the wait for the shard lock.
+    /// Kept explicit so the stages always sum to the recorded
+    /// end-to-end time instead of silently under-reporting.
     pub other: u64,
 }
 
@@ -76,8 +77,8 @@ impl StageMicros {
 }
 
 /// A litmus test parsed and converted, ready for the checking stages.
-/// This is the value the daemon ships from connection handlers to
-/// Session shards.
+/// The daemon builds it before it locks a Session shard, and routes by
+/// its execution's canonical key.
 pub struct ParsedTest {
     /// File name (as given).
     pub file: String,

@@ -36,6 +36,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use txmm_cat::{parse as parse_cat, CatModel};
@@ -65,9 +66,9 @@ impl ModelRef {
 /// a broken user model cannot take the serving process down.
 struct CatBackend {
     name: &'static str,
-    /// Shared with [`Session::cat_models`], so stats snapshots read the
-    /// same compile-cache counters the serving path bumps.
-    model: std::sync::Arc<CatModel>,
+    /// Shared with [`SessionTelemetry::cat_models`], so stats snapshots
+    /// read the same compile-cache counters the serving path bumps.
+    model: Arc<CatModel>,
     arch: Arch,
     tm: bool,
     /// First evaluation error, leaked once: a broken model fails the
@@ -206,7 +207,9 @@ pub struct SessionStats {
 /// creates its own handles (the registry sums live handles of a series
 /// for global exposition, so N shard sessions aggregate there) while
 /// [`Session::stats`] reads this session's own handles back out —
-/// which is what keeps the per-shard `stats` JSON exact.
+/// which is what keeps the per-shard `stats` JSON exact. The Session
+/// holds it behind an `Arc`, so the daemon's `stats` reads a shard's
+/// counters without taking the shard's Session lock.
 pub(crate) struct SessionTelemetry {
     pub(crate) interned: txmm_obs::Gauge,
     pub(crate) verdict_hits: txmm_obs::Counter,
@@ -228,6 +231,9 @@ pub(crate) struct SessionTelemetry {
     /// and `sum` the placements judged, which is how
     /// [`Session::stats`] reads the pair back out.
     pub(crate) prune_batch_size: txmm_obs::Histogram,
+    /// Registry slot → compiled `.cat` model, for aggregating
+    /// compile-cache stats; reload replaces the slot's entry.
+    cat_models: Mutex<Vec<(usize, Arc<CatModel>)>>,
 }
 
 impl SessionTelemetry {
@@ -303,7 +309,52 @@ impl SessionTelemetry {
                 "txmm_prune_batch_size",
                 "Sibling placements judged per batched prune-oracle call.",
             ),
+            cat_models: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The `.cat` compile-stat sources; see [`SessionTelemetry::snapshot`].
+    pub(crate) fn cat_models(&self) -> MutexGuard<'_, Vec<(usize, Arc<CatModel>)>> {
+        // Only pushes and slot swaps run under this lock, so a poisoned
+        // list is still whole.
+        self.cat_models
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Current cache and arena counters, read back through these
+    /// handles. Compile-cache numbers are aggregated from the registered
+    /// `.cat` models at snapshot time.
+    pub(crate) fn snapshot(&self) -> SessionStats {
+        let mut s = SessionStats {
+            interned: self.interned.get() as usize,
+            verdict_hits: self.verdict_hits.get(),
+            verdict_misses: self.verdict_misses.get(),
+            observability_hits: self.observability_hits.get(),
+            observability_misses: self.observability_misses.get(),
+            outcome_hits: self.outcome_hits.get(),
+            outcome_misses: self.outcome_misses.get(),
+            outcome_entries: self.outcome_entries.get() as usize,
+            outcome_candidates: self.outcome_candidates.get(),
+            outcome_classes: self.outcome_classes.get(),
+            prune_subtrees_cut: self.prune_subtrees_cut.get(),
+            prune_candidates_skipped: self.prune_candidates_skipped.get(),
+            prune_oracle_calls: self.prune_oracle_calls.get(),
+            prune_oracle_micros: self.prune_oracle_micros.get(),
+            prune_delta_answers: self.prune_delta_answers.get(),
+            prune_fallbacks: self.prune_fallbacks.get(),
+            prune_batches: self.prune_batch_size.snapshot().count,
+            prune_batched_placements: self.prune_batch_size.snapshot().sum,
+            ..SessionStats::default()
+        };
+        for (_, model) in self.cat_models().iter() {
+            let c = model.compile_stats();
+            s.compile_hits += c.hits;
+            s.compile_misses += c.misses;
+            s.compile_entries += c.entries;
+            s.compile_micros += c.micros;
+        }
+        s
     }
 }
 
@@ -332,19 +383,17 @@ pub struct Session {
     /// Worker threads for fanning candidate checking out over the
     /// work-stealing pool (1 = sequential).
     pub(crate) outcome_workers: usize,
-    /// Registry slot → compiled `.cat` model, for aggregating
-    /// compile-cache stats; reload replaces the slot's entry.
-    pub(crate) cat_models: Vec<(usize, std::sync::Arc<CatModel>)>,
-    pub(crate) stats: SessionTelemetry,
+    pub(crate) stats: Arc<SessionTelemetry>,
     /// Live walk telemetry: when set, the synthesis sweeps and the
     /// outcome engine's pruned walks flush progress (work fractions,
     /// candidates, classes, prune cuts) into it as they run.
-    pub(crate) walk_progress: Option<std::sync::Arc<txmm_obs::WalkProgress>>,
+    pub(crate) walk_progress: Option<Arc<txmm_obs::WalkProgress>>,
 }
 
-/// A `Session` moves whole into a shard worker thread of the serving
-/// pool; this fails to compile if any registry or cache member stops
-/// being `Send`.
+/// The serving pool keeps each shard's `Session` in a `Mutex` that
+/// every connection thread shares, and `Mutex<Session>` is `Sync` only
+/// if `Session` is `Send`; this fails to compile if any registry or
+/// cache member stops being `Send`.
 const _: fn() = || {
     fn requires_send<T: Send>() {}
     requires_send::<Session>();
@@ -388,8 +437,7 @@ impl Session {
             prune: true,
             max_candidates: crate::outcomes::MAX_CANDIDATES,
             outcome_workers: 1,
-            cat_models: Vec::new(),
-            stats: SessionTelemetry::new(),
+            stats: Arc::new(SessionTelemetry::new()),
             walk_progress: None,
         };
         for m in registry::all_models() {
@@ -423,7 +471,7 @@ impl Session {
         let file = parse_cat(src).map_err(|e| format!("{name}: {e}"))?;
         let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
         let (arch, tm) = classify_cat_name(name);
-        let model = std::sync::Arc::new(CatModel::new(leaked, file));
+        let model = Arc::new(CatModel::new(leaked, file));
         let m = self.register_model(Box::new(CatBackend {
             name: leaked,
             model: model.clone(),
@@ -432,7 +480,7 @@ impl Session {
             eval_error: std::sync::OnceLock::new(),
             oracles: Default::default(),
         }));
-        self.cat_models.push((m.index(), model));
+        self.stats.cat_models().push((m.index(), model));
         Ok(m)
     }
 
@@ -465,9 +513,11 @@ impl Session {
         let (arch, tm) = classify_cat_name(name);
         // The swap is of the *compiled program*, not the AST: the new
         // `CatModel` arrives fully lowered and optimised, and replacing
-        // the boxed backend is one pointer store. In-flight requests on
-        // other shards keep their own `Arc` until they finish.
-        let model = std::sync::Arc::new(CatModel::new(leaked, file));
+        // the boxed backend is one pointer store. The daemon reloads one
+        // shard at a time under that shard's lock, so no request sees a
+        // half-swapped Session; shards not yet reached keep serving the
+        // old program until their turn.
+        let model = Arc::new(CatModel::new(leaked, file));
         self.models[slot] = Box::new(CatBackend {
             name: leaked,
             model: model.clone(),
@@ -476,10 +526,12 @@ impl Session {
             eval_error: std::sync::OnceLock::new(),
             oracles: Default::default(),
         });
-        match self.cat_models.iter_mut().find(|(s, _)| *s == slot) {
+        let mut cat_models = self.stats.cat_models();
+        match cat_models.iter_mut().find(|(s, _)| *s == slot) {
             Some(entry) => entry.1 = model,
-            None => self.cat_models.push((slot, model)),
+            None => cat_models.push((slot, model)),
         }
+        drop(cat_models);
         // The replaced model may answer differently: drop its caches.
         self.verdicts.retain(|&(_, m), _| m != slot);
         self.outcome_sets.retain(|(_, m), _| *m != slot);
@@ -534,12 +586,12 @@ impl Session {
     /// declare their plans and flush per-subtree deltas into it, so a
     /// heartbeat reporter or the daemon's `stats` can watch them
     /// mid-run.
-    pub fn set_walk_progress(&mut self, p: Option<std::sync::Arc<txmm_obs::WalkProgress>>) {
+    pub fn set_walk_progress(&mut self, p: Option<Arc<txmm_obs::WalkProgress>>) {
         self.walk_progress = p;
     }
 
     /// The attached walk-progress accumulator, if any.
-    pub fn walk_progress(&self) -> Option<&std::sync::Arc<txmm_obs::WalkProgress>> {
+    pub fn walk_progress(&self) -> Option<&Arc<txmm_obs::WalkProgress>> {
         self.walk_progress.as_ref()
     }
 
@@ -696,36 +748,7 @@ impl Session {
     /// session's registry handles. Compile-cache numbers are aggregated
     /// from the registered `.cat` models at snapshot time.
     pub fn stats(&self) -> SessionStats {
-        let t = &self.stats;
-        let mut s = SessionStats {
-            interned: t.interned.get() as usize,
-            verdict_hits: t.verdict_hits.get(),
-            verdict_misses: t.verdict_misses.get(),
-            observability_hits: t.observability_hits.get(),
-            observability_misses: t.observability_misses.get(),
-            outcome_hits: t.outcome_hits.get(),
-            outcome_misses: t.outcome_misses.get(),
-            outcome_entries: t.outcome_entries.get() as usize,
-            outcome_candidates: t.outcome_candidates.get(),
-            outcome_classes: t.outcome_classes.get(),
-            prune_subtrees_cut: t.prune_subtrees_cut.get(),
-            prune_candidates_skipped: t.prune_candidates_skipped.get(),
-            prune_oracle_calls: t.prune_oracle_calls.get(),
-            prune_oracle_micros: t.prune_oracle_micros.get(),
-            prune_delta_answers: t.prune_delta_answers.get(),
-            prune_fallbacks: t.prune_fallbacks.get(),
-            prune_batches: t.prune_batch_size.snapshot().count,
-            prune_batched_placements: t.prune_batch_size.snapshot().sum,
-            ..SessionStats::default()
-        };
-        for (_, model) in &self.cat_models {
-            let c = model.compile_stats();
-            s.compile_hits += c.hits;
-            s.compile_misses += c.misses;
-            s.compile_entries += c.entries;
-            s.compile_micros += c.micros;
-        }
-        s
+        self.stats.snapshot()
     }
 
     // ---- Sweep drivers ---------------------------------------------------
