@@ -168,19 +168,12 @@ fn bench_pruning(c: &mut Criterion) {
         b.iter(|| Walk::new(&x86).consistent(&model).count().0)
     });
 
-    // Outcome tables through the pruned per-mask walk vs the exhaustive
-    // shared table (`set_prune(false)`), cold Session per iteration.
+    // Outcome tables through the pruned per-mask walk, cold Session per
+    // iteration.
     let corpus = corpus();
     c.bench_function("pruning/outcomes-pruned", |b| {
         b.iter(|| {
             let mut s = Session::new();
-            outcome_pass(&mut s, &corpus)
-        })
-    });
-    c.bench_function("pruning/outcomes-table", |b| {
-        b.iter(|| {
-            let mut s = Session::new();
-            s.set_prune(false);
             outcome_pass(&mut s, &corpus)
         })
     });

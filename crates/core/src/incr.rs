@@ -128,13 +128,22 @@ pub trait PruneOracle: Sync {
     }
 }
 
-/// An oracle that never prunes: the pruned walks degrade to plain
-/// enumeration when a model provides no oracle.
+/// An oracle that never prunes: the walks run under it when there is
+/// no oracle, and then visit every candidate.
 pub struct NoPrune;
 
 impl PruneOracle for NoPrune {
     fn viable(&self, _a: &ExecutionAnalysis<'_>) -> bool {
         true
+    }
+
+    /// Exact with no obligations: every probe answers "viable" from
+    /// the delta state, and no analysis is ever built.
+    fn delta_plan(&self, x: &Execution) -> Option<DeltaPlan> {
+        Some(DeltaPlan {
+            exact: true,
+            ..DeltaPlan::fallback(x, false)
+        })
     }
 }
 
@@ -460,7 +469,7 @@ impl PartialCandidate {
             coh,
             coh_ok,
             delta: None,
-            frames: Vec::new(),
+            frames: Vec::with_capacity(n),
             depth: 0,
         };
         // Robustness: fold in any pre-existing communication edges.

@@ -36,7 +36,7 @@ use txmm_core::{
 };
 
 use crate::ast::{AccessMode, DepKind, LitmusTest, Op};
-use crate::to_exec::LitmusConvertError;
+use crate::to_exec::{LitmusConvertError, MAX_REGISTER};
 
 /// The postcondition-independent part of a litmus test, built once and
 /// shared by the pinned-execution reconstruction
@@ -127,6 +127,9 @@ impl ProgramSkeleton {
             for (idx, instr) in instrs.iter().enumerate() {
                 let ev = match &instr.op {
                     Op::Load { reg, loc, mode } => {
+                        if *reg > MAX_REGISTER {
+                            return Err(LitmusConvertError::RegisterOutOfRange(tid, *reg));
+                        }
                         let e = events.len();
                         reg_event.insert((tid, *reg), e);
                         nregs[tid] = nregs[tid].max(*reg + 1);
@@ -212,15 +215,17 @@ impl ProgramSkeleton {
                 };
                 if let Some(ev) = ev {
                     let e = events.len();
-                    instr_event.insert((tid, idx), e);
-                    if let Some((_, evs, _)) = open_txn.as_mut() {
-                        evs.push(e);
-                    }
+                    // Resolve the dependencies before this instruction
+                    // becomes a target: only earlier events qualify.
                     for d in &instr.deps {
                         let src = *instr_event
                             .get(&(tid, d.on))
                             .ok_or(LitmusConvertError::BadDepTarget(tid, d.on))?;
                         deps.push((d.kind, src, e));
+                    }
+                    instr_event.insert((tid, idx), e);
+                    if let Some((_, evs, _)) = open_txn.as_mut() {
+                        evs.push(e);
                     }
                     events.push(ev);
                 }
@@ -527,6 +532,12 @@ impl MaskedProgram {
 /// deterministic order: abort masks ascending, then coherence
 /// permutations, then rf assignments (each in a fixed lexicographic
 /// order).
+///
+/// The outcome engine walks through [`enumerate_candidates_pruned`],
+/// under [`txmm_core::NoPrune`] for a model without an oracle. This
+/// plain enumeration shares only the program skeleton and the
+/// per-split projection with that walk, and is kept as the reference
+/// the outcome differential tests check it against.
 pub fn enumerate_candidates(
     t: &LitmusTest,
     f: &mut dyn FnMut(Candidate),

@@ -18,6 +18,11 @@ use txmm_core::{Execution, Loc, Rel, TxnClass, WfError, MAX_EVENTS};
 
 use crate::ast::{Check, LitmusTest};
 
+/// The highest register number a litmus program may name. The
+/// generator never goes past r15; the rest is room for hand-written
+/// tests.
+pub(crate) const MAX_REGISTER: usize = 255;
+
 /// Why a litmus test does not determine a well-formed execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LitmusConvertError {
@@ -38,8 +43,12 @@ pub enum LitmusConvertError {
     /// by the write values.
     InconsistentFinalState(Loc),
     /// A dependency annotation points at an instruction that is not an
-    /// event (or not present).
+    /// earlier event of its thread: a non-event, a later instruction,
+    /// the annotated instruction itself, or one not present.
     BadDepTarget(usize, usize),
+    /// A load names a register past r255: every candidate's register
+    /// file is sized by the highest register its thread names.
+    RegisterOutOfRange(usize, usize),
     /// Exclusive accesses on a thread do not pair into rmw edges: a
     /// store-exclusive with no matching same-location load-exclusive,
     /// two load-exclusives in a row, or a load-exclusive never
@@ -77,7 +86,16 @@ impl fmt::Display for LitmusConvertError {
                 )
             }
             LitmusConvertError::BadDepTarget(t, i) => {
-                write!(f, "dependency on non-event instruction {i} of thread {t}")
+                write!(
+                    f,
+                    "dependency on instruction {i} of thread {t}, which is not an earlier event"
+                )
+            }
+            LitmusConvertError::RegisterOutOfRange(t, r) => {
+                write!(
+                    f,
+                    "thread {t} loads into register r{r} (registers are r0..=r{MAX_REGISTER})"
+                )
             }
             LitmusConvertError::UnpairedExclusive(t) => {
                 write!(
@@ -253,6 +271,45 @@ mod tests {
             execution_from_litmus(&t),
             Err(LitmusConvertError::UnpairedExclusive(0))
         );
+    }
+
+    #[test]
+    fn register_numbers_are_bounded() {
+        let program = |reg: &str| {
+            let src = format!("t (x86)\nthread 0:\n  {reg} <- x\nthread 1:\n  x <- 1\n");
+            parse_litmus(&src).expect("parses")
+        };
+        // The highest register number would wrap the register-file size
+        // to 0, and a million-entry file would ride along with every
+        // candidate's final state.
+        for reg in [u64::MAX as usize, 1_000_000, MAX_REGISTER + 1] {
+            let t = program(&format!("r{reg}"));
+            let want = LitmusConvertError::RegisterOutOfRange(0, reg);
+            assert_eq!(execution_from_litmus(&t), Err(want.clone()));
+            assert_eq!(crate::candidate_count(&t), Err(want));
+        }
+        let t = program(&format!("r{MAX_REGISTER}"));
+        assert!(execution_from_litmus(&t).is_ok());
+        assert_eq!(crate::candidate_count(&t), Ok(2));
+    }
+
+    #[test]
+    fn self_dependencies_rejected() {
+        for kind in ["addr", "ctrl", "data"] {
+            let src = format!(
+                "selfdep (Power)\n\
+                 thread 0:\n\
+                 \u{20} r0 <- x // deps: {kind}#0\n\
+                 \u{20} y <- 1\n\
+                 thread 1:\n\
+                 \u{20} r0 <- y\n\
+                 \u{20} x <- 1\n"
+            );
+            let t = parse_litmus(&src).expect("parses");
+            let want = LitmusConvertError::BadDepTarget(0, 0);
+            assert_eq!(execution_from_litmus(&t), Err(want.clone()), "{kind}");
+            assert_eq!(crate::candidate_count(&t), Err(want), "{kind}");
+        }
     }
 
     #[test]

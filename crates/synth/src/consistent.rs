@@ -1,7 +1,8 @@
-//! Consistency-guided enumeration: the structure walk of
-//! [`mod@crate::enumerate`] with the incremental consistency engine of
-//! [`txmm_core::incr`] threaded through the rf/co stages. A
-//! [`Walk`](crate::Walk) with an oracle runs it.
+//! The structure walk: rmw pairs, dependencies, rf and co over one
+//! labelled event vector of [`mod@crate::enumerate`], with the
+//! incremental consistency engine of [`txmm_core::incr`] threaded
+//! through the rf/co stages. Every [`Walk`](crate::Walk) runs it; a walk
+//! without an oracle runs it under [`NoPrune`], which cuts nothing.
 //!
 //! Every rf source and coherence placement is applied to a
 //! [`PartialCandidate`] the moment it is chosen, and a per-model
@@ -11,13 +12,14 @@
 //! built. An oracle rejection certifies that no completion (any rf/co
 //! extension, any transaction layout) is consistent, so filtering the
 //! pruned stream by the full model yields exactly the consistent
-//! classes of the unpruned walk; `tests/pruning_differential.rs` pins
-//! this at |E| ≤ 4 for all six model spaces.
+//! classes of the unpruned walk, in the same order;
+//! `tests/pruning_differential.rs` pins this at |E| ≤ 4 for all six
+//! model spaces.
 //!
 //! Symmetry cuts and oracle cuts commute (consistency is a class
 //! invariant). Each completed rf/co assignment (a *group*) is copied
-//! into one execution per label assignment, the shared leaf path
-//! (`Leaves`) switches every transaction layout into it in place, and
+//! into one execution per label assignment, the leaf path (`Leaves`)
+//! switches every transaction layout into it in place, and
 //! [`LeafChecker`] re-derives only the layout-dependent relations.
 
 use txmm_core::incr::{judge_batch, NoPrune, PartialCandidate, PruneOracle, PruneStats};
@@ -84,7 +86,7 @@ pub fn oracle_for(model: &dyn Model, txns_known: bool) -> &dyn PruneOracle {
 /// A full-model consistency filter over a leaf stream that shares
 /// txn-independent analysis slots across consecutive candidates.
 ///
-/// Both structure walks emit every transaction layout of one completed
+/// The structure walk emits every transaction layout of one completed
 /// rf/co assignment back to back; those siblings differ only in `txns`,
 /// so `fr`, `com`, the equivalences, the fence relations and the
 /// models' memoised txn-free relations (the x86 `hb` and ARMv8 `ob`
@@ -120,11 +122,11 @@ impl<'m> LeafChecker<'m> {
     }
 }
 
-// ---- The pruned structure walk -----------------------------------------
+// ---- The structure walk -------------------------------------------------
 
-/// Shared state of one pruned rf/co walk: the choice space, the
-/// oracle, and the precomputed arity products that let a cut count
-/// exactly how many candidates it skipped.
+/// Shared state of one rf/co walk: the choice space, the oracle, and
+/// the precomputed arity products that let a cut count exactly how
+/// many candidates it skipped.
 struct RfCoWalk<'a> {
     oracle: &'a dyn PruneOracle,
     space: &'a StructureSpace,
@@ -136,9 +138,10 @@ struct RfCoWalk<'a> {
     /// `co_suffix[l]` = co orderings over locations `l..` (`m_l!`
     /// suffix product; last entry 1).
     co_suffix: Vec<u64>,
-    /// `rf_suffix[i]` = rf assignments over reads `i..` (option-count
-    /// suffix product; last entry 1).
-    rf_suffix: Vec<u64>,
+    /// `rf_prefix[i]` = rf assignments over reads `..i` (option-count
+    /// prefix product; first entry 1). Reads are assigned from the last
+    /// to the first, so these are the reads a cut at read `i` leaves.
+    rf_prefix: Vec<u64>,
     /// Leaf candidates per complete rf/co assignment (txn layouts ×
     /// atomic flag).
     txn_leaves: u64,
@@ -172,9 +175,9 @@ impl<'a> RfCoWalk<'a> {
         for l in (0..space.loc_writes.len()).rev() {
             co_suffix[l] = co_suffix[l + 1].saturating_mul(fact[space.loc_writes[l].len()]);
         }
-        let mut rf_suffix = vec![1u64; space.reads.len() + 1];
-        for i in (0..space.reads.len()).rev() {
-            rf_suffix[i] = rf_suffix[i + 1].saturating_mul(space.rf_options[i].len() as u64);
+        let mut rf_prefix = vec![1u64; space.reads.len() + 1];
+        for i in 0..space.reads.len() {
+            rf_prefix[i + 1] = rf_prefix[i].saturating_mul(space.rf_options[i].len() as u64);
         }
         RfCoWalk {
             oracle,
@@ -182,7 +185,7 @@ impl<'a> RfCoWalk<'a> {
             read_loc_writes,
             fact,
             co_suffix,
-            rf_suffix,
+            rf_prefix,
             txn_leaves: space.txn_leaves(),
         }
     }
@@ -206,11 +209,14 @@ impl<'a> RfCoWalk<'a> {
         }
     }
 
-    /// Assign read `i`'s rf source, then recurse; a non-viable
-    /// assignment cuts every candidate below it. All sibling options
-    /// are probed first — the ones the delta state cannot decide are
-    /// materialised and judged in one batched oracle call — and only
-    /// then do the viable ones recurse, in the original option order.
+    /// With `i` reads still unassigned, assign read `i - 1`'s rf
+    /// source, then recurse; a non-viable assignment cuts every
+    /// candidate below it. Reads go from the last to the first, so read
+    /// 0 varies fastest. Every option is probed once; the ones the
+    /// delta state cannot decide are materialised and judged in one
+    /// batched oracle call. Viable options recurse in option order: an
+    /// option decided before any sibling is left undecided recurses at
+    /// once, while its edges are applied, the rest after the batch.
     fn rf(
         &self,
         i: usize,
@@ -218,13 +224,13 @@ impl<'a> RfCoWalk<'a> {
         st: &mut PruneStats,
         leaf: &mut dyn FnMut(&Execution),
     ) {
-        if i == self.space.reads.len() {
+        let Some(i) = i.checked_sub(1) else {
             self.co(0, pc, st, leaf);
             return;
-        }
+        };
         let r = self.space.reads[i];
         let opts = &self.space.rf_options[i];
-        let mut viable_mask = 0u64;
+        let (mut viable_mask, mut walked) = (0u64, 0u64);
         let mut pend_slots: Vec<usize> = Vec::new();
         let mut batch: Vec<(Execution, Rel)> = Vec::new();
         pc.mark();
@@ -235,6 +241,10 @@ impl<'a> RfCoWalk<'a> {
             } else {
                 Some(true) // no new edges: nothing to check
             } {
+                Some(true) if batch.is_empty() => {
+                    self.rf(i, pc, st, leaf);
+                    walked |= 1 << j;
+                }
                 Some(true) => viable_mask |= 1 << j,
                 Some(false) => {}
                 None => {
@@ -254,14 +264,17 @@ impl<'a> RfCoWalk<'a> {
             }
         }
         for (j, &opt) in opts.iter().enumerate() {
+            if walked & (1 << j) != 0 {
+                continue;
+            }
             if viable_mask & (1 << j) != 0 {
                 self.apply_rf(i, r, opt, pc);
-                self.rf(i + 1, pc, st, leaf);
+                self.rf(i, pc, st, leaf);
                 pc.rewind();
             } else {
                 self.cut(
                     st,
-                    self.rf_suffix[i + 1]
+                    self.rf_prefix[i]
                         .saturating_mul(self.co_suffix[0])
                         .saturating_mul(self.txn_leaves),
                 );
@@ -299,7 +312,7 @@ impl<'a> RfCoWalk<'a> {
             self.co(li + 1, pc, st, leaf);
             return;
         }
-        let mut viable_mask = 0u64;
+        let (mut viable_mask, mut walked) = (0u64, 0u64);
         let mut pend_slots: Vec<usize> = Vec::new();
         let mut batch: Vec<(Execution, Rel)> = Vec::new();
         pc.mark();
@@ -313,6 +326,12 @@ impl<'a> RfCoWalk<'a> {
             } else {
                 pc.probe(self.oracle, st)
             } {
+                Some(true) if batch.is_empty() => {
+                    let mut next = placed;
+                    next.insert(w);
+                    self.place(li, next, k + 1, pc, st, leaf);
+                    walked |= 1 << j;
+                }
                 Some(true) => viable_mask |= 1 << j,
                 Some(false) => {}
                 None => {
@@ -332,7 +351,7 @@ impl<'a> RfCoWalk<'a> {
             }
         }
         for (j, &w) in ws.iter().enumerate() {
-            if placed.contains(w) {
+            if placed.contains(w) || walked & (1 << j) != 0 {
                 continue;
             }
             if viable_mask & (1 << j) != 0 {
@@ -361,11 +380,15 @@ impl<'a> RfCoWalk<'a> {
 /// transaction-agnostic oracle, and [`Leaves`] expands every
 /// transaction layout of each completed rf/co group in place over one
 /// execution per label assignment. Survivors are *not* yet filtered by
-/// a full model check.
+/// a full model check. Without an oracle (`None`) this is the whole
+/// structure space, walked under [`NoPrune`]: rmw subsets outermost,
+/// then dependency choices, rf sources (read 0 fastest), coherence
+/// orders (location 0 slowest, each in lexicographic order of its
+/// writes) and transaction layouts.
 pub(crate) fn pruned_structures(
     cfg: &EnumConfig,
     events: &[Event],
-    oracle: &dyn PruneOracle,
+    oracle: Option<&dyn PruneOracle>,
     st: &mut PruneStats,
     leaves: &mut Leaves,
     keep: &mut Keep<'_>,
@@ -373,34 +396,47 @@ pub(crate) fn pruned_structures(
 ) {
     let n = events.len();
     let space = StructureSpace::new(cfg, events);
-    let walk = RfCoWalk::new(events, &space, oracle);
+    let walk = RfCoWalk::new(events, &space, oracle.unwrap_or(&NoPrune));
     let empty = Rel::empty(n);
     // The execution every group of this label assignment is copied
     // into and every layout switched in: the walk's own partial
     // candidate keeps its empty transaction classes for the oracle.
     let mut y = space.execution(events, empty, empty, empty, empty);
+    // An oracle plans for the structure it judges, so it gets a fresh
+    // partial candidate per (rmw, deps) choice. Under `NoPrune` nothing
+    // reads that structure, and one candidate serves every choice.
+    let mut shared = oracle
+        .is_none()
+        .then(|| PartialCandidate::with_oracle(y.clone(), &NoPrune));
     for rmws in &space.rmw_sets {
         let mut rmw = Rel::empty(n);
         for &(a, b) in rmws {
             rmw.add(a, b);
         }
         for_deps(cfg, events, &space.dep_slots, &mut |addr, ctrl, data| {
-            let base = space.execution(events, *addr, *ctrl, *data, rmw);
-            let mut pc = PartialCandidate::with_oracle(base, oracle);
-            // Structure-only violations (no rf/co yet) kill the whole
-            // subtree at once.
-            if !pc.viable(oracle, st) {
-                walk.cut(
-                    st,
-                    walk.rf_suffix[0]
-                        .saturating_mul(walk.co_suffix[0])
-                        .saturating_mul(walk.txn_leaves),
-                );
-                return;
-            }
+            let mut fresh;
+            let pc = match shared.as_mut() {
+                Some(pc) => pc,
+                None => {
+                    let base = space.execution(events, *addr, *ctrl, *data, rmw);
+                    fresh = PartialCandidate::with_oracle(base, walk.oracle);
+                    // Structure-only violations (no rf/co yet) kill the
+                    // whole subtree at once.
+                    if !fresh.viable(walk.oracle, st) {
+                        walk.cut(
+                            st,
+                            walk.rf_prefix[space.reads.len()]
+                                .saturating_mul(walk.co_suffix[0])
+                                .saturating_mul(walk.txn_leaves),
+                        );
+                        return;
+                    }
+                    &mut fresh
+                }
+            };
             let (a, c, d, r) = y.deps_mut();
             (*a, *c, *d, *r) = (*addr, *ctrl, *data, rmw);
-            walk.rf(0, &mut pc, st, &mut |x| {
+            walk.rf(space.reads.len(), pc, st, &mut |x| {
                 let (rf, co) = y.comm_mut();
                 (*rf, *co) = (*x.rf(), *x.co());
                 leaves.emit(&space, &mut y, keep, visit);
@@ -495,5 +531,15 @@ mod tests {
         });
         assert_eq!(got, filtered);
         assert_eq!(st.subtrees_cut, 0);
+    }
+
+    #[test]
+    fn a_walk_without_an_oracle_counts_nothing() {
+        for arch in [txmm_models::Arch::X86, txmm_models::Arch::Power] {
+            let walk = Walk::new(&EnumConfig::hw(arch, 3));
+            assert_eq!(walk.count().1, PruneStats::default());
+            assert_eq!(walk.clone().workers(1).count().1, PruneStats::default());
+            assert_eq!(walk.for_each(|_| {}), PruneStats::default());
+        }
     }
 }

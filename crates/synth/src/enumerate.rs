@@ -24,12 +24,13 @@
 //! layouts per assignment on a five-event single thread, 233 on six),
 //! times the atomic flag for C++. A label assignment lists its layouts
 //! once, as a table of per-event class ids built at its first completed
-//! rf/co assignment, and the walks switch each layout into one
-//! execution in place (`Execution::set_txn_layout`): no class vector,
-//! txn index or execution is rebuilt per layout. The last symmetry
-//! stage splits the same way: its txn-free half is decided once per
-//! rf/co assignment ([`txmm_core::canon::LayoutOrbit`]), and a layout
-//! is compared only when that half ties under some automorphism.
+//! rf/co assignment, and the structure walk ([`crate::consistent`])
+//! switches each layout into one execution in place
+//! (`Execution::set_txn_layout`): no class vector, txn index or
+//! execution is rebuilt per layout. The last symmetry stage splits the
+//! same way: its txn-free half is decided once per rf/co assignment
+//! ([`txmm_core::canon::LayoutOrbit`]), and a layout is compared only
+//! when that half ties under some automorphism.
 //!
 //! [`Frontier`] is the resumable form of that decomposition: a lazy
 //! iterator of subtree jobs. A [`Walk`](crate::Walk) walks it, in order
@@ -45,8 +46,11 @@ use std::cell::OnceCell;
 use std::collections::HashSet;
 
 use txmm_core::canon::{canon_key, kind_rows_sorted, kind_tag, LayoutOrbit};
+use txmm_core::incr::PruneStats;
 use txmm_core::{Attrs, Event, EventId, EventKind, Execution, Fence, Rel, MAX_EVENTS, NO_TXN};
 use txmm_models::Arch;
+
+use crate::consistent::pruned_structures;
 
 /// What the enumerator may use.
 #[derive(Debug, Clone)]
@@ -445,9 +449,8 @@ pub(crate) struct TxnLayout {
 }
 
 /// The structure choice space over one fully labelled event vector:
-/// everything [`assign_structure`] and the pruned walker
-/// ([`crate::consistent`]) enumerate once kinds, locations and
-/// attributes are fixed.
+/// everything the structure walk ([`crate::consistent`]) enumerates
+/// once kinds, locations and attributes are fixed.
 pub(crate) struct StructureSpace {
     /// Program order: same thread, earlier slot.
     pub(crate) po: Rel,
@@ -692,8 +695,8 @@ pub(crate) enum Keep<'k> {
     Each(&'k mut dyn FnMut(&Execution) -> bool),
 }
 
-/// The leaf path both structure walks share: every transaction layout
-/// of one completed rf/co group, switched in place into one execution.
+/// The structure walk's leaf path: every transaction layout of one
+/// completed rf/co group, switched in place into one execution.
 ///
 /// A layout costs only what it changes: [`Execution::set_txn_layout`]
 /// rewrites the classes and the txn index in their existing buffers
@@ -747,69 +750,15 @@ impl Leaves {
     }
 }
 
-/// Enumerate rmw pairs, dependencies, rf, co and transactions over
-/// fully labelled events, switching one execution in place through
-/// every choice; `keep` picks the class representatives among each
-/// rf/co group's transaction layouts.
-pub(crate) fn assign_structure(
-    cfg: &EnumConfig,
-    events: &[Event],
-    leaves: &mut Leaves,
-    keep: &mut Keep<'_>,
-    visit: &mut dyn FnMut(&Execution),
-) {
-    let n = events.len();
-    let space = StructureSpace::new(cfg, events);
-    // co: permutations of writes per location.
-    let co_options: Vec<Vec<Vec<usize>>> = space
-        .loc_writes
-        .iter()
-        .map(|ws| permutations_of(ws))
-        .collect();
-    let empty = Rel::empty(n);
-    let mut x = space.execution(events, empty, empty, empty, empty);
-
-    // Iterate the cross product.
-    for rmws in &space.rmw_sets {
-        let mut rmw = Rel::empty(n);
-        for &(a, b) in rmws {
-            rmw.add(a, b);
-        }
-        for_deps(cfg, events, &space.dep_slots, &mut |addr, ctrl, data| {
-            let (a, c, d, r) = x.deps_mut();
-            (*a, *c, *d, *r) = (*addr, *ctrl, *data, rmw);
-            for_rf(&space.reads, &space.rf_options, &mut |rf_choice| {
-                for_co(&co_options, &mut |co_perms| {
-                    let (rf, co) = x.comm_mut();
-                    *rf = Rel::empty(n);
-                    for (i, &r) in space.reads.iter().enumerate() {
-                        if let Some(w) = rf_choice[i] {
-                            rf.add(w, r);
-                        }
-                    }
-                    *co = Rel::empty(n);
-                    for perm in co_perms {
-                        for i in 0..perm.len() {
-                            for j in (i + 1)..perm.len() {
-                                co.add(perm[i], perm[j]);
-                            }
-                        }
-                    }
-                    leaves.emit(&space, &mut x, keep, visit);
-                });
-            });
-        });
-    }
-}
-
 // ---- The seed reference path -------------------------------------------
 
 /// The seed generate-then-dedup enumeration: every kind / label /
 /// structure combination is built and deduplicated after the fact
-/// through a per-shape [`canon_key`] set. Kept as the differential
-/// reference for the streaming engine (same canonical classes, in
+/// through a per-shape [`canon_key`] set, with no symmetry cut before
+/// the leaves. Kept as the differential reference for the streaming
+/// engine's incremental canonicalisation (same canonical classes, in
 /// whatever representative the seed path met first) and as the bench
-/// baseline the incremental canonicalisation is measured against.
+/// baseline it is measured against.
 pub fn enumerate_reference(cfg: &EnumConfig, visit: &mut dyn FnMut(&Execution)) {
     let kinds = kinds_for(cfg);
     for shape in config_shapes(cfg) {
@@ -823,7 +772,8 @@ pub fn enumerate_reference(cfg: &EnumConfig, visit: &mut dyn FnMut(&Execution)) 
             enumerate_labels(cfg, &tids, &evkinds, &mut |events| {
                 let mut dedup = |x: &Execution| seen.insert(canon_key(x));
                 let mut keep = Keep::Each(&mut dedup);
-                assign_structure(cfg, events, &mut leaves, &mut keep, visit);
+                let st = &mut PruneStats::default();
+                pruned_structures(cfg, events, None, st, &mut leaves, &mut keep, visit);
             });
             // Odometer.
             let mut i = 0;
@@ -857,22 +807,6 @@ fn subsets<T: Clone>(items: &[T]) -> Vec<Vec<T>> {
             more.push(s2);
         }
         out.extend(more);
-    }
-    out
-}
-
-fn permutations_of(items: &[usize]) -> Vec<Vec<usize>> {
-    if items.is_empty() {
-        return vec![vec![]];
-    }
-    let mut out = Vec::new();
-    for (i, &first) in items.iter().enumerate() {
-        let mut rest: Vec<usize> = items.to_vec();
-        rest.remove(i);
-        for mut p in permutations_of(&rest) {
-            p.insert(0, first);
-            out.push(p);
-        }
     }
     out
 }
@@ -933,56 +867,12 @@ pub(crate) fn for_deps(
     }
 }
 
-fn for_rf(reads: &[usize], options: &[Vec<Option<usize>>], k: &mut dyn FnMut(&[Option<usize>])) {
-    if reads.is_empty() {
-        k(&[]);
-        return;
-    }
-    let mut choice = vec![0usize; reads.len()];
-    loop {
-        let picked: Vec<Option<usize>> = (0..reads.len()).map(|i| options[i][choice[i]]).collect();
-        k(&picked);
-        let mut i = 0;
-        loop {
-            if i == reads.len() {
-                return;
-            }
-            choice[i] += 1;
-            if choice[i] < options[i].len() {
-                break;
-            }
-            choice[i] = 0;
-            i += 1;
-        }
-    }
-}
-
-fn for_co(options: &[Vec<Vec<usize>>], k: &mut dyn FnMut(&[Vec<usize>])) {
-    fn go(
-        i: usize,
-        options: &[Vec<Vec<usize>>],
-        acc: &mut Vec<Vec<usize>>,
-        k: &mut dyn FnMut(&[Vec<usize>]),
-    ) {
-        if i == options.len() {
-            k(acc);
-            return;
-        }
-        for perm in &options[i] {
-            acc.push(perm.clone());
-            go(i + 1, options, acc, k);
-            acc.pop();
-        }
-    }
-    let mut acc = Vec::new();
-    go(0, options, &mut acc, k);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Walk;
     use txmm_core::canon::{label_canonical, struct_canonical, struct_key, Label};
+    use txmm_core::incr::{NoPrune, PruneOracle};
     use txmm_core::TxnClass;
 
     #[test]
@@ -1120,7 +1010,7 @@ mod tests {
                     assert_eq!(space.txn_leaves(), count, "{ctx}");
                     assert_eq!(table.len(), want.len(), "{ctx}");
                     // Switch every layout into one execution, in order,
-                    // with a shared spare pool, as the walks do.
+                    // with a shared spare pool, as the walk does.
                     let empty = Rel::empty(n);
                     let mut x = space.execution(&events, empty, empty, empty, empty);
                     let mut spare = Vec::new();
@@ -1198,13 +1088,9 @@ mod tests {
                     layouts += 1;
                     false
                 };
-                assign_structure(
-                    cfg,
-                    events,
-                    &mut leaves,
-                    &mut Keep::Each(&mut keep_all),
-                    &mut |_| {},
-                );
+                let keep = &mut Keep::Each(&mut keep_all);
+                let st = &mut PruneStats::default();
+                pruned_structures(cfg, events, None, st, &mut leaves, keep, &mut |_| {});
             });
         }
         (layouts, rejected, tied)
@@ -1255,6 +1141,140 @@ mod tests {
     #[ignore = "minutes in debug; the CI prune-smoke job runs it in release"]
     fn layout_orbit_matches_struct_canonical_at_four_events() {
         assert_layout_orbit(4..=4);
+    }
+
+    /// The size of the structure space over `events`, from the events
+    /// alone: rmw subsets × dependency choices × rf sources × coherence
+    /// orders × transaction layouts.
+    fn structure_space_size(cfg: &EnumConfig, events: &[Event]) -> u64 {
+        let n = events.len();
+        let is = |e: usize, kind: EventKind| events[e].kind == kind;
+        let same_thread = |a: usize, b: usize| events[a].tid == events[b].tid;
+        let mut size = 1u64;
+        if cfg.rmws {
+            // po-adjacent same-location read→write pairs, atomic in C++.
+            for a in 1..n {
+                let (r, w) = (&events[a - 1], &events[a]);
+                let atomic = r.attrs.contains(Attrs::ATO) && w.attrs.contains(Attrs::ATO);
+                if is(a - 1, EventKind::Read)
+                    && is(a, EventKind::Write)
+                    && same_thread(a - 1, a)
+                    && r.loc == w.loc
+                    && (cfg.arch != Arch::Cpp || atomic)
+                {
+                    size *= 2;
+                }
+            }
+        }
+        let reads: Vec<usize> = (0..n).filter(|&e| is(e, EventKind::Read)).collect();
+        if cfg.deps {
+            // Per read and po-later event: none or ctrl, addr onto an
+            // access, data onto a write.
+            for &a in &reads {
+                for b in (a + 1..n).filter(|&b| same_thread(a, b)) {
+                    size *= 2
+                        + u64::from(events[b].kind.is_access())
+                        + u64::from(is(b, EventKind::Write));
+                }
+            }
+        }
+        let writes_at = |loc: Option<u8>| {
+            (0..n)
+                .filter(|&w| is(w, EventKind::Write) && events[w].loc == loc)
+                .count() as u64
+        };
+        for &r in &reads {
+            size *= 1 + writes_at(events[r].loc);
+        }
+        let mut locs: Vec<u8> = events.iter().filter_map(|e| e.loc).collect();
+        locs.sort_unstable();
+        locs.dedup();
+        for loc in locs {
+            size *= (1..=writes_at(Some(loc))).product::<u64>();
+        }
+        let layouts: u64 = if cfg.txns {
+            let threads = events.iter().map(|e| e.tid as usize + 1).max().unwrap_or(0);
+            (0..threads)
+                .map(|t| {
+                    interval_sets(events.iter().filter(|e| e.tid as usize == t).count()).len()
+                        as u64
+                })
+                .product()
+        } else {
+            1
+        };
+        size * if cfg.atomic_txns {
+            2 * layouts - 1
+        } else {
+            layouts
+        }
+    }
+
+    /// Under [`NoPrune`] with a keep-everything filter, the structure
+    /// walk over every label assignment visits exactly
+    /// [`structure_space_size`] leaves, no two with the same structure.
+    /// Every leaf lies in that space, so the walk covers it exactly.
+    /// Both ways of walking without cuts are checked: no oracle (one
+    /// partial candidate per label assignment) and `NoPrune` as the
+    /// oracle (one per rmw and dependency choice). Returns the leaves
+    /// visited.
+    fn check_structure_bijection(cfg: &EnumConfig) -> u64 {
+        let kinds = kinds_for(cfg);
+        let shapes = config_shapes(cfg);
+        let mut total = 0u64;
+        for sub in Frontier::new(cfg) {
+            let evkinds: Vec<EventKind> =
+                sub.kind_choice.iter().map(|&i| kinds[i as usize]).collect();
+            let tids = shape_tids(&shapes[sub.shape_idx]);
+            let mut leaves = Leaves::default();
+            enumerate_labels(cfg, &tids, &evkinds, &mut |events| {
+                let size = structure_space_size(cfg, events);
+                for oracle in [None, Some(&NoPrune as &dyn PruneOracle)] {
+                    let mut seen = HashSet::new();
+                    let mut visited = 0u64;
+                    let st = &mut PruneStats::default();
+                    let keep = &mut Keep::Each(&mut |_| true);
+                    pruned_structures(cfg, events, oracle, st, &mut leaves, keep, &mut |x| {
+                        visited += 1;
+                        let structure =
+                            (*x.rmw(), *x.addr(), *x.ctrl(), *x.data(), *x.rf(), *x.co());
+                        assert!(
+                            seen.insert((structure, x.txns().to_vec())),
+                            "visited twice: {x:?}"
+                        );
+                    });
+                    assert_eq!(visited, size, "{events:?}");
+                    total += visited;
+                }
+            });
+        }
+        total
+    }
+
+    fn assert_structure_bijection(spaces: &[EnumConfig]) {
+        for cfg in spaces {
+            let leaves = check_structure_bijection(cfg);
+            assert!(
+                leaves > 0,
+                "{:?} |E| = {}: empty space",
+                cfg.arch,
+                cfg.events
+            );
+        }
+    }
+
+    #[test]
+    fn structure_walk_is_a_bijection() {
+        for events in 1..=3 {
+            assert_structure_bijection(&orbit_spaces(events));
+        }
+    }
+
+    #[test]
+    #[ignore = "minutes in debug; the CI prune-smoke job runs it in release"]
+    fn structure_walk_is_a_bijection_at_four_events() {
+        let spaces = orbit_spaces(4);
+        assert_structure_bijection(&[spaces[0].clone(), spaces[2].clone()]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! worker instead of pinning one.
 //!
 //! The pool is generic over the job type: every [`crate::Walk`] runs on
-//! it, and so do the outcome engine's abort-mask and class-check jobs.
+//! it, and so does the outcome engine's walk over abort masks.
 //! Per-worker state comes back to the caller for deterministic merging.
 
 use std::collections::VecDeque;

@@ -138,7 +138,7 @@ pub fn txn_histogram(forbid: &[FoundTest]) -> [usize; 4] {
 mod tests {
     use super::*;
     use crate::consistent::oracle_for;
-    use txmm_models::{Arch, Sc, Tsc, X86};
+    use txmm_models::{Arch, Power, Sc, Tsc, X86};
 
     fn x86_cfg(events: usize) -> EnumConfig {
         EnumConfig {
@@ -230,31 +230,38 @@ mod tests {
         assert_eq!(allow_keys(&par), allow_keys(&seq));
     }
 
+    /// Synthesis over the baseline's pruned walk returns the plain
+    /// walk's Forbid and Allow lists, in the same order: the oracle
+    /// only removes candidates that fail condition (c).
     #[test]
     fn pruned_synthesis_matches_plain() {
-        let walk = Walk::new(&x86_cfg(3));
-        let plain = synthesise(&walk, &X86::tm(), &X86::base(), None);
-        let base = X86::base();
-        let pruned = synthesise(
-            &walk.prune(oracle_for(&base, false)),
-            &X86::tm(),
-            &base,
-            None,
-        );
-        let st = pruned.prune;
-        assert!(pruned.complete);
-        let keys = |r: &SuiteResult| {
-            r.forbid
-                .iter()
-                .map(|f| canon_key(&f.exec))
-                .collect::<HashSet<_>>()
+        let power = |events| EnumConfig {
+            max_locs: 2,
+            ..EnumConfig::hw(Arch::Power, events)
         };
-        assert_eq!(keys(&plain), keys(&pruned), "same Forbid tests");
-        let allow_keys = |r: &SuiteResult| r.allow.iter().map(canon_key).collect::<HashSet<_>>();
-        assert_eq!(allow_keys(&plain), allow_keys(&pruned));
-        // The oracle must have cut real work.
-        assert!(st.subtrees_cut > 0);
-        assert!(pruned.candidates < plain.candidates);
+        let (x86_tm, x86) = (X86::tm(), X86::base());
+        let (power_tm, power_base) = (Power::tm(), Power::base());
+        let rows: [(EnumConfig, &dyn Model, &dyn Model); 2] = [
+            (x86_cfg(4), &x86_tm, &x86),
+            (power(3), &power_tm, &power_base),
+        ];
+        for (cfg, tm, base) in rows {
+            let name = format!("{:?} |E| = {}", cfg.arch, cfg.events);
+            let walk = Walk::new(&cfg);
+            let plain = synthesise(&walk, tm, base, None);
+            let pruned = synthesise(&walk.prune(oracle_for(base, false)), tm, base, None);
+            assert!(pruned.complete);
+            let keys = |r: &SuiteResult| {
+                let forbid: Vec<Vec<u8>> = r.forbid.iter().map(|f| canon_key(&f.exec)).collect();
+                let allow: Vec<Vec<u8>> = r.allow.iter().map(canon_key).collect();
+                (forbid, allow)
+            };
+            assert!(!plain.forbid.is_empty(), "{name}: no Forbid tests");
+            assert_eq!(keys(&plain), keys(&pruned), "{name}: Forbid/Allow lists");
+            // The oracle must have cut real work.
+            assert!(pruned.prune.subtrees_cut > 0, "{name}");
+            assert!(pruned.candidates < plain.candidates, "{name}");
+        }
     }
 
     #[test]

@@ -14,12 +14,10 @@
 //! count: parallel runs stamp each candidate with its [`CandSeq`], and
 //! merging by it reproduces the one-worker order.
 //!
-//! Without an oracle the driver walks the unpruned structure space;
-//! with one, the pruned rf/co recursion of [`crate::consistent`]. For a
-//! never-cutting oracle the two emit the same classes but not in the
-//! same order (the unpruned odometer varies read 0 fastest, the
-//! recursion slowest), and Table 1's Forbid order follows the unpruned
-//! walk.
+//! Every subtree runs the structure walk of [`crate::consistent`]; a
+//! walk without an oracle runs it under
+//! [`NoPrune`](txmm_core::incr::NoPrune). An oracle only removes
+//! candidates, so a pruned walk emits the unpruned order, filtered.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -32,8 +30,8 @@ use txmm_obs::WalkProgress;
 
 use crate::consistent::{oracle_for, pruned_structures, publish_prune, LeafChecker};
 use crate::enumerate::{
-    assign_structure, config_shapes, enumerate_labels, kinds_for, shape_tids, walk_weight, CandSeq,
-    EnumConfig, Frontier, Keep, Leaves, Subtree,
+    config_shapes, enumerate_labels, kinds_for, shape_tids, walk_weight, CandSeq, EnumConfig,
+    Frontier, Keep, Leaves, Subtree,
 };
 use crate::steal::{run_with_progress, worker_count, StealStats};
 
@@ -182,8 +180,7 @@ impl<'a> Walk<'a> {
         for sub in Frontier::new(&self.cfg) {
             self.subtree(&shapes, &sub, &mut lane, |_, x| f(x));
         }
-        self.finish(&lane.prune);
-        lane.prune
+        self.finish(lane.prune)
     }
 
     /// How many candidates the walk keeps.
@@ -296,11 +293,15 @@ impl<'a> Walk<'a> {
         config_shapes(&self.cfg)
     }
 
-    /// Publish a pruned walk's counters to the registry.
-    fn finish(&self, prune: &PruneStats) {
-        if self.oracle.is_some() {
-            publish_prune(prune);
+    /// The counters a finished walk reports: a pruned walk publishes
+    /// them to the registry, and a walk without an oracle counts
+    /// nothing.
+    fn finish(&self, prune: PruneStats) -> PruneStats {
+        if self.oracle.is_none() {
+            return PruneStats::default();
         }
+        publish_prune(&prune);
+        prune
     }
 
     pub(crate) fn lane(&self) -> Lane<'a> {
@@ -331,8 +332,7 @@ impl<'a> Walk<'a> {
                 s
             })
             .collect();
-        self.finish(&prune);
-        (states, prune, steal)
+        (states, self.finish(prune), steal)
     }
 
     /// Walk one frontier subtree, passing every kept candidate to
@@ -350,6 +350,7 @@ impl<'a> Walk<'a> {
         let kinds = kinds_for(cfg);
         let evkinds: Vec<EventKind> = sub.kind_choice.iter().map(|&i| kinds[i as usize]).collect();
         let tids = shape_tids(shape);
+        let oracle = self.oracle;
         let Lane { prune, check } = lane;
         let before = (prune.subtrees_cut, prune.candidates_skipped);
         let mut leaves = Leaves::default();
@@ -380,10 +381,7 @@ impl<'a> Walk<'a> {
                         // whole relation/transaction subtree.
             };
             let keep = &mut Keep::Orbit(&auts);
-            match self.oracle {
-                None => assign_structure(cfg, events, &mut leaves, keep, &mut leaf),
-                Some(o) => pruned_structures(cfg, events, o, prune, &mut leaves, keep, &mut leaf),
-            }
+            pruned_structures(cfg, events, oracle, prune, &mut leaves, keep, &mut leaf);
         });
         if let Some(p) = self.progress {
             p.subtree_done(

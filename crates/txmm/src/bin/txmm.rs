@@ -84,8 +84,8 @@ fn usage() -> ExitCode {
          serve options: --model NAME, --cat FILE, --with-cat, --warm, --prom,\n\
          \u{20}               --listen ADDR, --shards N, --max-conns N\n\
          outcomes options: serve options plus --workers N, --max-candidates N\n\
-         \u{20} --workers N parallelises the pruned abort-split walk and class\n\
-         \u{20} checking over N work-stealing threads (1 = fully sequential)\n\
+         \u{20} --workers N walks each program's abort splits over N\n\
+         \u{20} work-stealing threads (default 1, fully sequential)\n\
          telemetry (gen/outcomes): --progress[=SECS] heartbeat JSONL frames on\n\
          \u{20} stderr, --progress-file FILE to redirect them, --metrics-listen\n\
          \u{20} ADDR to scrape live metrics from the one-shot process\n\
@@ -562,11 +562,7 @@ fn cmd_outcomes(args: &[String]) -> ExitCode {
     let workers: usize = flag_values(args, "--workers")
         .first()
         .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(1)
-        });
+        .unwrap_or(1);
     session.set_outcome_workers(workers);
     match parse_max_candidates(args) {
         Ok(Some(cap)) => session.set_max_candidates(cap),

@@ -1,20 +1,21 @@
 //! The outcome engine's checking half: per-model **allowed final-state
 //! sets** for litmus programs, served from a [`Session`].
 //!
-//! `txmm_litmus::outcomes` enumerates every candidate execution of a
-//! program (all rf assignments, all per-location coherence orders, all
-//! transaction commit/abort splits). This module turns that stream into
+//! `txmm_litmus::outcomes` walks the candidate executions of a program
+//! (all rf assignments, all per-location coherence orders, all
+//! transaction commit/abort splits). This module turns that walk into
 //! herd-style answers:
 //!
-//! * candidates are grouped into **canonical classes** through the
-//!   Session arena (thread/location-symmetric candidates share one
-//!   interned representative), so each model checks one execution per
-//!   class instead of one per candidate — the same symmetry machinery
-//!   `txmm_core::canon` gives the enumerator, reused as a pruning
-//!   stage;
-//! * class checking **fans out over the `txmm_synth::steal`
-//!   work-stealing pool** when the class count is worth it, and lands
-//!   in the Session's verdict cache either way;
+//! * each `(program, model)` pair walks the candidates once, with the
+//!   model's txns-known prune oracle cutting doomed subtrees and whole
+//!   abort splits, or under [`NoPrune`] when the model has none;
+//! * the surviving candidates are grouped into **canonical classes**
+//!   through the Session arena (thread/location-symmetric candidates
+//!   share one interned representative), so each model checks one
+//!   execution per class instead of one per candidate — the same
+//!   symmetry machinery `txmm_core::canon` gives the enumerator, reused
+//!   as a pruning stage — and the verdicts land in the Session's
+//!   verdict cache;
 //! * the resulting allowed outcome set per `(program, model)` is cached
 //!   under the program's canonical key ([`txmm_litmus::program_key`]),
 //!   so re-serving a test — or the same program under a different
@@ -28,15 +29,15 @@
 //! observations can be cross-checked to be a **subset** of a sound
 //! model's allowed set ([`unsound_sim_outcomes`]).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use txmm_core::arena::ExecId;
-use txmm_core::{PruneOracle, PruneStats};
+use txmm_core::{NoPrune, PruneOracle, PruneStats};
 use txmm_hwsim::{Outcome, OutcomeSet, Simulator, MAX_LOCS};
 use txmm_litmus::{
-    enumerate_candidates, enumerate_mask_pruned, mask_candidate_count, program_key, Candidate,
-    LitmusTest, Op, ProgramSkeleton,
+    enumerate_mask_pruned, mask_candidate_count, program_key, Candidate, LitmusTest, Op,
+    ProgramSkeleton,
 };
 use txmm_models::Arch;
 
@@ -50,20 +51,10 @@ use crate::session::{intern_into, ModelRef, Session};
 /// which consistency-guided pruning keeps affordable.
 pub const MAX_CANDIDATES: u128 = 1 << 16;
 
-/// One program's enumerated candidate table, cached per program key —
-/// the unpruned reference path, used for models without a prune oracle
-/// (and for every model when [`Session::set_prune`] turns pruning off).
-pub(crate) struct OutcomeTable {
-    /// Final state + canonical class per candidate.
-    pub(crate) candidates: Vec<(Outcome, usize)>,
-    /// Interned representative execution per class.
-    pub(crate) classes: Vec<ExecId>,
-}
-
-/// What one `(program, model)` outcome computation actually walked:
-/// the pruned path visits a per-model subset of the candidate space,
-/// the table path all of it. Cached alongside the allowed set so
-/// repeat requests can report class counts without re-walking.
+/// What one `(program, model)` outcome walk actually visited: the
+/// subset of the candidate space the model's oracle could not refute
+/// (all of it for a model without one). Cached alongside the allowed
+/// set so repeat requests can report class counts without re-walking.
 pub(crate) struct OutcomeVisit {
     /// Distinct canonical classes visited, in first-visit order.
     pub(crate) classes: Vec<ExecId>,
@@ -269,10 +260,10 @@ impl Drop for WalkUnit<'_> {
 }
 
 impl Session {
-    /// Program-level outcome enumeration: build (or fetch) the
-    /// program's candidate table, check every canonical class under the
-    /// requested models (all registered models when `models` is
-    /// `None`), and return the allowed final-state set plus the
+    /// Program-level outcome enumeration: walk (or fetch) the
+    /// program's candidates under each requested model (all registered
+    /// models when `models` is `None`), check every canonical class
+    /// visited, and return the allowed final-state set plus the
     /// postcondition verdict per model.
     pub fn outcomes(
         &mut self,
@@ -331,14 +322,7 @@ impl Session {
             } else {
                 self.stats.outcome_misses.inc();
                 cached = false;
-                // Oracle-backed models walk the candidate space with
-                // consistency-guided pruning, one walk per model;
-                // oracle-less models share the unpruned table.
-                if self.prune && self.models[slot].prune_oracle(true).is_some() {
-                    self.pruned_model_outcomes(&key, t, m)?;
-                } else {
-                    self.table_model_outcomes(&key, t, m)?;
-                }
+                self.model_outcomes(&key, t, m)?;
                 self.stats
                     .outcome_entries
                     .set(self.outcome_sets.len() as i64);
@@ -378,13 +362,10 @@ impl Session {
     /// model's oracle kills doomed subtrees (and whole abort splits)
     /// during construction, surviving candidates are interned and
     /// verdict-checked class by class, and the allowed set plus the
-    /// visit record land in the per-`(program, model)` caches.
-    fn pruned_model_outcomes(
-        &mut self,
-        key: &[u8],
-        t: &LitmusTest,
-        m: ModelRef,
-    ) -> Result<(), String> {
+    /// visit record land in the per-`(program, model)` caches. A model
+    /// without an oracle walks every candidate under [`NoPrune`] and
+    /// adds nothing to the prune counters.
+    fn model_outcomes(&mut self, key: &[u8], t: &LitmusTest, m: ModelRef) -> Result<(), String> {
         let slot = m.index();
         // The oracle borrows the model registry for the whole walk;
         // split the borrows so candidates can still be interned and
@@ -403,9 +384,8 @@ impl Session {
         let progress = walk_progress.clone();
         let progress = progress.as_deref();
         let model = models[slot].as_ref();
-        let oracle = model
-            .prune_oracle(true)
-            .expect("caller checked the oracle exists");
+        let pruned = model.prune_oracle(true);
+        let oracle = pruned.unwrap_or(&NoPrune);
         let mut allowed = OutcomeSet::new();
         let mut classes: Vec<ExecId> = Vec::new();
         let mut seen: HashSet<ExecId> = HashSet::new();
@@ -463,6 +443,11 @@ impl Session {
             );
             (visited, pstats)
         };
+        let pstats = if pruned.is_some() {
+            pstats
+        } else {
+            PruneStats::default()
+        };
         self.stats.interned.set(self.arena.len() as i64);
         self.stats.outcome_candidates.add(visited as u64);
         self.stats.outcome_classes.add(classes.len() as u64);
@@ -481,127 +466,6 @@ impl Session {
         self.outcome_visits
             .insert((key.to_vec(), slot), OutcomeVisit { classes });
         Ok(())
-    }
-
-    /// One model's allowed set from the shared unpruned table — the
-    /// reference path, and the only one for models without an oracle.
-    fn table_model_outcomes(
-        &mut self,
-        key: &[u8],
-        t: &LitmusTest,
-        m: ModelRef,
-    ) -> Result<(), String> {
-        if !self.outcome_tables.contains_key(key) {
-            let table = self.build_table(t)?;
-            self.outcome_tables.insert(key.to_vec(), table);
-        }
-        let consistent = self.class_consistency(key, m);
-        let table = &self.outcome_tables[key];
-        let allowed: OutcomeSet = table
-            .candidates
-            .iter()
-            .filter(|(_, class)| consistent[*class])
-            .map(|(o, _)| o.clone())
-            .collect();
-        let visit = OutcomeVisit {
-            classes: table.classes.clone(),
-        };
-        self.outcome_sets.insert((key.to_vec(), m.index()), allowed);
-        self.outcome_visits.insert((key.to_vec(), m.index()), visit);
-        Ok(())
-    }
-
-    /// Enumerate the program's candidates into a table, interning one
-    /// representative execution per canonical class. Size refusals
-    /// happened in [`Session::outcomes_capped`]; the capacity clamp
-    /// only guards allocation under deliberately raised caps.
-    fn build_table(&mut self, t: &LitmusTest) -> Result<OutcomeTable, String> {
-        let count = txmm_litmus::candidate_count(t).map_err(|e| e.to_string())?;
-        let mut candidates = Vec::with_capacity(count.min(1 << 20) as usize);
-        let mut classes: Vec<ExecId> = Vec::new();
-        let mut class_of: HashMap<ExecId, usize> = HashMap::new();
-        enumerate_candidates(t, &mut |c| {
-            let id = self.intern(&c.exec);
-            let next = classes.len();
-            let class = *class_of.entry(id).or_insert_with(|| {
-                classes.push(id);
-                next
-            });
-            candidates.push((
-                Outcome {
-                    regs: c.regs,
-                    memory: pad_locs(c.memory),
-                    txn_ok: c.txn_ok,
-                    co_order: pad_locs(c.co_order),
-                },
-                class,
-            ));
-        })
-        .map_err(|e| e.to_string())?;
-        self.stats.outcome_candidates.add(candidates.len() as u64);
-        self.stats.outcome_classes.add(classes.len() as u64);
-        if let Some(p) = &self.walk_progress {
-            // The unpruned table is built in one gulp; report it as a
-            // single completed work unit so watchers still see motion.
-            let done = candidates.len() as u64;
-            p.add_total(done);
-            p.subtree_done(done, done, 0, 0);
-            p.add_classes(classes.len() as u64);
-        }
-        Ok(OutcomeTable {
-            candidates,
-            classes,
-        })
-    }
-
-    /// Per-class consistency of one model over a table, landing in (and
-    /// served from) the Session verdict cache. Classes missing from the
-    /// cache fan out over the work-stealing pool when there are enough
-    /// of them to pay for the threads.
-    fn class_consistency(&mut self, key: &[u8], m: ModelRef) -> Vec<bool> {
-        /// Below this many uncached classes the pool's thread setup
-        /// costs more than the checking.
-        const PAR_THRESHOLD: usize = 32;
-        let slot = m.index();
-        let class_ids: Vec<txmm_core::arena::ExecId> = self.outcome_tables[key].classes.clone();
-        let missing: Vec<(usize, txmm_core::arena::ExecId)> = class_ids
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(_, id)| !self.verdicts.contains_key(&(id, slot)))
-            .collect();
-        self.stats
-            .verdict_hits
-            .add((class_ids.len() - missing.len()) as u64);
-        self.stats.verdict_misses.add(missing.len() as u64);
-        if !missing.is_empty() {
-            let jobs: Vec<(txmm_core::arena::ExecId, txmm_core::Execution)> = missing
-                .iter()
-                .map(|&(_, id)| (id, self.arena.unpack(id)))
-                .collect();
-            let model = self.models[slot].as_ref();
-            let workers = if jobs.len() >= PAR_THRESHOLD {
-                self.outcome_workers
-            } else {
-                1
-            };
-            let (states, _stats) = txmm_synth::steal::run_with_progress(
-                jobs.into_iter(),
-                workers,
-                None,
-                |_| Vec::new(),
-                |(id, x), out: &mut Vec<(txmm_core::arena::ExecId, txmm_models::Verdict)>| {
-                    out.push((id, model.check_analysis(&x.analysis())));
-                },
-            );
-            for (id, v) in states.into_iter().flatten() {
-                self.verdicts.insert((id, slot), v);
-            }
-        }
-        class_ids
-            .iter()
-            .map(|id| self.verdicts[&(*id, slot)].is_consistent())
-            .collect()
     }
 }
 
@@ -765,66 +629,97 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_and_sequential_checking_agree() {
-        // 5 same-location writes on one thread: 120 coherence classes —
-        // enough to engage the work-stealing pool on the parallel
-        // session. Answers must be identical either way.
+    /// An SC-strength `.cat` model whose one check subtracts a growing
+    /// relation: it has no monotone core, so no prune oracle.
+    const ORACLE_LESS_SC: &str = "acyclic po | (com \\ (rf ; rf^-1)) as Order";
+
+    /// Five writes to one location on one thread, each in its own
+    /// transaction: 32 abort splits and 326 candidates.
+    fn five_txn_writes() -> LitmusTest {
         use txmm_litmus::Instr;
-        let t = LitmusTest {
+        let mut instrs = Vec::new();
+        for v in 1..=5u32 {
+            let txn_id = v as usize - 1;
+            let store = Op::Store {
+                loc: 0,
+                value: v,
+                mode: Default::default(),
+            };
+            let begin = Op::TxBegin {
+                txn_id,
+                atomic: false,
+            };
+            instrs.extend([begin, store, Op::TxEnd].map(Instr::plain));
+        }
+        LitmusTest {
             name: "5w".into(),
             arch: Arch::X86,
-            threads: vec![(1..=5u32)
-                .map(|v| {
-                    Instr::plain(Op::Store {
-                        loc: 0,
-                        value: v,
-                        mode: Default::default(),
-                    })
-                })
-                .collect()],
+            threads: vec![instrs],
             post: vec![txmm_litmus::Check::Loc { loc: 0, value: 5 }],
+        }
+    }
+
+    #[test]
+    fn parallel_and_sequential_checking_agree() {
+        // The oracle-less model walks every candidate of every split,
+        // x86's oracle cuts each split to its po-ordered coherence
+        // order; at 1 and at 4 workers the answers are the same.
+        let t = five_txn_writes();
+        let answer = |workers| {
+            let mut s = Session::new();
+            s.set_outcome_workers(workers);
+            let sc = s.register_cat_source("sc-like", ORACLE_LESS_SC).unwrap();
+            assert!(s.model(sc).prune_oracle(true).is_none());
+            let x86 = s.resolve("x86").unwrap();
+            let r = s.outcomes("5w", &t, Some(&[sc, x86])).unwrap();
+            (r, s.stats())
         };
-        // Pruning would collapse the program to its one po-consistent
-        // coherence order before any class reaches the pool; pin it
-        // off so the table path's fan-out is what gets exercised.
-        let mut seq = Session::new();
-        seq.set_prune(false);
-        let mut par = Session::new();
-        par.set_prune(false);
-        par.set_outcome_workers(4);
-        let m_seq = seq.resolve("x86").unwrap();
-        let m_par = par.resolve("x86").unwrap();
-        let a = seq.outcomes("5w", &t, Some(&[m_seq])).unwrap();
-        let b = par.outcomes("5w", &t, Some(&[m_par])).unwrap();
-        assert!(
-            a.classes >= 32,
-            "classes {} must engage the pool",
-            a.classes
-        );
+        let (a, stats) = answer(1);
+        let (b, _) = answer(4);
         assert_eq!(a.per_model, b.per_model);
-        // x86 keeps same-thread writes in program order: exactly one
-        // coherence order survives, so the postcondition x = 5 is
-        // allowed and x = anything else is not.
-        assert_eq!(a.per_model[0].post_allowed, Some(true));
-        assert_eq!(a.per_model[0].allowed.len(), 1);
-        // The pruned walk abandons the other 119 coherence orders
-        // during construction and still answers identically.
-        let mut pruned = Session::new();
-        let m = pruned.resolve("x86").unwrap();
-        let c = pruned.outcomes("5w", &t, Some(&[m])).unwrap();
-        assert_eq!(a.per_model[0].allowed, c.per_model[0].allowed);
+        assert_eq!((a.candidates, a.classes), (b.candidates, b.classes));
+        assert_eq!(a.candidates, 326);
+        // Both models keep same-thread writes in program order: one
+        // final state per abort split, and x = 5 is allowed.
+        for m in &a.per_model {
+            assert_eq!(m.allowed.len(), 32, "{}", m.model);
+            assert_eq!(m.post_allowed, Some(true), "{}", m.model);
+        }
+        // The oracle-less walk visits all 326 candidates; x86's visits
+        // plus its skips cover the space again.
+        assert!(stats.prune_subtrees_cut > 0);
         assert_eq!(
-            a.candidates, c.candidates,
-            "closed-form count is path-independent"
+            stats.outcome_candidates + stats.prune_candidates_skipped,
+            2 * a.candidates as u64,
         );
-        assert_eq!(c.classes, 1, "only the surviving order is visited");
-        assert!(pruned.stats().prune_subtrees_cut > 0);
-        assert_eq!(
-            pruned.stats().outcome_candidates + pruned.stats().prune_candidates_skipped,
-            a.candidates as u64,
-            "visited + skipped covers the whole space"
-        );
+    }
+
+    #[test]
+    fn oracle_less_models_count_no_pruning() {
+        let mut s = Session::new();
+        let sc = s.register_cat_source("sc-like", ORACLE_LESS_SC).unwrap();
+        for workers in [1, 2] {
+            s.set_outcome_workers(workers);
+            let before = s.stats();
+            let r = s.outcomes("5w", &five_txn_writes(), Some(&[sc])).unwrap();
+            let after = s.stats();
+            assert_eq!(r.per_model[0].allowed.len(), 32);
+            assert_eq!(after.outcome_candidates - before.outcome_candidates, 326);
+            let prune = |st: &crate::session::SessionStats| {
+                (
+                    st.prune_subtrees_cut,
+                    st.prune_candidates_skipped,
+                    st.prune_oracle_calls,
+                    st.prune_oracle_micros,
+                    st.prune_delta_answers,
+                    st.prune_fallbacks,
+                    st.prune_batches,
+                    st.prune_batched_placements,
+                )
+            };
+            assert_eq!(prune(&before), prune(&after));
+            s.reload_cat_source("sc-like", ORACLE_LESS_SC).unwrap();
+        }
     }
 
     #[test]

@@ -368,20 +368,15 @@ pub struct Session {
     pub(crate) canon_ids: HashMap<Vec<u8>, ExecId>,
     pub(crate) verdicts: HashMap<(ExecId, usize), Verdict>,
     pub(crate) observability: HashMap<(ExecId, Arch), bool>,
-    /// Program key → enumerated candidate table (see `crate::outcomes`).
-    pub(crate) outcome_tables: HashMap<Vec<u8>, crate::outcomes::OutcomeTable>,
     /// (program key, model slot) → allowed final states.
     pub(crate) outcome_sets: HashMap<(Vec<u8>, usize), txmm_hwsim::OutcomeSet>,
     /// (program key, model slot) → what that model's outcome walk
     /// actually visited (see `crate::outcomes`).
     pub(crate) outcome_visits: HashMap<(Vec<u8>, usize), crate::outcomes::OutcomeVisit>,
-    /// Consistency-guided pruning in the outcome engine (default on;
-    /// models without an oracle always take the unpruned table path).
-    pub(crate) prune: bool,
     /// Refuse programs with more candidate executions than this.
     pub(crate) max_candidates: u128,
-    /// Worker threads for fanning candidate checking out over the
-    /// work-stealing pool (1 = sequential).
+    /// Worker threads the outcome walk fans its abort splits out over
+    /// (1 = sequential).
     pub(crate) outcome_workers: usize,
     pub(crate) stats: Arc<SessionTelemetry>,
     /// Live walk telemetry: when set, the synthesis sweeps and the
@@ -431,10 +426,8 @@ impl Session {
             canon_ids: HashMap::new(),
             verdicts: HashMap::new(),
             observability: HashMap::new(),
-            outcome_tables: HashMap::new(),
             outcome_sets: HashMap::new(),
             outcome_visits: HashMap::new(),
-            prune: true,
             max_candidates: crate::outcomes::MAX_CANDIDATES,
             outcome_workers: 1,
             stats: Arc::new(SessionTelemetry::new()),
@@ -554,20 +547,11 @@ impl Session {
         self.reload_cat_source(&name, &src)
     }
 
-    /// Set the worker-thread count the outcome engine fans out over
-    /// (via the `txmm-synth` work-stealing pool): the pruned walk's
-    /// per-abort-split enumeration and the unpruned table's class
-    /// checking both use it; 1 keeps everything on the calling thread.
+    /// Set the worker-thread count the outcome walk fans its abort
+    /// splits out over (via the `txmm-synth` work-stealing pool); 1
+    /// keeps everything on the calling thread.
     pub fn set_outcome_workers(&mut self, workers: usize) {
         self.outcome_workers = workers.max(1);
-    }
-
-    /// Enable or disable consistency-guided pruning in the outcome
-    /// engine. Off, every model is answered from the shared unpruned
-    /// candidate table — the differential reference the pruned path is
-    /// tested against.
-    pub fn set_prune(&mut self, prune: bool) {
-        self.prune = prune;
     }
 
     /// Replace the candidate-execution cap the outcome engine refuses

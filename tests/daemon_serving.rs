@@ -631,6 +631,57 @@ fn malformed_requests_keep_the_connection_alive() {
             "{loc} outcomes: {after:?}"
         );
     }
+    // Register numbers past r255 (the first wraps the register-file
+    // size to 0) and a self-dependency get error frames as a check and
+    // as an outcomes request, and none of them panics.
+    let panics = |stream: &mut BufReader<TcpStream>| -> u64 {
+        let page = roundtrip(stream, &Request::Metrics { prom: true });
+        page.iter()
+            .find_map(|l| l.strip_prefix("txmm_request_panics_total "))
+            .map_or(0, |v| v.trim().parse().expect("counter value"))
+    };
+    let panics_before = panics(&mut stream);
+    let refused = [
+        (
+            format!("wrap (x86)\nthread 0:\n  r{} <- x\n", u64::MAX),
+            "registers are r0..=r255",
+        ),
+        (
+            "wide (x86)\nthread 0:\n  r1000000 <- x\n".to_string(),
+            "registers are r0..=r255",
+        ),
+        (
+            "selfdep (Power)\nthread 0:\n  r0 <- x // deps: addr#0\n  y <- 1\n\
+             thread 1:\n  r0 <- y\n  x <- 1\n"
+                .to_string(),
+            "not an earlier event",
+        ),
+    ];
+    for (src, why) in refused {
+        let file = "refused.litmus".to_string();
+        for req in [
+            Request::Check {
+                file: file.clone(),
+                src: src.clone(),
+                models: None,
+                trace: None,
+            },
+            Request::Outcomes {
+                file: file.clone(),
+                src: src.clone(),
+                models: None,
+                max_candidates: None,
+                trace: None,
+            },
+        ] {
+            let got = roundtrip(&mut stream, &req);
+            assert_eq!(got.len(), 1, "{got:?}");
+            assert!(got[0].contains("\"error\":\""), "{}", got[0]);
+            assert!(!got[0].contains("internal"), "{}", got[0]);
+            assert!(got[0].contains(why), "{}", got[0]);
+        }
+    }
+    assert_eq!(panics(&mut stream), panics_before);
     // The same connection still serves real requests.
     let models = roundtrip(&mut stream, &Request::Models);
     assert!(!models.is_empty());

@@ -1,7 +1,8 @@
 //! Differential tests for consistency-guided pruning: the pruned
 //! enumerators must be observationally identical to plain
-//! enumerate-then-filter — the same consistent canonical-key sets, the
-//! same allowed-outcome tables — on every model space we can afford.
+//! enumerate-then-filter — the same consistent classes in the same
+//! order, the same allowed-outcome tables — on every model space we
+//! can afford.
 //!
 //! Three layers are exercised:
 //!
@@ -9,15 +10,15 @@
 //!   `Walk` + `model.consistent`): six model spaces at |E| = 3
 //!   in the regular suite, the cheap spaces at |E| = 4 behind
 //!   `#[ignore]` for the CI `prune-smoke` release job.
-//! * **Outcome tables** (pruned Session vs `set_prune(false)`): the
-//!   per-model allowed sets, postcondition verdicts and closed-form
+//! * **Outcome tables** (a Session vs the plain candidate enumeration
+//!   `txmm_litmus::enumerate_candidates` plus each model's full check):
+//!   the per-model allowed sets, postcondition verdicts and closed-form
 //!   candidate counts must agree over the generated corpus, including
-//!   its transactional programs.
+//!   its transactional programs, for every shipped model and for
+//!   `.cat` models without a prune oracle.
 //! * **`.cat` oracles never over-prune**: on complete executions the
 //!   monotone core is a weakening of the full model — it may accept
 //!   more, never reject a consistent execution.
-
-use std::collections::HashSet;
 
 use txmm::core::{
     canon_key, EventSet, ExecutionAnalysis, PartialCandidate, PruneOracle, PruneStats, Rel,
@@ -72,31 +73,26 @@ fn spaces(events: usize) -> Vec<Space> {
     ]
 }
 
-/// The pruned stream equals plain enumerate-then-filter, class for
-/// class, and the oracle was actually consulted along the way.
+/// The pruned stream is plain enumerate-then-filter, class for class
+/// and in order, and the oracle was actually consulted along the way.
 fn assert_pruned_matches_filtered(name: &str, cfg: &EnumConfig, model: &dyn Model) {
-    let mut pruned_keys = HashSet::new();
-    let mut pruned = 0usize;
-    let st = Walk::new(cfg).consistent(model).for_each(|x| {
-        pruned += 1;
-        pruned_keys.insert(canon_key(x));
-    });
-    assert_eq!(
-        pruned,
-        pruned_keys.len(),
-        "{name}: pruned stream emitted a duplicate class"
-    );
-
-    let mut plain_keys = HashSet::new();
+    let mut pruned = Vec::new();
+    let st = Walk::new(cfg)
+        .consistent(model)
+        .for_each(|x| pruned.push(canon_key(x)));
+    let mut plain = Vec::new();
     Walk::new(cfg).for_each(|x| {
         if model.consistent(x) {
-            plain_keys.insert(canon_key(x));
+            plain.push(canon_key(x));
         }
     });
-
-    assert_eq!(
-        pruned_keys, plain_keys,
-        "{name}: pruned and filtered consistent-class sets differ"
+    let diverged = pruned.iter().zip(&plain).position(|(a, b)| a != b);
+    assert!(
+        diverged.is_none() && pruned.len() == plain.len(),
+        "{name}: the pruned stream ({} classes) is not the filtered stream ({} classes); \
+         first difference at class {diverged:?}",
+        pruned.len(),
+        plain.len(),
     );
     if model.prune_oracle(false).is_some() {
         // Exact delta plans answer every probe incrementally, so the
@@ -131,15 +127,17 @@ fn cheap_spaces_at_four_events() {
     }
 }
 
-/// Outcome tables: a pruned Session and a `set_prune(false)` Session
-/// must serve identical per-model answers over the generated corpus —
-/// same allowed sets, same postcondition verdicts, same closed-form
-/// candidate counts. (Visited-class counts legitimately differ: the
-/// pruned walk never materialises classes its oracle refutes.)
+/// Outcome tables: every Session answer over the generated corpus
+/// equals a test-side reference — the plain candidate enumeration
+/// (`txmm_litmus::enumerate_candidates`) with each model's full check —
+/// for every shipped model (native and `.cat`) and for `.cat` models
+/// without a prune oracle, which walk every candidate under `NoPrune`.
 #[test]
 fn outcome_tables_agree_with_unpruned_session() {
+    use txmm::hwsim::{Outcome, OutcomeSet, MAX_LOCS};
+    use txmm::litmus::{enumerate_candidates, parse_litmus};
     use txmm::serve::{serve_outcomes_source, ServedOutcomes};
-    use txmm::session::Session;
+    use txmm::session::{ModelRef, Session};
 
     let corpus = txmm::corpus::generate(3);
     assert!(
@@ -147,34 +145,71 @@ fn outcome_tables_agree_with_unpruned_session() {
         "the corpus must include transactional programs"
     );
 
-    let mut pruned = Session::new();
-    let mut unpruned = Session::new();
-    unpruned.set_prune(false);
-
+    let mut session = Session::with_shipped_cat();
+    for (name, src) in [
+        ("never-unv", "irreflexive (unv \\ com)"),
+        ("never-po-com", "empty (unv \\ (po | com))"),
+        ("never-not-com", "acyclic ~(com)"),
+        ("sc-like", "acyclic po | (com \\ (rf ; rf^-1)) as Order"),
+    ] {
+        let m = session.register_cat_source(name, src).expect("compiles");
+        assert!(
+            session.model(m).prune_oracle(true).is_none(),
+            "{name} must have no prune oracle"
+        );
+    }
+    let models: Vec<ModelRef> = session.models().collect();
+    let pad = |mut v: Vec<u32>| {
+        v.resize(MAX_LOCS, 0);
+        v
+    };
+    let mut allowed_somewhere = vec![false; models.len()];
     for (name, src) in &corpus {
         let file = format!("{name}.litmus");
-        let a = serve_outcomes_source(&mut pruned, &file, src, None);
-        let b = serve_outcomes_source(&mut unpruned, &file, src, None);
-        match (a, b) {
-            (ServedOutcomes::Report(a), ServedOutcomes::Report(b)) => {
-                assert_eq!(a.candidates, b.candidates, "{name}: candidate counts");
-                assert_eq!(a.per_model, b.per_model, "{name}: per-model answers");
+        let ServedOutcomes::Report(got) = serve_outcomes_source(&mut session, &file, src, None)
+        else {
+            panic!("{name}: refused");
+        };
+        let t = parse_litmus(src).expect("corpus parses");
+        let mut want = vec![OutcomeSet::new(); models.len()];
+        let count = enumerate_candidates(&t, &mut |c| {
+            for (i, &m) in models.iter().enumerate() {
+                if session.model(m).consistent(&c.exec) {
+                    want[i].insert(Outcome {
+                        regs: c.regs.clone(),
+                        memory: pad(c.memory.clone()),
+                        txn_ok: c.txn_ok.clone(),
+                        co_order: {
+                            let mut co = c.co_order.clone();
+                            co.resize(MAX_LOCS, Vec::new());
+                            co
+                        },
+                    });
+                }
             }
-            (ServedOutcomes::Failure(a), ServedOutcomes::Failure(b)) => {
-                assert_eq!(a.error, b.error, "{name}: refusals must match");
-            }
-            _ => panic!("{name}: one path served, the other refused"),
+        })
+        .expect("enumerates");
+        assert_eq!(got.candidates, count, "{name}: candidate counts");
+        for (i, mo) in got.per_model.iter().enumerate() {
+            let model = session.model(models[i]).name();
+            assert_eq!(mo.model, model);
+            assert_eq!(mo.allowed, want[i], "{name}: {model} allowed set");
+            let post = (!t.post.is_empty()).then(|| want[i].iter().any(|o| o.passes(&t)));
+            assert_eq!(mo.post_allowed, post, "{name}: {model} postcondition");
+            allowed_somewhere[i] |= !want[i].is_empty();
         }
     }
-    let st = pruned.stats();
+    // The reference is not vacuous: every model allows some final
+    // state (the three that forbid every event still allow the split
+    // that aborts all of a program's events).
+    assert!(
+        allowed_somewhere.iter().all(|a| *a),
+        "{allowed_somewhere:?}"
+    );
+    let st = session.stats();
     assert!(
         st.prune_oracle_calls + st.prune_delta_answers > 0,
         "pruning never engaged: {st:?}"
-    );
-    assert_eq!(
-        unpruned.stats().prune_oracle_calls,
-        0,
-        "set_prune(false) must bypass the oracles"
     );
 }
 
