@@ -20,8 +20,10 @@ use crate::ast::{Check, LitmusTest};
 
 /// The highest register number a litmus program may name. The
 /// generator never goes past r15; the rest is room for hand-written
-/// tests.
+/// tests. [`crate::program_key`] stores a register in one byte, so the
+/// bound must stay within `u8`.
 pub(crate) const MAX_REGISTER: usize = 255;
+const _: () = assert!(MAX_REGISTER <= u8::MAX as usize);
 
 /// Why a litmus test does not determine a well-formed execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -291,6 +293,8 @@ mod tests {
         let t = program(&format!("r{MAX_REGISTER}"));
         assert!(execution_from_litmus(&t).is_ok());
         assert_eq!(crate::candidate_count(&t), Ok(2));
+        // Every register a program may name keeps its own outcome-cache key.
+        assert_ne!(crate::program_key(&t), crate::program_key(&program("r0")));
     }
 
     #[test]

@@ -77,12 +77,6 @@ pub(crate) fn publish_prune(st: &PruneStats) {
     }
 }
 
-/// The model's pruning oracle for the given phase, degraded to
-/// [`NoPrune`] (plain enumeration) when the model offers nothing sound.
-pub fn oracle_for(model: &dyn Model, txns_known: bool) -> &dyn PruneOracle {
-    model.prune_oracle(txns_known).unwrap_or(&NoPrune)
-}
-
 /// A full-model consistency filter over a leaf stream that shares
 /// txn-independent analysis slots across consecutive candidates.
 ///
@@ -212,11 +206,10 @@ impl<'a> RfCoWalk<'a> {
     /// With `i` reads still unassigned, assign read `i - 1`'s rf
     /// source, then recurse; a non-viable assignment cuts every
     /// candidate below it. Reads go from the last to the first, so read
-    /// 0 varies fastest. Every option is probed once; the ones the
-    /// delta state cannot decide are materialised and judged in one
-    /// batched oracle call. Viable options recurse in option order: an
-    /// option decided before any sibling is left undecided recurses at
-    /// once, while its edges are applied, the rest after the batch.
+    /// 0 varies fastest. All sibling options are probed first — the
+    /// ones the delta state cannot decide are materialised and judged
+    /// in one batched oracle call — and only then do the viable ones
+    /// recurse, in the original option order.
     fn rf(
         &self,
         i: usize,
@@ -230,7 +223,7 @@ impl<'a> RfCoWalk<'a> {
         };
         let r = self.space.reads[i];
         let opts = &self.space.rf_options[i];
-        let (mut viable_mask, mut walked) = (0u64, 0u64);
+        let mut viable_mask = 0u64;
         let mut pend_slots: Vec<usize> = Vec::new();
         let mut batch: Vec<(Execution, Rel)> = Vec::new();
         pc.mark();
@@ -241,10 +234,6 @@ impl<'a> RfCoWalk<'a> {
             } else {
                 Some(true) // no new edges: nothing to check
             } {
-                Some(true) if batch.is_empty() => {
-                    self.rf(i, pc, st, leaf);
-                    walked |= 1 << j;
-                }
                 Some(true) => viable_mask |= 1 << j,
                 Some(false) => {}
                 None => {
@@ -264,9 +253,6 @@ impl<'a> RfCoWalk<'a> {
             }
         }
         for (j, &opt) in opts.iter().enumerate() {
-            if walked & (1 << j) != 0 {
-                continue;
-            }
             if viable_mask & (1 << j) != 0 {
                 self.apply_rf(i, r, opt, pc);
                 self.rf(i, pc, st, leaf);
@@ -312,7 +298,7 @@ impl<'a> RfCoWalk<'a> {
             self.co(li + 1, pc, st, leaf);
             return;
         }
-        let (mut viable_mask, mut walked) = (0u64, 0u64);
+        let mut viable_mask = 0u64;
         let mut pend_slots: Vec<usize> = Vec::new();
         let mut batch: Vec<(Execution, Rel)> = Vec::new();
         pc.mark();
@@ -326,12 +312,6 @@ impl<'a> RfCoWalk<'a> {
             } else {
                 pc.probe(self.oracle, st)
             } {
-                Some(true) if batch.is_empty() => {
-                    let mut next = placed;
-                    next.insert(w);
-                    self.place(li, next, k + 1, pc, st, leaf);
-                    walked |= 1 << j;
-                }
                 Some(true) => viable_mask |= 1 << j,
                 Some(false) => {}
                 None => {
@@ -351,7 +331,7 @@ impl<'a> RfCoWalk<'a> {
             }
         }
         for (j, &w) in ws.iter().enumerate() {
-            if placed.contains(w) || walked & (1 << j) != 0 {
+            if placed.contains(w) {
                 continue;
             }
             if viable_mask & (1 << j) != 0 {
@@ -494,8 +474,9 @@ mod tests {
         // so compare in class units: survivors + a skipped lower bound
         // cannot exceed the unpruned candidate count).
         let mut survivors = 0u64;
+        let tm = X86::tm();
         let st = Walk::new(&cfg)
-            .prune(oracle_for(&X86::tm(), false))
+            .prune(tm.prune_oracle(false).expect("x86 oracle"))
             .for_each(|_| survivors += 1);
         assert!(survivors <= total_unpruned);
         assert!(st.candidates_skipped > 0);
@@ -533,6 +514,32 @@ mod tests {
         assert_eq!(st.subtrees_cut, 0);
     }
 
+    /// SC without its oracle.
+    struct OracleLessSc;
+
+    impl Model for OracleLessSc {
+        fn name(&self) -> &'static str {
+            "SC-without-oracle"
+        }
+        fn arch(&self) -> txmm_models::Arch {
+            Sc.arch()
+        }
+        fn is_tm(&self) -> bool {
+            false
+        }
+        fn derived(&self, a: &txmm_core::ExecutionAnalysis<'_>) -> txmm_models::Derived {
+            Sc.derived(a)
+        }
+        fn axioms(
+            &self,
+            a: &txmm_core::ExecutionAnalysis<'_>,
+            d: &txmm_models::Derived,
+            c: &mut txmm_models::Checker,
+        ) {
+            Sc.axioms(a, d, c)
+        }
+    }
+
     #[test]
     fn a_walk_without_an_oracle_counts_nothing() {
         for arch in [txmm_models::Arch::X86, txmm_models::Arch::Power] {
@@ -541,5 +548,11 @@ mod tests {
             assert_eq!(walk.clone().workers(1).count().1, PruneStats::default());
             assert_eq!(walk.for_each(|_| {}), PruneStats::default());
         }
+        // A consistent walk over a model with no oracle is a walk
+        // without one: it keeps the model's classes and counts nothing.
+        let walk = Walk::new(&EnumConfig::hw(txmm_models::Arch::Sc, 3));
+        let (kept, st) = walk.clone().consistent(&OracleLessSc).count();
+        assert_eq!(st, PruneStats::default());
+        assert_eq!(kept, walk.consistent(&Sc).count().0);
     }
 }

@@ -45,13 +45,14 @@ pub mod suites;
 pub mod walk;
 pub mod weaken;
 
-pub use consistent::{oracle_for, LeafChecker};
+pub use consistent::LeafChecker;
 pub use diff::{distinguish, equivalent};
 pub use enumerate::{enumerate_reference, walk_weight, CandSeq, EnumConfig, Frontier, Subtree};
 pub use steal::{run_with_progress, worker_count, StealStats};
 pub use suites::{synthesise, txn_histogram, FoundTest, SuiteResult};
 pub use txmm_core::canon::canon_key;
 pub use walk::{
-    count_consistent_par_progress, enumerate, visit_pruned_par_progress, Probe, Search, Walk,
+    count_consistent_par_progress, enumerate, oracle_for, visit_pruned_par_progress, Probe, Search,
+    Walk,
 };
 pub use weaken::weakenings;

@@ -55,7 +55,8 @@ pub struct SuiteResult {
 /// one-step weakening is consistent under the transactional model.
 ///
 /// By (c), the walk may prune with the *baseline's*
-/// transaction-agnostic oracle (`Walk::prune(oracle_for(base, false))`):
+/// transaction-agnostic oracle (`Walk::prune` with
+/// `base.prune_oracle(false)`):
 /// a partial candidate it rules out fails (c) under every transaction
 /// layout.
 pub fn synthesise(
@@ -137,7 +138,6 @@ pub fn txn_histogram(forbid: &[FoundTest]) -> [usize; 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::consistent::oracle_for;
     use txmm_models::{Arch, Power, Sc, Tsc, X86};
 
     fn x86_cfg(events: usize) -> EnumConfig {
@@ -249,7 +249,10 @@ mod tests {
             let name = format!("{:?} |E| = {}", cfg.arch, cfg.events);
             let walk = Walk::new(&cfg);
             let plain = synthesise(&walk, tm, base, None);
-            let pruned = synthesise(&walk.prune(oracle_for(base, false)), tm, base, None);
+            let oracle = base
+                .prune_oracle(false)
+                .expect("shipped models derive an oracle");
+            let pruned = synthesise(&walk.prune(oracle), tm, base, None);
             assert!(pruned.complete);
             let keys = |r: &SuiteResult| {
                 let forbid: Vec<Vec<u8>> = r.forbid.iter().map(|f| canon_key(&f.exec)).collect();

@@ -15,20 +15,20 @@
 //! merging by it reproduces the one-worker order.
 //!
 //! Every subtree runs the structure walk of [`crate::consistent`]; a
-//! walk without an oracle runs it under
-//! [`NoPrune`](txmm_core::incr::NoPrune). An oracle only removes
-//! candidates, so a pruned walk emits the unpruned order, filtered.
+//! walk without an oracle runs it under [`NoPrune`]. An oracle only
+//! removes candidates, so a pruned walk emits the unpruned order,
+//! filtered.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use txmm_core::canon::{kind_tag, label_canonical, Label};
-use txmm_core::incr::{PruneOracle, PruneStats};
+use txmm_core::incr::{NoPrune, PruneOracle, PruneStats};
 use txmm_core::{EventKind, Execution};
 use txmm_models::Model;
 use txmm_obs::WalkProgress;
 
-use crate::consistent::{oracle_for, pruned_structures, publish_prune, LeafChecker};
+use crate::consistent::{pruned_structures, publish_prune, LeafChecker};
 use crate::enumerate::{
     config_shapes, enumerate_labels, kinds_for, shape_tids, walk_weight, CandSeq, EnumConfig,
     Frontier, Keep, Leaves, Subtree,
@@ -135,7 +135,7 @@ impl<'a> Walk<'a> {
     /// into the progress sink.
     pub fn consistent(self, model: &'a dyn Model) -> Walk<'a> {
         Walk {
-            oracle: Some(oracle_for(model, false)),
+            oracle: model.prune_oracle(false),
             model: Some(model),
             ..self
         }
@@ -397,7 +397,14 @@ impl<'a> Walk<'a> {
 // ---- Wrappers kept for the benchmark ------------------------------------
 //
 // The benchmark package (`perfbench/`) predates `Walk` and imports these
-// three by name; they go once it calls `Walk` directly.
+// four by name; they go once it calls `Walk` directly.
+
+/// The model's pruning oracle for the given phase, [`NoPrune`] when it
+/// has none; kept for the benchmark package. A `Walk` takes the model's
+/// `Option` as it is, and without an oracle it counts nothing.
+pub fn oracle_for(model: &dyn Model, txns_known: bool) -> &dyn PruneOracle {
+    model.prune_oracle(txns_known).unwrap_or(&NoPrune)
+}
 
 /// `Walk::new(cfg).for_each(visit)`, kept for the benchmark package.
 pub fn enumerate(cfg: &EnumConfig, visit: &mut dyn FnMut(&Execution)) {

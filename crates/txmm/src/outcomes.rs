@@ -692,6 +692,37 @@ mod tests {
             stats.outcome_candidates + stats.prune_candidates_skipped,
             2 * a.candidates as u64,
         );
+
+        // Five plain writes on one thread: 120 coherence orders, and
+        // x86's oracle abandons all but the po-ordered one during
+        // construction.
+        use txmm_litmus::Instr;
+        let t = LitmusTest {
+            name: "5w".into(),
+            arch: Arch::X86,
+            threads: vec![(1..=5u32)
+                .map(|v| {
+                    Instr::plain(Op::Store {
+                        loc: 0,
+                        value: v,
+                        mode: Default::default(),
+                    })
+                })
+                .collect()],
+            post: vec![txmm_litmus::Check::Loc { loc: 0, value: 5 }],
+        };
+        let mut s = Session::new();
+        let x86 = s.resolve("x86").unwrap();
+        let c = s.outcomes("5w", &t, Some(&[x86])).unwrap();
+        assert_eq!(c.candidates, 120, "closed-form count is path-independent");
+        assert_eq!(c.classes, 1, "only the surviving order is visited");
+        assert_eq!(c.per_model[0].allowed.len(), 1);
+        assert_eq!(c.per_model[0].post_allowed, Some(true));
+        assert_eq!(
+            s.stats().outcome_candidates + s.stats().prune_candidates_skipped,
+            c.candidates as u64,
+            "visited + skipped covers the whole space"
+        );
     }
 
     #[test]
