@@ -27,7 +27,13 @@
 //!   run their full axiom check on the partial analysis; compiled
 //!   `.cat` models run a conservatively filtered program (see
 //!   `txmm-cat`). Oracles must be **conservative**: they may say
-//!   "viable" for a doomed candidate, never "dead" for a live one.
+//!   "viable" for a doomed candidate, never "dead" for a live one;
+//! * [`RfCoSearch`] — the one rf/co search over a caller-ordered list
+//!   of [`Stage`]s (a source per read, a coherence order per
+//!   location): the synthesis structure walk puts its rf stages first,
+//!   the outcome walk its coherence orders first. Siblings are probed
+//!   together, the undecided ones judged in one batched oracle call,
+//!   and every cut counts the candidates it skipped.
 //!
 //! # Delta viability
 //!
@@ -68,6 +74,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use crate::analysis::ExecutionAnalysis;
+use crate::event::EventId;
 use crate::exec::Execution;
 use crate::rel::Rel;
 use crate::set::EventSet;
@@ -211,6 +218,12 @@ impl PruneStats {
         for (dst, src) in self.batch_hist.iter_mut().zip(&other.batch_hist) {
             *dst = dst.saturating_add(*src);
         }
+    }
+
+    /// Record one cut subtree holding `candidates` complete candidates.
+    pub fn cut(&mut self, candidates: u64) {
+        self.subtrees_cut += 1;
+        self.candidates_skipped = self.candidates_skipped.saturating_add(candidates);
     }
 
     /// Record one sibling batch of `k` placements.
@@ -772,7 +785,7 @@ impl PartialCandidate {
     }
 
     /// Materialise the current state for a batched oracle call.
-    pub fn materialise(&self) -> (Execution, Rel) {
+    fn materialise(&self) -> (Execution, Rel) {
         (self.x.clone(), self.fr)
     }
 
@@ -797,7 +810,7 @@ impl PartialCandidate {
 /// Judge a batch of materialised sibling states in one oracle call
 /// (one timed region, one `oracle_calls` increment). Returns the
 /// viability bitmask.
-pub fn judge_batch(
+fn judge_batch(
     oracle: &dyn PruneOracle,
     batch: &[(Execution, Rel)],
     stats: &mut PruneStats,
@@ -817,6 +830,200 @@ pub fn judge_batch(
         .oracle_micros
         .saturating_add(t0.elapsed().as_micros() as u64);
     bits
+}
+
+/// One choice point of an [`RfCoSearch`].
+#[derive(Debug)]
+pub enum Stage {
+    /// Where `read` takes its value from: one of `sources`, where `None`
+    /// is the initial value, which is `fr`-before every write in
+    /// `loc_writes` (the writes at the read's location).
+    Rf {
+        read: EventId,
+        sources: Vec<Option<EventId>>,
+        loc_writes: EventSet,
+    },
+    /// One location's coherence order, placed write by write.
+    Co { writes: Vec<EventId> },
+}
+
+impl Stage {
+    /// The rf stage of `read`, whose location's writes are `writes`:
+    /// the initial value first, then each write in order.
+    pub fn rf(read: EventId, writes: &[EventId]) -> Stage {
+        Stage::Rf {
+            read,
+            sources: std::iter::once(None)
+                .chain(writes.iter().copied().map(Some))
+                .collect(),
+            loc_writes: writes.iter().copied().collect(),
+        }
+    }
+
+    /// Complete choices this stage offers: sources, or orders.
+    fn arity(&self) -> u64 {
+        match self {
+            Stage::Rf { sources, .. } => sources.len() as u64,
+            Stage::Co { writes } => factorial(writes.len()),
+        }
+    }
+
+    /// Apply option `j` to `pc`, a coherence placement after the
+    /// writes in `placed`; `false` when it added no edge.
+    fn apply(&self, j: usize, placed: EventSet, pc: &mut PartialCandidate) -> bool {
+        match self {
+            Stage::Rf {
+                read,
+                sources,
+                loc_writes,
+            } => match sources[j] {
+                None => {
+                    pc.assign_init_read(*read, *loc_writes);
+                    !loc_writes.is_empty()
+                }
+                Some(w) => {
+                    pc.assign_rf(w, *read);
+                    true
+                }
+            },
+            Stage::Co { writes } => {
+                pc.push_co(placed, writes[j]);
+                !placed.is_empty()
+            }
+        }
+    }
+}
+
+/// Saturating `n!`.
+fn factorial(n: usize) -> u64 {
+    (1..=n as u64).fold(1, u64::saturating_mul)
+}
+
+/// The rf/co search both construction paths run: a depth-first walk
+/// over a caller-ordered list of [`Stage`]s, growing one
+/// [`PartialCandidate`]. At every choice point all sibling options are
+/// probed first (the ones the delta state cannot decide are
+/// materialised and judged in one batched oracle call), and only then
+/// do the viable ones recurse, in option order. A cut counts exactly
+/// how many complete candidates it skipped.
+pub struct RfCoSearch<'a> {
+    oracle: &'a dyn PruneOracle,
+    stages: &'a [Stage],
+    /// `below[s]`: complete candidates under a node that starts stage
+    /// `s`, the arity product of stages `s..` times the leaf weight.
+    below: Vec<u64>,
+}
+
+impl<'a> RfCoSearch<'a> {
+    /// A search over `stages` in order; every complete rf/co choice
+    /// stands for `leaf_weight` candidates in the skip counts.
+    pub fn new(oracle: &'a dyn PruneOracle, stages: &'a [Stage], leaf_weight: u64) -> Self {
+        let mut below = vec![leaf_weight; stages.len() + 1];
+        for s in (0..stages.len()).rev() {
+            below[s] = below[s + 1].saturating_mul(stages[s].arity());
+        }
+        RfCoSearch {
+            oracle,
+            stages,
+            below,
+        }
+    }
+
+    /// Candidates under the root (saturating).
+    pub fn size(&self) -> u64 {
+        self.below[0]
+    }
+
+    /// Walk every rf/co completion of `pc`, whose `rf` and `co` are
+    /// empty, passing each one the oracle cannot refute to `leaf`.
+    pub fn run(
+        &self,
+        pc: &mut PartialCandidate,
+        st: &mut PruneStats,
+        leaf: &mut dyn FnMut(&Execution),
+    ) {
+        self.stage(0, EventSet::default(), pc, st, leaf);
+    }
+
+    /// Choose at stage `s`; `placed` holds the writes a coherence stage
+    /// has already ordered.
+    fn stage(
+        &self,
+        s: usize,
+        placed: EventSet,
+        pc: &mut PartialCandidate,
+        st: &mut PruneStats,
+        leaf: &mut dyn FnMut(&Execution),
+    ) {
+        let Some(stage) = self.stages.get(s) else {
+            leaf(pc.exec());
+            return;
+        };
+        // The open options, as indices into the stage's list.
+        let open = match stage {
+            Stage::Rf { sources, .. } => EventSet::universe(sources.len()),
+            Stage::Co { writes } => {
+                let open: EventSet = (0..writes.len())
+                    .filter(|&j| !placed.contains(writes[j]))
+                    .collect();
+                if open.is_empty() {
+                    return self.stage(s + 1, EventSet::default(), pc, st, leaf);
+                }
+                open
+            }
+        };
+        let mut viable = EventSet::default();
+        let mut pending: Vec<usize> = Vec::new();
+        let mut batch: Vec<(Execution, Rel)> = Vec::new();
+        pc.mark();
+        for j in open.iter() {
+            // A choice that adds no edge needs no probe.
+            match if stage.apply(j, placed, pc) {
+                pc.probe(self.oracle, st)
+            } else {
+                Some(true)
+            } {
+                Some(true) => viable.insert(j),
+                Some(false) => {}
+                None => {
+                    pending.push(j);
+                    batch.push(pc.materialise());
+                }
+            }
+            pc.rewind();
+        }
+        if !batch.is_empty() {
+            st.record_batch(batch.len());
+            let bits = judge_batch(self.oracle, &batch, st);
+            for (b, &j) in pending.iter().enumerate() {
+                if bits >> b & 1 != 0 {
+                    viable.insert(j);
+                }
+            }
+        }
+        for j in open.iter() {
+            if !viable.contains(j) {
+                // Below a cut lie the orders of the writes still open
+                // after this one (none for a read) and the later stages.
+                let left = match stage {
+                    Stage::Rf { .. } => 0,
+                    Stage::Co { .. } => open.len() - 1,
+                };
+                st.cut(factorial(left).saturating_mul(self.below[s + 1]));
+                continue;
+            }
+            stage.apply(j, placed, pc);
+            match stage {
+                Stage::Rf { .. } => self.stage(s + 1, EventSet::default(), pc, st, leaf),
+                Stage::Co { writes } => {
+                    let placed = placed.union(EventSet::singleton(writes[j]));
+                    self.stage(s, placed, pc, st, leaf)
+                }
+            }
+            pc.rewind();
+        }
+        pc.release();
+    }
 }
 
 #[cfg(test)]

@@ -69,8 +69,8 @@ pub use canon::canon_key;
 pub use event::{loc_name, Attrs, Call, Event, EventId, EventKind, Fence, Loc, Tid};
 pub use exec::{CrClass, Execution, LocSet, ThreadEvents, TxnClass, NO_TXN};
 pub use incr::{
-    judge_batch, set_delta_validation, ComposeRule, DeltaPlan, EdgeKind, EdgeSel, IncrOrder, Lift,
-    NoPrune, Obligation, PartialCandidate, PruneOracle, PruneStats,
+    set_delta_validation, ComposeRule, DeltaPlan, EdgeKind, EdgeSel, IncrOrder, Lift, NoPrune,
+    Obligation, PartialCandidate, PruneOracle, PruneStats,
 };
 pub use rel::{stronglift, union_all, weaklift, Rel};
 pub use set::{EventSet, MAX_EVENTS};

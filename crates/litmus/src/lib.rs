@@ -28,8 +28,8 @@ pub mod to_exec;
 pub use ast::{AccessMode, Check, Dep, DepKind, Instr, LitmusTest, Op, Reg};
 pub use from_exec::{litmus_from_execution, read_values, write_values};
 pub use outcomes::{
-    candidate_count, candidates, enumerate_candidates, enumerate_candidates_pruned,
-    enumerate_mask_pruned, mask_candidate_count, program_key, Candidate, ProgramSkeleton,
+    candidate_count, candidates, enumerate_candidates, enumerate_candidates_pruned, program_key,
+    Candidate, ProgramSkeleton,
 };
 pub use parse::{parse_litmus, LitmusParseError};
 pub use to_exec::{execution_from_litmus, LitmusConvertError};

@@ -18,7 +18,10 @@
 //!
 //! The enumeration is deliberately model-free and allocation-light; the
 //! checking half (per-model allowed sets, canonical-class pruning,
-//! caching, the serving wire-up) lives in `txmm::outcomes`.
+//! caching, the serving wire-up) lives in `txmm::outcomes`. The pruned
+//! walk ([`enumerate_candidates_pruned`]) runs one
+//! [`RfCoSearch`] per abort split, the same search the synthesis walk
+//! runs, with the coherence orders as its first stages.
 //!
 //! Aborted transactions follow the hardware convention the simulators
 //! implement: a rolled-back transaction contributes **no events** to
@@ -30,9 +33,10 @@
 
 use std::collections::HashMap;
 
+use txmm_core::incr::{RfCoSearch, Stage};
 use txmm_core::{
-    judge_batch, Event, EventId, EventSet, Execution, Loc, PartialCandidate, PruneOracle,
-    PruneStats, Rel, TxnClass, MAX_EVENTS,
+    Event, EventId, Execution, Loc, PartialCandidate, PruneOracle, PruneStats, Rel, TxnClass,
+    MAX_EVENTS,
 };
 
 use crate::ast::{AccessMode, DepKind, LitmusTest, Op};
@@ -302,6 +306,19 @@ impl ProgramSkeleton {
     pub fn max_loc(&self) -> Option<Loc> {
         self.events.iter().filter_map(|e| e.loc).max()
     }
+
+    /// [`candidate_count`] over the built skeleton.
+    pub fn candidate_count(&self) -> u128 {
+        // Every abort split contributes at least one candidate, so past
+        // 20 transactions the count is at least 2^20; saturate instead
+        // of walking an astronomic mask space just to add it up.
+        if self.txns.len() > 20 {
+            return u128::MAX;
+        }
+        (0..1u64 << self.txns.len())
+            .map(|mask| count_for_mask(self, mask))
+            .fold(0, u128::saturating_add)
+    }
 }
 
 /// One enumerated candidate: the execution plus the final state it
@@ -334,19 +351,7 @@ pub struct Candidate {
 /// sane cap refuses. This is what lets servers refuse oversized
 /// programs before enumerating anything.
 pub fn candidate_count(t: &LitmusTest) -> Result<u128, LitmusConvertError> {
-    let sk = ProgramSkeleton::from_litmus(t)?;
-    // Every abort split contributes at least one candidate, so past 20
-    // transactions the count is at least 2^20; saturate instead of
-    // walking an astronomic mask space just to add it up.
-    if sk.txns.len() > 20 {
-        return Ok(u128::MAX);
-    }
-    let splits = 1u64 << sk.txns.len();
-    let mut total = 0u128;
-    for mask in 0..splits {
-        total = total.saturating_add(count_for_mask(&sk, mask));
-    }
-    Ok(total)
+    Ok(ProgramSkeleton::from_litmus(t)?.candidate_count())
 }
 
 fn factorial(n: usize) -> u128 {
@@ -394,6 +399,8 @@ fn count_for_mask(sk: &ProgramSkeleton, mask: u64) -> u128 {
 struct MaskedProgram {
     n: usize,
     events: Vec<Event>,
+    /// Per committed event: its store value (0 for non-writes).
+    values: Vec<u32>,
     po: Rel,
     addr: Rel,
     ctrl: Rel,
@@ -420,10 +427,12 @@ impl MaskedProgram {
         // Old → new event ids over the committed events.
         let mut remap = vec![None; sk.len()];
         let mut events = Vec::new();
+        let mut values = Vec::new();
         for (e, ev) in sk.events.iter().enumerate() {
             if !dead[e] {
                 remap[e] = Some(events.len());
                 events.push(*ev);
+                values.push(sk.value_of[e]);
             }
         }
         let n = events.len();
@@ -496,6 +505,7 @@ impl MaskedProgram {
         MaskedProgram {
             n,
             events,
+            values,
             po: project(&sk.po),
             addr: project(&sk.addr),
             ctrl: project(&sk.ctrl),
@@ -524,6 +534,65 @@ impl MaskedProgram {
             Rel::empty(self.n),
             self.txns.clone(),
         )
+    }
+
+    /// The rf/co stages of the pruned walk: every location's coherence
+    /// order first, locations ascending (the coherence gate kills an
+    /// order that contradicts `po` at its second placement), then every
+    /// read's source from read 0 on, the initial value first.
+    fn stages(&self) -> Vec<Stage> {
+        let writes: Vec<Vec<EventId>> = self
+            .live_writes
+            .iter()
+            .map(|(_, ws)| ws.iter().map(|&(_, e)| e).collect())
+            .collect();
+        let reads: Vec<Stage> = self
+            .reads
+            .iter()
+            .zip(&self.read_lw)
+            .map(|(&(r, _, _), lw)| Stage::rf(r, lw.map_or(&[], |i| &writes[i])))
+            .collect();
+        let coherence = writes.into_iter().map(|writes| Stage::Co { writes });
+        coherence.chain(reads).collect()
+    }
+
+    /// The complete candidate `x` of abort split `mask`, with the final
+    /// state it produces: a write's coherence rank is the number of
+    /// writes at its location less one, less its `co` successors, and a
+    /// read's value is its `rf` source's.
+    fn candidate(&self, sk: &ProgramSkeleton, x: &Execution, mask: u64) -> Candidate {
+        debug_assert!(x.check_wf().is_ok(), "candidate must be well-formed");
+        let nlocs = sk.max_loc().map_or(0, |l| l as usize + 1);
+        let mut co_order = vec![Vec::new(); nlocs];
+        let mut memory = vec![0u32; nlocs];
+        for (loc, ws) in &self.live_writes {
+            let order = &mut co_order[*loc as usize];
+            order.resize(ws.len(), 0);
+            for &(v, w) in ws {
+                order[ws.len() - 1 - x.co().row(w).len()] = v;
+            }
+            if let Some(&last) = order.last() {
+                memory[*loc as usize] = last;
+            }
+        }
+        let mut regs: Vec<Vec<u32>> = sk.nregs.iter().map(|&n| vec![0; n]).collect();
+        for &(r, _, rold) in &self.reads {
+            if let Some((tid, reg)) = sk.reg_of[rold] {
+                // Later loads into the same register win, as in the
+                // simulators' register files.
+                if sk.reg_event.get(&(tid, reg)) == Some(&rold) {
+                    regs[tid][reg] = x.rf().col(r).iter().next().map_or(0, |w| self.values[w]);
+                }
+            }
+        }
+        Candidate {
+            exec: x.clone(),
+            regs,
+            memory,
+            txn_ok: self.txn_ok.clone(),
+            co_order,
+            aborted: mask,
+        }
     }
 }
 
@@ -555,6 +624,7 @@ pub fn enumerate_candidates(
         let MaskedProgram {
             n,
             events,
+            values: _,
             po,
             addr,
             ctrl,
@@ -692,15 +762,6 @@ pub fn candidates(t: &LitmusTest) -> Result<Vec<Candidate>, LitmusConvertError> 
     Ok(out)
 }
 
-/// Saturating `n!` in the skip-count arithmetic's width.
-fn fact64(n: usize) -> u64 {
-    let mut out = 1u64;
-    for k in 1..=n as u64 {
-        out = out.saturating_mul(k);
-    }
-    out
-}
-
 /// Enumerate only the candidates the model's [`PruneOracle`] cannot
 /// rule out, abandoning doomed subtrees the moment a partial
 /// `rf`/`co` assignment (or a whole abort split) closes a forbidden
@@ -712,10 +773,10 @@ fn fact64(n: usize) -> u64 {
 /// and the [`PruneStats`] describing the work avoided.
 ///
 /// The walk differs from [`enumerate_candidates`] in order (abort
-/// masks *descending*, coherence placements and rf choices depth-
-/// first) but visits a subset of the same candidates: with
-/// [`txmm_core::NoPrune`] it is exactly the plain enumeration,
-/// reordered.
+/// masks *descending*, then one [`RfCoSearch`] per split: coherence
+/// placements first, then rf choices, depth-first) but visits a
+/// subset of the same candidates: with [`txmm_core::NoPrune`] it is
+/// exactly the plain enumeration, reordered.
 ///
 /// Abort splits are checked once at their root (`rf = co = ∅`); for
 /// [event-monotone](PruneOracle::event_monotone) oracles a dead
@@ -724,18 +785,14 @@ fn fact64(n: usize) -> u64 {
 /// program, which is why masks descend (a superset-committing mask is
 /// numerically smaller).
 pub fn enumerate_candidates_pruned(
-    t: &LitmusTest,
+    sk: &ProgramSkeleton,
     oracle: &dyn PruneOracle,
     f: &mut dyn FnMut(Candidate),
-) -> Result<(usize, PruneStats), LitmusConvertError> {
-    let sk = ProgramSkeleton::from_litmus(t)?;
-    let splits: u128 = 1u128 << sk.txns.len();
+) -> (usize, PruneStats) {
     let mut visited = 0usize;
     let mut stats = PruneStats::default();
     let mut dead_masks: Vec<u64> = Vec::new();
-
-    for mask in (0..splits).rev() {
-        let mask = mask as u64;
+    for mask in (0..1u64 << sk.txns.len()).rev() {
         // `mask | d == d` ⟺ aborted(mask) ⊆ aborted(d) ⟺ this split
         // commits every event (and transaction) the dead split `d`
         // committed, so `d`'s root rejection carries over. (The
@@ -743,306 +800,26 @@ pub fn enumerate_candidates_pruned(
         // closure binding, not a free variable.)
         #[allow(clippy::manual_contains)]
         if dead_masks.iter().any(|&d| mask | d == d) {
-            stats.subtrees_cut += 1;
-            stats.candidates_skipped = stats
-                .candidates_skipped
-                .saturating_add(mask_candidate_count(&sk, mask));
+            stats.cut(count_for_mask(sk, mask).min(u64::MAX as u128) as u64);
             continue;
         }
-        let (v, root_live) = enumerate_mask_pruned(&sk, mask, oracle, &mut stats, f);
-        visited += v;
-        if !root_live && oracle.event_monotone() {
-            dead_masks.push(mask);
-        }
-    }
-    Ok((visited, stats))
-}
-
-/// How many complete candidates the abort split `mask` contributes
-/// (saturating at `u64::MAX`) — the skip-count a caller charges when it
-/// discards the split wholesale (e.g. via dead-mask subsumption).
-pub fn mask_candidate_count(sk: &ProgramSkeleton, mask: u64) -> u64 {
-    count_for_mask(sk, mask).min(u64::MAX as u128) as u64
-}
-
-/// Walk **one** abort split of the program with oracle pruning: the
-/// per-mask building block [`enumerate_candidates_pruned`] loops over,
-/// exposed so callers can fan independent masks out over worker pools.
-/// Returns the candidates visited and whether the split's *root*
-/// (`rf = co = ∅`) survived the oracle — a `false` root from an
-/// [event-monotone](PruneOracle::event_monotone) oracle also kills every
-/// mask `m` with `m | mask == mask` (a split committing a superset of
-/// these events), which is the caller's dead-mask subsumption rule. A
-/// root rejection already charges `subtrees_cut`/`candidates_skipped`
-/// into `stats`.
-pub fn enumerate_mask_pruned(
-    sk: &ProgramSkeleton,
-    mask: u64,
-    oracle: &dyn PruneOracle,
-    stats: &mut PruneStats,
-    f: &mut dyn FnMut(Candidate),
-) -> (usize, bool) {
-    let nthreads = sk.nregs.len();
-    let nlocs = sk.max_loc().map(|l| l as usize + 1).unwrap_or(0);
-    let mut visited = 0usize;
-    let mp = MaskedProgram::project(sk, mask);
-    let mut pc = PartialCandidate::with_oracle(mp.base_execution(), oracle);
-    if !pc.viable(oracle, stats) {
-        stats.subtrees_cut += 1;
-        stats.candidates_skipped = stats
-            .candidates_skipped
-            .saturating_add(mask_candidate_count(sk, mask));
-        return (0, false);
-    }
-
-    // Suffix products for exact skip counts: cutting after the
-    // (k+1)-th placement at location `li` abandons
-    // `(m_li-k-1)! × co_tail[li] × rf_all` complete candidates;
-    // cutting at read `i` abandons `rf_tail[i]`.
-    let nlw = mp.live_writes.len();
-    let mut co_tail = vec![1u64; nlw + 1];
-    for li in (0..nlw).rev() {
-        co_tail[li] = co_tail[li + 1].saturating_mul(fact64(mp.live_writes[li].1.len()));
-    }
-    let nreads = mp.reads.len();
-    let mut rf_tail = vec![1u64; nreads + 1];
-    for i in (0..nreads).rev() {
-        rf_tail[i] = rf_tail[i + 1].saturating_mul(mp.rf_arity[i] as u64);
-    }
-    let read_ws: Vec<EventSet> = mp
-        .read_lw
-        .iter()
-        .map(|lw| match lw {
-            Some(i) => EventSet::from_iter(mp.live_writes[*i].1.iter().map(|&(_, e)| e)),
-            None => EventSet::default(),
-        })
-        .collect();
-
-    let mut walk = PrunedWalk {
-        sk,
-        mp: &mp,
-        oracle,
-        mask,
-        nthreads,
-        co_tail,
-        rf_tail,
-        read_ws,
-        co_orders: vec![Vec::new(); nlocs],
-        rf_val: vec![0u32; nreads],
-        visited: &mut visited,
-        stats,
-        f,
-    };
-    walk.place(&mut pc, 0, 0, EventSet::default());
-    (visited, true)
-}
-
-/// The per-split depth-first state of [`enumerate_candidates_pruned`]:
-/// coherence placements first (location by location, write by write),
-/// then rf choices read by read, one viability check per edge batch.
-struct PrunedWalk<'a> {
-    sk: &'a ProgramSkeleton,
-    mp: &'a MaskedProgram,
-    oracle: &'a dyn PruneOracle,
-    mask: u64,
-    nthreads: usize,
-    co_tail: Vec<u64>,
-    rf_tail: Vec<u64>,
-    /// Per read: the committed writes at its location.
-    read_ws: Vec<EventSet>,
-    /// Values placed so far, per location — the `co_order` under
-    /// construction.
-    co_orders: Vec<Vec<u32>>,
-    /// Value each read currently observes.
-    rf_val: Vec<u32>,
-    visited: &'a mut usize,
-    stats: &'a mut PruneStats,
-    f: &'a mut dyn FnMut(Candidate),
-}
-
-impl PrunedWalk<'_> {
-    /// Choose the write ranked `k` in location `li`'s coherence order
-    /// (`used` = already-ranked writes as a bitmask over the
-    /// live-write list, `placed` = their event ids). All sibling
-    /// placements are probed first — the ones the delta state cannot
-    /// decide are materialised and judged in one batched oracle call —
-    /// and only then do the viable ones recurse, in the original order.
-    fn place(&mut self, pc: &mut PartialCandidate, li: usize, used: u64, placed: EventSet) {
-        if li == self.mp.live_writes.len() {
-            return self.rf(pc, 0);
-        }
-        let mp = self.mp;
-        let (loc, ref ws) = mp.live_writes[li];
-        let k = used.count_ones() as usize;
-        if k == ws.len() {
-            return self.place(pc, li + 1, 0, EventSet::default());
-        }
-        let mut viable_mask = 0u64;
-        let mut pend_slots: Vec<usize> = Vec::new();
-        let mut batch: Vec<(Execution, Rel)> = Vec::new();
-        pc.mark();
-        for (j, &(_, e)) in ws.iter().enumerate() {
-            if used & (1 << j) != 0 {
-                continue;
+        let mp = MaskedProgram::project(sk, mask);
+        let stages = mp.stages();
+        let search = RfCoSearch::new(oracle, &stages, 1);
+        let mut pc = PartialCandidate::with_oracle(mp.base_execution(), oracle);
+        if !pc.viable(oracle, &mut stats) {
+            stats.cut(search.size());
+            if oracle.event_monotone() {
+                dead_masks.push(mask);
             }
-            pc.push_co(placed, e);
-            match if placed.is_empty() {
-                // The first write at a location adds no edges: nothing
-                // to check yet.
-                Some(true)
-            } else {
-                pc.probe(self.oracle, self.stats)
-            } {
-                Some(true) => viable_mask |= 1 << j,
-                Some(false) => {}
-                None => {
-                    pend_slots.push(j);
-                    batch.push(pc.materialise());
-                }
-            }
-            pc.rewind();
+            continue;
         }
-        if !batch.is_empty() {
-            self.stats.record_batch(batch.len());
-            let bits = judge_batch(self.oracle, &batch, self.stats);
-            for (b, &j) in pend_slots.iter().enumerate() {
-                if bits & (1 << b) != 0 {
-                    viable_mask |= 1 << j;
-                }
-            }
-        }
-        for (j, &(v, e)) in ws.iter().enumerate() {
-            if used & (1 << j) != 0 {
-                continue;
-            }
-            if viable_mask & (1 << j) != 0 {
-                pc.push_co(placed, e);
-                self.co_orders[loc as usize].push(v);
-                let mut placed2 = placed;
-                placed2.insert(e);
-                self.place(pc, li, used | (1 << j), placed2);
-                self.co_orders[loc as usize].pop();
-                pc.rewind();
-            } else {
-                self.stats.subtrees_cut += 1;
-                let below = fact64(ws.len() - k - 1)
-                    .saturating_mul(self.co_tail[li + 1])
-                    .saturating_mul(self.rf_tail[0]);
-                self.stats.candidates_skipped = self.stats.candidates_skipped.saturating_add(below);
-            }
-        }
-        pc.release();
-    }
-
-    /// Apply rf choice `choice` for read `i` (0 = initial value);
-    /// `true` when the choice added any edges worth checking.
-    fn apply_rf(
-        &mut self,
-        pc: &mut PartialCandidate,
-        i: usize,
-        rnew: usize,
-        choice: usize,
-    ) -> bool {
-        if choice == 0 {
-            // Reading the initial value forces fr to every committed
-            // write at the location (none ⇒ no-op).
-            pc.assign_init_read(rnew, self.read_ws[i]);
-            self.rf_val[i] = 0;
-            !self.read_ws[i].is_empty()
-        } else {
-            let lw = self.mp.read_lw[i].expect("choice > 0 needs live writes");
-            let (v, w) = self.mp.live_writes[lw].1[choice - 1];
-            pc.assign_rf(w, rnew);
-            self.rf_val[i] = v;
-            true
-        }
-    }
-
-    /// Choose where read `i` reads from (0 = initial value), batching
-    /// the sibling choices like [`Self::place`].
-    fn rf(&mut self, pc: &mut PartialCandidate, i: usize) {
-        if i == self.mp.reads.len() {
-            return self.leaf(pc);
-        }
-        let (rnew, _, _) = self.mp.reads[i];
-        let arity = self.mp.rf_arity[i];
-        let mut viable_mask = 0u64;
-        let mut pend_slots: Vec<usize> = Vec::new();
-        let mut batch: Vec<(Execution, Rel)> = Vec::new();
-        pc.mark();
-        for choice in 0..arity {
-            let changed = self.apply_rf(pc, i, rnew, choice);
-            match if changed {
-                pc.probe(self.oracle, self.stats)
-            } else {
-                Some(true) // no new edges: nothing to check
-            } {
-                Some(true) => viable_mask |= 1 << choice,
-                Some(false) => {}
-                None => {
-                    pend_slots.push(choice);
-                    batch.push(pc.materialise());
-                }
-            }
-            pc.rewind();
-        }
-        if !batch.is_empty() {
-            self.stats.record_batch(batch.len());
-            let bits = judge_batch(self.oracle, &batch, self.stats);
-            for (b, &choice) in pend_slots.iter().enumerate() {
-                if bits & (1 << b) != 0 {
-                    viable_mask |= 1 << choice;
-                }
-            }
-        }
-        for choice in 0..arity {
-            if viable_mask & (1 << choice) != 0 {
-                self.apply_rf(pc, i, rnew, choice);
-                self.rf(pc, i + 1);
-                pc.rewind();
-            } else {
-                self.stats.subtrees_cut += 1;
-                self.stats.candidates_skipped = self
-                    .stats
-                    .candidates_skipped
-                    .saturating_add(self.rf_tail[i + 1]);
-            }
-        }
-        pc.release();
-    }
-
-    /// Every choice made and every check passed: materialise the
-    /// candidate.
-    fn leaf(&mut self, pc: &mut PartialCandidate) {
-        *self.visited += 1;
-        let exec = pc.exec().clone();
-        debug_assert!(exec.check_wf().is_ok(), "candidate must be well-formed");
-        let nlocs = self.co_orders.len();
-        let mut memory = vec![0u32; nlocs];
-        for (loc, order) in self.co_orders.iter().enumerate() {
-            if let Some(&v) = order.last() {
-                memory[loc] = v;
-            }
-        }
-        let mut regs: Vec<Vec<u32>> = (0..self.nthreads)
-            .map(|t| vec![0u32; self.sk.nregs[t]])
-            .collect();
-        for (ri, &(_, _, rold)) in self.mp.reads.iter().enumerate() {
-            if let Some((tid, reg)) = self.sk.reg_of[rold] {
-                if self.sk.reg_event.get(&(tid, reg)) == Some(&rold) {
-                    regs[tid][reg] = self.rf_val[ri];
-                }
-            }
-        }
-        (self.f)(Candidate {
-            exec,
-            regs,
-            memory,
-            txn_ok: self.mp.txn_ok.clone(),
-            co_order: self.co_orders.clone(),
-            aborted: self.mask,
+        search.run(&mut pc, &mut stats, &mut |x| {
+            visited += 1;
+            f(mp.candidate(sk, x, mask));
         });
     }
+    (visited, stats)
 }
 
 /// A deterministic byte key identifying the *program* of a litmus test:
@@ -1357,9 +1134,9 @@ mod tests {
             let t = litmus_from_execution("t", &x, Arch::X86);
             let mut plain: Vec<String> = candidates(&t).unwrap().iter().map(cand_key).collect();
             let mut pruned = Vec::new();
+            let sk = ProgramSkeleton::from_litmus(&t).unwrap();
             let (visited, stats) =
-                enumerate_candidates_pruned(&t, &NoPrune, &mut |c| pruned.push(cand_key(&c)))
-                    .unwrap();
+                enumerate_candidates_pruned(&sk, &NoPrune, &mut |c| pruned.push(cand_key(&c)));
             assert_eq!(visited as u128, candidate_count(&t).unwrap());
             assert_eq!(stats.subtrees_cut, 0);
             assert_eq!(stats.candidates_skipped, 0);
@@ -1383,13 +1160,14 @@ mod tests {
         ] {
             let t = litmus_from_execution("t", &x, Arch::X86);
             let all = candidates(&t).unwrap();
+            let sk = ProgramSkeleton::from_litmus(&t).unwrap();
             for m in txmm_models::registry::all_models() {
                 let Some(oracle) = m.prune_oracle(true) else {
                     continue;
                 };
                 let mut kept = Vec::new();
                 let (visited, stats) =
-                    enumerate_candidates_pruned(&t, oracle, &mut |c| kept.push(c)).unwrap();
+                    enumerate_candidates_pruned(&sk, oracle, &mut |c| kept.push(c));
                 assert_eq!(
                     visited as u64 + stats.candidates_skipped,
                     all.len() as u64,

@@ -1,8 +1,9 @@
 //! The structure walk: rmw pairs, dependencies, rf and co over one
-//! labelled event vector of [`mod@crate::enumerate`], with the
-//! incremental consistency engine of [`txmm_core::incr`] threaded
-//! through the rf/co stages. Every [`Walk`](crate::Walk) runs it; a walk
-//! without an oracle runs it under [`NoPrune`], which cuts nothing.
+//! labelled event vector of [`mod@crate::enumerate`]. The rf/co part is
+//! the [`RfCoSearch`] of [`txmm_core::incr`], run over the space's
+//! stages: every read's source, last read first, then every location's
+//! coherence order. Every [`Walk`](crate::Walk) runs it; a walk without
+//! an oracle runs it under [`NoPrune`], which cuts nothing.
 //!
 //! Every rf source and coherence placement is applied to a
 //! [`PartialCandidate`] the moment it is chosen, and a per-model
@@ -22,8 +23,8 @@
 //! switches every transaction layout into it in place, and
 //! [`LeafChecker`] re-derives only the layout-dependent relations.
 
-use txmm_core::incr::{judge_batch, NoPrune, PartialCandidate, PruneOracle, PruneStats};
-use txmm_core::{Event, EventKind, EventSet, Execution, Rel, TxnFreeBase};
+use txmm_core::incr::{NoPrune, PartialCandidate, PruneOracle, PruneStats, RfCoSearch};
+use txmm_core::{Event, Execution, Rel, TxnFreeBase};
 use txmm_models::Model;
 
 use crate::enumerate::{for_deps, EnumConfig, Keep, Leaves, StructureSpace};
@@ -116,255 +117,19 @@ impl<'m> LeafChecker<'m> {
     }
 }
 
-// ---- The structure walk -------------------------------------------------
-
-/// Shared state of one rf/co walk: the choice space, the oracle, and
-/// the precomputed arity products that let a cut count exactly how
-/// many candidates it skipped.
-struct RfCoWalk<'a> {
-    oracle: &'a dyn PruneOracle,
-    space: &'a StructureSpace,
-    /// Per read: every same-location write (the init read is
-    /// `fr`-before all of them).
-    read_loc_writes: Vec<EventSet>,
-    /// `fact[k] = k!` — orderings of `k` still-unplaced writes.
-    fact: Vec<u64>,
-    /// `co_suffix[l]` = co orderings over locations `l..` (`m_l!`
-    /// suffix product; last entry 1).
-    co_suffix: Vec<u64>,
-    /// `rf_prefix[i]` = rf assignments over reads `..i` (option-count
-    /// prefix product; first entry 1). Reads are assigned from the last
-    /// to the first, so these are the reads a cut at read `i` leaves.
-    rf_prefix: Vec<u64>,
-    /// Leaf candidates per complete rf/co assignment (txn layouts ×
-    /// atomic flag).
-    txn_leaves: u64,
-}
-
-impl<'a> RfCoWalk<'a> {
-    fn new(
-        events: &[Event],
-        space: &'a StructureSpace,
-        oracle: &'a dyn PruneOracle,
-    ) -> RfCoWalk<'a> {
-        let n = events.len();
-        let read_loc_writes = space
-            .reads
-            .iter()
-            .map(|&r| {
-                let mut s = EventSet::default();
-                for w in 0..n {
-                    if events[w].kind == EventKind::Write && events[w].loc == events[r].loc {
-                        s.insert(w);
-                    }
-                }
-                s
-            })
-            .collect();
-        let mut fact = vec![1u64; n + 1];
-        for k in 1..=n {
-            fact[k] = fact[k - 1].saturating_mul(k as u64);
-        }
-        let mut co_suffix = vec![1u64; space.loc_writes.len() + 1];
-        for l in (0..space.loc_writes.len()).rev() {
-            co_suffix[l] = co_suffix[l + 1].saturating_mul(fact[space.loc_writes[l].len()]);
-        }
-        let mut rf_prefix = vec![1u64; space.reads.len() + 1];
-        for i in 0..space.reads.len() {
-            rf_prefix[i + 1] = rf_prefix[i].saturating_mul(space.rf_options[i].len() as u64);
-        }
-        RfCoWalk {
-            oracle,
-            space,
-            read_loc_writes,
-            fact,
-            co_suffix,
-            rf_prefix,
-            txn_leaves: space.txn_leaves(),
-        }
-    }
-
-    fn cut(&self, st: &mut PruneStats, below: u64) {
-        st.subtrees_cut += 1;
-        st.candidates_skipped = st.candidates_skipped.saturating_add(below);
-    }
-
-    fn apply_rf(&self, i: usize, r: usize, opt: Option<usize>, pc: &mut PartialCandidate) -> bool {
-        match opt {
-            None => {
-                let ws = self.read_loc_writes[i];
-                pc.assign_init_read(r, ws);
-                !ws.is_empty()
-            }
-            Some(w) => {
-                pc.assign_rf(w, r);
-                true
-            }
-        }
-    }
-
-    /// With `i` reads still unassigned, assign read `i - 1`'s rf
-    /// source, then recurse; a non-viable assignment cuts every
-    /// candidate below it. Reads go from the last to the first, so read
-    /// 0 varies fastest. All sibling options are probed first — the
-    /// ones the delta state cannot decide are materialised and judged
-    /// in one batched oracle call — and only then do the viable ones
-    /// recurse, in the original option order.
-    fn rf(
-        &self,
-        i: usize,
-        pc: &mut PartialCandidate,
-        st: &mut PruneStats,
-        leaf: &mut dyn FnMut(&Execution),
-    ) {
-        let Some(i) = i.checked_sub(1) else {
-            self.co(0, pc, st, leaf);
-            return;
-        };
-        let r = self.space.reads[i];
-        let opts = &self.space.rf_options[i];
-        let mut viable_mask = 0u64;
-        let mut pend_slots: Vec<usize> = Vec::new();
-        let mut batch: Vec<(Execution, Rel)> = Vec::new();
-        pc.mark();
-        for (j, &opt) in opts.iter().enumerate() {
-            let added = self.apply_rf(i, r, opt, pc);
-            match if added {
-                pc.probe(self.oracle, st)
-            } else {
-                Some(true) // no new edges: nothing to check
-            } {
-                Some(true) => viable_mask |= 1 << j,
-                Some(false) => {}
-                None => {
-                    pend_slots.push(j);
-                    batch.push(pc.materialise());
-                }
-            }
-            pc.rewind();
-        }
-        if !batch.is_empty() {
-            st.record_batch(batch.len());
-            let bits = judge_batch(self.oracle, &batch, st);
-            for (b, &j) in pend_slots.iter().enumerate() {
-                if bits & (1 << b) != 0 {
-                    viable_mask |= 1 << j;
-                }
-            }
-        }
-        for (j, &opt) in opts.iter().enumerate() {
-            if viable_mask & (1 << j) != 0 {
-                self.apply_rf(i, r, opt, pc);
-                self.rf(i, pc, st, leaf);
-                pc.rewind();
-            } else {
-                self.cut(
-                    st,
-                    self.rf_prefix[i]
-                        .saturating_mul(self.co_suffix[0])
-                        .saturating_mul(self.txn_leaves),
-                );
-            }
-        }
-        pc.release();
-    }
-
-    /// Build location `li`'s coherence order write by write.
-    fn co(
-        &self,
-        li: usize,
-        pc: &mut PartialCandidate,
-        st: &mut PruneStats,
-        leaf: &mut dyn FnMut(&Execution),
-    ) {
-        if li == self.space.loc_writes.len() {
-            leaf(pc.exec());
-            return;
-        }
-        self.place(li, EventSet::default(), 0, pc, st, leaf);
-    }
-
-    fn place(
-        &self,
-        li: usize,
-        placed: EventSet,
-        k: usize,
-        pc: &mut PartialCandidate,
-        st: &mut PruneStats,
-        leaf: &mut dyn FnMut(&Execution),
-    ) {
-        let ws = &self.space.loc_writes[li];
-        if k == ws.len() {
-            self.co(li + 1, pc, st, leaf);
-            return;
-        }
-        let mut viable_mask = 0u64;
-        let mut pend_slots: Vec<usize> = Vec::new();
-        let mut batch: Vec<(Execution, Rel)> = Vec::new();
-        pc.mark();
-        for (j, &w) in ws.iter().enumerate() {
-            if placed.contains(w) {
-                continue;
-            }
-            pc.push_co(placed, w);
-            match if placed.is_empty() {
-                Some(true) // the first write adds no edges
-            } else {
-                pc.probe(self.oracle, st)
-            } {
-                Some(true) => viable_mask |= 1 << j,
-                Some(false) => {}
-                None => {
-                    pend_slots.push(j);
-                    batch.push(pc.materialise());
-                }
-            }
-            pc.rewind();
-        }
-        if !batch.is_empty() {
-            st.record_batch(batch.len());
-            let bits = judge_batch(self.oracle, &batch, st);
-            for (b, &j) in pend_slots.iter().enumerate() {
-                if bits & (1 << b) != 0 {
-                    viable_mask |= 1 << j;
-                }
-            }
-        }
-        for (j, &w) in ws.iter().enumerate() {
-            if placed.contains(w) {
-                continue;
-            }
-            if viable_mask & (1 << j) != 0 {
-                pc.push_co(placed, w);
-                let mut next = placed;
-                next.insert(w);
-                self.place(li, next, k + 1, pc, st, leaf);
-                pc.rewind();
-            } else {
-                self.cut(
-                    st,
-                    self.fact[ws.len() - k - 1]
-                        .saturating_mul(self.co_suffix[li + 1])
-                        .saturating_mul(self.txn_leaves),
-                );
-            }
-        }
-        pc.release();
-    }
-}
-
 /// Walk the structure space over one labelled event vector with oracle
 /// pruning; `visit` receives every surviving class representative.
 ///
-/// rf/co are walked once per (rmw, deps) choice with a
-/// transaction-agnostic oracle, and [`Leaves`] expands every
-/// transaction layout of each completed rf/co group in place over one
-/// execution per label assignment. Survivors are *not* yet filtered by
-/// a full model check. Without an oracle (`None`) this is the whole
-/// structure space, walked under [`NoPrune`]: rmw subsets outermost,
-/// then dependency choices, rf sources (read 0 fastest), coherence
-/// orders (location 0 slowest, each in lexicographic order of its
-/// writes) and transaction layouts.
+/// rf/co are searched once per (rmw, deps) choice by an
+/// [`RfCoSearch`] over the space's stages with a transaction-agnostic
+/// oracle, and [`Leaves`] expands every transaction layout of each
+/// completed rf/co group in place over one execution per label
+/// assignment. Survivors are *not* yet filtered by a full model check.
+/// Without an oracle (`None`) this is the whole structure space,
+/// walked under [`NoPrune`]: rmw subsets outermost, then dependency
+/// choices, rf sources (read 0 fastest), coherence orders (location 0
+/// slowest, each in lexicographic order of its writes) and transaction
+/// layouts.
 pub(crate) fn pruned_structures(
     cfg: &EnumConfig,
     events: &[Event],
@@ -376,10 +141,9 @@ pub(crate) fn pruned_structures(
 ) {
     let n = events.len();
     let space = StructureSpace::new(cfg, events);
-    let walk = RfCoWalk::new(events, &space, oracle.unwrap_or(&NoPrune));
     let empty = Rel::empty(n);
     // The execution every group of this label assignment is copied
-    // into and every layout switched in: the walk's own partial
+    // into and every layout switched in: the search's own partial
     // candidate keeps its empty transaction classes for the oracle.
     let mut y = space.execution(events, empty, empty, empty, empty);
     // An oracle plans for the structure it judges, so it gets a fresh
@@ -388,6 +152,8 @@ pub(crate) fn pruned_structures(
     let mut shared = oracle
         .is_none()
         .then(|| PartialCandidate::with_oracle(y.clone(), &NoPrune));
+    let oracle = oracle.unwrap_or(&NoPrune);
+    let search = RfCoSearch::new(oracle, &space.stages, space.txn_leaves());
     for rmws in &space.rmw_sets {
         let mut rmw = Rel::empty(n);
         for &(a, b) in rmws {
@@ -399,16 +165,11 @@ pub(crate) fn pruned_structures(
                 Some(pc) => pc,
                 None => {
                     let base = space.execution(events, *addr, *ctrl, *data, rmw);
-                    fresh = PartialCandidate::with_oracle(base, walk.oracle);
+                    fresh = PartialCandidate::with_oracle(base, oracle);
                     // Structure-only violations (no rf/co yet) kill the
                     // whole subtree at once.
-                    if !fresh.viable(walk.oracle, st) {
-                        walk.cut(
-                            st,
-                            walk.rf_prefix[space.reads.len()]
-                                .saturating_mul(walk.co_suffix[0])
-                                .saturating_mul(walk.txn_leaves),
-                        );
+                    if !fresh.viable(oracle, st) {
+                        st.cut(search.size());
                         return;
                     }
                     &mut fresh
@@ -416,7 +177,7 @@ pub(crate) fn pruned_structures(
             };
             let (a, c, d, r) = y.deps_mut();
             (*a, *c, *d, *r) = (*addr, *ctrl, *data, rmw);
-            walk.rf(space.reads.len(), pc, st, &mut |x| {
+            search.run(pc, st, &mut |x| {
                 let (rf, co) = y.comm_mut();
                 (*rf, *co) = (*x.rf(), *x.co());
                 leaves.emit(&space, &mut y, keep, visit);

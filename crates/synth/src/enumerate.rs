@@ -46,7 +46,7 @@ use std::cell::OnceCell;
 use std::collections::HashSet;
 
 use txmm_core::canon::{canon_key, kind_rows_sorted, kind_tag, LayoutOrbit};
-use txmm_core::incr::PruneStats;
+use txmm_core::incr::{PruneStats, Stage};
 use txmm_core::{Attrs, Event, EventId, EventKind, Execution, Fence, Rel, MAX_EVENTS, NO_TXN};
 use txmm_models::Arch;
 
@@ -459,12 +459,11 @@ pub(crate) struct StructureSpace {
     pub(crate) rmw_sets: Vec<Vec<(usize, usize)>>,
     /// Dependency slots: (read, po-later event) pairs.
     pub(crate) dep_slots: Vec<(usize, usize)>,
-    /// Read events, in slot order.
-    pub(crate) reads: Vec<usize>,
-    /// Per read: the initial write (`None`) or any same-loc write.
-    pub(crate) rf_options: Vec<Vec<Option<usize>>>,
-    /// Write events per distinct location, in slot order.
-    pub(crate) loc_writes: Vec<Vec<usize>>,
+    /// The rf/co stages: every read's source, from the last read to
+    /// the first (read 0 varies fastest), then every location's
+    /// coherence order (location 0 slowest). A source is the initial
+    /// value (`None`) or a same-location write, in slot order.
+    pub(crate) stages: Vec<Stage>,
     /// Event slots per thread.
     pub(crate) thread_slots: Vec<Vec<usize>>,
     /// Enumerate transactions at all, and atomic ones too.
@@ -526,36 +525,22 @@ impl StructureSpace {
             }
         }
 
-        let reads: Vec<usize> = (0..n)
-            .filter(|&e| events[e].kind == EventKind::Read)
-            .collect();
-        let rf_options: Vec<Vec<Option<usize>>> = reads
-            .iter()
-            .map(|&r| {
-                let mut opts = vec![None];
-                for w in 0..n {
-                    if events[w].kind == EventKind::Write && events[w].loc == events[r].loc {
-                        opts.push(Some(w));
-                    }
-                }
-                opts
-            })
-            .collect();
-
-        let locs: Vec<u8> = {
-            let mut ls: Vec<u8> = events.iter().filter_map(|e| e.loc).collect();
-            ls.sort_unstable();
-            ls.dedup();
-            ls
+        let writes_at = |loc| -> Vec<usize> {
+            (0..n)
+                .filter(|&w| events[w].kind == EventKind::Write && events[w].loc == loc)
+                .collect()
         };
-        let loc_writes: Vec<Vec<usize>> = locs
-            .iter()
-            .map(|&l| {
-                (0..n)
-                    .filter(|&e| events[e].kind == EventKind::Write && events[e].loc == Some(l))
-                    .collect()
-            })
+        let mut stages: Vec<Stage> = (0..n)
+            .rev()
+            .filter(|&r| events[r].kind == EventKind::Read)
+            .map(|r| Stage::rf(r, &writes_at(events[r].loc)))
             .collect();
+        let mut locs: Vec<u8> = events.iter().filter_map(|e| e.loc).collect();
+        locs.sort_unstable();
+        locs.dedup();
+        stages.extend(locs.into_iter().map(|l| Stage::Co {
+            writes: writes_at(Some(l)),
+        }));
 
         let nthreads = events.iter().map(|e| e.tid as usize + 1).max().unwrap_or(0);
         let thread_slots: Vec<Vec<usize>> = (0..nthreads)
@@ -582,9 +567,7 @@ impl StructureSpace {
             po,
             rmw_sets,
             dep_slots,
-            reads,
-            rf_options,
-            loc_writes,
+            stages,
             thread_slots,
             txns: cfg.txns,
             atomic_txns: cfg.atomic_txns,

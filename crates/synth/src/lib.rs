@@ -48,7 +48,7 @@ pub mod weaken;
 pub use consistent::LeafChecker;
 pub use diff::{distinguish, equivalent};
 pub use enumerate::{enumerate_reference, walk_weight, CandSeq, EnumConfig, Frontier, Subtree};
-pub use steal::{run_with_progress, worker_count, StealStats};
+pub use steal::{worker_count, StealStats};
 pub use suites::{synthesise, txn_histogram, FoundTest, SuiteResult};
 pub use txmm_core::canon::canon_key;
 pub use walk::{

@@ -11,9 +11,8 @@
 //! small chunks. The biggest shape therefore spreads across every
 //! worker instead of pinning one.
 //!
-//! The pool is generic over the job type: every [`crate::Walk`] runs on
-//! it, and so does the outcome engine's walk over abort masks.
-//! Per-worker state comes back to the caller for deterministic merging.
+//! Every [`crate::Walk`] runs on it. Per-worker state comes back to the
+//! caller for deterministic merging.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -88,7 +87,7 @@ pub fn worker_count() -> usize {
 /// worker and keeps per-worker job/steal counts plus busy/idle wall
 /// time, so a heartbeat reporter can show utilisation mid-run. With
 /// `None` the hot path has no clocks and no extra atomics.
-pub fn run_with_progress<J, S, I, FI, FW>(
+pub(crate) fn run_with_progress<J, S, I, FI, FW>(
     jobs: I,
     workers: usize,
     progress: Option<&WalkProgress>,

@@ -83,9 +83,7 @@ fn usage() -> ExitCode {
          \n\
          serve options: --model NAME, --cat FILE, --with-cat, --warm, --prom,\n\
          \u{20}               --listen ADDR, --shards N, --max-conns N\n\
-         outcomes options: serve options plus --workers N, --max-candidates N\n\
-         \u{20} --workers N walks each program's abort splits over N\n\
-         \u{20} work-stealing threads (default 1, fully sequential)\n\
+         outcomes options: serve options plus --max-candidates N\n\
          telemetry (gen/outcomes): --progress[=SECS] heartbeat JSONL frames on\n\
          \u{20} stderr, --progress-file FILE to redirect them, --metrics-listen\n\
          \u{20} ADDR to scrape live metrics from the one-shot process\n\
@@ -99,12 +97,28 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("models") => cmd_models(&args[1..]),
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("serve") | Some("check") => cmd_serve(&args[1..]),
-        Some("outcomes") => cmd_outcomes(&args[1..]),
-        Some("client") => cmd_client(&args[1..]),
+    run(&args)
+}
+
+/// Dispatch one command line (without the program name). An unknown
+/// flag is refused before any command does work.
+fn run(args: &[String]) -> ExitCode {
+    let Some((cmd, args)) = args.split_first() else {
+        return usage();
+    };
+    let pos = match positionals(args) {
+        Ok(pos) => pos,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return usage();
+        }
+    };
+    match cmd.as_str() {
+        "models" => cmd_models(args),
+        "gen" => cmd_gen(args, &pos),
+        "serve" | "check" => cmd_serve(args, &pos),
+        "outcomes" => cmd_outcomes(args, &pos),
+        "client" => cmd_client(args, &pos),
         _ => usage(),
     }
 }
@@ -130,27 +144,39 @@ fn cmd_models(args: &[String]) -> ExitCode {
 }
 
 /// Positional (non-flag) arguments: skips `--flag value` pairs for the
-/// value-taking flags and bare `--flags` entirely.
-fn positionals(args: &[String]) -> Vec<&str> {
+/// value-taking flags and the bare flags. Any other `--flag` is an
+/// error, so its value is never taken for a path.
+fn positionals(args: &[String]) -> Result<Vec<&str>, String> {
     let mut out = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut words = args.iter().map(String::as_str);
+    while let Some(a) = words.next() {
+        match a {
             "--model" | "--cat" | "--events" | "--listen" | "--shards" | "--max-conns"
-            | "--workers" | "--max-candidates" | "--trace" | "--progress-file"
-            | "--metrics-listen" | "--watch" => i += 2,
-            a if a.starts_with("--") => i += 1,
-            a => {
-                out.push(a);
-                i += 1;
+            | "--max-candidates" | "--trace" | "--progress-file" | "--metrics-listen"
+            | "--watch" => {
+                words.next();
             }
+            "--with-cat" | "--warm" | "--prom" | "--progress" => {}
+            a if a.starts_with("--progress=") => {}
+            a if a.starts_with("--") => return Err(format!("unknown option {a}")),
+            a => out.push(a),
         }
     }
-    out
+    Ok(out)
 }
 
-fn cmd_gen(args: &[String]) -> ExitCode {
-    let Some(&dir) = positionals(args).first() else {
+/// A count flag's value, 0 when absent; garbage is an error.
+fn parse_count(args: &[String], flag: &str) -> Result<usize, String> {
+    match flag_values(args, flag).first() {
+        None => Ok(0),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{flag} expects a non-negative integer, got {v:?}")),
+    }
+}
+
+fn cmd_gen(args: &[String], pos: &[&str]) -> ExitCode {
+    let Some(&dir) = pos.first() else {
         eprintln!(
             "usage: txmm gen <dir> [--events N] [--progress[=SECS]] [--progress-file FILE] \
              [--metrics-listen ADDR]"
@@ -312,10 +338,16 @@ fn parse_max_candidates(args: &[String]) -> Result<Option<u128>, String> {
 
 /// Daemon mode: `txmm serve --listen <addr>`.
 fn cmd_serve_daemon(args: &[String], listen: &str) -> ExitCode {
-    let shards: usize = flag_values(args, "--shards")
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    let (shards, max_conns) = match (
+        parse_count(args, "--shards"),
+        parse_count(args, "--max-conns"),
+    ) {
+        (Ok(shards), Ok(max_conns)) => (shards, max_conns),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let cfg = PoolConfig {
         shards,
         with_cat: has_flag(args, "--with-cat"),
@@ -332,10 +364,6 @@ fn cmd_serve_daemon(args: &[String], listen: &str) -> ExitCode {
         }
     };
     let shards = pool.shard_count();
-    let max_conns: usize = flag_values(args, "--max-conns")
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
     let daemon = match Daemon::bind(&ListenAddr::parse(listen), pool) {
         Ok(d) => d.with_max_conns(max_conns),
         Err(e) => {
@@ -372,9 +400,8 @@ fn connect(addr: &str) -> std::io::Result<Box<dyn ReadWrite>> {
 trait ReadWrite: Read + Write {}
 impl<T: Read + Write> ReadWrite for T {}
 
-fn cmd_client(args: &[String]) -> ExitCode {
-    let pos = positionals(args);
-    let (addr, what, arg) = match pos.as_slice() {
+fn cmd_client(args: &[String], pos: &[&str]) -> ExitCode {
+    let (addr, what, arg) = match pos {
         [addr, what] => (*addr, *what, None),
         [addr, what, arg] => (*addr, *what, Some(*arg)),
         _ => {
@@ -542,14 +569,14 @@ fn client_round_trip(addr: &str, request: &Request) -> Result<usize, String> {
 /// execution per test and printing the per-model allowed-outcome table,
 /// one JSONL line per test (byte-identical to the daemon's `outcomes`
 /// answers over the same tests).
-fn cmd_outcomes(args: &[String]) -> ExitCode {
+fn cmd_outcomes(args: &[String], pos: &[&str]) -> ExitCode {
     use txmm::serve::{outcomes_jsonl_line, serve_outcomes_file, ServedOutcomes};
 
-    let paths: Vec<PathBuf> = positionals(args).into_iter().map(PathBuf::from).collect();
+    let paths: Vec<PathBuf> = pos.iter().map(PathBuf::from).collect();
     if paths.is_empty() {
         eprintln!(
             "usage: txmm outcomes <dir|file...> [--model NAME] [--cat FILE] [--with-cat] \
-             [--warm] [--workers N] [--max-candidates N]"
+             [--warm] [--max-candidates N]"
         );
         return ExitCode::FAILURE;
     }
@@ -559,11 +586,6 @@ fn cmd_outcomes(args: &[String]) -> ExitCode {
     } else {
         Session::new()
     };
-    let workers: usize = flag_values(args, "--workers")
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-    session.set_outcome_workers(workers);
     match parse_max_candidates(args) {
         Ok(Some(cap)) => session.set_max_candidates(cap),
         Ok(None) => {}
@@ -685,12 +707,12 @@ fn cmd_outcomes(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_serve(args: &[String]) -> ExitCode {
+fn cmd_serve(args: &[String], pos: &[&str]) -> ExitCode {
     if let Some(listen) = flag_values(args, "--listen").first() {
         return cmd_serve_daemon(args, listen);
     }
     // Positional arguments are directories or litmus files.
-    let paths: Vec<PathBuf> = positionals(args).into_iter().map(PathBuf::from).collect();
+    let paths: Vec<PathBuf> = pos.iter().map(PathBuf::from).collect();
     if paths.is_empty() {
         eprintln!(
             "usage: txmm serve <dir|file...> [--model NAME] [--cat FILE] [--with-cat] [--warm]\n\
@@ -808,15 +830,56 @@ fn cmd_serve(args: &[String]) -> ExitCode {
 mod tests {
     use super::*;
 
+    fn words(ws: &[&str]) -> Vec<String> {
+        ws.iter().map(|w| w.to_string()).collect()
+    }
+
     #[test]
     fn gen_refuses_event_bounds_past_the_cap() {
         let dir = std::env::temp_dir().join(format!("txmm-gen-cap-{}", std::process::id()));
         for bad in ["17", "65"] {
-            let args: Vec<String> = [dir.to_str().expect("utf-8 path"), "--events", bad]
-                .map(String::from)
-                .to_vec();
-            assert_eq!(cmd_gen(&args), ExitCode::FAILURE, "--events {bad}");
+            let args = words(&["gen", dir.to_str().expect("utf-8 path"), "--events", bad]);
+            assert_eq!(run(&args), ExitCode::FAILURE, "--events {bad}");
         }
         assert!(!dir.exists(), "refused before creating the directory");
+    }
+
+    /// An unknown flag, `--workers` among them, is a usage error: its
+    /// value is not taken for a path, and no command starts.
+    #[test]
+    fn unknown_flags_are_refused_before_any_work() {
+        let dir = std::env::temp_dir().join(format!("txmm-flag-{}", std::process::id()));
+        let dir = dir.to_str().expect("utf-8 path");
+        for (flag, value) in [("--bogus", "4"), ("--workers", "2")] {
+            let args = words(&["f.litmus", flag, value]);
+            assert_eq!(
+                positionals(&args),
+                Err(format!("unknown option {flag}")),
+                "{flag}"
+            );
+            for cmd in ["gen", "outcomes", "serve"] {
+                let args = words(&[cmd, dir, flag, value]);
+                assert_eq!(run(&args), ExitCode::FAILURE, "{cmd} {flag}");
+            }
+        }
+        assert!(!std::path::Path::new(dir).exists(), "gen never started");
+        // The known flags still parse, bare and valued alike.
+        let args = words(&["a", "--with-cat", "--progress=2", "--model", "x86", "b"]);
+        assert_eq!(positionals(&args), Ok(vec!["a", "b"]));
+    }
+
+    #[test]
+    fn garbage_counts_are_refused() {
+        for flag in ["--shards", "--max-conns"] {
+            let args = words(&["--listen", "127.0.0.1:0", flag, "abc"]);
+            let e = parse_count(&args, flag).expect_err(flag);
+            assert_eq!(
+                e,
+                format!("{flag} expects a non-negative integer, got \"abc\"")
+            );
+            let args = words(&[flag, "4"]);
+            assert_eq!(parse_count(&args, flag), Ok(4));
+            assert_eq!(parse_count(&[], flag), Ok(0));
+        }
     }
 }

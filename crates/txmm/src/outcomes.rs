@@ -6,9 +6,11 @@
 //! transaction commit/abort splits). This module turns that walk into
 //! herd-style answers:
 //!
-//! * each `(program, model)` pair walks the candidates once, with the
-//!   model's txns-known prune oracle cutting doomed subtrees and whole
-//!   abort splits, or under [`NoPrune`] when the model has none;
+//! * each `(program, model)` pair walks the candidates once, on the
+//!   calling thread, with the model's txns-known prune oracle cutting
+//!   doomed subtrees and whole abort splits, or under [`NoPrune`] when
+//!   the model has none; the program skeleton and its candidate count
+//!   are built once per request and shared by every model's walk;
 //! * the surviving candidates are grouped into **canonical classes**
 //!   through the Session arena (thread/location-symmetric candidates
 //!   share one interned representative), so each model checks one
@@ -30,15 +32,11 @@
 //! model's allowed set ([`unsound_sim_outcomes`]).
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use txmm_core::arena::ExecId;
-use txmm_core::{NoPrune, PruneOracle, PruneStats};
+use txmm_core::{NoPrune, PruneStats};
 use txmm_hwsim::{Outcome, OutcomeSet, Simulator, MAX_LOCS};
-use txmm_litmus::{
-    enumerate_mask_pruned, mask_candidate_count, program_key, Candidate, LitmusTest, Op,
-    ProgramSkeleton,
-};
+use txmm_litmus::{program_key, LitmusTest, Op, ProgramSkeleton};
 use txmm_models::Arch;
 
 use crate::session::{intern_into, ModelRef, Session};
@@ -105,131 +103,9 @@ fn pad_locs<T: Clone + Default>(mut v: Vec<T>) -> Vec<T> {
     v
 }
 
-/// Append-only, lock-free set of root-rejected abort masks, shared by
-/// the parallel per-mask walk's workers. A worker that finds a split's
-/// root non-viable under an event-monotone oracle publishes the mask;
-/// every worker then skips masks the published ones subsume (`mask | d
-/// == d`) without projecting the program. The set is capped — once
-/// full, further dead masks are simply re-discovered at their own
-/// roots, which costs one viability check and no correctness.
-struct DeadMasks {
-    slots: Vec<AtomicU64>,
-    next: AtomicUsize,
-}
-
-/// No real mask is all-ones: a program with 64 single-event
-/// transactions has no other events, and its split space is refused by
-/// the candidate cap long before a walk starts.
-const DEAD_EMPTY: u64 = u64::MAX;
-
-impl DeadMasks {
-    fn new(cap: usize) -> DeadMasks {
-        DeadMasks {
-            slots: (0..cap).map(|_| AtomicU64::new(DEAD_EMPTY)).collect(),
-            next: AtomicUsize::new(0),
-        }
-    }
-
-    fn push(&self, mask: u64) {
-        let idx = self.next.fetch_add(1, Ordering::Relaxed);
-        if let Some(slot) = self.slots.get(idx) {
-            slot.store(mask, Ordering::Release);
-        }
-    }
-
-    fn subsumes(&self, mask: u64) -> bool {
-        let n = self.next.load(Ordering::Relaxed).min(self.slots.len());
-        self.slots[..n].iter().any(|s| {
-            // A claimed-but-unwritten slot still reads DEAD_EMPTY;
-            // treating it as absent is conservative and safe.
-            let d = s.load(Ordering::Acquire);
-            d != DEAD_EMPTY && mask | d == d
-        })
-    }
-}
-
-/// The parallel analogue of
-/// [`txmm_litmus::enumerate_candidates_pruned`]: abort masks fan out in
-/// descending order over the work-stealing pool, each walked by
-/// [`enumerate_mask_pruned`] with dead-mask subsumption maintained in a
-/// shared [`DeadMasks`] set. Workers buffer their candidates per mask;
-/// the caller's thread merges the buffers back into descending-mask
-/// order, so the candidate stream is byte-identical to the sequential
-/// walk's. (Which masks are *root-checked* vs subsumption-skipped can
-/// differ from the sequential schedule — both charge the same
-/// `subtrees_cut`/`candidates_skipped`, and a root-rejected mask emits
-/// no candidates either way, so only the oracle-call counters wobble.)
-type MaskBuffers = Vec<(u64, Vec<Candidate>)>;
-
-fn pruned_candidates_par(
-    t: &LitmusTest,
-    oracle: &dyn PruneOracle,
-    workers: usize,
-    progress: Option<&txmm_obs::WalkProgress>,
-) -> Result<(usize, PruneStats, MaskBuffers), String> {
-    let sk = ProgramSkeleton::from_litmus(t).map_err(|e| e.to_string())?;
-    let splits: u128 = 1u128 << sk.txns.len();
-    if let Some(p) = progress {
-        // One abort split = one unit of stealable work; its weight is
-        // the closed-form candidate count below it, so "fraction done"
-        // tracks candidates, not masks.
-        let total = (0..splits)
-            .map(|m| mask_candidate_count(&sk, m as u64))
-            .fold(0u64, u64::saturating_add);
-        p.add_total(total);
-    }
-    let dead = DeadMasks::new(256);
-    let monotone = oracle.event_monotone();
-    let masks = (0..splits).rev().map(|m| m as u64);
-    let (states, _steal) = txmm_synth::steal::run_with_progress(
-        masks,
-        workers,
-        progress,
-        |_| (Vec::new(), PruneStats::default()),
-        |mask: u64, (bufs, st): &mut (Vec<(u64, Vec<Candidate>)>, PruneStats)| {
-            let work = mask_candidate_count(&sk, mask);
-            if dead.subsumes(mask) {
-                st.subtrees_cut += 1;
-                st.candidates_skipped = st.candidates_skipped.saturating_add(work);
-                if let Some(p) = progress {
-                    p.subtree_done(work, 0, 1, work);
-                }
-                return;
-            }
-            let before = (st.subtrees_cut, st.candidates_skipped);
-            let mut buf = Vec::new();
-            let (_, root_live) = enumerate_mask_pruned(&sk, mask, oracle, st, &mut |c| buf.push(c));
-            if !root_live && monotone {
-                dead.push(mask);
-            }
-            if let Some(p) = progress {
-                p.subtree_done(
-                    work,
-                    buf.len() as u64,
-                    st.subtrees_cut - before.0,
-                    st.candidates_skipped - before.1,
-                );
-            }
-            if !buf.is_empty() {
-                bufs.push((mask, buf));
-            }
-        },
-    );
-    let mut stats = PruneStats::default();
-    let mut all: Vec<(u64, Vec<Candidate>)> = Vec::new();
-    for (bufs, st) in states {
-        all.extend(bufs);
-        stats.merge(&st);
-    }
-    all.sort_unstable_by_key(|b| std::cmp::Reverse(b.0));
-    let visited = all.iter().map(|(_, b)| b.len()).sum();
-    Ok((visited, stats, all))
-}
-
-/// A sequential walk's single work unit: declared when the walk starts
-/// and flushed when dropped, so a walk cut short by an error or by a
-/// panicking model check still leaves `work_done` level with
-/// `work_total`.
+/// A walk's single work unit: declared when the walk starts and
+/// flushed when dropped, so a walk cut short by a panicking model
+/// check still leaves `work_done` level with `work_total`.
 struct WalkUnit<'a> {
     progress: Option<&'a txmm_obs::WalkProgress>,
     total: u64,
@@ -299,7 +175,9 @@ impl Session {
             }
         }
         let cap = cap.unwrap_or(self.max_candidates);
-        let count = txmm_litmus::candidate_count(t).map_err(|e| e.to_string())?;
+        // One skeleton and one count serve every model's walk.
+        let sk = ProgramSkeleton::from_litmus(t).map_err(|e| e.to_string())?;
+        let count = sk.candidate_count();
         if count > cap {
             return Err(format!(
                 "program has {count} candidate executions (limit {cap})"
@@ -322,7 +200,7 @@ impl Session {
             } else {
                 self.stats.outcome_misses.inc();
                 cached = false;
-                self.model_outcomes(&key, t, m)?;
+                self.model_outcomes(&key, &sk, count, m);
                 self.stats
                     .outcome_entries
                     .set(self.outcome_sets.len() as i64);
@@ -344,12 +222,7 @@ impl Session {
             file: file.to_string(),
             name: t.name.clone(),
             arch: t.arch,
-            events: t
-                .threads
-                .iter()
-                .flatten()
-                .filter(|i| !matches!(i.op, Op::TxBegin { .. } | Op::TxEnd))
-                .count(),
+            events: sk.len(),
             txns: t.num_txns(),
             candidates: count.min(usize::MAX as u128) as usize,
             classes: class_union.len(),
@@ -365,7 +238,7 @@ impl Session {
     /// visit record land in the per-`(program, model)` caches. A model
     /// without an oracle walks every candidate under [`NoPrune`] and
     /// adds nothing to the prune counters.
-    fn model_outcomes(&mut self, key: &[u8], t: &LitmusTest, m: ModelRef) -> Result<(), String> {
+    fn model_outcomes(&mut self, key: &[u8], sk: &ProgramSkeleton, count: u128, m: ModelRef) {
         let slot = m.index();
         // The oracle borrows the model registry for the whole walk;
         // split the borrows so candidates can still be interned and
@@ -376,11 +249,9 @@ impl Session {
             canon_ids,
             verdicts,
             stats,
-            outcome_workers,
             walk_progress,
             ..
         } = self;
-        let workers = *outcome_workers;
         let progress = walk_progress.clone();
         let progress = progress.as_deref();
         let model = models[slot].as_ref();
@@ -389,7 +260,10 @@ impl Session {
         let mut allowed = OutcomeSet::new();
         let mut classes: Vec<ExecId> = Vec::new();
         let mut seen: HashSet<ExecId> = HashSet::new();
-        let mut sink = |c: Candidate| {
+        // The walk has no per-split granularity to report against, so
+        // the whole program is one work unit.
+        let mut unit = WalkUnit::start(progress, count.min(u64::MAX as u128) as u64);
+        let (visited, pstats) = txmm_litmus::enumerate_candidates_pruned(sk, oracle, &mut |c| {
             let id = intern_into(arena, canon_ids, &c.exec);
             if seen.insert(id) {
                 classes.push(id);
@@ -414,35 +288,12 @@ impl Session {
                     co_order: pad_locs(c.co_order),
                 });
             }
-        };
-        // The walk itself parallelises over abort splits; Session
-        // interning is single-threaded, so workers buffer candidates
-        // and the merge (descending masks, the sequential order)
-        // replays them through the same sink here.
-        let (visited, pstats) = if workers > 1 {
-            let (visited, pstats, buffers) = pruned_candidates_par(t, oracle, workers, progress)?;
-            for (_, buf) in buffers {
-                for c in buf {
-                    sink(c);
-                }
-            }
-            (visited, pstats)
-        } else {
-            // The sequential walk has no per-split granularity to
-            // report against, so the whole program is one work unit.
-            let total = txmm_litmus::candidate_count(t)
-                .map(|n| n.min(u64::MAX as u128) as u64)
-                .unwrap_or(0);
-            let mut unit = WalkUnit::start(progress, total);
-            let (visited, pstats) = txmm_litmus::enumerate_candidates_pruned(t, oracle, &mut sink)
-                .map_err(|e| e.to_string())?;
-            unit.tally = (
-                visited as u64,
-                pstats.subtrees_cut,
-                pstats.candidates_skipped,
-            );
-            (visited, pstats)
-        };
+        });
+        unit.tally = (
+            visited as u64,
+            pstats.subtrees_cut,
+            pstats.candidates_skipped,
+        );
         let pstats = if pruned.is_some() {
             pstats
         } else {
@@ -465,7 +316,6 @@ impl Session {
         self.outcome_sets.insert((key.to_vec(), slot), allowed);
         self.outcome_visits
             .insert((key.to_vec(), slot), OutcomeVisit { classes });
-        Ok(())
     }
 }
 
@@ -660,24 +510,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_checking_agree() {
+    fn outcome_walks_cover_the_candidate_space() {
         // The oracle-less model walks every candidate of every split,
         // x86's oracle cuts each split to its po-ordered coherence
-        // order; at 1 and at 4 workers the answers are the same.
+        // order.
         let t = five_txn_writes();
-        let answer = |workers| {
-            let mut s = Session::new();
-            s.set_outcome_workers(workers);
-            let sc = s.register_cat_source("sc-like", ORACLE_LESS_SC).unwrap();
-            assert!(s.model(sc).prune_oracle(true).is_none());
-            let x86 = s.resolve("x86").unwrap();
-            let r = s.outcomes("5w", &t, Some(&[sc, x86])).unwrap();
-            (r, s.stats())
-        };
-        let (a, stats) = answer(1);
-        let (b, _) = answer(4);
-        assert_eq!(a.per_model, b.per_model);
-        assert_eq!((a.candidates, a.classes), (b.candidates, b.classes));
+        let mut s = Session::new();
+        let sc = s.register_cat_source("sc-like", ORACLE_LESS_SC).unwrap();
+        assert!(s.model(sc).prune_oracle(true).is_none());
+        let x86 = s.resolve("x86").unwrap();
+        let a = s.outcomes("5w", &t, Some(&[sc, x86])).unwrap();
+        let stats = s.stats();
         assert_eq!(a.candidates, 326);
         // Both models keep same-thread writes in program order: one
         // final state per abort split, and x = 5 is allowed.
@@ -729,28 +572,23 @@ mod tests {
     fn oracle_less_models_count_no_pruning() {
         let mut s = Session::new();
         let sc = s.register_cat_source("sc-like", ORACLE_LESS_SC).unwrap();
-        for workers in [1, 2] {
-            s.set_outcome_workers(workers);
-            let before = s.stats();
-            let r = s.outcomes("5w", &five_txn_writes(), Some(&[sc])).unwrap();
-            let after = s.stats();
-            assert_eq!(r.per_model[0].allowed.len(), 32);
-            assert_eq!(after.outcome_candidates - before.outcome_candidates, 326);
-            let prune = |st: &crate::session::SessionStats| {
-                (
-                    st.prune_subtrees_cut,
-                    st.prune_candidates_skipped,
-                    st.prune_oracle_calls,
-                    st.prune_oracle_micros,
-                    st.prune_delta_answers,
-                    st.prune_fallbacks,
-                    st.prune_batches,
-                    st.prune_batched_placements,
-                )
-            };
-            assert_eq!(prune(&before), prune(&after));
-            s.reload_cat_source("sc-like", ORACLE_LESS_SC).unwrap();
-        }
+        let r = s.outcomes("5w", &five_txn_writes(), Some(&[sc])).unwrap();
+        let st = s.stats();
+        assert_eq!(r.per_model[0].allowed.len(), 32);
+        assert_eq!(st.outcome_candidates, 326);
+        assert_eq!(
+            (
+                st.prune_subtrees_cut,
+                st.prune_candidates_skipped,
+                st.prune_oracle_calls,
+                st.prune_oracle_micros,
+                st.prune_delta_answers,
+                st.prune_fallbacks,
+                st.prune_batches,
+                st.prune_batched_placements,
+            ),
+            (0, 0, 0, 0, 0, 0, 0, 0)
+        );
     }
 
     #[test]

@@ -375,9 +375,6 @@ pub struct Session {
     pub(crate) outcome_visits: HashMap<(Vec<u8>, usize), crate::outcomes::OutcomeVisit>,
     /// Refuse programs with more candidate executions than this.
     pub(crate) max_candidates: u128,
-    /// Worker threads the outcome walk fans its abort splits out over
-    /// (1 = sequential).
-    pub(crate) outcome_workers: usize,
     pub(crate) stats: Arc<SessionTelemetry>,
     /// Live walk telemetry: when set, the synthesis sweeps and the
     /// outcome engine's pruned walks flush progress (work fractions,
@@ -429,7 +426,6 @@ impl Session {
             outcome_sets: HashMap::new(),
             outcome_visits: HashMap::new(),
             max_candidates: crate::outcomes::MAX_CANDIDATES,
-            outcome_workers: 1,
             stats: Arc::new(SessionTelemetry::new()),
             walk_progress: None,
         };
@@ -545,13 +541,6 @@ impl Session {
             .unwrap_or("user-model")
             .to_string();
         self.reload_cat_source(&name, &src)
-    }
-
-    /// Set the worker-thread count the outcome walk fans its abort
-    /// splits out over (via the `txmm-synth` work-stealing pool); 1
-    /// keeps everything on the calling thread.
-    pub fn set_outcome_workers(&mut self, workers: usize) {
-        self.outcome_workers = workers.max(1);
     }
 
     /// Replace the candidate-execution cap the outcome engine refuses

@@ -8,7 +8,8 @@
 //! The CI `enumeration-smoke` job runs this in release mode including
 //! the `#[ignore]`d heavyweight bounds.
 
-use txmm::core::Execution;
+use txmm::core::incr::BATCH_BUCKETS;
+use txmm::core::{Execution, PruneStats};
 use txmm::models::{Arch, Armv8, Cpp, Model, Power, X86};
 use txmm::synth::{canon_key, EnumConfig, Walk};
 
@@ -53,13 +54,35 @@ fn emission_digest(walk: impl FnOnce(&mut dyn FnMut(&Execution))) -> u64 {
     h
 }
 
+/// A walk's prune counters without the timing: cuts, skipped, oracle
+/// calls, delta answers, fallbacks, batches and batched placements,
+/// then the batch-size histogram.
+type Counters = ([u64; 7], [u64; BATCH_BUCKETS]);
+
+fn counters(st: &PruneStats) -> Counters {
+    (
+        [
+            st.subtrees_cut,
+            st.candidates_skipped,
+            st.oracle_calls,
+            st.delta_answers,
+            st.fallbacks,
+            st.batches,
+            st.batched_placements,
+        ],
+        st.batch_hist,
+    )
+}
+
 /// The streaming engine and the pruned consistent walk emit their
 /// representatives in a pinned order: the same classes, the same
 /// representatives and the same sequence as when these digests were
 /// taken. The consistent walk's order is the unpruned order filtered by
 /// the model. Parallel walks stamp candidates with their sequential
 /// position, so this order is also what Table 1's Forbid list and the
-/// benchmark's seeded leaf samples are built on.
+/// benchmark's seeded leaf samples are built on. The consistent walk's
+/// prune counters are pinned too, at one worker and at two: the search
+/// visits the same stages in the same order whatever the pool.
 #[test]
 fn emission_order_is_pinned() {
     let cpp_atomic = EnumConfig {
@@ -74,13 +97,14 @@ fn emission_order_is_pinned() {
         attrs: true,
         atomic_txns: true,
     };
-    let cases: [(&str, EnumConfig, &dyn Model, u64, u64); 3] = [
+    let cases: [(&str, EnumConfig, &dyn Model, u64, u64, Counters); 3] = [
         (
             "x86 |E|=4",
             EnumConfig::hw(Arch::X86, 4),
             &X86::tm(),
             0xce49_5aa3_f60b_04fd,
             0x8dcc_1805_7b19_264b,
+            ([1_941, 79_711, 0, 5_077, 0, 0, 0], [0; BATCH_BUCKETS]),
         ),
         (
             "power |E|=3",
@@ -88,6 +112,10 @@ fn emission_order_is_pinned() {
             &Power::tm(),
             0x84bc_7146_894a_2373,
             0xc05e_00fd_397e_9ec3,
+            (
+                [863, 13_664, 2_478, 4, 2_554, 941, 1_017],
+                [867, 72, 2, 0, 0, 0, 0],
+            ),
         ),
         (
             "cpp atomic-txns |E|=3",
@@ -95,10 +123,14 @@ fn emission_order_is_pinned() {
             &Cpp::tm(),
             0x7412_5010_1141_b805,
             0x47ee_1b17_dedd_8415,
+            (
+                [3_840, 103_168, 10_816, 1_088, 13_376, 6_720, 9_280],
+                [4_352, 2_176, 192, 0, 0, 0, 0],
+            ),
         ),
     ];
     let mut drifted = Vec::new();
-    for (name, cfg, model, all, consistent) in cases {
+    for (name, cfg, model, all, consistent, pinned) in cases {
         let got_all = emission_digest(|f| {
             Walk::new(&cfg).for_each(f);
         });
@@ -109,6 +141,15 @@ fn emission_order_is_pinned() {
             drifted.push(format!(
                 "{name}: enumerate {got_all:#018x}, consistent {got_consistent:#018x}"
             ));
+        }
+        for workers in [1, 2] {
+            let (_, st) = Walk::new(&cfg).consistent(model).workers(workers).count();
+            if counters(&st) != pinned {
+                drifted.push(format!(
+                    "{name} at {workers} workers: counters {:?}",
+                    counters(&st)
+                ));
+            }
         }
     }
     assert!(drifted.is_empty(), "emission order drifted: {drifted:#?}");
