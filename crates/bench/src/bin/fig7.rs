@@ -16,8 +16,12 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(1);
     });
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let tele = txmm::obs::Telemetry::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
     println!("== Fig. 7: distribution of synthesis times ({events}-event x86 Forbid tests) ==\n");
-    let tele = txmm::obs::Telemetry::from_args();
     let mut session = Session::new();
     if let Some(t) = &tele {
         session.set_walk_progress(Some(t.progress.clone()));

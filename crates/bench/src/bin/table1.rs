@@ -101,9 +101,13 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(1);
     });
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let tele = txmm::obs::Telemetry::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
     println!("== Table 1: testing the transactional x86 and Power models ==");
     println!("   (paper bounds: |E| ≤ 7/6 with SAT + hours; ours: |E| ≤ {max_events})\n");
-    let tele = txmm::obs::Telemetry::from_args();
     let mut session = Session::new();
     if let Some(t) = &tele {
         session.set_walk_progress(Some(t.progress.clone()));

@@ -448,8 +448,7 @@ impl Reporter {
                         let line = snap.frame(rate, eta, false);
                         sink.lock().expect("progress sink").write_line(&line);
                     }
-                })
-                .expect("spawn progress reporter")
+                })?
         };
         Ok(Reporter {
             progress,
@@ -538,8 +537,7 @@ pub fn serve_metrics(addr: &str) -> std::io::Result<MetricsSidecar> {
                         Err(_) => std::thread::sleep(Duration::from_millis(5)),
                     }
                 }
-            })
-            .expect("spawn metrics sidecar")
+            })?
     };
     Ok(MetricsSidecar {
         addr: local,
@@ -591,10 +589,11 @@ fn serve_conn(stream: TcpStream) {
 }
 
 /// Live walk telemetry asked for on the command line:
-/// `--progress[=SECS]` starts a heartbeat [`Reporter`] on stderr, and
-/// `--metrics-listen ADDR` a [`MetricsSidecar`]. Hand `progress` to the
-/// walks, and call [`Telemetry::finish`] after the last one so the
-/// final frame's totals match the run.
+/// `--progress[=SECS]` starts a heartbeat [`Reporter`] on stderr (or on
+/// FILE with `--progress-file FILE`), and `--metrics-listen ADDR` a
+/// [`MetricsSidecar`]. Hand `progress` to the walks, and call
+/// [`Telemetry::finish`] after the last one so the final frame's totals
+/// match the run.
 pub struct Telemetry {
     /// The shared accumulator the walks report into.
     pub progress: Arc<WalkProgress>,
@@ -603,47 +602,72 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Parse the flags from the process arguments; `None` (no
-    /// overhead) when neither is present.
-    pub fn from_args() -> Option<Telemetry> {
-        let mut interval: Option<f64> = None;
-        let mut listen: Option<String> = None;
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            if a == "--progress" {
-                interval = Some(1.0);
-            } else if let Some(v) = a.strip_prefix("--progress=") {
-                interval = v.parse().ok().filter(|s| *s > 0.0).or(Some(1.0));
-            } else if a == "--metrics-listen" {
-                listen = args.next();
+    /// Parse the telemetry flags out of command-line words (other words
+    /// are skipped) and start what they ask for; `None` (no overhead)
+    /// when none is present. `SECS` must be a positive number of
+    /// seconds; a flag without its value, an unwritable progress file
+    /// or a busy metrics address is an error, reported before any walk
+    /// starts. A sidecar alone still gets the walk counters ticking, but
+    /// only `--progress` or `--progress-file` starts the heartbeat.
+    pub fn from_args<S: AsRef<str>>(args: &[S]) -> Result<Option<Telemetry>, String> {
+        let mut interval: Option<Duration> = None;
+        let (mut file, mut listen) = (None, None);
+        let mut words = args.iter().map(AsRef::as_ref);
+        while let Some(a) = words.next() {
+            match a {
+                "--progress" => interval = Some(Duration::from_secs(1)),
+                "--progress-file" | "--metrics-listen" => {
+                    let v = words.next().filter(|v| !v.starts_with("--"));
+                    let v = v.ok_or_else(|| format!("{a} expects a value"))?;
+                    if a == "--progress-file" {
+                        file = Some(PathBuf::from(v));
+                    } else {
+                        listen = Some(v);
+                    }
+                }
+                _ => {
+                    let Some(v) = a.strip_prefix("--progress=") else {
+                        continue;
+                    };
+                    let secs = v.parse::<f64>().ok();
+                    let iv = secs.and_then(|s| Duration::try_from_secs_f64(s).ok());
+                    interval = Some(iv.filter(|iv| !iv.is_zero()).ok_or_else(|| {
+                        format!("--progress={v}: expected a positive number of seconds")
+                    })?);
+                }
             }
         }
-        if interval.is_none() && listen.is_none() {
-            return None;
+        if interval.is_none() && file.is_none() && listen.is_none() {
+            return Ok(None);
         }
-        publish_process_info();
         let progress = Arc::new(WalkProgress::new());
-        let sidecar = listen.map(|addr| {
-            let s = serve_metrics(&addr).expect("metrics sidecar");
-            eprintln!("metrics sidecar listening on {}", s.addr());
-            s
-        });
-        let reporter = interval.map(|secs| {
-            Reporter::start(
-                progress.clone(),
-                Duration::from_secs_f64(secs),
-                ProgressSink::Stderr,
+        let sidecar = match listen {
+            Some(addr) => {
+                let s = serve_metrics(addr).map_err(|e| format!("cannot listen on {addr}: {e}"))?;
+                eprintln!("metrics sidecar listening on {}", s.addr());
+                Some(s)
+            }
+            None => None,
+        };
+        let reporter = if interval.is_some() || file.is_some() {
+            let sink = file.map_or(ProgressSink::Stderr, ProgressSink::File);
+            let iv = interval.unwrap_or(Duration::from_secs(1));
+            Some(
+                Reporter::start(progress.clone(), iv, sink)
+                    .map_err(|e| format!("cannot start progress reporter: {e}"))?,
             )
-            .expect("progress reporter")
-        });
-        Some(Telemetry {
+        } else {
+            None
+        };
+        Ok(Some(Telemetry {
             progress,
             reporter,
             _sidecar: sidecar,
-        })
+        }))
     }
 
-    /// Stop the heartbeat, emitting the final frame.
+    /// Stop the heartbeat (emitting the final frame, whose totals now
+    /// equal the walks' returned counts) and close the sidecar.
     pub fn finish(self) {
         if let Some(r) = self.reporter {
             r.finish();
@@ -770,6 +794,59 @@ mod tests {
         line.clear();
         reader.read_line(&mut line).unwrap();
         assert!(line.contains("\"error\""), "{line}");
+    }
+
+    #[test]
+    fn telemetry_flags_refuse_bad_values() {
+        let none: [&str; 2] = ["quick", "--model"];
+        assert!(Telemetry::from_args(&none).expect("no telemetry").is_none());
+        for (args, want) in [
+            (
+                &["--progress=0"][..],
+                "--progress=0: expected a positive number of seconds",
+            ),
+            (
+                &["--progress=abc"],
+                "--progress=abc: expected a positive number of seconds",
+            ),
+            (
+                &["--progress=inf"],
+                "--progress=inf: expected a positive number of seconds",
+            ),
+            (&["--progress-file"], "--progress-file expects a value"),
+            (
+                &["--metrics-listen", "--progress"],
+                "--metrics-listen expects a value",
+            ),
+        ] {
+            assert_eq!(Telemetry::from_args(args).err().as_deref(), Some(want));
+        }
+    }
+
+    #[test]
+    fn a_busy_metrics_address_is_an_error() {
+        let taken = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = taken.local_addr().expect("addr").to_string();
+        let e = Telemetry::from_args(&["--metrics-listen", &addr]).err();
+        let e = e.expect("a bound address is refused");
+        assert!(e.starts_with(&format!("cannot listen on {addr}: ")), "{e}");
+    }
+
+    #[test]
+    fn progress_file_receives_the_frames() {
+        let tmp = std::env::temp_dir().join(format!("txmm-tele-{}.jsonl", std::process::id()));
+        let path = tmp.to_str().expect("utf-8 path");
+        let t = Telemetry::from_args(&["--progress-file", path])
+            .expect("starts")
+            .expect("asked for");
+        t.progress.add_total(4);
+        t.progress.subtree_done(4, 9, 0, 0);
+        t.finish();
+        let text = std::fs::read_to_string(&tmp).expect("progress file written");
+        let _ = std::fs::remove_file(&tmp);
+        let last = text.lines().last().expect("a frame");
+        assert!(last.contains("\"final\":true"), "{last}");
+        assert!(last.contains("\"candidates\":9"), "{last}");
     }
 
     #[test]

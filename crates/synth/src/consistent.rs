@@ -23,58 +23,108 @@
 //! switches every transaction layout into it in place, and
 //! [`LeafChecker`] re-derives only the layout-dependent relations.
 
-use txmm_core::incr::{NoPrune, PartialCandidate, PruneOracle, PruneStats, RfCoSearch};
+use std::sync::OnceLock;
+
+use txmm_core::incr::{
+    NoPrune, PartialCandidate, PruneOracle, PruneStats, RfCoSearch, BATCH_BOUNDS,
+};
 use txmm_core::{Event, Execution, Rel, TxnFreeBase};
 use txmm_models::Model;
+use txmm_obs::{Counter, Histogram};
 
 use crate::enumerate::{for_deps, EnumConfig, Keep, Leaves, StructureSpace};
 
-/// Process-wide prune telemetry, published once per completed walk
-/// (the walks run per request, so handles are created exactly once).
-pub(crate) fn publish_prune(st: &PruneStats) {
-    use std::sync::OnceLock;
-    static COUNTERS: OnceLock<([txmm_obs::Counter; 6], txmm_obs::Histogram)> = OnceLock::new();
-    let ([cut, skipped, calls, micros, delta, fallback], batch_size) = COUNTERS.get_or_init(|| {
+/// The `txmm_prune_*` registry series a walk's [`PruneStats`] is added
+/// to. The registry sums every live handle set, so the walks' one
+/// process-wide set and each `Session`'s own set (one per daemon shard,
+/// read back for its `stats`) expose one process-wide total per series.
+pub struct PruneCounters {
+    subtrees_cut: Counter,
+    candidates_skipped: Counter,
+    oracle_calls: Counter,
+    oracle_micros: Counter,
+    delta_answers: Counter,
+    fallbacks: Counter,
+    /// Batch sizes per batched oracle call: its `count` is the batch
+    /// count and its `sum` the placements judged.
+    batch_size: Histogram,
+}
+
+impl Default for PruneCounters {
+    fn default() -> PruneCounters {
+        PruneCounters::new()
+    }
+}
+
+impl PruneCounters {
+    /// A fresh handle set; create one per owner, never per walk.
+    pub fn new() -> PruneCounters {
         let obs = txmm_obs::global();
-        (
-            [
-                obs.counter(
-                    "txmm_prune_subtrees_cut_total",
-                    "Construction subtrees abandoned on a non-viable partial.",
-                ),
-                obs.counter(
-                    "txmm_prune_candidates_skipped_total",
-                    "Complete candidates pruned subtrees would have materialised.",
-                ),
-                obs.counter("txmm_prune_oracle_calls_total", "Prune-oracle invocations."),
-                obs.counter(
-                    "txmm_prune_oracle_microseconds_total",
-                    "Wall-clock time spent inside prune-oracle calls.",
-                ),
-                obs.counter(
-                    "txmm_prune_delta_answers_total",
-                    "Viability probes answered from incremental delta state alone.",
-                ),
-                obs.counter(
-                    "txmm_prune_fallback_total",
-                    "Viability probes the delta state could not decide, falling \
-                     back to a full analysis re-check.",
-                ),
-            ],
-            obs.histogram(
+        PruneCounters {
+            subtrees_cut: obs.counter(
+                "txmm_prune_subtrees_cut_total",
+                "Construction subtrees abandoned on a non-viable partial.",
+            ),
+            candidates_skipped: obs.counter(
+                "txmm_prune_candidates_skipped_total",
+                "Complete candidates pruned subtrees would have materialised.",
+            ),
+            oracle_calls: obs.counter("txmm_prune_oracle_calls_total", "Prune-oracle invocations."),
+            oracle_micros: obs.counter(
+                "txmm_prune_oracle_microseconds_total",
+                "Wall-clock time spent inside prune-oracle calls.",
+            ),
+            delta_answers: obs.counter(
+                "txmm_prune_delta_answers_total",
+                "Viability probes answered from incremental delta state alone.",
+            ),
+            fallbacks: obs.counter(
+                "txmm_prune_fallback_total",
+                "Viability probes the delta state could not decide, falling \
+                 back to a full analysis re-check.",
+            ),
+            batch_size: obs.histogram(
                 "txmm_prune_batch_size",
                 "Sibling placements judged per batched prune-oracle call.",
             ),
-        )
-    });
-    cut.add(st.subtrees_cut);
-    skipped.add(st.candidates_skipped);
-    calls.add(st.oracle_calls);
-    micros.add(st.oracle_micros);
-    delta.add(st.delta_answers);
-    fallback.add(st.fallbacks);
-    for (bound, n) in txmm_core::incr::BATCH_BOUNDS.iter().zip(&st.batch_hist) {
-        batch_size.record_n(*bound, *n);
+        }
+    }
+
+    /// The set every walk publishes its finished counters into.
+    pub(crate) fn walks() -> &'static PruneCounters {
+        static WALKS: OnceLock<PruneCounters> = OnceLock::new();
+        WALKS.get_or_init(PruneCounters::new)
+    }
+
+    /// Add one walk's counters.
+    pub fn add(&self, st: &PruneStats) {
+        self.subtrees_cut.add(st.subtrees_cut);
+        self.candidates_skipped.add(st.candidates_skipped);
+        self.oracle_calls.add(st.oracle_calls);
+        self.oracle_micros.add(st.oracle_micros);
+        self.delta_answers.add(st.delta_answers);
+        self.fallbacks.add(st.fallbacks);
+        for (bound, n) in BATCH_BOUNDS.iter().zip(&st.batch_hist) {
+            self.batch_size.record_n(*bound, *n);
+        }
+    }
+
+    /// Everything added so far. `batches` and `batched_placements` are
+    /// the batch-size histogram's count and sum; `batch_hist` is not
+    /// read back.
+    pub fn totals(&self) -> PruneStats {
+        let batches = self.batch_size.snapshot();
+        PruneStats {
+            subtrees_cut: self.subtrees_cut.get(),
+            candidates_skipped: self.candidates_skipped.get(),
+            oracle_calls: self.oracle_calls.get(),
+            oracle_micros: self.oracle_micros.get(),
+            delta_answers: self.delta_answers.get(),
+            fallbacks: self.fallbacks.get(),
+            batches: batches.count,
+            batched_placements: batches.sum,
+            ..PruneStats::default()
+        }
     }
 }
 

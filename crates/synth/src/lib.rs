@@ -45,7 +45,7 @@ pub mod suites;
 pub mod walk;
 pub mod weaken;
 
-pub use consistent::LeafChecker;
+pub use consistent::{LeafChecker, PruneCounters};
 pub use diff::{distinguish, equivalent};
 pub use enumerate::{enumerate_reference, walk_weight, CandSeq, EnumConfig, Frontier, Subtree};
 pub use steal::{worker_count, StealStats};

@@ -28,7 +28,7 @@ use txmm_core::{EventKind, Execution};
 use txmm_models::Model;
 use txmm_obs::WalkProgress;
 
-use crate::consistent::{pruned_structures, publish_prune, LeafChecker};
+use crate::consistent::{pruned_structures, LeafChecker, PruneCounters};
 use crate::enumerate::{
     config_shapes, enumerate_labels, kinds_for, shape_tids, walk_weight, CandSeq, EnumConfig,
     Frontier, Keep, Leaves, Subtree,
@@ -300,7 +300,7 @@ impl<'a> Walk<'a> {
         if self.oracle.is_none() {
             return PruneStats::default();
         }
-        publish_prune(&prune);
+        PruneCounters::walks().add(&prune);
         prune
     }
 

@@ -39,10 +39,12 @@
 //!   --max-candidates N  raise (or lower) the candidate-count refusal
 //!                       threshold from its default of 65536
 //!
-//! telemetry options (gen and outcomes):
+//! telemetry options (gen and outcomes; parsed by txmm::obs::Telemetry,
+//! like those of the table1, fig7 and prune_counts drivers):
 //!   --progress[=SECS]     emit one JSONL progress frame per interval
-//!                         (default 1s) on stderr: fraction done,
-//!                         candidates/sec, ETA, per-worker utilisation
+//!                         (default 1s, SECS > 0) on stderr: fraction
+//!                         done, candidates/sec, ETA, per-worker
+//!                         utilisation
 //!   --progress-file FILE  write the frames to FILE instead of stderr
 //!   --metrics-listen ADDR serve the live metrics registry on a TCP
 //!                         socket speaking the daemon's metrics frame,
@@ -57,16 +59,47 @@
 //!   --watch SECS   (metrics) re-poll on an interval, reconnecting each
 //!                  round, until the target goes away
 //! ```
+//!
+//! The flags are listed once (`VALUE_FLAGS`, `BARE_FLAGS`) and a
+//! command line is parsed once, before any command starts: an unknown
+//! flag, or a value flag at the end of the line or followed by another
+//! flag, exits 1 with `error: ...` and the usage, and prints nothing on
+//! stdout. Every command builds its Session as the daemon builds each
+//! shard's ([`PoolConfig::build_session`]), and the one-shot
+//! `serve`/`check` and `outcomes` share one file loop (`serve_files`).
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::path::PathBuf;
+use std::io::{BufRead, BufReader, IsTerminal, Read, Write};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use txmm::daemon::{Daemon, ListenAddr, PoolConfig, SessionPool};
-use txmm::protocol::Request;
-use txmm::serve::{collect_litmus_files, jsonl_line, serve_file, Served};
-use txmm::session::{ModelRef, Session};
+use txmm::obs::Telemetry;
+use txmm::protocol::{parse_json, Request};
+use txmm::serve::{
+    collect_litmus_files, jsonl_line, outcomes_jsonl_line, read_source, serve_outcomes_source,
+    serve_source, TestFailure,
+};
+use txmm::session::{ModelRef, Session, SessionStats};
+
+/// Every flag that takes a value, as `--flag VALUE`.
+const VALUE_FLAGS: [&str; 11] = [
+    "--model",
+    "--cat",
+    "--events",
+    "--listen",
+    "--shards",
+    "--max-conns",
+    "--max-candidates",
+    "--trace",
+    "--progress-file",
+    "--metrics-listen",
+    "--watch",
+];
+
+/// Every flag that takes none; `--progress=SECS` is `--progress` with
+/// its interval attached.
+const BARE_FLAGS: [&str; 4] = ["--with-cat", "--warm", "--prom", "--progress"];
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -90,7 +123,10 @@ fn usage() -> ExitCode {
          client requests: check <file>, batch <dir>, outcomes <file|dir>,\n\
          \u{20}                reload, models, stats, metrics [--prom], shutdown\n\
          client options: --trace ID (check/outcomes span timeline),\n\
-         \u{20}               --watch SECS (re-poll metrics on an interval)"
+         \u{20}               --watch SECS (re-poll metrics on an interval)\n\
+         \n\
+         An unknown flag, or a value flag without its value, is refused\n\
+         before any command starts."
     );
     ExitCode::FAILURE
 }
@@ -100,38 +136,130 @@ fn main() -> ExitCode {
     run(&args)
 }
 
-/// Dispatch one command line (without the program name). An unknown
-/// flag is refused before any command does work.
-fn run(args: &[String]) -> ExitCode {
-    let Some((cmd, args)) = args.split_first() else {
+/// Dispatch one command line (without the program name). The flags are
+/// parsed once, before any command does work; a command's error is
+/// printed as `error: ...` and exits 1.
+fn run(words: &[String]) -> ExitCode {
+    let Some((cmd, words)) = words.split_first() else {
         return usage();
     };
-    let pos = match positionals(args) {
-        Ok(pos) => pos,
+    let args = match Args::parse(words) {
+        Ok(args) => args,
         Err(e) => {
             eprintln!("error: {e}");
             return usage();
         }
     };
-    match cmd.as_str() {
-        "models" => cmd_models(args),
-        "gen" => cmd_gen(args, &pos),
-        "serve" | "check" => cmd_serve(args, &pos),
-        "outcomes" => cmd_outcomes(args, &pos),
-        "client" => cmd_client(args, &pos),
-        _ => usage(),
+    let done = match cmd.as_str() {
+        "models" => cmd_models(&args),
+        "gen" => cmd_gen(&args),
+        "serve" | "check" => cmd_serve(&args),
+        "outcomes" => cmd_outcomes(&args),
+        "client" => cmd_client(&args),
+        _ => return usage(),
+    };
+    done.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// The words after the command, parsed once: positionals, every value
+/// flag with its value, and the bare flags.
+struct Args<'a> {
+    /// The words as given, for [`Telemetry::from_args`].
+    words: &'a [String],
+    pos: Vec<&'a str>,
+    values: Vec<(&'a str, &'a str)>,
+    bare: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    /// An unknown `--flag`, or a value flag followed by nothing or by
+    /// another flag, is an error, so no word is ever taken for a path or
+    /// a value by mistake.
+    fn parse(words: &'a [String]) -> Result<Args<'a>, String> {
+        let mut args = Args {
+            words,
+            pos: Vec::new(),
+            values: Vec::new(),
+            bare: Vec::new(),
+        };
+        let mut it = words.iter().map(String::as_str);
+        while let Some(w) = it.next() {
+            if VALUE_FLAGS.contains(&w) {
+                match it.next() {
+                    Some(v) if !v.starts_with("--") => args.values.push((w, v)),
+                    _ => return Err(format!("{w} expects a value")),
+                }
+            } else if BARE_FLAGS.contains(&w) || w.starts_with("--progress=") {
+                args.bare.push(w);
+            } else if w.starts_with("--") {
+                return Err(format!("unknown option {w}"));
+            } else {
+                args.pos.push(w);
+            }
+        }
+        Ok(args)
+    }
+
+    /// Every value given for `flag`, in order.
+    fn values<'s>(&'s self, flag: &'s str) -> impl Iterator<Item = &'a str> + 's {
+        self.values
+            .iter()
+            .filter(move |(f, _)| *f == flag)
+            .map(|&(_, v)| v)
+    }
+
+    /// The last value given for `flag`.
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.values(flag).last()
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.bare.contains(&flag)
+    }
+
+    /// A count flag's value, 0 when absent; garbage is an error.
+    fn count(&self, flag: &str) -> Result<usize, String> {
+        self.value(flag).map_or(Ok(0), |v| {
+            v.parse()
+                .map_err(|_| format!("{flag} expects a non-negative integer, got {v:?}"))
+        })
+    }
+
+    /// `--max-candidates N`: the outcome engine's candidate cap, `None`
+    /// (keep the default of 2^16) when absent.
+    fn max_candidates(&self) -> Result<Option<u128>, String> {
+        let Some(v) = self.value("--max-candidates") else {
+            return Ok(None);
+        };
+        match v.parse::<u128>() {
+            Ok(n) if n >= 1 => Ok(Some(n)),
+            _ => Err(format!(
+                "--max-candidates must be a positive integer, got {v:?}"
+            )),
+        }
+    }
+
+    /// The models `--with-cat` and `--cat` ask for; every command's
+    /// Session is built from it by [`PoolConfig::build_session`].
+    fn pool_config(&self) -> PoolConfig {
+        PoolConfig {
+            shards: 0,
+            with_cat: self.has("--with-cat"),
+            cat_files: self.values("--cat").map(PathBuf::from).collect(),
+        }
     }
 }
 
-fn cmd_models(args: &[String]) -> ExitCode {
-    let mut session = Session::with_shipped_cat();
-    for path in flag_values(args, "--cat") {
-        if let Err(e) = session.register_cat_file(&PathBuf::from(path)) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    for m in session.models().collect::<Vec<_>>() {
+fn cmd_models(args: &Args) -> Result<ExitCode, String> {
+    let cfg = PoolConfig {
+        with_cat: true,
+        ..args.pool_config()
+    };
+    let session = cfg.build_session()?;
+    for m in session.models() {
         let model = session.model(m);
         println!(
             "{:<14} arch={:<6} tm={}",
@@ -140,252 +268,58 @@ fn cmd_models(args: &[String]) -> ExitCode {
             model.is_tm()
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Positional (non-flag) arguments: skips `--flag value` pairs for the
-/// value-taking flags and the bare flags. Any other `--flag` is an
-/// error, so its value is never taken for a path.
-fn positionals(args: &[String]) -> Result<Vec<&str>, String> {
-    let mut out = Vec::new();
-    let mut words = args.iter().map(String::as_str);
-    while let Some(a) = words.next() {
-        match a {
-            "--model" | "--cat" | "--events" | "--listen" | "--shards" | "--max-conns"
-            | "--max-candidates" | "--trace" | "--progress-file" | "--metrics-listen"
-            | "--watch" => {
-                words.next();
-            }
-            "--with-cat" | "--warm" | "--prom" | "--progress" => {}
-            a if a.starts_with("--progress=") => {}
-            a if a.starts_with("--") => return Err(format!("unknown option {a}")),
-            a => out.push(a),
-        }
-    }
-    Ok(out)
-}
-
-/// A count flag's value, 0 when absent; garbage is an error.
-fn parse_count(args: &[String], flag: &str) -> Result<usize, String> {
-    match flag_values(args, flag).first() {
-        None => Ok(0),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("{flag} expects a non-negative integer, got {v:?}")),
-    }
-}
-
-fn cmd_gen(args: &[String], pos: &[&str]) -> ExitCode {
-    let Some(&dir) = pos.first() else {
+fn cmd_gen(args: &Args) -> Result<ExitCode, String> {
+    let Some(&dir) = args.pos.first() else {
         eprintln!(
             "usage: txmm gen <dir> [--events N] [--progress[=SECS]] [--progress-file FILE] \
              [--metrics-listen ADDR]"
         );
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
-    let events = match flag_values(args, "--events").first() {
+    let events = match args.value("--events") {
         None => 3,
-        Some(v) => match txmm::corpus::parse_event_bound(v) {
-            Ok(n) => n,
-            Err(e) => {
-                eprintln!("error: --events: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(v) => txmm::corpus::parse_event_bound(v).map_err(|e| format!("--events: {e}"))?,
     };
+    let telemetry = Telemetry::from_args(args.words)?;
     let dir = PathBuf::from(dir);
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("error: cannot create {}: {e}", dir.display());
-        return ExitCode::FAILURE;
-    }
-    let telemetry = match parse_telemetry(args) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let mut session = Session::new();
-    if let Some(t) = &telemetry {
-        session.set_walk_progress(Some(t.progress.clone()));
-    }
+    session.set_walk_progress(telemetry.as_ref().map(|t| t.progress.clone()));
     let corpus = txmm::corpus::generate_on(&session, events);
     if let Some(t) = telemetry {
         t.finish();
     }
     for (i, (name, text)) in corpus.iter().enumerate() {
         let path = dir.join(format!("{i:02}-{name}.litmus"));
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     }
     eprintln!("wrote {} litmus files to {}", corpus.len(), dir.display());
-    ExitCode::SUCCESS
-}
-
-/// Walk telemetry requested on the command line: the shared progress
-/// accumulator plus the optional heartbeat reporter and metrics
-/// sidecar it feeds. `None` when no telemetry flag was given, so the
-/// default paths carry zero overhead.
-struct Telemetry {
-    progress: std::sync::Arc<txmm::obs::WalkProgress>,
-    reporter: Option<txmm::obs::Reporter>,
-    sidecar: Option<txmm::obs::MetricsSidecar>,
-}
-
-impl Telemetry {
-    /// Stop the heartbeat (emitting the final frame, totals now equal
-    /// the walk's returned counts) and close the sidecar listener.
-    fn finish(self) {
-        if let Some(r) = self.reporter {
-            r.finish();
-        }
-        drop(self.sidecar);
-    }
-}
-
-/// Parse `--progress[=SECS]`, `--progress-file FILE` and
-/// `--metrics-listen ADDR`. Progress frames and sidecar announcements
-/// go to stderr (or the file), never stdout: JSONL output stays
-/// byte-identical with telemetry on.
-fn parse_telemetry(args: &[String]) -> Result<Option<Telemetry>, String> {
-    let mut interval: Option<f64> = None;
-    for a in args {
-        if a == "--progress" {
-            interval = Some(1.0);
-        } else if let Some(v) = a.strip_prefix("--progress=") {
-            match v.parse::<f64>() {
-                Ok(secs) if secs > 0.0 => interval = Some(secs),
-                _ => {
-                    return Err(format!(
-                        "--progress={v}: expected a positive number of seconds"
-                    ))
-                }
-            }
-        }
-    }
-    let file = flag_values(args, "--progress-file")
-        .last()
-        .map(PathBuf::from);
-    let listen = flag_values(args, "--metrics-listen").last().copied();
-    if interval.is_none() && file.is_none() && listen.is_none() {
-        return Ok(None);
-    }
-    txmm::obs::publish_process_info();
-    let progress = std::sync::Arc::new(txmm::obs::WalkProgress::new());
-    let sidecar = match listen {
-        Some(addr) => {
-            let s = txmm::obs::serve_metrics(addr)
-                .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
-            eprintln!("metrics sidecar listening on {}", s.addr());
-            Some(s)
-        }
-        None => None,
-    };
-    // A sidecar alone still wants the walk counters ticking, but only
-    // an explicit --progress[-file] starts the heartbeat thread.
-    let reporter = if interval.is_some() || file.is_some() {
-        let sink = match file {
-            Some(p) => txmm::obs::ProgressSink::File(p),
-            None => txmm::obs::ProgressSink::Stderr,
-        };
-        let iv = std::time::Duration::from_secs_f64(interval.unwrap_or(1.0));
-        Some(
-            txmm::obs::Reporter::start(progress.clone(), iv, sink)
-                .map_err(|e| format!("cannot start progress reporter: {e}"))?,
-        )
-    } else {
-        None
-    };
-    Ok(Some(Telemetry {
-        progress,
-        reporter,
-        sidecar,
-    }))
-}
-
-fn flag_values<'a>(args: &'a [String], flag: &str) -> Vec<&'a str> {
-    let mut out = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            if let Some(v) = it.next() {
-                out.push(v.as_str());
-            }
-        }
-    }
-    out
-}
-
-fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
-/// Parse `--max-candidates N` into an enumeration cap; `None` when the
-/// flag is absent (keep the session default of 2^16).
-fn parse_max_candidates(args: &[String]) -> Result<Option<u128>, String> {
-    match flag_values(args, "--max-candidates").last() {
-        None => Ok(None),
-        Some(v) => match v.parse::<u128>() {
-            Ok(n) if n >= 1 => Ok(Some(n)),
-            _ => Err(format!(
-                "--max-candidates must be a positive integer, got {v:?}"
-            )),
-        },
-    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Daemon mode: `txmm serve --listen <addr>`.
-fn cmd_serve_daemon(args: &[String], listen: &str) -> ExitCode {
-    let (shards, max_conns) = match (
-        parse_count(args, "--shards"),
-        parse_count(args, "--max-conns"),
-    ) {
-        (Ok(shards), Ok(max_conns)) => (shards, max_conns),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_serve_daemon(args: &Args, listen: &str) -> Result<ExitCode, String> {
     let cfg = PoolConfig {
-        shards,
-        with_cat: has_flag(args, "--with-cat"),
-        cat_files: flag_values(args, "--cat")
-            .iter()
-            .map(PathBuf::from)
-            .collect(),
+        shards: args.count("--shards")?,
+        ..args.pool_config()
     };
-    let pool = match SessionPool::new(&cfg) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let max_conns = args.count("--max-conns")?;
+    let pool = SessionPool::new(&cfg)?;
     let shards = pool.shard_count();
-    let daemon = match Daemon::bind(&ListenAddr::parse(listen), pool) {
-        Ok(d) => d.with_max_conns(max_conns),
-        Err(e) => {
-            eprintln!("error: cannot listen on {listen}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let daemon = Daemon::bind(&ListenAddr::parse(listen), pool)
+        .map_err(|e| format!("cannot listen on {listen}: {e}"))?
+        .with_max_conns(max_conns);
     eprintln!(
         "txmm-serverd listening on {} ({} shards)",
         daemon.local_addr(),
         shards
     );
-    match daemon.run() {
-        Ok(()) => {
-            eprintln!("txmm-serverd: clean shutdown");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    daemon.run().map_err(|e| e.to_string())?;
+    eprintln!("txmm-serverd: clean shutdown");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Connect to a daemon at `addr` (`host:port` or `unix:<path>`).
@@ -400,107 +334,70 @@ fn connect(addr: &str) -> std::io::Result<Box<dyn ReadWrite>> {
 trait ReadWrite: Read + Write {}
 impl<T: Read + Write> ReadWrite for T {}
 
-fn cmd_client(args: &[String], pos: &[&str]) -> ExitCode {
-    let (addr, what, arg) = match pos {
-        [addr, what] => (*addr, *what, None),
-        [addr, what, arg] => (*addr, *what, Some(*arg)),
+fn cmd_client(args: &Args) -> Result<ExitCode, String> {
+    let (addr, what, arg) = match args.pos[..] {
+        [addr, what] => (addr, what, None),
+        [addr, what, arg] => (addr, what, Some(arg)),
         _ => {
             eprintln!(
-                "usage: txmm client <addr> check <file> | batch <dir> | models | stats | \
-                 metrics [--prom] | shutdown [--model NAME] [--trace ID]"
+                "usage: txmm client <addr> check <file> | batch <dir> | outcomes <file|dir> | \
+                 reload | models | stats | metrics [--prom] | shutdown [--model NAME] [--trace ID]"
             );
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
-    let trace = flag_values(args, "--trace").last().map(|s| s.to_string());
-    let model_names = flag_values(args, "--model");
-    let models = if model_names.is_empty() {
-        None
-    } else {
-        Some(model_names.iter().map(|s| s.to_string()).collect())
-    };
-    let max_candidates = match parse_max_candidates(args) {
-        Ok(cap) => cap,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let trace = args.value("--trace").map(str::to_string);
+    let models: Vec<String> = args.values("--model").map(str::to_string).collect();
+    let models = (!models.is_empty()).then_some(models);
+    let max_candidates = args.max_candidates()?;
+    let read =
+        |file: &str| std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"));
     let request = match (what, arg) {
-        ("check", Some(file)) => {
-            let src = match std::fs::read_to_string(file) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: cannot read {file}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            Request::Check {
-                file: file.to_string(),
-                src,
-                models,
-                trace,
-            }
-        }
+        ("check", Some(file)) => Request::Check {
+            file: file.to_string(),
+            src: read(file)?,
+            models,
+            trace,
+        },
         ("batch", Some(dir)) => Request::Batch {
             dir: dir.to_string(),
             models,
         },
         // A directory asks the server to batch over it; a file ships
         // its source inline.
-        ("outcomes", Some(path)) if std::path::Path::new(path).is_dir() => Request::OutcomesBatch {
+        ("outcomes", Some(path)) if Path::new(path).is_dir() => Request::OutcomesBatch {
             dir: path.to_string(),
             models,
             max_candidates,
         },
-        ("outcomes", Some(file)) => {
-            let src = match std::fs::read_to_string(file) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: cannot read {file}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            Request::Outcomes {
-                file: file.to_string(),
-                src,
-                models,
-                max_candidates,
-                trace,
-            }
-        }
+        ("outcomes", Some(file)) => Request::Outcomes {
+            file: file.to_string(),
+            src: read(file)?,
+            models,
+            max_candidates,
+            trace,
+        },
         ("reload", None) => Request::Reload,
         ("models", None) => Request::Models,
         ("stats", None) => Request::Stats,
         ("metrics", None) => Request::Metrics {
-            prom: has_flag(args, "--prom"),
+            prom: args.has("--prom"),
         },
         ("shutdown", None) => Request::Shutdown,
-        _ => {
-            eprintln!("error: unknown client request {what} {arg:?}");
-            return ExitCode::FAILURE;
-        }
+        _ => return Err(format!("unknown client request {what} {arg:?}")),
     };
     // `metrics --watch SECS` polls on an interval, reconnecting each
     // round (one-shot sidecars and daemons alike serve one frame per
     // connection), until the target goes away or the user interrupts.
-    let watch = flag_values(args, "--watch")
-        .last()
-        .map(|s| s.parse::<f64>());
-    let watch = match watch {
-        None => None,
-        Some(Ok(secs)) if secs > 0.0 => Some(secs),
-        Some(_) => {
-            eprintln!("error: --watch expects a positive number of seconds");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(secs) = watch {
+    if let Some(secs) = args.value("--watch") {
+        let interval = secs.parse::<f64>().ok();
+        let interval = interval.and_then(|s| Duration::try_from_secs_f64(s).ok());
+        let interval = interval
+            .filter(|iv| !iv.is_zero())
+            .ok_or("--watch expects a positive number of seconds")?;
         if !matches!(request, Request::Metrics { .. }) {
-            eprintln!("error: --watch only applies to the metrics request");
-            return ExitCode::FAILURE;
+            return Err("--watch only applies to the metrics request".into());
         }
-        use std::io::IsTerminal;
         let clear = std::io::stdout().is_terminal();
         loop {
             if clear {
@@ -508,26 +405,16 @@ fn cmd_client(args: &[String], pos: &[&str]) -> ExitCode {
                 // interactive; piped output stays plain JSONL.
                 print!("\x1b[2J\x1b[H");
             }
-            match client_round_trip(addr, &request) {
-                Ok(_) => {}
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            let _ = std::io::Write::flush(&mut std::io::stdout());
-            std::thread::sleep(std::time::Duration::from_secs_f64(secs));
+            client_round_trip(addr, &request)?;
+            let _ = std::io::stdout().flush();
+            std::thread::sleep(interval);
         }
     }
-    match client_round_trip(addr, &request) {
-        Ok(0) => ExitCode::SUCCESS,
-        Ok(failures) => {
+    match client_round_trip(addr, &request)? {
+        0 => Ok(ExitCode::SUCCESS),
+        failures => {
             eprintln!("{failures} error responses");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
@@ -553,9 +440,7 @@ fn client_round_trip(addr: &str, request: &Request) -> Result<usize, String> {
                 if l.is_empty() {
                     break; // frame terminator
                 }
-                if l.starts_with("{\"error\"") || l.contains("\"error\":") {
-                    failures += 1;
-                }
+                failures += usize::from(is_error_response(l));
                 println!("{l}");
             }
             Err(e) => return Err(e.to_string()),
@@ -564,266 +449,165 @@ fn client_round_trip(addr: &str, request: &Request) -> Result<usize, String> {
     Ok(failures)
 }
 
-/// One-shot outcome serving: `txmm outcomes <dir|file...>` — the
-/// program-level twin of `cmd_serve`, enumerating every candidate
-/// execution per test and printing the per-model allowed-outcome table,
-/// one JSONL line per test (byte-identical to the daemon's `outcomes`
-/// answers over the same tests).
-fn cmd_outcomes(args: &[String], pos: &[&str]) -> ExitCode {
-    use txmm::serve::{outcomes_jsonl_line, serve_outcomes_file, ServedOutcomes};
+/// An error response is a JSON object with a top-level `error` key. A
+/// payload that only mentions the word (a model or test named `error`)
+/// and a non-JSON line (a Prometheus page) are not.
+fn is_error_response(line: &str) -> bool {
+    parse_json(line).is_ok_and(|v| v.get("error").is_some())
+}
 
-    let paths: Vec<PathBuf> = pos.iter().map(PathBuf::from).collect();
-    if paths.is_empty() {
-        eprintln!(
-            "usage: txmm outcomes <dir|file...> [--model NAME] [--cat FILE] [--with-cat] \
-             [--warm] [--max-candidates N]"
-        );
-        return ExitCode::FAILURE;
-    }
+/// `serve_source` or `serve_outcomes_source`.
+type Serve<R> = fn(&mut Session, &str, &str, Option<&[ModelRef]>) -> Result<R, TestFailure>;
 
-    let mut session = if has_flag(args, "--with-cat") {
-        Session::with_shipped_cat()
-    } else {
-        Session::new()
-    };
-    match parse_max_candidates(args) {
-        Ok(Some(cap)) => session.set_max_candidates(cap),
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    for path in flag_values(args, "--cat") {
-        if let Err(e) = session.register_cat_file(&PathBuf::from(path)) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let model_names = flag_values(args, "--model");
-    let filter: Option<Vec<ModelRef>> = if model_names.is_empty() {
-        None
-    } else {
-        let mut ms = Vec::new();
-        for name in model_names {
-            match session.resolve(name) {
-                Some(m) => ms.push(m),
-                None => {
-                    eprintln!("error: unknown model {name} (try `txmm models`)");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        Some(ms)
-    };
+/// What the one-shot `serve`/`check` and `outcomes` commands differ in.
+struct OneShot<R> {
+    /// Printed when no path is given.
+    usage: &'static str,
+    /// What one line answers, for the stderr summary.
+    noun: &'static str,
+    /// Serve one litmus source: `(session, file, source, models)`.
+    serve: Serve<R>,
+    /// Render one served result as its JSONL line.
+    render: fn(&Result<R, TestFailure>) -> String,
+    /// The Session counters the stderr summary ends with.
+    counts: fn(&SessionStats) -> String,
+}
 
-    let mut files: Vec<PathBuf> = Vec::new();
-    for p in paths {
-        if p.is_dir() {
-            match collect_litmus_files(&p) {
-                Ok(fs) => files.extend(fs),
-                Err(e) => {
-                    eprintln!("error: cannot read {}: {e}", p.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            files.push(p);
-        }
+/// `txmm serve|check <dir|file...>`: one verdict line per test, or the
+/// socket daemon under `--listen`.
+fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
+    if let Some(listen) = args.value("--listen") {
+        return cmd_serve_daemon(args, listen);
     }
-    if files.is_empty() {
-        eprintln!("error: no .litmus files found");
-        return ExitCode::FAILURE;
+    let session = args.pool_config().build_session()?;
+    serve_files(
+        args,
+        session,
+        OneShot {
+            usage: "usage: txmm serve <dir|file...> [--model NAME] [--cat FILE] [--with-cat] \
+                    [--warm]\n\
+                    \u{20}      txmm serve --listen <addr> [--shards N] [--max-conns N] \
+                    [--cat FILE] [--with-cat]",
+            noun: "tests",
+            serve: serve_source,
+            render: jsonl_line,
+            counts: |s| {
+                format!(
+                    "{} interned, {} verdict hits / {} misses",
+                    s.interned, s.verdict_hits, s.verdict_misses
+                )
+            },
+        },
+    )
+}
+
+/// `txmm outcomes <dir|file...>`: the program-level twin of `serve`,
+/// enumerating every candidate execution per test and printing the
+/// per-model allowed-outcome table, one JSONL line per test
+/// (byte-identical to the daemon's `outcomes` answers over the same
+/// tests).
+fn cmd_outcomes(args: &Args) -> Result<ExitCode, String> {
+    let mut session = args.pool_config().build_session()?;
+    if let Some(cap) = args.max_candidates()? {
+        session.set_max_candidates(cap);
     }
-
-    let telemetry = match parse_telemetry(args) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(t) = &telemetry {
-        session.set_walk_progress(Some(t.progress.clone()));
-    }
-
-    let mut failures = 0usize;
-    let mut pass = |session: &mut Session, print: bool| -> u128 {
-        let mut serving = 0u128;
-        for f in &files {
-            let start = Instant::now();
-            let served = serve_outcomes_file(session, f, filter.as_deref());
-            serving += start.elapsed().as_micros();
-            if print {
-                if matches!(served, ServedOutcomes::Failure(_)) {
-                    failures += 1;
-                }
-                println!("{}", outcomes_jsonl_line(&served));
-            }
-        }
-        serving
-    };
-
-    let cold = pass(&mut session, true);
+    let telemetry = Telemetry::from_args(args.words)?;
+    session.set_walk_progress(telemetry.as_ref().map(|t| t.progress.clone()));
+    let done = serve_files(
+        args,
+        session,
+        OneShot {
+            usage: "usage: txmm outcomes <dir|file...> [--model NAME] [--cat FILE] [--with-cat] \
+                    [--warm] [--max-candidates N]",
+            noun: "outcome tables",
+            serve: serve_outcomes_source,
+            render: outcomes_jsonl_line,
+            counts: |s| {
+                format!(
+                    "{} candidates in {} classes, {} outcome entries, \
+                     {} outcome hits / {} misses",
+                    s.outcome_candidates,
+                    s.outcome_classes,
+                    s.outcome_entries,
+                    s.outcome_hits,
+                    s.outcome_misses
+                )
+            },
+        },
+    );
     if let Some(t) = telemetry {
         t.finish();
     }
-    let s = session.stats();
-    if has_flag(args, "--warm") {
-        let warm = pass(&mut session, false);
-        let s = session.stats();
-        eprintln!(
-            "served {} outcome tables: cold {}us, warm {}us ({:.1}x speedup); \
-             {} candidates in {} classes, {} outcome entries, \
-             {} outcome hits / {} misses",
-            files.len(),
-            cold,
-            warm,
-            cold as f64 / warm.max(1) as f64,
-            s.outcome_candidates,
-            s.outcome_classes,
-            s.outcome_entries,
-            s.outcome_hits,
-            s.outcome_misses,
-        );
-    } else {
-        eprintln!(
-            "served {} outcome tables in {}us; {} candidates in {} classes \
-             ({} outcome entries)",
-            files.len(),
-            cold,
-            s.outcome_candidates,
-            s.outcome_classes,
-            s.outcome_entries,
-        );
-    }
-    if has_flag(args, "--prom") {
-        eprint!("{}", txmm::obs::global().render_prom());
-    }
-    if failures > 0 {
-        eprintln!("{failures} tests failed to serve");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    done
 }
 
-fn cmd_serve(args: &[String], pos: &[&str]) -> ExitCode {
-    if let Some(listen) = flag_values(args, "--listen").first() {
-        return cmd_serve_daemon(args, listen);
+/// The one-shot file loop: resolve `--model`, expand each directory
+/// into its `.litmus` files, serve every file once printing its JSONL
+/// line, serve them all again under `--warm`, summarise on stderr, dump
+/// the metrics registry under `--prom`, and fail if any file failed.
+fn serve_files<R>(args: &Args, mut session: Session, cmd: OneShot<R>) -> Result<ExitCode, String> {
+    if args.pos.is_empty() {
+        eprintln!("{}", cmd.usage);
+        return Ok(ExitCode::FAILURE);
     }
-    // Positional arguments are directories or litmus files.
-    let paths: Vec<PathBuf> = pos.iter().map(PathBuf::from).collect();
-    if paths.is_empty() {
-        eprintln!(
-            "usage: txmm serve <dir|file...> [--model NAME] [--cat FILE] [--with-cat] [--warm]\n\
-             \u{20}      txmm serve --listen <addr> [--shards N] [--max-conns N] [--cat FILE] [--with-cat]"
-        );
-        return ExitCode::FAILURE;
-    }
-
-    let mut session = if has_flag(args, "--with-cat") {
-        Session::with_shipped_cat()
-    } else {
-        Session::new()
-    };
-    for path in flag_values(args, "--cat") {
-        if let Err(e) = session.register_cat_file(&PathBuf::from(path)) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let model_names = flag_values(args, "--model");
-    let filter: Option<Vec<ModelRef>> = if model_names.is_empty() {
-        None
-    } else {
-        let mut ms = Vec::new();
-        for name in model_names {
-            match session.resolve(name) {
-                Some(m) => ms.push(m),
-                None => {
-                    eprintln!("error: unknown model {name} (try `txmm models`)");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        Some(ms)
-    };
-
-    // Expand directories into their .litmus files.
-    let mut files: Vec<PathBuf> = Vec::new();
-    for p in paths {
+    let filter = args
+        .values("--model")
+        .map(|name| {
+            session
+                .resolve(name)
+                .ok_or_else(|| format!("unknown model {name} (try `txmm models`)"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let filter = (!filter.is_empty()).then_some(filter);
+    let mut files = Vec::new();
+    for p in args.pos.iter().map(Path::new) {
         if p.is_dir() {
-            match collect_litmus_files(&p) {
-                Ok(fs) => files.extend(fs),
-                Err(e) => {
-                    eprintln!("error: cannot read {}: {e}", p.display());
-                    return ExitCode::FAILURE;
-                }
-            }
+            let found = collect_litmus_files(p);
+            files.extend(found.map_err(|e| format!("cannot read {}: {e}", p.display()))?);
         } else {
-            files.push(p);
+            files.push(p.to_path_buf());
         }
     }
     if files.is_empty() {
-        eprintln!("error: no .litmus files found");
-        return ExitCode::FAILURE;
+        return Err("no .litmus files found".to_string());
     }
-
     let mut failures = 0usize;
-    // Each pass times ONLY the serving work (parse, convert, check,
-    // observe) so the cold/warm comparison measures the caches, not
-    // JSONL formatting or stdout throughput; a --warm rerun serves the
-    // same files, so failures are counted in the first pass only.
+    // Each pass times ONLY the serving calls, so the cold/warm
+    // comparison measures the caches, not JSONL formatting or stdout
+    // throughput; a --warm rerun serves the same files, so failures are
+    // counted in the first pass only.
     let mut pass = |session: &mut Session, print: bool| -> u128 {
-        let mut serving = 0u128;
+        let mut micros = 0u128;
         for f in &files {
             let start = Instant::now();
-            let served = serve_file(session, f, filter.as_deref());
-            serving += start.elapsed().as_micros();
+            let served = read_source(f)
+                .and_then(|(file, src)| (cmd.serve)(session, &file, &src, filter.as_deref()));
+            micros += start.elapsed().as_micros();
             if print {
-                if matches!(served, Served::Failure(_)) {
-                    failures += 1;
-                }
-                println!("{}", jsonl_line(&served));
+                failures += usize::from(served.is_err());
+                println!("{}", (cmd.render)(&served));
             }
         }
-        serving
+        micros
     };
-
     let cold = pass(&mut session, true);
-    if has_flag(args, "--warm") {
-        let warm = pass(&mut session, false);
-        let s = session.stats();
-        eprintln!(
-            "served {} tests: cold {}us, warm {}us ({:.1}x speedup); \
-             {} interned, {} verdict hits / {} misses",
-            files.len(),
-            cold,
-            warm,
-            cold as f64 / warm.max(1) as f64,
-            s.interned,
-            s.verdict_hits,
-            s.verdict_misses,
-        );
-    } else {
-        let s = session.stats();
-        eprintln!(
-            "served {} tests in {}us; {} interned, {} verdict hits / {} misses",
-            files.len(),
-            cold,
-            s.interned,
-            s.verdict_hits,
-            s.verdict_misses,
-        );
+    let warm = args.has("--warm").then(|| pass(&mut session, false));
+    let (n, noun, counts) = (files.len(), cmd.noun, (cmd.counts)(&session.stats()));
+    match warm {
+        Some(warm) => eprintln!(
+            "served {n} {noun}: cold {cold}us, warm {warm}us ({:.1}x speedup); {counts}",
+            cold as f64 / warm.max(1) as f64
+        ),
+        None => eprintln!("served {n} {noun} in {cold}us; {counts}"),
     }
-    if has_flag(args, "--prom") {
+    if args.has("--prom") {
         eprint!("{}", txmm::obs::global().render_prom());
     }
     if failures > 0 {
         eprintln!("{failures} tests failed to serve");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 #[cfg(test)]
@@ -853,8 +637,8 @@ mod tests {
         for (flag, value) in [("--bogus", "4"), ("--workers", "2")] {
             let args = words(&["f.litmus", flag, value]);
             assert_eq!(
-                positionals(&args),
-                Err(format!("unknown option {flag}")),
+                Args::parse(&args).err(),
+                Some(format!("unknown option {flag}")),
                 "{flag}"
             );
             for cmd in ["gen", "outcomes", "serve"] {
@@ -865,21 +649,68 @@ mod tests {
         assert!(!std::path::Path::new(dir).exists(), "gen never started");
         // The known flags still parse, bare and valued alike.
         let args = words(&["a", "--with-cat", "--progress=2", "--model", "x86", "b"]);
-        assert_eq!(positionals(&args), Ok(vec!["a", "b"]));
+        let args = Args::parse(&args).expect("known flags");
+        assert_eq!(args.pos, ["a", "b"]);
+        assert_eq!(args.value("--model"), Some("x86"));
+        assert!(args.has("--with-cat"));
+    }
+
+    /// A value flag at the end of the line, or followed by another flag,
+    /// is refused for every command before it starts: it never falls
+    /// back to its default (`--model` to every model, `--listen` to the
+    /// one-shot path).
+    #[test]
+    fn value_flags_without_a_value_are_refused() {
+        let dir = std::env::temp_dir().join(format!("txmm-novalue-{}", std::process::id()));
+        let dir = dir.to_str().expect("utf-8 path");
+        for flag in VALUE_FLAGS {
+            let want = Some(format!("{flag} expects a value"));
+            for tail in [&[flag][..], &[flag, "--warm"]] {
+                let args = words(&[&[dir][..], tail].concat());
+                assert_eq!(Args::parse(&args).err(), want, "{tail:?}");
+            }
+            for cmd in ["models", "gen", "serve", "check", "outcomes", "client"] {
+                assert_eq!(
+                    run(&words(&[cmd, dir, flag])),
+                    ExitCode::FAILURE,
+                    "{cmd} {flag}"
+                );
+            }
+        }
+        assert!(!std::path::Path::new(dir).exists(), "gen never started");
     }
 
     #[test]
     fn garbage_counts_are_refused() {
         for flag in ["--shards", "--max-conns"] {
             let args = words(&["--listen", "127.0.0.1:0", flag, "abc"]);
-            let e = parse_count(&args, flag).expect_err(flag);
+            let e = Args::parse(&args)
+                .expect("parses")
+                .count(flag)
+                .expect_err(flag);
             assert_eq!(
                 e,
                 format!("{flag} expects a non-negative integer, got \"abc\"")
             );
             let args = words(&[flag, "4"]);
-            assert_eq!(parse_count(&args, flag), Ok(4));
-            assert_eq!(parse_count(&[], flag), Ok(0));
+            assert_eq!(Args::parse(&args).expect("parses").count(flag), Ok(4));
+            assert_eq!(Args::parse(&[]).expect("parses").count(flag), Ok(0));
         }
+    }
+
+    #[test]
+    fn only_error_frames_count_as_error_responses() {
+        let verdict = "{\"file\":\"f.litmus\",\"name\":\"sb\",\"arch\":\"x86\",\"events\":4,\
+                       \"verdicts\":{\"error\":{\"consistent\":true,\"violations\":[]}},\
+                       \"observable\":true}";
+        assert!(!is_error_response(verdict));
+        assert!(is_error_response(
+            "{\"file\":\"f.litmus\",\"error\":\"litmus parse error\"}"
+        ));
+        assert!(is_error_response(
+            "{\"error\":\"server busy\",\"code\":\"busy\",\"max_conns\":1}"
+        ));
+        assert!(!is_error_response("txmm_requests_total{cmd=\"error\"} 3"));
+        assert!(!is_error_response("# HELP txmm_x \"error\": none"));
     }
 }

@@ -20,8 +20,9 @@
 //! * **JSONL wire protocol** ([`crate::protocol`]): `check`, `batch`,
 //!   `models`, `stats` and graceful `shutdown` requests, each answered
 //!   by JSONL lines and a blank-line terminator. Payload lines reuse
-//!   [`crate::serve::jsonl_line`], so daemon answers are byte-identical
-//!   to one-shot `txmm serve` output over the same tests.
+//!   [`crate::serve::jsonl_line`] and [`crate::serve::outcomes_jsonl_line`],
+//!   so daemon answers are byte-identical to one-shot `txmm serve` and
+//!   `txmm outcomes` output over the same tests.
 //! * **Batches**: `batch` and directory `outcomes` requests route their
 //!   files on up to one scoped thread per shard, then serve each busy
 //!   shard's files in input order on one thread per shard, so every
@@ -55,7 +56,7 @@ use txmm_synth::canon_key;
 use crate::protocol::{error_line, Request};
 use crate::serve::{
     check_parsed, collect_litmus_files, jsonl_line, outcomes_jsonl_line, parse_outcomes_request,
-    parse_request, ParsedTest, Served, ServedOutcomes, StageMicros, TestFailure,
+    parse_request, read_source, ParsedTest, StageMicros, TestFailure,
 };
 use crate::session::{ModelRef, Session, SessionStats, SessionTelemetry};
 
@@ -72,6 +73,22 @@ pub struct PoolConfig {
 }
 
 impl PoolConfig {
+    /// A Session with the configured models: the native ones, the
+    /// shipped `.cat` twins under `with_cat`, then each `cat_files`
+    /// entry. The pool builds each shard with it, and the one-shot
+    /// commands their one Session.
+    pub fn build_session(&self) -> Result<Session, String> {
+        let mut s = if self.with_cat {
+            Session::with_shipped_cat()
+        } else {
+            Session::new()
+        };
+        for path in &self.cat_files {
+            s.register_cat_file(path)?;
+        }
+        Ok(s)
+    }
+
     fn shard_count(&self) -> usize {
         if self.shards > 0 {
             return self.shards;
@@ -277,18 +294,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn build_session(cfg: &PoolConfig) -> Result<Session, String> {
-    let mut s = if cfg.with_cat {
-        Session::with_shipped_cat()
-    } else {
-        Session::new()
-    };
-    for path in &cfg.cat_files {
-        s.register_cat_file(path)?;
-    }
-    Ok(s)
-}
-
 /// Resolve a model-name filter against a shard Session.
 fn resolve_filter(
     session: &Session,
@@ -313,7 +318,7 @@ impl SessionPool {
     /// synchronously.
     pub fn new(cfg: &PoolConfig) -> Result<SessionPool, String> {
         let sessions = (0..cfg.shard_count())
-            .map(|_| build_session(cfg))
+            .map(|_| cfg.build_session())
             .collect::<Result<Vec<_>, _>>()?;
         Ok(SessionPool::with_sessions(sessions, cfg.cat_files.clone()))
     }
@@ -425,7 +430,7 @@ impl SessionPool {
             Ok(p) => Ok((self.route(&key(&p)), p)),
             Err(f) => {
                 self.failures.inc();
-                Err(jsonl_line(&Served::Failure(f)))
+                Err(f.jsonl_line())
             }
         }
     }
@@ -445,7 +450,7 @@ impl SessionPool {
                 // of no compute stage.
                 report.stages.other += wait;
                 shard.record(true, &report.stages);
-                jsonl_line(&Served::Report(report))
+                jsonl_line(&Ok(report))
             }
             Err(e) => {
                 self.failures.inc();
@@ -501,11 +506,11 @@ impl SessionPool {
         };
         shard.record(matches!(result, Ok(Ok(_))), &stages);
         match result {
-            Ok(Ok(report)) => outcomes_jsonl_line(&ServedOutcomes::Report(report)),
+            Ok(Ok(report)) => outcomes_jsonl_line(&Ok(report)),
             Ok(Err(error)) => {
                 self.failures.inc();
                 let file = file.to_string();
-                outcomes_jsonl_line(&ServedOutcomes::Failure(TestFailure { file, error }))
+                TestFailure { file, error }.jsonl_line()
             }
             Err(e) => {
                 self.failures.inc();
@@ -659,86 +664,38 @@ impl SessionPool {
         (shards, self.failures.get())
     }
 
-    /// Render the `stats` response line.
+    /// Render the `stats` response line: the counters summed over the
+    /// shards (with the hit rates), the stage split, the slowest ring
+    /// and every shard's own counters.
     pub fn stats_line(&self) -> String {
         let (shards, failures) = self.stats();
-        let mut total = SessionStats::default();
+        let mut total = SessionStats::default().fields();
         let mut stages = StageMicros::default();
         let mut served = 0u64;
         for s in &shards {
             served += s.served;
-            total.interned += s.session.interned;
-            total.verdict_hits += s.session.verdict_hits;
-            total.verdict_misses += s.session.verdict_misses;
-            total.observability_hits += s.session.observability_hits;
-            total.observability_misses += s.session.observability_misses;
-            total.outcome_hits += s.session.outcome_hits;
-            total.outcome_misses += s.session.outcome_misses;
-            total.outcome_entries += s.session.outcome_entries;
-            total.outcome_candidates += s.session.outcome_candidates;
-            total.outcome_classes += s.session.outcome_classes;
-            total.compile_hits += s.session.compile_hits;
-            total.compile_misses += s.session.compile_misses;
-            total.compile_entries += s.session.compile_entries;
-            total.compile_micros += s.session.compile_micros;
-            total.prune_subtrees_cut += s.session.prune_subtrees_cut;
-            total.prune_candidates_skipped += s.session.prune_candidates_skipped;
-            total.prune_oracle_calls += s.session.prune_oracle_calls;
-            total.prune_oracle_micros += s.session.prune_oracle_micros;
-            total.prune_delta_answers += s.session.prune_delta_answers;
-            total.prune_fallbacks += s.session.prune_fallbacks;
-            total.prune_batches += s.session.prune_batches;
-            total.prune_batched_placements += s.session.prune_batched_placements;
+            for (sum, (_, v)) in total.iter_mut().zip(s.session.fields()) {
+                sum.1 += v;
+            }
             add_stages(&mut stages, &s.stages);
         }
-        let rate = |hits: u64, misses: u64| -> String {
-            let total = hits + misses;
-            if total == 0 {
-                "null".to_string()
-            } else {
-                format!("{:.4}", hits as f64 / total as f64)
-            }
-        };
         let per_shard = shards
             .iter()
             .map(|s| {
+                let w = &s.walk;
                 format!(
-                    "{{\"shard\":{},\"served\":{},\"depth\":{},\"interned\":{},\
-                     \"verdict_hits\":{},\"verdict_misses\":{},\"outcome_entries\":{},\
-                     \"outcome_hits\":{},\"outcome_misses\":{},\"compile_hits\":{},\
-                     \"compile_misses\":{},\"compile_entries\":{},\"compile_micros\":{},\
-                     \"prune_subtrees_cut\":{},\"prune_candidates_skipped\":{},\
-                     \"prune_oracle_calls\":{},\"prune_oracle_micros\":{},\
-                     \"prune_delta_answers\":{},\"prune_fallbacks\":{},\
-                     \"prune_batches\":{},\"prune_batched_placements\":{},\
+                    "{{\"shard\":{},\"served\":{},\"depth\":{},{},\
                      \"walk\":{{\"work_done\":{},\"work_total\":{},\"subtrees\":{},\
                      \"candidates\":{},\"classes\":{}}}}}",
                     s.shard,
                     s.served,
                     s.depth,
-                    s.session.interned,
-                    s.session.verdict_hits,
-                    s.session.verdict_misses,
-                    s.session.outcome_entries,
-                    s.session.outcome_hits,
-                    s.session.outcome_misses,
-                    s.session.compile_hits,
-                    s.session.compile_misses,
-                    s.session.compile_entries,
-                    s.session.compile_micros,
-                    s.session.prune_subtrees_cut,
-                    s.session.prune_candidates_skipped,
-                    s.session.prune_oracle_calls,
-                    s.session.prune_oracle_micros,
-                    s.session.prune_delta_answers,
-                    s.session.prune_fallbacks,
-                    s.session.prune_batches,
-                    s.session.prune_batched_placements,
-                    s.walk.work_done,
-                    s.walk.work_total,
-                    s.walk.subtrees,
-                    s.walk.candidates,
-                    s.walk.classes
+                    counters_json(&s.session.fields(), false),
+                    w.work_done,
+                    w.work_total,
+                    w.subtrees,
+                    w.candidates,
+                    w.classes
                 )
             })
             .collect::<Vec<_>>()
@@ -762,48 +719,12 @@ impl SessionPool {
             .collect::<Vec<_>>()
             .join(",");
         format!(
-            "{{\"shards\":{},\"served\":{served},\"failures\":{failures},\
-             \"interned\":{},\"verdict_hits\":{},\"verdict_misses\":{},\
-             \"verdict_hit_rate\":{},\"observability_hits\":{},\
-             \"observability_misses\":{},\"observability_hit_rate\":{},\
-             \"outcome_entries\":{},\"outcome_hits\":{},\"outcome_misses\":{},\
-             \"outcome_hit_rate\":{},\"outcome_candidates\":{},\"outcome_classes\":{},\
-             \"compile_hits\":{},\"compile_misses\":{},\"compile_hit_rate\":{},\
-             \"compile_entries\":{},\"compile_micros\":{},\
-             \"prune_subtrees_cut\":{},\"prune_candidates_skipped\":{},\
-             \"prune_oracle_calls\":{},\"prune_oracle_micros\":{},\
-             \"prune_delta_answers\":{},\"prune_fallbacks\":{},\
-             \"prune_batches\":{},\"prune_batched_placements\":{},\
+            "{{\"shards\":{},\"served\":{served},\"failures\":{failures},{},\
              \"stage_micros\":{{\"parse\":{},\"convert\":{},\"verdict\":{},\
              \"observe\":{},\"other\":{}}},\"slowest\":[{slowest}],\
              \"per_shard\":[{per_shard}]}}",
             self.shards.len(),
-            total.interned,
-            total.verdict_hits,
-            total.verdict_misses,
-            rate(total.verdict_hits, total.verdict_misses),
-            total.observability_hits,
-            total.observability_misses,
-            rate(total.observability_hits, total.observability_misses),
-            total.outcome_entries,
-            total.outcome_hits,
-            total.outcome_misses,
-            rate(total.outcome_hits, total.outcome_misses),
-            total.outcome_candidates,
-            total.outcome_classes,
-            total.compile_hits,
-            total.compile_misses,
-            rate(total.compile_hits, total.compile_misses),
-            total.compile_entries,
-            total.compile_micros,
-            total.prune_subtrees_cut,
-            total.prune_candidates_skipped,
-            total.prune_oracle_calls,
-            total.prune_oracle_micros,
-            total.prune_delta_answers,
-            total.prune_fallbacks,
-            total.prune_batches,
-            total.prune_batched_placements,
+            counters_json(&total, true),
             stages.parse,
             stages.convert,
             stages.verdict,
@@ -828,6 +749,28 @@ impl SessionPool {
 
     /// Tear the pool down; dropping it does the same.
     pub fn shutdown(self) {}
+}
+
+/// `"key":value` for every counter. With `rates`, each `<kind>_misses`
+/// is followed by `<kind>_hit_rate` (`null` before any traffic).
+fn counters_json(fields: &[(&str, u64)], rates: bool) -> String {
+    let mut out = Vec::with_capacity(fields.len() + 4);
+    for &(key, misses) in fields {
+        out.push(format!("\"{key}\":{misses}"));
+        let Some(kind) = key.strip_suffix("_misses").filter(|_| rates) else {
+            continue;
+        };
+        let hits = fields
+            .iter()
+            .find(|(k, _)| k.strip_suffix("_hits") == Some(kind))
+            .map_or(0, |&(_, hits)| hits);
+        let rate = match hits + misses {
+            0 => "null".to_string(),
+            n => format!("{:.4}", hits as f64 / n as f64),
+        };
+        out.push(format!("\"{kind}_hit_rate\":{rate}"));
+    }
+    out.join(",")
 }
 
 /// Run every job on a scoped thread of its own and collect the results
@@ -1102,14 +1045,8 @@ fn serve_dir<P: Send>(
         Err(e) => return vec![error_line(&format!("cannot read {dir}: {e}"))],
     };
     let read_and_route = |path: &PathBuf| {
-        let file = path.display().to_string();
-        match std::fs::read_to_string(path) {
-            Ok(src) => route(file, src),
-            Err(e) => Err(jsonl_line(&Served::Failure(TestFailure {
-                file,
-                error: e.to_string(),
-            }))),
-        }
+        let (file, src) = read_source(path).map_err(|f| f.jsonl_line())?;
+        route(file, src)
     };
     pool.fan_out(&files, read_and_route, serve)
 }

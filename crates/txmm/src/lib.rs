@@ -58,13 +58,13 @@ pub use outcomes::{
 pub use protocol::Request;
 pub use serve::{
     check_parsed, collect_litmus_files, jsonl_line, parse_request, serve_file, serve_source,
-    ParsedTest, Served, StageMicros, TestFailure, TestReport,
+    ParsedTest, StageMicros, TestFailure, TestReport,
 };
 pub use session::{ModelRef, Session, SessionStats};
 
 /// Everything most programs need.
 pub mod prelude {
-    pub use crate::serve::{serve_file, serve_source, Served};
+    pub use crate::serve::{serve_file, serve_source};
     pub use crate::session::{ModelRef, Session, SessionStats};
     pub use txmm_core::prelude::*;
     pub use txmm_hwsim::{ArmSim, Oracle, PowerSim, Simulator, TsoSim};

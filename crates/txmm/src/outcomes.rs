@@ -302,17 +302,7 @@ impl Session {
         self.stats.interned.set(self.arena.len() as i64);
         self.stats.outcome_candidates.add(visited as u64);
         self.stats.outcome_classes.add(classes.len() as u64);
-        self.stats.prune_subtrees_cut.add(pstats.subtrees_cut);
-        self.stats
-            .prune_candidates_skipped
-            .add(pstats.candidates_skipped);
-        self.stats.prune_oracle_calls.add(pstats.oracle_calls);
-        self.stats.prune_oracle_micros.add(pstats.oracle_micros);
-        self.stats.prune_delta_answers.add(pstats.delta_answers);
-        self.stats.prune_fallbacks.add(pstats.fallbacks);
-        for (bound, n) in txmm_core::incr::BATCH_BOUNDS.iter().zip(&pstats.batch_hist) {
-            self.stats.prune_batch_size.record_n(*bound, *n);
-        }
+        self.stats.prune.add(&pstats);
         self.outcome_sets.insert((key.to_vec(), slot), allowed);
         self.outcome_visits
             .insert((key.to_vec(), slot), OutcomeVisit { classes });

@@ -136,12 +136,29 @@ pub struct TestFailure {
     pub error: String,
 }
 
-/// One line of the JSONL stream.
-pub enum Served {
-    /// The test was answered.
-    Report(TestReport),
-    /// The test could not be served.
-    Failure(TestFailure),
+impl TestFailure {
+    /// The failure's JSONL line (no trailing newline), the same for
+    /// `check` and `outcomes`: `{"file":…,"error":…}`.
+    pub fn jsonl_line(&self) -> String {
+        format!(
+            "{{\"file\":\"{}\",\"error\":\"{}\"}}",
+            json_escape(&self.file),
+            json_escape(&self.error)
+        )
+    }
+}
+
+/// A litmus file's name (as displayed) and text; an unreadable file is
+/// the test's failure.
+pub fn read_source(path: &Path) -> Result<(String, String), TestFailure> {
+    let file = path.display().to_string();
+    match std::fs::read_to_string(path) {
+        Ok(src) => Ok((file, src)),
+        Err(e) => Err(TestFailure {
+            file,
+            error: e.to_string(),
+        }),
+    }
 }
 
 /// The parse and convert stages: litmus text → pinned candidate
@@ -236,31 +253,25 @@ pub fn serve_source(
     file: &str,
     src: &str,
     models: Option<&[ModelRef]>,
-) -> Served {
+) -> Result<TestReport, TestFailure> {
     let whole = Instant::now();
-    match parse_request(file, src) {
-        Ok(t) => {
-            let mut r = check_parsed(session, &t, models);
-            // The stages each self-account their own wall time; the
-            // residual glue between the two calls lands in `other`, so
-            // r.micros() equals this function's end-to-end time.
-            r.stages.absorb_gap(whole.elapsed().as_micros() as u64);
-            Served::Report(r)
-        }
-        Err(f) => Served::Failure(f),
-    }
+    let t = parse_request(file, src)?;
+    let mut r = check_parsed(session, &t, models);
+    // The stages each self-account their own wall time; the residual
+    // glue between the two calls lands in `other`, so r.micros()
+    // equals this function's end-to-end time.
+    r.stages.absorb_gap(whole.elapsed().as_micros() as u64);
+    Ok(r)
 }
 
 /// Serve one litmus file from disk.
-pub fn serve_file(session: &mut Session, path: &Path, models: Option<&[ModelRef]>) -> Served {
-    let file = path.display().to_string();
-    match std::fs::read_to_string(path) {
-        Ok(src) => serve_source(session, &file, &src, models),
-        Err(e) => Served::Failure(TestFailure {
-            file,
-            error: e.to_string(),
-        }),
-    }
+pub fn serve_file(
+    session: &mut Session,
+    path: &Path,
+    models: Option<&[ModelRef]>,
+) -> Result<TestReport, TestFailure> {
+    let (file, src) = read_source(path)?;
+    serve_source(session, &file, &src, models)
 }
 
 /// The `.litmus` files directly inside a directory, sorted by name.
@@ -275,49 +286,44 @@ pub fn collect_litmus_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
 }
 
 /// Render one served result as a JSONL line (no trailing newline).
-pub fn jsonl_line(served: &Served) -> String {
-    match served {
-        Served::Failure(f) => format!(
-            "{{\"file\":\"{}\",\"error\":\"{}\"}}",
-            json_escape(&f.file),
-            json_escape(&f.error)
-        ),
-        Served::Report(r) => {
-            let verdicts = r
-                .verdicts
+pub fn jsonl_line(served: &Result<TestReport, TestFailure>) -> String {
+    let r = match served {
+        Ok(r) => r,
+        Err(f) => return f.jsonl_line(),
+    };
+    let verdicts = r
+        .verdicts
+        .iter()
+        .map(|(name, v)| {
+            let violations = v
+                .violations()
                 .iter()
-                .map(|(name, v)| {
-                    let violations = v
-                        .violations()
-                        .iter()
-                        .map(|a| format!("\"{}\"", json_escape(a)))
-                        .collect::<Vec<_>>()
-                        .join(",");
-                    format!(
-                        "\"{}\":{{\"consistent\":{},\"violations\":[{}]}}",
-                        json_escape(name),
-                        v.is_consistent(),
-                        violations
-                    )
-                })
+                .map(|a| format!("\"{}\"", json_escape(a)))
                 .collect::<Vec<_>>()
                 .join(",");
-            let observable = match r.observable {
-                Some(b) => b.to_string(),
-                None => "null".to_string(),
-            };
             format!(
-                "{{\"file\":\"{}\",\"name\":\"{}\",\"arch\":\"{}\",\"events\":{},\
-                 \"verdicts\":{{{}}},\"observable\":{}}}",
-                json_escape(&r.file),
-                json_escape(&r.name),
-                json_escape(r.arch.name()),
-                r.events,
-                verdicts,
-                observable
+                "\"{}\":{{\"consistent\":{},\"violations\":[{}]}}",
+                json_escape(name),
+                v.is_consistent(),
+                violations
             )
-        }
-    }
+        })
+        .collect::<Vec<_>>()
+        .join(",");
+    let observable = match r.observable {
+        Some(b) => b.to_string(),
+        None => "null".to_string(),
+    };
+    format!(
+        "{{\"file\":\"{}\",\"name\":\"{}\",\"arch\":\"{}\",\"events\":{},\
+         \"verdicts\":{{{}}},\"observable\":{}}}",
+        json_escape(&r.file),
+        json_escape(&r.name),
+        json_escape(r.arch.name()),
+        r.events,
+        verdicts,
+        observable
+    )
 }
 
 /// Splice a trace echo — `trace_id`, the recorded span timeline, and a
@@ -355,16 +361,6 @@ pub fn attach_trace(line: &str, trace: &txmm_obs::Trace) -> String {
 
 // ---- Outcome serving ---------------------------------------------------
 
-/// One line of the outcome JSONL stream (the `outcomes` twin of
-/// [`Served`]).
-pub enum ServedOutcomes {
-    /// The program was enumerated and checked.
-    Report(OutcomeReport),
-    /// The test could not be served (parse error, oversized candidate
-    /// space, unknown model).
-    Failure(TestFailure),
-}
-
 /// Parse a litmus source for the outcome engine. Unlike
 /// [`parse_request`] this does **not** reconstruct a pinned execution —
 /// the outcome engine answers programs whose postcondition pins
@@ -382,34 +378,14 @@ pub fn serve_outcomes_source(
     file: &str,
     src: &str,
     models: Option<&[ModelRef]>,
-) -> ServedOutcomes {
-    let t = match parse_outcomes_request(file, src) {
-        Ok(t) => t,
-        Err(f) => return ServedOutcomes::Failure(f),
-    };
-    match session.outcomes(file, &t, models) {
-        Ok(r) => ServedOutcomes::Report(r),
-        Err(e) => ServedOutcomes::Failure(TestFailure {
+) -> Result<OutcomeReport, TestFailure> {
+    let t = parse_outcomes_request(file, src)?;
+    session
+        .outcomes(file, &t, models)
+        .map_err(|error| TestFailure {
             file: file.to_string(),
-            error: e,
-        }),
-    }
-}
-
-/// Serve one litmus file from disk through the outcome engine.
-pub fn serve_outcomes_file(
-    session: &mut Session,
-    path: &Path,
-    models: Option<&[ModelRef]>,
-) -> ServedOutcomes {
-    let file = path.display().to_string();
-    match std::fs::read_to_string(path) {
-        Ok(src) => serve_outcomes_source(session, &file, &src, models),
-        Err(e) => ServedOutcomes::Failure(TestFailure {
-            file,
-            error: e.to_string(),
-        }),
-    }
+            error,
+        })
 }
 
 /// Render one final state as a compact JSON object: register files,
@@ -470,49 +446,44 @@ fn outcome_json(o: &Outcome) -> String {
 /// Render one outcome-engine result as a JSONL line (no trailing
 /// newline) — deterministic, so daemon `outcomes` answers are
 /// byte-identical to one-shot `txmm outcomes` over the same tests.
-pub fn outcomes_jsonl_line(served: &ServedOutcomes) -> String {
-    match served {
-        ServedOutcomes::Failure(f) => format!(
-            "{{\"file\":\"{}\",\"error\":\"{}\"}}",
-            json_escape(&f.file),
-            json_escape(&f.error)
-        ),
-        ServedOutcomes::Report(r) => {
-            let models = r
-                .per_model
+pub fn outcomes_jsonl_line(served: &Result<OutcomeReport, TestFailure>) -> String {
+    let r = match served {
+        Ok(r) => r,
+        Err(f) => return f.jsonl_line(),
+    };
+    let models = r
+        .per_model
+        .iter()
+        .map(|m| {
+            let post = match m.post_allowed {
+                Some(true) => "\"allowed\"",
+                Some(false) => "\"forbidden\"",
+                None => "null",
+            };
+            let outcomes = m
+                .allowed
                 .iter()
-                .map(|m| {
-                    let post = match m.post_allowed {
-                        Some(true) => "\"allowed\"",
-                        Some(false) => "\"forbidden\"",
-                        None => "null",
-                    };
-                    let outcomes = m
-                        .allowed
-                        .iter()
-                        .map(outcome_json)
-                        .collect::<Vec<_>>()
-                        .join(",");
-                    format!(
-                        "\"{}\":{{\"post\":{post},\"outcomes\":[{outcomes}]}}",
-                        json_escape(&m.model)
-                    )
-                })
+                .map(outcome_json)
                 .collect::<Vec<_>>()
                 .join(",");
             format!(
-                "{{\"file\":\"{}\",\"name\":\"{}\",\"arch\":\"{}\",\"events\":{},\
-                 \"txns\":{},\"candidates\":{},\"classes\":{},\"models\":{{{models}}}}}",
-                json_escape(&r.file),
-                json_escape(&r.name),
-                json_escape(r.arch.name()),
-                r.events,
-                r.txns,
-                r.candidates,
-                r.classes,
+                "\"{}\":{{\"post\":{post},\"outcomes\":[{outcomes}]}}",
+                json_escape(&m.model)
             )
-        }
-    }
+        })
+        .collect::<Vec<_>>()
+        .join(",");
+    format!(
+        "{{\"file\":\"{}\",\"name\":\"{}\",\"arch\":\"{}\",\"events\":{},\
+         \"txns\":{},\"candidates\":{},\"classes\":{},\"models\":{{{models}}}}}",
+        json_escape(&r.file),
+        json_escape(&r.name),
+        json_escape(r.arch.name()),
+        r.events,
+        r.txns,
+        r.candidates,
+        r.classes,
+    )
 }
 
 #[cfg(test)]
@@ -530,10 +501,7 @@ mod tests {
     #[test]
     fn serves_generated_source() {
         let mut s = Session::new();
-        let served = serve_source(&mut s, "sb.litmus", &sb_source(), None);
-        let Served::Report(r) = served else {
-            panic!("sb must serve");
-        };
+        let r = serve_source(&mut s, "sb.litmus", &sb_source(), None).expect("sb must serve");
         assert_eq!(r.name, "sb");
         assert_eq!(r.arch, Arch::X86);
         assert_eq!(r.events, 4);
@@ -544,9 +512,8 @@ mod tests {
         let x86 = r.verdicts.iter().find(|(n, _)| n == "x86").unwrap();
         assert!(x86.1.is_consistent());
         // Second serving of the same test hits the cache.
-        let Served::Report(r2) = serve_source(&mut s, "sb.litmus", &sb_source(), None) else {
-            panic!("sb must serve twice");
-        };
+        let r2 =
+            serve_source(&mut s, "sb.litmus", &sb_source(), None).expect("sb must serve twice");
         assert!(r2.cached);
         assert_eq!(r.verdicts.len(), r2.verdicts.len());
     }
@@ -632,11 +599,9 @@ mod tests {
     fn failure_lines_keep_streaming() {
         let mut s = Session::new();
         let served = serve_source(&mut s, "bad.litmus", "t (Marvel)\n", None);
-        let Served::Failure(f) = served else {
-            panic!("must fail");
-        };
+        let f = served.err().expect("must fail");
         assert!(f.error.contains("unknown architecture"));
-        let line = jsonl_line(&Served::Failure(f));
+        let line = jsonl_line(&Err(f));
         assert!(line.starts_with("{\"file\":\"bad.litmus\",\"error\":"));
     }
 
@@ -683,13 +648,10 @@ mod tests {
         let src = "free (x86)\nthread 0:\n  x <- 1\nthread 1:\n  r0 <- x\n";
         let mut s = Session::new();
         let sc = [s.resolve("SC").unwrap()];
-        let served = serve_outcomes_source(&mut s, "free.litmus", src, Some(&sc));
-        let ServedOutcomes::Report(r) = served else {
-            panic!("must serve");
-        };
+        let r = serve_outcomes_source(&mut s, "free.litmus", src, Some(&sc)).expect("must serve");
         assert_eq!(r.per_model[0].post_allowed, None);
         assert_eq!(r.per_model[0].allowed.len(), 2, "r0 ∈ {{0, 1}}");
-        let line = outcomes_jsonl_line(&ServedOutcomes::Report(r));
+        let line = outcomes_jsonl_line(&Ok(r));
         assert!(line.contains("\"post\":null"), "{line}");
     }
 
@@ -697,10 +659,7 @@ mod tests {
     fn model_filter_restricts_verdicts() {
         let mut s = Session::new();
         let filter = [s.resolve("SC").unwrap(), s.resolve("TSC").unwrap()];
-        let served = serve_source(&mut s, "sb.litmus", &sb_source(), Some(&filter));
-        let Served::Report(r) = served else {
-            panic!("serves")
-        };
+        let r = serve_source(&mut s, "sb.litmus", &sb_source(), Some(&filter)).expect("serves");
         assert_eq!(r.verdicts.len(), 2);
         assert_eq!(r.verdicts[0].0, "SC");
     }

@@ -45,7 +45,7 @@ use txmm_core::{Execution, ExecutionAnalysis};
 use txmm_hwsim::{ArmSim, PowerSim, Simulator, TsoSim, MAX_LOCS};
 use txmm_litmus::litmus_from_execution;
 use txmm_models::{registry, Arch, Checker, Derived, Model, Verdict};
-use txmm_synth::{canon_key, EnumConfig, SuiteResult, Walk};
+use txmm_synth::{canon_key, EnumConfig, PruneCounters, SuiteResult, Walk};
 use txmm_verify::{CompileResult, ElisionResult, ElisionTarget, MonotonicityResult, TheoremResult};
 
 /// Handle of a registered model within one [`Session`].
@@ -203,6 +203,37 @@ pub struct SessionStats {
     pub compile_micros: u64,
 }
 
+impl SessionStats {
+    /// Every counter as `(key, value)`, in the order the daemon's
+    /// `stats` answer lists them.
+    pub fn fields(&self) -> [(&'static str, u64); 22] {
+        [
+            ("interned", self.interned as u64),
+            ("verdict_hits", self.verdict_hits),
+            ("verdict_misses", self.verdict_misses),
+            ("observability_hits", self.observability_hits),
+            ("observability_misses", self.observability_misses),
+            ("outcome_entries", self.outcome_entries as u64),
+            ("outcome_hits", self.outcome_hits),
+            ("outcome_misses", self.outcome_misses),
+            ("outcome_candidates", self.outcome_candidates),
+            ("outcome_classes", self.outcome_classes),
+            ("compile_hits", self.compile_hits),
+            ("compile_misses", self.compile_misses),
+            ("compile_entries", self.compile_entries),
+            ("compile_micros", self.compile_micros),
+            ("prune_subtrees_cut", self.prune_subtrees_cut),
+            ("prune_candidates_skipped", self.prune_candidates_skipped),
+            ("prune_oracle_calls", self.prune_oracle_calls),
+            ("prune_oracle_micros", self.prune_oracle_micros),
+            ("prune_delta_answers", self.prune_delta_answers),
+            ("prune_fallbacks", self.prune_fallbacks),
+            ("prune_batches", self.prune_batches),
+            ("prune_batched_placements", self.prune_batched_placements),
+        ]
+    }
+}
+
 /// The session's cache counters as registry handles. Every `Session`
 /// creates its own handles (the registry sums live handles of a series
 /// for global exposition, so N shard sessions aggregate there) while
@@ -221,16 +252,8 @@ pub(crate) struct SessionTelemetry {
     pub(crate) outcome_entries: txmm_obs::Gauge,
     pub(crate) outcome_candidates: txmm_obs::Counter,
     pub(crate) outcome_classes: txmm_obs::Counter,
-    pub(crate) prune_subtrees_cut: txmm_obs::Counter,
-    pub(crate) prune_candidates_skipped: txmm_obs::Counter,
-    pub(crate) prune_oracle_calls: txmm_obs::Counter,
-    pub(crate) prune_oracle_micros: txmm_obs::Counter,
-    pub(crate) prune_delta_answers: txmm_obs::Counter,
-    pub(crate) prune_fallbacks: txmm_obs::Counter,
-    /// Batch sizes per batched oracle call; `count` is the batch count
-    /// and `sum` the placements judged, which is how
-    /// [`Session::stats`] reads the pair back out.
-    pub(crate) prune_batch_size: txmm_obs::Histogram,
+    /// The `txmm_prune_*` series this session's outcome walks add to.
+    pub(crate) prune: PruneCounters,
     /// Registry slot → compiled `.cat` model, for aggregating
     /// compile-cache stats; reload replaces the slot's entry.
     cat_models: Mutex<Vec<(usize, Arc<CatModel>)>>,
@@ -280,35 +303,7 @@ impl SessionTelemetry {
                 "txmm_outcome_classes_total",
                 "Canonical candidate classes actually checked.",
             ),
-            // Same family names the sweep walks in txmm-synth publish
-            // into: the exposition totals prune work process-wide.
-            prune_subtrees_cut: obs.counter(
-                "txmm_prune_subtrees_cut_total",
-                "Construction subtrees abandoned on a non-viable partial.",
-            ),
-            prune_candidates_skipped: obs.counter(
-                "txmm_prune_candidates_skipped_total",
-                "Complete candidates pruned subtrees would have materialised.",
-            ),
-            prune_oracle_calls: obs
-                .counter("txmm_prune_oracle_calls_total", "Prune-oracle invocations."),
-            prune_oracle_micros: obs.counter(
-                "txmm_prune_oracle_microseconds_total",
-                "Wall-clock time spent inside prune-oracle calls.",
-            ),
-            prune_delta_answers: obs.counter(
-                "txmm_prune_delta_answers_total",
-                "Viability probes answered from incremental delta state alone.",
-            ),
-            prune_fallbacks: obs.counter(
-                "txmm_prune_fallback_total",
-                "Viability probes the delta state could not decide, falling \
-                 back to a full analysis re-check.",
-            ),
-            prune_batch_size: obs.histogram(
-                "txmm_prune_batch_size",
-                "Sibling placements judged per batched prune-oracle call.",
-            ),
+            prune: PruneCounters::new(),
             cat_models: Mutex::new(Vec::new()),
         }
     }
@@ -326,6 +321,7 @@ impl SessionTelemetry {
     /// handles. Compile-cache numbers are aggregated from the registered
     /// `.cat` models at snapshot time.
     pub(crate) fn snapshot(&self) -> SessionStats {
+        let prune = self.prune.totals();
         let mut s = SessionStats {
             interned: self.interned.get() as usize,
             verdict_hits: self.verdict_hits.get(),
@@ -337,14 +333,14 @@ impl SessionTelemetry {
             outcome_entries: self.outcome_entries.get() as usize,
             outcome_candidates: self.outcome_candidates.get(),
             outcome_classes: self.outcome_classes.get(),
-            prune_subtrees_cut: self.prune_subtrees_cut.get(),
-            prune_candidates_skipped: self.prune_candidates_skipped.get(),
-            prune_oracle_calls: self.prune_oracle_calls.get(),
-            prune_oracle_micros: self.prune_oracle_micros.get(),
-            prune_delta_answers: self.prune_delta_answers.get(),
-            prune_fallbacks: self.prune_fallbacks.get(),
-            prune_batches: self.prune_batch_size.snapshot().count,
-            prune_batched_placements: self.prune_batch_size.snapshot().sum,
+            prune_subtrees_cut: prune.subtrees_cut,
+            prune_candidates_skipped: prune.candidates_skipped,
+            prune_oracle_calls: prune.oracle_calls,
+            prune_oracle_micros: prune.oracle_micros,
+            prune_delta_answers: prune.delta_answers,
+            prune_fallbacks: prune.fallbacks,
+            prune_batches: prune.batches,
+            prune_batched_placements: prune.batched_placements,
             ..SessionStats::default()
         };
         for (_, model) in self.cat_models().iter() {

@@ -6,9 +6,9 @@
 //! each, hours+ for the latter three on one core).
 //!
 //! Every subcommand also takes `--progress[=SECS]` (heartbeat JSONL
-//! frames on stderr) and `--metrics-listen ADDR` (scrapeable live
-//! metrics) so the hours-long bounds can be watched; see
-//! "Watching long runs" in the README.
+//! frames on stderr, or in FILE with `--progress-file FILE`) and
+//! `--metrics-listen ADDR` (scrapeable live metrics) so the hours-long
+//! bounds can be watched; see "Watching long runs" in the README.
 use std::time::Instant;
 use txmm::models::{Arch, Armv8, Model, Power, X86};
 use txmm::obs::Telemetry;
@@ -33,11 +33,15 @@ fn run(tele: Option<&Telemetry>, name: &str, arch: Arch, model: &dyn Model, even
 }
 
 fn main() {
-    let which = std::env::args().nth(1).unwrap_or_default();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let which = args.first().cloned().unwrap_or_default();
     // One telemetry setup for the whole invocation: multi-bound
     // subcommands (`quick`) accumulate into the same progress stream
     // and keep one sidecar socket.
-    let tele = Telemetry::from_args();
+    let tele = Telemetry::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
     let t = tele.as_ref();
     match which.as_str() {
         "power5" => run(t, "power", Arch::Power, &Power::tm(), 5),

@@ -432,6 +432,31 @@ fn stats_json_keeps_every_preexisting_key() {
             assert!(shard.get(key).is_some(), "per_shard lost {key:?}");
         }
     }
+    // Every counter of the total is also a per-shard counter, and the
+    // shards' values sum to it (only `shards`, `failures` and the hit
+    // rates are pool-level).
+    let Json::Obj(top) = &v else {
+        panic!("stats is an object")
+    };
+    let counters: Vec<(&str, f64)> = top
+        .iter()
+        .filter(|(k, _)| !["shards", "failures"].contains(&k.as_str()) && !k.ends_with("_hit_rate"))
+        .filter_map(|(k, v)| match v {
+            Json::Num(n) => Some((k.as_str(), *n)),
+            _ => None,
+        })
+        .collect();
+    assert!(counters.len() >= 23, "{counters:?}");
+    for (key, total) in counters {
+        let per_shard: Vec<f64> = per_shard
+            .iter()
+            .map(|shard| match shard.get(key) {
+                Some(Json::Num(n)) => *n,
+                other => panic!("per_shard {key:?} = {other:?}"),
+            })
+            .collect();
+        assert_eq!(per_shard.iter().sum::<f64>(), total, "{key}: {per_shard:?}");
+    }
 
     // The new slowest-requests ring reports real traffic with wall
     // times (the checks and outcomes above all went through it).

@@ -12,7 +12,7 @@ use std::time::Duration;
 use txmm::models::{Arch, X86};
 use txmm::obs::{serve_metrics, ProgressSink, Reporter, WalkProgress};
 use txmm::protocol::{parse_json, Json};
-use txmm::serve::{outcomes_jsonl_line, ServedOutcomes};
+use txmm::serve::outcomes_jsonl_line;
 use txmm::session::Session;
 use txmm::synth::{worker_count, EnumConfig, Walk};
 
@@ -110,8 +110,8 @@ fn telemetry_leaves_served_outcomes_byte_identical() {
             .outcomes(&file, &t, None)
             .expect("telemetered serves");
         assert_eq!(
-            outcomes_jsonl_line(&ServedOutcomes::Report(a)),
-            outcomes_jsonl_line(&ServedOutcomes::Report(b)),
+            outcomes_jsonl_line(&Ok(a)),
+            outcomes_jsonl_line(&Ok(b)),
             "{name}: telemetry changed the served line"
         );
     }

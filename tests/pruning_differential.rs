@@ -136,7 +136,7 @@ fn cheap_spaces_at_four_events() {
 fn outcome_tables_agree_with_unpruned_session() {
     use txmm::hwsim::{Outcome, OutcomeSet, MAX_LOCS};
     use txmm::litmus::{enumerate_candidates, parse_litmus};
-    use txmm::serve::{serve_outcomes_source, ServedOutcomes};
+    use txmm::serve::serve_outcomes_source;
     use txmm::session::{ModelRef, Session};
 
     let corpus = txmm::corpus::generate(3);
@@ -166,8 +166,7 @@ fn outcome_tables_agree_with_unpruned_session() {
     let mut allowed_somewhere = vec![false; models.len()];
     for (name, src) in &corpus {
         let file = format!("{name}.litmus");
-        let ServedOutcomes::Report(got) = serve_outcomes_source(&mut session, &file, src, None)
-        else {
+        let Ok(got) = serve_outcomes_source(&mut session, &file, src, None) else {
             panic!("{name}: refused");
         };
         let t = parse_litmus(src).expect("corpus parses");
@@ -337,7 +336,7 @@ fn outcome_walk_counters(events: usize) -> [u64; 9] {
     let mut s = Session::with_shipped_cat();
     assert_eq!(s.models().count(), 20);
     for (name, src) in &txmm::corpus::generate(events) {
-        serve_outcomes_source(&mut s, &format!("{name}.litmus"), src, None);
+        let _ = serve_outcomes_source(&mut s, &format!("{name}.litmus"), src, None);
     }
     let st = s.stats();
     [

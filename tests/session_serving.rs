@@ -2,7 +2,7 @@
 //! serving: warm (cached) answers must be byte-identical to cold-start
 //! answers, across the whole generated corpus.
 
-use txmm::serve::{serve_source, Served};
+use txmm::serve::serve_source;
 use txmm::session::Session;
 
 /// The standard generated corpus (`txmm::corpus::generate`, the same
@@ -22,11 +22,11 @@ fn fingerprints(session: &mut Session, corpus: &[(String, String)]) -> Vec<Strin
     corpus
         .iter()
         .map(|(file, src)| match serve_source(session, file, src, None) {
-            Served::Report(r) => format!(
+            Ok(r) => format!(
                 "{}|{}|{:?}|{:?}",
                 r.name, r.events, r.verdicts, r.observable
             ),
-            Served::Failure(f) => panic!("{}: {}", f.file, f.error),
+            Err(f) => panic!("{}: {}", f.file, f.error),
         })
         .collect()
 }
@@ -67,7 +67,7 @@ fn shipped_cat_twins_agree_across_the_corpus() {
     let corpus = corpus();
     let mut session = Session::with_shipped_cat();
     for (file, src) in &corpus {
-        let Served::Report(r) = serve_source(&mut session, file, src, None) else {
+        let Ok(r) = serve_source(&mut session, file, src, None) else {
             panic!("{file} must serve");
         };
         for (name, v) in &r.verdicts {
