@@ -1,7 +1,6 @@
-//! Hardware-simulator benchmarks: exhaustive exploration cost per test.
+//! Hardware-machine benchmarks: exhaustive exploration cost per test.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use txmm_hwsim::{ArmSim, PowerSim, Simulator, TsoSim};
 use txmm_litmus::litmus_from_execution;
 use txmm_models::{catalog, Arch};
 
@@ -14,22 +13,20 @@ fn bench_sims(c: &mut Criterion) {
         ("iriw+txns", catalog::power_exec3(true)),
     ];
     for (name, x) in &cases {
-        let tx86 = litmus_from_execution(name, x, Arch::X86);
-        g.bench_with_input(BenchmarkId::new("tso", name), &tx86, |b, t| {
-            b.iter(|| TsoSim.run(std::hint::black_box(t)).len())
-        });
-        let tarm = litmus_from_execution(name, x, Arch::Armv8);
-        g.bench_with_input(BenchmarkId::new("armv8", name), &tarm, |b, t| {
-            b.iter(|| ArmSim::default().run(std::hint::black_box(t)).len())
-        });
-        let tpow = litmus_from_execution(name, x, Arch::Power);
-        g.bench_with_input(BenchmarkId::new("power", name), &tpow, |b, t| {
-            b.iter(|| PowerSim::default().run(std::hint::black_box(t)).len())
-        });
+        for (id, arch) in [
+            ("tso", Arch::X86),
+            ("armv8", Arch::Armv8),
+            ("power", Arch::Power),
+        ] {
+            let t = litmus_from_execution(name, x, arch);
+            g.bench_with_input(BenchmarkId::new(id, name), &t, |b, t| {
+                b.iter(|| txmm_hwsim::run(std::hint::black_box(t)).map(|set| set.len()))
+            });
+        }
     }
     g.bench_function("elision-armv8", |b| {
         let t = litmus_from_execution("elision", &catalog::armv8_elision(false), Arch::Armv8);
-        b.iter(|| ArmSim::default().observable(std::hint::black_box(&t)))
+        b.iter(|| txmm_hwsim::observable(std::hint::black_box(&t)))
     });
     g.finish();
 }

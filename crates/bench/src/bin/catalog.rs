@@ -65,7 +65,7 @@ fn main() {
                 cat_note
             );
         }
-        // Simulator observability where an architecture applies (the
+        // Observability on the hardware machine where one applies (the
         // session returns None for SC/C++ and for abstract lock-call
         // executions).
         let arch = txmm::corpus::entry_arch(&entry.expect);

@@ -1,409 +1,149 @@
-//! An operational ARMv8 simulator: per-thread out-of-order commit over a
-//! single (multicopy-atomic) memory, with the proposed TM extension.
+//! ARMv8 with the proposed TM extension as an ordering table over one
+//! multicopy-atomic memory. Dependencies order (address and data
+//! always; control only to stores, or to anything across an `ISB`), as
+//! do barriers (`DMB`, `DMB LD`, `DMB ST`), one-way acquire/release,
+//! same-location accesses and full-barrier transaction boundaries.
+//! Exclusives pair through a monitor.
 //!
-//! Each thread may commit any not-yet-committed instruction whose
-//! *ordering predecessors* have all committed. The commit-order rules
-//! mirror the architecture: dependencies (address/data always; control
-//! only to stores, or to anything across an `ISB`), barriers (`DMB`,
-//! `DMB LD`, `DMB ST`), one-way acquire/release fences, same-location
-//! order, exclusives monitors, and full-barrier transaction boundaries.
-//!
-//! Loads read memory *at commit time* — exactly the speculation window
-//! that makes Example 1.1's lock elision unsound: the critical region's
-//! load may commit before the earlier store-exclusive.
+//! Loads read memory *at commit time*: exactly the speculation window
+//! that makes Example 1.1's lock elision unsound, since the critical
+//! region's load may commit before the earlier store-exclusive.
 
-use std::collections::HashSet;
+use txmm_core::Fence;
+use txmm_litmus::{DepKind, Instr, Op};
 
-use txmm_litmus::{DepKind, Instr, LitmusTest, Op};
+use crate::machine::{fence_between, loc_of, Rules};
 
-use crate::outcome::{Outcome, OutcomeSet, Simulator, MAX_LOCS};
+pub(crate) const ARMV8: Rules = Rules {
+    ordered,
+    multicopy_atomic: true,
+    locked_rmw: false,
+    plain_loads_abort: true,
+};
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Txn {
-    id: usize,
-    read_set: u8,
-    write_locs: u8,
-    writes: Vec<(u8, u32)>,
-    span: (usize, usize),
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Thread {
-    committed: u32,
-    regs: Vec<u32>,
-    txn: Option<Txn>,
-    monitor: Option<(u8, u32)>,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct State {
-    mem: [u32; MAX_LOCS],
-    wc: [u32; MAX_LOCS],
-    colog: Vec<Vec<u32>>,
-    threads: Vec<Thread>,
-    txn_ok: Vec<bool>,
-}
-
-impl Thread {
-    fn is_committed(&self, i: usize) -> bool {
-        self.committed & (1 << i) != 0
+/// Must `j` commit before the later `i`?
+fn ordered(instrs: &[Instr], j: usize, i: usize) -> bool {
+    let oj = &instrs[j].op;
+    let oi = &instrs[i].op;
+    // Transaction boundaries are full barriers.
+    if matches!(oj, Op::TxBegin { .. } | Op::TxEnd) || matches!(oi, Op::TxBegin { .. } | Op::TxEnd)
+    {
+        return true;
     }
-
-    fn commit(&mut self, i: usize) {
-        self.committed |= 1 << i;
+    // Fence *instructions* themselves commit freely (their ordering
+    // power is positional, via fence_between below).
+    // DMB variants between the two instructions.
+    if fence_between(instrs, j, i, Fence::Dmb) {
+        return true;
     }
-}
-
-/// The ARMv8 simulator; `in_order_stores` restricts stores to commit
-/// after all earlier loads (a conservatism knob used to mimic cores that
-/// do not exhibit load buffering).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ArmSim {
-    /// Forbid store-before-earlier-load commits (load buffering).
-    pub in_order_stores: bool,
-}
-
-fn loc_of(op: &Op) -> Option<u8> {
-    match op {
-        Op::Load { loc, .. } | Op::Store { loc, .. } => Some(*loc),
-        _ => None,
+    if fence_between(instrs, j, i, Fence::DmbLd) && matches!(oj, Op::Load { .. }) {
+        return true;
     }
-}
-
-fn fence_between(instrs: &[Instr], j: usize, i: usize, f: txmm_core::Fence) -> bool {
-    instrs[j + 1..i]
-        .iter()
-        .any(|x| matches!(x.op, Op::Fence(k, _) if k == f))
-}
-
-impl ArmSim {
-    /// Must `j` commit before `i` on the same thread?
-    fn ordered(&self, instrs: &[Instr], j: usize, i: usize) -> bool {
-        use txmm_core::Fence;
-        let oj = &instrs[j].op;
-        let oi = &instrs[i].op;
-        // Transaction boundaries are full barriers.
-        if matches!(oj, Op::TxBegin { .. } | Op::TxEnd)
-            || matches!(oi, Op::TxBegin { .. } | Op::TxEnd)
-        {
+    if fence_between(instrs, j, i, Fence::DmbSt)
+        && matches!(oj, Op::Store { .. })
+        && matches!(oi, Op::Store { .. })
+    {
+        return true;
+    }
+    // Acquire loads order everything after them.
+    if let Op::Load { mode, .. } = oj {
+        if mode.acquire {
             return true;
         }
-        // Fence *instructions* themselves commit freely (their ordering
-        // power is positional, via fence_between below).
-        // DMB variants between the two instructions.
-        if fence_between(instrs, j, i, Fence::Dmb) {
+    }
+    // Release stores are ordered after everything before them.
+    if let Op::Store { mode, .. } = oi {
+        if mode.release {
             return true;
         }
-        if fence_between(instrs, j, i, Fence::DmbLd) && matches!(oj, Op::Load { .. }) {
+    }
+    // A release store is ordered before a later acquire load
+    // (aarch64 bob: [L];po;[A]).
+    if let (Op::Store { mode: mj, .. }, Op::Load { mode: mi, .. }) = (oj, oi) {
+        if mj.release && mi.acquire {
             return true;
         }
-        if fence_between(instrs, j, i, Fence::DmbSt)
-            && matches!(oj, Op::Store { .. })
-            && matches!(oi, Op::Store { .. })
-        {
+    }
+    // Same-location accesses commit in program order (coherence).
+    if let (Some(a), Some(b)) = (loc_of(oj), loc_of(oi)) {
+        if a == b {
             return true;
         }
-        // Acquire loads order everything after them.
-        if let Op::Load { mode, .. } = oj {
-            if mode.acquire {
-                return true;
-            }
-        }
-        // Release stores are ordered after everything before them.
-        if let Op::Store { mode, .. } = oi {
-            if mode.release {
-                return true;
-            }
-        }
-        // A release store is ordered before a later acquire load
-        // (aarch64 bob: [L];po;[A]).
-        if let (Op::Store { mode: mj, .. }, Op::Load { mode: mi, .. }) = (oj, oi) {
-            if mj.release && mi.acquire {
-                return true;
-            }
-        }
-        // Same-location accesses commit in program order (coherence).
-        if let (Some(a), Some(b)) = (loc_of(oj), loc_of(oi)) {
-            if a == b {
-                return true;
-            }
-        }
-        // Conservatism knob: stores never pass earlier loads.
-        if self.in_order_stores && matches!(oj, Op::Load { .. }) && matches!(oi, Op::Store { .. }) {
-            return true;
-        }
-        // Dependencies.
-        for d in &instrs[i].deps {
-            if d.on == j {
-                match d.kind {
-                    DepKind::Addr | DepKind::Data => return true,
-                    DepKind::Ctrl => {
-                        // ctrl orders stores; ctrl+ISB orders loads too.
-                        // Write-sourced ctrl (from a store-exclusive)
-                        // does NOT order on ARMv8 — that is the
-                        // Example 1.1 relaxation.
-                        let read_sourced = matches!(instrs[j].op, Op::Load { .. });
-                        if read_sourced
-                            && (matches!(oi, Op::Store { .. })
-                                || fence_between(instrs, j, i, Fence::Isb))
-                        {
-                            return true;
-                        }
+    }
+    // Dependencies.
+    for d in &instrs[i].deps {
+        if d.on == j {
+            match d.kind {
+                DepKind::Addr | DepKind::Data => return true,
+                DepKind::Ctrl => {
+                    // ctrl orders stores; ctrl+ISB orders loads too.
+                    // Write-sourced ctrl (from a store-exclusive)
+                    // does NOT order on ARMv8 — that is the
+                    // Example 1.1 relaxation.
+                    let read_sourced = matches!(instrs[j].op, Op::Load { .. });
+                    if read_sourced
+                        && (matches!(oi, Op::Store { .. })
+                            || fence_between(instrs, j, i, Fence::Isb))
+                    {
+                        return true;
                     }
                 }
             }
         }
-        false
     }
-
-    fn ready(&self, instrs: &[Instr], th: &Thread, i: usize) -> bool {
-        if th.is_committed(i) {
-            return false;
-        }
-        (0..i).all(|j| th.is_committed(j) || !self.ordered(instrs, j, i))
-    }
-
-    /// Abort every other thread's transaction conflicting on `loc`.
-    fn conflict(state: &mut State, test: &LitmusTest, actor: usize, loc: u8, is_write: bool) {
-        let bit = 1u8 << loc;
-        for t in 0..state.threads.len() {
-            if t == actor {
-                continue;
-            }
-            let hit = match &state.threads[t].txn {
-                Some(txn) => (txn.write_locs & bit != 0) || (is_write && txn.read_set & bit != 0),
-                None => false,
-            };
-            if hit {
-                let txn = state.threads[t].txn.take().expect("hit implies txn");
-                state.txn_ok[txn.id] = false;
-                // The transaction vanishes: mark its whole span committed.
-                for i in txn.span.0..=txn.span.1 {
-                    state.threads[t].commit(i);
-                }
-                let _ = test;
-            }
-        }
-    }
-
-    fn write_mem(state: &mut State, test: &LitmusTest, actor: usize, loc: u8, val: u32) {
-        state.mem[loc as usize] = val;
-        state.wc[loc as usize] += 1;
-        state.colog[loc as usize].push(val);
-        Self::conflict(state, test, actor, loc, true);
-    }
-
-    fn txn_span(instrs: &[Instr], begin: usize) -> (usize, usize) {
-        let end = instrs[begin + 1..]
-            .iter()
-            .position(|i| matches!(i.op, Op::TxEnd))
-            .map(|off| begin + 1 + off)
-            .expect("TxBegin without TxEnd");
-        (begin, end)
-    }
-
-    /// Commit instruction `i` of thread `t`; `None` when the commit is
-    /// impossible (failed store-exclusive).
-    fn step(&self, test: &LitmusTest, state: &State, t: usize, i: usize) -> Option<State> {
-        let instrs = &test.threads[t];
-        let mut s = state.clone();
-        s.threads[t].commit(i);
-        match &instrs[i].op {
-            Op::Load { reg, loc, mode } => {
-                let v = if let Some(txn) = s.threads[t].txn.as_mut() {
-                    txn.read_set |= 1 << *loc;
-                    txn.writes
-                        .iter()
-                        .rev()
-                        .find(|(l, _)| l == loc)
-                        .map(|&(_, v)| v)
-                        .unwrap_or(s.mem[*loc as usize])
-                } else {
-                    s.mem[*loc as usize]
-                };
-                s.threads[t].regs[*reg] = v;
-                if mode.exclusive {
-                    s.threads[t].monitor = Some((*loc, s.wc[*loc as usize]));
-                }
-                // Strong isolation: reading a location in another txn's
-                // write set is a conflict.
-                Self::conflict(&mut s, test, t, *loc, false);
-            }
-            Op::Store { loc, value, mode } => {
-                if mode.exclusive {
-                    match s.threads[t].monitor.take() {
-                        Some((mloc, mwc)) if mloc == *loc && s.wc[*loc as usize] == mwc => {}
-                        _ => return None, // store-exclusive failed
-                    }
-                }
-                if let Some(txn) = s.threads[t].txn.as_mut() {
-                    txn.write_locs |= 1 << *loc;
-                    txn.writes.push((*loc, *value));
-                } else {
-                    Self::write_mem(&mut s, test, t, *loc, *value);
-                }
-            }
-            Op::Fence(_, _) => {}
-            Op::TxBegin { txn_id, .. } => {
-                // A transactional/non-transactional state change cancels
-                // the exclusive reservation (TxnCancelsRMW).
-                s.threads[t].monitor = None;
-                s.threads[t].txn = Some(Txn {
-                    id: *txn_id,
-                    read_set: 0,
-                    write_locs: 0,
-                    writes: Vec::new(),
-                    span: Self::txn_span(instrs, i),
-                });
-            }
-            Op::TxEnd => {
-                s.threads[t].monitor = None;
-                if let Some(txn) = s.threads[t].txn.take() {
-                    for (loc, val) in txn.writes.clone() {
-                        Self::write_mem(&mut s, test, t, loc, val);
-                    }
-                }
-            }
-            Op::LockCall(_) => {}
-        }
-        Some(s)
-    }
-}
-
-impl Simulator for ArmSim {
-    fn name(&self) -> &'static str {
-        "armv8-ooo"
-    }
-
-    fn run(&self, test: &LitmusTest) -> OutcomeSet {
-        assert!(
-            test.locations().iter().all(|&l| (l as usize) < MAX_LOCS),
-            "too many locations for the simulator"
-        );
-        assert!(
-            test.threads.iter().all(|t| t.len() <= 32),
-            "thread too long for the commit bitmask"
-        );
-        let threads = test
-            .threads
-            .iter()
-            .map(|instrs| {
-                let nregs = instrs
-                    .iter()
-                    .filter_map(|i| match i.op {
-                        Op::Load { reg, .. } => Some(reg + 1),
-                        _ => None,
-                    })
-                    .max()
-                    .unwrap_or(0);
-                Thread {
-                    committed: 0,
-                    regs: vec![0; nregs],
-                    txn: None,
-                    monitor: None,
-                }
-            })
-            .collect();
-        let init = State {
-            mem: [0; MAX_LOCS],
-            wc: [0; MAX_LOCS],
-            colog: vec![Vec::new(); MAX_LOCS],
-            threads,
-            txn_ok: vec![true; test.num_txns()],
-        };
-        let mut outcomes = OutcomeSet::new();
-        let mut seen = HashSet::new();
-        let mut stack = vec![init];
-        while let Some(state) = stack.pop() {
-            if !seen.insert(state.clone()) {
-                continue;
-            }
-            let done = state
-                .threads
-                .iter()
-                .enumerate()
-                .all(|(t, th)| (0..test.threads[t].len()).all(|i| th.is_committed(i)));
-            if done {
-                outcomes.insert(Outcome {
-                    regs: state.threads.iter().map(|t| t.regs.clone()).collect(),
-                    memory: state.mem[..MAX_LOCS].to_vec(),
-                    txn_ok: state.txn_ok.clone(),
-                    co_order: state.colog.clone(),
-                });
-                continue;
-            }
-            for t in 0..state.threads.len() {
-                for i in 0..test.threads[t].len() {
-                    if self.ready(&test.threads[t], &state.threads[t], i) {
-                        if let Some(next) = self.step(test, &state, t, i) {
-                            stack.push(next);
-                        }
-                    }
-                }
-            }
-        }
-        outcomes
-    }
+    false
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use txmm_core::Fence;
-    use txmm_litmus::litmus_from_execution;
+    use txmm_litmus::{litmus_from_execution, LitmusTest};
     use txmm_models::{catalog, Arch};
 
     fn make(name: &str, x: &txmm_core::Execution) -> LitmusTest {
         litmus_from_execution(name, x, Arch::Armv8)
     }
 
-    fn sim() -> ArmSim {
-        ArmSim::default()
+    fn seen(t: &LitmusTest) -> bool {
+        crate::observable(t).expect("the ARMv8 machine runs it")
     }
 
     #[test]
     fn mp_plain_observable() {
         let t = make("mp", &catalog::mp(None, false, false));
-        assert!(sim().observable(&t));
+        assert!(seen(&t));
     }
 
     #[test]
     fn mp_dmb_addr_not_observable() {
         let t = make("mp+dmb+addr", &catalog::mp(Some(Fence::Dmb), true, false));
-        assert!(!sim().observable(&t));
+        assert!(!seen(&t));
     }
 
     #[test]
     fn sb_observable_mp_dep_only_observable() {
         let t = make("sb", &catalog::sb(None, false, false));
-        assert!(sim().observable(&t));
+        assert!(seen(&t));
         let t2 = make("mp+dep", &catalog::mp(None, true, false));
-        assert!(
-            sim().observable(&t2),
-            "dependency alone does not order the writes"
-        );
+        assert!(seen(&t2), "dependency alone does not order the writes");
     }
 
     #[test]
     fn lb_observable_unless_in_order() {
         let t = make("lb", &catalog::lb(false));
-        assert!(sim().observable(&t), "ARM cores exhibit load buffering");
-        assert!(!ArmSim {
-            in_order_stores: true
-        }
-        .observable(&t));
+        assert!(seen(&t), "ARM cores exhibit load buffering");
     }
 
     #[test]
     fn lb_deps_never_observable() {
         let t = make("lb+deps", &catalog::lb(true));
-        assert!(!sim().observable(&t), "data dependencies forbid thin air");
+        assert!(!seen(&t), "data dependencies forbid thin air");
     }
 
     #[test]
     fn mp_txns_not_observable() {
         let t = make("mp+txns", &catalog::mp(None, false, true));
-        assert!(!sim().observable(&t), "transactions order their contents");
+        assert!(!seen(&t), "transactions order their contents");
     }
 
     #[test]
@@ -411,31 +151,28 @@ mod tests {
         // Example 1.1: the simulator exhibits the unsound lock-elision
         // outcome, agreeing with the axiomatic model.
         let t = make("armv8-elision", &catalog::armv8_elision(false));
-        assert!(sim().observable(&t), "the lock-elision bug is executable");
+        assert!(seen(&t), "the lock-elision bug is executable");
     }
 
     #[test]
     fn elision_witness_with_dmb_not_observable() {
         let t = make("armv8-elision-dmb", &catalog::armv8_elision(true));
-        assert!(!sim().observable(&t), "the DMB repair closes the window");
+        assert!(!seen(&t), "the DMB repair closes the window");
     }
 
     #[test]
     fn elision_appendix_b_observable() {
         let t = make("appb", &catalog::armv8_elision_appendix_b(false));
-        assert!(sim().observable(&t));
+        assert!(seen(&t));
         let t2 = make("appb+dmb", &catalog::armv8_elision_appendix_b(true));
-        assert!(!sim().observable(&t2));
+        assert!(!seen(&t2));
     }
 
     #[test]
     fn fig3_shapes_not_observable() {
         for which in ['a', 'b', 'c', 'd'] {
             let t = make("fig3", &catalog::fig3(which));
-            assert!(
-                !sim().observable(&t),
-                "fig3({which}) violates strong isolation"
-            );
+            assert!(!seen(&t), "fig3({which}) violates strong isolation");
         }
     }
 
@@ -451,7 +188,7 @@ mod tests {
         b.rf(wy, ry);
         let x = b.build().unwrap();
         let t = make("mp+rel+acq", &x);
-        assert!(!sim().observable(&t));
+        assert!(!seen(&t));
     }
 
     #[test]
@@ -471,7 +208,7 @@ mod tests {
         let t = make("2rmw", &x);
         // Postcondition: both read 0 (both RMWs started from init) and
         // both stores succeeded — forbidden by the monitors.
-        assert!(!sim().observable(&t));
+        assert!(!seen(&t));
     }
 
     #[test]
@@ -492,6 +229,6 @@ mod tests {
         let _ = (r2, r4);
         let x = b.build().unwrap();
         let t = make("iriw", &x);
-        assert!(!sim().observable(&t), "single memory = multicopy atomic");
+        assert!(!seen(&t), "single memory = multicopy atomic");
     }
 }

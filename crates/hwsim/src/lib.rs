@@ -1,42 +1,31 @@
 //! # txmm-hwsim
 //!
-//! Hardware substitutes for the paper's empirical testing (§5.3): the
-//! paper ran synthesised litmus tests on four TSX machines and an
-//! 80-core POWER8; we run them on exhaustively-explored operational
-//! simulators and on an axiomatic oracle.
+//! The hardware substitute for the paper's empirical testing (§5.3):
+//! the paper ran synthesised litmus tests on four TSX machines and an
+//! 80-core POWER8; we run them on one exhaustively explored operational
+//! machine. Each thread commits any instruction whose ordering
+//! predecessors have committed, so an architecture is an ordering
+//! table (`tso`, `armsim`, `powersim`); Power alone adds write
+//! propagation, since it is not multicopy atomic.
 //!
-//! * [`tso::TsoSim`] — x86-TSO with store buffers, forwarding, LOCK'd
-//!   RMWs and TSX-style transactions;
-//! * [`armsim::ArmSim`] — ARMv8-style out-of-order commit over a single
-//!   (multicopy-atomic) memory with the proposed TM extension;
-//! * [`powersim::PowerSim`] — Power-style commit + write-propagation
-//!   storage subsystem with cumulative barriers and Power TM;
-//! * [`oracle::Oracle`] — the architecture model itself plus
-//!   *conservatism* rules (e.g. POWER8 never exhibits load buffering).
-//!
-//! All simulators explore every interleaving/commit order (DFS with
-//! state memoisation) and report the set of reachable final states, so
-//! `observable` answers are exact rather than statistical.
+//! [`run`] explores every commit order (DFS with state memoisation) and
+//! reports the set of reachable final states, so [`observable`] answers
+//! are exact rather than statistical.
 //!
 //! ```
-//! use txmm_hwsim::{Simulator, TsoSim};
+//! use txmm_hwsim::observable;
 //! use txmm_litmus::litmus_from_execution;
 //! use txmm_models::{catalog, Arch};
 //!
 //! let t = litmus_from_execution("sb", &catalog::sb(None, false, false), Arch::X86);
-//! assert!(TsoSim.observable(&t));
+//! assert_eq!(observable(&t), Some(true));
 //! ```
 
-pub mod armsim;
-pub mod oracle;
-pub mod outcome;
-pub mod powersim;
-pub mod random;
-pub mod tso;
+mod armsim;
+mod machine;
+mod outcome;
+mod powersim;
+mod tso;
 
-pub use armsim::ArmSim;
-pub use oracle::{Conservatism, Oracle};
-pub use outcome::{Outcome, OutcomeSet, Simulator, MAX_LOCS};
-pub use powersim::PowerSim;
-pub use random::{Campaign, RandomRunner};
-pub use tso::TsoSim;
+pub use machine::{observable, run};
+pub use outcome::{Outcome, OutcomeSet, MAX_LOCS};

@@ -4,10 +4,10 @@ use std::collections::BTreeSet;
 
 use txmm_litmus::{Check, LitmusTest};
 
-/// Locations the simulators model: every [`Outcome`] has `memory` and
-/// `co_order` of exactly this length, so outcomes from different
-/// explorers (and the axiomatic outcome engine padding to the same
-/// width) compare structurally.
+/// Locations the machine models: every [`Outcome`] has `memory` and
+/// `co_order` of exactly this length, so the machine's outcomes and the
+/// axiomatic outcome engine's (padded to the same width) compare
+/// structurally.
 pub const MAX_LOCS: usize = 8;
 
 /// A final state: registers, memory, and per-transaction commit flags.
@@ -52,24 +52,8 @@ impl Outcome {
     }
 }
 
-/// The set of final states a simulator found reachable.
+/// The set of final states the machine found reachable.
 pub type OutcomeSet = BTreeSet<Outcome>;
-
-/// A hardware simulator: exhaustively explores a litmus test.
-pub trait Simulator {
-    /// A short name for reports.
-    fn name(&self) -> &'static str;
-
-    /// All reachable final states.
-    fn run(&self, test: &LitmusTest) -> OutcomeSet;
-
-    /// Is the test's postcondition observable (i.e. does some reachable
-    /// final state pass it)? This answers the paper's Table 1 question:
-    /// "is this test Seen on this implementation?"
-    fn observable(&self, test: &LitmusTest) -> bool {
-        self.run(test).iter().any(|o| o.passes(test))
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -1,364 +1,92 @@
-//! An operational x86-TSO simulator with TSX-style transactions.
-//!
-//! The classic x86-TSO machine (Owens et al., TPHOLs 2009): each thread
-//! executes in program order through a FIFO store buffer with forwarding;
-//! buffers drain non-deterministically; `MFENCE` and `LOCK`'d RMWs drain
-//! the buffer. Transactions follow Intel TSX: reads and writes are
-//! tracked; a remote access that conflicts with the read/write set aborts
-//! the transaction (requester-wins, strong isolation); commits publish
-//! the write set atomically; `XBEGIN`/`XEND` have fence semantics.
-//!
-//! Exploration is an exhaustive DFS over all interleavings and drain
-//! points, with state memoisation.
+//! x86-TSO with TSX transactions as an ordering table (after Owens et
+//! al.'s TSO machine, TPHOLs 2009). Instructions commit in program
+//! order, except that a load may commit before an earlier store outside
+//! a transaction (the store buffer), reading the latest such store to
+//! its own location (forwarding). Fences, transaction boundaries and
+//! `LOCK`'d loads pass nothing, and a `LOCK`'d RMW commits as one
+//! instruction. Transactions follow Intel TSX: a conflicting access by
+//! another thread aborts them (requester wins, strong isolation), and a
+//! commit publishes the write set atomically.
 
-use std::collections::{HashSet, VecDeque};
+use txmm_litmus::{Instr, Op};
 
-use txmm_litmus::{LitmusTest, Op};
+use crate::machine::Rules;
 
-use crate::outcome::{Outcome, OutcomeSet, Simulator, MAX_LOCS};
+pub(crate) const X86: Rules = Rules {
+    ordered,
+    multicopy_atomic: true,
+    locked_rmw: true,
+    plain_loads_abort: false,
+};
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Txn {
-    id: usize,
-    read_set: u8,
-    write_locs: u8,
-    writes: Vec<(u8, u32)>,
-    end_pc: usize,
+/// Must `j` commit before the later `i`? Only a load that is not
+/// `LOCK`'d may pass an earlier store outside a transaction.
+fn ordered(instrs: &[Instr], j: usize, i: usize) -> bool {
+    let buffered = matches!(instrs[j].op, Op::Store { .. }) && !in_txn(instrs, j);
+    !(buffered && matches!(instrs[i].op, Op::Load { mode, .. } if !mode.exclusive))
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Thread {
-    pc: usize,
-    regs: Vec<u32>,
-    sb: VecDeque<(u8, u32)>,
-    txn: Option<Txn>,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct State {
-    mem: [u32; MAX_LOCS],
-    colog: Vec<Vec<u32>>,
-    threads: Vec<Thread>,
-    txn_ok: Vec<bool>,
-}
-
-/// The x86-TSO + TSX simulator.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TsoSim;
-
-impl TsoSim {
-    fn initial(test: &LitmusTest) -> State {
-        let threads = test
-            .threads
-            .iter()
-            .map(|instrs| {
-                let nregs = instrs
-                    .iter()
-                    .filter_map(|i| match i.op {
-                        Op::Load { reg, .. } => Some(reg + 1),
-                        _ => None,
-                    })
-                    .max()
-                    .unwrap_or(0);
-                Thread {
-                    pc: 0,
-                    regs: vec![0; nregs],
-                    sb: VecDeque::new(),
-                    txn: None,
-                }
-            })
-            .collect();
-        State {
-            mem: [0; MAX_LOCS],
-            colog: vec![Vec::new(); MAX_LOCS],
-            threads,
-            txn_ok: vec![true; test.num_txns()],
-        }
-    }
-
-    /// Write `val` to memory, aborting every *other* thread's transaction
-    /// that has `loc` in its read or write set (conflict).
-    fn write_mem(state: &mut State, test: &LitmusTest, writer: usize, loc: u8, val: u32) {
-        state.mem[loc as usize] = val;
-        state.colog[loc as usize].push(val);
-        Self::conflict(state, test, writer, loc, true);
-    }
-
-    /// Signal an access by `actor` to `loc`; `is_write` selects whether
-    /// read sets also conflict.
-    fn conflict(state: &mut State, test: &LitmusTest, actor: usize, loc: u8, is_write: bool) {
-        let bit = 1u8 << loc;
-        for t in 0..state.threads.len() {
-            if t == actor {
-                continue;
-            }
-            let hit = match &state.threads[t].txn {
-                Some(txn) => (txn.write_locs & bit != 0) || (is_write && txn.read_set & bit != 0),
-                None => false,
-            };
-            if hit {
-                let txn = state.threads[t].txn.take().expect("hit implies txn");
-                state.txn_ok[txn.id] = false;
-                // The transaction vanishes: control resumes after TxEnd.
-                state.threads[t].pc = txn.end_pc + 1;
-                let _ = test;
-            }
-        }
-    }
-
-    /// Find the matching `TxEnd` for a `TxBegin` at `pc`.
-    fn txn_end(instrs: &[txmm_litmus::Instr], pc: usize) -> usize {
-        instrs[pc + 1..]
-            .iter()
-            .position(|i| matches!(i.op, Op::TxEnd))
-            .map(|off| pc + 1 + off)
-            .expect("TxBegin without TxEnd")
-    }
-
-    /// All successor states of `state`.
-    fn successors(test: &LitmusTest, state: &State) -> Vec<State> {
-        let mut out = Vec::new();
-        for t in 0..state.threads.len() {
-            // Drain one store-buffer entry.
-            if !state.threads[t].sb.is_empty() {
-                let mut s = state.clone();
-                let (loc, val) = s.threads[t].sb.pop_front().expect("non-empty buffer");
-                Self::write_mem(&mut s, test, t, loc, val);
-                out.push(s);
-            }
-            let instrs = &test.threads[t];
-            let pc = state.threads[t].pc;
-            if pc >= instrs.len() {
-                continue;
-            }
-            match &instrs[pc].op {
-                Op::Load { reg, loc, mode } if mode.exclusive => {
-                    // A LOCK'd RMW: the paired exclusive store must be
-                    // the next instruction; both execute atomically with
-                    // fence semantics.
-                    if !state.threads[t].sb.is_empty() || state.threads[t].txn.is_some() {
-                        // LOCK'd ops inside transactions are executed as
-                        // plain txn accesses below; outside, wait for
-                        // the buffer to drain (handled by drain step).
-                        if state.threads[t].txn.is_none() {
-                            continue;
-                        }
-                    }
-                    let store = instrs.get(pc + 1).map(|i| &i.op);
-                    let Some(Op::Store {
-                        loc: sloc,
-                        value,
-                        mode: smode,
-                    }) = store
-                    else {
-                        // An rmw pair straddling a transaction boundary
-                        // has no single-instruction x86 encoding; the
-                        // path is unrealisable.
-                        continue;
-                    };
-                    assert!(smode.exclusive && sloc == loc, "mismatched RMW pair");
-                    let mut s = state.clone();
-                    if let Some(txn) = s.threads[t].txn.as_mut() {
-                        let bit = 1u8 << *loc;
-                        txn.read_set |= bit;
-                        let v = txn
-                            .writes
-                            .iter()
-                            .rev()
-                            .find(|(l, _)| l == loc)
-                            .map(|&(_, v)| v)
-                            .unwrap_or(s.mem[*loc as usize]);
-                        s.threads[t].regs[*reg] = v;
-                        let txn = s.threads[t].txn.as_mut().expect("still in txn");
-                        txn.write_locs |= bit;
-                        txn.writes.push((*loc, *value));
-                        s.threads[t].pc = pc + 2;
-                        Self::conflict(&mut s, test, t, *loc, false);
-                    } else {
-                        s.threads[t].regs[*reg] = s.mem[*loc as usize];
-                        Self::write_mem(&mut s, test, t, *loc, *value);
-                        s.threads[t].pc = pc + 2;
-                    }
-                    out.push(s);
-                }
-                Op::Load { reg, loc, .. } => {
-                    let mut s = state.clone();
-                    let v = if let Some(txn) = s.threads[t].txn.as_mut() {
-                        txn.read_set |= 1u8 << *loc;
-                        txn.writes
-                            .iter()
-                            .rev()
-                            .find(|(l, _)| l == loc)
-                            .map(|&(_, v)| v)
-                            .unwrap_or(s.mem[*loc as usize])
-                    } else {
-                        // Store-buffer forwarding.
-                        s.threads[t]
-                            .sb
-                            .iter()
-                            .rev()
-                            .find(|(l, _)| l == loc)
-                            .map(|&(_, v)| v)
-                            .unwrap_or(s.mem[*loc as usize])
-                    };
-                    s.threads[t].regs[*reg] = v;
-                    s.threads[t].pc = pc + 1;
-                    if s.threads[t].txn.is_some() {
-                        // Strong isolation: a transactional read of a
-                        // location in another txn's write set conflicts.
-                        Self::conflict(&mut s, test, t, *loc, false);
-                    }
-                    out.push(s);
-                }
-                Op::Store { loc, value, .. } => {
-                    let mut s = state.clone();
-                    if let Some(txn) = s.threads[t].txn.as_mut() {
-                        txn.write_locs |= 1u8 << *loc;
-                        txn.writes.push((*loc, *value));
-                        s.threads[t].pc = pc + 1;
-                    } else {
-                        s.threads[t].sb.push_back((*loc, *value));
-                        s.threads[t].pc = pc + 1;
-                    }
-                    out.push(s);
-                }
-                Op::Fence(_, _) => {
-                    // MFENCE: only passes once the buffer is empty.
-                    if state.threads[t].sb.is_empty() {
-                        let mut s = state.clone();
-                        s.threads[t].pc = pc + 1;
-                        out.push(s);
-                    }
-                }
-                Op::TxBegin { txn_id, .. } => {
-                    // Fence semantics: wait for the buffer to drain.
-                    if state.threads[t].sb.is_empty() {
-                        let mut s = state.clone();
-                        s.threads[t].txn = Some(Txn {
-                            id: *txn_id,
-                            read_set: 0,
-                            write_locs: 0,
-                            writes: Vec::new(),
-                            end_pc: Self::txn_end(instrs, pc),
-                        });
-                        s.threads[t].pc = pc + 1;
-                        out.push(s);
-                    }
-                }
-                Op::TxEnd => {
-                    let mut s = state.clone();
-                    let txn = s.threads[t].txn.take().expect("TxEnd outside transaction");
-                    // Commit: publish the write set atomically.
-                    let writes = txn.writes.clone();
-                    for (loc, val) in writes {
-                        Self::write_mem(&mut s, test, t, loc, val);
-                    }
-                    s.threads[t].pc = pc + 1;
-                    out.push(s);
-                }
-                Op::LockCall(_) => {
-                    // Abstract call events have no machine semantics.
-                    let mut s = state.clone();
-                    s.threads[t].pc = pc + 1;
-                    out.push(s);
-                }
-            }
-        }
-        out
-    }
-}
-
-impl Simulator for TsoSim {
-    fn name(&self) -> &'static str {
-        "x86-tso+tsx"
-    }
-
-    fn run(&self, test: &LitmusTest) -> OutcomeSet {
-        assert!(
-            test.locations().iter().all(|&l| (l as usize) < MAX_LOCS),
-            "too many locations for the simulator"
-        );
-        let mut outcomes = OutcomeSet::new();
-        let mut seen = HashSet::new();
-        let mut stack = vec![Self::initial(test)];
-        while let Some(state) = stack.pop() {
-            if !seen.insert(state.clone()) {
-                continue;
-            }
-            let done = state
-                .threads
-                .iter()
-                .enumerate()
-                .all(|(t, th)| th.pc >= test.threads[t].len() && th.sb.is_empty());
-            if done {
-                outcomes.insert(Outcome {
-                    regs: state.threads.iter().map(|t| t.regs.clone()).collect(),
-                    memory: state.mem[..MAX_LOCS].to_vec(),
-                    txn_ok: state.txn_ok.clone(),
-                    co_order: state.colog.clone(),
-                });
-                continue;
-            }
-            stack.extend(Self::successors(test, &state));
-        }
-        outcomes
-    }
+/// Is instruction `j` inside a transaction?
+fn in_txn(instrs: &[Instr], j: usize) -> bool {
+    instrs[..j]
+        .iter()
+        .rev()
+        .find_map(|x| match x.op {
+            Op::TxBegin { .. } => Some(true),
+            Op::TxEnd => Some(false),
+            _ => None,
+        })
+        .unwrap_or(false)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use txmm_core::Fence;
-    use txmm_litmus::litmus_from_execution;
+    use txmm_litmus::{litmus_from_execution, LitmusTest};
     use txmm_models::{catalog, Arch};
 
     fn make(name: &str, x: &txmm_core::Execution) -> LitmusTest {
         litmus_from_execution(name, x, Arch::X86)
     }
 
+    fn seen(t: &LitmusTest) -> bool {
+        crate::observable(t).expect("the x86 machine runs it")
+    }
+
     #[test]
     fn sb_observable() {
         let t = make("sb", &catalog::sb(None, false, false));
-        assert!(
-            TsoSim.observable(&t),
-            "store buffering is the hallmark TSO relaxation"
-        );
+        assert!(seen(&t), "store buffering is the hallmark TSO relaxation");
     }
 
     #[test]
     fn sb_mfence_not_observable() {
         let t = make("sb+mfence", &catalog::sb(Some(Fence::MFence), false, false));
-        assert!(!TsoSim.observable(&t));
+        assert!(!seen(&t));
     }
 
     #[test]
     fn sb_both_txns_not_observable() {
         let t = make("sb+txns", &catalog::sb(None, true, true));
-        assert!(
-            !TsoSim.observable(&t),
-            "transactions forbid SB between them"
-        );
+        assert!(!seen(&t), "transactions forbid SB between them");
     }
 
     #[test]
     fn sb_one_txn_observable() {
         let t = make("sb+txn0", &catalog::sb(None, true, false));
-        assert!(
-            TsoSim.observable(&t),
-            "a single transactional thread leaves SB visible"
-        );
+        assert!(seen(&t), "a single transactional thread leaves SB visible");
     }
 
     #[test]
     fn mp_not_observable() {
         let t = make("mp", &catalog::mp(None, false, false));
-        assert!(!TsoSim.observable(&t), "TSO preserves W->W and R->R order");
+        assert!(!seen(&t), "TSO preserves W->W and R->R order");
     }
 
     #[test]
     fn fig1_observable() {
         let t = make("fig1", &catalog::fig1());
-        assert!(TsoSim.observable(&t));
+        assert!(seen(&t));
     }
 
     #[test]
@@ -366,17 +94,14 @@ mod tests {
         // Fig. 2: the transaction's read must not observe an external
         // write that is co-after its own write (containment).
         let t = make("fig2", &catalog::fig2());
-        assert!(!TsoSim.observable(&t));
+        assert!(!seen(&t));
     }
 
     #[test]
     fn fig3_shapes_not_observable() {
         for which in ['a', 'b', 'c', 'd'] {
             let t = make("fig3", &catalog::fig3(which));
-            assert!(
-                !TsoSim.observable(&t),
-                "fig3({which}) violates strong isolation"
-            );
+            assert!(!seen(&t), "fig3({which}) violates strong isolation");
         }
     }
 
@@ -395,7 +120,7 @@ mod tests {
         let _rx = b.read(t1, 0);
         let x = b.build().unwrap();
         let t = make("sb+rmws", &x);
-        assert!(!TsoSim.observable(&t));
+        assert!(!seen(&t));
     }
 
     #[test]
@@ -409,9 +134,9 @@ mod tests {
         b.rf(w, r);
         let x = b.build().unwrap();
         let t = make("fwd", &x);
-        let outs = TsoSim.run(&t);
+        let outs = crate::run(&t).expect("the x86 machine runs it");
         assert_eq!(outs.len(), 1);
-        assert!(TsoSim.observable(&t));
+        assert!(seen(&t));
     }
 
     #[test]
@@ -419,7 +144,7 @@ mod tests {
         // §8.3: lock elision is sound on x86 — the witness that breaks
         // ARMv8 cannot happen under TSO.
         let t = make("x86-elision", &catalog::x86_elision());
-        assert!(!TsoSim.observable(&t));
+        assert!(!seen(&t));
     }
 
     #[test]
@@ -442,6 +167,6 @@ mod tests {
         let t = make("lost-update", &x);
         // Postcondition wants r0 = 0 ∧ r1 = 0 ∧ both committed: lost
         // update, must be unobservable.
-        assert!(!TsoSim.observable(&t));
+        assert!(!seen(&t));
     }
 }

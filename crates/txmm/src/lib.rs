@@ -15,7 +15,7 @@
 //! | [`models`] | `txmm-models` | SC/TSC, x86, Power, ARMv8, C++ (+TM) |
 //! | [`cat`] | `txmm-cat` | the `.cat` DSL and shipped model sources |
 //! | [`litmus`] | `txmm-litmus` | execution → litmus test, renderers |
-//! | [`hwsim`] | `txmm-hwsim` | x86/ARMv8/Power simulators + oracle |
+//! | [`hwsim`] | `txmm-hwsim` | one operational machine for x86/ARMv8/Power |
 //! | [`synth`] | `txmm-synth` | Forbid/Allow synthesis (Table 1, Fig. 7) |
 //! | [`verify`] | `txmm-verify` | metatheory (Table 2) |
 //! | [`obs`] | `txmm-obs` | metrics registry, request spans, Prometheus |
@@ -52,9 +52,7 @@ pub mod serve;
 pub mod session;
 
 pub use daemon::{Daemon, ListenAddr, PoolConfig, SessionPool, ShardSnapshot, WalkSnapshot};
-pub use outcomes::{
-    normalise_outcome, simulator_for, unsound_sim_outcomes, ModelOutcomes, OutcomeReport,
-};
+pub use outcomes::{normalise_outcome, unsound_sim_outcomes, ModelOutcomes, OutcomeReport};
 pub use protocol::Request;
 pub use serve::{
     check_parsed, collect_litmus_files, jsonl_line, parse_request, serve_file, serve_source,
@@ -67,7 +65,6 @@ pub mod prelude {
     pub use crate::serve::{serve_file, serve_source};
     pub use crate::session::{ModelRef, Session, SessionStats};
     pub use txmm_core::prelude::*;
-    pub use txmm_hwsim::{ArmSim, Oracle, PowerSim, Simulator, TsoSim};
     pub use txmm_litmus::{execution_from_litmus, litmus_from_execution, LitmusTest};
     pub use txmm_models::prelude::*;
     pub use txmm_synth::{synthesise, EnumConfig, Walk};

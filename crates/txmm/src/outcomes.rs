@@ -27,15 +27,15 @@
 //!   program-level answer the paper's modified-herd evaluation gives,
 //!   rather than the single-execution answer `check` gives.
 //!
-//! The final states reuse [`txmm_hwsim::Outcome`], so hardware-simulator
-//! observations can be cross-checked to be a **subset** of a sound
+//! The final states reuse [`txmm_hwsim::Outcome`], so the hardware
+//! machine's observations can be cross-checked to be a **subset** of a sound
 //! model's allowed set ([`unsound_sim_outcomes`]).
 
 use std::collections::HashSet;
 
 use txmm_core::arena::ExecId;
 use txmm_core::{NoPrune, PruneStats};
-use txmm_hwsim::{Outcome, OutcomeSet, Simulator, MAX_LOCS};
+use txmm_hwsim::{Outcome, OutcomeSet, MAX_LOCS};
 use txmm_litmus::{program_key, LitmusTest, Op, ProgramSkeleton};
 use txmm_models::Arch;
 
@@ -340,36 +340,17 @@ pub fn normalise_outcome(t: &LitmusTest, o: &Outcome) -> Outcome {
     out
 }
 
-/// The operational simulator for an architecture, if one exists.
-pub fn simulator_for(arch: Arch) -> Option<Box<dyn Simulator>> {
-    match arch {
-        Arch::X86 => Some(Box::new(txmm_hwsim::TsoSim)),
-        Arch::Power => Some(Box::new(txmm_hwsim::PowerSim::default())),
-        Arch::Armv8 => Some(Box::new(txmm_hwsim::ArmSim::default())),
-        _ => None,
-    }
-}
-
-/// Soundness cross-check: run the architecture's operational simulator
-/// and return every observed outcome **not** in the model's allowed set
-/// (both sides normalised per [`normalise_outcome`]). An empty result
-/// means the simulator's observations are a subset of the axiomatic
-/// allowed set — the direction soundness requires. `None` when the
-/// architecture has no simulator or the program uses abstract lock
-/// calls the simulators cannot run.
+/// Soundness cross-check: run the test on its architecture's
+/// operational machine and return every observed outcome **not** in the
+/// model's allowed set (both sides normalised per [`normalise_outcome`]).
+/// An empty result means the machine's observations are a subset of the
+/// axiomatic allowed set — the direction soundness requires. `None`
+/// where no machine runs the test (see [`txmm_hwsim::run`]).
 pub fn unsound_sim_outcomes(t: &LitmusTest, allowed: &OutcomeSet) -> Option<Vec<Outcome>> {
-    let uses_calls = t
-        .threads
-        .iter()
-        .flatten()
-        .any(|i| matches!(i.op, Op::LockCall(_)));
-    if uses_calls {
-        return None;
-    }
-    let sim = simulator_for(t.arch)?;
+    let observed = txmm_hwsim::run(t)?;
     let normalised_allowed: OutcomeSet = allowed.iter().map(|o| normalise_outcome(t, o)).collect();
     Some(
-        sim.run(t)
+        observed
             .iter()
             .map(|o| normalise_outcome(t, o))
             .filter(|o| !normalised_allowed.contains(o))

@@ -519,6 +519,22 @@ mod tests {
     }
 
     #[test]
+    fn long_transactional_threads_get_a_verdict() {
+        // One thread of 11 single-store transactions: 33 instructions,
+        // past a 32-bit commit mask.
+        for arch in ["ARMv8", "Power"] {
+            let mut src = format!("long ({arch})\nInitially: x = 0\nthread 0:\n");
+            for k in 0..11 {
+                src += &format!("  txbegin (fail: ok{k} <- 0)\n  x <- {}\n  txend\n", k + 1);
+            }
+            src += "Test: ok0 = 1 /\\ ok10 = 1 /\\ x = 11\n";
+            let mut s = Session::new();
+            let r = serve_source(&mut s, "long.litmus", &src, None).expect("serves");
+            assert_eq!(r.observable, Some(true), "{arch}");
+        }
+    }
+
+    #[test]
     fn stage_timings_cover_the_whole_serve() {
         let mut s = Session::new();
         let t = parse_request("sb.litmus", &sb_source()).expect("parses");

@@ -42,7 +42,6 @@ use std::time::Duration;
 use txmm_cat::{parse as parse_cat, CatModel};
 use txmm_core::arena::{ExecArena, ExecId};
 use txmm_core::{Execution, ExecutionAnalysis};
-use txmm_hwsim::{ArmSim, PowerSim, Simulator, TsoSim, MAX_LOCS};
 use txmm_litmus::litmus_from_execution;
 use txmm_models::{registry, Arch, Checker, Derived, Model, Verdict};
 use txmm_synth::{canon_key, EnumConfig, PruneCounters, SuiteResult, Walk};
@@ -363,7 +362,7 @@ pub struct Session {
     /// Canonical (symmetry-reduced) key → interned representative.
     pub(crate) canon_ids: HashMap<Vec<u8>, ExecId>,
     pub(crate) verdicts: HashMap<(ExecId, usize), Verdict>,
-    pub(crate) observability: HashMap<(ExecId, Arch), bool>,
+    pub(crate) observability: HashMap<(ExecId, Arch), Option<bool>>,
     /// (program key, model slot) → allowed final states.
     pub(crate) outcome_sets: HashMap<(Vec<u8>, usize), txmm_hwsim::OutcomeSet>,
     /// (program key, model slot) → what that model's outcome walk
@@ -682,35 +681,20 @@ impl Session {
     }
 
     /// Would the execution be observable on the simulated hardware of
-    /// `arch`? Answers come from the exhaustive operational simulators
-    /// and are cached per (execution, architecture). `None` for
-    /// architectures without a simulator (SC, C++), for executions
-    /// using lock/unlock call events (abstract, not runnable) and for
-    /// executions touching a location the simulators do not model
-    /// (`hwsim::MAX_LOCS` and up).
+    /// `arch`? Answers come from the exhaustive operational machine
+    /// ([`txmm_hwsim::observable`], `None` where no machine runs the
+    /// test) and are cached per (execution, architecture).
     pub fn observable(&mut self, x: &Execution, arch: Arch) -> Option<bool> {
-        if !matches!(arch, Arch::X86 | Arch::Power | Arch::Armv8)
-            || !x.calls().is_empty()
-            || x.locations().any(|l| l as usize >= MAX_LOCS)
-        {
-            return None;
-        }
         let id = self.intern(x);
         if let Some(&seen) = self.observability.get(&(id, arch)) {
             self.stats.observability_hits.inc();
-            return Some(seen);
+            return seen;
         }
         self.stats.observability_misses.inc();
-        let y = self.arena.unpack(id);
-        let t = litmus_from_execution("session", &y, arch);
-        let seen = match arch {
-            Arch::X86 => TsoSim.observable(&t),
-            Arch::Power => PowerSim::default().observable(&t),
-            Arch::Armv8 => ArmSim::default().observable(&t),
-            _ => unreachable!("guarded above"),
-        };
+        let t = litmus_from_execution("session", &self.arena.unpack(id), arch);
+        let seen = txmm_hwsim::observable(&t);
         self.observability.insert((id, arch), seen);
-        Some(seen)
+        seen
     }
 
     /// Current cache and arena counters, read back through this

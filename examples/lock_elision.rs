@@ -7,6 +7,7 @@
 //! ```
 
 use txmm::core::display;
+use txmm::hwsim::observable;
 use txmm::litmus::render;
 use txmm::models::catalog;
 use txmm::prelude::*;
@@ -42,7 +43,7 @@ fn main() {
     println!("\n== litmus test ==\n{}", render::assembly(&test));
     println!(
         "observable on the ARMv8 simulator: {}",
-        ArmSim::default().observable(&test)
+        observable(&test) == Some(true)
     );
 
     // 4. The §1.1 repair: append a DMB to lock(). Now the model forbids
@@ -53,7 +54,7 @@ fn main() {
     println!("ARMv8-TM verdict: {}", Armv8::tm().check(&fixed));
     println!(
         "observable on the ARMv8 simulator: {}",
-        ArmSim::default().observable(&fixed_test)
+        observable(&fixed_test) == Some(true)
     );
 
     // 5. The automated §8.3 check across all four Table 3 columns.
@@ -83,6 +84,6 @@ fn main() {
     let appb_test = litmus_from_execution("appendix-b", &appb, Arch::Armv8);
     println!(
         "observable on the ARMv8 simulator: {}",
-        ArmSim::default().observable(&appb_test)
+        observable(&appb_test) == Some(true)
     );
 }

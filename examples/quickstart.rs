@@ -6,6 +6,7 @@
 //! ```
 
 use txmm::core::display;
+use txmm::hwsim::observable;
 use txmm::litmus::render;
 use txmm::prelude::*;
 
@@ -60,11 +61,11 @@ fn main() {
     println!("\n== x86 litmus test ==\n{}", render::assembly(&plain));
     println!(
         "observable on the x86-TSO+TSX simulator: {}",
-        TsoSim.observable(&plain)
+        observable(&plain) == Some(true)
     );
     println!(
         "transactional version observable:        {}",
-        TsoSim.observable(&txn)
+        observable(&txn) == Some(true)
     );
 
     let _ = (w0, r0, w1, r1);

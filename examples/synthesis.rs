@@ -6,6 +6,7 @@
 //! cargo run --release --example synthesis
 //! ```
 
+use txmm::hwsim::observable;
 use txmm::litmus::render;
 use txmm::prelude::*;
 
@@ -50,7 +51,7 @@ fn main() {
         println!("forbidden by: {}", verdict.violations().join(", "));
         println!(
             "observable on the x86 simulator: {} (must be false)\n",
-            TsoSim.observable(&t)
+            observable(&t) == Some(true)
         );
     }
 
@@ -59,7 +60,7 @@ fn main() {
         .iter()
         .filter(|a| {
             let t = litmus_from_execution("allow", a, Arch::X86);
-            TsoSim.observable(&t)
+            observable(&t) == Some(true)
         })
         .count();
     println!(

@@ -3,7 +3,7 @@
 //! architecture applies — the operational simulators.
 
 use txmm::cat::cat_model;
-use txmm::hwsim::{ArmSim, PowerSim, Simulator, TsoSim};
+use txmm::hwsim::observable;
 use txmm::litmus::litmus_from_execution;
 use txmm::models::catalog::{self, Expect};
 use txmm::models::registry::by_name;
@@ -49,16 +49,15 @@ fn simulators_respect_model_verdicts() {
         if !entry.exec.calls().is_empty() {
             continue; // abstract executions have no machine semantics
         }
-        type Observable = Box<dyn Fn(&txmm::litmus::LitmusTest) -> bool>;
         for (model_name, expect) in &entry.expect {
-            let (arch, observable): (Arch, Observable) = match *model_name {
-                "x86-tm" => (Arch::X86, Box::new(|t| TsoSim.observable(t))),
-                "armv8-tm" => (Arch::Armv8, Box::new(|t| ArmSim::default().observable(t))),
-                "power-tm" => (Arch::Power, Box::new(|t| PowerSim::default().observable(t))),
+            let arch = match *model_name {
+                "x86-tm" => Arch::X86,
+                "armv8-tm" => Arch::Armv8,
+                "power-tm" => Arch::Power,
                 _ => continue,
             };
             let t = litmus_from_execution(entry.name, &entry.exec, arch);
-            let seen = observable(&t);
+            let seen = observable(&t).expect("a hardware architecture's machine runs it");
             match expect {
                 Expect::Forbidden => {
                     assert!(
