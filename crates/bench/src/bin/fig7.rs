@@ -17,10 +17,16 @@ fn main() {
         std::process::exit(1);
     });
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let tele = txmm::obs::Telemetry::from_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
+    // Telemetry flags are the only arguments.
+    let tele = txmm::obs::Telemetry::from_args(&args)
+        .and_then(|(tele, rest)| match rest.first() {
+            None => Ok(tele),
+            Some(w) => Err(format!("unknown argument {w:?}")),
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        });
     println!("== Fig. 7: distribution of synthesis times ({events}-event x86 Forbid tests) ==\n");
     let mut session = Session::new();
     if let Some(t) = &tele {

@@ -283,7 +283,7 @@ fn cmd_gen(args: &Args) -> Result<ExitCode, String> {
         None => 3,
         Some(v) => txmm::corpus::parse_event_bound(v).map_err(|e| format!("--events: {e}"))?,
     };
-    let telemetry = Telemetry::from_args(args.words)?;
+    let (telemetry, _) = Telemetry::from_args(args.words)?;
     let dir = PathBuf::from(dir);
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let mut session = Session::new();
@@ -511,7 +511,7 @@ fn cmd_outcomes(args: &Args) -> Result<ExitCode, String> {
     if let Some(cap) = args.max_candidates()? {
         session.set_max_candidates(cap);
     }
-    let telemetry = Telemetry::from_args(args.words)?;
+    let (telemetry, _) = Telemetry::from_args(args.words)?;
     session.set_walk_progress(telemetry.as_ref().map(|t| t.progress.clone()));
     let done = serve_files(
         args,

@@ -526,18 +526,6 @@ impl Session {
         Ok(ModelRef(slot))
     }
 
-    /// Hot-reload a `.cat` model from a file (see
-    /// [`Session::reload_cat_source`]).
-    pub fn reload_cat_file(&mut self, path: &std::path::Path) -> Result<ModelRef, String> {
-        let src = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let name = path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("user-model")
-            .to_string();
-        self.reload_cat_source(&name, &src)
-    }
-
     /// Replace the candidate-execution cap the outcome engine refuses
     /// programs above (default [`crate::outcomes::MAX_CANDIDATES`]).
     pub fn set_max_candidates(&mut self, cap: u128) {
