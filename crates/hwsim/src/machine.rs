@@ -158,11 +158,7 @@ impl<'a> Machine<'a> {
                 match instr.op {
                     Op::LockCall(_) => return None,
                     Op::TxBegin { txn_id, .. } => {
-                        let end = i
-                            + 1
-                            + instrs[i + 1..]
-                                .iter()
-                                .position(|x| matches!(x.op, Op::TxEnd))?;
+                        let end = (i + 1..instrs.len()).find(|&j| instrs[j].op == Op::TxEnd)?;
                         if txn_id >= txns {
                             return None;
                         }

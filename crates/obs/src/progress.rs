@@ -843,8 +843,8 @@ mod tests {
     fn progress_file_receives_the_frames() {
         let tmp = std::env::temp_dir().join(format!("txmm-tele-{}.jsonl", std::process::id()));
         let path = tmp.to_str().expect("utf-8 path");
-        let (t, rest) =
-            Telemetry::from_args(&["quick", "--progress-file", path, "--progres"]).expect("starts");
+        let args = ["quick", "--progress-file", path, "--progres"];
+        let (t, rest) = Telemetry::from_args(&args).expect("starts");
         assert_eq!(rest, ["quick", "--progres"]);
         let t = t.expect("asked for");
         t.progress.add_total(4);
