@@ -12,21 +12,7 @@ use txmm_bench::table1_config;
 use txmm_models::Arch;
 
 fn main() {
-    let events = txmm::corpus::event_bound_from_env(4).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // Telemetry flags are the only arguments.
-    let tele = txmm::obs::Telemetry::from_args(&args)
-        .and_then(|(tele, rest)| match rest.first() {
-            None => Ok(tele),
-            Some(w) => Err(format!("unknown argument {w:?}")),
-        })
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
+    let (events, tele) = txmm_bench::driver_args();
     println!("== Fig. 7: distribution of synthesis times ({events}-event x86 Forbid tests) ==\n");
     let mut session = Session::new();
     if let Some(t) = &tele {

@@ -97,21 +97,7 @@ fn run_arch(session: &mut Session, arch: Arch, tm: &str, base: &str, max_events:
 }
 
 fn main() {
-    let max_events = txmm::corpus::event_bound_from_env(4).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // Telemetry flags are the only arguments.
-    let tele = txmm::obs::Telemetry::from_args(&args)
-        .and_then(|(tele, rest)| match rest.first() {
-            None => Ok(tele),
-            Some(w) => Err(format!("unknown argument {w:?}")),
-        })
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
+    let (max_events, tele) = txmm_bench::driver_args();
     println!("== Table 1: testing the transactional x86 and Power models ==");
     println!("   (paper bounds: |E| ≤ 7/6 with SAT + hours; ours: |E| ≤ {max_events})\n");
     let mut session = Session::new();

@@ -18,9 +18,30 @@
 
 use std::time::Duration;
 
+use txmm::obs::Telemetry;
 use txmm::session::{ModelRef, Session};
 use txmm_models::Arch;
 use txmm_synth::EnumConfig;
+
+/// A Table 1/Fig. 7 driver's command line: the `TXMM_MAX_EVENTS` bound
+/// (4 when unset) and the telemetry its arguments ask for. A bad bound,
+/// a bad telemetry flag or any other argument exits 1 with
+/// `error: ...`.
+pub fn driver_args() -> (usize, Option<Telemetry>) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    txmm::corpus::event_bound_from_env(4)
+        .and_then(|events| {
+            let (tele, rest) = Telemetry::from_args(&args)?;
+            match rest.first() {
+                None => Ok((events, tele)),
+                Some(w) => Err(format!("unknown argument {w:?}")),
+            }
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        })
+}
 
 /// The synthesis configuration used for Table 1 rows.
 pub fn table1_config(arch: Arch, events: usize) -> EnumConfig {
