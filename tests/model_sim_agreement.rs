@@ -9,7 +9,6 @@
 //! fails in places: real implementations are conservative, e.g. the
 //! Power machine never exhibits load buffering, §5.3.)
 
-use txmm::core::ExecutionAnalysis;
 use txmm::hwsim::{observable, run};
 use txmm::litmus::{litmus_from_execution, parse_litmus};
 use txmm::models::catalog;
@@ -118,7 +117,7 @@ impl Oracle {
 
     /// Would this execution be observable on the simulated machine?
     fn admits(&self, x: &Execution) -> bool {
-        let a: ExecutionAnalysis<'_> = x.analysis();
+        let a = x.analysis();
         self.model.consistent_analysis(&a)
             && self.rules.iter().all(|r| match r {
                 Conservatism::NoLoadBuffering => a.po().union(a.rf()).is_acyclic(),
