@@ -6,7 +6,7 @@
 //! x86/C++; compilation sound everywhere; a lock-elision counterexample
 //! for ARMv8 only — with one documented divergence: for Power the paper
 //! timed out (Unknown), while our bounded checker finds a candidate pair
-//! under Fig. 6 as printed (see EXPERIMENTS.md).
+//! under Fig. 6 as printed (see the README's Fidelity section).
 
 use txmm::session::Session;
 use txmm_bench::secs;
@@ -96,7 +96,7 @@ fn main() {
         let verdict = match (&r.counterexample, target) {
             (Some(_), ElisionTarget::Armv8) => "YES — Example 1.1 (paper: YES, 63s)",
             (Some(_), ElisionTarget::Power) => {
-                "YES candidate (paper: timeout/Unknown — see EXPERIMENTS.md)"
+                "YES candidate (paper: timeout/Unknown — see README, Fidelity)"
             }
             (Some(_), _) => "YES (unexpected!)",
             (None, _) => "no (exhaustive at this bound)",

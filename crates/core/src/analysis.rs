@@ -23,10 +23,49 @@ use crate::exec::Execution;
 use crate::rel::{stronglift, weaklift, Rel};
 use crate::set::EventSet;
 
-/// Number of model-specific memo slots an analysis carries (see
-/// [`ExecutionAnalysis::memo`]). Large enough for every model in a
-/// `check_all` sweep to claim its own key.
-const MEMO_SLOTS: usize = 8;
+/// A model-specific transaction-independent relation an analysis
+/// memoises (see [`ExecutionAnalysis::memo`]). Every key has a slot of
+/// its own, so every model checking one shared analysis finds its
+/// memos cached, whatever the order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemoKey {
+    /// The x86 `hb` union without `tfence`.
+    X86Hb,
+    /// The ARMv8 `ob` union without its txn terms.
+    Armv8Ob,
+    /// The Power `ppo` fixpoint.
+    PowerPpo,
+    /// Power's `ihb` without `tfence`.
+    PowerIhb,
+    /// Power's `(fre ∪ coe)*`.
+    PowerFrecoeStar,
+    /// Power's `come*`.
+    PowerComeStar,
+    /// Power's `rfe? ; ihb ; rfe?` without `tfence`.
+    PowerHb,
+    /// Power's `rfe? ; fence ; rfe?` without `tfence`.
+    PowerEfence,
+    /// Power's `thb` seed `rfe ∪ (fre ∪ coe)* ; ihb` without `tfence`.
+    PowerThbSeed,
+}
+
+impl MemoKey {
+    /// Every key, in slot order.
+    pub const ALL: [MemoKey; 9] = [
+        MemoKey::X86Hb,
+        MemoKey::Armv8Ob,
+        MemoKey::PowerPpo,
+        MemoKey::PowerIhb,
+        MemoKey::PowerFrecoeStar,
+        MemoKey::PowerComeStar,
+        MemoKey::PowerHb,
+        MemoKey::PowerEfence,
+        MemoKey::PowerThbSeed,
+    ];
+}
+
+/// One memo slot per [`MemoKey`].
+const MEMO_SLOTS: usize = MemoKey::ALL.len();
 
 /// One lazily-initialised relation slot.
 #[derive(Default)]
@@ -89,8 +128,10 @@ pub struct ExecutionAnalysis<'x> {
     strong_isol: RelCache,
     strong_isol_atomic: RelCache,
     txn_cancels_rmw: RelCache,
-    // Model-specific txn-independent relations, keyed by name.
-    memos: [OnceCell<(&'static str, Rel)>; MEMO_SLOTS],
+    // Txn-free axiom verdicts.
+    coherent: OnceCell<bool>,
+    // Model-specific txn-independent relations, one slot per key.
+    memos: [RelCache; MEMO_SLOTS],
 }
 
 fn fence_index(f: Fence) -> usize {
@@ -103,9 +144,16 @@ fn fence_index(f: Fence) -> usize {
 impl<'x> ExecutionAnalysis<'x> {
     /// A fresh analysis over `x`. Computes nothing until first use.
     pub fn new(x: &'x Execution) -> ExecutionAnalysis<'x> {
+        ExecutionAnalysis::over(x, None)
+    }
+
+    /// A fresh analysis over `x` whose txn-independent accessors answer
+    /// from `shared` first.
+    #[inline]
+    fn over(x: &'x Execution, shared: Option<&'x TxnFreeBase>) -> ExecutionAnalysis<'x> {
         ExecutionAnalysis {
             x,
-            shared: None,
+            shared,
             reads: OnceCell::new(),
             writes: OnceCell::new(),
             fences: OnceCell::new(),
@@ -139,7 +187,8 @@ impl<'x> ExecutionAnalysis<'x> {
             strong_isol: RelCache::new(),
             strong_isol_atomic: RelCache::new(),
             txn_cancels_rmw: RelCache::new(),
-            memos: std::array::from_fn(|_| OnceCell::new()),
+            coherent: OnceCell::new(),
+            memos: Default::default(),
         }
     }
 
@@ -444,6 +493,15 @@ impl<'x> ExecutionAnalysis<'x> {
         self.coherence.get_or(|| po_loc.union(self.com()))
     }
 
+    /// Does the Coherence axiom, `acyclic(po-loc ∪ com)`, hold? Decided
+    /// once per rf/co group: a [`TxnFreeBase`] captures the answer.
+    pub fn coherent(&self) -> bool {
+        if let Some(ok) = self.shared.and_then(|s| s.coherent) {
+            return ok;
+        }
+        *self.coherent.get_or_init(|| self.coherence().is_acyclic())
+    }
+
     /// The RMW-isolation axiom body `rmw ∩ (fre ; coe)`.
     pub fn rmw_isol(&self) -> &Rel {
         if let Some(r) = self.shared.and_then(|s| s.rmw_isol.as_ref()) {
@@ -475,12 +533,19 @@ impl<'x> ExecutionAnalysis<'x> {
     }
 
     /// The `TxnCancelsRMW` axiom body `rmw ∩ tfence⁺` (Power, ARMv8).
+    /// Without an rmw pair it is empty, and `tfence⁺` is not closed.
     pub fn txn_cancels_rmw(&self) -> &Rel {
-        let tfp = *self.tfence_plus();
-        self.txn_cancels_rmw.get_or(|| self.x.rmw().inter(&tfp))
+        self.txn_cancels_rmw.get_or(|| {
+            let rmw = self.x.rmw();
+            if rmw.is_empty() {
+                *rmw
+            } else {
+                rmw.inter(self.tfence_plus())
+            }
+        })
     }
 
-    /// Memoise a model-specific relation under a unique `key`.
+    /// Memoise a model-specific relation under `key`.
     ///
     /// The value **must be transaction-independent** — derived only
     /// from the events, po, dependencies, rmw, rf and co — because
@@ -493,34 +558,25 @@ impl<'x> ExecutionAnalysis<'x> {
     ///
     /// Models use this to split a derived relation into its fixed part
     /// (computed once per rf/co structure) plus the cheap txn-varying
-    /// remainder. The shipped keys, at most six per analysis even when
-    /// every model checks one execution:
+    /// remainder. The keys ([`MemoKey`]), each with a slot of its own:
     ///
-    /// * `x86.hb` — the x86 `hb` union without `tfence`;
-    /// * `armv8.ob` — the ARMv8 `ob` union without its txn terms;
-    /// * `power.ppo` — the Power `ppo` fixpoint;
-    /// * `power.ihb`, `power.frecoe*`, `power.come*` — Power's `ihb`
-    ///   without `tfence`, `(fre ∪ coe)*` and `come*`.
+    /// * `X86Hb` — the x86 `hb` union without `tfence`;
+    /// * `Armv8Ob` — the ARMv8 `ob` union without its txn terms;
+    /// * `PowerPpo` — the Power `ppo` fixpoint;
+    /// * `PowerIhb`, `PowerFrecoeStar`, `PowerComeStar` — Power's `ihb`
+    ///   without `tfence`, `(fre ∪ coe)*` and `come*`;
+    /// * `PowerHb`, `PowerEfence`, `PowerThbSeed` — Power's
+    ///   `rfe? ; ihb ; rfe?`, `rfe? ; fence ; rfe?` and the `thb` seed
+    ///   `rfe ∪ (fre ∪ coe)* ; ihb`, each without `tfence`.
     ///
     /// The Power keys serve `power`, `power-tm` and every Fig. 6
     /// ablation alike: none of them reads a highlight.
-    pub fn memo(&self, key: &'static str, f: impl FnOnce() -> Rel) -> Rel {
-        if let Some(s) = self.shared {
-            for (k, r) in s.memos.iter().flatten() {
-                if *k == key {
-                    return *r;
-                }
-            }
+    pub fn memo(&self, key: MemoKey, f: impl FnOnce() -> Rel) -> Rel {
+        let slot = key as usize;
+        if let Some(r) = self.shared.and_then(|s| s.memos[slot]) {
+            return r;
         }
-        for cell in &self.memos {
-            match cell.get() {
-                Some((k, r)) if *k == key => return *r,
-                Some(_) => continue,
-                None => return cell.get_or_init(|| (key, f())).1,
-            }
-        }
-        // Every slot claimed by another key: compute without caching.
-        f()
+        *self.memos[slot].get_or(f)
     }
 }
 
@@ -582,7 +638,8 @@ pub struct TxnFreeBase {
     fence_rels: [Option<Rel>; Fence::ALL.len()],
     coherence: Option<Rel>,
     rmw_isol: Option<Rel>,
-    memos: [Option<(&'static str, Rel)>; MEMO_SLOTS],
+    coherent: Option<bool>,
+    memos: [Option<Rel>; MEMO_SLOTS],
 }
 
 impl TxnFreeBase {
@@ -592,10 +649,6 @@ impl TxnFreeBase {
         let mut fence_rels: [Option<Rel>; Fence::ALL.len()] = Default::default();
         for (slot, cache) in fence_rels.iter_mut().zip(&a.fence_rels) {
             *slot = rel(cache);
-        }
-        let mut memos: [Option<(&'static str, Rel)>; MEMO_SLOTS] = Default::default();
-        for (slot, cell) in memos.iter_mut().zip(&a.memos) {
-            *slot = cell.get().copied();
         }
         TxnFreeBase {
             events: a.x.events().to_vec(),
@@ -630,7 +683,8 @@ impl TxnFreeBase {
             fence_rels,
             coherence: rel(&a.coherence),
             rmw_isol: rel(&a.rmw_isol),
-            memos,
+            coherent: a.coherent.get().copied(),
+            memos: std::array::from_fn(|k| rel(&a.memos[k])),
         }
     }
 
@@ -653,9 +707,7 @@ impl TxnFreeBase {
     /// [`TxnFreeBase::matches`]`(y)`.
     pub fn seed<'x>(&'x self, y: &'x Execution) -> ExecutionAnalysis<'x> {
         debug_assert!(self.matches(y), "seeding from a non-matching base");
-        let mut a = ExecutionAnalysis::new(y);
-        a.shared = Some(self);
-        a
+        ExecutionAnalysis::over(y, Some(self))
     }
 }
 

@@ -62,7 +62,7 @@ pub mod rng;
 pub mod set;
 pub mod wf;
 
-pub use analysis::{ExecutionAnalysis, TxnFreeBase};
+pub use analysis::{ExecutionAnalysis, MemoKey, TxnFreeBase};
 pub use arena::{ExecArena, ExecId, PackedExecution};
 pub use build::ExecBuilder;
 pub use canon::canon_key;

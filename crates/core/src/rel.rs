@@ -13,10 +13,11 @@
 //! `(i, j)` of that block, so byte `i` is row `i`. A relation over at
 //! most eight events lives entirely in the first block and the other
 //! three stay zero. Composition and closure are then straight-line word
-//! operations on that one block: eight steps, one per pivot `k`, each a
+//! operations on that one block: one step per pivot `k < n`, each a
 //! single multiply forming the outer product of the left operand's
 //! column `k` and the right operand's row `k`, with no branch on the
-//! data. Relations over 9–[`MAX_EVENTS`] events run the same block
+//! data (pivots `k ≥ n` have an empty column and row, so a relation
+//! over four events takes four steps). Relations over 9–[`MAX_EVENTS`] events run the same block
 //! product over all four blocks. The blocks live inline, so relation
 //! algebra is completely allocation-free, which matters because
 //! enumeration and model checking construct millions of intermediate
@@ -114,23 +115,57 @@ fn outer(a: u64, b: u64, k: usize) -> u64 {
     ((a >> k) & COL0) * ((b >> (8 * k)) & 0xff)
 }
 
-/// The Boolean product of two blocks: one outer product per pivot.
+/// The Boolean product of two blocks over their first `P` pivots: one
+/// outer product each, unrolled.
 #[inline]
-fn mul(a: u64, b: u64) -> u64 {
+fn mul<const P: usize>(a: u64, b: u64) -> u64 {
     let mut c = 0;
-    for k in 0..8 {
+    for k in 0..P {
         c |= outer(a, b, k);
     }
     c
 }
 
-/// The transitive closure of one block: Warshall, one pivot per step.
+/// The transitive closure of one block over its first `P` pivots:
+/// Warshall, one pivot per step, unrolled.
 #[inline]
-fn close(mut a: u64) -> u64 {
-    for k in 0..8 {
+fn close<const P: usize>(mut a: u64) -> u64 {
+    for k in 0..P {
         a |= outer(a, a, k);
     }
     a
+}
+
+/// [`mul`] over `n ≤ 8` pivots. A relation over `n` events has an empty
+/// column and row past `n` (the [`Rel`] invariant), so pivots `≥ n` add
+/// nothing; each count runs its own unrolled loop.
+#[inline]
+fn mul_small(a: u64, b: u64, n: u8) -> u64 {
+    match n {
+        0 | 1 => mul::<1>(a, b),
+        2 => mul::<2>(a, b),
+        3 => mul::<3>(a, b),
+        4 => mul::<4>(a, b),
+        5 => mul::<5>(a, b),
+        6 => mul::<6>(a, b),
+        7 => mul::<7>(a, b),
+        _ => mul::<8>(a, b),
+    }
+}
+
+/// [`close`] over `n ≤ 8` pivots (see [`mul_small`]).
+#[inline]
+fn close_small(a: u64, n: u8) -> u64 {
+    match n {
+        0 | 1 => close::<1>(a),
+        2 => close::<2>(a),
+        3 => close::<3>(a),
+        4 => close::<4>(a),
+        5 => close::<5>(a),
+        6 => close::<6>(a),
+        7 => close::<7>(a),
+        _ => close::<8>(a),
+    }
 }
 
 /// The product of two 2×2 block matrices: eight block products. Kept
@@ -139,7 +174,7 @@ fn close(mut a: u64) -> u64 {
 fn mul_wide(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
     std::array::from_fn(|k| {
         let (i, j) = (k >> 1, k & 1);
-        mul(a[2 * i], b[j]) | mul(a[2 * i + 1], b[2 + j])
+        mul::<8>(a[2 * i], b[j]) | mul::<8>(a[2 * i + 1], b[2 + j])
     })
 }
 
@@ -361,7 +396,7 @@ impl Rel {
     pub fn seq(&self, other: &Rel) -> Rel {
         assert_eq!(self.n, other.n, "relation universe mismatch");
         let b = match self.n {
-            0..=8 => [mul(self.b[0], other.b[0]), 0, 0, 0],
+            n @ 0..=8 => [mul_small(self.b[0], other.b[0], n), 0, 0, 0],
             _ => mul_wide(&self.b, &other.b),
         };
         Rel { n: self.n, b }
@@ -396,7 +431,7 @@ impl Rel {
     #[inline]
     pub fn transitive_close(&mut self) {
         match self.n {
-            0..=8 => self.b[0] = close(self.b[0]),
+            n @ 0..=8 => self.b[0] = close_small(self.b[0], n),
             n => close_wide(&mut self.b, n as usize),
         }
     }

@@ -27,7 +27,8 @@
 //! cancel any exclusive reservation (TxnCancelsRMW).
 //!
 //! Exploration is an exhaustive DFS over commit (and propagation)
-//! steps with a memo of visited states, so answers are exact.
+//! steps with a memo of visited states, so answers are exact; a test
+//! whose exploration would pass [`MAX_STATES`] states gets none.
 
 use std::collections::HashSet;
 
@@ -35,7 +36,7 @@ use txmm_core::Fence;
 use txmm_litmus::{Instr, LitmusTest, Op};
 use txmm_models::Arch;
 
-use crate::outcome::{Outcome, OutcomeSet, MAX_LOCS};
+use crate::outcome::{Outcome, OutcomeSet, MAX_LOCS, MAX_STATES};
 use crate::{armsim, powersim, tso};
 
 /// What sets one architecture's machine apart.
@@ -72,9 +73,10 @@ pub(crate) fn fence_between(instrs: &[Instr], j: usize, i: usize, f: Fence) -> b
 ///
 /// `None` when no machine runs the test: SC and C++ have none, lock
 /// calls have no machine semantics, and a location past [`MAX_LOCS`], a
-/// thread past 64 instructions, a test past 255 or a transaction without
-/// its end does not fit the machine. A thread converted from an
-/// execution of at most 16 events has at most 48 instructions.
+/// thread past 64 instructions, a test past 255, a transaction without
+/// its end or an exploration past [`MAX_STATES`] states does not fit
+/// the machine. A thread converted from an execution of at most 16
+/// events has at most 48 instructions.
 pub fn run(test: &LitmusTest) -> Option<OutcomeSet> {
     let rules = match test.arch {
         Arch::X86 => &tso::X86,
@@ -82,7 +84,7 @@ pub fn run(test: &LitmusTest) -> Option<OutcomeSet> {
         Arch::Power => &powersim::POWER,
         _ => return None,
     };
-    Some(Machine::new(test, rules)?.explore())
+    Machine::new(test, rules)?.explore()
 }
 
 /// Is `test`'s postcondition observable, i.e. does some reachable final
@@ -189,7 +191,8 @@ impl<'a> Machine<'a> {
         })
     }
 
-    fn explore(&self) -> OutcomeSet {
+    /// Every reachable final state, or `None` past [`MAX_STATES`].
+    fn explore(&self) -> Option<OutcomeSet> {
         let threads = self.test.threads.iter().map(|instrs| {
             let regs = instrs.iter().filter_map(|i| match i.op {
                 Op::Load { reg, .. } => Some(reg + 1),
@@ -215,6 +218,9 @@ impl<'a> Machine<'a> {
         while let Some(s) = stack.pop() {
             if seen.contains(&s) {
                 continue;
+            }
+            if seen.len() == MAX_STATES {
+                return None;
             }
             let instrs = &self.test.threads;
             let pending = s
@@ -251,7 +257,7 @@ impl<'a> Machine<'a> {
             }
             seen.insert(s);
         }
-        outcomes
+        Some(outcomes)
     }
 
     /// Commit instruction `i` of thread `t`; `None` when it cannot
@@ -517,6 +523,42 @@ mod tests {
             assert_eq!(t.threads[0].len(), 48);
             assert_eq!(crate::observable(&t), Some(true), "{arch:?}");
         }
+    }
+
+    /// Four Power threads, each one store to its own location, then
+    /// loads of the other three: 16 events whose exploration ran for
+    /// minutes before the state cap.
+    const PAST_THE_CAP: &str = "big (Power)
+Initially: x = 0 /\\ y = 0 /\\ z = 0 /\\ w = 0
+thread 0:
+  x <- 1
+  r0 <- y
+  r1 <- z
+  r2 <- w
+thread 1:
+  y <- 2
+  r0 <- z
+  r1 <- w
+  r2 <- x
+thread 2:
+  z <- 3
+  r0 <- w
+  r1 <- x
+  r2 <- y
+thread 3:
+  w <- 4
+  r0 <- x
+  r1 <- y
+  r2 <- z
+Test: 0:r0 = 0 /\\ 1:r0 = 0 /\\ 2:r0 = 0 /\\ 3:r0 = 0
+";
+
+    #[test]
+    fn explorations_past_the_state_cap_are_refused() {
+        let t = txmm_litmus::parse_litmus(PAST_THE_CAP).expect("parses");
+        let start = std::time::Instant::now();
+        assert_eq!(crate::run(&t), None);
+        assert!(start.elapsed().as_secs() < 120, "{:?}", start.elapsed());
     }
 
     #[test]

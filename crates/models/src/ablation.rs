@@ -81,6 +81,10 @@ impl Model for PowerAblated {
     fn axioms(&self, a: &ExecutionAnalysis<'_>, d: &Derived, c: &mut Checker) {
         Power::fig6_axioms(a, d, c, self.highlights());
     }
+
+    fn consistent_analysis(&self, a: &ExecutionAnalysis<'_>) -> bool {
+        Power::fig6_consistent(a, self.highlights())
+    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! `TxnCancelsRMW`.
 
 use txmm_core::incr::{ComposeRule, DeltaPlan, EdgeKind, EdgeSel, Lift, Obligation, PruneOracle};
-use txmm_core::{stronglift, union_all, Execution, ExecutionAnalysis, Fence, Rel};
+use txmm_core::{stronglift, union_all, Execution, ExecutionAnalysis, Fence, MemoKey, Rel};
 
 use crate::arch::Arch;
 use crate::delta::{com_feeds, come_feeds};
@@ -96,10 +96,10 @@ impl Armv8 {
     /// Ordered-before: `ob = come ∪ dob ∪ aob ∪ bob (∪ tfence)`.
     ///
     /// The `come ∪ dob ∪ aob ∪ bob` part is txn-independent, so it is
-    /// memoised under `"armv8.ob"` and shared across the transaction
+    /// memoised under `MemoKey::Armv8Ob` and shared across the transaction
     /// layouts of one rf/co structure; only the `tfence` union varies.
     pub fn ob(&self, a: &ExecutionAnalysis<'_>) -> Rel {
-        let fixed = a.memo("armv8.ob", || {
+        let fixed = a.memo(MemoKey::Armv8Ob, || {
             union_all(
                 a.len(),
                 [a.come(), &Armv8::dob(a), &Armv8::aob(a), &Armv8::bob(a)],
@@ -141,7 +141,7 @@ impl Model for Armv8 {
     }
 
     fn axioms(&self, a: &ExecutionAnalysis<'_>, d: &Derived, c: &mut Checker) {
-        c.acyclic("Coherence", a.coherence());
+        c.require("Coherence", a.coherent());
         c.acyclic("Order", d.expect("ob"));
         c.empty("RMWIsol", a.rmw_isol());
         if self.tm {
@@ -160,7 +160,7 @@ impl Model for Armv8 {
 // Power, the lifts cannot fire spuriously while txns are unassigned.
 impl PruneOracle for Armv8 {
     fn viable(&self, a: &ExecutionAnalysis<'_>) -> bool {
-        self.check_analysis(a).is_consistent()
+        self.consistent_analysis(a)
     }
 
     fn coherence_gate(&self) -> bool {

@@ -389,8 +389,9 @@ pub fn x86_elision() -> Execution {
 /// [29, §B.2.1.1]: larx/stcx + ctrl(+isync) from the store-exclusive
 /// (footnote 3), and a sync-fenced unlock.
 ///
-/// Under Fig. 6 *as printed* this execution is consistent (see
-/// EXPERIMENTS.md: the paper's own check timed out as Unknown).
+/// Under Fig. 6 *as printed* this execution is consistent (see the
+/// README's Fidelity section: the paper's own check timed out as
+/// Unknown).
 pub fn power_elision() -> Execution {
     let mut b = ExecBuilder::new();
     let t0 = b.new_thread();
@@ -680,7 +681,7 @@ pub fn all() -> Vec<CatalogEntry> {
             name: "power-elision",
             paper_ref: "§8.3 / Table 2",
             description:
-                "Power elision analogue (paper: Unknown after timeout; see EXPERIMENTS.md)",
+                "Power elision analogue (paper: Unknown after timeout; see README, Fidelity)",
             exec: power_elision(),
             expect: vec![("power-tm", Consistent)],
         },

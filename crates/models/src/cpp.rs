@@ -208,7 +208,7 @@ impl Model for Cpp {
 // only `hb ∩ sloc` of it enters an axiom).
 impl PruneOracle for Cpp {
     fn viable(&self, a: &ExecutionAnalysis<'_>) -> bool {
-        self.check_analysis(a).is_consistent()
+        self.consistent_analysis(a)
     }
 
     // Inexact pre-filter: NoThinAir = acyclic(po ∪ rf) decomposes

@@ -102,6 +102,15 @@ impl Checker {
         self
     }
 
+    /// Assert an axiom decided elsewhere (e.g. Coherence, which an
+    /// analysis decides once per rf/co group).
+    pub fn require(&mut self, axiom: &'static str, holds: bool) -> &mut Self {
+        if !holds {
+            self.verdict.violations.push(axiom);
+        }
+        self
+    }
+
     /// Record a violation directly. Adapters wrapping externally
     /// evaluated models (the `.cat` backend of the unified registry)
     /// translate their own failed checks through this.
@@ -206,10 +215,13 @@ pub trait Model: Send + Sync {
 
     /// Convenience: is the execution consistent?
     fn consistent(&self, x: &Execution) -> bool {
-        self.check(x).is_consistent()
+        self.consistent_analysis(&x.analysis())
     }
 
-    /// Convenience: consistency against a shared analysis.
+    /// Consistency against a shared analysis: exactly
+    /// `check_analysis(a).is_consistent()`. A model may override it
+    /// with a bool-only evaluation of the same axioms that stops at the
+    /// first failure (Power does).
     fn consistent_analysis(&self, a: &ExecutionAnalysis<'_>) -> bool {
         self.check_analysis(a).is_consistent()
     }

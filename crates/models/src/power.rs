@@ -16,13 +16,16 @@
 //! * `StrongIsol`, `TxnOrder`, and `TxnCancelsRMW`.
 //!
 //! One body ([`Power::relations`] and the derived table and axioms
-//! built on it) serves every variant: it takes the set of
-//! [`Highlights`] to include — all for `power-tm`, none for `power`,
-//! all but one for each ablation ([`crate::PowerAblated`]).
+//! built on it, and the bool-only check over the same terms) serves
+//! every variant: it takes the set of [`Highlights`] to include — all
+//! for `power-tm`, none for `power`, all but one for each ablation
+//! ([`crate::PowerAblated`]).
 
 use txmm_core::incr::{ComposeRule, DeltaPlan, EdgeKind, EdgeSel, Lift, Obligation, PruneOracle};
 use txmm_core::Fence;
-use txmm_core::{stronglift, union_all, weaklift, EventSet, Execution, ExecutionAnalysis, Rel};
+use txmm_core::{
+    stronglift, union_all, weaklift, EventSet, Execution, ExecutionAnalysis, MemoKey, Rel,
+};
 
 use crate::arch::Arch;
 use crate::model::{Checker, Derived, Model};
@@ -72,7 +75,7 @@ impl Highlights {
 
 /// The intermediate relations of the Power model, exposed so tests and
 /// the `catalog` bin can explain verdicts edge by edge.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PowerRelations {
     /// Preserved program order (herding-cats fixpoint).
     pub ppo: Rel,
@@ -84,6 +87,8 @@ pub struct PowerRelations {
     pub thb: Rel,
     /// Happens-before `hb = (rfe? ; ihb ; rfe?) ∪ weaklift(thb, stxn)`.
     pub hb: Rel,
+    /// `efence = rfe? ; fence ; rfe?`, which `prop` composes with.
+    pub efence: Rel,
     /// The propagation relation.
     pub prop: Rel,
     /// `hb*`, which both `prop` and the Observation axiom compose with.
@@ -115,10 +120,10 @@ impl Power {
     ///
     /// Entirely txn-independent, and by far the most expensive Power
     /// derivation (an iterated fixpoint of seqs and unions), so it is
-    /// memoised under `"power.ppo"` and shared across the transaction
-    /// layouts of one rf/co structure.
+    /// memoised under [`MemoKey::PowerPpo`] and shared across the
+    /// transaction layouts of one rf/co structure.
     pub fn ppo(a: &ExecutionAnalysis<'_>) -> Rel {
-        a.memo("power.ppo", || Power::ppo_uncached(a))
+        a.memo(MemoKey::PowerPpo, || Power::ppo_uncached(a))
     }
 
     fn ppo_uncached(a: &ExecutionAnalysis<'_>) -> Rel {
@@ -166,91 +171,48 @@ impl Power {
     }
 
     /// Compute every intermediate relation of Fig. 6 with the given
-    /// highlights.
+    /// highlights, as the paper prints them.
     ///
     /// The txn-independent parts shared by every variant are memoised
     /// (see [`ExecutionAnalysis::memo`]): `ihb` without `tfence`,
-    /// `(fre ∪ coe)*` and `come*`, beside the `ppo` fixpoint. A leaf
-    /// checker replays them across the transaction layouts of one rf/co
-    /// structure, so a layout re-derives only what reads `stxn`.
+    /// `(fre ∪ coe)*` and `come*`, beside the `ppo` fixpoint. This is
+    /// the reference [`Power::split_relations`] (and so the bool-only
+    /// check) is tested against.
     pub fn relations(a: &ExecutionAnalysis<'_>, hl: Highlights) -> PowerRelations {
-        let n = a.len();
-        let w = a.writes();
-        let has = |h| hl.contains(h);
-
-        let ppo = Power::ppo(a);
-
-        let sync = a.fence_rel(Fence::Sync);
-        let lwsync = a
-            .fence_rel(Fence::Lwsync)
-            .minus(&Rel::cross(n, w, a.reads()));
-        let fence_base = sync.union(&lwsync);
-        let ihb_base = a.memo("power.ihb", || {
-            // Footnote 3: a ctrl+isync sequence may begin at a
-            // store-exclusive; this orders the successful lock write
-            // before the critical region (the spinlock idiom of [29,
-            // §B.2.1.1]).
-            let sx = w.inter(a.rmw().range());
-            let sx_ctrl_isync = Rel::id_on(n, sx)
-                .seq(a.ctrl())
-                .inter(a.fence_rel(Fence::Isync));
-            ppo.union(&fence_base).union(&sx_ctrl_isync)
-        });
-        let (fence, ihb, sync_t) = if has(Highlights::TFENCE) {
-            let tfence = a.tfence();
-            (
-                fence_base.union(tfence),
-                ihb_base.union(tfence),
-                sync.union(tfence),
-            )
-        } else {
-            (fence_base, ihb_base, *sync)
-        };
-
+        let f = Fig6::new(a, hl);
         let rfe = a.rfe();
-        let frecoe_star = a.memo("power.frecoe*", || a.fre().union(a.coe()).star());
-
+        let fence = Fig6::fence0(a).union(&f.tfence);
+        let ihb = f.ihb0.union(&f.tfence);
         // thb = (rfe ∪ ((fre ∪ coe)* ; ihb))* ; (fre ∪ coe)* ; rfe?
-        let thb = rfe
-            .union(&frecoe_star.seq(&ihb))
-            .star()
-            .seq(&frecoe_star)
-            .seq(&rfe.opt());
-
+        let thb = f.thb(rfe.union(&f.frecoe_star.seq(&ihb)));
         // hb = (rfe? ; ihb ; rfe?) ∪ weaklift(thb, stxn)
-        let mut hb = rfe.opt().seq(&ihb).seq(&rfe.opt());
-        if has(Highlights::THB) {
-            hb = hb.union(&weaklift(&thb, a.stxn()));
-        }
-
-        // prop
+        let hb = f.hb(rfe.opt().seq(&ihb).seq(&rfe.opt()), || thb);
         let efence = rfe.opt().seq(&fence).seq(&rfe.opt());
-        let hbstar = hb.star();
-        let idw = Rel::id_on(n, w);
-        let prop1 = idw.seq(&efence).seq(&hbstar).seq(&idw);
-        let come_star = a.memo("power.come*", || a.come().star());
-        let prop2 = come_star
-            .seq(&efence.star())
-            .seq(&hbstar)
-            .seq(&sync_t)
-            .seq(&hbstar);
-        let mut prop = prop1.union(&prop2);
-        if has(Highlights::TPROP1) {
-            prop = prop.union(&rfe.seq(a.stxn()).seq(&idw));
-        }
-        if has(Highlights::TPROP2) {
-            prop = prop.union(&a.stxn().seq(rfe));
-        }
+        f.finish(thb, hb, efence, true)
+    }
 
-        PowerRelations {
-            ppo,
-            fence,
-            ihb,
-            thb,
-            hb,
-            prop,
-            hbstar,
-        }
+    /// The relations of [`Power::relations`], derived as the bool-only
+    /// check derives them: every txn-free composition is memoised per
+    /// rf/co group, and a transaction layout adds only its own terms
+    /// (see [`MemoKey`]'s Power keys).
+    ///
+    /// With `ihb₀` and `fence₀` for `ihb` and `fence` without `tfence`,
+    /// the group memoises `hb₀ = rfe? ; ihb₀ ; rfe?`,
+    /// `efence₀ = rfe? ; fence₀ ; rfe?` and the `thb` seed
+    /// `rfe ∪ (fre ∪ coe)* ; ihb₀`. A layout adds its terms, each `;`
+    /// distributed over `∪`: with `D = rfe? ; tfence ; rfe?`,
+    /// `hb = hb₀ ∪ D ∪ weaklift(thb, stxn)`, `efence = efence₀ ∪ D`, the
+    /// seed gains `(fre ∪ coe)* ; tfence`, and `prop` the tprops.
+    ///
+    /// `prop2`'s `come* ; efence* ; hb*` is read as `come* ; hb*`: every
+    /// `fence` pair is an `ihb` pair, so `efence ⊆ hb` and
+    /// `efence* ; hb* = hb*`.
+    pub fn split_relations(a: &ExecutionAnalysis<'_>, hl: Highlights) -> PowerRelations {
+        let f = Fig6::new(a, hl);
+        let s = f.split();
+        let thb = f.thb(s.seed);
+        let hb = f.hb(s.hb, || thb);
+        f.finish(thb, hb, s.efence, false)
     }
 
     /// [`Model::derived`] of the variant with highlights `hl`.
@@ -279,7 +241,7 @@ impl Power {
         c: &mut Checker,
         hl: Highlights,
     ) {
-        c.acyclic("Coherence", a.coherence());
+        c.require("Coherence", a.coherent());
         c.empty("RMWIsol", a.rmw_isol());
         c.acyclic("Order", d.expect("hb"));
         c.acyclic("Propagation", d.expect("propagation"));
@@ -293,6 +255,198 @@ impl Power {
         if hl.contains(Highlights::TXN_CANCELS_RMW) {
             c.empty("TxnCancelsRMW", a.txn_cancels_rmw());
         }
+    }
+
+    /// [`Model::consistent_analysis`] of the variant with highlights
+    /// `hl`: the axioms of [`Power::fig6_axioms`] as one bool, over the
+    /// relations of [`Power::split_relations`].
+    ///
+    /// The txn-free axioms are decided once per rf/co group, the cheap
+    /// transactional ones come next, `hb⁺` serves both Order and `hb*`,
+    /// no [`Derived`] table is built, and the first failed axiom
+    /// answers.
+    pub(crate) fn fig6_consistent(a: &ExecutionAnalysis<'_>, hl: Highlights) -> bool {
+        // The group's memos first: they are complete once its first
+        // layout is checked, whatever that layout's verdict.
+        let f = Fig6::new(a, hl);
+        let s = f.split();
+        if !a.coherent() || !a.rmw_isol().is_empty() {
+            return false;
+        }
+        // Without transactions StrongIsol is `acyclic(com)`, which
+        // Coherence implies, and TxnOrder is Order.
+        let txns = !a.stxn().is_empty();
+        if txns && hl.contains(Highlights::STRONG_ISOL) && !a.strong_isol().is_acyclic() {
+            return false;
+        }
+        if hl.contains(Highlights::TXN_CANCELS_RMW) && !a.txn_cancels_rmw().is_empty() {
+            return false;
+        }
+        let hb = f.hb(s.hb, || f.thb(s.seed));
+        let mut hbstar = hb.plus();
+        if !hbstar.is_irreflexive() {
+            return false;
+        }
+        if txns && hl.contains(Highlights::TXN_ORDER) && !stronglift(&hb, a.stxn()).is_acyclic() {
+            return false;
+        }
+        hbstar.reflexive_close();
+        let prop = f.prop(&s.efence, &hbstar, false);
+        // Observation: `irreflexive(fre ; prop ; hb*)`.
+        a.co().union(&prop).is_acyclic() && prop.seq(&hbstar).inter(&a.fre().inverse()).is_empty()
+    }
+}
+
+/// One layout's `rfe? ; ihb ; rfe?`, `efence` and `thb` seed: the
+/// group's memo of each, plus the layout's term.
+struct Split {
+    hb: Rel,
+    efence: Rel,
+    seed: Rel,
+}
+
+/// The terms of Fig. 6 that [`Power::relations`] and
+/// [`Power::split_relations`] share: the txn-free memos every variant
+/// reads, the layout's `tfence` (empty without [`Highlights::TFENCE`]),
+/// and the formulas downstream of the `thb` seed, `hb` and `efence`.
+struct Fig6<'a, 'x> {
+    a: &'a ExecutionAnalysis<'x>,
+    hl: Highlights,
+    tfence: Rel,
+    ppo: Rel,
+    /// `ihb` without `tfence`.
+    ihb0: Rel,
+    frecoe_star: Rel,
+    come_star: Rel,
+}
+
+impl<'a, 'x> Fig6<'a, 'x> {
+    fn new(a: &'a ExecutionAnalysis<'x>, hl: Highlights) -> Fig6<'a, 'x> {
+        let n = a.len();
+        let ppo = Power::ppo(a);
+        let ihb0 = a.memo(MemoKey::PowerIhb, || {
+            // Footnote 3: a ctrl+isync sequence may begin at a
+            // store-exclusive; this orders the successful lock write
+            // before the critical region (the spinlock idiom of [29,
+            // §B.2.1.1]).
+            let sx = a.writes().inter(a.rmw().range());
+            let sx_ctrl_isync = Rel::id_on(n, sx)
+                .seq(a.ctrl())
+                .inter(a.fence_rel(Fence::Isync));
+            ppo.union(&Fig6::fence0(a)).union(&sx_ctrl_isync)
+        });
+        let tfence = if hl.contains(Highlights::TFENCE) {
+            *a.tfence()
+        } else {
+            Rel::empty(n)
+        };
+        Fig6 {
+            a,
+            hl,
+            tfence,
+            ppo,
+            ihb0,
+            frecoe_star: a.memo(MemoKey::PowerFrecoeStar, || a.fre().union(a.coe()).star()),
+            come_star: a.memo(MemoKey::PowerComeStar, || a.come().star()),
+        }
+    }
+
+    /// The split form of `rfe? ; ihb ; rfe?`, `efence` and the `thb`
+    /// seed (see [`Power::split_relations`]). The three memos are filled
+    /// here, on a group's first layout.
+    fn split(&self) -> Split {
+        let a = self.a;
+        let rfe = a.rfe();
+        let hb0 = a.memo(MemoKey::PowerHb, || {
+            rfe.opt().seq(&self.ihb0).seq(&rfe.opt())
+        });
+        let efence0 = a.memo(MemoKey::PowerEfence, || {
+            rfe.opt().seq(&Fig6::fence0(a)).seq(&rfe.opt())
+        });
+        let seed0 = a.memo(MemoKey::PowerThbSeed, || {
+            rfe.union(&self.frecoe_star.seq(&self.ihb0))
+        });
+        if self.tfence.is_empty() {
+            return Split {
+                hb: hb0,
+                efence: efence0,
+                seed: seed0,
+            };
+        }
+        let d = rfe.opt().seq(&self.tfence).seq(&rfe.opt());
+        Split {
+            hb: hb0.union(&d),
+            efence: efence0.union(&d),
+            seed: seed0.union(&self.frecoe_star.seq(&self.tfence)),
+        }
+    }
+
+    /// Every relation, given `thb`, `hb` and `efence` (see [`Fig6::prop`]
+    /// for `efence_star`).
+    fn finish(&self, thb: Rel, hb: Rel, efence: Rel, efence_star: bool) -> PowerRelations {
+        let hbstar = hb.star();
+        PowerRelations {
+            ppo: self.ppo,
+            fence: Fig6::fence0(self.a).union(&self.tfence),
+            ihb: self.ihb0.union(&self.tfence),
+            thb,
+            hb,
+            prop: self.prop(&efence, &hbstar, efence_star),
+            efence,
+            hbstar,
+        }
+    }
+
+    /// `fence` without `tfence`: `sync ∪ (lwsync \ (W × R))`.
+    fn fence0(a: &ExecutionAnalysis<'_>) -> Rel {
+        let lwsync = a
+            .fence_rel(Fence::Lwsync)
+            .minus(&Rel::cross(a.len(), a.writes(), a.reads()));
+        a.fence_rel(Fence::Sync).union(&lwsync)
+    }
+
+    /// `thb = seed* ; (fre ∪ coe)* ; rfe?`.
+    fn thb(&self, seed: Rel) -> Rel {
+        seed.star().seq(&self.frecoe_star).seq(&self.a.rfe().opt())
+    }
+
+    /// `hb = (rfe? ; ihb ; rfe?) ∪ weaklift(thb, stxn)`, given the first
+    /// term. The lift relates two distinct transactions, so `thb` is
+    /// asked for only when there are two.
+    fn hb(&self, rfe_ihb_rfe: Rel, thb: impl FnOnce() -> Rel) -> Rel {
+        if self.hl.contains(Highlights::THB) && self.a.exec().txns().len() > 1 {
+            rfe_ihb_rfe.union(&weaklift(&thb(), self.a.stxn()))
+        } else {
+            rfe_ihb_rfe
+        }
+    }
+
+    /// `prop = prop1 ∪ prop2 ∪ tprop1 ∪ tprop2`, where
+    /// `prop1 = [W] ; efence ; hb* ; [W]`,
+    /// `prop2 = come* ; efence* ; hb* ; (sync ∪ tfence) ; hb*`,
+    /// `tprop1 = rfe ; stxn ; [W]` and `tprop2 = stxn ; rfe`;
+    /// without `efence_star`, `prop2` reads `come* ; hb*` for
+    /// `come* ; efence* ; hb*`.
+    fn prop(&self, efence: &Rel, hbstar: &Rel, efence_star: bool) -> Rel {
+        let a = self.a;
+        let w = a.writes();
+        let mut prop = efence.seq(hbstar).restrict_domain(w).restrict_range(w);
+        let sync = a.fence_rel(Fence::Sync).union(&self.tfence);
+        if !sync.is_empty() {
+            let head = if efence_star {
+                self.come_star.seq(&efence.star())
+            } else {
+                self.come_star
+            };
+            prop = prop.union(&head.seq(hbstar).seq(&sync).seq(hbstar));
+        }
+        if self.hl.contains(Highlights::TPROP1) {
+            prop = prop.union(&a.rfe().seq(a.stxn()).restrict_range(w));
+        }
+        if self.hl.contains(Highlights::TPROP2) {
+            prop = prop.union(&a.stxn().seq(a.rfe()));
+        }
+        prop
     }
 }
 
@@ -321,6 +475,10 @@ impl Model for Power {
         Power::fig6_axioms(a, d, c, self.highlights());
     }
 
+    fn consistent_analysis(&self, a: &ExecutionAnalysis<'_>) -> bool {
+        Power::fig6_consistent(a, self.highlights())
+    }
+
     fn prune_oracle(&self, _txns_known: bool) -> Option<&dyn PruneOracle> {
         Some(self)
     }
@@ -331,7 +489,7 @@ impl Model for Power {
 // subsumed by Order (stronglift of hb) while txns are unassigned.
 impl PruneOracle for Power {
     fn viable(&self, a: &ExecutionAnalysis<'_>) -> bool {
-        self.check_analysis(a).is_consistent()
+        self.consistent_analysis(a)
     }
 
     fn coherence_gate(&self) -> bool {

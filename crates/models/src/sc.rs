@@ -44,7 +44,7 @@ impl Model for Sc {
 // partial executions soundly.
 impl PruneOracle for Sc {
     fn viable(&self, a: &ExecutionAnalysis<'_>) -> bool {
-        self.check_analysis(a).is_consistent()
+        self.consistent_analysis(a)
     }
 
     fn coherence_gate(&self) -> bool {
@@ -113,7 +113,7 @@ impl Model for Tsc {
 // fixed, and empty while transactions are still unassigned.
 impl PruneOracle for Tsc {
     fn viable(&self, a: &ExecutionAnalysis<'_>) -> bool {
-        self.check_analysis(a).is_consistent()
+        self.consistent_analysis(a)
     }
 
     fn coherence_gate(&self) -> bool {

@@ -8,7 +8,7 @@
 //! * transaction atomicity (`TxnOrder`).
 
 use txmm_core::incr::{DeltaPlan, Lift, Obligation, PruneOracle};
-use txmm_core::{stronglift, union_all, Execution, ExecutionAnalysis, Fence, Rel};
+use txmm_core::{stronglift, union_all, Execution, ExecutionAnalysis, Fence, MemoKey, Rel};
 
 use crate::arch::Arch;
 use crate::delta::{com_feeds, rfe_co_fr_feeds};
@@ -37,10 +37,10 @@ impl X86 {
     /// `hb = mfence ∪ ppo ∪ implied ∪ rfe ∪ fr ∪ co`.
     ///
     /// Everything but the `tfence` term is txn-independent, so the
-    /// fixed union is memoised under `"x86.hb"` and shared across the
+    /// fixed union is memoised under `MemoKey::X86Hb` and shared across the
     /// transaction layouts of one rf/co structure.
     pub fn hb(&self, a: &ExecutionAnalysis<'_>) -> Rel {
-        let fixed = a.memo("x86.hb", || {
+        let fixed = a.memo(MemoKey::X86Hb, || {
             let n = a.len();
             let po = a.po();
             let w = a.writes();
@@ -102,7 +102,7 @@ impl Model for X86 {
     }
 
     fn axioms(&self, a: &ExecutionAnalysis<'_>, d: &Derived, c: &mut Checker) {
-        c.acyclic("Coherence", a.coherence());
+        c.require("Coherence", a.coherent());
         c.empty("RMWIsol", a.rmw_isol());
         c.acyclic("Order", d.expect("hb"));
         if self.tm {
@@ -122,7 +122,7 @@ impl Model for X86 {
 // check doubles as a partial-execution oracle in both modes.
 impl PruneOracle for X86 {
     fn viable(&self, a: &ExecutionAnalysis<'_>) -> bool {
-        self.check_analysis(a).is_consistent()
+        self.consistent_analysis(a)
     }
 
     fn coherence_gate(&self) -> bool {

@@ -133,15 +133,20 @@ impl PruneCounters {
 ///
 /// The structure walk emits every transaction layout of one completed
 /// rf/co assignment back to back; those siblings differ only in `txns`,
-/// so `fr`, `com`, the equivalences, the fence relations and the
-/// models' memoised txn-free relations (the x86 `hb` and ARMv8 `ob`
-/// fixed unions, Power's `ppo`, `ihb`, `(fre ∪ coe)*` and `come*`) —
-/// the bulk of a full check — are identical. The checker captures them
-/// from the first sibling's analysis ([`TxnFreeBase`]) and re-seeds
-/// each follow-up analysis after a fingerprint match, re-deriving from
-/// scratch only when the underlying structure actually changed. The
-/// consistent walks check every leaf through one, and so does Table 1
-/// synthesis for its transactional model.
+/// so `fr`, `com`, the equivalences, the fence relations, the
+/// Coherence verdict and the models' memoised txn-free relations (the
+/// x86 `hb` and ARMv8 `ob` fixed unions; Power's `ppo`, `ihb`,
+/// `(fre ∪ coe)*`, `come*` and the compositions `hb₀`, `efence₀` and the
+/// `thb` seed over them) — the bulk of a full check — are identical.
+/// The checker captures them from the first sibling's analysis
+/// ([`TxnFreeBase`]) and re-seeds each follow-up analysis after a
+/// fingerprint match, re-deriving from scratch only when the
+/// underlying structure actually changed. A model's
+/// [`Model::consistent_analysis`] fills every memo it reads before it
+/// can answer, so the first sibling leaves them complete whatever its
+/// verdict, and each follow-up pays only for its layout's own terms.
+/// The consistent walks check every leaf through one, and so does
+/// Table 1 synthesis for its transactional model.
 pub struct LeafChecker<'m> {
     model: &'m dyn Model,
     base: Option<TxnFreeBase>,
@@ -243,6 +248,39 @@ mod tests {
     use std::collections::HashSet;
     use txmm_core::canon::canon_key;
     use txmm_models::{Sc, X86};
+
+    /// A group's first layout leaves every Power memo in the captured
+    /// base, whatever its verdict, so its siblings recompute none.
+    #[test]
+    fn first_layout_completes_the_group_memos() {
+        use txmm_core::MemoKey;
+        use txmm_models::Power;
+        let power = [
+            MemoKey::PowerPpo,
+            MemoKey::PowerIhb,
+            MemoKey::PowerFrecoeStar,
+            MemoKey::PowerComeStar,
+            MemoKey::PowerHb,
+            MemoKey::PowerEfence,
+            MemoKey::PowerThbSeed,
+        ];
+        let tm = Power::tm();
+        let mut check = LeafChecker::new(&tm);
+        let (mut groups, mut failed) = (0, 0);
+        Walk::new(&EnumConfig::hw(txmm_models::Arch::Power, 3)).for_each(|x| {
+            let first = !check.base.as_ref().is_some_and(|b| b.matches(x));
+            let ok = check.consistent(x);
+            if first {
+                groups += 1;
+                failed += usize::from(!ok);
+                let a = check.base.as_ref().expect("captured").seed(x);
+                for k in power {
+                    a.memo(k, || panic!("{k:?} missing after the first layout"));
+                }
+            }
+        });
+        assert!(groups > 0 && failed > 0 && failed < groups);
+    }
 
     /// Pruned-consistent must equal enumerate-then-filter: same
     /// classes, same representatives.

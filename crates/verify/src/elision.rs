@@ -693,8 +693,8 @@ mod tests {
     fn power_elision_finds_candidate_pair() {
         // The paper's check timed out (Table 2: Unknown). Under Fig. 6
         // *as printed*, our exhaustive bounded search finds a candidate
-        // pair — see EXPERIMENTS.md for the analysis (the operational
-        // Power simulator does NOT exhibit it, pointing at a gap in the
+        // pair — see the README's Fidelity section (the operational
+        // Power machine does NOT exhibit it, pointing at a gap in the
         // printed axioms rather than a real Power bug).
         let r = check_lock_elision(ElisionTarget::Power, None);
         assert!(r.counterexample.is_some());

@@ -5,9 +5,10 @@
 //! cached derived relations agree with the direct `Execution`
 //! derivations they replaced.
 
-use txmm::core::{ExecutionAnalysis, Fence};
+use txmm::core::{ExecutionAnalysis, Fence, MemoKey};
 use txmm::models::catalog;
 use txmm::models::registry::all_models;
+use txmm::models::{PowerAblated, PowerAblation};
 use txmm::prelude::*;
 
 /// Every catalog execution, including the C++ variants and the abstract
@@ -62,6 +63,52 @@ fn shared_analysis_is_reusable_across_models_in_any_order() {
             .collect();
         fwd.reverse();
         assert_eq!(fwd, bwd, "{name}: model order changed a verdict");
+    }
+}
+
+#[test]
+fn every_memo_key_has_a_slot() {
+    // `Session::verdicts_for` checks every model on one shared
+    // analysis: every native model and every Power variant, checked in
+    // either order through both the full and the bool-only path, must
+    // find each memo it claims cached, and no key may be recomputed.
+    let mut models = all_models();
+    for drop in [
+        PowerAblation::NoTprop1,
+        PowerAblation::NoTprop2,
+        PowerAblation::NoThb,
+        PowerAblation::NoTxnCancelsRmw,
+        PowerAblation::NoTfence,
+    ] {
+        models.push(Box::new(PowerAblated { drop }));
+    }
+    for (name, x) in all_catalog_executions() {
+        let private: Vec<Verdict> = models.iter().map(|m| m.check(&x)).collect();
+        for backward in [false, true] {
+            let a = x.analysis();
+            let mut order: Vec<usize> = (0..models.len()).collect();
+            if backward {
+                order.reverse();
+            }
+            for i in order {
+                let m = &models[i];
+                assert_eq!(
+                    m.check_analysis(&a),
+                    private[i],
+                    "{name} under {}",
+                    m.name()
+                );
+                assert_eq!(
+                    m.consistent_analysis(&a),
+                    private[i].is_consistent(),
+                    "{name} under {}",
+                    m.name()
+                );
+            }
+            for key in MemoKey::ALL {
+                a.memo(key, || panic!("{name}: {key:?} was not cached"));
+            }
+        }
     }
 }
 

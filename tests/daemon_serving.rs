@@ -692,6 +692,38 @@ fn malformed_requests_keep_the_connection_alive() {
 
 #[cfg(unix)]
 #[test]
+fn a_test_past_the_machine_state_cap_answers_null() {
+    // Four Power threads, each one store to its own location, then loads
+    // of the other three: the machine gives up at its state cap instead
+    // of holding the shard for minutes, and the check still answers.
+    let locs = ["x", "y", "z", "w"];
+    let mut src = "big (Power)\nInitially: x = 0\n".to_string();
+    for t in 0..4 {
+        src += &format!("thread {t}:\n  {} <- {}\n", locs[t], t + 1);
+        for k in 1..4 {
+            src += &format!("  r{} <- {}\n", k - 1, locs[(t + k) % 4]);
+        }
+    }
+    src += "Test: 0:r0 = 0 /\\ 1:r0 = 0 /\\ 2:r0 = 0 /\\ 3:r0 = 0\n";
+    let (addr, server) = start_daemon(1);
+    let mut stream = BufReader::new(TcpStream::connect(&addr).expect("connects"));
+    let check = roundtrip(
+        &mut stream,
+        &Request::Check {
+            file: "big.litmus".into(),
+            src,
+            models: None,
+            trace: None,
+        },
+    );
+    assert_eq!(check.len(), 1, "{check:?}");
+    assert!(check[0].contains("\"verdicts\""), "{}", check[0]);
+    assert!(check[0].contains("\"observable\":null"), "{}", check[0]);
+    roundtrip(&mut stream, &Request::Shutdown);
+    server.join().expect("daemon exits");
+}
+
+#[test]
 fn unix_socket_transport() {
     let path = std::env::temp_dir().join(format!("txmm-daemon-{}.sock", std::process::id()));
     let pool = SessionPool::new(&PoolConfig {

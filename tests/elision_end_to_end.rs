@@ -71,7 +71,7 @@ fn power_divergence_documented() {
     // timed out: Table 2 reports Unknown). The operational Power
     // simulator does NOT exhibit the candidate — evidence that the
     // printed axioms, not the hardware, are the weak point. Both facts
-    // are part of the reproduction (EXPERIMENTS.md).
+    // are part of the reproduction (README, Fidelity).
     let r = check_lock_elision(ElisionTarget::Power, None);
     let (_, conc) = r
         .counterexample
