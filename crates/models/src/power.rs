@@ -186,8 +186,8 @@ impl Power {
         // thb = (rfe ∪ ((fre ∪ coe)* ; ihb))* ; (fre ∪ coe)* ; rfe?
         let thb = f.thb(rfe.union(&f.frecoe_star.seq(&ihb)));
         // hb = (rfe? ; ihb ; rfe?) ∪ weaklift(thb, stxn)
-        let hb = f.hb(rfe.opt().seq(&ihb).seq(&rfe.opt()), || thb);
-        let efence = rfe.opt().seq(&fence).seq(&rfe.opt());
+        let hb = f.hb(f.around_rfe(&ihb), || thb);
+        let efence = f.around_rfe(&fence);
         f.finish(thb, hb, efence, true)
     }
 
@@ -293,7 +293,9 @@ impl Power {
         hbstar.reflexive_close();
         let prop = f.prop(&s.efence, &hbstar, false);
         // Observation: `irreflexive(fre ; prop ; hb*)`.
-        a.co().union(&prop).is_acyclic() && prop.seq(&hbstar).inter(&a.fre().inverse()).is_empty()
+        let fre = a.fre();
+        a.co().union(&prop).is_acyclic()
+            && (fre.is_empty() || prop.seq(&hbstar).inter(&fre.inverse()).is_empty())
     }
 }
 
@@ -356,15 +358,10 @@ impl<'a, 'x> Fig6<'a, 'x> {
     /// here, on a group's first layout.
     fn split(&self) -> Split {
         let a = self.a;
-        let rfe = a.rfe();
-        let hb0 = a.memo(MemoKey::PowerHb, || {
-            rfe.opt().seq(&self.ihb0).seq(&rfe.opt())
-        });
-        let efence0 = a.memo(MemoKey::PowerEfence, || {
-            rfe.opt().seq(&Fig6::fence0(a)).seq(&rfe.opt())
-        });
+        let hb0 = a.memo(MemoKey::PowerHb, || self.around_rfe(&self.ihb0));
+        let efence0 = a.memo(MemoKey::PowerEfence, || self.around_rfe(&Fig6::fence0(a)));
         let seed0 = a.memo(MemoKey::PowerThbSeed, || {
-            rfe.union(&self.frecoe_star.seq(&self.ihb0))
+            a.rfe().union(&self.frecoe_star.seq(&self.ihb0))
         });
         if self.tfence.is_empty() {
             return Split {
@@ -373,7 +370,7 @@ impl<'a, 'x> Fig6<'a, 'x> {
                 seed: seed0,
             };
         }
-        let d = rfe.opt().seq(&self.tfence).seq(&rfe.opt());
+        let d = self.around_rfe(&self.tfence);
         Split {
             hb: hb0.union(&d),
             efence: efence0.union(&d),
@@ -405,9 +402,25 @@ impl<'a, 'x> Fig6<'a, 'x> {
         a.fence_rel(Fence::Sync).union(&lwsync)
     }
 
+    /// `rfe? ; r ; rfe?`: `r` itself without external reads-from.
+    fn around_rfe(&self, r: &Rel) -> Rel {
+        let rfe = self.a.rfe();
+        if rfe.is_empty() {
+            *r
+        } else {
+            rfe.opt().seq(r).seq(&rfe.opt())
+        }
+    }
+
     /// `thb = seed* ; (fre ∪ coe)* ; rfe?`.
     fn thb(&self, seed: Rel) -> Rel {
-        seed.star().seq(&self.frecoe_star).seq(&self.a.rfe().opt())
+        let thb = seed.star().seq(&self.frecoe_star);
+        let rfe = self.a.rfe();
+        if rfe.is_empty() {
+            thb
+        } else {
+            thb.seq(&rfe.opt())
+        }
     }
 
     /// `hb = (rfe? ; ihb ; rfe?) ∪ weaklift(thb, stxn)`, given the first
@@ -440,11 +453,16 @@ impl<'a, 'x> Fig6<'a, 'x> {
             };
             prop = prop.union(&head.seq(hbstar).seq(&sync).seq(hbstar));
         }
+        // The tprops compose with `rfe`.
+        let rfe = a.rfe();
+        if rfe.is_empty() {
+            return prop;
+        }
         if self.hl.contains(Highlights::TPROP1) {
-            prop = prop.union(&a.rfe().seq(a.stxn()).restrict_range(w));
+            prop = prop.union(&rfe.seq(a.stxn()).restrict_range(w));
         }
         if self.hl.contains(Highlights::TPROP2) {
-            prop = prop.union(&a.stxn().seq(a.rfe()));
+            prop = prop.union(&a.stxn().seq(rfe));
         }
         prop
     }
