@@ -17,11 +17,12 @@
 //! single multiply forming the outer product of the left operand's
 //! column `k` and the right operand's row `k`, with no branch on the
 //! data (pivots `k ≥ n` have an empty column and row, so a relation
-//! over four events takes four steps). Relations over 9–[`MAX_EVENTS`] events run the same block
-//! product over all four blocks. The blocks live inline, so relation
-//! algebra is completely allocation-free, which matters because
-//! enumeration and model checking construct millions of intermediate
-//! relations; a whole relation is 40 bytes.
+//! over four events takes four steps). Relations over
+//! 9–[`MAX_EVENTS`] events run the same block product over all four
+//! blocks. The blocks live inline, so relation algebra is completely
+//! allocation-free, which matters because enumeration and model
+//! checking construct millions of intermediate relations; a whole
+//! relation is 40 bytes.
 
 use crate::event::EventId;
 use crate::set::{EventSet, MAX_EVENTS};

@@ -690,7 +690,6 @@ fn malformed_requests_keep_the_connection_alive() {
     server.join().expect("clean shutdown");
 }
 
-#[cfg(unix)]
 #[test]
 fn a_test_past_the_machine_state_cap_answers_null() {
     // Four Power threads, each one store to its own location, then loads
@@ -723,6 +722,7 @@ fn a_test_past_the_machine_state_cap_answers_null() {
     server.join().expect("daemon exits");
 }
 
+#[cfg(unix)]
 #[test]
 fn unix_socket_transport() {
     let path = std::env::temp_dir().join(format!("txmm-daemon-{}.sock", std::process::id()));

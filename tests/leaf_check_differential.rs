@@ -7,11 +7,11 @@
 //! `thb` lift, the tprops) to the group's memoised compositions. Each
 //! leaf's answer is compared with `check_analysis(..).is_consistent()`
 //! on a fresh analysis, which derives Fig. 6 as printed. Some of the
-//! layout's terms never change a verdict at these bounds (`D` in
-//! `efence` only adds pairs `prop2` already has), so Power's split
-//! relations are also compared, relation by relation, with the printed
-//! ones. The walks are unpruned, so groups that fail a txn-free axiom
-//! are checked too.
+//! layout's terms move no verdict at these bounds (a copy without `D`
+//! in `efence`, or without the `thb` seed's `tfence` term, passes the
+//! verdict comparison), so Power's split relations are also compared,
+//! relation by relation, with the printed ones. The walks are
+//! unpruned, so groups that fail a txn-free axiom are checked too.
 //!
 //! The debug suite covers |E| ≤ 3 for every Power variant, x86-tm and
 //! armv8-tm; the release bounds (Power |E| ≤ 4, x86 |E| ≤ 5, ARMv8
