@@ -334,12 +334,6 @@ impl RelBuiltin {
             TxnCancelsRmw => a.txn_cancels_rmw(),
         })
     }
-
-    /// Does the relation depend only on the event count, not the
-    /// execution? These are the fold candidates of tier specialisation.
-    pub fn is_count_constant(self) -> bool {
-        matches!(self, RelBuiltin::Id | RelBuiltin::Unv)
-    }
 }
 
 /// One register-machine instruction. Binary set/relation operators read

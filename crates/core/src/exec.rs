@@ -326,11 +326,6 @@ impl Execution {
         self.set_where(|e| e.kind == EventKind::Fence(f))
     }
 
-    /// Call events of one particular kind (lock-elision study).
-    pub fn call_events(&self, c: Call) -> EventSet {
-        self.set_where(|e| e.kind == EventKind::Call(c))
-    }
-
     /// All call events.
     pub fn calls(&self) -> EventSet {
         self.set_where(|e| e.kind.is_call())
@@ -359,11 +354,6 @@ impl Execution {
     /// C++ atomic events (`Ato`).
     pub fn ato(&self) -> EventSet {
         self.with_attr(Attrs::ATO)
-    }
-
-    /// Events inside any successful transaction.
-    pub fn txn_events(&self) -> EventSet {
-        EventSet::from_iter(self.txns.iter().flat_map(|t| t.events.iter().copied()))
     }
 
     /// Events accessing location `l`.

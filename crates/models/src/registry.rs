@@ -28,19 +28,6 @@ pub fn by_name(name: &str) -> Option<Box<dyn Model>> {
     all_models().into_iter().find(|m| m.name() == name)
 }
 
-/// The `(tm, baseline)` pairs used by the synthesiser.
-pub fn tm_pairs() -> Vec<(Box<dyn Model>, Box<dyn Model>)> {
-    vec![
-        (
-            Box::new(X86::tm()) as Box<dyn Model>,
-            Box::new(X86::base()) as Box<dyn Model>,
-        ),
-        (Box::new(Power::tm()), Box::new(Power::base())),
-        (Box::new(Armv8::tm()), Box::new(Armv8::base())),
-        (Box::new(Tsc), Box::new(Sc)),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

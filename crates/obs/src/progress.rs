@@ -604,17 +604,15 @@ pub struct Telemetry {
 impl Telemetry {
     /// Parse the telemetry flags out of command-line words and start
     /// what they ask for; `None` (no overhead) when none is present.
-    /// Also returns, in order, every word that is not a telemetry flag
-    /// or its value, for the caller to use or refuse. `SECS` must be a
-    /// positive number of seconds; a flag without its value, an
-    /// unwritable progress file or a busy metrics address is an error,
-    /// reported before any walk starts. A sidecar alone still gets the
-    /// walk counters ticking, but only `--progress` or `--progress-file`
-    /// starts the heartbeat.
-    pub fn from_args<S: AsRef<str>>(args: &[S]) -> Result<(Option<Telemetry>, Vec<&str>), String> {
+    /// Every other word is skipped: the caller refuses what it does not
+    /// read. `SECS` must be a positive number of seconds; a flag without
+    /// its value, an unwritable progress file or a busy metrics address
+    /// is an error, reported before any walk starts. A sidecar alone
+    /// still gets the walk counters ticking, but only `--progress` or
+    /// `--progress-file` starts the heartbeat.
+    pub fn from_args<S: AsRef<str>>(args: &[S]) -> Result<Option<Telemetry>, String> {
         let mut interval: Option<Duration> = None;
         let (mut file, mut listen) = (None, None);
-        let mut rest = Vec::new();
         let mut words = args.iter().map(AsRef::as_ref);
         while let Some(a) = words.next() {
             match a {
@@ -630,7 +628,6 @@ impl Telemetry {
                 }
                 _ => {
                     let Some(v) = a.strip_prefix("--progress=") else {
-                        rest.push(a);
                         continue;
                     };
                     let secs = v.parse::<f64>().ok();
@@ -642,7 +639,7 @@ impl Telemetry {
             }
         }
         if interval.is_none() && file.is_none() && listen.is_none() {
-            return Ok((None, rest));
+            return Ok(None);
         }
         let progress = Arc::new(WalkProgress::new());
         let sidecar = match listen {
@@ -668,7 +665,7 @@ impl Telemetry {
             reporter,
             _sidecar: sidecar,
         };
-        Ok((Some(telemetry), rest))
+        Ok(Some(telemetry))
     }
 
     /// Stop the heartbeat (emitting the final frame, whose totals now
@@ -804,9 +801,8 @@ mod tests {
     #[test]
     fn telemetry_flags_refuse_bad_values() {
         let none: [&str; 2] = ["quick", "--model"];
-        let (telemetry, rest) = Telemetry::from_args(&none).expect("no telemetry");
+        let telemetry = Telemetry::from_args(&none).expect("no telemetry");
         assert!(telemetry.is_none());
-        assert_eq!(rest, none, "every other word is handed back");
         for (args, want) in [
             (
                 &["--progress=0"][..],
@@ -844,8 +840,7 @@ mod tests {
         let tmp = std::env::temp_dir().join(format!("txmm-tele-{}.jsonl", std::process::id()));
         let path = tmp.to_str().expect("utf-8 path");
         let args = ["quick", "--progress-file", path, "--progres"];
-        let (t, rest) = Telemetry::from_args(&args).expect("starts");
-        assert_eq!(rest, ["quick", "--progres"]);
+        let t = Telemetry::from_args(&args).expect("starts");
         let t = t.expect("asked for");
         t.progress.add_total(4);
         t.progress.subtree_done(4, 9, 0, 0);

@@ -49,7 +49,7 @@ pub use consistent::{LeafChecker, PruneCounters};
 pub use diff::{distinguish, equivalent};
 pub use enumerate::{enumerate_reference, walk_weight, CandSeq, EnumConfig, Frontier, Subtree};
 pub use steal::{worker_count, StealStats};
-pub use suites::{synthesise, txn_histogram, FoundTest, SuiteResult};
+pub use suites::{synthesise, table1_config, txn_histogram, FoundTest, SuiteResult};
 pub use txmm_core::canon::canon_key;
 pub use walk::{
     count_consistent_par_progress, enumerate, oracle_for, visit_pruned_par_progress, Probe, Search,

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use txmm_core::incr::PruneStats;
 use txmm_core::Execution;
-use txmm_models::Model;
+use txmm_models::{Arch, Model};
 
 use crate::consistent::LeafChecker;
 use crate::enumerate::EnumConfig;
@@ -44,6 +44,17 @@ pub struct SuiteResult {
     pub prune: PruneStats,
     /// Total synthesis time.
     pub elapsed: Duration,
+}
+
+/// The synthesis space of a Table 1 row: two locations, dependencies
+/// on Power only, no attributes.
+pub fn table1_config(arch: Arch, events: usize) -> EnumConfig {
+    EnumConfig {
+        max_locs: 2,
+        deps: arch == Arch::Power,
+        attrs: false,
+        ..EnumConfig::hw(arch, events)
+    }
 }
 
 /// Synthesise the Forbid and Allow sets for `tm` against its non-TM
@@ -138,19 +149,25 @@ pub fn txn_histogram(forbid: &[FoundTest]) -> [usize; 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txmm_models::{Arch, Power, Sc, Tsc, X86};
+    use txmm_models::{Power, Sc, Tsc, X86};
 
-    fn x86_cfg(events: usize) -> EnumConfig {
-        EnumConfig {
-            max_locs: 2,
-            ..EnumConfig::hw(Arch::X86, events)
-        }
+    #[test]
+    fn config_shapes() {
+        let c = table1_config(Arch::X86, 4);
+        assert_eq!(c.events, 4);
+        assert!(!c.deps);
+        assert!(table1_config(Arch::Power, 3).deps);
     }
 
     #[test]
     fn no_two_event_x86_forbid_tests() {
         // Matches Table 1: |E| = 2 yields zero Forbid tests for x86.
-        let r = synthesise(&Walk::new(&x86_cfg(2)), &X86::tm(), &X86::base(), None);
+        let r = synthesise(
+            &Walk::new(&table1_config(Arch::X86, 2)),
+            &X86::tm(),
+            &X86::base(),
+            None,
+        );
         assert!(r.complete);
         assert_eq!(r.forbid.len(), 0, "paper reports 0 tests at |E|=2");
     }
@@ -158,7 +175,12 @@ mod tests {
     #[test]
     fn three_event_x86_forbid_tests_exist() {
         // Table 1 reports 4 Forbid tests at |E| = 3.
-        let r = synthesise(&Walk::new(&x86_cfg(3)), &X86::tm(), &X86::base(), None);
+        let r = synthesise(
+            &Walk::new(&table1_config(Arch::X86, 3)),
+            &X86::tm(),
+            &X86::base(),
+            None,
+        );
         assert!(r.complete);
         assert!(
             !r.forbid.is_empty(),
@@ -208,7 +230,7 @@ mod tests {
 
     #[test]
     fn parallel_synthesis_matches_sequential() {
-        let walk = Walk::new(&x86_cfg(3));
+        let walk = Walk::new(&table1_config(Arch::X86, 3));
         // Force multiple workers, so the work-stealing split-and-merge
         // logic is exercised even on one core.
         let par = synthesise(&walk.clone().workers(3), &X86::tm(), &X86::base(), None);
@@ -235,15 +257,11 @@ mod tests {
     /// only removes candidates that fail condition (c).
     #[test]
     fn pruned_synthesis_matches_plain() {
-        let power = |events| EnumConfig {
-            max_locs: 2,
-            ..EnumConfig::hw(Arch::Power, events)
-        };
         let (x86_tm, x86) = (X86::tm(), X86::base());
         let (power_tm, power_base) = (Power::tm(), Power::base());
         let rows: [(EnumConfig, &dyn Model, &dyn Model); 2] = [
-            (x86_cfg(4), &x86_tm, &x86),
-            (power(3), &power_tm, &power_base),
+            (table1_config(Arch::X86, 4), &x86_tm, &x86),
+            (table1_config(Arch::Power, 3), &power_tm, &power_base),
         ];
         for (cfg, tm, base) in rows {
             let name = format!("{:?} |E| = {}", cfg.arch, cfg.events);
@@ -269,7 +287,12 @@ mod tests {
 
     #[test]
     fn histogram_counts_txns() {
-        let r = synthesise(&Walk::new(&x86_cfg(3)), &X86::tm(), &X86::base(), None);
+        let r = synthesise(
+            &Walk::new(&table1_config(Arch::X86, 3)),
+            &X86::tm(),
+            &X86::base(),
+            None,
+        );
         let h = txn_histogram(&r.forbid);
         assert_eq!(h[0], 0, "every Forbid test has a transaction");
         assert_eq!(h.iter().sum::<usize>(), r.forbid.len());

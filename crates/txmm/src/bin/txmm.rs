@@ -1,6 +1,7 @@
 //! The `txmm` command-line front-end: batch litmus serving on top of a
 //! long-lived [`Session`], one-shot or as a socket daemon over the
-//! sharded Session pool.
+//! sharded Session pool, and the paper's evaluation runs
+//! ([`txmm::paper`]).
 //!
 //! ```text
 //! txmm models                        list every registered model
@@ -25,11 +26,28 @@
 //!                                    outcomes <file|dir> | reload |
 //!                                    models | stats | metrics |
 //!                                    shutdown
+//! txmm table1 [--events N]           Table 1: Forbid/Allow synthesis
+//!                                    for x86 and Power at every
+//!                                    |E| <= N (default 4), each test
+//!                                    run on the hardware machine
+//! txmm fig7 [--events N]             Fig. 7: when each x86 Forbid test
+//!                                    of |E| = N (default 4) was found
+//! txmm table2 [--verbose]            Table 2: monotonicity, compilation
+//!                                    and lock elision; --verbose prints
+//!                                    the counterexample executions
+//! txmm catalog [--verbose]           every named execution of the paper
+//!                                    with its verdicts; --verbose adds
+//!                                    the litmus listings
+//! txmm walk <model> [--events N]     count the classes of |E| = N
+//!                                    (default 4) that <model> deems
+//!                                    consistent, with prune counters
 //!
 //! serve/check options:
 //!   --model NAME   restrict verdicts to NAME (repeatable)
-//!   --cat FILE     register a user-supplied .cat model (repeatable)
-//!   --with-cat     also register the shipped .cat twins (<name>.cat)
+//!   --cat FILE     register a user-supplied .cat model (repeatable;
+//!                  also read by models, walk and the daemon)
+//!   --with-cat     also register the shipped .cat twins (<name>.cat;
+//!                  also read by walk and the daemon)
 //!   --warm         serve the corpus twice and report cold-vs-warm
 //!                  timing (the analysis-cache speedup) on stderr
 //!   --prom         dump the process metrics registry as Prometheus
@@ -39,8 +57,8 @@
 //!   --max-candidates N  raise (or lower) the candidate-count refusal
 //!                       threshold from its default of 65536
 //!
-//! telemetry options (gen and outcomes; parsed by txmm::obs::Telemetry,
-//! like those of the table1, fig7 and prune_counts drivers):
+//! telemetry options (gen, outcomes, table1, fig7 and walk; parsed by
+//! txmm::obs::Telemetry):
 //!   --progress[=SECS]     emit one JSONL progress frame per interval
 //!                         (default 1s, SECS > 0) on stderr: fraction
 //!                         done, candidates/sec, ETA, per-worker
@@ -60,21 +78,28 @@
 //!                  round, until the target goes away
 //! ```
 //!
-//! The flags are listed once (`VALUE_FLAGS`, `BARE_FLAGS`) and a
-//! command line is parsed once, before any command starts: an unknown
-//! flag, or a value flag at the end of the line or followed by another
-//! flag, exits 1 with `error: ...` and the usage, and prints nothing on
-//! stdout. Every command builds its Session as the daemon builds each
-//! shard's ([`PoolConfig::build_session`]), and the one-shot
-//! `serve`/`check` and `outcomes` share one file loop (`serve_files`).
+//! The flags are listed once (`VALUE_FLAGS`, `BARE_FLAGS`), and so are
+//! the flags each command reads (`COMMANDS`). A command line is parsed
+//! once, before any command starts: an unknown flag, a flag the command
+//! does not read, or a value flag at the end of the line or followed by
+//! another flag, exits 1 with `error: ...` and the usage, and prints
+//! nothing on stdout. Every command writes its stdout through one
+//! writer; when the reader goes away (`txmm serve DIR | head -1`), the
+//! command stops and exits 0. Every command builds its Session as the
+//! daemon builds each shard's ([`PoolConfig::build_session`]), and the
+//! one-shot `serve`/`check` and `outcomes` share one file loop
+//! (`serve_files`).
 
-use std::io::{BufRead, BufReader, IsTerminal, Read, Write};
+use std::error::Error;
+use std::io::{self, BufRead, BufReader, IsTerminal, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use txmm::daemon::{Daemon, ListenAddr, PoolConfig, SessionPool};
-use txmm::obs::Telemetry;
+use txmm::obs::{Telemetry, WalkProgress};
+use txmm::paper;
 use txmm::protocol::{parse_json, Request};
 use txmm::serve::{
     collect_litmus_files, jsonl_line, outcomes_jsonl_line, read_source, serve_outcomes_source,
@@ -99,7 +124,33 @@ const VALUE_FLAGS: [&str; 11] = [
 
 /// Every flag that takes none; `--progress=SECS` is `--progress` with
 /// its interval attached.
-const BARE_FLAGS: [&str; 4] = ["--with-cat", "--warm", "--prom", "--progress"];
+const BARE_FLAGS: [&str; 5] = ["--with-cat", "--warm", "--prom", "--progress", "--verbose"];
+
+/// The telemetry flags, read by [`Telemetry::from_args`].
+const TELEMETRY: [&str; 3] = ["--progress", "--progress-file", "--metrics-listen"];
+
+/// Each command, the flags it reads, and whether it reads the
+/// [`TELEMETRY`] flags too; any other flag is refused before the
+/// command starts. `check` is `serve`, and `serve --listen` (the
+/// daemon) reads its own set.
+#[rustfmt::skip]
+const COMMANDS: [(&str, &[&str], bool); 11] = [
+    ("models", &["--cat"], false),
+    ("gen", &["--events"], true),
+    ("serve", &["--model", "--cat", "--with-cat", "--warm", "--prom"], false),
+    ("serve --listen", &["--listen", "--cat", "--with-cat", "--shards", "--max-conns"], false),
+    ("outcomes", &["--model", "--cat", "--with-cat", "--warm", "--prom", "--max-candidates"], true),
+    ("client", &["--model", "--max-candidates", "--trace", "--prom", "--watch"], false),
+    ("table1", &["--events"], true),
+    ("fig7", &["--events"], true),
+    ("table2", &["--verbose"], false),
+    ("catalog", &["--verbose"], false),
+    ("walk", &["--events", "--cat", "--with-cat"], true),
+];
+
+/// What a command returns: its exit code, or an error for `run` to
+/// print (a failed write to stdout among them).
+type Done<T = ExitCode> = Result<T, Box<dyn Error>>;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -113,55 +164,101 @@ fn usage() -> ExitCode {
          \u{20} outcomes <dir|file...> [opts] serve allowed-outcome tables\n\
          \u{20} check <file...> [opts]        alias for serve\n\
          \u{20} client <addr> <request>       query a running daemon\n\
+         \u{20} table1 [--events N]           Table 1: synthesis at every |E| <= N (4)\n\
+         \u{20} fig7 [--events N]             Fig. 7: synthesis times at |E| = N (4)\n\
+         \u{20} table2 [--verbose]            Table 2: the metatheory matrix\n\
+         \u{20} catalog [--verbose]           every named paper execution + verdicts\n\
+         \u{20} walk <model> [--events N]     count consistent classes at |E| = N (4)\n\
          \n\
-         serve options: --model NAME, --cat FILE, --with-cat, --warm, --prom,\n\
-         \u{20}               --listen ADDR, --shards N, --max-conns N\n\
+         serve options: --model NAME, --cat FILE, --with-cat, --warm, --prom\n\
+         daemon options: --cat FILE, --with-cat, --shards N, --max-conns N\n\
          outcomes options: serve options plus --max-candidates N\n\
-         telemetry (gen/outcomes): --progress[=SECS] heartbeat JSONL frames on\n\
-         \u{20} stderr, --progress-file FILE to redirect them, --metrics-listen\n\
-         \u{20} ADDR to scrape live metrics from the one-shot process\n\
+         models options: --cat FILE; walk options: --cat FILE, --with-cat\n\
+         --verbose: table2 prints its counterexamples, catalog its litmus listings\n\
+         telemetry (gen/outcomes/table1/fig7/walk): --progress[=SECS] heartbeat\n\
+         \u{20} JSONL frames on stderr, --progress-file FILE to redirect them,\n\
+         \u{20} --metrics-listen ADDR to scrape live metrics from the process\n\
          client requests: check <file>, batch <dir>, outcomes <file|dir>,\n\
          \u{20}                reload, models, stats, metrics [--prom], shutdown\n\
-         client options: --trace ID (check/outcomes span timeline),\n\
-         \u{20}               --watch SECS (re-poll metrics on an interval)\n\
+         client options: --model NAME, --max-candidates N, --trace ID\n\
+         \u{20}               (check/outcomes span timeline), --watch SECS\n\
+         \u{20}               (re-poll metrics on an interval)\n\
          \n\
-         An unknown flag, or a value flag without its value, is refused\n\
-         before any command starts."
+         An unknown flag, a flag the command does not read, or a value flag\n\
+         without its value, is refused before any command starts."
     );
     ExitCode::FAILURE
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    run(&args)
+    run(&args, &mut io::stdout().lock())
 }
 
-/// Dispatch one command line (without the program name). The flags are
-/// parsed once, before any command does work; a command's error is
-/// printed as `error: ...` and exits 1.
-fn run(words: &[String]) -> ExitCode {
+/// Dispatch one command line (without the program name), writing the
+/// command's stdout to `out`. The flags are parsed once, before any
+/// command does work; a command's error is printed as `error: ...` and
+/// exits 1, and a closed `out` (a broken pipe) ends it with exit 0.
+fn run(words: &[String], out: &mut impl Write) -> ExitCode {
     let Some((cmd, words)) = words.split_first() else {
         return usage();
     };
-    let args = match Args::parse(words) {
+    let args = match Args::parse(cmd, words) {
         Ok(args) => args,
         Err(e) => {
             eprintln!("error: {e}");
             return usage();
         }
     };
+    let verbose = args.has("--verbose");
     let done = match cmd.as_str() {
-        "models" => cmd_models(&args),
+        "models" => cmd_models(&args, out),
         "gen" => cmd_gen(&args),
-        "serve" | "check" => cmd_serve(&args),
-        "outcomes" => cmd_outcomes(&args),
-        "client" => cmd_client(&args),
-        _ => return usage(),
+        "serve" | "check" => cmd_serve(&args, out),
+        "outcomes" => cmd_outcomes(&args, out),
+        "client" => cmd_client(&args, out),
+        "table1" => cmd_table1(&args, out),
+        "fig7" => cmd_fig7(&args, out),
+        "table2" => written(paper::table2(out, verbose)),
+        "catalog" => written(paper::catalog(out, verbose)),
+        "walk" => cmd_walk(&args, out),
+        _ => unreachable!("Args::parse refuses unknown commands"),
     };
-    done.unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        ExitCode::FAILURE
-    })
+    match done {
+        Ok(code) => code,
+        Err(e) if reader_gone(&*e) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Did writing stdout fail because its reader went away (`txmm serve
+/// DIR | head -1`)? The command then ends quietly.
+fn reader_gone(e: &(dyn Error + 'static)) -> bool {
+    let e = e.downcast_ref::<io::Error>();
+    e.is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe)
+}
+
+/// A report written in full exits 0.
+fn written(report: io::Result<()>) -> Done {
+    report?;
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The flags `cmd` reads and whether it reads the telemetry flags, from
+/// [`COMMANDS`]; `None` for an unknown command.
+fn reads(cmd: &str, daemon: bool) -> Option<(&'static [&'static str], bool)> {
+    let row = match (cmd, daemon) {
+        ("serve" | "check", true) => "serve --listen",
+        ("check", false) => "serve",
+        _ => cmd,
+    };
+    COMMANDS
+        .iter()
+        .find(|(name, ..)| *name == row)
+        .map(|&(_, flags, telemetry)| (flags, telemetry))
 }
 
 /// The words after the command, parsed once: positionals, every value
@@ -175,10 +272,11 @@ struct Args<'a> {
 }
 
 impl<'a> Args<'a> {
-    /// An unknown `--flag`, or a value flag followed by nothing or by
-    /// another flag, is an error, so no word is ever taken for a path or
-    /// a value by mistake.
-    fn parse(words: &'a [String]) -> Result<Args<'a>, String> {
+    /// An unknown command, an unknown `--flag`, a flag `cmd` does not
+    /// read, or a value flag followed by nothing or by another flag, is
+    /// an error, so no word is ever taken for a path or a value by
+    /// mistake, and no flag is silently ignored.
+    fn parse(cmd: &str, words: &'a [String]) -> Result<Args<'a>, String> {
         let mut args = Args {
             words,
             pos: Vec::new(),
@@ -200,7 +298,18 @@ impl<'a> Args<'a> {
                 args.pos.push(w);
             }
         }
-        Ok(args)
+        let daemon = args.value("--listen").is_some();
+        let (flags, telemetry) = reads(cmd, daemon).ok_or(format!("unknown command {cmd}"))?;
+        let bare = args
+            .bare
+            .iter()
+            .map(|w| w.split_once('=').map_or(*w, |(f, _)| f));
+        let mut given = args.values.iter().map(|&(flag, _)| flag).chain(bare);
+        let read = |flag: &&str| flags.contains(flag) || telemetry && TELEMETRY.contains(flag);
+        match given.find(|flag| !read(flag)) {
+            Some(flag) => Err(format!("unknown option {flag}")),
+            None => Ok(args),
+        }
     }
 
     /// Every value given for `flag`, in order.
@@ -225,6 +334,14 @@ impl<'a> Args<'a> {
         self.value(flag).map_or(Ok(0), |v| {
             v.parse()
                 .map_err(|_| format!("{flag} expects a non-negative integer, got {v:?}"))
+        })
+    }
+
+    /// `--events N`, `default` when absent; see
+    /// [`txmm::corpus::parse_event_bound`].
+    fn events(&self, default: usize) -> Result<usize, String> {
+        self.value("--events").map_or(Ok(default), |v| {
+            txmm::corpus::parse_event_bound(v).map_err(|e| format!("--events: {e}"))
         })
     }
 
@@ -253,7 +370,7 @@ impl<'a> Args<'a> {
     }
 }
 
-fn cmd_models(args: &Args) -> Result<ExitCode, String> {
+fn cmd_models(args: &Args, out: &mut impl Write) -> Done {
     let cfg = PoolConfig {
         with_cat: true,
         ..args.pool_config()
@@ -261,17 +378,29 @@ fn cmd_models(args: &Args) -> Result<ExitCode, String> {
     let session = cfg.build_session()?;
     for m in session.models() {
         let model = session.model(m);
-        println!(
+        writeln!(
+            out,
             "{:<14} arch={:<6} tm={}",
             model.name(),
             model.arch().name(),
             model.is_tm()
-        );
+        )?;
     }
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_gen(args: &Args) -> Result<ExitCode, String> {
+/// Start the telemetry the flags ask for, run `f` with its progress
+/// accumulator, then stop it: the final frame's totals are the walks'.
+fn with_telemetry<T>(args: &Args, f: impl FnOnce(Option<Arc<WalkProgress>>) -> Done<T>) -> Done<T> {
+    let telemetry = Telemetry::from_args(args.words)?;
+    let done = f(telemetry.as_ref().map(|t| t.progress.clone()));
+    if let Some(t) = telemetry {
+        t.finish();
+    }
+    done
+}
+
+fn cmd_gen(args: &Args) -> Done {
     let Some(&dir) = args.pos.first() else {
         eprintln!(
             "usage: txmm gen <dir> [--events N] [--progress[=SECS]] [--progress-file FILE] \
@@ -279,19 +408,15 @@ fn cmd_gen(args: &Args) -> Result<ExitCode, String> {
         );
         return Ok(ExitCode::FAILURE);
     };
-    let events = match args.value("--events") {
-        None => 3,
-        Some(v) => txmm::corpus::parse_event_bound(v).map_err(|e| format!("--events: {e}"))?,
-    };
-    let (telemetry, _) = Telemetry::from_args(args.words)?;
+    let events = args.events(3)?;
     let dir = PathBuf::from(dir);
-    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    let mut session = Session::new();
-    session.set_walk_progress(telemetry.as_ref().map(|t| t.progress.clone()));
-    let corpus = txmm::corpus::generate_on(&session, events);
-    if let Some(t) = telemetry {
-        t.finish();
-    }
+    let corpus = with_telemetry(args, |progress| {
+        std::fs::create_dir_all(&dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+        let mut session = Session::new();
+        session.set_walk_progress(progress);
+        Ok(txmm::corpus::generate_on(&session, events))
+    })?;
     for (i, (name, text)) in corpus.iter().enumerate() {
         let path = dir.join(format!("{i:02}-{name}.litmus"));
         std::fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -300,8 +425,43 @@ fn cmd_gen(args: &Args) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// `txmm table1 [--events N]`: Table 1 at every |E| up to N (4).
+fn cmd_table1(args: &Args, out: &mut impl Write) -> Done {
+    let events = args.events(4)?;
+    with_telemetry(args, |progress| {
+        written(paper::table1(out, events, progress))
+    })
+}
+
+/// `txmm fig7 [--events N]`: Fig. 7 at |E| = N (4).
+fn cmd_fig7(args: &Args, out: &mut impl Write) -> Done {
+    let events = args.events(4)?;
+    with_telemetry(args, |progress| written(paper::fig7(out, events, progress)))
+}
+
+/// `txmm walk <model> [--events N]`: one consistent walk of a model the
+/// Session registry resolves, at |E| = N (4).
+fn cmd_walk(args: &Args, out: &mut impl Write) -> Done {
+    let [name] = args.pos[..] else {
+        eprintln!(
+            "usage: txmm walk <model> [--events N] [--cat FILE] [--with-cat] \
+             [--progress[=SECS]] [--progress-file FILE] [--metrics-listen ADDR]"
+        );
+        return Ok(ExitCode::FAILURE);
+    };
+    let events = args.events(4)?;
+    let mut session = args.pool_config().build_session()?;
+    let model = session
+        .resolve(name)
+        .ok_or_else(|| format!("unknown model {name} (try `txmm models`)"))?;
+    with_telemetry(args, |progress| {
+        session.set_walk_progress(progress);
+        written(paper::walk(out, &session, model, events))
+    })
+}
+
 /// Daemon mode: `txmm serve --listen <addr>`.
-fn cmd_serve_daemon(args: &Args, listen: &str) -> Result<ExitCode, String> {
+fn cmd_serve_daemon(args: &Args, listen: &str) -> Done {
     let cfg = PoolConfig {
         shards: args.count("--shards")?,
         ..args.pool_config()
@@ -334,7 +494,7 @@ fn connect(addr: &str) -> std::io::Result<Box<dyn ReadWrite>> {
 trait ReadWrite: Read + Write {}
 impl<T: Read + Write> ReadWrite for T {}
 
-fn cmd_client(args: &Args) -> Result<ExitCode, String> {
+fn cmd_client(args: &Args, out: &mut impl Write) -> Done {
     let (addr, what, arg) = match args.pos[..] {
         [addr, what] => (addr, what, None),
         [addr, what, arg] => (addr, what, Some(arg)),
@@ -384,7 +544,7 @@ fn cmd_client(args: &Args) -> Result<ExitCode, String> {
             prom: args.has("--prom"),
         },
         ("shutdown", None) => Request::Shutdown,
-        _ => return Err(format!("unknown client request {what} {arg:?}")),
+        _ => return Err(format!("unknown client request {what} {arg:?}").into()),
     };
     // `metrics --watch SECS` polls on an interval, reconnecting each
     // round (one-shot sidecars and daemons alike serve one frame per
@@ -398,19 +558,19 @@ fn cmd_client(args: &Args) -> Result<ExitCode, String> {
         if !matches!(request, Request::Metrics { .. }) {
             return Err("--watch only applies to the metrics request".into());
         }
-        let clear = std::io::stdout().is_terminal();
+        let clear = io::stdout().is_terminal();
         loop {
             if clear {
                 // Clear between frames, watch(1)-style, when
                 // interactive; piped output stays plain JSONL.
-                print!("\x1b[2J\x1b[H");
+                write!(out, "\x1b[2J\x1b[H")?;
             }
-            client_round_trip(addr, &request)?;
-            let _ = std::io::stdout().flush();
+            client_round_trip(addr, &request, out)?;
+            out.flush()?;
             std::thread::sleep(interval);
         }
     }
-    match client_round_trip(addr, &request)? {
+    match client_round_trip(addr, &request, out)? {
         0 => Ok(ExitCode::SUCCESS),
         failures => {
             eprintln!("{failures} error responses");
@@ -420,9 +580,9 @@ fn cmd_client(args: &Args) -> Result<ExitCode, String> {
 }
 
 /// One request/response frame against a daemon or metrics sidecar:
-/// connect, send, print response lines up to the blank terminator.
-/// Returns how many of them were error responses.
-fn client_round_trip(addr: &str, request: &Request) -> Result<usize, String> {
+/// connect, send, write response lines to `out` up to the blank
+/// terminator. Returns how many of them were error responses.
+fn client_round_trip(addr: &str, request: &Request, out: &mut impl Write) -> Done<usize> {
     let stream = connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     let mut stream = BufReader::new(stream);
     stream
@@ -441,9 +601,9 @@ fn client_round_trip(addr: &str, request: &Request) -> Result<usize, String> {
                     break; // frame terminator
                 }
                 failures += usize::from(is_error_response(l));
-                println!("{l}");
+                writeln!(out, "{l}")?;
             }
-            Err(e) => return Err(e.to_string()),
+            Err(e) => return Err(e.to_string().into()),
         }
     }
     Ok(failures)
@@ -475,7 +635,7 @@ struct OneShot<R> {
 
 /// `txmm serve|check <dir|file...>`: one verdict line per test, or the
 /// socket daemon under `--listen`.
-fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
+fn cmd_serve(args: &Args, out: &mut impl Write) -> Done {
     if let Some(listen) = args.value("--listen") {
         return cmd_serve_daemon(args, listen);
     }
@@ -483,6 +643,7 @@ fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
     serve_files(
         args,
         session,
+        out,
         OneShot {
             usage: "usage: txmm serve <dir|file...> [--model NAME] [--cat FILE] [--with-cat] \
                     [--warm]\n\
@@ -506,46 +667,51 @@ fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
 /// per-model allowed-outcome table, one JSONL line per test
 /// (byte-identical to the daemon's `outcomes` answers over the same
 /// tests).
-fn cmd_outcomes(args: &Args) -> Result<ExitCode, String> {
+fn cmd_outcomes(args: &Args, out: &mut impl Write) -> Done {
     let mut session = args.pool_config().build_session()?;
     if let Some(cap) = args.max_candidates()? {
         session.set_max_candidates(cap);
     }
-    let (telemetry, _) = Telemetry::from_args(args.words)?;
-    session.set_walk_progress(telemetry.as_ref().map(|t| t.progress.clone()));
-    let done = serve_files(
-        args,
-        session,
-        OneShot {
-            usage: "usage: txmm outcomes <dir|file...> [--model NAME] [--cat FILE] [--with-cat] \
+    with_telemetry(args, |progress| {
+        session.set_walk_progress(progress);
+        serve_files(
+            args,
+            session,
+            out,
+            OneShot {
+                usage:
+                    "usage: txmm outcomes <dir|file...> [--model NAME] [--cat FILE] [--with-cat] \
                     [--warm] [--max-candidates N]",
-            noun: "outcome tables",
-            serve: serve_outcomes_source,
-            render: outcomes_jsonl_line,
-            counts: |s| {
-                format!(
-                    "{} candidates in {} classes, {} outcome entries, \
+                noun: "outcome tables",
+                serve: serve_outcomes_source,
+                render: outcomes_jsonl_line,
+                counts: |s| {
+                    format!(
+                        "{} candidates in {} classes, {} outcome entries, \
                      {} outcome hits / {} misses",
-                    s.outcome_candidates,
-                    s.outcome_classes,
-                    s.outcome_entries,
-                    s.outcome_hits,
-                    s.outcome_misses
-                )
+                        s.outcome_candidates,
+                        s.outcome_classes,
+                        s.outcome_entries,
+                        s.outcome_hits,
+                        s.outcome_misses
+                    )
+                },
             },
-        },
-    );
-    if let Some(t) = telemetry {
-        t.finish();
-    }
-    done
+        )
+    })
 }
 
 /// The one-shot file loop: resolve `--model`, expand each directory
-/// into its `.litmus` files, serve every file once printing its JSONL
-/// line, serve them all again under `--warm`, summarise on stderr, dump
-/// the metrics registry under `--prom`, and fail if any file failed.
-fn serve_files<R>(args: &Args, mut session: Session, cmd: OneShot<R>) -> Result<ExitCode, String> {
+/// into its `.litmus` files, serve every file once writing its JSONL
+/// line to `out`, serve them all again under `--warm`, summarise on
+/// stderr, dump the metrics registry under `--prom`, and fail if any
+/// file failed.
+fn serve_files<R>(
+    args: &Args,
+    mut session: Session,
+    out: &mut impl Write,
+    cmd: OneShot<R>,
+) -> Done {
     if args.pos.is_empty() {
         eprintln!("{}", cmd.usage);
         return Ok(ExitCode::FAILURE);
@@ -569,14 +735,14 @@ fn serve_files<R>(args: &Args, mut session: Session, cmd: OneShot<R>) -> Result<
         }
     }
     if files.is_empty() {
-        return Err("no .litmus files found".to_string());
+        return Err("no .litmus files found".into());
     }
     let mut failures = 0usize;
     // Each pass times ONLY the serving calls, so the cold/warm
     // comparison measures the caches, not JSONL formatting or stdout
     // throughput; a --warm rerun serves the same files, so failures are
     // counted in the first pass only.
-    let mut pass = |session: &mut Session, print: bool| -> u128 {
+    let mut pass = |session: &mut Session, print: bool| -> io::Result<u128> {
         let mut micros = 0u128;
         for f in &files {
             let start = Instant::now();
@@ -585,13 +751,14 @@ fn serve_files<R>(args: &Args, mut session: Session, cmd: OneShot<R>) -> Result<
             micros += start.elapsed().as_micros();
             if print {
                 failures += usize::from(served.is_err());
-                println!("{}", (cmd.render)(&served));
+                writeln!(out, "{}", (cmd.render)(&served))?;
             }
         }
-        micros
+        Ok(micros)
     };
-    let cold = pass(&mut session, true);
+    let cold = pass(&mut session, true)?;
     let warm = args.has("--warm").then(|| pass(&mut session, false));
+    let warm = warm.transpose()?;
     let (n, noun, counts) = (files.len(), cmd.noun, (cmd.counts)(&session.stats()));
     match warm {
         Some(warm) => eprintln!(
@@ -618,12 +785,18 @@ mod tests {
         ws.iter().map(|w| w.to_string()).collect()
     }
 
+    /// Run a command line; its exit code and what it wrote to stdout.
+    fn output(line: &[&str]) -> (ExitCode, Vec<u8>) {
+        let mut out = Vec::new();
+        (run(&words(line), &mut out), out)
+    }
+
     #[test]
     fn gen_refuses_event_bounds_past_the_cap() {
         let dir = std::env::temp_dir().join(format!("txmm-gen-cap-{}", std::process::id()));
         for bad in ["17", "65"] {
-            let args = words(&["gen", dir.to_str().expect("utf-8 path"), "--events", bad]);
-            assert_eq!(run(&args), ExitCode::FAILURE, "--events {bad}");
+            let line = ["gen", dir.to_str().expect("utf-8 path"), "--events", bad];
+            assert_eq!(output(&line).0, ExitCode::FAILURE, "--events {bad}");
         }
         assert!(!dir.exists(), "refused before creating the directory");
     }
@@ -637,22 +810,125 @@ mod tests {
         for (flag, value) in [("--bogus", "4"), ("--workers", "2")] {
             let args = words(&["f.litmus", flag, value]);
             assert_eq!(
-                Args::parse(&args).err(),
+                Args::parse("outcomes", &args).err(),
                 Some(format!("unknown option {flag}")),
                 "{flag}"
             );
             for cmd in ["gen", "outcomes", "serve"] {
-                let args = words(&[cmd, dir, flag, value]);
-                assert_eq!(run(&args), ExitCode::FAILURE, "{cmd} {flag}");
+                assert_eq!(output(&[cmd, dir, flag, value]).0, ExitCode::FAILURE);
             }
         }
         assert!(!std::path::Path::new(dir).exists(), "gen never started");
         // The known flags still parse, bare and valued alike.
         let args = words(&["a", "--with-cat", "--progress=2", "--model", "x86", "b"]);
-        let args = Args::parse(&args).expect("known flags");
+        let args = Args::parse("outcomes", &args).expect("known flags");
         assert_eq!(args.pos, ["a", "b"]);
         assert_eq!(args.value("--model"), Some("x86"));
         assert!(args.has("--with-cat"));
+    }
+
+    /// A known flag is read only by the commands `COMMANDS` gives it to:
+    /// every other command refuses it like an unknown flag, before it
+    /// starts, instead of running without it.
+    #[test]
+    fn flags_a_command_does_not_read_are_refused() {
+        let dir = std::env::temp_dir().join(format!("txmm-unread-{}", std::process::id()));
+        let dir = dir.to_str().expect("utf-8 path");
+        for (line, flag) in [
+            (
+                &[
+                    "outcomes",
+                    "f.litmus",
+                    "--listen",
+                    "127.0.0.1:0",
+                    "--events",
+                    "9",
+                ][..],
+                "--listen",
+            ),
+            (&["serve", dir, "--progress=1", "--events", "6"], "--events"),
+            (&["check", dir, "--progress=1"], "--progress"),
+            (&["serve", dir, "--shards", "2"], "--shards"),
+            (&["serve", "--listen", "127.0.0.1:0", "--warm"], "--warm"),
+            (&["gen", dir, "--shards", "9", "--model", "x86"], "--shards"),
+            (&["models", "--with-cat"], "--with-cat"),
+            (
+                &["client", "127.0.0.1:0", "stats", "--cat", "x.cat"],
+                "--cat",
+            ),
+            (&["table1", "--verbose"], "--verbose"),
+            (&["table2", "--events", "6"], "--events"),
+            (
+                &["catalog", "--progress-file", "p.jsonl"],
+                "--progress-file",
+            ),
+            (&["walk", "x86-tm", "--model", "x86"], "--model"),
+        ] {
+            let (cmd, rest) = line.split_first().expect("a command");
+            let want = Some(format!("unknown option {flag}"));
+            assert_eq!(Args::parse(cmd, &words(rest)).err(), want, "{line:?}");
+            if !line.contains(&"--listen") {
+                assert_eq!(output(line), (ExitCode::FAILURE, Vec::new()), "{line:?}");
+            }
+        }
+        assert!(!std::path::Path::new(dir).exists(), "gen never started");
+        // The daemon the benchmark starts, and a serve with every flag.
+        let daemon = words(&["--listen", "127.0.0.1:0", "--with-cat", "--shards", "2"]);
+        assert!(Args::parse("serve", &daemon).is_ok());
+        let serve = words(&[
+            "d",
+            "--model",
+            "x86",
+            "--cat",
+            "c",
+            "--with-cat",
+            "--warm",
+            "--prom",
+        ]);
+        assert!(Args::parse("check", &serve).is_ok());
+        assert_eq!(
+            Args::parse("bogus", &[]).err(),
+            Some("unknown command bogus".into())
+        );
+    }
+
+    /// The paper's runs refuse an unknown model and a bound out of range
+    /// or not theirs, and print nothing on stdout.
+    #[test]
+    fn paper_runs_refuse_bad_models_and_bounds() {
+        for line in [
+            &["walk", "x86-6"][..],
+            &["walk"],
+            &["walk", "x86-tm", "power-tm"],
+            &["walk", "x86-tm", "--events", "0"],
+            &["table2", "--events", "6"],
+            &["table1", "--events", "17"],
+            &["fig7", "--events", "four"],
+        ] {
+            assert_eq!(output(line), (ExitCode::FAILURE, Vec::new()), "{line:?}");
+        }
+    }
+
+    /// A stdout that fails with a broken pipe ends the command with exit
+    /// 0; any other write error is an error.
+    #[test]
+    fn a_closed_stdout_ends_the_command_quietly() {
+        struct Closed(io::ErrorKind);
+        impl Write for Closed {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(self.0.into())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        for line in [&["models"][..], &["table2"], &["catalog", "--verbose"]] {
+            let line = words(line);
+            let pipe = &mut Closed(io::ErrorKind::BrokenPipe);
+            assert_eq!(run(&line, pipe), ExitCode::SUCCESS, "{line:?}");
+            let full = &mut Closed(io::ErrorKind::StorageFull);
+            assert_eq!(run(&line, full), ExitCode::FAILURE, "{line:?}");
+        }
     }
 
     /// A value flag at the end of the line, or followed by another flag,
@@ -667,11 +943,12 @@ mod tests {
             let want = Some(format!("{flag} expects a value"));
             for tail in [&[flag][..], &[flag, "--warm"]] {
                 let args = words(&[&[dir][..], tail].concat());
-                assert_eq!(Args::parse(&args).err(), want, "{tail:?}");
+                assert_eq!(Args::parse("serve", &args).err(), want, "{tail:?}");
             }
-            for cmd in ["models", "gen", "serve", "check", "outcomes", "client"] {
+            for (cmd, ..) in COMMANDS {
+                let cmd = cmd.split(' ').next().expect("a command name");
                 assert_eq!(
-                    run(&words(&[cmd, dir, flag])),
+                    output(&[cmd, dir, flag]).0,
                     ExitCode::FAILURE,
                     "{cmd} {flag}"
                 );
@@ -684,7 +961,7 @@ mod tests {
     fn garbage_counts_are_refused() {
         for flag in ["--shards", "--max-conns"] {
             let args = words(&["--listen", "127.0.0.1:0", flag, "abc"]);
-            let e = Args::parse(&args)
+            let e = Args::parse("serve", &args)
                 .expect("parses")
                 .count(flag)
                 .expect_err(flag);
@@ -692,9 +969,11 @@ mod tests {
                 e,
                 format!("{flag} expects a non-negative integer, got \"abc\"")
             );
-            let args = words(&[flag, "4"]);
-            assert_eq!(Args::parse(&args).expect("parses").count(flag), Ok(4));
-            assert_eq!(Args::parse(&[]).expect("parses").count(flag), Ok(0));
+            let args = words(&["--listen", "127.0.0.1:0", flag, "4"]);
+            let args = Args::parse("serve", &args).expect("parses");
+            assert_eq!(args.count(flag), Ok(4));
+            let args = Args::parse("serve", &[]).expect("parses");
+            assert_eq!(args.count(flag), Ok(0));
         }
     }
 

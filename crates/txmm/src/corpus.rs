@@ -35,9 +35,8 @@ pub fn sanitise(name: &str) -> String {
         .collect()
 }
 
-/// Parse a synthesis event bound (`txmm gen --events N`, the
-/// `TXMM_MAX_EVENTS` of the Table 1/Fig. 7 drivers): an integer in
-/// `1..=MAX_EVENTS`. No relation holds more than [`MAX_EVENTS`] events,
+/// Parse a synthesis event bound (`txmm gen|table1|fig7|walk --events
+/// N`): an integer in `1..=MAX_EVENTS`. No relation holds more than [`MAX_EVENTS`] events,
 /// so a larger bound would only panic inside the walk.
 pub fn parse_event_bound(s: &str) -> Result<usize, String> {
     match s.parse::<usize>() {
@@ -45,15 +44,6 @@ pub fn parse_event_bound(s: &str) -> Result<usize, String> {
         _ => Err(format!(
             "event bound must be an integer in 1..={MAX_EVENTS}, got {s:?}"
         )),
-    }
-}
-
-/// The event bound set in `TXMM_MAX_EVENTS` (see [`parse_event_bound`]),
-/// or `default` when the variable is unset.
-pub fn event_bound_from_env(default: usize) -> Result<usize, String> {
-    match std::env::var("TXMM_MAX_EVENTS") {
-        Ok(v) => parse_event_bound(&v).map_err(|e| format!("TXMM_MAX_EVENTS: {e}")),
-        Err(_) => Ok(default),
     }
 }
 

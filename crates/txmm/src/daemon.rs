@@ -401,6 +401,7 @@ impl SessionPool {
 
     /// Serve many litmus sources concurrently across the shards,
     /// returning one payload line per input, in input order.
+    #[cfg(test)]
     pub fn check_many(
         &self,
         items: Vec<(String, String)>,

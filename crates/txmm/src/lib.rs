@@ -47,6 +47,7 @@ pub use txmm_verify as verify;
 pub mod corpus;
 pub mod daemon;
 pub mod outcomes;
+pub mod paper;
 pub mod protocol;
 pub mod serve;
 pub mod session;

@@ -11,11 +11,7 @@ use txmm::litmus::render;
 use txmm::prelude::*;
 
 fn main() {
-    let events = txmm::corpus::event_bound_from_env(3).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-
+    let events = 3;
     let cfg = EnumConfig {
         arch: Arch::X86,
         events,

@@ -2,58 +2,20 @@
 //! sharded Session pool must answer concurrent clients byte-identically
 //! to one-shot `txmm serve`, and shut down cleanly on request.
 
-use std::io::{BufRead, BufReader, Read, Write};
+mod common;
+
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::thread;
 
+use common::{corpus, roundtrip, start_daemon};
 use txmm::daemon::{Daemon, ListenAddr, PoolConfig, SessionPool};
 use txmm::protocol::Request;
 use txmm::serve::{
     jsonl_line, outcomes_jsonl_line, serve_file, serve_outcomes_source, serve_source,
 };
 use txmm::session::Session;
-
-/// The standard generated corpus (50 tests at the default events=3).
-fn corpus() -> Vec<(String, String)> {
-    txmm::corpus::generate(3)
-        .into_iter()
-        .map(|(name, src)| (format!("{name}.litmus"), src))
-        .collect()
-}
-
-/// Send one request and read its response frame (lines up to the blank
-/// terminator).
-fn roundtrip<S: Read + Write>(stream: &mut BufReader<S>, req: &Request) -> Vec<String> {
-    stream
-        .get_mut()
-        .write_all(format!("{}\n", req.to_line()).as_bytes())
-        .expect("send request");
-    let mut lines = Vec::new();
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let n = stream.read_line(&mut line).expect("read response");
-        assert!(n > 0, "server closed mid-frame (got {lines:?})");
-        let l = line.trim_end_matches('\n');
-        if l.is_empty() {
-            return lines;
-        }
-        lines.push(l.to_string());
-    }
-}
-
-fn start_daemon(shards: usize) -> (String, thread::JoinHandle<()>) {
-    let pool = SessionPool::new(&PoolConfig {
-        shards,
-        ..PoolConfig::default()
-    })
-    .expect("pool builds");
-    let daemon = Daemon::bind(&ListenAddr::Tcp("127.0.0.1:0".into()), pool).expect("binds");
-    let addr = daemon.local_addr().to_string();
-    let server = thread::spawn(move || daemon.run().expect("daemon runs"));
-    (addr, server)
-}
 
 #[test]
 fn concurrent_clients_byte_identical_to_one_shot_serve() {

@@ -4,52 +4,13 @@
 //! request-latency buckets, and the daemon `stats` JSON must keep every
 //! key it had before the metrics registry migration.
 
-use std::io::{BufRead, BufReader, Read, Write};
+mod common;
+
+use std::io::BufReader;
 use std::net::TcpStream;
-use std::thread;
 
-use txmm::daemon::{Daemon, ListenAddr, PoolConfig, SessionPool};
+use common::{corpus, roundtrip, start_daemon};
 use txmm::protocol::{parse_json, Json, Request};
-
-fn corpus() -> Vec<(String, String)> {
-    txmm::corpus::generate(3)
-        .into_iter()
-        .map(|(name, src)| (format!("{name}.litmus"), src))
-        .collect()
-}
-
-/// Send one request and read its response frame (lines up to the blank
-/// terminator).
-fn roundtrip<S: Read + Write>(stream: &mut BufReader<S>, req: &Request) -> Vec<String> {
-    stream
-        .get_mut()
-        .write_all(format!("{}\n", req.to_line()).as_bytes())
-        .expect("send request");
-    let mut lines = Vec::new();
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let n = stream.read_line(&mut line).expect("read response");
-        assert!(n > 0, "server closed mid-frame (got {lines:?})");
-        let l = line.trim_end_matches('\n');
-        if l.is_empty() {
-            return lines;
-        }
-        lines.push(l.to_string());
-    }
-}
-
-fn start_daemon(shards: usize) -> (String, thread::JoinHandle<()>) {
-    let pool = SessionPool::new(&PoolConfig {
-        shards,
-        ..PoolConfig::default()
-    })
-    .expect("pool builds");
-    let daemon = Daemon::bind(&ListenAddr::Tcp("127.0.0.1:0".into()), pool).expect("binds");
-    let addr = daemon.local_addr().to_string();
-    let server = thread::spawn(move || daemon.run().expect("daemon runs"));
-    (addr, server)
-}
 
 fn check_req(file: &str, src: &str, trace: Option<&str>) -> Request {
     Request::Check {

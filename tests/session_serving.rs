@@ -2,18 +2,11 @@
 //! serving: warm (cached) answers must be byte-identical to cold-start
 //! answers, across the whole generated corpus.
 
+mod common;
+
+use common::corpus;
 use txmm::serve::serve_source;
 use txmm::session::Session;
-
-/// The standard generated corpus (`txmm::corpus::generate`, the same
-/// tests `txmm gen` writes to disk and the CI smoke job serves), as
-/// `(file, source)` pairs.
-fn corpus() -> Vec<(String, String)> {
-    txmm::corpus::generate(3)
-        .into_iter()
-        .map(|(name, src)| (format!("{name}.litmus"), src))
-        .collect()
-}
 
 /// Serve the corpus once, returning a timing-free fingerprint per test:
 /// every verdict (model name, consistency, violated axioms) and the
