@@ -1,5 +1,5 @@
 //! Every named execution from the paper, with the verdicts the paper
-//! assigns. Used by integration tests, the `catalog` bin, and examples.
+//! assigns. Used by integration tests, `txmm catalog`, and examples.
 
 use txmm_core::{Attrs, Call, ExecBuilder, Execution, Fence};
 
@@ -14,7 +14,7 @@ pub enum Expect {
 
 /// A named execution from the paper plus its expected verdicts.
 pub struct CatalogEntry {
-    /// Short identifier (used by the `catalog` bin).
+    /// Short identifier (used by `txmm catalog`).
     pub name: &'static str,
     /// Where in the paper it appears.
     pub paper_ref: &'static str,

@@ -21,7 +21,7 @@ use crate::arch::Arch;
 /// The outcome of checking one execution against one model.
 ///
 /// A verdict lists the *names* of every violated axiom, so tools can
-/// explain why an execution is forbidden (`table1`/`catalog` bins print
+/// explain why an execution is forbidden (`txmm catalog` prints
 /// these).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Verdict {

@@ -74,7 +74,7 @@ impl Highlights {
 }
 
 /// The intermediate relations of the Power model, exposed so tests and
-/// the `catalog` bin can explain verdicts edge by edge.
+/// `txmm catalog` can explain verdicts edge by edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PowerRelations {
     /// Preserved program order (herding-cats fixpoint).

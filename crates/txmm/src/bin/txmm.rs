@@ -78,12 +78,13 @@
 //!                  round, until the target goes away
 //! ```
 //!
-//! The flags are listed once (`VALUE_FLAGS`, `BARE_FLAGS`), and so are
-//! the flags each command reads (`COMMANDS`). A command line is parsed
-//! once, before any command starts: an unknown flag, a flag the command
-//! does not read, or a value flag at the end of the line or followed by
-//! another flag, exits 1 with `error: ...` and the usage, and prints
-//! nothing on stdout. Every command writes its stdout through one
+//! One table lists the flags and words each command reads (`COMMANDS`),
+//! and one list the flags that take a value (`VALUE_FLAGS`). A command
+//! line is parsed once, before any command starts: a flag the command
+//! does not read (an unknown one among them), a word past the ones it
+//! takes, or a value flag at the end of the line or followed by another
+//! flag, exits 1 with `error: ...` and the usage, and prints nothing on
+//! stdout. Every command writes its stdout through one
 //! writer; when the reader goes away (`txmm serve DIR | head -1`), the
 //! command stops and exits 0. Every command builds its Session as the
 //! daemon builds each shard's ([`PoolConfig::build_session`]), and the
@@ -92,13 +93,13 @@
 
 use std::error::Error;
 use std::io::{self, BufRead, BufReader, IsTerminal, Read, Write};
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use txmm::daemon::{Daemon, ListenAddr, PoolConfig, SessionPool};
-use txmm::obs::{Telemetry, WalkProgress};
+use txmm::obs::Telemetry;
 use txmm::paper;
 use txmm::protocol::{parse_json, Request};
 use txmm::serve::{
@@ -122,30 +123,28 @@ const VALUE_FLAGS: [&str; 11] = [
     "--watch",
 ];
 
-/// Every flag that takes none; `--progress=SECS` is `--progress` with
-/// its interval attached.
-const BARE_FLAGS: [&str; 5] = ["--with-cat", "--warm", "--prom", "--progress", "--verbose"];
-
 /// The telemetry flags, read by [`Telemetry::from_args`].
 const TELEMETRY: [&str; 3] = ["--progress", "--progress-file", "--metrics-listen"];
 
-/// Each command, the flags it reads, and whether it reads the
-/// [`TELEMETRY`] flags too; any other flag is refused before the
-/// command starts. `check` is `serve`, and `serve --listen` (the
-/// daemon) reads its own set.
+/// Each command: how many words it takes besides its flags, the flags
+/// it reads, and whether it reads the [`TELEMETRY`] flags too. Any other
+/// flag, and too few or too many words, is refused before the command
+/// starts. `check` is `serve`, and `serve --listen` (the daemon) reads
+/// its own set. A flag outside [`VALUE_FLAGS`] takes no value;
+/// `--progress=SECS` is `--progress` with its interval attached.
 #[rustfmt::skip]
-const COMMANDS: [(&str, &[&str], bool); 11] = [
-    ("models", &["--cat"], false),
-    ("gen", &["--events"], true),
-    ("serve", &["--model", "--cat", "--with-cat", "--warm", "--prom"], false),
-    ("serve --listen", &["--listen", "--cat", "--with-cat", "--shards", "--max-conns"], false),
-    ("outcomes", &["--model", "--cat", "--with-cat", "--warm", "--prom", "--max-candidates"], true),
-    ("client", &["--model", "--max-candidates", "--trace", "--prom", "--watch"], false),
-    ("table1", &["--events"], true),
-    ("fig7", &["--events"], true),
-    ("table2", &["--verbose"], false),
-    ("catalog", &["--verbose"], false),
-    ("walk", &["--events", "--cat", "--with-cat"], true),
+const COMMANDS: [(&str, RangeInclusive<usize>, &[&str], bool); 11] = [
+    ("models", 0..=0, &["--cat"], false),
+    ("gen", 1..=1, &["--events"], true),
+    ("serve", 1..=usize::MAX, &["--model", "--cat", "--with-cat", "--warm", "--prom"], false),
+    ("serve --listen", 0..=0, &["--listen", "--cat", "--with-cat", "--shards", "--max-conns"], false),
+    ("outcomes", 1..=usize::MAX, &["--model", "--cat", "--with-cat", "--warm", "--prom", "--max-candidates"], true),
+    ("client", 2..=3, &["--model", "--max-candidates", "--trace", "--prom", "--watch"], false),
+    ("table1", 0..=0, &["--events"], true),
+    ("fig7", 0..=0, &["--events"], true),
+    ("table2", 0..=0, &["--verbose"], false),
+    ("catalog", 0..=0, &["--verbose"], false),
+    ("walk", 1..=1, &["--events", "--cat", "--with-cat"], true),
 ];
 
 /// What a command returns: its exit code, or an error for `run` to
@@ -217,8 +216,8 @@ fn run(words: &[String], out: &mut impl Write) -> ExitCode {
         "serve" | "check" => cmd_serve(&args, out),
         "outcomes" => cmd_outcomes(&args, out),
         "client" => cmd_client(&args, out),
-        "table1" => cmd_table1(&args, out),
-        "fig7" => cmd_fig7(&args, out),
+        "table1" => cmd_synthesis(&args, out, paper::table1),
+        "fig7" => cmd_synthesis(&args, out, paper::fig7),
         "table2" => written(paper::table2(out, verbose)),
         "catalog" => written(paper::catalog(out, verbose)),
         "walk" => cmd_walk(&args, out),
@@ -247,20 +246,6 @@ fn written(report: io::Result<()>) -> Done {
     Ok(ExitCode::SUCCESS)
 }
 
-/// The flags `cmd` reads and whether it reads the telemetry flags, from
-/// [`COMMANDS`]; `None` for an unknown command.
-fn reads(cmd: &str, daemon: bool) -> Option<(&'static [&'static str], bool)> {
-    let row = match (cmd, daemon) {
-        ("serve" | "check", true) => "serve --listen",
-        ("check", false) => "serve",
-        _ => cmd,
-    };
-    COMMANDS
-        .iter()
-        .find(|(name, ..)| *name == row)
-        .map(|&(_, flags, telemetry)| (flags, telemetry))
-}
-
 /// The words after the command, parsed once: positionals, every value
 /// flag with its value, and the bare flags.
 struct Args<'a> {
@@ -272,10 +257,11 @@ struct Args<'a> {
 }
 
 impl<'a> Args<'a> {
-    /// An unknown command, an unknown `--flag`, a flag `cmd` does not
-    /// read, or a value flag followed by nothing or by another flag, is
-    /// an error, so no word is ever taken for a path or a value by
-    /// mistake, and no flag is silently ignored.
+    /// An unknown command, a flag `cmd` does not read (an unknown one
+    /// among them), too few or too many words for `cmd`, or a value flag
+    /// followed by nothing or by another flag, is an error, so no word is
+    /// ever taken for a path or a value by mistake, and none is silently
+    /// ignored.
     fn parse(cmd: &str, words: &'a [String]) -> Result<Args<'a>, String> {
         let mut args = Args {
             words,
@@ -290,24 +276,30 @@ impl<'a> Args<'a> {
                     Some(v) if !v.starts_with("--") => args.values.push((w, v)),
                     _ => return Err(format!("{w} expects a value")),
                 }
-            } else if BARE_FLAGS.contains(&w) || w.starts_with("--progress=") {
-                args.bare.push(w);
             } else if w.starts_with("--") {
-                return Err(format!("unknown option {w}"));
+                args.bare.push(w);
             } else {
                 args.pos.push(w);
             }
         }
-        let daemon = args.value("--listen").is_some();
-        let (flags, telemetry) = reads(cmd, daemon).ok_or(format!("unknown command {cmd}"))?;
-        let bare = args
-            .bare
-            .iter()
-            .map(|w| w.split_once('=').map_or(*w, |(f, _)| f));
+        let row = match (cmd, args.value("--listen")) {
+            ("serve" | "check", Some(_)) => "serve --listen",
+            ("check", None) => "serve",
+            _ => cmd,
+        };
+        let Some(&(_, ref takes, flags, telemetry)) = COMMANDS.iter().find(|c| c.0 == row) else {
+            return Err(format!("unknown command {cmd}"));
+        };
+        let bare = args.bare.iter();
+        let bare = bare.map(|&w| w.strip_prefix("--progress=").map_or(w, |_| "--progress"));
         let mut given = args.values.iter().map(|&(flag, _)| flag).chain(bare);
         let read = |flag: &&str| flags.contains(flag) || telemetry && TELEMETRY.contains(flag);
-        match given.find(|flag| !read(flag)) {
-            Some(flag) => Err(format!("unknown option {flag}")),
+        if let Some(flag) = given.find(|flag| !read(flag)) {
+            return Err(format!("unknown option {flag}"));
+        }
+        match args.pos.get(*takes.end()) {
+            Some(w) => Err(format!("unexpected argument {w:?}")),
+            None if args.pos.len() < *takes.start() => Err(format!("{cmd} is missing an argument")),
             None => Ok(args),
         }
     }
@@ -389,11 +381,16 @@ fn cmd_models(args: &Args, out: &mut impl Write) -> Done {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Start the telemetry the flags ask for, run `f` with its progress
-/// accumulator, then stop it: the final frame's totals are the walks'.
-fn with_telemetry<T>(args: &Args, f: impl FnOnce(Option<Arc<WalkProgress>>) -> Done<T>) -> Done<T> {
+/// Attach the telemetry the flags ask for to `session`, run `f` on it,
+/// then stop the telemetry: the final frame's totals are the walks'.
+fn with_telemetry<T>(
+    args: &Args,
+    mut session: Session,
+    f: impl FnOnce(&mut Session) -> Done<T>,
+) -> Done<T> {
     let telemetry = Telemetry::from_args(args.words)?;
-    let done = f(telemetry.as_ref().map(|t| t.progress.clone()));
+    session.set_walk_progress(telemetry.as_ref().map(|t| t.progress.clone()));
+    let done = f(&mut session);
     if let Some(t) = telemetry {
         t.finish();
     }
@@ -401,21 +398,12 @@ fn with_telemetry<T>(args: &Args, f: impl FnOnce(Option<Arc<WalkProgress>>) -> D
 }
 
 fn cmd_gen(args: &Args) -> Done {
-    let Some(&dir) = args.pos.first() else {
-        eprintln!(
-            "usage: txmm gen <dir> [--events N] [--progress[=SECS]] [--progress-file FILE] \
-             [--metrics-listen ADDR]"
-        );
-        return Ok(ExitCode::FAILURE);
-    };
     let events = args.events(3)?;
-    let dir = PathBuf::from(dir);
-    let corpus = with_telemetry(args, |progress| {
+    let dir = PathBuf::from(args.pos[0]);
+    let corpus = with_telemetry(args, Session::new(), |session| {
         std::fs::create_dir_all(&dir)
             .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        let mut session = Session::new();
-        session.set_walk_progress(progress);
-        Ok(txmm::corpus::generate_on(&session, events))
+        Ok(txmm::corpus::generate_on(session, events))
     })?;
     for (i, (name, text)) in corpus.iter().enumerate() {
         let path = dir.join(format!("{i:02}-{name}.litmus"));
@@ -425,38 +413,29 @@ fn cmd_gen(args: &Args) -> Done {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `txmm table1 [--events N]`: Table 1 at every |E| up to N (4).
-fn cmd_table1(args: &Args, out: &mut impl Write) -> Done {
+/// `txmm table1|fig7 [--events N]`: `run` at the bound (default 4).
+fn cmd_synthesis<W: Write>(
+    args: &Args,
+    out: &mut W,
+    run: fn(&mut W, &mut Session, usize) -> io::Result<()>,
+) -> Done {
     let events = args.events(4)?;
-    with_telemetry(args, |progress| {
-        written(paper::table1(out, events, progress))
+    with_telemetry(args, Session::new(), |session| {
+        written(run(out, session, events))
     })
-}
-
-/// `txmm fig7 [--events N]`: Fig. 7 at |E| = N (4).
-fn cmd_fig7(args: &Args, out: &mut impl Write) -> Done {
-    let events = args.events(4)?;
-    with_telemetry(args, |progress| written(paper::fig7(out, events, progress)))
 }
 
 /// `txmm walk <model> [--events N]`: one consistent walk of a model the
 /// Session registry resolves, at |E| = N (4).
 fn cmd_walk(args: &Args, out: &mut impl Write) -> Done {
-    let [name] = args.pos[..] else {
-        eprintln!(
-            "usage: txmm walk <model> [--events N] [--cat FILE] [--with-cat] \
-             [--progress[=SECS]] [--progress-file FILE] [--metrics-listen ADDR]"
-        );
-        return Ok(ExitCode::FAILURE);
-    };
+    let name = args.pos[0];
     let events = args.events(4)?;
-    let mut session = args.pool_config().build_session()?;
+    let session = args.pool_config().build_session()?;
     let model = session
         .resolve(name)
         .ok_or_else(|| format!("unknown model {name} (try `txmm models`)"))?;
-    with_telemetry(args, |progress| {
-        session.set_walk_progress(progress);
-        written(paper::walk(out, &session, model, events))
+    with_telemetry(args, session, |session| {
+        written(paper::walk(out, session, model, events))
     })
 }
 
@@ -495,17 +474,7 @@ trait ReadWrite: Read + Write {}
 impl<T: Read + Write> ReadWrite for T {}
 
 fn cmd_client(args: &Args, out: &mut impl Write) -> Done {
-    let (addr, what, arg) = match args.pos[..] {
-        [addr, what] => (addr, what, None),
-        [addr, what, arg] => (addr, what, Some(arg)),
-        _ => {
-            eprintln!(
-                "usage: txmm client <addr> check <file> | batch <dir> | outcomes <file|dir> | \
-                 reload | models | stats | metrics [--prom] | shutdown [--model NAME] [--trace ID]"
-            );
-            return Ok(ExitCode::FAILURE);
-        }
-    };
+    let (addr, what, arg) = (args.pos[0], args.pos[1], args.pos.get(2).copied());
     let trace = args.value("--trace").map(str::to_string);
     let models: Vec<String> = args.values("--model").map(str::to_string).collect();
     let models = (!models.is_empty()).then_some(models);
@@ -621,8 +590,6 @@ type Serve<R> = fn(&mut Session, &str, &str, Option<&[ModelRef]>) -> Result<R, T
 
 /// What the one-shot `serve`/`check` and `outcomes` commands differ in.
 struct OneShot<R> {
-    /// Printed when no path is given.
-    usage: &'static str,
     /// What one line answers, for the stderr summary.
     noun: &'static str,
     /// Serve one litmus source: `(session, file, source, models)`.
@@ -639,16 +606,12 @@ fn cmd_serve(args: &Args, out: &mut impl Write) -> Done {
     if let Some(listen) = args.value("--listen") {
         return cmd_serve_daemon(args, listen);
     }
-    let session = args.pool_config().build_session()?;
+    let mut session = args.pool_config().build_session()?;
     serve_files(
         args,
-        session,
+        &mut session,
         out,
         OneShot {
-            usage: "usage: txmm serve <dir|file...> [--model NAME] [--cat FILE] [--with-cat] \
-                    [--warm]\n\
-                    \u{20}      txmm serve --listen <addr> [--shards N] [--max-conns N] \
-                    [--cat FILE] [--with-cat]",
             noun: "tests",
             serve: serve_source,
             render: jsonl_line,
@@ -672,16 +635,12 @@ fn cmd_outcomes(args: &Args, out: &mut impl Write) -> Done {
     if let Some(cap) = args.max_candidates()? {
         session.set_max_candidates(cap);
     }
-    with_telemetry(args, |progress| {
-        session.set_walk_progress(progress);
+    with_telemetry(args, session, |session| {
         serve_files(
             args,
             session,
             out,
             OneShot {
-                usage:
-                    "usage: txmm outcomes <dir|file...> [--model NAME] [--cat FILE] [--with-cat] \
-                    [--warm] [--max-candidates N]",
                 noun: "outcome tables",
                 serve: serve_outcomes_source,
                 render: outcomes_jsonl_line,
@@ -708,14 +667,10 @@ fn cmd_outcomes(args: &Args, out: &mut impl Write) -> Done {
 /// file failed.
 fn serve_files<R>(
     args: &Args,
-    mut session: Session,
+    session: &mut Session,
     out: &mut impl Write,
     cmd: OneShot<R>,
 ) -> Done {
-    if args.pos.is_empty() {
-        eprintln!("{}", cmd.usage);
-        return Ok(ExitCode::FAILURE);
-    }
     let filter = args
         .values("--model")
         .map(|name| {
@@ -756,8 +711,8 @@ fn serve_files<R>(
         }
         Ok(micros)
     };
-    let cold = pass(&mut session, true)?;
-    let warm = args.has("--warm").then(|| pass(&mut session, false));
+    let cold = pass(session, true)?;
+    let warm = args.has("--warm").then(|| pass(session, false));
     let warm = warm.transpose()?;
     let (n, noun, counts) = (files.len(), cmd.noun, (cmd.counts)(&session.stats()));
     match warm {
@@ -890,10 +845,26 @@ mod tests {
             Args::parse("bogus", &[]).err(),
             Some("unknown command bogus".into())
         );
+        // Each command takes its own number of words.
+        for (line, want) in [
+            (&["gen"][..], "gen is missing an argument"),
+            (&["serve"], "serve is missing an argument"),
+            (&["client", "127.0.0.1:0"], "client is missing an argument"),
+            (&["models", "x"], "unexpected argument \"x\""),
+            (&["gen", "a", "b"], "unexpected argument \"b\""),
+            (
+                &["serve", "--listen", "127.0.0.1:0", "d"],
+                "unexpected argument \"d\"",
+            ),
+        ] {
+            let (cmd, rest) = line.split_first().expect("a command");
+            assert_eq!(Args::parse(cmd, &words(rest)).err().as_deref(), Some(want));
+        }
     }
 
-    /// The paper's runs refuse an unknown model and a bound out of range
-    /// or not theirs, and print nothing on stdout.
+    /// The paper's runs refuse an unknown model, a bound out of range or
+    /// not theirs, and a word they do not take, and print nothing on
+    /// stdout.
     #[test]
     fn paper_runs_refuse_bad_models_and_bounds() {
         for line in [
@@ -903,10 +874,33 @@ mod tests {
             &["walk", "x86-tm", "--events", "0"],
             &["table2", "--events", "6"],
             &["table1", "--events", "17"],
+            &["table1", "5"],
             &["fig7", "--events", "four"],
+            &["catalog", "litmus"],
         ] {
             assert_eq!(output(line), (ExitCode::FAILURE, Vec::new()), "{line:?}");
         }
+        assert_eq!(
+            Args::parse("table1", &words(&["5"])).err(),
+            Some("unexpected argument \"5\"".into())
+        );
+    }
+
+    /// `walk` resolves its model through the registry `--with-cat`
+    /// builds, and the shipped `.cat` twin keeps the native classes.
+    #[test]
+    fn walk_resolves_cat_twins() {
+        let count = |line: &[&str]| {
+            let (code, out) = output(line);
+            assert_eq!(code, ExitCode::SUCCESS, "{line:?}");
+            let out = String::from_utf8(out).expect("utf-8");
+            out.split_whitespace().nth(2).expect("a count").to_string()
+        };
+        let native = count(&["walk", "x86-tm", "--events", "3"]);
+        let twin = count(&["walk", "x86-tm.cat", "--with-cat", "--events", "3"]);
+        assert_eq!(twin, native);
+        let unregistered = output(&["walk", "x86-tm.cat", "--events", "3"]);
+        assert_eq!(unregistered, (ExitCode::FAILURE, Vec::new()));
     }
 
     /// A stdout that fails with a broken pipe ends the command with exit
@@ -972,7 +966,8 @@ mod tests {
             let args = words(&["--listen", "127.0.0.1:0", flag, "4"]);
             let args = Args::parse("serve", &args).expect("parses");
             assert_eq!(args.count(flag), Ok(4));
-            let args = Args::parse("serve", &[]).expect("parses");
+            let file = words(&["f.litmus"]);
+            let args = Args::parse("serve", &file).expect("parses");
             assert_eq!(args.count(flag), Ok(0));
         }
     }

@@ -5,7 +5,7 @@
 use txmm_core::MAX_EVENTS;
 use txmm_litmus::{litmus_from_execution, render};
 use txmm_models::{catalog, Arch};
-use txmm_synth::EnumConfig;
+use txmm_synth::table1_config;
 
 use crate::session::Session;
 
@@ -49,7 +49,7 @@ pub fn parse_event_bound(s: &str) -> Result<usize, String> {
 
 /// The standard generated corpus as `(file-stem, litmus source)` pairs:
 /// every named execution of the paper plus the synthesised x86
-/// Forbid/Allow suites at `events` events. At the default `events = 3`
+/// Forbid/Allow suites of Table 1's row at `events` events. At the default `events = 3`
 /// this is 50 tests.
 pub fn generate(events: usize) -> Vec<(String, String)> {
     generate_on(&Session::new(), events)
@@ -69,19 +69,7 @@ pub fn generate_on(session: &Session, events: usize) -> Vec<(String, String)> {
     // server uses.
     let tm = session.resolve("x86-tm").expect("registered");
     let base = session.resolve("x86").expect("registered");
-    let cfg = EnumConfig {
-        arch: Arch::X86,
-        events,
-        max_threads: 3,
-        max_locs: 2,
-        fences: true,
-        deps: false,
-        rmws: true,
-        txns: true,
-        attrs: false,
-        atomic_txns: false,
-    };
-    let suite = session.synthesise(&cfg, tm, base, None);
+    let suite = session.synthesise(&table1_config(Arch::X86, events), tm, base, None);
     for (i, f) in suite.forbid.iter().enumerate() {
         let name = format!("x86-forbid-{i}");
         let t = litmus_from_execution(&name, &f.exec, Arch::X86);

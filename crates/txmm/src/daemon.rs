@@ -399,21 +399,6 @@ impl SessionPool {
         txmm_obs::with_trace(Some(trace), || self.check(file, src, models))
     }
 
-    /// Serve many litmus sources concurrently across the shards,
-    /// returning one payload line per input, in input order.
-    #[cfg(test)]
-    pub fn check_many(
-        &self,
-        items: Vec<(String, String)>,
-        models: Option<Vec<String>>,
-    ) -> Vec<String> {
-        self.fan_out(
-            &items,
-            |(file, src)| self.route_check(file, src),
-            |shard, parsed| self.serve_check(shard, &parsed, models.as_deref()),
-        )
-    }
-
     /// Parse and convert on this thread, and route by the execution's
     /// canonical key.
     fn route_check(&self, file: &str, src: &str) -> Result<(usize, ParsedTest), String> {
@@ -1225,6 +1210,22 @@ mod tests {
     use std::sync::Barrier;
     use txmm_core::{ExecutionAnalysis, PruneOracle};
     use txmm_models::{Arch, Checker, Derived, Model};
+
+    impl SessionPool {
+        /// Serve many litmus sources concurrently across the shards,
+        /// returning one payload line per input, in input order.
+        fn check_many(
+            &self,
+            items: Vec<(String, String)>,
+            models: Option<Vec<String>>,
+        ) -> Vec<String> {
+            self.fan_out(
+                &items,
+                |(file, src)| self.route_check(file, src),
+                |shard, parsed| self.serve_check(shard, &parsed, models.as_deref()),
+            )
+        }
+    }
 
     /// A `check` of this file panics on its connection thread after its
     /// Session call, with the shard lock released.

@@ -7,15 +7,16 @@
 //!   Forbid suite (Fig. 7);
 //! * [`table2`] — the metatheory matrix: monotonicity, C++ compilation,
 //!   lock elision (Table 2);
-//! * [`catalog`] — every named execution of the paper with model
+//! * [`catalog()`] — every named execution of the paper with model
 //!   verdicts, litmus renderings and machine observability (Figs. 1–3,
 //!   10, §5.2, §8.1, §9, Ex. 1.1, App. B);
 //! * [`walk`] — one consistent walk of a model with its prune counters,
 //!   the counts pinned in `tests/enumeration_golden.rs`.
 //!
 //! Each run writes its report to the caller's writer and returns the
-//! first write error. Walks report into the progress accumulator the
-//! caller attaches ([`Session::set_walk_progress`]).
+//! first write error. The walking runs take the caller's [`Session`],
+//! so they report into the progress accumulator it attaches
+//! ([`Session::set_walk_progress`]).
 
 use std::io::{self, Write};
 use std::sync::Arc;
@@ -24,7 +25,6 @@ use std::time::{Duration, Instant};
 use txmm_core::{display, Execution};
 use txmm_litmus::{litmus_from_execution, render};
 use txmm_models::{catalog, Arch};
-use txmm_obs::WalkProgress;
 use txmm_synth::{table1_config, txn_histogram, EnumConfig, FoundTest, Walk};
 use txmm_verify::ElisionTarget;
 
@@ -43,11 +43,7 @@ use crate::session::{ModelRef, Session};
 /// so the table regenerates in minutes. Expected *shape*: Forbid tests
 /// are never observed; most Allow tests are observed, with the Power
 /// gap coming from load-buffering shapes (§5.3).
-pub fn table1(
-    out: &mut impl Write,
-    max_events: usize,
-    progress: Option<Arc<WalkProgress>>,
-) -> io::Result<()> {
+pub fn table1(out: &mut impl Write, session: &mut Session, max_events: usize) -> io::Result<()> {
     writeln!(
         out,
         "== Table 1: testing the transactional x86 and Power models =="
@@ -56,17 +52,8 @@ pub fn table1(
         out,
         "   (paper bounds: |E| ≤ 7/6 with SAT + hours; ours: |E| ≤ {max_events})\n"
     )?;
-    let mut session = Session::new();
-    session.set_walk_progress(progress);
-    table1_rows(out, &mut session, Arch::X86, "x86-tm", "x86", max_events)?;
-    table1_rows(
-        out,
-        &mut session,
-        Arch::Power,
-        "power-tm",
-        "power",
-        max_events,
-    )
+    table1_rows(out, session, Arch::X86, "x86-tm", "x86", max_events)?;
+    table1_rows(out, session, Arch::Power, "power-tm", "power", max_events)
 }
 
 /// One architecture's rows of Table 1, its totals and verdict lines.
@@ -89,7 +76,6 @@ fn table1_rows(
     for events in 2..=max_events {
         let cfg = table1_config(arch, events);
         let r = session.synthesise(&cfg, tm, base, None);
-        let fs = r.forbid.len();
         let f_seen = r
             .forbid
             .iter()
@@ -100,27 +86,26 @@ fn table1_rows(
             .iter()
             .filter(|a| session.observable(a, arch) == Some(true))
             .count();
-        let als = r.allow.len();
+        let (fs, als) = (r.forbid.len(), r.allow.len());
+        // Forbid T, S, ¬S, then Allow T, S, ¬S.
+        let row = [fs, f_seen, fs - f_seen, als, a_seen, als - a_seen];
         writeln!(
             out,
             "{:<6} {:<4} {:<9} {:>10} {:>4} {:>4} {:>10} {:>4} {:>4}{}",
             arch.name(),
             events,
             secs(r.elapsed),
-            fs,
-            f_seen,
-            fs - f_seen,
-            als,
-            a_seen,
-            als - a_seen,
+            row[0],
+            row[1],
+            row[2],
+            row[3],
+            row[4],
+            row[5],
             if r.complete { "" } else { "  (non-exhaustive)" },
         )?;
-        totals[0] += fs;
-        totals[1] += f_seen;
-        totals[2] += fs - f_seen;
-        totals[3] += als;
-        totals[4] += a_seen;
-        totals[5] += als - a_seen;
+        for (total, n) in totals.iter_mut().zip(row) {
+            *total += n;
+        }
         all_forbid.extend(r.forbid);
     }
     writeln!(
@@ -173,17 +158,11 @@ fn table1_rows(
 /// exhaustion). The enumerative engine at the default |E| = 4 exhibits
 /// the same front-loaded shape; the curve is printed as an ASCII plot
 /// plus the percentile table.
-pub fn fig7(
-    out: &mut impl Write,
-    events: usize,
-    progress: Option<Arc<WalkProgress>>,
-) -> io::Result<()> {
+pub fn fig7(out: &mut impl Write, session: &mut Session, events: usize) -> io::Result<()> {
     writeln!(
         out,
         "== Fig. 7: distribution of synthesis times ({events}-event x86 Forbid tests) ==\n"
     )?;
-    let mut session = Session::new();
-    session.set_walk_progress(progress);
     let r = session.synthesise(
         &table1_config(Arch::X86, events),
         session.resolve("x86-tm").expect("registered"),
@@ -209,7 +188,6 @@ pub fn fig7(
     let width = 50usize;
     let height = 20usize;
     let tmax = total.as_secs_f64().max(1e-9);
-    let mut grid = vec![vec![' '; width]; height];
     let rows: Vec<usize> = (0..width)
         .map(|col| {
             let t = tmax * (col as f64 + 1.0) / width as f64;
@@ -218,13 +196,14 @@ pub fn fig7(
             (((1.0 - pct) * (height as f64 - 1.0)).round() as usize).min(height - 1)
         })
         .collect();
-    for (col, &row) in rows.iter().enumerate() {
-        grid[row][col] = '*';
-    }
     writeln!(out, "Tests found (%)")?;
-    for (i, row) in grid.iter().enumerate() {
+    for i in 0..height {
         let label = 100 - i * 100 / (height - 1);
-        writeln!(out, "{label:>4}% |{}", row.iter().collect::<String>())?;
+        let line: String = rows
+            .iter()
+            .map(|&r| if r == i { '*' } else { ' ' })
+            .collect();
+        writeln!(out, "{label:>4}% |{line}")?;
     }
     writeln!(out, "      +{}", "-".repeat(width))?;
     writeln!(
@@ -289,51 +268,32 @@ pub fn table2(out: &mut impl Write, verbose: bool) -> io::Result<()> {
     let session = Session::new();
 
     // Monotonicity (paper: x86@6 ✗, Power@2 ✓, ARMv8@2 ✓, C++@6 ✗).
-    let mono: Vec<(&str, &str, Arch, usize)> = vec![
-        ("Monotonicity", "x86-tm", Arch::X86, 4),
-        ("Monotonicity", "power-tm", Arch::Power, 2),
-        ("Monotonicity", "armv8-tm", Arch::Armv8, 2),
-        ("Monotonicity", "cpp-tm", Arch::Cpp, 3),
-    ];
-    for (prop, model, arch, events) in mono {
+    for (model, arch, events) in [
+        ("x86-tm", Arch::X86, 4),
+        ("power-tm", Arch::Power, 2),
+        ("armv8-tm", Arch::Armv8, 2),
+        ("cpp-tm", Arch::Cpp, 3),
+    ] {
         let model = session.resolve(model).expect("registered model");
         let r = session.check_monotonicity(&mono_cfg(arch, events), model, None);
-        writeln!(
-            out,
-            "{:<14} {:<14} {:>7} {:>10}   {}",
-            prop,
-            arch.name(),
-            events,
-            secs(r.elapsed),
-            match &r.counterexample {
-                Some(_) => "YES (paper: YES for Power/ARMv8)",
-                None => "no",
-            }
-        )?;
-        if verbose {
-            if let Some((x, y)) = &r.counterexample {
-                writeln!(out, "--- inconsistent X:\n{}", display::render(x))?;
-                writeln!(out, "--- consistent Y (more stxn):\n{}", display::render(y))?;
-            }
-        }
+        let verdict = match &r.counterexample {
+            Some(_) => "YES (paper: YES for Power/ARMv8)",
+            None => "no",
+        };
+        table2_row(out, "Monotonicity", arch.name(), events, r.elapsed, verdict)?;
+        let labels = ["inconsistent X", "consistent Y (more stxn)"];
+        counterexample(out, verbose, &r.counterexample, labels)?;
     }
 
     // Compilation (paper: sound to all three at 6 events).
     for target in [Arch::X86, Arch::Power, Arch::Armv8] {
         let r = session.check_compilation(3, target, None);
-        writeln!(
-            out,
-            "{:<14} {:<14} {:>7} {:>10}   {}",
-            "Compilation",
-            format!("C++/{}", target.name()),
-            3,
-            secs(r.elapsed),
-            if r.counterexample.is_some() {
-                "YES (unexpected!)"
-            } else {
-                "no"
-            }
-        )?;
+        let verdict = match r.counterexample {
+            Some(_) => "YES (unexpected!)",
+            None => "no",
+        };
+        let target = format!("C++/{}", target.name());
+        table2_row(out, "Compilation", &target, 3, r.elapsed, verdict)?;
     }
 
     // Lock elision (paper: x86 U, Power U, ARMv8 YES in 63s, fixed U).
@@ -352,31 +312,46 @@ pub fn table2(out: &mut impl Write, verbose: bool) -> io::Result<()> {
             (Some(_), _) => "YES (unexpected!)",
             (None, _) => "no (exhaustive at this bound)",
         };
-        writeln!(
-            out,
-            "{:<14} {:<14} {:>7} {:>10}   {}",
-            "Lock elision",
-            target.name(),
-            9,
-            secs(r.elapsed),
-            verdict
-        )?;
-        if verbose {
-            if let Some((x, y)) = &r.counterexample {
-                writeln!(
-                    out,
-                    "--- abstract X (violates CROrder):\n{}",
-                    display::render(x)
-                )?;
-                writeln!(out, "--- concrete Y (consistent):\n{}", display::render(y))?;
-            }
-        }
+        table2_row(out, "Lock elision", target.name(), 9, r.elapsed, verdict)?;
+        let labels = ["abstract X (violates CROrder)", "concrete Y (consistent)"];
+        counterexample(out, verbose, &r.counterexample, labels)?;
     }
 
     writeln!(
         out,
         "\nRun with --verbose to print the counterexample executions."
     )
+}
+
+/// One row of Table 2.
+fn table2_row(
+    out: &mut impl Write,
+    property: &str,
+    target: &str,
+    events: usize,
+    time: Duration,
+    verdict: &str,
+) -> io::Result<()> {
+    let time = secs(time);
+    writeln!(
+        out,
+        "{property:<14} {target:<14} {events:>7} {time:>10}   {verdict}"
+    )
+}
+
+/// A counterexample pair of Table 2 under its two labels, when
+/// `verbose`.
+fn counterexample(
+    out: &mut impl Write,
+    verbose: bool,
+    pair: &Option<(Execution, Execution)>,
+    labels: [&str; 2],
+) -> io::Result<()> {
+    if let (true, Some((x, y))) = (verbose, pair) {
+        writeln!(out, "--- {}:\n{}", labels[0], display::render(x))?;
+        writeln!(out, "--- {}:\n{}", labels[1], display::render(y))?;
+    }
+    Ok(())
 }
 
 /// Prints every named execution from the paper — Figs. 1, 2, 3, 10,
@@ -541,7 +516,7 @@ mod tests {
     /// seen on the machine.
     #[test]
     fn table1_totals_at_three_events() {
-        let t = text(|out| table1(out, 3, None));
+        let t = text(|out| table1(out, &mut Session::new(), 3));
         // Forbid T, S, ¬S, then Allow T, S, ¬S.
         let totals: Vec<Vec<usize>> = t
             .lines()

@@ -9,21 +9,11 @@
 use txmm::hwsim::observable;
 use txmm::litmus::render;
 use txmm::prelude::*;
+use txmm::synth::table1_config;
 
 fn main() {
     let events = 3;
-    let cfg = EnumConfig {
-        arch: Arch::X86,
-        events,
-        max_threads: 3,
-        max_locs: 2,
-        fences: true,
-        deps: false,
-        rmws: true,
-        txns: true,
-        attrs: false,
-        atomic_txns: false,
-    };
+    let cfg = table1_config(Arch::X86, events);
     println!("synthesising x86 Forbid/Allow suites at |E| = {events} ...");
     let r = synthesise(&Walk::new(&cfg), &X86::tm(), &X86::base(), None);
     println!(
