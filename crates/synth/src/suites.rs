@@ -151,6 +151,10 @@ mod tests {
     use super::*;
     use txmm_models::{Power, Sc, Tsc, X86};
 
+    fn x86_cfg(events: usize) -> EnumConfig {
+        table1_config(Arch::X86, events)
+    }
+
     #[test]
     fn config_shapes() {
         let c = table1_config(Arch::X86, 4);
@@ -162,12 +166,7 @@ mod tests {
     #[test]
     fn no_two_event_x86_forbid_tests() {
         // Matches Table 1: |E| = 2 yields zero Forbid tests for x86.
-        let r = synthesise(
-            &Walk::new(&table1_config(Arch::X86, 2)),
-            &X86::tm(),
-            &X86::base(),
-            None,
-        );
+        let r = synthesise(&Walk::new(&x86_cfg(2)), &X86::tm(), &X86::base(), None);
         assert!(r.complete);
         assert_eq!(r.forbid.len(), 0, "paper reports 0 tests at |E|=2");
     }
@@ -175,12 +174,7 @@ mod tests {
     #[test]
     fn three_event_x86_forbid_tests_exist() {
         // Table 1 reports 4 Forbid tests at |E| = 3.
-        let r = synthesise(
-            &Walk::new(&table1_config(Arch::X86, 3)),
-            &X86::tm(),
-            &X86::base(),
-            None,
-        );
+        let r = synthesise(&Walk::new(&x86_cfg(3)), &X86::tm(), &X86::base(), None);
         assert!(r.complete);
         assert!(
             !r.forbid.is_empty(),
@@ -230,7 +224,7 @@ mod tests {
 
     #[test]
     fn parallel_synthesis_matches_sequential() {
-        let walk = Walk::new(&table1_config(Arch::X86, 3));
+        let walk = Walk::new(&x86_cfg(3));
         // Force multiple workers, so the work-stealing split-and-merge
         // logic is exercised even on one core.
         let par = synthesise(&walk.clone().workers(3), &X86::tm(), &X86::base(), None);
@@ -260,7 +254,7 @@ mod tests {
         let (x86_tm, x86) = (X86::tm(), X86::base());
         let (power_tm, power_base) = (Power::tm(), Power::base());
         let rows: [(EnumConfig, &dyn Model, &dyn Model); 2] = [
-            (table1_config(Arch::X86, 4), &x86_tm, &x86),
+            (x86_cfg(4), &x86_tm, &x86),
             (table1_config(Arch::Power, 3), &power_tm, &power_base),
         ];
         for (cfg, tm, base) in rows {
@@ -287,12 +281,7 @@ mod tests {
 
     #[test]
     fn histogram_counts_txns() {
-        let r = synthesise(
-            &Walk::new(&table1_config(Arch::X86, 3)),
-            &X86::tm(),
-            &X86::base(),
-            None,
-        );
+        let r = synthesise(&Walk::new(&x86_cfg(3)), &X86::tm(), &X86::base(), None);
         let h = txn_histogram(&r.forbid);
         assert_eq!(h[0], 0, "every Forbid test has a transaction");
         assert_eq!(h.iter().sum::<usize>(), r.forbid.len());

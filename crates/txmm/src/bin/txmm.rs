@@ -183,8 +183,8 @@ fn usage() -> ExitCode {
          \u{20}               (check/outcomes span timeline), --watch SECS\n\
          \u{20}               (re-poll metrics on an interval)\n\
          \n\
-         An unknown flag, a flag the command does not read, or a value flag\n\
-         without its value, is refused before any command starts."
+         A flag the command does not read, a missing or extra word, or a value\n\
+         flag without its value, is refused before any command starts."
     );
     ExitCode::FAILURE
 }

@@ -36,8 +36,9 @@ pub fn sanitise(name: &str) -> String {
 }
 
 /// Parse a synthesis event bound (`txmm gen|table1|fig7|walk --events
-/// N`): an integer in `1..=MAX_EVENTS`. No relation holds more than [`MAX_EVENTS`] events,
-/// so a larger bound would only panic inside the walk.
+/// N`): an integer in `1..=MAX_EVENTS`. No relation holds more than
+/// [`MAX_EVENTS`] events, so a larger bound would only panic inside the
+/// walk.
 pub fn parse_event_bound(s: &str) -> Result<usize, String> {
     match s.parse::<usize>() {
         Ok(n) if (1..=MAX_EVENTS).contains(&n) => Ok(n),
@@ -49,8 +50,8 @@ pub fn parse_event_bound(s: &str) -> Result<usize, String> {
 
 /// The standard generated corpus as `(file-stem, litmus source)` pairs:
 /// every named execution of the paper plus the synthesised x86
-/// Forbid/Allow suites of Table 1's row at `events` events. At the default `events = 3`
-/// this is 50 tests.
+/// Forbid/Allow suites of Table 1's row at `events` events. At the
+/// default `events = 3` this is 50 tests.
 pub fn generate(events: usize) -> Vec<(String, String)> {
     generate_on(&Session::new(), events)
 }
