@@ -602,6 +602,15 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
+    /// The flags [`Telemetry::from_args`] reads, each with whether it
+    /// takes the next word as its value. `--progress` may instead carry
+    /// its interval attached, as `--progress=SECS`.
+    pub const FLAGS: [(&'static str, bool); 3] = [
+        ("--progress", false),
+        ("--progress-file", true),
+        ("--metrics-listen", true),
+    ];
+
     /// Parse the telemetry flags out of command-line words and start
     /// what they ask for; `None` (no overhead) when none is present.
     /// Every other word is skipped: the caller refuses what it does not
@@ -611,31 +620,28 @@ impl Telemetry {
     /// still gets the walk counters ticking, but only `--progress` or
     /// `--progress-file` starts the heartbeat.
     pub fn from_args<S: AsRef<str>>(args: &[S]) -> Result<Option<Telemetry>, String> {
+        let [(progress, _), (progress_file, _), _] = Self::FLAGS;
         let mut interval: Option<Duration> = None;
         let (mut file, mut listen) = (None, None);
         let mut words = args.iter().map(AsRef::as_ref);
         while let Some(a) = words.next() {
-            match a {
-                "--progress" => interval = Some(Duration::from_secs(1)),
-                "--progress-file" | "--metrics-listen" => {
-                    let v = words.next().filter(|v| !v.starts_with("--"));
-                    let v = v.ok_or_else(|| format!("{a} expects a value"))?;
-                    if a == "--progress-file" {
-                        file = Some(PathBuf::from(v));
-                    } else {
-                        listen = Some(v);
-                    }
+            if Self::FLAGS.contains(&(a, true)) {
+                let v = words.next().filter(|v| !v.starts_with("--"));
+                let v = v.ok_or_else(|| format!("{a} expects a value"))?;
+                if a == progress_file {
+                    file = Some(PathBuf::from(v));
+                } else {
+                    listen = Some(v);
                 }
-                _ => {
-                    let Some(v) = a.strip_prefix("--progress=") else {
-                        continue;
-                    };
-                    let secs = v.parse::<f64>().ok();
-                    let iv = secs.and_then(|s| Duration::try_from_secs_f64(s).ok());
-                    interval = Some(iv.filter(|iv| !iv.is_zero()).ok_or_else(|| {
-                        format!("--progress={v}: expected a positive number of seconds")
-                    })?);
-                }
+            } else if a == progress {
+                interval = Some(Duration::from_secs(1));
+            } else if let Some(v) = a.strip_prefix(progress).and_then(|v| v.strip_prefix('=')) {
+                let secs = v.parse::<f64>().ok();
+                let iv = secs.and_then(|s| Duration::try_from_secs_f64(s).ok());
+                interval = Some(
+                    iv.filter(|iv| !iv.is_zero())
+                        .ok_or_else(|| format!("{a}: expected a positive number of seconds"))?,
+                );
             }
         }
         if interval.is_none() && file.is_none() && listen.is_none() {

@@ -39,15 +39,16 @@
 //!                                    with its verdicts; --verbose adds
 //!                                    the litmus listings
 //! txmm walk <model> [--events N]     count the classes of |E| = N
-//!                                    (default 4) that <model> deems
-//!                                    consistent, with prune counters
+//!                                    (default 4) that the native
+//!                                    <model> deems consistent, with
+//!                                    prune counters
 //!
 //! serve/check options:
 //!   --model NAME   restrict verdicts to NAME (repeatable)
 //!   --cat FILE     register a user-supplied .cat model (repeatable;
-//!                  also read by models, walk and the daemon)
+//!                  also read by models and the daemon)
 //!   --with-cat     also register the shipped .cat twins (<name>.cat;
-//!                  also read by walk and the daemon)
+//!                  also read by the daemon)
 //!   --warm         serve the corpus twice and report cold-vs-warm
 //!                  timing (the analysis-cache speedup) on stderr
 //!   --prom         dump the process metrics registry as Prometheus
@@ -78,8 +79,9 @@
 //!                  round, until the target goes away
 //! ```
 //!
-//! One table lists the flags and words each command reads (`COMMANDS`),
-//! and one list the flags that take a value (`VALUE_FLAGS`). A command
+//! One table lists the flags and words each command reads (`COMMANDS`,
+//! and `DAEMON` for `serve --listen`), and one list the flags that take a
+//! value (`VALUE_FLAGS`, with the telemetry flags'). A command
 //! line is parsed once, before any command starts: a flag the command
 //! does not read (an unknown one among them), a word past the ones it
 //! takes, or a value flag at the end of the line or followed by another
@@ -108,8 +110,9 @@ use txmm::serve::{
 };
 use txmm::session::{ModelRef, Session, SessionStats};
 
-/// Every flag that takes a value, as `--flag VALUE`.
-const VALUE_FLAGS: [&str; 11] = [
+/// Every flag of the CLI's own that takes a value, as `--flag VALUE`;
+/// [`Telemetry::FLAGS`] says which telemetry flags take one.
+const VALUE_FLAGS: [&str; 9] = [
     "--model",
     "--cat",
     "--events",
@@ -118,34 +121,44 @@ const VALUE_FLAGS: [&str; 11] = [
     "--max-conns",
     "--max-candidates",
     "--trace",
-    "--progress-file",
-    "--metrics-listen",
     "--watch",
 ];
 
-/// The telemetry flags, read by [`Telemetry::from_args`].
-const TELEMETRY: [&str; 3] = ["--progress", "--progress-file", "--metrics-listen"];
+/// What a command reads: its name, how many words it takes besides its
+/// flags, its flags, and whether it reads the [`Telemetry::FLAGS`] too.
+type Command = (
+    &'static str,
+    RangeInclusive<usize>,
+    &'static [&'static str],
+    bool,
+);
 
-/// Each command: how many words it takes besides its flags, the flags
-/// it reads, and whether it reads the [`TELEMETRY`] flags too. Any other
-/// flag, and too few or too many words, is refused before the command
-/// starts. `check` is `serve`, and `serve --listen` (the daemon) reads
-/// its own set. A flag outside [`VALUE_FLAGS`] takes no value;
+/// Each command's row. Any flag a command does not read, and too few or
+/// too many words, is refused before the command starts. `check` is
+/// `serve`, which under `--listen` is the daemon, [`DAEMON`]. A flag
+/// outside [`VALUE_FLAGS`] and [`Telemetry::FLAGS`] takes no value;
 /// `--progress=SECS` is `--progress` with its interval attached.
 #[rustfmt::skip]
-const COMMANDS: [(&str, RangeInclusive<usize>, &[&str], bool); 11] = [
+const COMMANDS: [Command; 10] = [
     ("models", 0..=0, &["--cat"], false),
     ("gen", 1..=1, &["--events"], true),
     ("serve", 1..=usize::MAX, &["--model", "--cat", "--with-cat", "--warm", "--prom"], false),
-    ("serve --listen", 0..=0, &["--listen", "--cat", "--with-cat", "--shards", "--max-conns"], false),
     ("outcomes", 1..=usize::MAX, &["--model", "--cat", "--with-cat", "--warm", "--prom", "--max-candidates"], true),
     ("client", 2..=3, &["--model", "--max-candidates", "--trace", "--prom", "--watch"], false),
     ("table1", 0..=0, &["--events"], true),
     ("fig7", 0..=0, &["--events"], true),
     ("table2", 0..=0, &["--verbose"], false),
     ("catalog", 0..=0, &["--verbose"], false),
-    ("walk", 1..=1, &["--events", "--cat", "--with-cat"], true),
+    ("walk", 1..=1, &["--events"], true),
 ];
+
+/// `serve --listen <addr>`, the daemon: no word, and its own flags.
+const DAEMON: Command = (
+    "serve",
+    0..=0,
+    &["--listen", "--cat", "--with-cat", "--shards", "--max-conns"],
+    false,
+);
 
 /// What a command returns: its exit code, or an error for `run` to
 /// print (a failed write to stdout among them).
@@ -172,7 +185,7 @@ fn usage() -> ExitCode {
          serve options: --model NAME, --cat FILE, --with-cat, --warm, --prom\n\
          daemon options: --cat FILE, --with-cat, --shards N, --max-conns N\n\
          outcomes options: serve options plus --max-candidates N\n\
-         models options: --cat FILE; walk options: --cat FILE, --with-cat\n\
+         models options: --cat FILE\n\
          --verbose: table2 prints its counterexamples, catalog its litmus listings\n\
          telemetry (gen/outcomes/table1/fig7/walk): --progress[=SECS] heartbeat\n\
          \u{20} JSONL frames on stderr, --progress-file FILE to redirect them,\n\
@@ -271,7 +284,7 @@ impl<'a> Args<'a> {
         };
         let mut it = words.iter().map(String::as_str);
         while let Some(w) = it.next() {
-            if VALUE_FLAGS.contains(&w) {
+            if VALUE_FLAGS.contains(&w) || Telemetry::FLAGS.contains(&(w, true)) {
                 match it.next() {
                     Some(v) if !v.starts_with("--") => args.values.push((w, v)),
                     _ => return Err(format!("{w} expects a value")),
@@ -282,18 +295,21 @@ impl<'a> Args<'a> {
                 args.pos.push(w);
             }
         }
-        let row = match (cmd, args.value("--listen")) {
-            ("serve" | "check", Some(_)) => "serve --listen",
-            ("check", None) => "serve",
-            _ => cmd,
+        let name = if cmd == "check" { "serve" } else { cmd };
+        let row = match args.value("--listen") {
+            Some(_) if name == "serve" => Some(&DAEMON),
+            _ => COMMANDS.iter().find(|c| c.0 == name),
         };
-        let Some(&(_, ref takes, flags, telemetry)) = COMMANDS.iter().find(|c| c.0 == row) else {
+        let Some((_, takes, flags, telemetry)) = row else {
             return Err(format!("unknown command {cmd}"));
         };
-        let bare = args.bare.iter();
-        let bare = bare.map(|&w| w.strip_prefix("--progress=").map_or(w, |_| "--progress"));
+        let bare = args.bare.iter().map(|&w| match w.split_once('=') {
+            Some((flag, _)) if Telemetry::FLAGS.contains(&(flag, false)) => flag,
+            _ => w,
+        });
         let mut given = args.values.iter().map(|&(flag, _)| flag).chain(bare);
-        let read = |flag: &&str| flags.contains(flag) || telemetry && TELEMETRY.contains(flag);
+        let telemetry_flag = |flag: &&str| Telemetry::FLAGS.iter().any(|(f, _)| f == flag);
+        let read = |flag: &&str| flags.contains(flag) || *telemetry && telemetry_flag(flag);
         if let Some(flag) = given.find(|flag| !read(flag)) {
             return Err(format!("unknown option {flag}"));
         }
@@ -425,12 +441,12 @@ fn cmd_synthesis<W: Write>(
     })
 }
 
-/// `txmm walk <model> [--events N]`: one consistent walk of a model the
-/// Session registry resolves, at |E| = N (4).
+/// `txmm walk <model> [--events N]`: one consistent walk of a native
+/// model the Session registry resolves, at |E| = N (4).
 fn cmd_walk(args: &Args, out: &mut impl Write) -> Done {
     let name = args.pos[0];
     let events = args.events(4)?;
-    let session = args.pool_config().build_session()?;
+    let session = Session::new();
     let model = session
         .resolve(name)
         .ok_or_else(|| format!("unknown model {name} (try `txmm models`)"))?;
@@ -818,6 +834,8 @@ mod tests {
                 "--progress-file",
             ),
             (&["walk", "x86-tm", "--model", "x86"], "--model"),
+            (&["walk", "x86-tm.cat", "--with-cat"], "--with-cat"),
+            (&["walk", "my", "--cat", "my.cat"], "--cat"),
         ] {
             let (cmd, rest) = line.split_first().expect("a command");
             let want = Some(format!("unknown option {flag}"));
@@ -841,10 +859,15 @@ mod tests {
             "--prom",
         ]);
         assert!(Args::parse("check", &serve).is_ok());
-        assert_eq!(
-            Args::parse("bogus", &[]).err(),
-            Some("unknown command bogus".into())
-        );
+        // Only a real command names a row: not the daemon's flag spelled
+        // into the command word.
+        for cmd in ["bogus", "serve --listen"] {
+            for rest in [&[][..], &["--listen", "127.0.0.1:0"]] {
+                let want = Some(format!("unknown command {cmd}"));
+                assert_eq!(Args::parse(cmd, &words(rest)).err(), want);
+                assert_eq!(output(&[&[cmd][..], rest].concat()).0, ExitCode::FAILURE);
+            }
+        }
         // Each command takes its own number of words.
         for (line, want) in [
             (&["gen"][..], "gen is missing an argument"),
@@ -862,13 +885,15 @@ mod tests {
         }
     }
 
-    /// The paper's runs refuse an unknown model, a bound out of range or
-    /// not theirs, and a word they do not take, and print nothing on
-    /// stdout.
+    /// The paper's runs refuse an unknown model (`walk` resolves native
+    /// models only, so a shipped `.cat` twin is unknown to it), a bound
+    /// out of range or not theirs, and a word they do not take, and
+    /// print nothing on stdout.
     #[test]
     fn paper_runs_refuse_bad_models_and_bounds() {
         for line in [
             &["walk", "x86-6"][..],
+            &["walk", "x86-tm.cat"],
             &["walk"],
             &["walk", "x86-tm", "power-tm"],
             &["walk", "x86-tm", "--events", "0"],
@@ -884,23 +909,6 @@ mod tests {
             Args::parse("table1", &words(&["5"])).err(),
             Some("unexpected argument \"5\"".into())
         );
-    }
-
-    /// `walk` resolves its model through the registry `--with-cat`
-    /// builds, and the shipped `.cat` twin keeps the native classes.
-    #[test]
-    fn walk_resolves_cat_twins() {
-        let count = |line: &[&str]| {
-            let (code, out) = output(line);
-            assert_eq!(code, ExitCode::SUCCESS, "{line:?}");
-            let out = String::from_utf8(out).expect("utf-8");
-            out.split_whitespace().nth(2).expect("a count").to_string()
-        };
-        let native = count(&["walk", "x86-tm", "--events", "3"]);
-        let twin = count(&["walk", "x86-tm.cat", "--with-cat", "--events", "3"]);
-        assert_eq!(twin, native);
-        let unregistered = output(&["walk", "x86-tm.cat", "--events", "3"]);
-        assert_eq!(unregistered, (ExitCode::FAILURE, Vec::new()));
     }
 
     /// A stdout that fails with a broken pipe ends the command with exit
@@ -933,14 +941,14 @@ mod tests {
     fn value_flags_without_a_value_are_refused() {
         let dir = std::env::temp_dir().join(format!("txmm-novalue-{}", std::process::id()));
         let dir = dir.to_str().expect("utf-8 path");
-        for flag in VALUE_FLAGS {
+        let telemetry = Telemetry::FLAGS.iter().filter(|&&(_, value)| value);
+        for flag in VALUE_FLAGS.into_iter().chain(telemetry.map(|&(f, _)| f)) {
             let want = Some(format!("{flag} expects a value"));
             for tail in [&[flag][..], &[flag, "--warm"]] {
                 let args = words(&[&[dir][..], tail].concat());
                 assert_eq!(Args::parse("serve", &args).err(), want, "{tail:?}");
             }
             for (cmd, ..) in COMMANDS {
-                let cmd = cmd.split(' ').next().expect("a command name");
                 assert_eq!(
                     output(&[cmd, dir, flag]).0,
                     ExitCode::FAILURE,
