@@ -65,7 +65,7 @@ pub enum SetBuiltin {
 
 impl SetBuiltin {
     /// Resolve a source name; mirrors the interpreter's builtin table.
-    pub fn lookup(name: &str) -> Option<SetBuiltin> {
+    pub(crate) fn lookup(name: &str) -> Option<SetBuiltin> {
         use SetBuiltin::*;
         Some(match name {
             "R" => Reads,
@@ -95,7 +95,7 @@ impl SetBuiltin {
     }
 
     /// The set this builtin denotes over one execution's analysis.
-    pub fn eval(self, a: &ExecutionAnalysis<'_>) -> EventSet {
+    pub(crate) fn eval(self, a: &ExecutionAnalysis<'_>) -> EventSet {
         use SetBuiltin::*;
         let x = a.exec();
         match self {
@@ -205,7 +205,7 @@ pub enum RelBuiltin {
 impl RelBuiltin {
     /// Resolve a source name; mirrors the interpreter's builtin table.
     /// Optimiser-only builtins are deliberately not source-addressable.
-    pub fn lookup(name: &str) -> Option<RelBuiltin> {
+    pub(crate) fn lookup(name: &str) -> Option<RelBuiltin> {
         use RelBuiltin::*;
         Some(match name {
             "id" => Id,
@@ -248,7 +248,7 @@ impl RelBuiltin {
     }
 
     /// The relation this builtin denotes over one execution's analysis.
-    pub fn eval(self, a: &ExecutionAnalysis<'_>) -> Rel {
+    pub(crate) fn eval(self, a: &ExecutionAnalysis<'_>) -> Rel {
         use RelBuiltin::*;
         let x = a.exec();
         match self {
@@ -294,7 +294,7 @@ impl RelBuiltin {
     /// A borrowed view of the builtin when the analysis caches it —
     /// the VM row-copies these instead of materialising a full `Rel`.
     /// `None` for the computed ones ([`RelBuiltin::eval`] covers all).
-    pub fn eval_ref<'r>(self, a: &'r ExecutionAnalysis<'_>) -> Option<&'r Rel> {
+    pub(crate) fn eval_ref<'r>(self, a: &'r ExecutionAnalysis<'_>) -> Option<&'r Rel> {
         use RelBuiltin::*;
         let x = a.exec();
         Some(match self {
@@ -619,9 +619,10 @@ pub struct Chunk {
     pub events: Option<usize>,
 }
 
+#[cfg(test)]
 impl Chunk {
     /// A short opcode-per-line listing, for tests and debugging.
-    pub fn disassemble(&self) -> String {
+    pub(crate) fn disassemble(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
         for (i, op) in self.ops.iter().enumerate() {
@@ -631,12 +632,12 @@ impl Chunk {
     }
 
     /// Number of instructions (the optimiser tests' fuel gauge).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ops.len()
     }
 
     /// True when the program has no instructions.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
 }

@@ -15,7 +15,7 @@ use crate::parser::{CatFile, CheckKind, Decl, Expr};
 /// the representation exists to avoid.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+pub(crate) enum Value {
     /// A set of events.
     Set(EventSet),
     /// A binary relation.
@@ -75,14 +75,14 @@ pub(crate) const OPERATORS: [(&str, usize); 5] = [
 /// `.cat` model evaluation costs the same derived-relation work as a
 /// native model check — and checking several models (`.cat` or native)
 /// against one execution shares the same cached structure.
-pub struct Env<'a, 'x> {
+pub(crate) struct Env<'a, 'x> {
     a: &'a ExecutionAnalysis<'x>,
     vars: HashMap<String, Value>,
 }
 
 impl<'a, 'x> Env<'a, 'x> {
     /// Builtins served from a caller-shared analysis.
-    pub fn new(a: &'a ExecutionAnalysis<'x>) -> Env<'a, 'x> {
+    pub(crate) fn new(a: &'a ExecutionAnalysis<'x>) -> Env<'a, 'x> {
         Env {
             a,
             vars: HashMap::new(),
@@ -182,7 +182,7 @@ impl<'a, 'x> Env<'a, 'x> {
     }
 
     /// Evaluate an expression.
-    pub fn eval(&self, e: &Expr) -> Result<Value, EvalError> {
+    pub(crate) fn eval(&self, e: &Expr) -> Result<Value, EvalError> {
         let n = self.a.len();
         Ok(match e {
             Expr::Ident(name, line) => self.lookup(name, *line)?,
@@ -271,16 +271,6 @@ pub struct CompileStats {
     pub micros: u64,
 }
 
-impl CompileStats {
-    /// Component-wise sum, for per-shard aggregation.
-    pub fn merge(&mut self, other: CompileStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.entries += other.entries;
-        self.micros += other.micros;
-    }
-}
-
 thread_local! {
     /// One register file per thread: checking a stream of executions
     /// allocates nothing after the banks first grow to fit.
@@ -367,7 +357,7 @@ impl CatModel {
     }
 
     /// The optimised generic program, or the compile diagnostic.
-    pub fn program(&self) -> Result<&crate::chunk::Chunk, &EvalError> {
+    pub(crate) fn program(&self) -> Result<&crate::chunk::Chunk, &EvalError> {
         self.program.as_ref()
     }
 
@@ -402,7 +392,7 @@ impl CatModel {
     }
 
     /// Evaluate every check over an execution (private analysis).
-    pub fn check(&self, x: &Execution) -> Result<Verdict, EvalError> {
+    pub(crate) fn check(&self, x: &Execution) -> Result<Verdict, EvalError> {
         self.check_analysis(&x.analysis())
     }
 
@@ -419,22 +409,6 @@ impl CatModel {
     /// Convenience: is the execution consistent under this model?
     pub fn consistent(&self, x: &Execution) -> Result<bool, EvalError> {
         Ok(self.check(x)?.is_consistent())
-    }
-
-    /// Convenience: consistency against a caller-shared analysis.
-    pub fn consistent_analysis(&self, a: &ExecutionAnalysis<'_>) -> Result<bool, EvalError> {
-        Ok(self.check_analysis(a)?.is_consistent())
-    }
-
-    /// The AST-walking interpreter over a private analysis, kept for
-    /// differential checking against the VM.
-    pub fn check_reference(&self, x: &Execution) -> Result<Verdict, EvalError> {
-        self.check_analysis_reference(&x.analysis())
-    }
-
-    /// Convenience: reference-interpreter consistency.
-    pub fn consistent_reference(&self, x: &Execution) -> Result<bool, EvalError> {
-        Ok(self.check_reference(x)?.is_consistent())
     }
 
     /// The AST-walking interpreter against a caller-shared analysis.

@@ -4,7 +4,7 @@ use std::fmt;
 
 /// A token of the `.cat` language subset.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Token {
+pub(crate) enum Token {
     /// An identifier (`po`, `rfe`, `W`, ...).
     Ident(String),
     /// `let`.
@@ -71,7 +71,7 @@ impl fmt::Display for Token {
 
 /// A lexical error with its byte offset and 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LexError {
+pub(crate) struct LexError {
     /// Byte position in the source.
     pub pos: usize,
     /// 1-based source line.
@@ -90,7 +90,7 @@ impl std::error::Error for LexError {}
 
 /// Tokenise `.cat` source into `(token, 1-based line)` pairs. Comments
 /// run `//` to end of line and `(*  *)` blocks (as in herd).
-pub fn lex(src: &str) -> Result<Vec<(Token, u32)>, LexError> {
+pub(crate) fn lex(src: &str) -> Result<Vec<(Token, u32)>, LexError> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;

@@ -10,11 +10,11 @@
 //! fixpoint), the `weaklift`/`stronglift` combinators of §3.3, and the
 //! `acyclic`/`irreflexive`/`empty` checks.
 //!
-//! Models compile to a relation-algebra bytecode ([`chunk`]) through a
-//! lowering pass ([`mod@compile`]) and an optimiser ([`opt`]), and checks
-//! execute on a register VM ([`vm`]) specialised per event count. The
-//! AST interpreter survives as `CatModel::check_reference` for
-//! differential testing.
+//! Models compile to a relation-algebra bytecode ([`compile`]) through
+//! a lowering pass and an optimiser, and checks execute on a register
+//! VM specialised per event count ([`specialise`]). The AST interpreter
+//! survives as [`CatModel::check_analysis_reference`], the reference
+//! side of the compiled-vs-interpreted differential.
 //!
 //! ```
 //! use txmm_cat::{cat_model, parse, CatModel};
@@ -29,22 +29,20 @@
 //! assert!(sc.consistent(&catalog::fig1()).unwrap());
 //! ```
 
-pub mod chunk;
-pub mod compile;
-pub mod eval;
-pub mod lexer;
-pub mod models;
-pub mod opt;
-pub mod parser;
-pub mod prune;
-pub mod vm;
+pub(crate) mod chunk;
+pub(crate) mod compile;
+pub(crate) mod eval;
+pub(crate) mod lexer;
+pub(crate) mod models;
+pub(crate) mod opt;
+pub(crate) mod parser;
+pub(crate) mod prune;
+pub(crate) mod vm;
 
-pub use chunk::{Chunk, Op, RelBuiltin, SetBuiltin};
+pub use chunk::SetBuiltin;
 pub use compile::{compile, lower};
-pub use eval::{CatModel, CompileStats, Env, EvalError, Value};
-pub use lexer::{lex, LexError, Token};
+pub use eval::CatModel;
 pub use models::{all_cat_models, cat_model, SOURCES};
-pub use opt::{optimise, specialise};
-pub use parser::{parse, CatFile, CheckKind, Decl, Expr, ParseError};
+pub use opt::specialise;
+pub use parser::parse;
 pub use prune::{prune_program, CatPruneOracle};
-pub use vm::Vm;

@@ -28,7 +28,7 @@ use crate::chunk::{AnyReg, Chunk, Op, RReg, RelBuiltin, SReg, SetBuiltin};
 
 /// Optimise a freshly lowered generic chunk: CSE + analysis hoisting,
 /// dead-definition elimination, register compaction.
-pub fn optimise(c: Chunk) -> Chunk {
+pub(crate) fn optimise(c: Chunk) -> Chunk {
     compact(dce(cse(c)))
 }
 

@@ -151,7 +151,7 @@ const UNSUPPORTED_DECLS: &[&str] = &[
 /// room for hand-written models while keeping the parser's own
 /// recursion (about fifteen frames per parenthesis) inside a 2 MiB
 /// thread stack in unoptimised builds.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// An expression and the depth of its tree.
 type Tree = (Expr, usize);

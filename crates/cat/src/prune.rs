@@ -335,7 +335,8 @@ impl CatPruneOracle {
     }
 
     /// Number of checks the monotone core retained (observability).
-    pub fn checks(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn checks(&self) -> usize {
         self.generic
             .ops
             .iter()

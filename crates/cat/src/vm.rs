@@ -28,7 +28,7 @@ use crate::parser::CheckKind;
 
 /// A reusable register file for executing compiled chunks.
 #[derive(Default)]
-pub struct Vm {
+pub(crate) struct Vm {
     rel: Vec<Rel>,
     set: Vec<EventSet>,
     /// The `(rel_regs, set_regs)` shape of the last run. While the shape
@@ -41,7 +41,7 @@ pub struct Vm {
 
 impl Vm {
     /// A VM with empty banks; they grow to fit the first chunk run.
-    pub fn new() -> Vm {
+    pub(crate) fn new() -> Vm {
         Vm::default()
     }
 
@@ -49,7 +49,7 @@ impl Vm {
     ///
     /// A specialised chunk must only run at its own event count; the
     /// generic program runs at any count.
-    pub fn run(&mut self, chunk: &Chunk, a: &ExecutionAnalysis<'_>, checker: &mut Checker) {
+    pub(crate) fn run(&mut self, chunk: &Chunk, a: &ExecutionAnalysis<'_>, checker: &mut Checker) {
         let n = a.len();
         debug_assert!(
             chunk.events.is_none() || chunk.events == Some(n),

@@ -335,12 +335,12 @@ impl<'x> ExecutionAnalysis<'x> {
     }
 
     /// The external part of a relation: `r \ sthd`.
-    pub fn external(&self, r: &Rel) -> Rel {
+    pub(crate) fn external(&self, r: &Rel) -> Rel {
         r.minus(self.sthd())
     }
 
     /// The internal part of a relation: `r ∩ sthd`.
-    pub fn internal(&self, r: &Rel) -> Rel {
+    pub(crate) fn internal(&self, r: &Rel) -> Rel {
         r.inter(self.sthd())
     }
 

@@ -75,7 +75,7 @@ pub struct PackedExecution {
 
 impl PackedExecution {
     /// Pack an execution. Allocation-free.
-    pub fn pack(x: &Execution) -> PackedExecution {
+    pub(crate) fn pack(x: &Execution) -> PackedExecution {
         assert!(x.len() <= MAX_EVENTS, "execution too large to pack");
         assert!(x.txns().len() <= MAX_EVENTS, "too many transactions");
         let mut events = [FILLER_EVENT; MAX_EVENTS];
@@ -103,24 +103,25 @@ impl PackedExecution {
     }
 
     /// Number of events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len as usize
     }
 
     /// True when the packed execution has no events.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Number of transaction classes.
-    pub fn num_txns(&self) -> usize {
+    pub(crate) fn num_txns(&self) -> usize {
         self.ntxns as usize
     }
 
     /// Reconstruct the heap [`Execution`]. Transaction members come out
     /// in program order, so `unpack(pack(x)) == x` for every well-formed
     /// execution.
-    pub fn unpack(&self) -> Execution {
+    pub(crate) fn unpack(&self) -> Execution {
         let n = self.len();
         let txns = self.txns[..self.num_txns()]
             .iter()
@@ -200,7 +201,7 @@ impl ExecArena {
     }
 
     /// Intern a packed execution; returns its id and whether it was new.
-    pub fn intern_packed(&mut self, p: PackedExecution) -> (ExecId, bool) {
+    pub(crate) fn intern_packed(&mut self, p: PackedExecution) -> (ExecId, bool) {
         let h = Self::hash_of(&p);
         let bucket = self.index.entry(h).or_default();
         for &id in bucket.iter() {
@@ -220,7 +221,7 @@ impl ExecArena {
     }
 
     /// The packed execution behind an id.
-    pub fn get(&self, id: ExecId) -> &PackedExecution {
+    pub(crate) fn get(&self, id: ExecId) -> &PackedExecution {
         &self.execs[id as usize]
     }
 
@@ -230,7 +231,8 @@ impl ExecArena {
     }
 
     /// Iterate over `(id, packed)` pairs in interning order.
-    pub fn iter(&self) -> impl Iterator<Item = (ExecId, &PackedExecution)> {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ExecId, &PackedExecution)> {
         self.execs.iter().enumerate().map(|(i, p)| (i as ExecId, p))
     }
 }

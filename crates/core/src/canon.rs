@@ -172,7 +172,7 @@ fn push_txns(out: &mut Vec<u8>, x: &Execution, newid: &[usize]) {
 }
 
 /// All permutations of `0..n`.
-pub fn permutations(n: usize) -> Vec<Vec<usize>> {
+pub(crate) fn permutations(n: usize) -> Vec<Vec<usize>> {
     if n == 0 {
         return vec![vec![]];
     }

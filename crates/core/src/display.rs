@@ -1,11 +1,11 @@
-//! Human-readable rendering of executions: an event table, an edge list,
-//! and Graphviz `dot` output mirroring the paper's diagrams.
+//! Human-readable rendering of executions: an event table and an edge
+//! list.
 
 use crate::event::{loc_name, EventKind};
 use crate::exec::Execution;
 
 /// A short label for event `e`, e.g. `a: W x` or `c: R·Acq y`.
-pub fn event_label(x: &Execution, e: usize) -> String {
+pub(crate) fn event_label(x: &Execution, e: usize) -> String {
     let ev = x.event(e);
     let name = (b'a' + (e as u8 % 26)) as char;
     let kind = match ev.kind {
@@ -59,53 +59,6 @@ pub fn render(x: &Execution) -> String {
     out
 }
 
-/// Render the execution as a Graphviz digraph (transactions as clusters,
-/// like the paper's boxes).
-pub fn dot(x: &Execution) -> String {
-    let mut out = String::from("digraph execution {\n  node [shape=plaintext];\n");
-    let mut in_txn = vec![false; x.len()];
-    for (i, t) in x.txns().iter().enumerate() {
-        out.push_str(&format!("  subgraph cluster_txn{i} {{\n    style=solid;\n"));
-        for &e in &t.events {
-            in_txn[e] = true;
-            out.push_str(&format!("    e{e} [label=\"{}\"];\n", event_label(x, e)));
-        }
-        out.push_str("  }\n");
-    }
-    for (e, covered) in in_txn.iter().enumerate() {
-        if !covered {
-            out.push_str(&format!("  e{e} [label=\"{}\"];\n", event_label(x, e)));
-        }
-    }
-    // Immediate po edges only, to keep diagrams readable.
-    for t in 0..x.num_threads() {
-        let mut prev: Option<usize> = None;
-        for e in x.thread_events(t as u8) {
-            if let Some(p) = prev {
-                out.push_str(&format!("  e{p} -> e{e} [label=\"po\"];\n"));
-            }
-            prev = Some(e);
-        }
-    }
-    for (name, rel) in [
-        ("rf", *x.rf()),
-        ("co", *x.co()),
-        ("fr", x.fr()),
-        ("addr", *x.addr()),
-        ("ctrl", *x.ctrl()),
-        ("data", *x.data()),
-        ("rmw", *x.rmw()),
-    ] {
-        for (a, b) in rel.pairs() {
-            out.push_str(&format!(
-                "  e{a} -> e{b} [label=\"{name}\", constraint=false];\n"
-            ));
-        }
-    }
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,16 +94,6 @@ mod tests {
         assert!(s.contains("thread 1"));
         assert!(s.contains("c -rf-> b"));
         assert!(s.contains("[txn 0]"));
-    }
-
-    #[test]
-    fn dot_is_valid_shape() {
-        let x = sample();
-        let d = dot(&x);
-        assert!(d.starts_with("digraph"));
-        assert!(d.contains("cluster_txn0"));
-        assert!(d.contains("e2 -> e1 [label=\"rf\""));
-        assert!(d.ends_with("}\n"));
     }
 
     #[test]

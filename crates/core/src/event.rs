@@ -118,12 +118,12 @@ pub enum EventKind {
 
 impl EventKind {
     /// True for [`EventKind::Read`].
-    pub fn is_read(self) -> bool {
+    pub(crate) fn is_read(self) -> bool {
         matches!(self, EventKind::Read)
     }
 
     /// True for [`EventKind::Write`].
-    pub fn is_write(self) -> bool {
+    pub(crate) fn is_write(self) -> bool {
         matches!(self, EventKind::Write)
     }
 
@@ -138,7 +138,7 @@ impl EventKind {
     }
 
     /// True for any call kind.
-    pub fn is_call(self) -> bool {
+    pub(crate) fn is_call(self) -> bool {
         matches!(self, EventKind::Call(_))
     }
 }
@@ -279,7 +279,7 @@ impl Event {
     }
 
     /// True for reads and writes.
-    pub fn is_access(&self) -> bool {
+    pub(crate) fn is_access(&self) -> bool {
         self.kind.is_access()
     }
 }

@@ -52,13 +52,8 @@ impl ThreadEvents {
 
     /// Remaining events.
     #[allow(clippy::len_without_is_empty)]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         (self.len - self.pos) as usize
-    }
-
-    /// True when no events remain.
-    pub fn is_empty(&self) -> bool {
-        self.pos == self.len
     }
 
     /// The `i`-th remaining event (program order).
@@ -107,24 +102,14 @@ pub struct LocSet {
 
 impl LocSet {
     /// Insert a location.
-    pub fn insert(&mut self, l: Loc) {
+    pub(crate) fn insert(&mut self, l: Loc) {
         self.bits[(l / 64) as usize] |= 1u64 << (l % 64);
-    }
-
-    /// Membership test.
-    pub fn contains(&self, l: Loc) -> bool {
-        self.bits[(l / 64) as usize] & (1u64 << (l % 64)) != 0
     }
 
     /// Number of locations.
     #[allow(clippy::len_without_is_empty)]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True when no locations remain.
-    pub fn is_empty(&self) -> bool {
-        self.bits.iter().all(|&w| w == 0)
     }
 }
 
@@ -317,7 +302,7 @@ impl Execution {
     }
 
     /// All fence events.
-    pub fn fences(&self) -> EventSet {
+    pub(crate) fn fences(&self) -> EventSet {
         self.set_where(|e| e.kind.is_fence())
     }
 
@@ -425,12 +410,12 @@ impl Execution {
     }
 
     /// The external (inter-thread) part of a relation: `r \ (po ∪ po⁻¹)*`.
-    pub fn external(&self, r: &Rel) -> Rel {
+    pub(crate) fn external(&self, r: &Rel) -> Rel {
         r.minus(&self.sthd())
     }
 
     /// The internal (intra-thread) part of a relation: `r ∩ (po ∪ po⁻¹)*`.
-    pub fn internal(&self, r: &Rel) -> Rel {
+    pub(crate) fn internal(&self, r: &Rel) -> Rel {
         r.inter(&self.sthd())
     }
 
@@ -539,7 +524,7 @@ impl Execution {
 
     /// Critical regions derived from the lock/unlock call events, in the
     /// order they open per thread (§8.3).
-    pub fn cr_classes(&self) -> Vec<CrClass> {
+    pub(crate) fn cr_classes(&self) -> Vec<CrClass> {
         let mut crs = Vec::new();
         for t in 0..self.num_threads() {
             let mut open: Option<(bool, Vec<EventId>)> = None;
@@ -619,7 +604,7 @@ impl Execution {
     }
 
     /// Replace the transaction classes in place.
-    pub fn set_txns(&mut self, txns: Vec<TxnClass>) {
+    pub(crate) fn set_txns(&mut self, txns: Vec<TxnClass>) {
         self.txn_index = Some(build_txn_index(self.events.len(), &txns));
         self.txns = txns;
     }

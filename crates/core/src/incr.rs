@@ -13,16 +13,14 @@
 //!
 //! This module provides the machinery both construction paths share:
 //!
-//! * [`IncrOrder`] — an online cycle detector over a growing relation
+//! * `IncrOrder` — an online cycle detector over a growing relation
 //!   (a reachability [`Rel`], a few block-word operations per inserted
 //!   edge), used for the per-location coherence gate
 //!   `acyclic(po_loc | com)` and for every delta-plan obligation;
 //! * [`PartialCandidate`] — an execution whose `rf`/`co` are grown in
 //!   place together with a *partial* `fr` (only the from-reads edges
 //!   that are already forced), with pooled width-aware checkpoint
-//!   frames ([`PartialCandidate::mark`]/[`rewind`][`PartialCandidate::rewind`]/
-//!   [`release`][`PartialCandidate::release`]) for depth-first
-//!   construction;
+//!   frames (`mark`/`rewind`/`release`) for depth-first construction;
 //! * [`PruneOracle`] — the per-model viability test. Native models
 //!   run their full axiom check on the partial analysis; compiled
 //!   `.cat` models run a conservatively filtered program (see
@@ -43,7 +41,7 @@
 //! [`Obligation`]s, each a fixed *seed* relation plus rules describing
 //! which communication edges (and which derived pairs — left/right
 //! compositions with fixed context, transaction lifts) feed it. The
-//! candidate then maintains one [`IncrOrder`] per obligation and
+//! candidate then maintains one `IncrOrder` per obligation and
 //! answers each probe from the detectors alone. A plan marked
 //! [`exact`](DeltaPlan::exact) covers every axiom (together with the
 //! coherence gate and the incremental RMW-isolation flag), so no
@@ -227,7 +225,7 @@ impl PruneStats {
     }
 
     /// Record one sibling batch of `k` placements.
-    pub fn record_batch(&mut self, k: usize) {
+    pub(crate) fn record_batch(&mut self, k: usize) {
         self.batches += 1;
         self.batched_placements += k as u64;
         self.batch_hist[batch_bucket(k)] += 1;
@@ -242,26 +240,27 @@ impl PruneStats {
 /// a handful of block-word operations. `Copy`, so a depth-first walk
 /// checkpoints it by value.
 #[derive(Clone, Copy)]
-pub struct IncrOrder {
+pub(crate) struct IncrOrder {
     reach: Rel,
 }
 
 impl IncrOrder {
     /// An empty order over `n` events.
-    pub fn new(n: usize) -> IncrOrder {
+    pub(crate) fn new(n: usize) -> IncrOrder {
         IncrOrder {
             reach: Rel::empty(n),
         }
     }
 
     /// Does a (non-empty) path lead from `a` to `b`?
-    pub fn reaches(&self, a: usize, b: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn reaches(&self, a: usize, b: usize) -> bool {
         self.reach.contains(a, b)
     }
 
     /// Insert `a → b`. Returns `false` iff the edge closes a cycle
     /// (the detector is then stale and must be restored or discarded).
-    pub fn insert(&mut self, a: usize, b: usize) -> bool {
+    pub(crate) fn insert(&mut self, a: usize, b: usize) -> bool {
         let n = self.reach.size();
         debug_assert!(a < n && b < n);
         if a == b || self.reach.contains(b, a) {
@@ -468,7 +467,7 @@ pub struct PartialCandidate {
 impl PartialCandidate {
     /// Wrap `x`, whose `rf` and `co` are expected to be empty. The
     /// coherence detector is seeded with `po_loc`.
-    pub fn new(x: Execution) -> PartialCandidate {
+    pub(crate) fn new(x: Execution) -> PartialCandidate {
         let n = x.len();
         let po_loc = x.po_loc();
         let mut coh = IncrOrder::new(n);
@@ -534,24 +533,26 @@ impl PartialCandidate {
     }
 
     /// The execution in its current (partial) state.
-    pub fn exec(&self) -> &Execution {
+    pub(crate) fn exec(&self) -> &Execution {
         &self.x
     }
 
     /// The maintained partial `fr`.
-    pub fn fr(&self) -> &Rel {
+    #[cfg(test)]
+    pub(crate) fn fr(&self) -> &Rel {
         &self.fr
     }
 
     /// `false` once `po_loc | rf | co | fr` acquired a cycle.
-    pub fn coherent(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn coherent(&self) -> bool {
         self.coh_ok
     }
 
     /// Save the mutable state before a choice point. Frames are pooled,
     /// so a mark copies relation and detector values and allocates
     /// nothing once the pool is warm.
-    pub fn mark(&mut self) {
+    pub(crate) fn mark(&mut self) {
         if self.depth == self.frames.len() {
             self.frames.push(Frame {
                 rf: *self.x.rf(),
@@ -584,7 +585,7 @@ impl PartialCandidate {
 
     /// Restore the state saved by the innermost live [`mark`][Self::mark]
     /// (the frame stays live, so a loop can rewind once per branch).
-    pub fn rewind(&mut self) {
+    pub(crate) fn rewind(&mut self) {
         let f = &self.frames[self.depth - 1];
         self.x.rf = f.rf;
         self.x.co = f.co;
@@ -600,7 +601,7 @@ impl PartialCandidate {
 
     /// Drop the innermost live frame (after a final rewind if the
     /// caller needed one).
-    pub fn release(&mut self) {
+    pub(crate) fn release(&mut self) {
         debug_assert!(self.depth > 0);
         self.depth -= 1;
     }

@@ -23,9 +23,9 @@
 //! * [`arena::PackedExecution`] / [`arena::ExecArena`] — whole
 //!   executions as inline `Copy` values, interned for long-lived
 //!   serving (events/txns in fixed arrays of `MAX_EVENTS` slots);
-//! * [`wf`] — the well-formedness conditions;
+//! * [`WfError`] — the well-formedness conditions an execution breaks;
 //! * [`build::ExecBuilder`] — a fluent constructor;
-//! * [`display`] — text and Graphviz rendering.
+//! * [`display`] — text rendering.
 //!
 //! ## Example
 //!
@@ -49,28 +49,27 @@
 //! assert!(!lift.is_acyclic());
 //! ```
 
-pub mod analysis;
+pub(crate) mod analysis;
 pub mod arena;
 pub mod build;
 pub mod canon;
 pub mod display;
-pub mod event;
-pub mod exec;
+pub(crate) mod event;
+pub(crate) mod exec;
 pub mod incr;
-pub mod rel;
+pub(crate) mod rel;
 pub mod rng;
-pub mod set;
-pub mod wf;
+pub(crate) mod set;
+pub(crate) mod wf;
 
 pub use analysis::{ExecutionAnalysis, MemoKey, TxnFreeBase};
-pub use arena::{ExecArena, ExecId, PackedExecution};
+pub use arena::{ExecId, PackedExecution};
 pub use build::ExecBuilder;
 pub use canon::canon_key;
-pub use event::{loc_name, Attrs, Call, Event, EventId, EventKind, Fence, Loc, Tid};
-pub use exec::{CrClass, Execution, LocSet, ThreadEvents, TxnClass, NO_TXN};
+pub use event::{loc_name, Attrs, Call, Event, EventId, EventKind, Fence, Loc};
+pub use exec::{CrClass, Execution, TxnClass, NO_TXN};
 pub use incr::{
-    set_delta_validation, ComposeRule, DeltaPlan, EdgeKind, EdgeSel, IncrOrder, Lift, NoPrune,
-    Obligation, PartialCandidate, PruneOracle, PruneStats,
+    set_delta_validation, NoPrune, Obligation, PartialCandidate, PruneOracle, PruneStats,
 };
 pub use rel::{stronglift, union_all, weaklift, Rel};
 pub use set::{EventSet, MAX_EVENTS};

@@ -28,7 +28,7 @@ impl EventSet {
     }
 
     /// The singleton `{e}`.
-    pub fn singleton(e: EventId) -> EventSet {
+    pub(crate) fn singleton(e: EventId) -> EventSet {
         assert!(e < MAX_EVENTS);
         EventSet(1u64 << e)
     }
@@ -39,7 +39,7 @@ impl EventSet {
     /// implements `FromIterator` (which delegates here), and call sites
     /// read better without a `<EventSet as FromIterator>` turbofish.
     #[allow(clippy::should_implement_trait)]
-    pub fn from_iter<I: IntoIterator<Item = EventId>>(iter: I) -> EventSet {
+    pub(crate) fn from_iter<I: IntoIterator<Item = EventId>>(iter: I) -> EventSet {
         let mut s = EventSet::EMPTY;
         for e in iter {
             s.insert(e);
@@ -54,7 +54,8 @@ impl EventSet {
     }
 
     /// Remove an event.
-    pub fn remove(&mut self, e: EventId) {
+    #[cfg(test)]
+    pub(crate) fn remove(&mut self, e: EventId) {
         assert!(e < MAX_EVENTS);
         self.0 &= !(1u64 << e);
     }
@@ -95,7 +96,7 @@ impl EventSet {
     }
 
     /// Is `self ⊆ other`?
-    pub fn is_subset(self, other: EventSet) -> bool {
+    pub(crate) fn is_subset(self, other: EventSet) -> bool {
         self.0 & !other.0 == 0
     }
 
@@ -119,7 +120,7 @@ impl EventSet {
     }
 
     /// Raw bit-mask (used by relation code).
-    pub fn bits(self) -> u64 {
+    pub(crate) fn bits(self) -> u64 {
         self.0
     }
 

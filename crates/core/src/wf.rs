@@ -93,7 +93,7 @@ impl fmt::Display for WfError {
 impl std::error::Error for WfError {}
 
 /// Check every well-formedness condition; returns the first violation.
-pub fn check(x: &Execution) -> Result<(), WfError> {
+pub(crate) fn check(x: &Execution) -> Result<(), WfError> {
     check_events(x)?;
     check_po(x)?;
     check_deps(x)?;

@@ -28,4 +28,4 @@ mod powersim;
 mod tso;
 
 pub use machine::{observable, run};
-pub use outcome::{Outcome, OutcomeSet, MAX_LOCS, MAX_STATES};
+pub use outcome::{Outcome, OutcomeSet, MAX_LOCS};

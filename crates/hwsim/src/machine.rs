@@ -74,8 +74,8 @@ pub(crate) fn fence_between(instrs: &[Instr], j: usize, i: usize, f: Fence) -> b
 /// `None` when no machine runs the test: SC and C++ have none, lock
 /// calls have no machine semantics, and a location past [`MAX_LOCS`], a
 /// thread past 64 instructions, a test past 255, a transaction without
-/// its end or an exploration past [`MAX_STATES`] states does not fit
-/// the machine. A thread converted from an execution of at most 16
+/// its end or an exploration past `MAX_STATES` (65,536) states does not
+/// fit the machine. A thread converted from an execution of at most 16
 /// events has at most 48 instructions.
 pub fn run(test: &LitmusTest) -> Option<OutcomeSet> {
     let rules = match test.arch {

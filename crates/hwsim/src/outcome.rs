@@ -15,7 +15,7 @@ pub const MAX_LOCS: usize = 8;
 /// Every pinned corpus stays far below it (its largest, a two-thread,
 /// ten-instruction Power test, visits 1,318), while a 16-event Power
 /// test of four threads would otherwise hold its caller for minutes.
-pub const MAX_STATES: usize = 1 << 16;
+pub(crate) const MAX_STATES: usize = 1 << 16;
 
 /// A final state: registers, memory, and per-transaction commit flags.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]

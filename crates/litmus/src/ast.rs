@@ -46,7 +46,7 @@ pub struct AccessMode {
 
 impl AccessMode {
     /// Translate event attributes into an access mode.
-    pub fn from_attrs(a: Attrs, exclusive: bool) -> AccessMode {
+    pub(crate) fn from_attrs(a: Attrs, exclusive: bool) -> AccessMode {
         AccessMode {
             acquire: a.contains(Attrs::ACQ),
             release: a.contains(Attrs::REL),

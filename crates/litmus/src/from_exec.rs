@@ -33,16 +33,6 @@ pub fn write_values(x: &Execution) -> Vec<u32> {
     vals
 }
 
-/// The value each read observes (0 when it reads the initial value).
-pub fn read_values(x: &Execution) -> Vec<u32> {
-    let wv = write_values(x);
-    let mut vals = vec![0u32; x.len()];
-    for (w, r) in x.rf().pairs() {
-        vals[r] = wv[w];
-    }
-    vals
-}
-
 /// Convert an execution into a litmus test for `arch`.
 ///
 /// The construction follows §2.2 extended with transactions per §3.2;

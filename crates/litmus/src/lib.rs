@@ -18,18 +18,17 @@
 //! assert!(listing.contains("XBEGIN"));
 //! ```
 
-pub mod ast;
-pub mod from_exec;
-pub mod outcomes;
-pub mod parse;
+pub(crate) mod ast;
+pub(crate) mod from_exec;
+pub(crate) mod outcomes;
+pub(crate) mod parse;
 pub mod render;
-pub mod to_exec;
+pub(crate) mod to_exec;
 
 pub use ast::{AccessMode, Check, Dep, DepKind, Instr, LitmusTest, Op, Reg};
-pub use from_exec::{litmus_from_execution, read_values, write_values};
+pub use from_exec::{litmus_from_execution, write_values};
 pub use outcomes::{
-    candidate_count, candidates, enumerate_candidates, enumerate_candidates_pruned, program_key,
-    Candidate, ProgramSkeleton,
+    enumerate_candidates, enumerate_candidates_pruned, program_key, Candidate, ProgramSkeleton,
 };
 pub use parse::{parse_litmus, LitmusParseError};
-pub use to_exec::{execution_from_litmus, LitmusConvertError};
+pub use to_exec::execution_from_litmus;

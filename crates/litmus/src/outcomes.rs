@@ -303,11 +303,18 @@ impl ProgramSkeleton {
     }
 
     /// Highest location index accessed, if any.
-    pub fn max_loc(&self) -> Option<Loc> {
+    pub(crate) fn max_loc(&self) -> Option<Loc> {
         self.events.iter().filter_map(|e| e.loc).max()
     }
 
-    /// [`candidate_count`] over the built skeleton.
+    /// How many candidates [`enumerate_candidates`] will visit:
+    /// `Σ_splits Π_loc |writes(loc)|! × Π_read (|writes(loc(read))| + 1)`
+    /// over the `2^txns` abort splits (aborted transactions shrink both
+    /// factors). Cheap and **saturating**: programs whose count exceeds
+    /// `u128::MAX` — or whose abort-split count alone would take longer
+    /// to sum than any caller's cap admits — report `u128::MAX`, which
+    /// every sane cap refuses. This is what lets servers refuse
+    /// oversized programs before enumerating anything.
     pub fn candidate_count(&self) -> u128 {
         // Every abort split contributes at least one candidate, so past
         // 20 transactions the count is at least 2^20; saturate instead
@@ -342,15 +349,9 @@ pub struct Candidate {
     pub aborted: u64,
 }
 
-/// How many candidates [`enumerate_candidates`] will visit:
-/// `Σ_splits Π_loc |writes(loc)|! × Π_read (|writes(loc(read))| + 1)`
-/// over the `2^txns` abort splits (aborted transactions shrink both
-/// factors). Cheap and **saturating**: programs whose count exceeds
-/// `u128::MAX` — or whose abort-split count alone would take longer to
-/// sum than any caller's cap admits — report `u128::MAX`, which every
-/// sane cap refuses. This is what lets servers refuse oversized
-/// programs before enumerating anything.
-pub fn candidate_count(t: &LitmusTest) -> Result<u128, LitmusConvertError> {
+/// [`ProgramSkeleton::candidate_count`] of a program.
+#[cfg(test)]
+pub(crate) fn candidate_count(t: &LitmusTest) -> Result<u128, LitmusConvertError> {
     Ok(ProgramSkeleton::from_litmus(t)?.candidate_count())
 }
 
@@ -756,7 +757,8 @@ fn next_permutation(p: &mut [usize]) -> bool {
 }
 
 /// Collect every candidate (see [`enumerate_candidates`]).
-pub fn candidates(t: &LitmusTest) -> Result<Vec<Candidate>, LitmusConvertError> {
+#[cfg(test)]
+pub(crate) fn candidates(t: &LitmusTest) -> Result<Vec<Candidate>, LitmusConvertError> {
     let mut out = Vec::new();
     enumerate_candidates(t, &mut |c| out.push(c))?;
     Ok(out)

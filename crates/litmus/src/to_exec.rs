@@ -288,11 +288,11 @@ mod tests {
             let t = program(&format!("r{reg}"));
             let want = LitmusConvertError::RegisterOutOfRange(0, reg);
             assert_eq!(execution_from_litmus(&t), Err(want.clone()));
-            assert_eq!(crate::candidate_count(&t), Err(want));
+            assert_eq!(crate::outcomes::candidate_count(&t), Err(want));
         }
         let t = program(&format!("r{MAX_REGISTER}"));
         assert!(execution_from_litmus(&t).is_ok());
-        assert_eq!(crate::candidate_count(&t), Ok(2));
+        assert_eq!(crate::outcomes::candidate_count(&t), Ok(2));
         // Every register a program may name keeps its own outcome-cache key.
         assert_ne!(crate::program_key(&t), crate::program_key(&program("r0")));
     }
@@ -312,7 +312,7 @@ mod tests {
             let t = parse_litmus(&src).expect("parses");
             let want = LitmusConvertError::BadDepTarget(0, 0);
             assert_eq!(execution_from_litmus(&t), Err(want.clone()), "{kind}");
-            assert_eq!(crate::candidate_count(&t), Err(want), "{kind}");
+            assert_eq!(crate::outcomes::candidate_count(&t), Err(want), "{kind}");
         }
     }
 

@@ -42,9 +42,6 @@ impl std::fmt::Display for VocabError {
 impl std::error::Error for VocabError {}
 
 impl Arch {
-    /// Every architecture, in a stable order.
-    pub const ALL: [Arch; 5] = [Arch::Sc, Arch::X86, Arch::Power, Arch::Armv8, Arch::Cpp];
-
     /// A short name.
     pub fn name(self) -> &'static str {
         match self {

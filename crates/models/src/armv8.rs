@@ -33,7 +33,7 @@ impl Armv8 {
     }
 
     /// Dependency-ordered-before (elided in Fig. 8; from `aarch64.cat`).
-    pub fn dob(a: &ExecutionAnalysis<'_>) -> Rel {
+    pub(crate) fn dob(a: &ExecutionAnalysis<'_>) -> Rel {
         let n = a.len();
         let po = a.po();
         let idw = Rel::id_on(n, a.writes());
@@ -61,7 +61,7 @@ impl Armv8 {
     }
 
     /// Atomic-ordered-before: `aob = rmw ∪ [range(rmw)] ; rfi ; [A]`.
-    pub fn aob(a: &ExecutionAnalysis<'_>) -> Rel {
+    pub(crate) fn aob(a: &ExecutionAnalysis<'_>) -> Rel {
         let n = a.len();
         let idwx = Rel::id_on(n, a.rmw().range());
         let ida = Rel::id_on(n, a.acq());
@@ -69,7 +69,7 @@ impl Armv8 {
     }
 
     /// Barrier-ordered-before (from `aarch64.cat`).
-    pub fn bob(a: &ExecutionAnalysis<'_>) -> Rel {
+    pub(crate) fn bob(a: &ExecutionAnalysis<'_>) -> Rel {
         let n = a.len();
         let po = a.po();
         let iddmb = Rel::id_on(n, a.exec().fence_events(Fence::Dmb));
@@ -98,7 +98,7 @@ impl Armv8 {
     /// The `come ∪ dob ∪ aob ∪ bob` part is txn-independent, so it is
     /// memoised under `MemoKey::Armv8Ob` and shared across the transaction
     /// layouts of one rf/co structure; only the `tfence` union varies.
-    pub fn ob(&self, a: &ExecutionAnalysis<'_>) -> Rel {
+    pub(crate) fn ob(&self, a: &ExecutionAnalysis<'_>) -> Rel {
         let fixed = a.memo(MemoKey::Armv8Ob, || {
             union_all(
                 a.len(),

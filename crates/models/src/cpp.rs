@@ -32,14 +32,14 @@ impl Cpp {
     }
 
     /// The non-transactional baseline (plain RC11).
-    pub fn base() -> Cpp {
+    pub(crate) fn base() -> Cpp {
         Cpp { tm: false }
     }
 
     /// The synchronises-with relation (RC11):
     /// `sw = [Rel] ; ([F] ; po)? ; rs ; rf ; [R ∩ Ato] ; (po ; [F])? ; [Acq]`
     /// with the release sequence `rs = [W] ; poloc? ; [W ∩ Ato] ; (rf ; rmw)*`.
-    pub fn sw(a: &ExecutionAnalysis<'_>) -> Rel {
+    pub(crate) fn sw(a: &ExecutionAnalysis<'_>) -> Rel {
         let n = a.len();
         let po = a.po();
         let idw = Rel::id_on(n, a.writes());
@@ -66,17 +66,17 @@ impl Cpp {
     /// Extended communication: `ecom = com ∪ (co ; rf)` (§7.2). Whenever
     /// two events conflict, they are related by `ecom` one way or the
     /// other.
-    pub fn ecom(a: &ExecutionAnalysis<'_>) -> Rel {
+    pub(crate) fn ecom(a: &ExecutionAnalysis<'_>) -> Rel {
         a.com().union(&a.co().seq(a.rf()))
     }
 
     /// Transactional synchronises-with: `tsw = weaklift(ecom, stxn)`.
-    pub fn tsw(a: &ExecutionAnalysis<'_>) -> Rel {
+    pub(crate) fn tsw(a: &ExecutionAnalysis<'_>) -> Rel {
         weaklift(&Cpp::ecom(a), a.stxn())
     }
 
     /// Happens-before: `hb = (sw ∪ tsw ∪ po)⁺`.
-    pub fn hb(&self, a: &ExecutionAnalysis<'_>) -> Rel {
+    pub(crate) fn hb(&self, a: &ExecutionAnalysis<'_>) -> Rel {
         let mut base = Cpp::sw(a).union(a.po());
         if self.tm {
             base = base.union(&Cpp::tsw(a));
@@ -86,7 +86,7 @@ impl Cpp {
 
     /// The RC11 `psc` relation (elided in Fig. 9), over a precomputed
     /// happens-before.
-    pub fn psc_from_hb(&self, a: &ExecutionAnalysis<'_>, hb: &Rel) -> Rel {
+    pub(crate) fn psc_from_hb(&self, a: &ExecutionAnalysis<'_>, hb: &Rel) -> Rel {
         let n = a.len();
         let hbopt = hb.opt();
         let sc = a.sc_events();
@@ -116,14 +116,9 @@ impl Cpp {
         psc_base.union(&psc_f)
     }
 
-    /// The RC11 `psc` relation.
-    pub fn psc(&self, a: &ExecutionAnalysis<'_>) -> Rel {
-        self.psc_from_hb(a, &self.hb(a))
-    }
-
     /// Conflicting event pairs:
     /// `cnf = ((W×W) ∪ (R×W) ∪ (W×R)) ∩ sloc \ id`.
-    pub fn cnf(a: &ExecutionAnalysis<'_>) -> Rel {
+    pub(crate) fn cnf(a: &ExecutionAnalysis<'_>) -> Rel {
         let n = a.len();
         let w = a.writes();
         let r = a.reads();

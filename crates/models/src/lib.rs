@@ -4,10 +4,11 @@
 //! *"The Semantics of Transactions and Weak Memory in x86, Power, ARM,
 //! and C++"*:
 //!
-//! * [`sc`] — SC and transactional SC (Fig. 4), weak/strong isolation (§3.3);
-//! * [`x86`] — TSO with TSX-style transactions (Fig. 5);
-//! * [`power`] — the Herding-cats Power model with Power TM (Fig. 6);
-//! * [`armv8`] — the official ARMv8 model with the proposed TM extension
+//! * [`Sc`] / [`Tsc`] — SC and transactional SC (Fig. 4), with
+//!   [`weak_isolation`] and [`strong_isolation`] (§3.3);
+//! * [`X86`] — TSO with TSX-style transactions (Fig. 5);
+//! * [`Power`] — the Herding-cats Power model with Power TM (Fig. 6);
+//! * [`Armv8`] — the official ARMv8 model with the proposed TM extension
 //!   (Fig. 8);
 //! * [`cpp`] — RC11 with the C++ TM technical specification, in the
 //!   paper's simplified formulation (Fig. 9, §7.2);
@@ -27,26 +28,26 @@
 //! assert!(!X86::tm().consistent(&x));
 //! ```
 
-pub mod ablation;
-pub mod arch;
-pub mod armv8;
+pub(crate) mod ablation;
+pub(crate) mod arch;
+pub(crate) mod armv8;
 pub mod catalog;
 pub mod cpp;
 pub(crate) mod delta;
-pub mod model;
-pub mod power;
+pub(crate) mod model;
+pub(crate) mod power;
 pub mod registry;
-pub mod sc;
+pub(crate) mod sc;
 pub mod shapes;
-pub mod x86;
+pub(crate) mod x86;
 
 pub use ablation::{PowerAblated, PowerAblation};
 pub use arch::{Arch, VocabError};
 pub use armv8::Armv8;
 pub use cpp::Cpp;
-pub use model::{check_models, consistent_pair, Checker, Derived, Model, Verdict};
+pub use model::{consistent_pair, Checker, Derived, Model, Verdict};
 pub use power::{Highlights, Power};
-pub use sc::{strong_isolation, strong_isolation_atomic, weak_isolation, Sc, Tsc};
+pub use sc::{strong_isolation, weak_isolation, Sc, Tsc};
 pub use x86::X86;
 
 /// Convenient glob-import surface.

@@ -41,7 +41,8 @@ impl Verdict {
     }
 
     /// The model that produced this verdict.
-    pub fn model(&self) -> &'static str {
+    #[cfg(test)]
+    pub(crate) fn model(&self) -> &'static str {
         self.model
     }
 }
@@ -104,7 +105,7 @@ impl Checker {
 
     /// Assert an axiom decided elsewhere (e.g. Coherence, which an
     /// analysis decides once per rf/co group).
-    pub fn require(&mut self, axiom: &'static str, holds: bool) -> &mut Self {
+    pub(crate) fn require(&mut self, axiom: &'static str, holds: bool) -> &mut Self {
         if !holds {
             self.verdict.violations.push(axiom);
         }
@@ -142,20 +143,20 @@ impl Derived {
 
     /// An empty table with room for `n` relations, so a model that
     /// knows its entry count allocates once per check.
-    pub fn with_capacity(n: usize) -> Derived {
+    pub(crate) fn with_capacity(n: usize) -> Derived {
         Derived {
             rels: Vec::with_capacity(n),
         }
     }
 
     /// Add a named relation (last insert wins on lookup collisions).
-    pub fn insert(&mut self, name: &'static str, rel: Rel) -> &mut Self {
+    pub(crate) fn insert(&mut self, name: &'static str, rel: Rel) -> &mut Self {
         self.rels.push((name, rel));
         self
     }
 
     /// Look a relation up by name.
-    pub fn get(&self, name: &str) -> Option<&Rel> {
+    pub(crate) fn get(&self, name: &str) -> Option<&Rel> {
         self.rels
             .iter()
             .rev()
@@ -164,13 +165,14 @@ impl Derived {
     }
 
     /// Look a relation up, panicking with the missing name.
-    pub fn expect(&self, name: &str) -> &Rel {
+    pub(crate) fn expect(&self, name: &str) -> &Rel {
         self.get(name)
             .unwrap_or_else(|| panic!("derived relation {name} not computed"))
     }
 
     /// The names in insertion order.
-    pub fn names(&self) -> impl Iterator<Item = &'static str> + '_ {
+    #[cfg(test)]
+    pub(crate) fn names(&self) -> impl Iterator<Item = &'static str> + '_ {
         self.rels.iter().map(|(n, _)| *n)
     }
 }
@@ -244,17 +246,6 @@ pub trait Model: Send + Sync {
         let _ = txns_known;
         None
     }
-}
-
-/// Check several models against one execution, sharing a single
-/// [`ExecutionAnalysis`] across all of them.
-///
-/// This is the one sanctioned way for drivers to check more than one
-/// model per execution: derived structure (`fr`, `com`, lifts, fence
-/// relations) is computed once here instead of once per model.
-pub fn check_models(models: &[&dyn Model], x: &Execution) -> Vec<Verdict> {
-    let a = x.analysis();
-    models.iter().map(|m| m.check_analysis(&a)).collect()
 }
 
 /// Consistency of a `(m, n)` model pair on one execution over one

@@ -52,9 +52,9 @@ impl Highlights {
     /// `tprop2 = stxn ; rfe` joins `prop`.
     pub const TPROP2: Highlights = Highlights(1 << 3);
     /// The StrongIsol axiom.
-    pub const STRONG_ISOL: Highlights = Highlights(1 << 4);
+    pub(crate) const STRONG_ISOL: Highlights = Highlights(1 << 4);
     /// The TxnOrder axiom over `txnorder = stronglift(hb, stxn)`.
-    pub const TXN_ORDER: Highlights = Highlights(1 << 5);
+    pub(crate) const TXN_ORDER: Highlights = Highlights(1 << 5);
     /// The TxnCancelsRMW axiom.
     pub const TXN_CANCELS_RMW: Highlights = Highlights(1 << 6);
     /// The baseline model: no highlight.
@@ -68,7 +68,7 @@ impl Highlights {
     }
 
     /// Does this set include every highlight of `h`?
-    pub fn contains(self, h: Highlights) -> bool {
+    pub(crate) fn contains(self, h: Highlights) -> bool {
         self.0 & h.0 == h.0
     }
 }
@@ -122,7 +122,7 @@ impl Power {
     /// derivation (an iterated fixpoint of seqs and unions), so it is
     /// memoised under [`MemoKey::PowerPpo`] and shared across the
     /// transaction layouts of one rf/co structure.
-    pub fn ppo(a: &ExecutionAnalysis<'_>) -> Rel {
+    pub(crate) fn ppo(a: &ExecutionAnalysis<'_>) -> Rel {
         a.memo(MemoKey::PowerPpo, || Power::ppo_uncached(a))
     }
 

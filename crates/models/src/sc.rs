@@ -160,14 +160,8 @@ pub fn strong_isolation(x: &Execution) -> bool {
     x.analysis().strong_isol().is_acyclic()
 }
 
-/// Strong isolation restricted to *atomic* transactions, the property of
-/// Theorem 7.2: `acyclic(stronglift(com, stxnat))`.
-pub fn strong_isolation_atomic(x: &Execution) -> bool {
-    x.analysis().strong_isol_atomic().is_acyclic()
-}
-
 /// The `hb` relation used by SC/TSC (exported for the metatheory code).
-pub fn sc_hb(a: &ExecutionAnalysis<'_>) -> Rel {
+pub(crate) fn sc_hb(a: &ExecutionAnalysis<'_>) -> Rel {
     a.po().union(a.com())
 }
 
@@ -346,6 +340,6 @@ mod tests {
         b.txn(&[w1, w2]); // relaxed
         let x = b.build().unwrap();
         assert!(!strong_isolation(&x));
-        assert!(strong_isolation_atomic(&x));
+        assert!(x.analysis().strong_isol_atomic().is_acyclic());
     }
 }

@@ -126,7 +126,8 @@ pub fn lb(s0: Strength, s1: Strength) -> Execution {
 
 /// 2+2W: `Wx=2; Wy=1 ∥ Wy=2; Wx=1` with each location's *first* writer
 /// coherence-last.
-pub fn w2plus2(s0: Strength, s1: Strength) -> Execution {
+#[cfg(test)]
+pub(crate) fn w2plus2(s0: Strength, s1: Strength) -> Execution {
     let mut b = ExecBuilder::new();
     let t0 = b.new_thread();
     let wx2 = b.write(t0, 0);
@@ -153,7 +154,8 @@ pub fn w2plus2(s0: Strength, s1: Strength) -> Execution {
 
 /// S: `Wx=2; Wy ∥ Ry; Wx=1` with `rf` on y and `Wx=1` coherence-before
 /// `Wx=2`.
-pub fn s_shape(s0: Strength, s1: Strength) -> Execution {
+#[cfg(test)]
+pub(crate) fn s_shape(s0: Strength, s1: Strength) -> Execution {
     let mut b = ExecBuilder::new();
     let t0 = b.new_thread();
     let wx2 = b.write(t0, 0);
@@ -182,7 +184,8 @@ pub fn s_shape(s0: Strength, s1: Strength) -> Execution {
 }
 
 /// R: `Wx=1; Wy=1 ∥ Wy=2; Rx` with `Rx` stale and `Wy=1` co-before `Wy=2`.
-pub fn r_shape(s0: Strength, s1: Strength) -> Execution {
+#[cfg(test)]
+pub(crate) fn r_shape(s0: Strength, s1: Strength) -> Execution {
     let mut b = ExecBuilder::new();
     let t0 = b.new_thread();
     let wx = b.write(t0, 0);
@@ -209,7 +212,8 @@ pub fn r_shape(s0: Strength, s1: Strength) -> Execution {
 /// Coherence sanity shapes: CoRR (two reads of one location must not see
 /// writes in anti-coherence order) and CoWW (a thread's own writes are
 /// coherence-ordered).
-pub fn corr_violation() -> Execution {
+#[cfg(test)]
+pub(crate) fn corr_violation() -> Execution {
     let mut b = ExecBuilder::new();
     let t0 = b.new_thread();
     let w1 = b.write(t0, 0);
@@ -225,7 +229,8 @@ pub fn corr_violation() -> Execution {
 }
 
 /// CoWW violation: a thread's second write coherence-before its first.
-pub fn coww_violation() -> Execution {
+#[cfg(test)]
+pub(crate) fn coww_violation() -> Execution {
     let mut b = ExecBuilder::new();
     let t0 = b.new_thread();
     let w1 = b.write(t0, 0);

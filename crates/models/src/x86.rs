@@ -39,7 +39,7 @@ impl X86 {
     /// Everything but the `tfence` term is txn-independent, so the
     /// fixed union is memoised under `MemoKey::X86Hb` and shared across the
     /// transaction layouts of one rf/co structure.
-    pub fn hb(&self, a: &ExecutionAnalysis<'_>) -> Rel {
+    pub(crate) fn hb(&self, a: &ExecutionAnalysis<'_>) -> Rel {
         let fixed = a.memo(MemoKey::X86Hb, || {
             let n = a.len();
             let po = a.po();

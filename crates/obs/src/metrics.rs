@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex, Weak};
 
 /// Number of histogram buckets. Bucket `i` covers values up to
 /// `2^i` (microseconds, by convention); the last bucket is `+Inf`.
-pub const BUCKETS: usize = 40;
+pub(crate) const BUCKETS: usize = 40;
 
 /// Bucket index for a recorded value: the smallest `i` with
 /// `v <= 2^i`, clamped to the `+Inf` bucket.
@@ -29,7 +29,7 @@ pub fn bucket_index(v: u64) -> usize {
 
 /// Upper bound of bucket `i` (`u64::MAX` stands in for `+Inf`).
 #[inline]
-pub fn bucket_bound(i: usize) -> u64 {
+pub(crate) fn bucket_bound(i: usize) -> u64 {
     if i >= BUCKETS - 1 {
         u64::MAX
     } else {
@@ -43,7 +43,7 @@ pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
     /// A handle not registered anywhere (useful as a default in tests).
-    pub fn detached() -> Counter {
+    pub(crate) fn detached() -> Counter {
         Counter(Arc::new(AtomicU64::new(0)))
     }
 
@@ -68,7 +68,7 @@ impl Counter {
 pub struct Gauge(Arc<AtomicI64>);
 
 impl Gauge {
-    pub fn detached() -> Gauge {
+    pub(crate) fn detached() -> Gauge {
         Gauge(Arc::new(AtomicI64::new(0)))
     }
 
@@ -78,12 +78,12 @@ impl Gauge {
     }
 
     #[inline]
-    pub fn add(&self, n: i64) {
+    pub(crate) fn add(&self, n: i64) {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    #[inline]
-    pub fn sub(&self, n: i64) {
+    #[cfg(test)]
+    pub(crate) fn sub(&self, n: i64) {
         self.0.fetch_sub(n, Ordering::Relaxed);
     }
 
@@ -94,7 +94,7 @@ impl Gauge {
 }
 
 /// Lock-free log-bucketed histogram core.
-pub struct HistogramCore {
+pub(crate) struct HistogramCore {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
@@ -145,7 +145,7 @@ impl HistogramCore {
 pub struct Histogram(Arc<HistogramCore>);
 
 impl Histogram {
-    pub fn detached() -> Histogram {
+    pub(crate) fn detached() -> Histogram {
         Histogram(Arc::new(HistogramCore::new()))
     }
 
@@ -176,7 +176,7 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    pub fn empty() -> HistogramSnapshot {
+    pub(crate) fn empty() -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: [0; BUCKETS],
             count: 0,
@@ -185,7 +185,7 @@ impl HistogramSnapshot {
         }
     }
 
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
+    pub(crate) fn merge(&mut self, other: &HistogramSnapshot) {
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b += o;
         }
@@ -197,7 +197,7 @@ impl HistogramSnapshot {
     /// Quantile estimate: the upper bound of the bucket holding the
     /// rank-`ceil(q * count)` sample, clamped to the observed maximum.
     /// Always within one log2 bucket of the exact sample quantile.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -300,7 +300,7 @@ impl Default for Registry {
 }
 
 impl Registry {
-    pub const fn new() -> Registry {
+    pub(crate) const fn new() -> Registry {
         Registry {
             families: Mutex::new(BTreeMap::new()),
         }
@@ -328,7 +328,7 @@ impl Registry {
         self.gauge_with(name, help, &[])
     }
 
-    pub fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
+    pub(crate) fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
         let handle = Gauge::detached();
         let weak = Arc::downgrade(&handle.0);
         self.register(name, help, labels, Kind::Gauge, |handles| match handles {

@@ -50,7 +50,7 @@ pub struct LaneSnapshot {
 
 impl LaneSnapshot {
     /// Busy fraction of this lane's observed (busy + idle) time.
-    pub fn utilisation(&self) -> f64 {
+    pub(crate) fn utilisation(&self) -> f64 {
         let total = self.busy_micros + self.idle_micros;
         if total == 0 {
             0.0
@@ -234,7 +234,7 @@ pub struct ProgressSnapshot {
 impl ProgressSnapshot {
     /// Fraction of planned work completed; `None` when no total was
     /// declared. Clamped to 1.0 (weights are a proxy, not a promise).
-    pub fn fraction(&self) -> Option<f64> {
+    pub(crate) fn fraction(&self) -> Option<f64> {
         if self.total == 0 {
             None
         } else {
@@ -245,7 +245,7 @@ impl ProgressSnapshot {
     /// One JSONL progress frame. `rate` is the smoothed candidates/sec
     /// estimate, `eta` the smoothed seconds-remaining estimate (both
     /// `None` before the reporter has two samples or without a total).
-    pub fn frame(&self, rate: Option<f64>, eta: Option<f64>, last: bool) -> String {
+    pub(crate) fn frame(&self, rate: Option<f64>, eta: Option<f64>, last: bool) -> String {
         let mut out = String::with_capacity(256);
         out.push_str(&format!(
             "{{\"progress\":{{\"elapsed_secs\":{:.3}",
@@ -318,13 +318,13 @@ fn process_gauges() -> &'static (Gauge, Gauge) {
 
 /// Publish the `txmm_build_info` / `txmm_process_resident_bytes`
 /// gauges (idempotent). Call once from any long-running entry point.
-pub fn publish_process_info() {
+pub(crate) fn publish_process_info() {
     process_gauges();
 }
 
 /// Resident set size in bytes: `/proc/self/statm` field 2 × the
 /// conventional 4 KiB page on Linux, 0 elsewhere.
-pub fn resident_bytes() -> u64 {
+pub(crate) fn resident_bytes() -> u64 {
     #[cfg(target_os = "linux")]
     {
         if let Ok(s) = std::fs::read_to_string("/proc/self/statm") {
@@ -591,7 +591,7 @@ fn serve_conn(stream: TcpStream) {
 /// Live walk telemetry asked for on the command line:
 /// `--progress[=SECS]` starts a heartbeat [`Reporter`] on stderr (or on
 /// FILE with `--progress-file FILE`), and `--metrics-listen ADDR` a
-/// [`MetricsSidecar`]. Hand `progress` to the walks, and call
+/// `MetricsSidecar`. Hand `progress` to the walks, and call
 /// [`Telemetry::finish`] after the last one so the final frame's totals
 /// match the run.
 pub struct Telemetry {

@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Maximum spans kept on one trace; later spans only bump `dropped`.
-pub const TRACE_SPAN_CAP: usize = 64;
+pub(crate) const TRACE_SPAN_CAP: usize = 64;
 
 /// One completed span on a trace timeline. Offsets are microseconds
 /// since the trace was created.
@@ -51,11 +51,11 @@ impl Trace {
         &self.id
     }
 
-    pub fn start(&self) -> Instant {
+    pub(crate) fn start(&self) -> Instant {
         self.start
     }
 
-    pub fn record(&self, span: SpanRecord) {
+    pub(crate) fn record(&self, span: SpanRecord) {
         let mut spans = self.spans.lock().unwrap();
         if spans.len() < self.cap {
             spans.push(span);
@@ -97,7 +97,7 @@ pub fn with_trace<T>(trace: Option<&Arc<Trace>>, f: impl FnOnce() -> T) -> T {
 }
 
 /// The trace currently installed on this thread, if any.
-pub fn current_trace() -> Option<Arc<Trace>> {
+pub(crate) fn current_trace() -> Option<Arc<Trace>> {
     CURRENT.with(|c| c.borrow().clone())
 }
 

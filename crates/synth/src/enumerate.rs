@@ -9,7 +9,7 @@
 //!
 //! The space is sharded by **thread shape** (the non-increasing
 //! partition of the event count across threads) and, within a shape, by
-//! **kind assignment**: one [`Subtree`] per canonical choice of event
+//! **kind assignment**: one `Subtree` per canonical choice of event
 //! kinds. Canonicalisation is *incremental* (see [`txmm_core::canon`]):
 //! symmetry-duplicate prefixes are rejected mid-construction — at the
 //! kind stage, again when the per-event labels complete, and finally by
@@ -24,7 +24,7 @@
 //! layouts per assignment on a five-event single thread, 233 on six),
 //! times the atomic flag for C++. A label assignment lists its layouts
 //! once, as a table of per-event class ids built at its first completed
-//! rf/co assignment, and the structure walk ([`crate::consistent`])
+//! rf/co assignment, and the structure walk (the `consistent` module)
 //! switches each layout into one execution in place
 //! (`Execution::set_txn_layout`): no class vector, txn index or
 //! execution is rebuilt per layout. The last symmetry stage splits the
@@ -32,9 +32,9 @@
 //! ([`txmm_core::canon::LayoutOrbit`]), and a layout is compared only
 //! when that half ties under some automorphism.
 //!
-//! [`Frontier`] is the resumable form of that decomposition: a lazy
+//! `Frontier` is the resumable form of that decomposition: a lazy
 //! iterator of subtree jobs. A [`Walk`](crate::Walk) walks it, in order
-//! on one worker or across the work-stealing pool ([`crate::steal`]),
+//! on one worker or across the work-stealing pool (the `steal` module),
 //! which splits *within* a shape, so one huge shape never serialises a
 //! core's worth of work.
 //!
@@ -203,7 +203,7 @@ fn interval_count(k: usize) -> u64 {
 
 /// The thread shapes (non-increasing partitions) the enumeration of
 /// `cfg` is sharded over.
-pub fn config_shapes(cfg: &EnumConfig) -> Vec<Vec<usize>> {
+pub(crate) fn config_shapes(cfg: &EnumConfig) -> Vec<Vec<usize>> {
     shapes(cfg.events, cfg.max_threads, cfg.events)
 }
 
@@ -214,7 +214,7 @@ pub fn config_shapes(cfg: &EnumConfig) -> Vec<Vec<usize>> {
 /// transaction subtree below it is enumerated by whichever worker
 /// claims the job.
 #[derive(Debug, Clone)]
-pub struct Subtree {
+pub(crate) struct Subtree {
     /// Position in the sequential enumeration order (strictly
     /// increasing across the frontier).
     pub seq: u64,
@@ -231,7 +231,7 @@ pub struct Subtree {
 /// Total work of the walk over `cfg`, in [`Subtree::weight`] units (the
 /// denominator of "fraction done"): a dry pass over the frontier, a few
 /// thousand odometer steps, negligible against the walk itself.
-pub fn walk_weight(cfg: &EnumConfig) -> u64 {
+pub(crate) fn walk_weight(cfg: &EnumConfig) -> u64 {
     Frontier::new(cfg).fold(0, |w, sub| w.saturating_add(sub.weight))
 }
 
@@ -265,7 +265,7 @@ fn subtree_weight(kinds: &[EventKind], kind_choice: &[u8]) -> u64 {
 ///
 /// The iterator *is* the resumable enumeration state: the parallel
 /// drivers pull from it under a lock, so splitting work is `next()`.
-pub struct Frontier {
+pub(crate) struct Frontier {
     shapes: Vec<Vec<usize>>,
     kinds: Vec<EventKind>,
     tags: Vec<u8>,
@@ -276,7 +276,7 @@ pub struct Frontier {
 
 impl Frontier {
     /// The frontier over the whole configuration.
-    pub fn new(cfg: &EnumConfig) -> Frontier {
+    pub(crate) fn new(cfg: &EnumConfig) -> Frontier {
         let shapes = config_shapes(cfg);
         let kinds = kinds_for(cfg);
         let tags = kinds.iter().map(|&k| kind_tag(k)).collect();
@@ -1319,20 +1319,6 @@ mod tests {
             Walk::new(&cfg).workers(3).count().0,
             Walk::new(&cfg).workers(1).count().0
         );
-    }
-
-    #[test]
-    fn stream_par_is_bounded_and_complete() {
-        let walk = Walk::new(&EnumConfig::hw(Arch::X86, 3));
-        let expect = walk.count().0;
-        // A tiny channel forces producer back-pressure; the stream still
-        // delivers the whole space.
-        let got = walk.clone().stream(4).count();
-        assert_eq!(got, expect);
-        // Dropping the stream early stops the producers (no hang, no
-        // panic) — take a prefix and let the iterator fall.
-        let some: Vec<Execution> = walk.stream(2).take(5).collect();
-        assert_eq!(some.len(), 5);
     }
 
     #[test]

@@ -6,18 +6,21 @@
 //! minimally-forbidden ("Forbid") and maximally-allowed ("Allow")
 //! conformance suites.
 //!
-//! * [`walk`] — the one walk engine: a [`Walk`] is a bounded search
-//!   over the candidate space (config, optional prune oracle, workers,
-//!   optional progress) that every sweep below runs through;
+//! * [`Walk`] — the one walk engine: a bounded search over the
+//!   candidate space (config, optional prune oracle, workers, optional
+//!   progress) that every sweep below runs through;
 //! * [`mod@enumerate`] — candidate-execution generation per
 //!   architecture: the subtree frontier and the structure walk;
-//! * [`consistent`] — the consistency-pruned structure walk;
-//! * [`steal`] — the work-stealing pool walks run on;
-//! * [`weaken`] — the ⊏ order: event removal, dependency removal,
-//!   event downgrade, transaction-boundary stripping;
-//! * [`suites`] — Forbid/Allow synthesis with discovery timestamps
+//! * [`LeafChecker`] — the consistency check at the leaves of the
+//!   pruned structure walk;
+//! * [`worker_count`] / [`StealStats`] — the work-stealing pool walks
+//!   run on;
+//! * the ⊏ order (the `weaken` module): event removal, dependency
+//!   removal, event downgrade, transaction-boundary stripping;
+//! * [`synthesise`] — Forbid/Allow synthesis with discovery timestamps
 //!   (regenerates Table 1 and Fig. 7);
-//! * [`diff`] — model-difference search (Memalloy's original mode).
+//! * [`distinguish`] — model-difference search (Memalloy's original
+//!   mode).
 //!
 //! ```
 //! use txmm_synth::{synthesise, EnumConfig, Walk};
@@ -37,17 +40,17 @@
 //! assert_eq!(one.forbid.len(), r.forbid.len());
 //! ```
 
-pub mod consistent;
-pub mod diff;
+pub(crate) mod consistent;
+pub(crate) mod diff;
 pub mod enumerate;
-pub mod steal;
-pub mod suites;
-pub mod walk;
-pub mod weaken;
+pub(crate) mod steal;
+pub(crate) mod suites;
+pub(crate) mod walk;
+pub(crate) mod weaken;
 
 pub use consistent::{LeafChecker, PruneCounters};
 pub use diff::{distinguish, equivalent};
-pub use enumerate::{enumerate_reference, walk_weight, CandSeq, EnumConfig, Frontier, Subtree};
+pub use enumerate::{enumerate_reference, CandSeq, EnumConfig};
 pub use steal::{worker_count, StealStats};
 pub use suites::{synthesise, table1_config, txn_histogram, FoundTest, SuiteResult};
 pub use txmm_core::canon::canon_key;
@@ -55,4 +58,3 @@ pub use walk::{
     count_consistent_par_progress, enumerate, oracle_for, visit_pruned_par_progress, Probe, Search,
     Walk,
 };
-pub use weaken::weakenings;

@@ -19,7 +19,7 @@
 //! removes candidates, so a pruned walk emits the unpruned order,
 //! filtered.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use txmm_core::canon::{kind_tag, label_canonical, Label};
@@ -35,8 +35,9 @@ use crate::enumerate::{
 };
 use crate::steal::{run_with_progress, worker_count, StealStats};
 
-/// A bounded walk over the candidate space of one [`EnumConfig`]; see
-/// the [module docs](self).
+/// A bounded walk over the candidate space of one [`EnumConfig`]: its
+/// subtrees, run in order on one worker or across the work-stealing
+/// pool, with an optional prune oracle or model.
 #[derive(Clone)]
 pub struct Walk<'a> {
     cfg: EnumConfig,
@@ -93,36 +94,12 @@ impl Walk<'static> {
             progress: None,
         }
     }
-
-    /// The walk's candidates through a channel that holds `capacity`;
-    /// dropping the iterator makes the pool skip every remaining subtree.
-    pub fn stream(self, capacity: usize) -> impl Iterator<Item = Execution> {
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Execution>(capacity.max(1));
-        std::thread::spawn(move || {
-            let gone = AtomicBool::new(false);
-            let shapes = self.start();
-            self.run(
-                |_| tx.clone(),
-                |sub, lane, tx| {
-                    if gone.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    self.subtree(&shapes, sub, lane, |_, x| {
-                        if !gone.load(Ordering::Relaxed) && tx.send(x.clone()).is_err() {
-                            gone.store(true, Ordering::Relaxed);
-                        }
-                    });
-                },
-            );
-        });
-        rx.into_iter()
-    }
 }
 
 impl<'a> Walk<'a> {
     /// Cut the rf/co subtrees `oracle` rules out; the leaves are its
     /// survivors, checked against no model.
-    pub fn prune(self, oracle: &'a dyn PruneOracle) -> Walk<'a> {
+    pub(crate) fn prune(self, oracle: &'a dyn PruneOracle) -> Walk<'a> {
         Walk {
             oracle: Some(oracle),
             ..self
@@ -426,7 +403,7 @@ pub fn count_consistent_par_progress(
         .count()
 }
 
-/// `Walk::visit` over [`Walk::prune`], kept for the benchmark package.
+/// `Walk::visit` over `Walk::prune`, kept for the benchmark package.
 pub fn visit_pruned_par_progress<S, FI, FV>(
     cfg: &EnumConfig,
     oracle: &dyn PruneOracle,

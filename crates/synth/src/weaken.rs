@@ -16,7 +16,7 @@ use txmm_core::Execution;
 use txmm_models::Arch;
 
 /// All one-step ⊏-predecessors of `x` (well-formed ones only).
-pub fn weakenings(x: &Execution, arch: Arch) -> Vec<Execution> {
+pub(crate) fn weakenings(x: &Execution, arch: Arch) -> Vec<Execution> {
     let mut out = Vec::new();
 
     // (i) Remove an event.

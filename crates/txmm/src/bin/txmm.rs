@@ -462,9 +462,10 @@ fn cmd_serve_daemon(args: &Args, listen: &str) -> Done {
         ..args.pool_config()
     };
     let max_conns = args.count("--max-conns")?;
+    let addr = ListenAddr::parse(listen)?;
     let pool = SessionPool::new(&cfg)?;
     let shards = pool.shard_count();
-    let daemon = Daemon::bind(&ListenAddr::parse(listen), pool)
+    let daemon = Daemon::bind(&addr, pool)
         .map_err(|e| format!("cannot listen on {listen}: {e}"))?
         .with_max_conns(max_conns);
     eprintln!(
@@ -477,13 +478,18 @@ fn cmd_serve_daemon(args: &Args, listen: &str) -> Done {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Connect to a daemon at `addr` (`host:port` or `unix:<path>`).
-fn connect(addr: &str) -> std::io::Result<Box<dyn ReadWrite>> {
-    #[cfg(unix)]
-    if let Some(path) = addr.strip_prefix("unix:") {
-        return Ok(Box::new(std::os::unix::net::UnixStream::connect(path)?));
+/// Connect to a daemon at a parsed address.
+fn connect(addr: &ListenAddr) -> io::Result<Box<dyn ReadWrite>> {
+    match addr {
+        ListenAddr::Tcp(a) => Ok(Box::new(std::net::TcpStream::connect(a)?)),
+        #[cfg(unix)]
+        ListenAddr::Unix(path) => Ok(Box::new(std::os::unix::net::UnixStream::connect(path)?)),
+        #[cfg(not(unix))]
+        ListenAddr::Unix(_) => Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "unix sockets are not available on this platform",
+        )),
     }
-    Ok(Box::new(std::net::TcpStream::connect(addr)?))
 }
 
 trait ReadWrite: Read + Write {}
@@ -491,6 +497,7 @@ impl<T: Read + Write> ReadWrite for T {}
 
 fn cmd_client(args: &Args, out: &mut impl Write) -> Done {
     let (addr, what, arg) = (args.pos[0], args.pos[1], args.pos.get(2).copied());
+    let listen = ListenAddr::parse(addr)?;
     let trace = args.value("--trace").map(str::to_string);
     let models: Vec<String> = args.values("--model").map(str::to_string).collect();
     let models = (!models.is_empty()).then_some(models);
@@ -550,12 +557,12 @@ fn cmd_client(args: &Args, out: &mut impl Write) -> Done {
                 // interactive; piped output stays plain JSONL.
                 write!(out, "\x1b[2J\x1b[H")?;
             }
-            client_round_trip(addr, &request, out)?;
+            client_round_trip(addr, &listen, &request, out)?;
             out.flush()?;
             std::thread::sleep(interval);
         }
     }
-    match client_round_trip(addr, &request, out)? {
+    match client_round_trip(addr, &listen, &request, out)? {
         0 => Ok(ExitCode::SUCCESS),
         failures => {
             eprintln!("{failures} error responses");
@@ -564,11 +571,17 @@ fn cmd_client(args: &Args, out: &mut impl Write) -> Done {
     }
 }
 
-/// One request/response frame against a daemon or metrics sidecar:
-/// connect, send, write response lines to `out` up to the blank
-/// terminator. Returns how many of them were error responses.
-fn client_round_trip(addr: &str, request: &Request, out: &mut impl Write) -> Done<usize> {
-    let stream = connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+/// One request/response frame against a daemon or metrics sidecar at
+/// `listen` (written `addr`): connect, send, write response lines to
+/// `out` up to the blank terminator. Returns how many of them were
+/// error responses.
+fn client_round_trip(
+    addr: &str,
+    listen: &ListenAddr,
+    request: &Request,
+    out: &mut impl Write,
+) -> Done<usize> {
+    let stream = connect(listen).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     let mut stream = BufReader::new(stream);
     stream
         .get_mut()
@@ -888,7 +901,8 @@ mod tests {
     /// The paper's runs refuse an unknown model (`walk` resolves native
     /// models only, so a shipped `.cat` twin is unknown to it), a bound
     /// out of range or not theirs, and a word they do not take, and
-    /// print nothing on stdout.
+    /// print nothing on stdout; so do the daemon and the client given an
+    /// address they cannot use.
     #[test]
     fn paper_runs_refuse_bad_models_and_bounds() {
         for line in [
@@ -902,6 +916,9 @@ mod tests {
             &["table1", "5"],
             &["fig7", "--events", "four"],
             &["catalog", "litmus"],
+            // `unix:` with no path names no socket a client can reach.
+            &["serve", "--listen", "unix:"],
+            &["client", "unix:", "stats"],
         ] {
             assert_eq!(output(line), (ExitCode::FAILURE, Vec::new()), "{line:?}");
         }

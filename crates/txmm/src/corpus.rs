@@ -12,7 +12,7 @@ use crate::session::Session;
 /// The serving architecture of a catalog entry: the first hardware
 /// model it states expectations for, C++ if only C++ models do, SC
 /// otherwise.
-pub fn entry_arch(expect: &[(&str, catalog::Expect)]) -> Arch {
+pub(crate) fn entry_arch(expect: &[(&str, catalog::Expect)]) -> Arch {
     for (m, _) in expect {
         match *m {
             "x86" | "x86-tm" => return Arch::X86,
@@ -29,7 +29,7 @@ pub fn entry_arch(expect: &[(&str, catalog::Expect)]) -> Arch {
 }
 
 /// File-system-safe test name.
-pub fn sanitise(name: &str) -> String {
+pub(crate) fn sanitise(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
         .collect()

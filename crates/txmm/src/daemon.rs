@@ -101,7 +101,7 @@ impl PoolConfig {
 
 /// One shard's counters, as reported by the `stats` request.
 #[derive(Debug, Clone, Copy)]
-pub struct ShardSnapshot {
+pub(crate) struct ShardSnapshot {
     /// Shard index.
     pub shard: usize,
     /// Check and outcomes requests this shard answered.
@@ -124,7 +124,7 @@ pub struct ShardSnapshot {
 /// on [`ShardSnapshot`] so `stats` can show in-flight walk progress
 /// per shard.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct WalkSnapshot {
+pub(crate) struct WalkSnapshot {
     /// Weighted work units completed.
     pub work_done: u64,
     /// Weighted work units planned.
@@ -387,18 +387,6 @@ impl SessionPool {
         }
     }
 
-    /// [`SessionPool::check`] with a client trace: the spans of every
-    /// stage land on `trace`.
-    pub fn check_traced(
-        &self,
-        file: &str,
-        src: &str,
-        models: Option<Vec<String>>,
-        trace: &Arc<txmm_obs::Trace>,
-    ) -> String {
-        txmm_obs::with_trace(Some(trace), || self.check(file, src, models))
-    }
-
     /// Parse and convert on this thread, and route by the execution's
     /// canonical key.
     fn route_check(&self, file: &str, src: &str) -> Result<(usize, ParsedTest), String> {
@@ -573,7 +561,7 @@ impl SessionPool {
     /// shard serving the old models), then each shard, one at a time,
     /// replaces its registrations in place under its lock. Returns the
     /// reloaded model names.
-    pub fn reload(&self) -> Result<Vec<String>, String> {
+    pub(crate) fn reload(&self) -> Result<Vec<String>, String> {
         let mut sources = Vec::with_capacity(self.cat_files.len());
         for path in &self.cat_files {
             let src =
@@ -600,7 +588,7 @@ impl SessionPool {
     }
 
     /// Render the `reload` response line.
-    pub fn reload_line(&self) -> String {
+    pub(crate) fn reload_line(&self) -> String {
         match self.reload() {
             Ok(names) => {
                 let list = names
@@ -623,7 +611,7 @@ impl SessionPool {
     /// Snapshot every shard (in shard order) plus the failure count,
     /// without taking any Session lock: in-flight requests show up in
     /// `depth` and in the walk counters instead of delaying the answer.
-    pub fn stats(&self) -> (Vec<ShardSnapshot>, u64) {
+    pub(crate) fn stats(&self) -> (Vec<ShardSnapshot>, u64) {
         let shards = self
             .shards
             .iter()
@@ -653,7 +641,7 @@ impl SessionPool {
     /// Render the `stats` response line: the counters summed over the
     /// shards (with the hit rates), the stage split, the slowest ring
     /// and every shard's own counters.
-    pub fn stats_line(&self) -> String {
+    pub(crate) fn stats_line(&self) -> String {
         let (shards, failures) = self.stats();
         let mut total = SessionStats::default().fields();
         let mut stages = StageMicros::default();
@@ -720,7 +708,7 @@ impl SessionPool {
     }
 
     /// Render the `models` response lines.
-    pub fn model_lines(&self) -> Vec<String> {
+    pub(crate) fn model_lines(&self) -> Vec<String> {
         self.models
             .iter()
             .map(|(name, arch, tm)| {
@@ -787,19 +775,23 @@ pub enum ListenAddr {
 }
 
 impl ListenAddr {
-    /// Parse a `--listen` argument.
-    pub fn parse(s: &str) -> ListenAddr {
+    /// Parse a `--listen` or `txmm client` address. `unix:` with no
+    /// path is refused: Linux would bind it to an autobound abstract
+    /// address that no client can name.
+    pub fn parse(s: &str) -> Result<ListenAddr, String> {
         match s.strip_prefix("unix:") {
-            Some(path) => ListenAddr::Unix(PathBuf::from(path)),
-            None => ListenAddr::Tcp(s.to_string()),
+            Some("") => Err(format!("{s} names no socket path (try unix:<path>)")),
+            Some(path) => Ok(ListenAddr::Unix(PathBuf::from(path))),
+            None => Ok(ListenAddr::Tcp(s.to_string())),
         }
     }
 }
 
 enum Listener {
     Tcp(TcpListener),
+    /// The listener and its socket file, removed when the daemon stops.
     #[cfg(unix)]
-    Unix(std::os::unix::net::UnixListener),
+    Unix(std::os::unix::net::UnixListener, PathBuf),
 }
 
 /// One accepted client connection.
@@ -885,7 +877,10 @@ impl Daemon {
                     let _ = std::fs::remove_file(path);
                 }
                 let l = std::os::unix::net::UnixListener::bind(path)?;
-                (Listener::Unix(l), format!("unix:{}", path.display()))
+                (
+                    Listener::Unix(l, path.clone()),
+                    format!("unix:{}", path.display()),
+                )
             }
             #[cfg(not(unix))]
             ListenAddr::Unix(_) => {
@@ -925,7 +920,7 @@ impl Daemon {
         match &self.listener {
             Listener::Tcp(l) => l.set_nonblocking(true)?,
             #[cfg(unix)]
-            Listener::Unix(l) => l.set_nonblocking(true)?,
+            Listener::Unix(l, _) => l.set_nonblocking(true)?,
         }
         let (pool, stop) = (&self.pool, &self.stop);
         let live_conns = AtomicUsize::new(0);
@@ -938,7 +933,7 @@ impl Daemon {
             let accepted = match &self.listener {
                 Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
                 #[cfg(unix)]
-                Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
+                Listener::Unix(l, _) => l.accept().map(|(s, _)| Conn::Unix(s)),
             };
             match accepted {
                 Ok(mut conn) => {
@@ -973,10 +968,8 @@ impl Daemon {
             }
         });
         #[cfg(unix)]
-        if let Listener::Unix(_) = &self.listener {
-            if let Some(path) = self.local_addr.strip_prefix("unix:") {
-                let _ = std::fs::remove_file(path);
-            }
+        if let Listener::Unix(_, path) = &self.listener {
+            let _ = std::fs::remove_file(path);
         }
         result
     }
@@ -1457,6 +1450,19 @@ mod tests {
         assert!(lines.iter().any(|l| l.contains("\"model\":\"x86-tm\"")));
         assert!(lines.iter().any(|l| l.contains("\"model\":\"x86-tm.cat\"")));
         pool.shutdown();
+    }
+
+    #[test]
+    fn listen_addresses_parse_and_an_empty_unix_path_is_refused() {
+        assert_eq!(
+            ListenAddr::parse("127.0.0.1:7750"),
+            Ok(ListenAddr::Tcp("127.0.0.1:7750".into()))
+        );
+        assert_eq!(
+            ListenAddr::parse("unix:/tmp/d.sock"),
+            Ok(ListenAddr::Unix("/tmp/d.sock".into()))
+        );
+        assert!(ListenAddr::parse("unix:").is_err());
     }
 
     #[test]

@@ -52,15 +52,6 @@ pub mod protocol;
 pub mod serve;
 pub mod session;
 
-pub use daemon::{Daemon, ListenAddr, PoolConfig, SessionPool, ShardSnapshot, WalkSnapshot};
-pub use outcomes::{normalise_outcome, unsound_sim_outcomes, ModelOutcomes, OutcomeReport};
-pub use protocol::Request;
-pub use serve::{
-    check_parsed, collect_litmus_files, jsonl_line, parse_request, serve_file, serve_source,
-    ParsedTest, StageMicros, TestFailure, TestReport,
-};
-pub use session::{ModelRef, Session, SessionStats};
-
 /// Everything most programs need.
 pub mod prelude {
     pub use crate::serve::{serve_file, serve_source};

@@ -47,7 +47,7 @@ use crate::session::{intern_into, ModelRef, Session};
 /// per-request work; [`Session::set_max_candidates`] (or a request's
 /// `max_candidates` field) raises it for deliberately larger tables,
 /// which consistency-guided pruning keeps affordable.
-pub const MAX_CANDIDATES: u128 = 1 << 16;
+pub(crate) const MAX_CANDIDATES: u128 = 1 << 16;
 
 /// What one `(program, model)` outcome walk actually visited: the
 /// subset of the candidate space the model's oracle could not refute
@@ -154,7 +154,7 @@ impl Session {
     /// overriding the session default — how the daemon honours a
     /// request's `max_candidates` field without perturbing the
     /// session-wide setting.
-    pub fn outcomes_capped(
+    pub(crate) fn outcomes_capped(
         &mut self,
         file: &str,
         t: &LitmusTest,
@@ -316,7 +316,7 @@ impl Session {
 /// hardware reality that pre-abort loads may leave values in registers;
 /// quotienting both sides by aborted-load registers makes the subset
 /// relation well-defined.
-pub fn normalise_outcome(t: &LitmusTest, o: &Outcome) -> Outcome {
+pub(crate) fn normalise_outcome(t: &LitmusTest, o: &Outcome) -> Outcome {
     let mut out = o.clone();
     for (tid, instrs) in t.threads.iter().enumerate() {
         let mut open: Option<usize> = None;
@@ -342,7 +342,7 @@ pub fn normalise_outcome(t: &LitmusTest, o: &Outcome) -> Outcome {
 
 /// Soundness cross-check: run the test on its architecture's
 /// operational machine and return every observed outcome **not** in the
-/// model's allowed set (both sides normalised per [`normalise_outcome`]).
+/// model's allowed set (both sides normalised per `normalise_outcome`).
 /// An empty result means the machine's observations are a subset of the
 /// axiomatic allowed set — the direction soundness requires. `None`
 /// where no machine runs the test (see [`txmm_hwsim::run`]).

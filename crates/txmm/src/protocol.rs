@@ -401,7 +401,7 @@ fn str_field(v: &Json, key: &str) -> Result<String, ProtocolError> {
 
 impl Request {
     /// Parse one request line.
-    pub fn parse(line: &str) -> Result<Request, ProtocolError> {
+    pub(crate) fn parse(line: &str) -> Result<Request, ProtocolError> {
         let v = parse_json(line)?;
         let cmd = str_field(&v, "cmd")?;
         match cmd.as_str() {
@@ -449,7 +449,7 @@ impl Request {
     }
 
     /// Render as a request line (no trailing newline) — the client
-    /// half of [`Request::parse`].
+    /// half of `Request::parse`.
     pub fn to_line(&self) -> String {
         fn models_suffix(models: &Option<Vec<String>>) -> String {
             match models {
@@ -528,7 +528,7 @@ impl Request {
 }
 
 /// An `{"error":...}` response line.
-pub fn error_line(msg: &str) -> String {
+pub(crate) fn error_line(msg: &str) -> String {
     format!("{{\"error\":\"{}\"}}", json_escape(msg))
 }
 

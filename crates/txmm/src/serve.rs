@@ -23,8 +23,8 @@
 //! Serving one test is a four-stage pipeline — *parse* (litmus text →
 //! AST), *convert* (AST → pinned candidate execution), *verdict*
 //! (cached model checking) and *observe* (cached hardware simulation) —
-//! and the stages are exposed separately ([`parse_request`] /
-//! [`check_parsed`]) so the socket daemon can parse and convert before
+//! and the stages are exposed separately (`parse_request` /
+//! `check_parsed`) so the socket daemon can parse and convert before
 //! it takes a Session shard's lock, and hold the lock only for the
 //! verdict and observe stages. Each stage is timed on its own, on the
 //! thread that runs it (for a single request, its connection thread);
@@ -63,7 +63,7 @@ pub struct StageMicros {
 
 impl StageMicros {
     /// Total serving time across every stage, `other` included.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.parse + self.convert + self.verdict + self.observe + self.other
     }
 
@@ -71,7 +71,7 @@ impl StageMicros {
     /// already-recorded stages to `other`, restoring the invariant
     /// `total() == end_to_end` (saturating: a shorter measurement —
     /// clock skew across threads — adds nothing).
-    pub fn absorb_gap(&mut self, end_to_end: u64) {
+    pub(crate) fn absorb_gap(&mut self, end_to_end: u64) {
         self.other += end_to_end.saturating_sub(self.total());
     }
 }
@@ -79,7 +79,7 @@ impl StageMicros {
 /// A litmus test parsed and converted, ready for the checking stages.
 /// The daemon builds it before it locks a Session shard, and routes by
 /// its execution's canonical key.
-pub struct ParsedTest {
+pub(crate) struct ParsedTest {
     /// File name (as given).
     pub file: String,
     /// Test name from the header line.
@@ -122,7 +122,8 @@ pub struct TestReport {
 
 impl TestReport {
     /// Total serving time across all stages, in microseconds.
-    pub fn micros(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn micros(&self) -> u64 {
         self.stages.total()
     }
 }
@@ -139,7 +140,7 @@ pub struct TestFailure {
 impl TestFailure {
     /// The failure's JSONL line (no trailing newline), the same for
     /// `check` and `outcomes`: `{"file":…,"error":…}`.
-    pub fn jsonl_line(&self) -> String {
+    pub(crate) fn jsonl_line(&self) -> String {
         format!(
             "{{\"file\":\"{}\",\"error\":\"{}\"}}",
             json_escape(&self.file),
@@ -163,7 +164,7 @@ pub fn read_source(path: &Path) -> Result<(String, String), TestFailure> {
 
 /// The parse and convert stages: litmus text → pinned candidate
 /// execution, each stage timed separately.
-pub fn parse_request(file: &str, src: &str) -> Result<ParsedTest, TestFailure> {
+pub(crate) fn parse_request(file: &str, src: &str) -> Result<ParsedTest, TestFailure> {
     let whole = Instant::now();
     let span = txmm_obs::span!("serve.parse");
     let t = match parse_litmus(src) {
@@ -203,7 +204,7 @@ pub fn parse_request(file: &str, src: &str) -> Result<ParsedTest, TestFailure> {
 /// shard). `cached` is derived from the verdict-miss delta of exactly
 /// this call, so it stays accurate when many tests interleave on a
 /// shared pool.
-pub fn check_parsed(
+pub(crate) fn check_parsed(
     session: &mut Session,
     t: &ParsedTest,
     models: Option<&[ModelRef]>,
@@ -331,7 +332,7 @@ pub fn jsonl_line(served: &Result<TestReport, TestFailure>) -> String {
 /// JSONL object line, just before its closing brace. Data lines stay
 /// byte-identical unless the client explicitly sent a `trace_id`, so
 /// the daemon's determinism guarantees are untouched for everyone else.
-pub fn attach_trace(line: &str, trace: &txmm_obs::Trace) -> String {
+pub(crate) fn attach_trace(line: &str, trace: &txmm_obs::Trace) -> String {
     let Some(head) = line.strip_suffix('}') else {
         return line.to_string();
     };
@@ -365,7 +366,7 @@ pub fn attach_trace(line: &str, trace: &txmm_obs::Trace) -> String {
 /// [`parse_request`] this does **not** reconstruct a pinned execution —
 /// the outcome engine answers programs whose postcondition pins
 /// nothing (or is absent entirely).
-pub fn parse_outcomes_request(file: &str, src: &str) -> Result<LitmusTest, TestFailure> {
+pub(crate) fn parse_outcomes_request(file: &str, src: &str) -> Result<LitmusTest, TestFailure> {
     parse_litmus(src).map_err(|e| TestFailure {
         file: file.to_string(),
         error: e.to_string(),

@@ -45,7 +45,7 @@ use txmm_core::{Execution, ExecutionAnalysis};
 use txmm_litmus::litmus_from_execution;
 use txmm_models::{registry, Arch, Checker, Derived, Model, Verdict};
 use txmm_synth::{canon_key, EnumConfig, PruneCounters, SuiteResult, Walk};
-use txmm_verify::{CompileResult, ElisionResult, ElisionTarget, MonotonicityResult, TheoremResult};
+use txmm_verify::{CompileResult, ElisionResult, ElisionTarget, MonotonicityResult};
 
 /// Handle of a registered model within one [`Session`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -205,7 +205,7 @@ pub struct SessionStats {
 impl SessionStats {
     /// Every counter as `(key, value)`, in the order the daemon's
     /// `stats` answer lists them.
-    pub fn fields(&self) -> [(&'static str, u64); 22] {
+    pub(crate) fn fields(&self) -> [(&'static str, u64); 22] {
         [
             ("interned", self.interned as u64),
             ("verdict_hits", self.verdict_hits),
@@ -445,7 +445,7 @@ impl Session {
 
     /// Register any [`Model`]; returns its handle. Later registrations
     /// shadow earlier ones in [`Session::resolve`] lookups.
-    pub fn register_model(&mut self, m: Box<dyn Model>) -> ModelRef {
+    pub(crate) fn register_model(&mut self, m: Box<dyn Model>) -> ModelRef {
         self.models.push(m);
         ModelRef(self.models.len() - 1)
     }
@@ -470,7 +470,7 @@ impl Session {
 
     /// Load, compile and register a user-supplied `.cat` file; the model
     /// is named after the file stem.
-    pub fn register_cat_file(&mut self, path: &std::path::Path) -> Result<ModelRef, String> {
+    pub(crate) fn register_cat_file(&mut self, path: &std::path::Path) -> Result<ModelRef, String> {
         let src = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         let name = path
             .file_stem()
@@ -485,7 +485,7 @@ impl Session {
     /// valid) and every cached verdict and outcome set for that slot is
     /// invalidated; otherwise this is a plain registration. Parse
     /// errors leave the old model serving.
-    pub fn reload_cat_source(&mut self, name: &str, src: &str) -> Result<ModelRef, String> {
+    pub(crate) fn reload_cat_source(&mut self, name: &str, src: &str) -> Result<ModelRef, String> {
         let file = parse_cat(src).map_err(|e| format!("{name}: {e}"))?;
         let Some(slot) = self.models.iter().rposition(|m| m.name() == name) else {
             return self.register_cat_source(name, src);
@@ -527,14 +527,9 @@ impl Session {
     }
 
     /// Replace the candidate-execution cap the outcome engine refuses
-    /// programs above (default [`crate::outcomes::MAX_CANDIDATES`]).
+    /// programs above (default `MAX_CANDIDATES`, 65,536).
     pub fn set_max_candidates(&mut self, cap: u128) {
         self.max_candidates = cap;
-    }
-
-    /// The current candidate-execution cap.
-    pub fn max_candidates(&self) -> u128 {
-        self.max_candidates
     }
 
     /// Attach (or detach) a live walk-progress accumulator. While set,
@@ -547,7 +542,7 @@ impl Session {
     }
 
     /// The attached walk-progress accumulator, if any.
-    pub fn walk_progress(&self) -> Option<&Arc<txmm_obs::WalkProgress>> {
+    pub(crate) fn walk_progress(&self) -> Option<&Arc<txmm_obs::WalkProgress>> {
         self.walk_progress.as_ref()
     }
 
@@ -576,34 +571,10 @@ impl Session {
     /// canonical (thread/location symmetry-reduced) class. Verdicts and
     /// observability are symmetric under those permutations, so
     /// symmetric variants share every cache entry.
-    pub fn intern(&mut self, x: &Execution) -> ExecId {
+    pub(crate) fn intern(&mut self, x: &Execution) -> ExecId {
         let id = intern_into(&mut self.arena, &mut self.canon_ids, x);
         self.stats.interned.set(self.arena.len() as i64);
         id
-    }
-
-    /// The interned execution behind an id.
-    pub fn execution(&self, id: ExecId) -> Execution {
-        self.arena.unpack(id)
-    }
-
-    /// Intern an entire bounded enumeration into the arena by consuming
-    /// the streaming work-stealing enumerator: candidates are produced
-    /// on a background pool and flow through a bounded channel, so the
-    /// space is never materialised as a `Vec<Execution>` — memory stays
-    /// at the channel capacity plus the arena itself. Returns the ids
-    /// of the interned executions (one per canonical class, since the
-    /// streaming enumerator already emits exactly one representative
-    /// each).
-    pub fn intern_enumeration(&mut self, cfg: &EnumConfig) -> Vec<ExecId> {
-        /// In-flight candidates between the enumeration pool and the
-        /// interning loop; small, so a slow intern path back-pressures
-        /// the producers instead of buffering the space.
-        const STREAM_CAPACITY: usize = 256;
-        Walk::new(cfg)
-            .stream(STREAM_CAPACITY)
-            .map(|x| self.intern(&x))
-            .collect()
     }
 
     // ---- Cached checking -------------------------------------------------
@@ -615,7 +586,7 @@ impl Session {
     }
 
     /// [`Session::verdict`] for an already-interned execution.
-    pub fn verdict_interned(&mut self, id: ExecId, m: ModelRef) -> Verdict {
+    pub(crate) fn verdict_interned(&mut self, id: ExecId, m: ModelRef) -> Verdict {
         if let Some(v) = self.verdicts.get(&(id, m.0)) {
             self.stats.verdict_hits.inc();
             return v.clone();
@@ -628,13 +599,14 @@ impl Session {
     }
 
     /// Convenience: is the execution consistent under the model?
-    pub fn consistent(&mut self, x: &Execution, m: ModelRef) -> bool {
+    #[cfg(test)]
+    pub(crate) fn consistent(&mut self, x: &Execution, m: ModelRef) -> bool {
         self.verdict(x, m).is_consistent()
     }
 
     /// Verdicts of every registered model on one execution; see
     /// [`Session::verdicts_for`].
-    pub fn verdicts(&mut self, x: &Execution) -> Vec<(ModelRef, Verdict)> {
+    pub(crate) fn verdicts(&mut self, x: &Execution) -> Vec<(ModelRef, Verdict)> {
         let all: Vec<ModelRef> = self.models().collect();
         self.verdicts_for(x, &all)
     }
@@ -714,7 +686,8 @@ impl Session {
     }
 
     /// Model-difference search (§4.1).
-    pub fn distinguish(
+    #[cfg(test)]
+    pub(crate) fn distinguish(
         &self,
         cfg: &EnumConfig,
         m: ModelRef,
@@ -725,7 +698,7 @@ impl Session {
     }
 
     /// Bounded monotonicity check (§8.1).
-    pub fn check_monotonicity(
+    pub(crate) fn check_monotonicity(
         &self,
         cfg: &EnumConfig,
         m: ModelRef,
@@ -735,7 +708,7 @@ impl Session {
     }
 
     /// Bounded C++-to-hardware compilation soundness (§8.2).
-    pub fn check_compilation(
+    pub(crate) fn check_compilation(
         &self,
         events: usize,
         target: Arch,
@@ -746,22 +719,12 @@ impl Session {
     }
 
     /// Bounded lock-elision soundness (§8.3).
-    pub fn check_lock_elision(
+    pub(crate) fn check_lock_elision(
         &self,
         target: ElisionTarget,
         budget: Option<Duration>,
     ) -> ElisionResult {
         txmm_verify::check_lock_elision(target, budget)
-    }
-
-    /// Bounded validation of Theorem 7.2.
-    pub fn check_theorem_7_2(&self, events: usize, budget: Option<Duration>) -> TheoremResult {
-        txmm_verify::check_theorem_7_2(&Walk::new(&txmm_verify::theorem_cfg(events)), budget)
-    }
-
-    /// Bounded validation of Theorem 7.3.
-    pub fn check_theorem_7_3(&self, events: usize, budget: Option<Duration>) -> TheoremResult {
-        txmm_verify::check_theorem_7_3(&Walk::new(&txmm_verify::theorem_cfg(events)), budget)
     }
 }
 
@@ -938,20 +901,23 @@ mod tests {
             max_locs: 2,
             ..EnumConfig::hw(Arch::X86, 2)
         };
-        let ids = s.intern_enumeration(&cfg);
-        // One id per streamed candidate, all distinct: the streaming
-        // enumerator emits one representative per canonical class and
-        // the arena keys by that class.
-        assert_eq!(ids.len(), Walk::new(&cfg).count().0);
+        let walk = Walk::new(&cfg);
+        let mut ids = Vec::new();
+        walk.for_each(|x| ids.push(s.intern(x)));
+        // One id per walked candidate, all distinct: the walk emits one
+        // representative per canonical class and the arena keys by that
+        // class.
+        assert_eq!(ids.len(), walk.count().0);
         let mut uniq = ids.clone();
         uniq.sort_unstable();
         uniq.dedup();
         assert_eq!(uniq.len(), ids.len(), "no canonical aliasing collisions");
         assert_eq!(s.stats().interned, ids.len());
-        // Re-running the stream interns nothing new.
-        let again = s.intern_enumeration(&cfg);
+        // Re-running the walk interns nothing new.
+        let mut again = Vec::new();
+        walk.for_each(|x| again.push(s.intern(x)));
         assert_eq!(s.stats().interned, ids.len());
-        assert_eq!(again.len(), ids.len());
+        assert_eq!(again, ids);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub enum ElisionTarget {
 
 impl ElisionTarget {
     /// The architecture model used for the concrete side.
-    pub fn model(self) -> Box<dyn Model> {
+    pub(crate) fn model(self) -> Box<dyn Model> {
         match self {
             ElisionTarget::X86 => Box::new(X86::tm()),
             ElisionTarget::Power => Box::new(Power::tm()),
@@ -60,7 +60,7 @@ pub fn violates_cr_order(x: &Execution) -> bool {
 }
 
 /// [`violates_cr_order`] over a caller-shared analysis.
-pub fn violates_cr_order_analysis(a: &txmm_core::ExecutionAnalysis<'_>) -> bool {
+pub(crate) fn violates_cr_order_analysis(a: &txmm_core::ExecutionAnalysis<'_>) -> bool {
     !weaklift(&a.po().union(a.com()), a.scr()).is_acyclic()
 }
 

@@ -3,14 +3,15 @@
 //! The paper's metatheory (§8, Table 2), checked by bounded exhaustive
 //! search:
 //!
-//! * [`monotonic`] — introducing/enlarging/coalescing transactions never
-//!   allows new behaviour (§8.1; counterexamples for Power and ARMv8 at
-//!   two events, via `TxnCancelsRMW`);
-//! * [`compile`] — the C++-to-hardware mappings and their soundness
-//!   (§8.2);
+//! * [`check_monotonicity`] — introducing/enlarging/coalescing
+//!   transactions never allows new behaviour (§8.1; counterexamples for
+//!   Power and ARMv8 at two events, via `TxnCancelsRMW`);
+//! * [`check_compilation`] — the C++-to-hardware mappings and their
+//!   soundness (§8.2);
 //! * [`elision`] — lock elision as a program transformation (§8.3,
 //!   Table 3), rediscovering Example 1.1 on ARMv8;
-//! * [`theorems`] — bounded validation of Theorems 7.2 and 7.3.
+//! * [`check_theorem_7_2`] / [`check_theorem_7_3`] — bounded validation
+//!   of Theorems 7.2 and 7.3.
 //!
 //! Every bounded check takes a [`Walk`](txmm_synth::Walk) — the space,
 //! the worker count and an optional prune oracle — and is one
@@ -25,10 +26,10 @@
 //! assert!(r.counterexample.is_some(), "lock elision is unsound on ARMv8");
 //! ```
 
-pub mod compile;
+pub(crate) mod compile;
 pub mod elision;
-pub mod monotonic;
-pub mod theorems;
+pub(crate) mod monotonic;
+pub(crate) mod theorems;
 
 use std::time::Duration;
 
@@ -61,4 +62,4 @@ impl<T> From<Search<T>> for CheckResult<T> {
 pub use compile::{check_compilation, compile_cfg, map_execution, CompileResult};
 pub use elision::{check_lock_elision, expand, violates_cr_order, ElisionResult, ElisionTarget};
 pub use monotonic::{check_monotonicity, txn_extensions, MonotonicityResult};
-pub use theorems::{check_theorem_7_2, check_theorem_7_3, theorem_cfg, TheoremResult};
+pub use theorems::{check_theorem_7_2, check_theorem_7_3, theorem_cfg};

@@ -19,7 +19,7 @@ use crate::CheckResult;
 
 /// The outcome of a bounded theorem check: an execution violating the
 /// theorem, if any.
-pub type TheoremResult = CheckResult<Execution>;
+pub(crate) type TheoremResult = CheckResult<Execution>;
 
 /// The C++ space the theorem checks walk at `events` events: the
 /// compilation space with atomic transactions.
