@@ -645,13 +645,30 @@ pub struct TxnFreeBase {
 impl TxnFreeBase {
     /// Capture every txn-independent slot `a` has materialised.
     pub fn capture(a: &ExecutionAnalysis<'_>) -> TxnFreeBase {
+        TxnFreeBase::capture_into(a, Vec::new())
+    }
+
+    /// [`TxnFreeBase::capture`] into this base's buffers: a checker
+    /// that captures every rf/co group into one base allocates nothing
+    /// once warm.
+    pub fn recapture(&mut self, a: &ExecutionAnalysis<'_>) {
+        let events = std::mem::take(&mut self.events);
+        *self = TxnFreeBase::capture_into(a, events);
+    }
+
+    /// Capture `a`, keeping its events in `events`' buffer.
+    fn capture_into(
+        a: &ExecutionAnalysis<'_>,
+        mut events: Vec<crate::event::Event>,
+    ) -> TxnFreeBase {
+        events.clone_from(&a.x.events);
         let rel = |c: &RelCache| c.0.get().copied();
         let mut fence_rels: [Option<Rel>; Fence::ALL.len()] = Default::default();
         for (slot, cache) in fence_rels.iter_mut().zip(&a.fence_rels) {
             *slot = rel(cache);
         }
         TxnFreeBase {
-            events: a.x.events().to_vec(),
+            events,
             po: *a.x.po(),
             addr: *a.x.addr(),
             ctrl: *a.x.ctrl(),

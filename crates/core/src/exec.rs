@@ -651,6 +651,30 @@ impl Execution {
         }
     }
 
+    /// Make `self` a copy of `x` with no transactions, in `self`'s
+    /// buffers: `self`'s class buffers move to `spare`, where
+    /// [`Execution::set_txn_layout`] draws them from, so a checker that
+    /// copies every rf/co group into one scratch execution and switches
+    /// layouts into it allocates nothing once warm.
+    pub fn copy_txn_free(&mut self, x: &Execution, spare: &mut Vec<Vec<EventId>>) {
+        for t in self.txns.drain(..) {
+            let mut events = t.events;
+            events.clear();
+            spare.push(events);
+        }
+        self.events.clone_from(&x.events);
+        self.po = x.po;
+        self.addr = x.addr;
+        self.ctrl = x.ctrl;
+        self.data = x.data;
+        self.rmw = x.rmw;
+        self.rf = x.rf;
+        self.co = x.co;
+        let idx = self.txn_index.get_or_insert_with(Vec::new);
+        idx.clear();
+        idx.resize(self.events.len(), None);
+    }
+
     /// Remove event `e`, dropping incident edges and re-indexing.
     ///
     /// This is clause (i) of the paper's ⊏ weakening order (§4.2). Reads
@@ -1005,6 +1029,23 @@ mod tests {
         assert!(spare.is_empty());
         assert_eq!(x, x.with_txns(x.txns().to_vec()));
         assert_eq!((x.txn_of(w0), x.txn_of(r0)), (Some(0), Some(1)));
+
+        // A scratch copy of another execution parks its classes in
+        // `spare` and equals the other one with its transactions erased.
+        let mut b = ExecBuilder::new();
+        let t = b.new_thread();
+        let w = b.write(t, 0);
+        let r = b.read(t, 0);
+        b.rf(w, r);
+        b.txn(&[w, r]);
+        let y = b.build().unwrap();
+        x.copy_txn_free(&y, &mut spare);
+        assert_eq!(x, y.erase_txns());
+        assert_eq!(spare.len(), 2);
+        assert_eq!(x.txn_of(r), None);
+        x.set_txn_layout(&[0, 0], false, &mut spare);
+        assert_eq!(x, y);
+        assert_eq!(spare.len(), 1);
     }
 
     #[test]

@@ -85,6 +85,12 @@ impl Model for PowerAblated {
     fn consistent_analysis(&self, a: &ExecutionAnalysis<'_>) -> bool {
         Power::fig6_consistent(a, self.highlights())
     }
+
+    /// Dropping a highlight drops terms, and each kept term obeys
+    /// [`Power`]'s argument on its own.
+    fn survives_txn_deletion(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

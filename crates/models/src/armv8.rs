@@ -154,6 +154,16 @@ impl Model for Armv8 {
     fn prune_oracle(&self, _txns_known: bool) -> Option<&dyn PruneOracle> {
         Some(self)
     }
+
+    /// Deleting a transaction `T` shrinks `stxn` and `tfence`, so `ob`
+    /// and `rmw ∩ tfence⁺` (TxnCancelsRMW) shrink. StrongIsol and
+    /// TxnOrder lift `com` and `ob` strongly, and a lift gains only the
+    /// edges inside `T`: a cycle through them shortcuts through `T`'s
+    /// old lifted edges, and a cycle of them alone breaks Coherence or
+    /// Order (the argument of [`X86`](crate::X86)'s declaration).
+    fn survives_txn_deletion(&self) -> bool {
+        true
+    }
 }
 
 // `ob` and the TM additions are monotone in (rf, co, fr); as for

@@ -246,6 +246,21 @@ pub trait Model: Send + Sync {
         let _ = txns_known;
         None
     }
+
+    /// Whether consistency survives deleting any one whole transaction:
+    /// when an execution is consistent, so is every execution that
+    /// differs from it only by one transaction class fewer (the other
+    /// classes kept as they are). A leaf checker then infers most of a
+    /// group's layout verdicts from the others.
+    ///
+    /// Declared in code by each model, with its argument, and never
+    /// settable by a user: a false `true` makes inferred verdicts
+    /// wrong. It is not the §8.1 monotonicity, which enlarges and
+    /// coalesces transactions (and fails for Power and ARMv8). Default
+    /// `false` (always sound).
+    fn survives_txn_deletion(&self) -> bool {
+        false
+    }
 }
 
 /// Consistency of a `(m, n)` model pair on one execution over one

@@ -500,6 +500,22 @@ impl Model for Power {
     fn prune_oracle(&self, _txns_known: bool) -> Option<&dyn PruneOracle> {
         Some(self)
     }
+
+    /// Deleting a transaction `T` shrinks `stxn` and `tfence`, and with
+    /// them every union, composition and closure of Fig. 6 built from
+    /// them: `fence`, `ihb`, `thb`, `weaklift(thb, stxn)` (a weak lift
+    /// needs transactions at both ends), `hb`, `efence`, the tprops and
+    /// `prop`, so Order, Propagation and Observation hold. So does
+    /// TxnCancelsRMW, as `rmw ∩ tfence⁺` shrinks. StrongIsol and
+    /// TxnOrder lift `com` and `hb` strongly, and a lift gains only the
+    /// edges inside `T`: a cycle through them shortcuts through `T`'s
+    /// old lifted edges, and a cycle of them alone breaks Coherence or
+    /// Order (the argument of [`X86`](crate::X86)'s declaration). Every
+    /// highlight set keeps the argument, so every
+    /// [`PowerAblated`](crate::PowerAblated) declares it too.
+    fn survives_txn_deletion(&self) -> bool {
+        true
+    }
 }
 
 // The ppo fixpoint, hb, prop and the observation body are all monotone

@@ -114,6 +114,22 @@ impl Model for X86 {
     fn prune_oracle(&self, _txns_known: bool) -> Option<&dyn PruneOracle> {
         Some(self)
     }
+
+    /// Deleting a transaction `T` shrinks `stxn`, and `tfence` too: a
+    /// `po` pair inside `T` stays out of it, and a pair with one end in
+    /// `T` stays in only when its other end is transactional. So `hb`
+    /// shrinks and Order holds. The lifts `stronglift(r, stxn)` of
+    /// StrongIsol (`r = com`) and TxnOrder (`r = hb`) gain only the
+    /// `r`-edges inside `T`. A cycle through a run of those edges from
+    /// `u` to `v` enters `T` by a lifted edge into `u` and leaves by one
+    /// out of `v`; in the old lift both end at, or start from, any
+    /// event of `T`, so the run shrinks to `v` and the cycle was
+    /// already there. A cycle of those edges alone is a `com` cycle,
+    /// which Coherence forbids, or an `hb` cycle, which Order does.
+    /// Coherence and RMWIsol do not read transactions.
+    fn survives_txn_deletion(&self) -> bool {
+        true
+    }
 }
 
 // Every axiom relation (hb, its stronglift, coherence, rmw ∩ fre;coe)

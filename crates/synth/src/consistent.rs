@@ -21,18 +21,22 @@
 //! invariant). Each completed rf/co assignment (a *group*) is copied
 //! into one execution per label assignment, the leaf path (`Leaves`)
 //! switches every transaction layout into it in place, and
-//! [`LeafChecker`] re-derives only the layout-dependent relations.
+//! [`LeafChecker`] re-derives only the layout-dependent relations. For
+//! a model whose consistency survives deleting a whole transaction it
+//! checks only a few layouts of each group and infers the rest over the
+//! group's layout lattice (the `lattice` module).
 
 use std::sync::OnceLock;
 
 use txmm_core::incr::{
     NoPrune, PartialCandidate, PruneOracle, PruneStats, RfCoSearch, BATCH_BOUNDS,
 };
-use txmm_core::{Event, Execution, Rel, TxnFreeBase};
+use txmm_core::{Event, EventId, Execution, Rel, TxnFreeBase};
 use txmm_models::Model;
 use txmm_obs::{Counter, Histogram};
 
 use crate::enumerate::{for_deps, EnumConfig, Keep, Leaves, StructureSpace};
+use crate::lattice::Lattice;
 
 /// The `txmm_prune_*` registry series a walk's [`PruneStats`] is added
 /// to. The registry sums every live handle set, so the walks' one
@@ -129,46 +133,236 @@ impl PruneCounters {
 }
 
 /// A full-model consistency filter over a leaf stream that shares
-/// txn-independent analysis slots across consecutive candidates.
+/// txn-independent analysis slots across consecutive candidates and,
+/// where the model allows it, infers most verdicts instead of checking.
 ///
 /// The structure walk emits every transaction layout of one completed
-/// rf/co assignment back to back; those siblings differ only in `txns`,
-/// so `fr`, `com`, the equivalences, the fence relations, the
-/// Coherence verdict and the models' memoised txn-free relations (the
-/// x86 `hb` and ARMv8 `ob` fixed unions; Power's `ppo`, `ihb`,
-/// `(fre ∪ coe)*`, `come*` and the compositions `hb₀`, `efence₀` and the
-/// `thb` seed over them) — the bulk of a full check — are identical.
-/// The checker captures them from the first sibling's analysis
-/// ([`TxnFreeBase`]) and re-seeds each follow-up analysis after a
+/// rf/co assignment (a *group*) back to back; those siblings differ
+/// only in `txns`, so `fr`, `com`, the equivalences, the fence
+/// relations, the Coherence verdict and the models' memoised txn-free
+/// relations (the x86 `hb` and ARMv8 `ob` fixed unions; Power's `ppo`,
+/// `ihb`, `(fre ∪ coe)*`, `come*` and the compositions `hb₀`, `efence₀`
+/// and the `thb` seed over them) — the bulk of a full check — are
+/// identical. The checker captures them from the group's first
+/// analysis ([`TxnFreeBase`]) and re-seeds each later analysis after a
 /// fingerprint match, re-deriving from scratch only when the
 /// underlying structure actually changed. A model's
 /// [`Model::consistent_analysis`] fills every memo it reads before it
-/// can answer, so the first sibling leaves them complete whatever its
-/// verdict, and each follow-up pays only for its layout's own terms.
+/// can answer, so the first check leaves them complete whatever its
+/// verdict, and each later check pays only for its layout's own terms.
+///
+/// When the model's consistency survives deleting any one whole
+/// transaction ([`Model::survives_txn_deletion`]), a group's interval
+/// layouts are decided over the layout lattice of its thread structure
+/// (built once per structure): a layout is consistent when one with a
+/// transaction more is, and inconsistent when the txn-free layout or
+/// one with a transaction fewer is. The txn-free layout is checked once
+/// per group, first. An undecided layout first climbs, adding the
+/// largest free interval each step, to the layout that covers every
+/// free run with one transaction: that one is checked, and when it is
+/// consistent it vouches for the queried layout and for everything
+/// else below it. Otherwise the queried layout is checked itself. Every
+/// verdict spreads at once through the lattice (consistent downwards,
+/// inconsistent upwards) into one verdict byte per layout, reset at
+/// each group boundary; layouts other than the queried one are checked
+/// on a scratch copy of the group's execution. Atomic layouts, classes
+/// that are not one po-contiguous run, structures with more than 4,096
+/// layouts and models without the property are checked leaf by leaf.
+///
 /// The consistent walks check every leaf through one, and so does
 /// Table 1 synthesis for its transactional model.
 pub struct LeafChecker<'m> {
+    direct: Direct<'m>,
+    /// Set when the model survives transaction deletion.
+    infer: Option<Inference>,
+}
+
+/// Direct checks over the group's captured base.
+struct Direct<'m> {
     model: &'m dyn Model,
     base: Option<TxnFreeBase>,
+    /// Group boundaries met so far.
+    groups: u64,
+    /// Checks made.
+    #[cfg(test)]
+    checks: u64,
+}
+
+/// The inference state of a [`LeafChecker`].
+#[derive(Default)]
+struct Inference {
+    /// One lattice per thread structure met (`None` past the layout
+    /// cap), and the current group's.
+    lattices: Vec<(Rel, Option<Lattice>)>,
+    at: usize,
+    /// One verdict byte per layout of the current lattice, `None`
+    /// while undecided.
+    verdicts: Vec<Option<bool>>,
+    /// The group's execution, with the layout under check switched in,
+    /// and the class buffers its layouts draw from.
+    scratch: Option<Execution>,
+    spare: Vec<Vec<EventId>>,
+    /// The layouts a verdict still has to spread from.
+    stack: Vec<u16>,
 }
 
 impl<'m> LeafChecker<'m> {
     pub fn new(model: &'m dyn Model) -> LeafChecker<'m> {
-        LeafChecker { model, base: None }
+        LeafChecker {
+            direct: Direct {
+                model,
+                base: None,
+                groups: 0,
+                #[cfg(test)]
+                checks: 0,
+            },
+            infer: model.survives_txn_deletion().then(Inference::default),
+        }
     }
 
     /// Full-model consistency of `x`, sharing txn-independent slots
     /// with the previous candidate when the structure matches.
     pub fn consistent(&mut self, x: &Execution) -> bool {
-        if let Some(b) = &self.base {
-            if b.matches(x) {
-                return self.model.consistent_analysis(&b.seed(x));
+        let direct = &mut self.direct;
+        let fresh = !direct.base.as_ref().is_some_and(|b| b.matches(x));
+        direct.groups += u64::from(fresh);
+        if let Some(inf) = &mut self.infer {
+            if let Some(i) = inf.enter(x, fresh) {
+                return inf.decide(direct, x, i, fresh);
             }
+        }
+        direct.check(x, fresh)
+    }
+
+    /// Group boundaries met so far: consecutive candidates of one
+    /// group share a count.
+    pub(crate) fn groups(&self) -> u64 {
+        self.direct.groups
+    }
+}
+
+impl Direct<'_> {
+    /// Check `x`, capturing the group's base when `fresh`.
+    fn check(&mut self, x: &Execution, fresh: bool) -> bool {
+        #[cfg(test)]
+        {
+            self.checks += 1;
+        }
+        if !fresh {
+            let base = self.base.as_ref().expect("a captured base");
+            return self.model.consistent_analysis(&base.seed(x));
         }
         let a = x.analysis();
         let ok = self.model.consistent_analysis(&a);
-        self.base = Some(TxnFreeBase::capture(&a));
+        match &mut self.base {
+            Some(b) => b.recapture(&a),
+            None => self.base = Some(TxnFreeBase::capture(&a)),
+        }
         ok
+    }
+}
+
+impl Inference {
+    /// Start a group at `x` when `fresh` (its thread structure's lattice,
+    /// verdicts reset, the scratch copy taken), then `x`'s layout in
+    /// the lattice, if it is one of its layouts.
+    fn enter(&mut self, x: &Execution, fresh: bool) -> Option<usize> {
+        if fresh {
+            self.at = match self.lattices.iter().position(|(po, _)| po == x.po()) {
+                Some(at) => at,
+                None => {
+                    self.lattices.push((*x.po(), Lattice::new(x)));
+                    self.lattices.len() - 1
+                }
+            };
+            let lattice = self.lattices[self.at].1.as_ref()?;
+            self.verdicts.clear();
+            self.verdicts.resize(lattice.len(), None);
+            match &mut self.scratch {
+                Some(s) => s.copy_txn_free(x, &mut self.spare),
+                None => self.scratch = Some(x.erase_txns()),
+            }
+        }
+        self.lattices[self.at].1.as_ref()?.layout_of(x)
+    }
+
+    /// The current group's lattice.
+    fn lattice(&self) -> &Lattice {
+        self.lattices[self.at]
+            .1
+            .as_ref()
+            .expect("the group's lattice")
+    }
+
+    /// The verdict of `x`, whose layout is layout `i` of the group.
+    fn decide(&mut self, direct: &mut Direct, x: &Execution, i: usize, fresh: bool) -> bool {
+        if fresh {
+            // The txn-free layout first: it captures the group's base,
+            // and when it is inconsistent so is every layout.
+            let ok = if i == 0 {
+                direct.check(x, true)
+            } else {
+                self.check_layout(direct, 0, true)
+            };
+            self.verdicts[0] = Some(ok);
+        }
+        if self.verdicts[0] == Some(false) {
+            return false;
+        }
+        if let Some(ok) = self.verdicts[i] {
+            return ok;
+        }
+        let mut top = i;
+        while let Some(&p) = self
+            .lattice()
+            .parents(top)
+            .iter()
+            .find(|&&p| self.verdicts[usize::from(p)].is_none())
+        {
+            top = usize::from(p);
+        }
+        if top != i {
+            let ok = self.check_layout(direct, top, false);
+            self.spread(top, ok);
+            if ok {
+                return true;
+            }
+        }
+        let ok = direct.check(x, false);
+        self.spread(i, ok);
+        ok
+    }
+
+    /// Check layout `j` of the group on the scratch copy.
+    fn check_layout(&mut self, direct: &mut Direct, j: usize, fresh: bool) -> bool {
+        let classes = *self.lattice().classes(j);
+        let scratch = self.scratch.as_mut().expect("the group's scratch copy");
+        scratch.set_txn_layout(&classes, false, &mut self.spare);
+        direct.check(scratch, fresh)
+    }
+
+    /// Record layout `i`'s verdict, and spread it: a consistent layout's
+    /// descendants are consistent, an inconsistent one's ancestors not.
+    fn spread(&mut self, i: usize, ok: bool) {
+        let lattice = self.lattices[self.at]
+            .1
+            .as_ref()
+            .expect("the group's lattice");
+        self.verdicts[i] = Some(ok);
+        self.stack.push(i as u16);
+        while let Some(j) = self.stack.pop() {
+            let next = if ok {
+                lattice.children(j.into())
+            } else {
+                lattice.parents(j.into())
+            };
+            for &k in next {
+                if self.verdicts[usize::from(k)].is_none() {
+                    self.verdicts[usize::from(k)] = Some(ok);
+                    self.stack.push(k);
+                }
+            }
+        }
     }
 }
 
@@ -268,18 +462,86 @@ mod tests {
         let mut check = LeafChecker::new(&tm);
         let (mut groups, mut failed) = (0, 0);
         Walk::new(&EnumConfig::hw(txmm_models::Arch::Power, 3)).for_each(|x| {
-            let first = !check.base.as_ref().is_some_and(|b| b.matches(x));
+            let first = !check.direct.base.as_ref().is_some_and(|b| b.matches(x));
             let ok = check.consistent(x);
             if first {
                 groups += 1;
                 failed += usize::from(!ok);
-                let a = check.base.as_ref().expect("captured").seed(x);
+                let a = check.direct.base.as_ref().expect("captured").seed(x);
                 for k in power {
                     a.memo(k, || panic!("{k:?} missing after the first layout"));
                 }
             }
         });
         assert!(groups > 0 && failed > 0 && failed < groups);
+    }
+
+    /// The inference decides most leaves: on the unpruned Power |E| = 3
+    /// walk, direct checks stay well below the leaves, and the verdicts
+    /// are the full check's.
+    #[test]
+    fn most_layouts_are_inferred() {
+        use txmm_models::Power;
+        let tm = Power::tm();
+        let mut check = LeafChecker::new(&tm);
+        let mut leaves = 0u64;
+        Walk::new(&EnumConfig::hw(txmm_models::Arch::Power, 3)).for_each(|x| {
+            leaves += 1;
+            assert_eq!(check.consistent(x), tm.consistent(x), "{x:?}");
+        });
+        let checks = check.direct.checks;
+        assert!(checks * 3 < leaves, "{checks} checks for {leaves} leaves");
+        assert!(check.groups() < checks);
+    }
+
+    /// A model that declares the property falsely: an execution is
+    /// consistent only when every event is transactional, so deleting a
+    /// transaction breaks it.
+    struct EveryEventInATxn;
+
+    impl Model for EveryEventInATxn {
+        fn name(&self) -> &'static str {
+            "every-event-in-a-txn"
+        }
+        fn arch(&self) -> txmm_models::Arch {
+            txmm_models::Arch::X86
+        }
+        fn is_tm(&self) -> bool {
+            true
+        }
+        fn derived(&self, _: &txmm_core::ExecutionAnalysis<'_>) -> txmm_models::Derived {
+            txmm_models::Derived::new()
+        }
+        fn axioms(
+            &self,
+            a: &txmm_core::ExecutionAnalysis<'_>,
+            _: &txmm_models::Derived,
+            c: &mut txmm_models::Checker,
+        ) {
+            let x = a.exec();
+            if (0..x.len()).any(|e| x.txn_of(e).is_none()) {
+                c.fail("EveryEventInATxn");
+            }
+        }
+        fn survives_txn_deletion(&self) -> bool {
+            true
+        }
+    }
+
+    /// The negative control of the leaf-check differential: under a
+    /// false declaration the inferred verdicts disagree with the full
+    /// check, so the differential would catch a wrong declaration.
+    #[test]
+    fn a_false_declaration_shows_in_the_verdicts() {
+        let model = EveryEventInATxn;
+        let mut check = LeafChecker::new(&model);
+        let mut wrong = 0;
+        Walk::new(&EnumConfig::hw(txmm_models::Arch::X86, 2)).for_each(|x| {
+            if check.consistent(x) != model.check_analysis(&x.analysis()).is_consistent() {
+                wrong += 1;
+            }
+        });
+        assert!(wrong > 0, "the false declaration went unseen");
     }
 
     /// Pruned-consistent must equal enumerate-then-filter: same

@@ -30,7 +30,10 @@
 //! execution is rebuilt per layout. The last symmetry stage splits the
 //! same way: its txn-free half is decided once per rf/co assignment
 //! ([`txmm_core::canon::LayoutOrbit`]), and a layout is compared only
-//! when that half ties under some automorphism.
+//! when that half ties under some automorphism. The leaf check splits
+//! too: a [`LeafChecker`](crate::LeafChecker) decides most layouts of
+//! an rf/co assignment from the verdicts of a few, over the lattice in
+//! which deleting one transaction of a layout gives another layout.
 //!
 //! `Frontier` is the resumable form of that decomposition: a lazy
 //! iterator of subtree jobs. A [`Walk`](crate::Walk) walks it, in order
@@ -193,7 +196,7 @@ fn interval_sets(k: usize) -> Vec<Vec<(usize, usize)>> {
 /// The number of transaction layouts of a `k`-event thread: position
 /// 0 is either outside every transaction (`c(k - 1)` layouts of the
 /// rest) or opens one of length `l` (`c(k - l)` layouts of the rest).
-fn interval_count(k: usize) -> u64 {
+pub(crate) fn interval_count(k: usize) -> u64 {
     let mut c = vec![1u64; k + 1];
     for m in 1..=k {
         c[m] = c[m - 1].saturating_add(c[..m].iter().fold(0u64, |s, &x| s.saturating_add(x)));

@@ -43,6 +43,7 @@
 pub(crate) mod consistent;
 pub(crate) mod diff;
 pub mod enumerate;
+pub(crate) mod lattice;
 pub(crate) mod steal;
 pub(crate) mod suites;
 pub(crate) mod walk;

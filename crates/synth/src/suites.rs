@@ -4,8 +4,10 @@
 //! Synthesis is one [`Walk::search`]. Each worker checks the
 //! transactional model through its own [`LeafChecker`], so the
 //! transaction layouts of one rf/co assignment, which the walk emits
-//! back to back, share their txn-free analysis slots, and the Forbid
-//! tests come back in emission order at every worker count.
+//! back to back, share their txn-free analysis slots (and most of their
+//! verdicts are inferred), the baseline's verdict on the txn-erased
+//! candidate is decided once per assignment, and the Forbid tests come
+//! back in emission order at every worker count.
 
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -80,7 +82,10 @@ pub fn synthesise(
     let cfg = walk.config();
     let found = walk.search(
         budget,
-        |_| LeafChecker::new(tm),
+        |_| Checks {
+            tm: LeafChecker::new(tm),
+            erased: None,
+        },
         |x, check| match forbid_test(cfg, tm, check, base, x) {
             Some(exec) => Probe::Hit(FoundTest {
                 exec,
@@ -111,23 +116,42 @@ pub fn synthesise(
     }
 }
 
+/// One synthesis worker's checks of the enumerated candidates.
+struct Checks<'m> {
+    /// The transactional model, sharing txn-free slots across a group's
+    /// layouts.
+    tm: LeafChecker<'m>,
+    /// The baseline's verdict on the txn-erased candidate, which is the
+    /// same for every layout of a group: the group (as `tm` counts
+    /// them) and the verdict.
+    erased: Option<(u64, bool)>,
+}
+
 /// Is `x` a Forbid test (conditions (a)–(d) above)? Returns the
-/// execution to record. `check` decides `tm` on the enumerated
-/// candidates, sharing txn-free slots across a group's layouts.
+/// execution to record.
 fn forbid_test(
     cfg: &EnumConfig,
     tm: &dyn Model,
-    check: &mut LeafChecker,
+    check: &mut Checks,
     base: &dyn Model,
     x: &Execution,
 ) -> Option<Execution> {
     if x.txns().is_empty() {
         return None;
     }
-    if check.consistent(x) {
+    if check.tm.consistent(x) {
         return None;
     }
-    if !base.consistent(&x.erase_txns()) {
+    let group = check.tm.groups();
+    let erased = match check.erased {
+        Some((g, ok)) if g == group => ok,
+        _ => {
+            let ok = base.consistent(&x.erase_txns());
+            check.erased = Some((group, ok));
+            ok
+        }
+    };
+    if !erased {
         return None;
     }
     // Minimality: every one-step weakening is consistent.
@@ -277,6 +301,87 @@ mod tests {
             assert!(pruned.prune.subtrees_cut > 0, "{name}");
             assert!(pruned.candidates < plain.candidates, "{name}");
         }
+    }
+
+    /// FNV-1a over canonical keys in order, each length-prefixed.
+    fn digest(keys: impl Iterator<Item = Vec<u8>>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for key in keys {
+            for b in (key.len() as u32).to_le_bytes().into_iter().chain(key) {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// One Table 1 row: the candidates checked, the Forbid and Allow
+    /// counts, and digests of the Forbid and Allow lists in order.
+    fn assert_row(arch: Arch, events: usize, want: (usize, usize, usize, u64, u64)) {
+        let (x86_tm, x86, power_tm, power) = (X86::tm(), X86::base(), Power::tm(), Power::base());
+        let (tm, base): (&dyn Model, &dyn Model) = match arch {
+            Arch::X86 => (&x86_tm, &x86),
+            _ => (&power_tm, &power),
+        };
+        let r = synthesise(&Walk::new(&table1_config(arch, events)), tm, base, None);
+        assert!(r.complete);
+        let got = (
+            r.candidates,
+            r.forbid.len(),
+            r.allow.len(),
+            digest(r.forbid.iter().map(|f| canon_key(&f.exec))),
+            digest(r.allow.iter().map(canon_key)),
+        );
+        assert_eq!(got, want, "{arch:?} |E| = {events}");
+    }
+
+    /// The benchmark's rows (`perfbench` checks their counts too).
+    #[test]
+    fn table1_rows_are_pinned() {
+        assert_row(
+            Arch::X86,
+            4,
+            (
+                120_506,
+                22,
+                92,
+                0x1cdf_7e16_a49b_bd3d,
+                0xeb71_2ec9_efb5_d843,
+            ),
+        );
+        assert_row(
+            Arch::Power,
+            3,
+            (31_537, 4, 17, 0x9db4_94ea_c5c6_3a68, 0x9db6_9b43_4058_a9b9),
+        );
+    }
+
+    /// The next row of each architecture, as ROADMAP item 1 lists them.
+    #[test]
+    #[ignore = "release bounds: run by CI's prune-smoke job"]
+    fn table1_rows_past_the_benchmark_are_pinned() {
+        assert_row(
+            Arch::X86,
+            5,
+            (
+                4_834_610,
+                36,
+                204,
+                0x0ea4_1ab4_2780_a775,
+                0x8e23_eb5d_d302_6eed,
+            ),
+        );
+        assert_row(
+            Arch::Power,
+            4,
+            (
+                9_464_021,
+                60,
+                184,
+                0x721b_f9af_fb7b_3a8c,
+                0x0c53_f574_d737_bdc1,
+            ),
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! rf/co group.
 //!
 //! A [`LeafChecker`] checks the transaction layouts of one group back to
-//! back over the slots and memos its first layout captured, and Power's
+//! back over the slots and memos its first check captured, and Power's
 //! bool-only check adds each layout's own terms (the `tfence` pairs, the
 //! `thb` lift, the tprops) to the group's memoised compositions. Each
 //! leaf's answer is compared with `check_analysis(..).is_consistent()`
@@ -13,9 +13,19 @@
 //! relation by relation, with the printed ones. The walks are
 //! unpruned, so groups that fail a txn-free axiom are checked too.
 //!
+//! For models whose consistency survives deleting a whole transaction
+//! the leaf check infers most verdicts from a few checked layouts, so
+//! the comparison also covers the inference. That property is tested on
+//! its own too, with the full check on both sides: every consistent
+//! leaf minus any one of its transactions stays consistent, for every
+//! model that declares it.
+//!
 //! The debug suite covers |E| ≤ 3 for every Power variant, x86-tm and
-//! armv8-tm; the release bounds (Power |E| ≤ 4, x86 |E| ≤ 5, ARMv8
-//! |E| ≤ 3) run under `--ignored` in CI's `prune-smoke` job.
+//! armv8-tm (the property: every declaring model); the release bounds
+//! (Power |E| ≤ 4, x86 |E| ≤ 5, ARMv8 |E| ≤ 3) run under `--ignored` in
+//! CI's `prune-smoke` job.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use txmm::core::{Execution, TxnFreeBase};
 use txmm::models::{Arch, Armv8, Highlights, Model, Power, PowerAblated, PowerAblation, X86};
@@ -131,4 +141,72 @@ fn leaf_checks_agree_at_release_bounds() {
     leaf_checks_agree(Arch::X86, 5, &X86::tm());
     leaf_checks_agree(Arch::Armv8, 3, &Armv8::tm());
     split_relations_agree(4, Highlights::ALL);
+}
+
+/// The property the leaf check infers from, tested on its own: on every
+/// leaf the model deems consistent, deleting any one whole transaction
+/// leaves a consistent execution. Both sides are `check_analysis` on a
+/// fresh analysis. Returns the deletions checked.
+fn deletions_stay_consistent(arch: Arch, events: usize, model: &dyn Model) -> usize {
+    assert!(model.survives_txn_deletion(), "{}", model.name());
+    let deletions = AtomicUsize::new(0);
+    each_leaf(
+        arch,
+        events,
+        || (),
+        |x, _| {
+            if x.txns().is_empty() || !model.check_analysis(&x.analysis()).is_consistent() {
+                return;
+            }
+            for t in 0..x.txns().len() {
+                let mut txns = x.txns().to_vec();
+                txns.remove(t);
+                let y = x.with_txns(txns);
+                let v = model.check_analysis(&y.analysis());
+                assert!(
+                    v.is_consistent(),
+                    "{}: deleting transaction {t} of consistent {x:?} gives {v}",
+                    model.name()
+                );
+            }
+            deletions.fetch_add(x.txns().len(), Ordering::Relaxed);
+        },
+    );
+    deletions.into_inner()
+}
+
+/// Every model that declares the property: x86, Power (every variant)
+/// and ARMv8, with and without transactions.
+fn declaring_models() -> Vec<(Arch, Box<dyn Model>)> {
+    let mut models: Vec<(Arch, Box<dyn Model>)> = vec![
+        (Arch::X86, Box::new(X86::tm())),
+        (Arch::X86, Box::new(X86::base())),
+        (Arch::Power, Box::new(Power::tm())),
+        (Arch::Power, Box::new(Power::base())),
+        (Arch::Armv8, Box::new(Armv8::tm())),
+        (Arch::Armv8, Box::new(Armv8::base())),
+    ];
+    for drop in DROPS {
+        models.push((Arch::Power, Box::new(PowerAblated { drop })));
+    }
+    models
+}
+
+#[test]
+fn deleting_a_transaction_keeps_consistency_at_three_events() {
+    for (arch, m) in declaring_models() {
+        assert!(
+            deletions_stay_consistent(arch, 3, m.as_ref()) > 0,
+            "{}",
+            m.name()
+        );
+    }
+}
+
+#[test]
+#[ignore = "release bounds: run by CI's prune-smoke job"]
+fn deleting_a_transaction_keeps_consistency_at_release_bounds() {
+    deletions_stay_consistent(Arch::Power, 4, &Power::tm());
+    deletions_stay_consistent(Arch::X86, 5, &X86::tm());
+    deletions_stay_consistent(Arch::Armv8, 3, &Armv8::tm());
 }
