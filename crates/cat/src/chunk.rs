@@ -10,11 +10,9 @@
 //! the bound registers. Checks carry their `as Name` labels as indices
 //! into the chunk's leaked name table.
 //!
-//! Chunks come in two flavours: the *generic* program a model compiles
-//! to once, and per-event-count *tiers* ([`crate::opt::specialise`])
-//! where every subexpression built only from event-count constants
-//! (`id`, `unv`, `_`, `emptyset`) has been folded into the constant
-//! pools.
+//! A model compiles to one chunk, which runs at every event count: the
+//! count-constants (`id`, `unv`, `_`) are computed from the execution's
+//! event count when their ops run.
 
 use txmm_core::{EventSet, ExecutionAnalysis, Fence, Rel};
 
@@ -128,9 +126,9 @@ impl SetBuiltin {
 /// these, so every model sharing an analysis shares the work too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RelBuiltin {
-    /// `id` (folded per tier: depends only on the event count).
+    /// `id`.
     Id,
-    /// `unv` (folded per tier).
+    /// `unv`.
     Unv,
     /// `po`.
     Po,
@@ -346,10 +344,6 @@ pub enum Op {
     LoadR { dst: RReg, b: RelBuiltin },
     /// `dst ← builtin set`.
     LoadS { dst: SReg, b: SetBuiltin },
-    /// `dst ← rel_consts[idx]` (tier-folded constant).
-    ConstR { dst: RReg, idx: u16 },
-    /// `dst ← set_consts[idx]` (tier-folded constant).
-    ConstS { dst: SReg, idx: u16 },
     /// `dst ← a ∪ b` (relations).
     UnionR { dst: RReg, a: RReg, b: RReg },
     /// `dst ← a ∩ b` (relations).
@@ -391,7 +385,7 @@ pub enum Op {
     Stronglift { dst: RReg, a: RReg, b: RReg },
     /// `dst ← po ; [src] ; po` (herd's `fencerel`).
     Fencerel { dst: RReg, src: SReg },
-    /// `dst ← _` (the event universe; folded per tier).
+    /// `dst ← _` (the event universe).
     Universe { dst: SReg },
     /// `dst ← ∅` — the least-fixpoint seed of a `let rec` binding.
     EmptyR { dst: RReg },
@@ -423,7 +417,6 @@ impl Op {
         use Op::*;
         Some(match *self {
             LoadR { dst, .. }
-            | ConstR { dst, .. }
             | UnionR { dst, .. }
             | InterR { dst, .. }
             | DiffR { dst, .. }
@@ -440,7 +433,6 @@ impl Op {
             | Fencerel { dst, .. }
             | EmptyR { dst } => AnyReg::R(dst.0),
             LoadS { dst, .. }
-            | ConstS { dst, .. }
             | UnionS { dst, .. }
             | InterS { dst, .. }
             | DiffS { dst, .. }
@@ -483,13 +475,7 @@ impl Op {
                 f(AnyReg::R(bound.0));
                 f(AnyReg::R(src.0));
             }
-            LoadR { .. }
-            | LoadS { .. }
-            | ConstR { .. }
-            | ConstS { .. }
-            | Universe { .. }
-            | EmptyR { .. }
-            | FixLoop { .. } => {}
+            LoadR { .. } | LoadS { .. } | Universe { .. } | EmptyR { .. } | FixLoop { .. } => {}
         }
     }
 
@@ -525,13 +511,7 @@ impl Op {
             Domain { src, .. } | Range { src, .. } => rr(src),
             Check { src, .. } => rr(src),
             FixUpdate { src, .. } => rr(src),
-            LoadR { .. }
-            | LoadS { .. }
-            | ConstR { .. }
-            | ConstS { .. }
-            | Universe { .. }
-            | EmptyR { .. }
-            | FixLoop { .. } => {}
+            LoadR { .. } | LoadS { .. } | Universe { .. } | EmptyR { .. } | FixLoop { .. } => {}
         }
     }
 
@@ -542,8 +522,8 @@ impl Op {
         let rr = |x: &mut RReg| x.0 = r(x.0);
         let ss = |x: &mut SReg| x.0 = s(x.0);
         match self {
-            LoadR { dst, .. } | ConstR { dst, .. } | EmptyR { dst } => rr(dst),
-            LoadS { dst, .. } | ConstS { dst, .. } | Universe { dst } => ss(dst),
+            LoadR { dst, .. } | EmptyR { dst } => rr(dst),
+            LoadS { dst, .. } | Universe { dst } => ss(dst),
             UnionR { dst, a, b }
             | InterR { dst, a, b }
             | DiffR { dst, a, b }
@@ -595,8 +575,8 @@ impl Op {
 }
 
 /// A compiled `.cat` program: flat ops over two register banks, the
-/// leaked check-name table, the fixpoint-group ranges the optimiser
-/// passes treat atomically, and (for specialised tiers) constant pools.
+/// leaked check-name table, and the fixpoint-group ranges the optimiser
+/// passes treat atomically.
 #[derive(Debug, Clone)]
 pub struct Chunk {
     /// The instruction stream, in declaration order.
@@ -611,12 +591,6 @@ pub struct Chunk {
     /// `[start, end)` op ranges of `let rec` bodies (the trailing
     /// `FixLoop` is at `end - 1`).
     pub fix_groups: Vec<(u32, u32)>,
-    /// Relation constants folded by tier specialisation.
-    pub rel_consts: Vec<Rel>,
-    /// Set constants folded by tier specialisation.
-    pub set_consts: Vec<EventSet>,
-    /// `Some(n)` once specialised to event count `n`.
-    pub events: Option<usize>,
 }
 
 #[cfg(test)]

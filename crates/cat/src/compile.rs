@@ -77,9 +77,6 @@ pub fn lower(file: &CatFile) -> Result<Chunk, EvalError> {
         set_regs,
         names: l.names,
         fix_groups: l.fix_groups,
-        rel_consts: Vec::new(),
-        set_consts: Vec::new(),
-        events: None,
     })
 }
 

@@ -258,19 +258,6 @@ impl<'a, 'x> Env<'a, 'x> {
     }
 }
 
-/// Per-model compile-cache counters, aggregated into the daemon stats.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompileStats {
-    /// Checks served by an already-specialised tier.
-    pub hits: u64,
-    /// Checks that had to specialise their tier first.
-    pub misses: u64,
-    /// Specialised tiers currently resident.
-    pub entries: u64,
-    /// Cumulative compile + specialise time, in microseconds.
-    pub micros: u64,
-}
-
 thread_local! {
     /// One register file per thread: checking a stream of executions
     /// allocates nothing after the banks first grow to fit.
@@ -279,27 +266,20 @@ thread_local! {
 
 /// A compiled `.cat` model ready to check executions.
 ///
-/// Construction lowers and optimises the parsed file into a generic
-/// bytecode program once; checking specialises it per event count into
-/// a tier cache (`OnceLock` per count, so concurrent shards share each
-/// tier) and runs the VM. Compile-time diagnostics are stored and
-/// returned from every check, preserving the interpreter's
-/// construct-plus-line error quality. The AST interpreter survives as
-/// the `*_reference` methods for differential checking.
+/// Construction lowers and optimises the parsed file into one bytecode
+/// program, which every check runs on the VM at any event count.
+/// Compile-time diagnostics are stored and returned from every check,
+/// preserving the interpreter's construct-plus-line error quality. The
+/// AST interpreter survives as the `*_reference` methods for
+/// differential checking.
 pub struct CatModel {
     /// The display name.
     pub name: &'static str,
     file: CatFile,
-    /// The optimised generic program, or the compile diagnostic.
+    /// The optimised program, or the compile diagnostic.
     program: Result<crate::chunk::Chunk, EvalError>,
-    /// Per-event-count specialised programs, built on first use.
-    tiers: Vec<std::sync::OnceLock<crate::chunk::Chunk>>,
-    /// Compile-cache telemetry: registry handles labelled by model
-    /// name, so every `CatModel` shows up in the metrics exposition
-    /// while `compile_stats()` keeps reading this instance's own
-    /// counts.
-    hits: txmm_obs::Counter,
-    misses: txmm_obs::Counter,
+    /// This model's compile time, a registry handle labelled by model
+    /// name so every `CatModel` shows up in the metrics exposition.
     compile_nanos: txmm_obs::Counter,
     /// Check labels leaked once, for the reference interpreter path.
     check_names: Vec<&'static str>,
@@ -326,69 +306,30 @@ impl CatModel {
                 _ => None,
             })
             .collect();
-        let obs = txmm_obs::global();
-        let labels = [("model", name)];
-        let nanos = obs.counter_with(
+        let nanos = txmm_obs::global().counter_with(
             "txmm_cat_compile_nanoseconds_total",
-            "Cumulative .cat compile + specialise time.",
-            &labels,
+            "Cumulative .cat compile time.",
+            &[("model", name)],
         );
         nanos.add(compile_nanos);
         CatModel {
             name,
             file,
             program,
-            tiers: (0..=txmm_core::MAX_EVENTS)
-                .map(|_| std::sync::OnceLock::new())
-                .collect(),
-            hits: obs.counter_with(
-                "txmm_cat_compile_cache_hits_total",
-                "Checks served by an already-specialised .cat tier.",
-                &labels,
-            ),
-            misses: obs.counter_with(
-                "txmm_cat_compile_cache_misses_total",
-                "Checks that had to specialise their .cat tier first.",
-                &labels,
-            ),
             compile_nanos: nanos,
             check_names,
         }
     }
 
-    /// The optimised generic program, or the compile diagnostic.
+    /// The optimised program, or the compile diagnostic.
     pub(crate) fn program(&self) -> Result<&crate::chunk::Chunk, &EvalError> {
         self.program.as_ref()
     }
 
-    /// The specialised program for event count `n`, compiling it on
-    /// first use.
-    fn tier<'p>(&'p self, program: &'p crate::chunk::Chunk, n: usize) -> &'p crate::chunk::Chunk {
-        let Some(slot) = self.tiers.get(n) else {
-            return program;
-        };
-        if let Some(t) = slot.get() {
-            self.hits.inc();
-            return t;
-        }
-        slot.get_or_init(|| {
-            self.misses.inc();
-            let _span = txmm_obs::span!("cat.specialise");
-            let start = std::time::Instant::now();
-            let t = crate::opt::specialise(program, n);
-            self.compile_nanos.add(start.elapsed().as_nanos() as u64);
-            t
-        })
-    }
-
-    /// Compile-cache counters since construction.
-    pub fn compile_stats(&self) -> CompileStats {
-        CompileStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            entries: self.tiers.iter().filter(|t| t.get().is_some()).count() as u64,
-            micros: self.compile_nanos.get() / 1_000,
-        }
+    /// How long construction took to lower and optimise the program, in
+    /// nanoseconds.
+    pub fn compile_nanos(&self) -> u64 {
+        self.compile_nanos.get()
     }
 
     /// Evaluate every check over an execution (private analysis).
@@ -400,9 +341,8 @@ impl CatModel {
     pub fn check_analysis(&self, a: &ExecutionAnalysis<'_>) -> Result<Verdict, EvalError> {
         let _span = txmm_obs::span!("vm.check");
         let program = self.program.as_ref().map_err(Clone::clone)?;
-        let chunk = self.tier(program, a.len());
         let mut checker = Checker::new(self.name);
-        VM.with(|vm| vm.borrow_mut().run(chunk, a, &mut checker));
+        VM.with(|vm| vm.borrow_mut().run(program, a, &mut checker));
         Ok(checker.finish())
     }
 

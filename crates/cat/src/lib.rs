@@ -11,8 +11,8 @@
 //! `acyclic`/`irreflexive`/`empty` checks.
 //!
 //! Models compile to a relation-algebra bytecode ([`compile`]) through
-//! a lowering pass and an optimiser, and checks execute on a register
-//! VM specialised per event count ([`specialise`]). The AST interpreter
+//! a lowering pass and an optimiser, and checks run that one program on
+//! a register VM at every event count. The AST interpreter
 //! survives as [`CatModel::check_analysis_reference`], the reference
 //! side of the compiled-vs-interpreted differential.
 //!
@@ -43,6 +43,5 @@ pub use chunk::SetBuiltin;
 pub use compile::{compile, lower};
 pub use eval::CatModel;
 pub use models::{all_cat_models, cat_model, SOURCES};
-pub use opt::specialise;
 pub use parser::parse;
 pub use prune::{prune_program, CatPruneOracle};

@@ -1,18 +1,13 @@
 //! Optimiser passes over compiled `.cat` chunks.
 //!
-//! [`optimise`] runs on the generic program once per model: a combined
-//! CSE/hoisting pass deduplicates identical subexpressions and rewrites
-//! compounds the shared `ExecutionAnalysis` already caches (`po & loc`,
-//! `poloc | com`, `rf | co | fr`, `stronglift(com, stxn)`, ...) into
-//! single builtin loads, dead-definition elimination drops bindings no
-//! check reaches, and a linear-scan pass compacts the register banks so
-//! the VM's per-run register file stays small.
-//!
-//! [`specialise`] then clones the optimised program per event count:
-//! every subexpression built only from count-constants (`id`, `unv`,
-//! `_`, `emptyset`) folds into the chunk's constant pools, followed by
-//! another DCE + compaction round. The tiered cache in `CatModel` keys
-//! these on the event count.
+//! [`optimise`] runs on the program once per model, and that one
+//! program runs at every event count: a combined CSE/hoisting pass
+//! deduplicates identical subexpressions and rewrites compounds the
+//! shared `ExecutionAnalysis` already caches (`po & loc`, `poloc | com`,
+//! `rf | co | fr`, `stronglift(com, stxn)`, ...) into single builtin
+//! loads, dead-definition elimination drops bindings no check reaches,
+//! and a linear-scan pass compacts the register banks so the VM's
+//! per-run register file stays small.
 //!
 //! All passes treat a `let rec` group's `[start, end)` op range
 //! atomically: values live across a group survive to its last op, CSE
@@ -22,23 +17,12 @@
 
 use std::collections::HashMap;
 
-use txmm_core::{stronglift, weaklift, EventSet, Rel};
+use crate::chunk::{AnyReg, Chunk, Op, RReg, RelBuiltin, SetBuiltin};
 
-use crate::chunk::{AnyReg, Chunk, Op, RReg, RelBuiltin, SReg, SetBuiltin};
-
-/// Optimise a freshly lowered generic chunk: CSE + analysis hoisting,
+/// Optimise a freshly lowered chunk: CSE + analysis hoisting,
 /// dead-definition elimination, register compaction.
 pub(crate) fn optimise(c: Chunk) -> Chunk {
     compact(dce(cse(c)))
-}
-
-/// Specialise an optimised chunk to one event count: fold
-/// count-constant subexpressions into the constant pools, then clean up
-/// with another DCE + compaction round.
-pub fn specialise(c: &Chunk, n: usize) -> Chunk {
-    let mut t = fold(c.clone(), n);
-    t.events = Some(n);
-    prune_pools(compact(dce(t)))
 }
 
 /// A value-numbering key: an op minus its destination, with commutative
@@ -132,12 +116,9 @@ fn key_of(op: &Op) -> Option<Key> {
         Op::Weaklift { a, b, .. } => Key::Weaklift(a.0, b.0),
         Op::Stronglift { a, b, .. } => Key::Stronglift(a.0, b.0),
         Op::Fencerel { src, .. } => Key::Fencerel(src.0),
-        Op::ConstR { .. }
-        | Op::ConstS { .. }
-        | Op::EmptyR { .. }
-        | Op::FixUpdate { .. }
-        | Op::FixLoop { .. }
-        | Op::Check { .. } => return None,
+        Op::EmptyR { .. } | Op::FixUpdate { .. } | Op::FixLoop { .. } | Op::Check { .. } => {
+            return None
+        }
     })
 }
 
@@ -532,168 +513,6 @@ fn compact(mut c: Chunk) -> Chunk {
     c
 }
 
-enum FoldVal {
-    R(Rel),
-    S(EventSet),
-}
-
-/// Per-tier constant folding: seed from the count-constants (`id`,
-/// `unv`, `_`, `emptyset`) and propagate through every pure operator
-/// whose operands are known. Fixpoint-bound registers never fold — they
-/// mutate — and constness tracks defs positionally, which is sound on
-/// compacted (register-reusing) chunks because compaction keeps every
-/// loop-crossing value in its own register for the group's duration.
-fn fold(mut c: Chunk, n: usize) -> Chunk {
-    let mut mutated = vec![false; c.rel_regs as usize];
-    for op in &c.ops {
-        if let Op::FixUpdate { bound, .. } = op {
-            mutated[bound.0 as usize] = true;
-        }
-    }
-    let mut kr: Vec<Option<Rel>> = vec![None; c.rel_regs as usize];
-    let mut ks: Vec<Option<EventSet>> = vec![None; c.set_regs as usize];
-    let mut rel_consts = std::mem::take(&mut c.rel_consts);
-    let mut set_consts = std::mem::take(&mut c.set_consts);
-    for i in 0..c.ops.len() {
-        let op = c.ops[i];
-        let dst_mutated = matches!(op.def(), Some(AnyReg::R(x)) if mutated[x as usize]);
-        let r = |x: RReg| kr[x.0 as usize];
-        let s = |x: SReg| ks[x.0 as usize];
-        let folded: Option<FoldVal> = if dst_mutated {
-            None
-        } else {
-            match op {
-                Op::LoadR {
-                    b: RelBuiltin::Id, ..
-                } => Some(FoldVal::R(Rel::id(n))),
-                Op::LoadR {
-                    b: RelBuiltin::Unv, ..
-                } => Some(FoldVal::R(Rel::full(n))),
-                Op::LoadS {
-                    b: SetBuiltin::Empty,
-                    ..
-                } => Some(FoldVal::S(EventSet::EMPTY)),
-                Op::Universe { .. } => Some(FoldVal::S(EventSet::universe(n))),
-                Op::UnionR { a, b, .. } => r(a).zip(r(b)).map(|(x, y)| FoldVal::R(x.union(&y))),
-                Op::InterR { a, b, .. } => r(a).zip(r(b)).map(|(x, y)| FoldVal::R(x.inter(&y))),
-                Op::DiffR { a, b, .. } => r(a).zip(r(b)).map(|(x, y)| FoldVal::R(x.minus(&y))),
-                Op::SeqR { a, b, .. } => r(a).zip(r(b)).map(|(x, y)| FoldVal::R(x.seq(&y))),
-                Op::UnionS { a, b, .. } => s(a).zip(s(b)).map(|(x, y)| FoldVal::S(x.union(y))),
-                Op::InterS { a, b, .. } => s(a).zip(s(b)).map(|(x, y)| FoldVal::S(x.inter(y))),
-                Op::DiffS { a, b, .. } => s(a).zip(s(b)).map(|(x, y)| FoldVal::S(x.minus(y))),
-                Op::Cross { a, b, .. } => {
-                    s(a).zip(s(b)).map(|(x, y)| FoldVal::R(Rel::cross(n, x, y)))
-                }
-                Op::IdOn { src, .. } => s(src).map(|x| FoldVal::R(Rel::id_on(n, x))),
-                Op::Plus { src, .. } => r(src).map(|x| FoldVal::R(x.plus())),
-                Op::Star { src, .. } => r(src).map(|x| FoldVal::R(x.star())),
-                Op::Opt { src, .. } => r(src).map(|x| FoldVal::R(x.opt())),
-                Op::Inverse { src, .. } => r(src).map(|x| FoldVal::R(x.inverse())),
-                Op::ComplementR { src, .. } => r(src).map(|x| FoldVal::R(x.complement())),
-                Op::ComplementS { src, .. } => s(src).map(|x| FoldVal::S(x.complement(n))),
-                Op::Domain { src, .. } => r(src).map(|x| FoldVal::S(x.domain())),
-                Op::Range { src, .. } => r(src).map(|x| FoldVal::S(x.range())),
-                Op::Weaklift { a, b, .. } => {
-                    r(a).zip(r(b)).map(|(x, y)| FoldVal::R(weaklift(&x, &y)))
-                }
-                Op::Stronglift { a, b, .. } => {
-                    r(a).zip(r(b)).map(|(x, y)| FoldVal::R(stronglift(&x, &y)))
-                }
-                // `fencerel` reads `po`; `LoadR`/`LoadS` of anything
-                // else is execution-dependent; const ops are already
-                // folded; fixpoint scaffolding never folds.
-                _ => None,
-            }
-        };
-        match folded {
-            Some(FoldVal::R(val)) => {
-                let Some(AnyReg::R(d)) = op.def() else {
-                    unreachable!("relation folds define relation registers")
-                };
-                let idx = intern_rel(&mut rel_consts, val);
-                c.ops[i] = Op::ConstR { dst: RReg(d), idx };
-                kr[d as usize] = Some(val);
-            }
-            Some(FoldVal::S(val)) => {
-                let Some(AnyReg::S(d)) = op.def() else {
-                    unreachable!("set folds define set registers")
-                };
-                let idx = intern_set(&mut set_consts, val);
-                c.ops[i] = Op::ConstS { dst: SReg(d), idx };
-                ks[d as usize] = Some(val);
-            }
-            None => match op.def() {
-                Some(AnyReg::R(x)) => kr[x as usize] = None,
-                Some(AnyReg::S(x)) => ks[x as usize] = None,
-                None => {
-                    if let Op::FixUpdate { bound, .. } = op {
-                        kr[bound.0 as usize] = None;
-                    }
-                }
-            },
-        }
-    }
-    c.rel_consts = rel_consts;
-    c.set_consts = set_consts;
-    c
-}
-
-fn intern_rel(pool: &mut Vec<Rel>, val: Rel) -> u16 {
-    if let Some(i) = pool.iter().position(|r| *r == val) {
-        return i as u16;
-    }
-    pool.push(val);
-    (pool.len() - 1) as u16
-}
-
-fn intern_set(pool: &mut Vec<EventSet>, val: EventSet) -> u16 {
-    if let Some(i) = pool.iter().position(|s| *s == val) {
-        return i as u16;
-    }
-    pool.push(val);
-    (pool.len() - 1) as u16
-}
-
-/// Drop pool constants orphaned by post-fold DCE (folded chains leave
-/// only their final constants referenced) and renumber the survivors.
-fn prune_pools(mut c: Chunk) -> Chunk {
-    let mut used_r = vec![false; c.rel_consts.len()];
-    let mut used_s = vec![false; c.set_consts.len()];
-    for op in &c.ops {
-        match op {
-            Op::ConstR { idx, .. } => used_r[*idx as usize] = true,
-            Op::ConstS { idx, .. } => used_s[*idx as usize] = true,
-            _ => {}
-        }
-    }
-    let mut map_r = vec![0u16; c.rel_consts.len()];
-    let mut rel_consts = Vec::new();
-    for (i, used) in used_r.iter().enumerate() {
-        if *used {
-            map_r[i] = rel_consts.len() as u16;
-            rel_consts.push(c.rel_consts[i]);
-        }
-    }
-    let mut map_s = vec![0u16; c.set_consts.len()];
-    let mut set_consts = Vec::new();
-    for (i, used) in used_s.iter().enumerate() {
-        if *used {
-            map_s[i] = set_consts.len() as u16;
-            set_consts.push(c.set_consts[i]);
-        }
-    }
-    for op in &mut c.ops {
-        match op {
-            Op::ConstR { idx, .. } => *idx = map_r[*idx as usize],
-            Op::ConstS { idx, .. } => *idx = map_s[*idx as usize],
-            _ => {}
-        }
-    }
-    c.rel_consts = rel_consts;
-    c.set_consts = set_consts;
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -771,27 +590,6 @@ mod tests {
             c.rel_regs,
             c.disassemble()
         );
-    }
-
-    #[test]
-    fn specialise_folds_count_constants() {
-        let c = compiled("acyclic (id | (id ; id)) | po as X\n");
-        let t = specialise(&c, 4);
-        assert_eq!(t.events, Some(4));
-        assert!(
-            t.ops.iter().any(|op| matches!(op, Op::ConstR { .. })),
-            "{}",
-            t.disassemble()
-        );
-        assert_eq!(
-            count(&t, |op| matches!(op, Op::SeqR { .. })),
-            0,
-            "{}",
-            t.disassemble()
-        );
-        // Only the surviving constant stays pooled.
-        assert_eq!(t.rel_consts.len(), 1, "{}", t.disassemble());
-        assert_eq!(t.rel_consts[0], txmm_core::Rel::id(4));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! extended: a cycle, reflexive pair or inhabitant found now persists
 //! in every completion.
 //!
-//! [`prune_program`] classifies every register of the generic program
+//! [`prune_program`] classifies every register of a model's program
 //! into a three-point lattice
 //!
 //! > `Fixed` (value equals the complete execution's) ⊑ `Grows`
@@ -38,10 +38,9 @@
 //! and compile errors never prune — both degrade to plain enumeration.
 
 use std::cell::RefCell;
-use std::sync::OnceLock;
 
 use txmm_core::incr::{ComposeRule, DeltaPlan, EdgeKind, EdgeSel, Lift, Obligation, PruneOracle};
-use txmm_core::{stronglift, weaklift, Execution, ExecutionAnalysis, Rel, MAX_EVENTS};
+use txmm_core::{stronglift, weaklift, Execution, ExecutionAnalysis, Rel};
 use txmm_models::Checker;
 
 use crate::chunk::{AnyReg, Chunk, Op, RelBuiltin};
@@ -128,15 +127,12 @@ fn step(
             join,
             changed,
         ),
-        // Event sets from labels, constants and the fixpoint seed are
-        // all structure-fixed (the lattice bottom).
-        LoadS { dst, .. } => write(&mut set[dst.0 as usize], Growth::Fixed, join, changed),
-        ConstR { dst, .. } | EmptyR { dst } => {
-            write(&mut rel[dst.0 as usize], Growth::Fixed, join, changed)
-        }
-        ConstS { dst, .. } | Universe { dst } => {
+        // Event sets from labels, the universe and the fixpoint seed
+        // are all structure-fixed (the lattice bottom).
+        LoadS { dst, .. } | Universe { dst } => {
             write(&mut set[dst.0 as usize], Growth::Fixed, join, changed)
         }
+        EmptyR { dst } => write(&mut rel[dst.0 as usize], Growth::Fixed, join, changed),
         // Monotone in both operands.
         UnionR { dst, a, b } | InterR { dst, a, b } | SeqR { dst, a, b } => {
             let g = rel[a.0 as usize].max(rel[b.0 as usize]);
@@ -250,9 +246,9 @@ fn classify(chunk: &Chunk, txns_known: bool) -> Vec<Growth> {
 /// The monotone core of a compiled model: the program with every check
 /// over an `Unknown` register removed (then re-optimised). `None` when
 /// no check survives — the model offers nothing sound to prune on.
-pub fn prune_program(generic: &Chunk, txns_known: bool) -> Option<Chunk> {
-    let class = classify(generic, txns_known);
-    let keep: Vec<bool> = generic
+pub fn prune_program(program: &Chunk, txns_known: bool) -> Option<Chunk> {
+    let class = classify(program, txns_known);
+    let keep: Vec<bool> = program
         .ops
         .iter()
         .enumerate()
@@ -261,7 +257,7 @@ pub fn prune_program(generic: &Chunk, txns_known: bool) -> Option<Chunk> {
             _ => true,
         })
         .collect();
-    if !generic
+    if !program
         .ops
         .iter()
         .zip(&keep)
@@ -274,7 +270,7 @@ pub fn prune_program(generic: &Chunk, txns_known: bool) -> Option<Chunk> {
     // ones *before* a group still shift it).
     let removed_before =
         |idx: u32| -> u32 { keep.iter().take(idx as usize).filter(|&&k| !k).count() as u32 };
-    let ops: Vec<Op> = generic
+    let ops: Vec<Op> = program
         .ops
         .iter()
         .zip(&keep)
@@ -286,7 +282,7 @@ pub fn prune_program(generic: &Chunk, txns_known: bool) -> Option<Chunk> {
             other => other,
         })
         .collect();
-    let fix_groups = generic
+    let fix_groups = program
         .fix_groups
         .iter()
         .map(|&(s, e)| (s - removed_before(s), e - removed_before(e)))
@@ -294,12 +290,9 @@ pub fn prune_program(generic: &Chunk, txns_known: bool) -> Option<Chunk> {
     Some(opt::optimise(Chunk {
         ops,
         fix_groups,
-        rel_regs: generic.rel_regs,
-        set_regs: generic.set_regs,
-        names: generic.names.clone(),
-        rel_consts: generic.rel_consts.clone(),
-        set_consts: generic.set_consts.clone(),
-        events: generic.events,
+        rel_regs: program.rel_regs,
+        set_regs: program.set_regs,
+        names: program.names.clone(),
     }))
 }
 
@@ -310,11 +303,10 @@ thread_local! {
 }
 
 /// A [`PruneOracle`] running a model's monotone core on partial
-/// executions, specialised per event count like the full pipeline.
+/// executions.
 pub struct CatPruneOracle {
     name: &'static str,
-    generic: Chunk,
-    tiers: Vec<OnceLock<Chunk>>,
+    core: Chunk,
 }
 
 impl CatPruneOracle {
@@ -326,29 +318,18 @@ impl CatPruneOracle {
         model: &CatModel,
         txns_known: bool,
     ) -> Option<CatPruneOracle> {
-        let generic = prune_program(model.program().ok()?, txns_known)?;
-        Some(CatPruneOracle {
-            name,
-            generic,
-            tiers: (0..=MAX_EVENTS).map(|_| OnceLock::new()).collect(),
-        })
+        let core = prune_program(model.program().ok()?, txns_known)?;
+        Some(CatPruneOracle { name, core })
     }
 
     /// Number of checks the monotone core retained (observability).
     #[cfg(test)]
     pub(crate) fn checks(&self) -> usize {
-        self.generic
+        self.core
             .ops
             .iter()
             .filter(|op| matches!(op, Op::Check { .. }))
             .count()
-    }
-
-    fn tier(&self, n: usize) -> &Chunk {
-        match self.tiers.get(n) {
-            Some(slot) => slot.get_or_init(|| opt::specialise(&self.generic, n)),
-            None => &self.generic,
-        }
     }
 }
 
@@ -357,9 +338,8 @@ impl PruneOracle for CatPruneOracle {
         // This is the fallback recompute for probes the delta plan
         // could not decide; the span makes that time visible on traces.
         let _span = txmm_obs::span!("prune.fallback");
-        let chunk = self.tier(a.len());
         let mut checker = Checker::new(self.name);
-        PRUNE_VM.with(|vm| vm.borrow_mut().run(chunk, a, &mut checker));
+        PRUNE_VM.with(|vm| vm.borrow_mut().run(&self.core, a, &mut checker));
         checker.finish().is_consistent()
     }
 
@@ -370,9 +350,8 @@ impl PruneOracle for CatPruneOracle {
             let mut vm = vm.borrow_mut();
             let mut bits = 0u64;
             for (i, a) in batch.iter().enumerate() {
-                let chunk = self.tier(a.len());
                 let mut checker = Checker::new(self.name);
-                vm.run(chunk, a, &mut checker);
+                vm.run(&self.core, a, &mut checker);
                 if checker.finish().is_consistent() {
                     bits |= 1 << i;
                 }
@@ -382,17 +361,17 @@ impl PruneOracle for CatPruneOracle {
     }
 
     // Scan the monotone core symbolically: a register holds a *union
-    // of builtins/constants* (possibly strong/weak-lifted by `stxn`)
-    // as long as only loads, constants and unions produced it. Every
-    // check the scan can express becomes delta state — acyclicity
-    // obligations with fixed seeds and per-edge feeds, the incremental
-    // RMW-isolation flag, or a structure-fixed emptiness verdict. A
-    // check it cannot express leaves the plan inexact, so undecided
-    // probes fall back to running the core (and are counted).
+    // of builtins* (possibly strong/weak-lifted by `stxn`) as long as
+    // only loads and unions produced it. Every check the scan can
+    // express becomes delta state — acyclicity obligations with fixed
+    // seeds and per-edge feeds, the incremental RMW-isolation flag, or
+    // a structure-fixed emptiness verdict. A check it cannot express
+    // leaves the plan inexact, so undecided probes fall back to running
+    // the core (and are counted).
     fn delta_plan(&self, x: &Execution) -> Option<DeltaPlan> {
         let n = x.len();
         let base = ExecutionAnalysis::with_fr(x, Rel::empty(n));
-        let chunk = &self.generic;
+        let chunk = &self.core;
         let mut sym: Vec<Option<Sym>> = vec![None; chunk.rel_regs as usize];
         let mut plan = DeltaPlan::fallback(x, true);
         plan.track_rmw_isol = false; // cover_check re-enables on demand
@@ -417,12 +396,7 @@ impl PruneOracle for CatPruneOracle {
                 continue;
             }
             match *op {
-                Op::LoadR { dst, b } => {
-                    sym[dst.0 as usize] = Some(Sym::Parts(vec![Part::Builtin(b)]));
-                }
-                Op::ConstR { dst, idx } => {
-                    sym[dst.0 as usize] = Some(Sym::Parts(vec![Part::Const(idx)]));
-                }
+                Op::LoadR { dst, b } => sym[dst.0 as usize] = Some(Sym::Parts(vec![b])),
                 Op::EmptyR { dst } => sym[dst.0 as usize] = Some(Sym::Parts(Vec::new())),
                 Op::UnionR { dst, a, b } => {
                     let joined = match (&sym[a.0 as usize], &sym[b.0 as usize]) {
@@ -447,9 +421,7 @@ impl PruneOracle for CatPruneOracle {
                         Lift::Strong
                     };
                     sym[dst.0 as usize] = match (&sym[a.0 as usize], &sym[b.0 as usize]) {
-                        (Some(Sym::Parts(p)), Some(Sym::Parts(q)))
-                            if *q == [Part::Builtin(RelBuiltin::Stxn)] =>
-                        {
+                        (Some(Sym::Parts(p)), Some(Sym::Parts(q))) if *q == [RelBuiltin::Stxn] => {
                             Some(Sym::Lifted(lift, p.clone()))
                         }
                         _ => None,
@@ -457,7 +429,7 @@ impl PruneOracle for CatPruneOracle {
                 }
                 Op::Check { kind, src, .. } => {
                     covered_all &=
-                        cover_check(kind, sym[src.0 as usize].as_ref(), &base, chunk, &mut plan);
+                        cover_check(kind, sym[src.0 as usize].as_ref(), &base, &mut plan);
                 }
                 _ => {
                     if let Some(AnyReg::R(r)) = op.def() {
@@ -471,19 +443,12 @@ impl PruneOracle for CatPruneOracle {
     }
 }
 
-/// One symbolic summand during the delta scan.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Part {
-    Builtin(RelBuiltin),
-    Const(u16),
-}
-
-/// A register's symbolic value: a union of parts, optionally lifted
+/// A register's symbolic value: a union of builtins, optionally lifted
 /// through the transaction classes.
 #[derive(Clone)]
 enum Sym {
-    Parts(Vec<Part>),
-    Lifted(Lift, Vec<Part>),
+    Parts(Vec<RelBuiltin>),
+    Lifted(Lift, Vec<RelBuiltin>),
 }
 
 fn com_rules(sel: EdgeSel) -> [ComposeRule; 3] {
@@ -500,7 +465,6 @@ fn cover_check(
     kind: CheckKind,
     sym: Option<&Sym>,
     base: &ExecutionAnalysis<'_>,
-    chunk: &Chunk,
     plan: &mut DeltaPlan,
 ) -> bool {
     let Some(sym) = sym else { return false };
@@ -513,7 +477,7 @@ fn cover_check(
         CheckKind::Acyclic => {
             // A bare isolation builtin is itself a lifted com.
             if lift == Lift::No {
-                if let [Part::Builtin(b)] = parts {
+                if let [b] = parts {
                     let l = match b {
                         RelBuiltin::WeakIsol => Some(Lift::Weak),
                         RelBuiltin::StrongIsol => Some(Lift::Strong),
@@ -531,32 +495,29 @@ fn cover_check(
             }
             let mut seed = Rel::empty(n);
             let mut feed = Vec::new();
-            for &part in parts {
+            for &b in parts {
                 use RelBuiltin::*;
-                match part {
-                    Part::Const(idx) => seed = seed.union(&chunk.rel_consts[idx as usize]),
-                    Part::Builtin(b) => match b {
-                        Rf => feed.push(ComposeRule::direct(EdgeKind::Rf, EdgeSel::All)),
-                        Rfe => feed.push(ComposeRule::direct(EdgeKind::Rf, EdgeSel::External)),
-                        Rfi => feed.push(ComposeRule::direct(EdgeKind::Rf, EdgeSel::Internal)),
-                        Co => feed.push(ComposeRule::direct(EdgeKind::Co, EdgeSel::All)),
-                        Coe => feed.push(ComposeRule::direct(EdgeKind::Co, EdgeSel::External)),
-                        Coi => feed.push(ComposeRule::direct(EdgeKind::Co, EdgeSel::Internal)),
-                        Fr => feed.push(ComposeRule::direct(EdgeKind::Fr, EdgeSel::All)),
-                        Fre => feed.push(ComposeRule::direct(EdgeKind::Fr, EdgeSel::External)),
-                        Fri => feed.push(ComposeRule::direct(EdgeKind::Fr, EdgeSel::Internal)),
-                        Com => feed.extend(com_rules(EdgeSel::All)),
-                        Come => feed.extend(com_rules(EdgeSel::External)),
-                        Coherence => {
-                            seed = seed.union(base.po_loc());
-                            feed.extend(com_rules(EdgeSel::All));
-                        }
-                        // Growing relations with no per-edge rule (the
-                        // atomic lift has its own equivalence).
-                        RmwIsol | WeakIsol | StrongIsol | StrongIsolAtomic => return false,
-                        // Everything else is structure-fixed.
-                        _ => seed = seed.union(&b.eval(base)),
-                    },
+                match b {
+                    Rf => feed.push(ComposeRule::direct(EdgeKind::Rf, EdgeSel::All)),
+                    Rfe => feed.push(ComposeRule::direct(EdgeKind::Rf, EdgeSel::External)),
+                    Rfi => feed.push(ComposeRule::direct(EdgeKind::Rf, EdgeSel::Internal)),
+                    Co => feed.push(ComposeRule::direct(EdgeKind::Co, EdgeSel::All)),
+                    Coe => feed.push(ComposeRule::direct(EdgeKind::Co, EdgeSel::External)),
+                    Coi => feed.push(ComposeRule::direct(EdgeKind::Co, EdgeSel::Internal)),
+                    Fr => feed.push(ComposeRule::direct(EdgeKind::Fr, EdgeSel::All)),
+                    Fre => feed.push(ComposeRule::direct(EdgeKind::Fr, EdgeSel::External)),
+                    Fri => feed.push(ComposeRule::direct(EdgeKind::Fr, EdgeSel::Internal)),
+                    Com => feed.extend(com_rules(EdgeSel::All)),
+                    Come => feed.extend(com_rules(EdgeSel::External)),
+                    Coherence => {
+                        seed = seed.union(base.po_loc());
+                        feed.extend(com_rules(EdgeSel::All));
+                    }
+                    // Growing relations with no per-edge rule (the
+                    // atomic lift has its own equivalence).
+                    RmwIsol | WeakIsol | StrongIsol | StrongIsolAtomic => return false,
+                    // Everything else is structure-fixed.
+                    _ => seed = seed.union(&b.eval(base)),
                 }
             }
             if lift == Lift::Weak {
@@ -571,24 +532,19 @@ fn cover_check(
             if lift != Lift::No {
                 return false;
             }
-            if parts == [Part::Builtin(RelBuiltin::RmwIsol)] {
+            if parts == [RelBuiltin::RmwIsol] {
                 plan.track_rmw_isol = true;
                 return true;
             }
             // A union of structure-fixed parts has its final value
             // already: decide it now.
             let mut fixed = Rel::empty(n);
-            for &part in parts {
+            for &b in parts {
                 use RelBuiltin::*;
-                match part {
-                    Part::Const(idx) => fixed = fixed.union(&chunk.rel_consts[idx as usize]),
-                    Part::Builtin(b) => match b {
-                        Rf | Rfe | Rfi | Co | Coe | Coi | Fr | Fre | Fri | Com | Come
-                        | Coherence | RmwIsol | WeakIsol | StrongIsol | StrongIsolAtomic => {
-                            return false
-                        }
-                        _ => fixed = fixed.union(&b.eval(base)),
-                    },
+                match b {
+                    Rf | Rfe | Rfi | Co | Coe | Coi | Fr | Fre | Fri | Com | Come | Coherence
+                    | RmwIsol | WeakIsol | StrongIsol | StrongIsolAtomic => return false,
+                    _ => fixed = fixed.union(&b.eval(base)),
                 }
             }
             if !fixed.is_empty() {

@@ -46,16 +46,9 @@ impl Vm {
     }
 
     /// Execute `chunk` against `a`, recording each check in `checker`.
-    ///
-    /// A specialised chunk must only run at its own event count; the
-    /// generic program runs at any count.
+    /// A chunk runs at any event count.
     pub(crate) fn run(&mut self, chunk: &Chunk, a: &ExecutionAnalysis<'_>, checker: &mut Checker) {
         let n = a.len();
-        debug_assert!(
-            chunk.events.is_none() || chunk.events == Some(n),
-            "chunk specialised for {:?} events run at {n}",
-            chunk.events
-        );
         let shape = (chunk.rel_regs, chunk.set_regs);
         if self.shape != shape {
             self.rel.clear();
@@ -79,8 +72,6 @@ impl Vm {
                     }
                 }
                 Op::LoadS { dst, b } => set[dst.0 as usize] = b.eval(a),
-                Op::ConstR { dst, idx } => rel[dst.0 as usize] = chunk.rel_consts[idx as usize],
-                Op::ConstS { dst, idx } => set[dst.0 as usize] = chunk.set_consts[idx as usize],
                 Op::UnionR { dst, a, b } => {
                     rel[dst.0 as usize] = rel[a.0 as usize].union(&rel[b.0 as usize])
                 }
@@ -163,7 +154,6 @@ impl Vm {
 mod tests {
     use super::*;
     use crate::compile::{compile, lower};
-    use crate::opt::specialise;
     use crate::parser::parse;
     use txmm_models::catalog;
 
@@ -226,13 +216,36 @@ mod tests {
         ]
     }
 
-    /// Every shipped model, on every catalog execution, through four
-    /// pipelines — naive lowering, the optimised program, and the
-    /// specialised tier — must reproduce the reference interpreter's
+    /// A model over the count-constants `id`, `unv`, `_` and
+    /// `emptyset`, whose values the VM computes from the event count
+    /// when their ops run. The first three checks hold only when the
+    /// constants agree with each other and with the execution's
+    /// structure; the last two fail on every execution with an `rf`
+    /// edge or a fence.
+    const COUNT_CONSTANTS: (&str, &str) = (
+        "count-constants",
+        "let univ = _ * _\n\
+         empty (unv \\ univ) | (univ \\ unv) | (po \\ unv) as Unv\n\
+         empty (id \\ [_]) | ([_] \\ id) | ([M | F] \\ id) as Id\n\
+         empty (emptyset * _) | [emptyset] as Emptyset\n\
+         empty rf & unv as NoRf\n\
+         irreflexive [F] ; id as NoFence\n",
+    );
+
+    /// The shipped models plus [`COUNT_CONSTANTS`].
+    fn sources() -> impl Iterator<Item = (&'static str, &'static str)> {
+        crate::models::SOURCES
+            .into_iter()
+            .chain(std::iter::once(COUNT_CONSTANTS))
+    }
+
+    /// Every shipped model and [`COUNT_CONSTANTS`], on every catalog
+    /// execution, through both pipelines — naive lowering and the
+    /// optimised program — must reproduce the reference interpreter's
     /// violation list exactly.
     #[test]
     fn all_pipelines_match_the_reference_interpreter() {
-        for (name, src) in crate::models::SOURCES {
+        for (name, src) in sources() {
             let file = parse(src).expect(name);
             let reference = crate::CatModel::new(name, file.clone());
             let naive = lower(&file).expect(name);
@@ -241,8 +254,7 @@ mod tests {
             for x in executions() {
                 let a = x.analysis();
                 let want = reference.check_analysis_reference(&a).expect(name);
-                let tier = specialise(&optimised, a.len());
-                for chunk in [&naive, &optimised, &tier] {
+                for chunk in [&naive, &optimised] {
                     let mut checker = Checker::new(name);
                     vm.run(chunk, &a, &mut checker);
                     assert_eq!(
@@ -294,11 +306,11 @@ mod tests {
 
     /// Moving a catalog execution past the first 8×8 block (its events
     /// at indices 8 and beyond, so every relation spans all four
-    /// blocks) changes no verdict of any shipped model, in any
-    /// pipeline.
+    /// blocks) changes no verdict of any shipped model or of
+    /// [`COUNT_CONSTANTS`], in either pipeline.
     #[test]
     fn padding_past_one_block_keeps_every_verdict() {
-        for (name, src) in crate::models::SOURCES {
+        for (name, src) in sources() {
             let file = parse(src).expect(name);
             let reference = crate::CatModel::new(name, file.clone());
             let naive = lower(&file).expect(name);
@@ -310,8 +322,7 @@ mod tests {
                     .expect(name);
                 let p = padded(x, 8);
                 let a = p.analysis();
-                let tier = specialise(&optimised, a.len());
-                for chunk in [&naive, &optimised, &tier] {
+                for chunk in [&naive, &optimised] {
                     let mut checker = Checker::new(name);
                     vm.run(chunk, &a, &mut checker);
                     assert_eq!(

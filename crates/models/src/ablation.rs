@@ -7,7 +7,7 @@
 use txmm_core::ExecutionAnalysis;
 
 use crate::arch::Arch;
-use crate::model::{Checker, Derived, Model};
+use crate::model::{Checker, Model};
 use crate::power::{Highlights, Power};
 
 /// Which Fig. 6 highlight to drop.
@@ -74,12 +74,8 @@ impl Model for PowerAblated {
         true
     }
 
-    fn derived(&self, a: &ExecutionAnalysis<'_>) -> Derived {
-        Power::fig6_derived(a, self.highlights())
-    }
-
-    fn axioms(&self, a: &ExecutionAnalysis<'_>, d: &Derived, c: &mut Checker) {
-        Power::fig6_axioms(a, d, c, self.highlights());
+    fn axioms(&self, a: &ExecutionAnalysis<'_>, c: &mut Checker) {
+        Power::fig6_axioms(a, c, self.highlights());
     }
 
     fn consistent_analysis(&self, a: &ExecutionAnalysis<'_>) -> bool {

@@ -12,7 +12,7 @@ use txmm_core::{stronglift, union_all, Execution, ExecutionAnalysis, Fence, Memo
 
 use crate::arch::Arch;
 use crate::delta::{com_feeds, come_feeds};
-use crate::model::{Checker, Derived, Model};
+use crate::model::{Checker, Model};
 
 /// The ARMv8 model; `tm` selects the transactional extension.
 #[derive(Debug, Clone, Copy)]
@@ -130,23 +130,14 @@ impl Model for Armv8 {
         self.tm
     }
 
-    fn derived(&self, a: &ExecutionAnalysis<'_>) -> Derived {
+    fn axioms(&self, a: &ExecutionAnalysis<'_>, c: &mut Checker) {
         let ob = self.ob(a);
-        let mut d = Derived::new();
-        if self.tm {
-            d.insert("txnorder", stronglift(&ob, a.stxn()));
-        }
-        d.insert("ob", ob);
-        d
-    }
-
-    fn axioms(&self, a: &ExecutionAnalysis<'_>, d: &Derived, c: &mut Checker) {
         c.require("Coherence", a.coherent());
-        c.acyclic("Order", d.expect("ob"));
+        c.acyclic("Order", &ob);
         c.empty("RMWIsol", a.rmw_isol());
         if self.tm {
             c.acyclic("StrongIsol", a.strong_isol());
-            c.acyclic("TxnOrder", d.expect("txnorder"));
+            c.acyclic("TxnOrder", &stronglift(&ob, a.stxn()));
             c.empty("TxnCancelsRMW", a.txn_cancels_rmw());
         }
     }

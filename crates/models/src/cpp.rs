@@ -16,7 +16,7 @@ use txmm_core::Attrs;
 use txmm_core::{union_all, weaklift, Execution, ExecutionAnalysis, Rel};
 
 use crate::arch::Arch;
-use crate::model::{Checker, Derived, Model};
+use crate::model::{Checker, Model};
 
 /// The C++ model; `tm` enables the transactional synchronisation rule.
 #[derive(Debug, Clone, Copy)]
@@ -174,21 +174,12 @@ impl Model for Cpp {
         self.tm
     }
 
-    fn derived(&self, a: &ExecutionAnalysis<'_>) -> Derived {
+    fn axioms(&self, a: &ExecutionAnalysis<'_>, c: &mut Checker) {
         let hb = self.hb(a);
-        let mut d = Derived::new();
-        d.insert("hbcom", hb.seq(&a.com().star()));
-        d.insert("nothinair", a.po().union(a.rf()));
-        d.insert("psc", self.psc_from_hb(a, &hb));
-        d.insert("hb", hb);
-        d
-    }
-
-    fn axioms(&self, a: &ExecutionAnalysis<'_>, d: &Derived, c: &mut Checker) {
-        c.irreflexive("HbCom", d.expect("hbcom"));
+        c.irreflexive("HbCom", &hb.seq(&a.com().star()));
         c.empty("RMWIsol", a.rmw_isol());
-        c.acyclic("NoThinAir", d.expect("nothinair"));
-        c.acyclic("SeqCst", d.expect("psc"));
+        c.acyclic("NoThinAir", &a.po().union(a.rf()));
+        c.acyclic("SeqCst", &self.psc_from_hb(a, &hb));
     }
 
     fn prune_oracle(&self, _txns_known: bool) -> Option<&dyn PruneOracle> {

@@ -45,7 +45,7 @@ pub use ablation::{PowerAblated, PowerAblation};
 pub use arch::{Arch, VocabError};
 pub use armv8::Armv8;
 pub use cpp::Cpp;
-pub use model::{consistent_pair, Checker, Derived, Model, Verdict};
+pub use model::{consistent_pair, Checker, Model, Verdict};
 pub use power::{Highlights, Power};
 pub use sc::{strong_isolation, weak_isolation, Sc, Tsc};
 pub use x86::X86;

@@ -1,13 +1,11 @@
 //! The [`Model`] trait, consistency [`Verdict`]s, and the axiom checker.
 //!
-//! Checking is split into two stages so shared structure is computed
-//! once per execution rather than once per model:
-//!
-//! 1. [`Model::derived`] turns the shared [`ExecutionAnalysis`] (cached
-//!    `fr`, `com`, lifts, fence relations, ...) into the model-specific
-//!    [`Derived`] relations (`hb`, `ob`, `prop`, `psc`, ...);
-//! 2. [`Model::axioms`] asserts the consistency axioms over the shared
-//!    and derived relations via a [`Checker`].
+//! A model implements one checking method, [`Model::axioms`]: it takes
+//! the shared structure (`fr`, `com`, lifts, fence relations, ...) from
+//! the [`ExecutionAnalysis`], which computes it once per execution
+//! rather than once per model, derives its own relations (`hb`, `ob`,
+//! `prop`, `psc`, ...) as local values, and asserts its consistency
+//! axioms on a [`Checker`].
 //!
 //! Callers that check several models against one execution build a
 //! single analysis and use [`Model::check_analysis`]; the convenience
@@ -126,57 +124,6 @@ impl Checker {
     }
 }
 
-/// The model-specific relations computed by [`Model::derived`]: a small
-/// ordered name→relation table (`hb`, `prop`, `ob`, ...), kept concrete
-/// so the trait stays object-safe and tools can inspect intermediate
-/// relations by name.
-#[derive(Debug, Clone, Default)]
-pub struct Derived {
-    rels: Vec<(&'static str, Rel)>,
-}
-
-impl Derived {
-    /// An empty table.
-    pub fn new() -> Derived {
-        Derived::default()
-    }
-
-    /// An empty table with room for `n` relations, so a model that
-    /// knows its entry count allocates once per check.
-    pub(crate) fn with_capacity(n: usize) -> Derived {
-        Derived {
-            rels: Vec::with_capacity(n),
-        }
-    }
-
-    /// Add a named relation (last insert wins on lookup collisions).
-    pub(crate) fn insert(&mut self, name: &'static str, rel: Rel) -> &mut Self {
-        self.rels.push((name, rel));
-        self
-    }
-
-    /// Look a relation up by name.
-    pub(crate) fn get(&self, name: &str) -> Option<&Rel> {
-        self.rels
-            .iter()
-            .rev()
-            .find(|(n, _)| *n == name)
-            .map(|(_, r)| r)
-    }
-
-    /// Look a relation up, panicking with the missing name.
-    pub(crate) fn expect(&self, name: &str) -> &Rel {
-        self.get(name)
-            .unwrap_or_else(|| panic!("derived relation {name} not computed"))
-    }
-
-    /// The names in insertion order.
-    #[cfg(test)]
-    pub(crate) fn names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.rels.iter().map(|(n, _)| *n)
-    }
-}
-
 /// An axiomatic memory model: a consistency predicate over executions.
 ///
 /// `Send + Sync` so registries of `Box<dyn Model>` (and the `Session`s
@@ -192,21 +139,17 @@ pub trait Model: Send + Sync {
     /// ignore `stxn` entirely.
     fn is_tm(&self) -> bool;
 
-    /// Stage 1: compute the model-specific relations from the shared
-    /// analysis. Models must take `fr`/`com`/lift/fence structure from
-    /// the analysis rather than re-deriving it.
-    fn derived(&self, a: &ExecutionAnalysis<'_>) -> Derived;
-
-    /// Stage 2: assert every axiom over the shared and derived
-    /// relations.
-    fn axioms(&self, a: &ExecutionAnalysis<'_>, d: &Derived, c: &mut Checker);
+    /// Assert every axiom, in order, over the shared analysis and the
+    /// model's own relations derived from it. Models must take
+    /// `fr`/`com`/lift/fence structure from the analysis rather than
+    /// re-deriving it.
+    fn axioms(&self, a: &ExecutionAnalysis<'_>, c: &mut Checker);
 
     /// Check against a shared analysis (the fast path when several
     /// models look at one execution).
     fn check_analysis(&self, a: &ExecutionAnalysis<'_>) -> Verdict {
-        let d = self.derived(a);
         let mut c = Checker::new(self.name());
-        self.axioms(a, &d, &mut c);
+        self.axioms(a, &mut c);
         c.finish()
     }
 
@@ -297,15 +240,5 @@ mod tests {
         let mut c = Checker::new("demo");
         c.empty("Ax", &Rel::from_pairs(1, [(0, 0)]));
         assert_eq!(c.finish().to_string(), "demo: forbidden by Ax");
-    }
-
-    #[test]
-    fn derived_table_lookup() {
-        let mut d = Derived::new();
-        d.insert("hb", Rel::empty(2));
-        d.insert("hb", Rel::from_pairs(2, [(0, 1)]));
-        assert!(d.expect("hb").contains(0, 1), "last insert wins");
-        assert!(d.get("nope").is_none());
-        assert_eq!(d.names().collect::<Vec<_>>(), ["hb", "hb"]);
     }
 }

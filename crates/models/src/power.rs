@@ -15,10 +15,10 @@
 //!   writes) join `prop`;
 //! * `StrongIsol`, `TxnOrder`, and `TxnCancelsRMW`.
 //!
-//! One body ([`Power::relations`] and the derived table and axioms
-//! built on it, and the bool-only check over the same terms) serves
-//! every variant: it takes the set of [`Highlights`] to include — all
-//! for `power-tm`, none for `power`, all but one for each ablation
+//! One body ([`Power::relations`] and the axioms asserted over it, and
+//! the bool-only check over the same terms) serves every variant: it
+//! takes the set of [`Highlights`] to include — all for `power-tm`,
+//! none for `power`, all but one for each ablation
 //! ([`crate::PowerAblated`]).
 
 use txmm_core::incr::{ComposeRule, DeltaPlan, EdgeKind, EdgeSel, Lift, Obligation, PruneOracle};
@@ -28,7 +28,7 @@ use txmm_core::{
 };
 
 use crate::arch::Arch;
-use crate::model::{Checker, Derived, Model};
+use crate::model::{Checker, Model};
 
 /// The Power model; `tm` selects the transactional extension.
 #[derive(Debug, Clone, Copy)]
@@ -73,8 +73,10 @@ impl Highlights {
     }
 }
 
-/// The intermediate relations of the Power model, exposed so tests and
-/// `txmm catalog` can explain verdicts edge by edge.
+/// The intermediate relations of the Power model: [`Power::relations`]
+/// derives them as Fig. 6 prints them and [`Power::split_relations`] as
+/// the bool-only check does, and the leaf-check differential compares
+/// the two relation by relation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PowerRelations {
     /// Preserved program order (herding-cats fixpoint).
@@ -171,7 +173,8 @@ impl Power {
     }
 
     /// Compute every intermediate relation of Fig. 6 with the given
-    /// highlights, as the paper prints them.
+    /// highlights, as the paper prints them, except that `prop2` drops
+    /// its `efence*`, which adds nothing because `efence ⊆ hb`.
     ///
     /// The txn-independent parts shared by every variant are memoised
     /// (see [`ExecutionAnalysis::memo`]): `ihb` without `tfence`,
@@ -188,7 +191,7 @@ impl Power {
         // hb = (rfe? ; ihb ; rfe?) ∪ weaklift(thb, stxn)
         let hb = f.hb(f.around_rfe(&ihb), || thb);
         let efence = f.around_rfe(&fence);
-        f.finish(thb, hb, efence, true)
+        f.finish(thb, hb, efence)
     }
 
     /// The relations of [`Power::relations`], derived as the bool-only
@@ -203,54 +206,28 @@ impl Power {
     /// distributed over `∪`: with `D = rfe? ; tfence ; rfe?`,
     /// `hb = hb₀ ∪ D ∪ weaklift(thb, stxn)`, `efence = efence₀ ∪ D`, the
     /// seed gains `(fre ∪ coe)* ; tfence`, and `prop` the tprops.
-    ///
-    /// `prop2`'s `come* ; efence* ; hb*` is read as `come* ; hb*`: every
-    /// `fence` pair is an `ihb` pair, so `efence ⊆ hb` and
-    /// `efence* ; hb* = hb*`.
     pub fn split_relations(a: &ExecutionAnalysis<'_>, hl: Highlights) -> PowerRelations {
         let f = Fig6::new(a, hl);
         let s = f.split();
         let thb = f.thb(s.seed);
         let hb = f.hb(s.hb, || thb);
-        f.finish(thb, hb, s.efence, false)
+        f.finish(thb, hb, s.efence)
     }
 
-    /// [`Model::derived`] of the variant with highlights `hl`.
-    pub(crate) fn fig6_derived(a: &ExecutionAnalysis<'_>, hl: Highlights) -> Derived {
+    /// [`Model::axioms`] of the variant with highlights `hl`, over the
+    /// relations of [`Power::relations`].
+    pub(crate) fn fig6_axioms(a: &ExecutionAnalysis<'_>, c: &mut Checker, hl: Highlights) {
         let rels = Power::relations(a, hl);
-        let mut d = Derived::with_capacity(10);
-        d.insert("ppo", rels.ppo);
-        d.insert("fence", rels.fence);
-        d.insert("ihb", rels.ihb);
-        d.insert("thb", rels.thb);
-        d.insert("propagation", a.co().union(&rels.prop));
-        d.insert("observation", a.fre().seq(&rels.prop).seq(&rels.hbstar));
-        d.insert("prop", rels.prop);
-        if hl.contains(Highlights::TXN_ORDER) {
-            d.insert("txnorder", stronglift(&rels.hb, a.stxn()));
-        }
-        d.insert("hb", rels.hb);
-        d.insert("hbstar", rels.hbstar);
-        d
-    }
-
-    /// [`Model::axioms`] of the variant with highlights `hl`.
-    pub(crate) fn fig6_axioms(
-        a: &ExecutionAnalysis<'_>,
-        d: &Derived,
-        c: &mut Checker,
-        hl: Highlights,
-    ) {
         c.require("Coherence", a.coherent());
         c.empty("RMWIsol", a.rmw_isol());
-        c.acyclic("Order", d.expect("hb"));
-        c.acyclic("Propagation", d.expect("propagation"));
-        c.irreflexive("Observation", d.expect("observation"));
+        c.acyclic("Order", &rels.hb);
+        c.acyclic("Propagation", &a.co().union(&rels.prop));
+        c.irreflexive("Observation", &a.fre().seq(&rels.prop).seq(&rels.hbstar));
         if hl.contains(Highlights::STRONG_ISOL) {
             c.acyclic("StrongIsol", a.strong_isol());
         }
         if hl.contains(Highlights::TXN_ORDER) {
-            c.acyclic("TxnOrder", d.expect("txnorder"));
+            c.acyclic("TxnOrder", &stronglift(&rels.hb, a.stxn()));
         }
         if hl.contains(Highlights::TXN_CANCELS_RMW) {
             c.empty("TxnCancelsRMW", a.txn_cancels_rmw());
@@ -263,8 +240,7 @@ impl Power {
     ///
     /// The txn-free axioms are decided once per rf/co group, the cheap
     /// transactional ones come next, `hb⁺` serves both Order and `hb*`,
-    /// no [`Derived`] table is built, and the first failed axiom
-    /// answers.
+    /// and the first failed axiom answers.
     pub(crate) fn fig6_consistent(a: &ExecutionAnalysis<'_>, hl: Highlights) -> bool {
         // The group's memos first: they are complete once its first
         // layout is checked, whatever that layout's verdict.
@@ -291,7 +267,7 @@ impl Power {
             return false;
         }
         hbstar.reflexive_close();
-        let prop = f.prop(&s.efence, &hbstar, false);
+        let prop = f.prop(&s.efence, &hbstar);
         // Observation: `irreflexive(fre ; prop ; hb*)`.
         let fre = a.fre();
         a.co().union(&prop).is_acyclic()
@@ -378,9 +354,8 @@ impl<'a, 'x> Fig6<'a, 'x> {
         }
     }
 
-    /// Every relation, given `thb`, `hb` and `efence` (see [`Fig6::prop`]
-    /// for `efence_star`).
-    fn finish(&self, thb: Rel, hb: Rel, efence: Rel, efence_star: bool) -> PowerRelations {
+    /// Every relation, given `thb`, `hb` and `efence`.
+    fn finish(&self, thb: Rel, hb: Rel, efence: Rel) -> PowerRelations {
         let hbstar = hb.star();
         PowerRelations {
             ppo: self.ppo,
@@ -388,7 +363,7 @@ impl<'a, 'x> Fig6<'a, 'x> {
             ihb: self.ihb0.union(&self.tfence),
             thb,
             hb,
-            prop: self.prop(&efence, &hbstar, efence_star),
+            prop: self.prop(&efence, &hbstar),
             efence,
             hbstar,
         }
@@ -437,21 +412,19 @@ impl<'a, 'x> Fig6<'a, 'x> {
     /// `prop = prop1 ∪ prop2 ∪ tprop1 ∪ tprop2`, where
     /// `prop1 = [W] ; efence ; hb* ; [W]`,
     /// `prop2 = come* ; efence* ; hb* ; (sync ∪ tfence) ; hb*`,
-    /// `tprop1 = rfe ; stxn ; [W]` and `tprop2 = stxn ; rfe`;
-    /// without `efence_star`, `prop2` reads `come* ; hb*` for
-    /// `come* ; efence* ; hb*`.
-    fn prop(&self, efence: &Rel, hbstar: &Rel, efence_star: bool) -> Rel {
+    /// `tprop1 = rfe ; stxn ; [W]` and `tprop2 = stxn ; rfe`.
+    ///
+    /// `prop2` is computed as `come* ; hb* ; (sync ∪ tfence) ; hb*`:
+    /// every `fence` pair is an `ihb` pair, so `efence ⊆ hb`, and then
+    /// `efence* ; hb* = hb*`. The leaf-check differential asserts
+    /// `efence ⊆ hb` on every leaf it walks.
+    fn prop(&self, efence: &Rel, hbstar: &Rel) -> Rel {
         let a = self.a;
         let w = a.writes();
         let mut prop = efence.seq(hbstar).restrict_domain(w).restrict_range(w);
         let sync = a.fence_rel(Fence::Sync).union(&self.tfence);
         if !sync.is_empty() {
-            let head = if efence_star {
-                self.come_star.seq(&efence.star())
-            } else {
-                self.come_star
-            };
-            prop = prop.union(&head.seq(hbstar).seq(&sync).seq(hbstar));
+            prop = prop.union(&self.come_star.seq(hbstar).seq(&sync).seq(hbstar));
         }
         // The tprops compose with `rfe`.
         let rfe = a.rfe();
@@ -485,12 +458,8 @@ impl Model for Power {
         self.tm
     }
 
-    fn derived(&self, a: &ExecutionAnalysis<'_>) -> Derived {
-        Power::fig6_derived(a, self.highlights())
-    }
-
-    fn axioms(&self, a: &ExecutionAnalysis<'_>, d: &Derived, c: &mut Checker) {
-        Power::fig6_axioms(a, d, c, self.highlights());
+    fn axioms(&self, a: &ExecutionAnalysis<'_>, c: &mut Checker) {
+        Power::fig6_axioms(a, c, self.highlights());
     }
 
     fn consistent_analysis(&self, a: &ExecutionAnalysis<'_>) -> bool {
@@ -894,27 +863,6 @@ mod tests {
         // addr dependency ry -> rx preserved; plain write pair not.
         assert!(ppo.contains(2, 3));
         assert!(!ppo.contains(0, 1));
-    }
-
-    #[test]
-    fn derived_names_are_pinned() {
-        let x = wrc_txn();
-        let names = |m: Power| m.derived(&x.analysis()).names().collect::<Vec<_>>();
-        let base = [
-            "ppo",
-            "fence",
-            "ihb",
-            "thb",
-            "propagation",
-            "observation",
-            "prop",
-            "hb",
-            "hbstar",
-        ];
-        assert_eq!(names(Power::base()), base);
-        let mut tm = base.to_vec();
-        tm.insert(7, "txnorder");
-        assert_eq!(names(Power::tm()), tm);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use txmm_core::{stronglift, Execution, ExecutionAnalysis, Rel};
 
 use crate::arch::Arch;
 use crate::delta::com_feeds;
-use crate::model::{Checker, Derived, Model};
+use crate::model::{Checker, Model};
 
 /// The SC memory model: `acyclic(po ∪ com)` (Shasha & Snir).
 #[derive(Debug, Clone, Copy, Default)]
@@ -25,14 +25,8 @@ impl Model for Sc {
         false
     }
 
-    fn derived(&self, a: &ExecutionAnalysis<'_>) -> Derived {
-        let mut d = Derived::new();
-        d.insert("hb", sc_hb(a));
-        d
-    }
-
-    fn axioms(&self, _a: &ExecutionAnalysis<'_>, d: &Derived, c: &mut Checker) {
-        c.acyclic("Order", d.expect("hb"));
+    fn axioms(&self, a: &ExecutionAnalysis<'_>, c: &mut Checker) {
+        c.acyclic("Order", &sc_hb(a));
     }
 
     fn prune_oracle(&self, _txns_known: bool) -> Option<&dyn PruneOracle> {
@@ -90,18 +84,10 @@ impl Model for Tsc {
         true
     }
 
-    fn derived(&self, a: &ExecutionAnalysis<'_>) -> Derived {
+    fn axioms(&self, a: &ExecutionAnalysis<'_>, c: &mut Checker) {
         let hb = sc_hb(a);
-        let txnorder = stronglift(&hb, a.stxn());
-        let mut d = Derived::new();
-        d.insert("hb", hb);
-        d.insert("txnorder", txnorder);
-        d
-    }
-
-    fn axioms(&self, _a: &ExecutionAnalysis<'_>, d: &Derived, c: &mut Checker) {
-        c.acyclic("Order", d.expect("hb"));
-        c.acyclic("TxnOrder", d.expect("txnorder"));
+        c.acyclic("Order", &hb);
+        c.acyclic("TxnOrder", &stronglift(&hb, a.stxn()));
     }
 
     fn prune_oracle(&self, _txns_known: bool) -> Option<&dyn PruneOracle> {

@@ -12,7 +12,7 @@ use txmm_core::{stronglift, union_all, Execution, ExecutionAnalysis, Fence, Memo
 
 use crate::arch::Arch;
 use crate::delta::{com_feeds, rfe_co_fr_feeds};
-use crate::model::{Checker, Derived, Model};
+use crate::model::{Checker, Model};
 
 /// The x86 model. `tm: false` gives the non-transactional baseline used
 /// as the synthesis reference; `tm: true` adds the highlighted axioms.
@@ -91,23 +91,14 @@ impl Model for X86 {
         self.tm
     }
 
-    fn derived(&self, a: &ExecutionAnalysis<'_>) -> Derived {
+    fn axioms(&self, a: &ExecutionAnalysis<'_>, c: &mut Checker) {
         let hb = self.hb(a);
-        let mut d = Derived::new();
-        if self.tm {
-            d.insert("txnorder", stronglift(&hb, a.stxn()));
-        }
-        d.insert("hb", hb);
-        d
-    }
-
-    fn axioms(&self, a: &ExecutionAnalysis<'_>, d: &Derived, c: &mut Checker) {
         c.require("Coherence", a.coherent());
         c.empty("RMWIsol", a.rmw_isol());
-        c.acyclic("Order", d.expect("hb"));
+        c.acyclic("Order", &hb);
         if self.tm {
             c.acyclic("StrongIsol", a.strong_isol());
-            c.acyclic("TxnOrder", d.expect("txnorder"));
+            c.acyclic("TxnOrder", &stronglift(&hb, a.stxn()));
         }
     }
 

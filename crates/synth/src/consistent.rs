@@ -509,15 +509,7 @@ mod tests {
         fn is_tm(&self) -> bool {
             true
         }
-        fn derived(&self, _: &txmm_core::ExecutionAnalysis<'_>) -> txmm_models::Derived {
-            txmm_models::Derived::new()
-        }
-        fn axioms(
-            &self,
-            a: &txmm_core::ExecutionAnalysis<'_>,
-            _: &txmm_models::Derived,
-            c: &mut txmm_models::Checker,
-        ) {
+        fn axioms(&self, a: &txmm_core::ExecutionAnalysis<'_>, c: &mut txmm_models::Checker) {
             let x = a.exec();
             if (0..x.len()).any(|e| x.txn_of(e).is_none()) {
                 c.fail("EveryEventInATxn");
@@ -638,16 +630,8 @@ mod tests {
         fn is_tm(&self) -> bool {
             false
         }
-        fn derived(&self, a: &txmm_core::ExecutionAnalysis<'_>) -> txmm_models::Derived {
-            Sc.derived(a)
-        }
-        fn axioms(
-            &self,
-            a: &txmm_core::ExecutionAnalysis<'_>,
-            d: &txmm_models::Derived,
-            c: &mut txmm_models::Checker,
-        ) {
-            Sc.axioms(a, d, c)
+        fn axioms(&self, a: &txmm_core::ExecutionAnalysis<'_>, c: &mut txmm_models::Checker) {
+            Sc.axioms(a, c)
         }
     }
 

@@ -1202,7 +1202,7 @@ mod tests {
     use std::io::{BufRead, BufReader};
     use std::sync::Barrier;
     use txmm_core::{ExecutionAnalysis, PruneOracle};
-    use txmm_models::{Arch, Checker, Derived, Model};
+    use txmm_models::{Arch, Checker, Model};
 
     impl SessionPool {
         /// Serve many litmus sources concurrently across the shards,
@@ -1255,11 +1255,7 @@ mod tests {
             false
         }
 
-        fn derived(&self, _: &ExecutionAnalysis<'_>) -> Derived {
-            Derived::new()
-        }
-
-        fn axioms(&self, a: &ExecutionAnalysis<'_>, _: &Derived, _: &mut Checker) {
+        fn axioms(&self, a: &ExecutionAnalysis<'_>, _: &mut Checker) {
             match self {
                 Faulty::PanicOn(key) if canon_key(a.exec()) == *key => {
                     panic!("injected fault in a model check")

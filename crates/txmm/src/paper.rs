@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use txmm_core::{display, Execution};
 use txmm_litmus::{litmus_from_execution, render};
-use txmm_models::{catalog, Arch};
+use txmm_models::{catalog, registry, Arch};
 use txmm_synth::{table1_config, txn_histogram, EnumConfig, FoundTest, Walk};
 use txmm_verify::ElisionTarget;
 
@@ -265,7 +265,6 @@ pub fn table2(out: &mut impl Write, verbose: bool) -> io::Result<()> {
         "{:<14} {:<14} {:>7} {:>10}   C'ex?",
         "Property", "Target", "Events", "Time"
     )?;
-    let session = Session::new();
 
     // Monotonicity (paper: x86@6 ✗, Power@2 ✓, ARMv8@2 ✓, C++@6 ✗).
     for (model, arch, events) in [
@@ -274,8 +273,9 @@ pub fn table2(out: &mut impl Write, verbose: bool) -> io::Result<()> {
         ("armv8-tm", Arch::Armv8, 2),
         ("cpp-tm", Arch::Cpp, 3),
     ] {
-        let model = session.resolve(model).expect("registered model");
-        let r = session.check_monotonicity(&mono_cfg(arch, events), model, None);
+        let model = registry::by_name(model).expect("registered model");
+        let walk = Walk::new(&mono_cfg(arch, events));
+        let r = txmm_verify::check_monotonicity(&walk, model.as_ref(), None);
         let verdict = match &r.counterexample {
             Some(_) => "YES (paper: YES for Power/ARMv8)",
             None => "no",
@@ -287,7 +287,8 @@ pub fn table2(out: &mut impl Write, verbose: bool) -> io::Result<()> {
 
     // Compilation (paper: sound to all three at 6 events).
     for target in [Arch::X86, Arch::Power, Arch::Armv8] {
-        let r = session.check_compilation(3, target, None);
+        let walk = Walk::new(&txmm_verify::compile_cfg(3));
+        let r = txmm_verify::check_compilation(&walk, target, None);
         let verdict = match r.counterexample {
             Some(_) => "YES (unexpected!)",
             None => "no",
@@ -303,7 +304,7 @@ pub fn table2(out: &mut impl Write, verbose: bool) -> io::Result<()> {
         ElisionTarget::Armv8,
         ElisionTarget::Armv8Fixed,
     ] {
-        let r = session.check_lock_elision(target, None);
+        let r = txmm_verify::check_lock_elision(target, None);
         let verdict = match (&r.counterexample, target) {
             (Some(_), ElisionTarget::Armv8) => "YES — Example 1.1 (paper: YES, 63s)",
             (Some(_), ElisionTarget::Power) => {

@@ -16,10 +16,9 @@
 //!   observability are computed once per (interned execution, model /
 //!   architecture) pair and served from the cache afterwards — the warm
 //!   path of batch litmus serving never rebuilds an analysis;
-//! * the **sweep drivers**: synthesis, model-difference search,
-//!   monotonicity / compilation / lock-elision / theorem checking are
-//!   exposed as methods, so binaries configure one `Session` instead of
-//!   hand-wiring enumerate-and-check loops.
+//! * **synthesis** ([`Session::synthesise`]): the Forbid/Allow suite
+//!   walk over two registered models, reporting into the session's
+//!   walk progress.
 //!
 //! ```
 //! use txmm::session::Session;
@@ -36,16 +35,16 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use txmm_cat::{parse as parse_cat, CatModel};
 use txmm_core::arena::{ExecArena, ExecId};
 use txmm_core::{Execution, ExecutionAnalysis};
 use txmm_litmus::litmus_from_execution;
-use txmm_models::{registry, Arch, Checker, Derived, Model, Verdict};
+use txmm_models::{registry, Arch, Checker, Model, Verdict};
 use txmm_synth::{canon_key, EnumConfig, PruneCounters, SuiteResult, Walk};
-use txmm_verify::{CompileResult, ElisionResult, ElisionTarget, MonotonicityResult};
 
 /// Handle of a registered model within one [`Session`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,9 +64,7 @@ impl ModelRef {
 /// a broken user model cannot take the serving process down.
 struct CatBackend {
     name: &'static str,
-    /// Shared with [`SessionTelemetry::cat_models`], so stats snapshots
-    /// read the same compile-cache counters the serving path bumps.
-    model: Arc<CatModel>,
+    model: CatModel,
     arch: Arch,
     tm: bool,
     /// First evaluation error, leaked once: a broken model fails the
@@ -114,11 +111,7 @@ impl Model for CatBackend {
         self.tm
     }
 
-    fn derived(&self, _a: &ExecutionAnalysis<'_>) -> Derived {
-        Derived::new()
-    }
-
-    fn axioms(&self, a: &ExecutionAnalysis<'_>, _d: &Derived, c: &mut Checker) {
+    fn axioms(&self, a: &ExecutionAnalysis<'_>, c: &mut Checker) {
         match self.model.check_analysis(a) {
             Ok(v) => {
                 for axiom in v.violations() {
@@ -192,20 +185,15 @@ pub struct SessionStats {
     /// Placements judged across all batches (mean batch size is
     /// `prune_batched_placements / prune_batches`), cumulative.
     pub prune_batched_placements: u64,
-    /// `.cat` checks served by an already-specialised program tier.
-    pub compile_hits: u64,
-    /// `.cat` checks that specialised their program tier first.
-    pub compile_misses: u64,
-    /// Specialised program tiers resident across all `.cat` models.
-    pub compile_entries: u64,
-    /// Cumulative `.cat` compile + specialise time, microseconds.
+    /// Cumulative `.cat` compile time, microseconds: each model
+    /// registered or reloaded adds its own, rounded up.
     pub compile_micros: u64,
 }
 
 impl SessionStats {
     /// Every counter as `(key, value)`, in the order the daemon's
     /// `stats` answer lists them.
-    pub(crate) fn fields(&self) -> [(&'static str, u64); 22] {
+    pub(crate) fn fields(&self) -> [(&'static str, u64); 19] {
         [
             ("interned", self.interned as u64),
             ("verdict_hits", self.verdict_hits),
@@ -217,9 +205,6 @@ impl SessionStats {
             ("outcome_misses", self.outcome_misses),
             ("outcome_candidates", self.outcome_candidates),
             ("outcome_classes", self.outcome_classes),
-            ("compile_hits", self.compile_hits),
-            ("compile_misses", self.compile_misses),
-            ("compile_entries", self.compile_entries),
             ("compile_micros", self.compile_micros),
             ("prune_subtrees_cut", self.prune_subtrees_cut),
             ("prune_candidates_skipped", self.prune_candidates_skipped),
@@ -253,9 +238,9 @@ pub(crate) struct SessionTelemetry {
     pub(crate) outcome_classes: txmm_obs::Counter,
     /// The `txmm_prune_*` series this session's outcome walks add to.
     pub(crate) prune: PruneCounters,
-    /// Registry slot → compiled `.cat` model, for aggregating
-    /// compile-cache stats; reload replaces the slot's entry.
-    cat_models: Mutex<Vec<(usize, Arc<CatModel>)>>,
+    /// [`SessionStats::compile_micros`]; each model's compile time is
+    /// also its own `txmm_cat_compile_nanoseconds_total` series.
+    compile_micros: AtomicU64,
 }
 
 impl SessionTelemetry {
@@ -303,25 +288,21 @@ impl SessionTelemetry {
                 "Canonical candidate classes actually checked.",
             ),
             prune: PruneCounters::new(),
-            cat_models: Mutex::new(Vec::new()),
+            compile_micros: AtomicU64::new(0),
         }
     }
 
-    /// The `.cat` compile-stat sources; see [`SessionTelemetry::snapshot`].
-    pub(crate) fn cat_models(&self) -> MutexGuard<'_, Vec<(usize, Arc<CatModel>)>> {
-        // Only pushes and slot swaps run under this lock, so a poisoned
-        // list is still whole.
-        self.cat_models
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    /// Count a freshly compiled `.cat` model's compile time.
+    fn compiled(&self, model: &CatModel) {
+        let micros = model.compile_nanos().div_ceil(1_000);
+        self.compile_micros.fetch_add(micros, Ordering::Relaxed);
     }
 
     /// Current cache and arena counters, read back through these
-    /// handles. Compile-cache numbers are aggregated from the registered
-    /// `.cat` models at snapshot time.
+    /// handles.
     pub(crate) fn snapshot(&self) -> SessionStats {
         let prune = self.prune.totals();
-        let mut s = SessionStats {
+        SessionStats {
             interned: self.interned.get() as usize,
             verdict_hits: self.verdict_hits.get(),
             verdict_misses: self.verdict_misses.get(),
@@ -340,16 +321,8 @@ impl SessionTelemetry {
             prune_fallbacks: prune.fallbacks,
             prune_batches: prune.batches,
             prune_batched_placements: prune.batched_placements,
-            ..SessionStats::default()
-        };
-        for (_, model) in self.cat_models().iter() {
-            let c = model.compile_stats();
-            s.compile_hits += c.hits;
-            s.compile_misses += c.misses;
-            s.compile_entries += c.entries;
-            s.compile_micros += c.micros;
+            compile_micros: self.compile_micros.load(Ordering::Relaxed),
         }
-        s
     }
 }
 
@@ -455,17 +428,16 @@ impl Session {
         let file = parse_cat(src).map_err(|e| format!("{name}: {e}"))?;
         let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
         let (arch, tm) = classify_cat_name(name);
-        let model = Arc::new(CatModel::new(leaked, file));
-        let m = self.register_model(Box::new(CatBackend {
+        let model = CatModel::new(leaked, file);
+        self.stats.compiled(&model);
+        Ok(self.register_model(Box::new(CatBackend {
             name: leaked,
-            model: model.clone(),
+            model,
             arch,
             tm,
             eval_error: std::sync::OnceLock::new(),
             oracles: Default::default(),
-        }));
-        self.stats.cat_models().push((m.index(), model));
-        Ok(m)
+        })))
     }
 
     /// Load, compile and register a user-supplied `.cat` file; the model
@@ -501,21 +473,16 @@ impl Session {
         // shard at a time under that shard's lock, so no request sees a
         // half-swapped Session; shards not yet reached keep serving the
         // old program until their turn.
-        let model = Arc::new(CatModel::new(leaked, file));
+        let model = CatModel::new(leaked, file);
+        self.stats.compiled(&model);
         self.models[slot] = Box::new(CatBackend {
             name: leaked,
-            model: model.clone(),
+            model,
             arch,
             tm,
             eval_error: std::sync::OnceLock::new(),
             oracles: Default::default(),
         });
-        let mut cat_models = self.stats.cat_models();
-        match cat_models.iter_mut().find(|(s, _)| *s == slot) {
-            Some(entry) => entry.1 = model,
-            None => cat_models.push((slot, model)),
-        }
-        drop(cat_models);
         // The replaced model may answer differently: drop its caches.
         self.verdicts.retain(|&(_, m), _| m != slot);
         self.outcome_sets.retain(|(_, m), _| *m != slot);
@@ -658,22 +625,17 @@ impl Session {
     }
 
     /// Current cache and arena counters, read back through this
-    /// session's registry handles. Compile-cache numbers are aggregated
-    /// from the registered `.cat` models at snapshot time.
+    /// session's registry handles.
     pub fn stats(&self) -> SessionStats {
         self.stats.snapshot()
     }
 
-    // ---- Sweep drivers ---------------------------------------------------
-    //
-    // The bounded enumerate-and-check pipelines, exposed here so driver
-    // binaries configure one Session rather than wiring synth/verify by
-    // hand. Each sweep is one `Walk` over the unpruned space on every
-    // core, split into subtree jobs on the work-stealing pool. Sweeps
-    // stream fresh candidates (every execution distinct), so they
-    // bypass the verdict cache by design.
+    // ---- Synthesis -------------------------------------------------------
 
-    /// Forbid/Allow conformance-suite synthesis (Table 1, Fig. 7).
+    /// Forbid/Allow conformance-suite synthesis (Table 1, Fig. 7): one
+    /// `Walk` over the unpruned space on every core, reporting into the
+    /// attached walk progress. The walk streams fresh candidates (every
+    /// execution distinct), so it bypasses the verdict cache by design.
     pub fn synthesise(
         &self,
         cfg: &EnumConfig,
@@ -683,48 +645,6 @@ impl Session {
     ) -> SuiteResult {
         let walk = Walk::new(cfg).progress(self.walk_progress.as_deref());
         txmm_synth::synthesise(&walk, self.model(tm), self.model(base), budget)
-    }
-
-    /// Model-difference search (§4.1).
-    #[cfg(test)]
-    pub(crate) fn distinguish(
-        &self,
-        cfg: &EnumConfig,
-        m: ModelRef,
-        n: ModelRef,
-        limit: Option<usize>,
-    ) -> Vec<Execution> {
-        txmm_synth::distinguish(&Walk::new(cfg), self.model(m), self.model(n), limit)
-    }
-
-    /// Bounded monotonicity check (§8.1).
-    pub(crate) fn check_monotonicity(
-        &self,
-        cfg: &EnumConfig,
-        m: ModelRef,
-        budget: Option<Duration>,
-    ) -> MonotonicityResult {
-        txmm_verify::check_monotonicity(&Walk::new(cfg), self.model(m), budget)
-    }
-
-    /// Bounded C++-to-hardware compilation soundness (§8.2).
-    pub(crate) fn check_compilation(
-        &self,
-        events: usize,
-        target: Arch,
-        budget: Option<Duration>,
-    ) -> CompileResult {
-        let walk = Walk::new(&txmm_verify::compile_cfg(events));
-        txmm_verify::check_compilation(&walk, target, budget)
-    }
-
-    /// Bounded lock-elision soundness (§8.3).
-    pub(crate) fn check_lock_elision(
-        &self,
-        target: ElisionTarget,
-        budget: Option<Duration>,
-    ) -> ElisionResult {
-        txmm_verify::check_lock_elision(target, budget)
     }
 }
 
@@ -792,29 +712,22 @@ mod tests {
     #[test]
     fn compile_cache_stats_aggregate_over_cat_models() {
         let mut s = Session::new();
-        assert_eq!(s.stats().compile_entries, 0, "no cat models yet");
+        assert_eq!(s.stats().compile_micros, 0, "no cat models yet");
         let m = s
             .register_cat_source("my-sc", "acyclic po | com as Order")
             .expect("compiles");
-        // Two different executions with the same event count: the first
-        // check specialises the tier, the second reuses it.
+        let compiled = s.stats().compile_micros;
+        assert!(compiled > 0, "registration counts the compile time");
+        // Checks at any event count run the one compiled program.
         assert!(!s.consistent(&catalog::sb(None, false, false), m));
-        assert!(!s.consistent(&catalog::sb(None, true, true), m));
-        let st = s.stats();
-        assert_eq!(st.compile_misses, 1, "one tier specialised");
-        assert_eq!(st.compile_hits, 1, "second check reused it");
-        assert_eq!(st.compile_entries, 1);
-        assert!(st.compile_micros > 0, "compilation took measurable time");
-        // Reload swaps the compiled program: the fresh model starts
-        // with an empty tier cache but keeps serving.
+        assert!(!s.consistent(&catalog::power_exec3(true), m));
+        assert_eq!(s.stats().compile_micros, compiled);
+        // Reload swaps the compiled program and adds its compile time
+        // to the cumulative count; the fresh model keeps serving.
         s.reload_cat_source("my-sc", "acyclic poloc | com as Coherence")
             .expect("reloads");
-        let st = s.stats();
-        assert_eq!(st.compile_entries, 0, "tiers recompile after reload");
+        assert!(s.stats().compile_micros > compiled, "reload compiles");
         assert!(s.consistent(&catalog::sb(None, false, false), m));
-        let st = s.stats();
-        assert_eq!(st.compile_entries, 1);
-        assert_eq!(st.compile_misses, 1, "reload resets the slot's counters");
     }
 
     #[test]
@@ -934,6 +847,8 @@ mod tests {
         };
         let r = s.synthesise(&cfg, tsc, sc, None);
         assert!(r.forbid.len() >= 4);
-        assert!(!s.distinguish(&cfg, tsc, sc, Some(1)).is_empty());
+        let walk = Walk::new(&cfg);
+        let diff = txmm_synth::distinguish(&walk, s.model(tsc), s.model(sc), Some(1));
+        assert!(!diff.is_empty());
     }
 }

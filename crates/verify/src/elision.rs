@@ -573,12 +573,12 @@ pub struct ElisionResult {
 pub fn check_lock_elision(target: ElisionTarget, budget: Option<Duration>) -> ElisionResult {
     let model = target.model();
     let start = Instant::now();
-    let mut abstract_candidates = 0usize;
+    let mut examined = 0usize;
     let mut concrete_checked = 0usize;
     let mut counterexample = None;
     let mut complete = true;
 
-    abstract_candidates_driver(&mut |x| {
+    abstract_candidates(&mut |x| {
         if counterexample.is_some() {
             return;
         }
@@ -588,7 +588,7 @@ pub fn check_lock_elision(target: ElisionTarget, budget: Option<Duration>) -> El
                 return;
             }
         }
-        abstract_candidates += 1;
+        examined += 1;
         // The abstract execution must break mutual exclusion (CROrder)
         // while being architecture-consistent on its own accesses.
         let a = x.analysis();
@@ -609,15 +609,11 @@ pub fn check_lock_elision(target: ElisionTarget, budget: Option<Duration>) -> El
 
     ElisionResult {
         counterexample,
-        abstract_candidates,
+        abstract_candidates: examined,
         concrete_checked,
         elapsed: start.elapsed(),
         complete,
     }
-}
-
-fn abstract_candidates_driver(visit: &mut dyn FnMut(&Execution)) {
-    abstract_candidates(visit);
 }
 
 #[cfg(test)]
@@ -628,7 +624,7 @@ mod tests {
     #[test]
     fn abstract_space_nonempty() {
         let mut n = 0;
-        abstract_candidates_driver(&mut |x| {
+        abstract_candidates(&mut |x| {
             assert!(x.check_wf().is_ok());
             n += 1;
         });

@@ -382,20 +382,24 @@ fn reload_swaps_cat_models_without_restart() {
     let still = roundtrip(&mut stream, &check);
     assert_eq!(still, after, "old model keeps serving after failed reload");
 
-    // The compile-cache surfaces in stats: the serving shard's live
-    // model specialised at least one per-event tier (a miss plus an
-    // entry), re-served it from cache (hits), and accrued compile time.
+    // Compile time surfaces in stats: every shard compiled the model at
+    // start and again at the reload. There is no program cache to
+    // count hits, misses or entries of.
     let stats = roundtrip(&mut stream, &Request::Stats);
     let v = txmm::protocol::parse_json(&stats[0]).expect("stats is JSON");
     let num = |k: &str| match v.get(k) {
         Some(txmm::protocol::Json::Num(n)) => *n,
         other => panic!("stats[{k}] = {other:?}"),
     };
-    assert!(num("compile_misses") >= 1.0, "{}", stats[0]);
-    assert!(num("compile_entries") >= 1.0, "{}", stats[0]);
-    assert!(num("compile_hits") >= 1.0, "{}", stats[0]);
     assert!(num("compile_micros") > 0.0, "{}", stats[0]);
-    assert!(stats[0].contains("\"compile_hit_rate\":0."), "{}", stats[0]);
+    for gone in [
+        "compile_hits",
+        "compile_misses",
+        "compile_hit_rate",
+        "compile_entries",
+    ] {
+        assert!(v.get(gone).is_none(), "{gone}: {}", stats[0]);
+    }
     // Both shards report the per-shard compile fields (aggregate + 2).
     assert_eq!(
         stats[0].matches("\"compile_micros\"").count(),

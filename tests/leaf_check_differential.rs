@@ -10,8 +10,11 @@
 //! layout's terms move no verdict at these bounds (a copy without `D`
 //! in `efence`, or without the `thb` seed's `tfence` term, passes the
 //! verdict comparison), so Power's split relations are also compared,
-//! relation by relation, with the printed ones. The walks are
-//! unpruned, so groups that fail a txn-free axiom are checked too.
+//! relation by relation, with the printed ones. Both read `prop2`'s
+//! `come* ; efence* ; hb*` as `come* ; hb*`, which holds because
+//! `efence ⊆ hb`; that inclusion is asserted on the same leaves. The
+//! walks are unpruned, so groups that fail a txn-free axiom are
+//! checked too.
 //!
 //! For models whose consistency survives deleting a whole transaction
 //! the leaf check infers most verdicts from a few checked layouts, so
@@ -73,7 +76,8 @@ fn leaf_checks_agree(arch: Arch, events: usize, model: &dyn Model) -> usize {
 }
 
 /// Power's split relations, over an analysis seeded from the group's
-/// first layout as a leaf checker seeds it, against the printed ones.
+/// first layout as a leaf checker seeds it, against the printed ones,
+/// whose `efence` must lie inside `hb`.
 fn split_relations_agree(events: usize, hl: Highlights) -> usize {
     each_leaf(
         Arch::Power,
@@ -86,9 +90,14 @@ fn split_relations_agree(events: usize, hl: Highlights) -> usize {
                 *base = Some(TxnFreeBase::capture(&a));
             }
             let seeded = base.as_ref().expect("captured").seed(x);
+            let printed = Power::relations(&x.analysis(), hl);
+            assert!(
+                printed.efence.is_subset(&printed.hb),
+                "efence ⊄ hb: {hl:?} on {x:?}"
+            );
             assert_eq!(
                 Power::split_relations(&seeded, hl),
-                Power::relations(&x.analysis(), hl),
+                printed,
                 "{hl:?} on {x:?}"
             );
         },
