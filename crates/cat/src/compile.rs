@@ -18,7 +18,8 @@
 //! relation-typed (they start from the empty relation, exactly like
 //! the interpreter's seed).
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::{Mutex, PoisonError};
 
 use crate::chunk::{Chunk, Op, RReg, RelBuiltin, SReg, SetBuiltin};
 use crate::eval::EvalError;
@@ -36,6 +37,21 @@ fn err_at<T>(line: u32, message: impl Into<String>) -> Result<T, EvalError> {
         message: message.into(),
         line: Some(line),
     })
+}
+
+/// `label` as a `&'static str`, leaked once per distinct string for the
+/// process: compiling a model again (a reload, one more shard's
+/// Session) reuses the check labels and model names leaked before.
+pub fn intern_label(label: &str) -> &'static str {
+    static LABELS: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    // The set is only ever inserted into, so every state is valid.
+    let mut labels = LABELS.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&interned) = labels.get(label) {
+        return interned;
+    }
+    let interned: &'static str = Box::leak(label.into());
+    labels.insert(interned);
+    interned
 }
 
 /// A lowered expression value: a register in one of the two banks.
@@ -152,10 +168,8 @@ impl Lowerer {
             Decl::Check { kind, expr, name } => {
                 let v = self.expr(expr)?;
                 let src = self.as_rel(v);
-                // Leak the label once per compile; the program serves
-                // arbitrarily many checks from this table.
                 let idx = self.names.len() as u16;
-                self.names.push(Box::leak(name.clone().into_boxed_str()));
+                self.names.push(intern_label(name));
                 self.ops.push(Op::Check {
                     kind: *kind,
                     src,

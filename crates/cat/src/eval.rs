@@ -281,8 +281,6 @@ pub struct CatModel {
     /// This model's compile time, a registry handle labelled by model
     /// name so every `CatModel` shows up in the metrics exposition.
     compile_nanos: txmm_obs::Counter,
-    /// Check labels leaked once, for the reference interpreter path.
-    check_names: Vec<&'static str>,
 }
 
 impl CatModel {
@@ -295,17 +293,6 @@ impl CatModel {
             crate::compile::compile(&file)
         };
         let compile_nanos = start.elapsed().as_nanos() as u64;
-        let check_names = file
-            .decls
-            .iter()
-            .filter_map(|d| match d {
-                Decl::Check { name, .. } => {
-                    let leaked: &'static str = Box::leak(name.clone().into_boxed_str());
-                    Some(leaked)
-                }
-                _ => None,
-            })
-            .collect();
         let nanos = txmm_obs::global().counter_with(
             "txmm_cat_compile_nanoseconds_total",
             "Cumulative .cat compile time.",
@@ -317,7 +304,6 @@ impl CatModel {
             file,
             program,
             compile_nanos: nanos,
-            check_names,
         }
     }
 
@@ -359,7 +345,6 @@ impl CatModel {
         let x = a.exec();
         let mut env = Env::new(a);
         let mut checker = Checker::new(self.name);
-        let mut next_check = 0usize;
         for decl in &self.file.decls {
             match decl {
                 Decl::Let {
@@ -395,12 +380,9 @@ impl CatModel {
                         }
                     }
                 }
-                Decl::Check { kind, expr, .. } => {
+                Decl::Check { kind, expr, name } => {
                     let r = env.as_rel(env.eval(expr)?);
-                    // Labels were leaked once at construction; the
-                    // interpreter used to leak one copy per evaluation.
-                    let static_name = self.check_names[next_check];
-                    next_check += 1;
+                    let static_name = crate::compile::intern_label(name);
                     match kind {
                         CheckKind::Acyclic => checker.acyclic(static_name, &r),
                         CheckKind::Irreflexive => checker.irreflexive(static_name, &r),
@@ -581,5 +563,18 @@ mod tests {
         let m = sc_model();
         let v = m.check(&catalog::sb(None, false, false)).unwrap();
         assert_eq!(v.violations(), ["Order"]);
+    }
+
+    /// Compiling one source twice leaks its check labels once: both
+    /// models, and the reference interpreter, report the same label.
+    #[test]
+    fn recompiling_reuses_the_check_labels() {
+        let (a, b) = (sc_model(), sc_model());
+        let x = catalog::sb(None, false, false);
+        let label = |v: Verdict| v.violations()[0];
+        let first = label(a.check(&x).unwrap());
+        assert!(std::ptr::eq(first, label(b.check(&x).unwrap())));
+        let reference = b.check_analysis_reference(&x.analysis()).unwrap();
+        assert!(std::ptr::eq(first, label(reference)));
     }
 }

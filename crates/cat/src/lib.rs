@@ -40,7 +40,7 @@ pub(crate) mod prune;
 pub(crate) mod vm;
 
 pub use chunk::SetBuiltin;
-pub use compile::{compile, lower};
+pub use compile::{compile, intern_label, lower};
 pub use eval::CatModel;
 pub use models::{all_cat_models, cat_model, SOURCES};
 pub use parser::parse;

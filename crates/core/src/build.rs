@@ -56,10 +56,16 @@ impl ExecBuilder {
         t as Tid
     }
 
-    fn push(&mut self, ev: Event) -> EventId {
+    /// Append `ev` as given: its thread, kind, location and attributes.
+    pub fn push(&mut self, ev: Event) -> EventId {
         assert!(self.events.len() < MAX_EVENTS, "too many events");
         self.events.push(ev);
         self.events.len() - 1
+    }
+
+    /// The id the next appended event gets.
+    pub fn next_id(&self) -> EventId {
+        self.events.len()
     }
 
     /// Append a plain read of `loc` on thread `t`.

@@ -11,7 +11,7 @@
 //! violation observed on a partial execution persists in every
 //! completion, so the whole subtree can be abandoned.
 //!
-//! This module provides the machinery both construction paths share:
+//! This module provides the machinery every construction path shares:
 //!
 //! * `IncrOrder` — an online cycle detector over a growing relation
 //!   (a reachability [`Rel`], a few block-word operations per inserted
@@ -29,9 +29,12 @@
 //! * [`RfCoSearch`] — the one rf/co search over a caller-ordered list
 //!   of [`Stage`]s (a source per read, a coherence order per
 //!   location): the synthesis structure walk puts its rf stages first,
-//!   the outcome walk its coherence orders first. Siblings are probed
-//!   together, the undecided ones judged in one batched oracle call,
-//!   and every cut counts the candidates it skipped.
+//!   the outcome walk its coherence orders first, and lock elision
+//!   (`txmm_verify::elision`) its rf stages first under [`NoPrune`],
+//!   over its abstract executions and over their Table 3 expansions.
+//!   Siblings are probed together, the undecided ones judged in one
+//!   batched oracle call, and every cut counts the candidates it
+//!   skipped.
 //!
 //! # Delta viability
 //!
@@ -465,8 +468,8 @@ pub struct PartialCandidate {
 }
 
 impl PartialCandidate {
-    /// Wrap `x`, whose `rf` and `co` are expected to be empty. The
-    /// coherence detector is seeded with `po_loc`.
+    /// Wrap `x`. The coherence detector is seeded with `po_loc`, and
+    /// any `rf`/`co` edges `x` already holds are folded in as fixed.
     pub(crate) fn new(x: Execution) -> PartialCandidate {
         let n = x.len();
         let po_loc = x.po_loc();
@@ -484,7 +487,6 @@ impl PartialCandidate {
             frames: Vec::with_capacity(n),
             depth: 0,
         };
-        // Robustness: fold in any pre-existing communication edges.
         pc.replay_existing();
         pc
     }
@@ -935,8 +937,9 @@ impl<'a> RfCoSearch<'a> {
         self.below[0]
     }
 
-    /// Walk every rf/co completion of `pc`, whose `rf` and `co` are
-    /// empty, passing each one the oracle cannot refute to `leaf`.
+    /// Walk every rf/co completion of `pc`, passing each one the oracle
+    /// cannot refute to `leaf`. Edges `pc` already holds stay fixed; the
+    /// stages choose the rest.
     pub fn run(
         &self,
         pc: &mut PartialCandidate,

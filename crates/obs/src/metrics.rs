@@ -4,9 +4,11 @@
 //! Recording is lock-free (`AtomicU64` relaxed ops on `Arc`-backed
 //! cells). The registry itself is a `Mutex<BTreeMap>` touched only when
 //! handles are created and when the metrics are collected for
-//! rendering, never per recorded sample. Several live handles may share
-//! one `(name, labels)` series — collection sums them and prunes
-//! handles whose owners have been dropped.
+//! rendering, never per recorded sample. Several handles may share one
+//! `(name, labels)` series, and collection sums them. The registry holds
+//! counter handles strongly, so a counter series keeps a dropped
+//! handle's count and never falls; gauges and histograms sum only live
+//! handles, and their series disappears with its last handle.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -231,19 +233,17 @@ impl Kind {
 }
 
 enum Handles {
-    Counter(Vec<Weak<AtomicU64>>),
+    Counter(Vec<Arc<AtomicU64>>),
     Gauge(Vec<Weak<AtomicI64>>),
     Histogram(Vec<Weak<HistogramCore>>),
 }
 
 impl Handles {
     /// Drop dead weak references; report whether any handle survives.
+    /// Counters are never pruned.
     fn prune(&mut self) -> bool {
         match self {
-            Handles::Counter(v) => {
-                v.retain(|w| w.strong_count() > 0);
-                !v.is_empty()
-            }
+            Handles::Counter(_) => true,
             Handles::Gauge(v) => {
                 v.retain(|w| w.strong_count() > 0);
                 !v.is_empty()
@@ -313,12 +313,13 @@ impl Registry {
 
     /// Create a new counter handle under `(name, labels)`. Every call
     /// returns an independent handle; the series value is the sum of
-    /// all live handles. Do not call per request.
+    /// every handle created for it, dropped ones included. The registry
+    /// keeps each handle, so do not call per request.
     pub fn counter_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
         let handle = Counter::detached();
-        let weak = Arc::downgrade(&handle.0);
+        let cell = Arc::clone(&handle.0);
         self.register(name, help, labels, Kind::Counter, |handles| match handles {
-            Handles::Counter(v) => v.push(weak),
+            Handles::Counter(v) => v.push(cell),
             _ => unreachable!(),
         });
         handle
@@ -398,9 +399,9 @@ impl Registry {
         push(&mut series.handles);
     }
 
-    /// Sum every live handle per series, pruning dead ones. Series with
-    /// no surviving handle are dropped (their history dies with the
-    /// owners — acceptable for a process-lifetime registry).
+    /// Sum every handle per series, pruning dead gauge and histogram
+    /// handles. A gauge or histogram series with no surviving handle is
+    /// dropped; a counter series keeps every count.
     fn collect(&self) -> Vec<CollectedFamily> {
         let mut families = self.families.lock().unwrap();
         let mut out = Vec::new();
@@ -409,12 +410,9 @@ impl Registry {
             let mut series = Vec::new();
             for s in &family.series {
                 let value = match &s.handles {
-                    Handles::Counter(v) => SeriesValue::Counter(
-                        v.iter()
-                            .filter_map(|w| w.upgrade())
-                            .map(|a| a.load(Ordering::Relaxed))
-                            .sum(),
-                    ),
+                    Handles::Counter(v) => {
+                        SeriesValue::Counter(v.iter().map(|a| a.load(Ordering::Relaxed)).sum())
+                    }
                     Handles::Gauge(v) => SeriesValue::Gauge(
                         v.iter()
                             .filter_map(|w| w.upgrade())
@@ -728,8 +726,10 @@ mod tests {
         assert_eq!(snap.buckets.iter().sum::<u64>(), snap.count);
     }
 
-    /// Independent handles of one series sum at collection; dropped
-    /// handles are pruned and their series disappears once empty.
+    /// Independent handles of one series sum at collection. A dropped
+    /// counter handle's count stays in its series, so a counter never
+    /// falls; a dropped gauge handle is pruned, and its series
+    /// disappears once empty.
     #[test]
     fn registry_sums_live_handles_and_prunes_dead_ones() {
         let reg = Registry::new();
@@ -745,8 +745,15 @@ mod tests {
         assert!(prom.contains("txmm_test_total{shard=\"1\"} 5"), "{prom}");
         drop(c);
         let prom = reg.render_prom();
-        assert!(!prom.contains("shard=\"1\""), "{prom}");
+        assert!(prom.contains("txmm_test_total{shard=\"1\"} 5"), "{prom}");
         assert!(prom.contains("txmm_test_total{shard=\"0\"} 7"), "{prom}");
+        let g = reg.gauge_with("txmm_test_level", "test gauge", &[("shard", "2")]);
+        g.set(6);
+        let prom = reg.render_prom();
+        assert!(prom.contains("txmm_test_level{shard=\"2\"} 6"), "{prom}");
+        drop(g);
+        let prom = reg.render_prom();
+        assert!(!prom.contains("shard=\"2\""), "{prom}");
     }
 
     #[test]

@@ -121,7 +121,7 @@ impl Model for CatBackend {
             Err(e) => {
                 let msg = self
                     .eval_error
-                    .get_or_init(|| Box::leak(format!("cat-eval-error: {e}").into_boxed_str()));
+                    .get_or_init(|| txmm_cat::intern_label(&format!("cat-eval-error: {e}")));
                 c.fail(msg);
             }
         }
@@ -426,12 +426,12 @@ impl Session {
     /// Compile and register a `.cat` model from source text.
     pub fn register_cat_source(&mut self, name: &str, src: &str) -> Result<ModelRef, String> {
         let file = parse_cat(src).map_err(|e| format!("{name}: {e}"))?;
-        let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
+        let name = txmm_cat::intern_label(name);
         let (arch, tm) = classify_cat_name(name);
-        let model = CatModel::new(leaked, file);
+        let model = CatModel::new(name, file);
         self.stats.compiled(&model);
         Ok(self.register_model(Box::new(CatBackend {
-            name: leaked,
+            name,
             model,
             arch,
             tm,

@@ -11,12 +11,14 @@
 //! A counterexample is an abstract execution violating only `CROrder`
 //! whose expansion is consistent on the target — mutual exclusion broken.
 
+use std::iter::once;
 use std::time::{Duration, Instant};
 
-use txmm_core::{
-    weaklift, Attrs, Call, Event, EventKind, ExecBuilder, Execution, Fence, Rel, TxnClass,
-};
+use txmm_core::incr::{NoPrune, PartialCandidate, PruneStats, RfCoSearch, Stage};
+use txmm_core::{weaklift, Call, EventId, EventKind, ExecBuilder, Execution, Fence, Loc};
 use txmm_models::{Armv8, Model, Power, X86};
+
+use crate::CheckResult;
 
 /// The four columns of Table 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,126 +177,34 @@ fn build_abstract(
         b.data(evs1[0], evs1[1]);
     }
     let base = b.build_unchecked();
-
-    // Enumerate rf per read and co per location over the data accesses.
-    let reads: Vec<usize> = (0..base.len())
-        .filter(|&e| base.event(e).is_read())
+    // Each read's source (last read first), then each location's
+    // coherence order (last location first).
+    let writes_at = |loc| -> Vec<EventId> {
+        (0..base.len())
+            .filter(|&w| base.event(w).is_write() && base.event(w).loc == loc)
+            .collect()
+    };
+    let mut stages: Vec<Stage> = (0..base.len())
+        .rev()
+        .filter(|&r| base.event(r).is_read())
+        .map(|r| Stage::rf(r, &writes_at(base.event(r).loc)))
         .collect();
-    let writes: Vec<usize> = (0..base.len())
-        .filter(|&e| base.event(e).is_write())
-        .collect();
-    let rf_opts: Vec<Vec<Option<usize>>> = reads
-        .iter()
-        .map(|&r| {
-            let mut o = vec![None];
-            for &w in &writes {
-                if base.event(w).loc == base.event(r).loc {
-                    o.push(Some(w));
-                }
-            }
-            o
-        })
-        .collect();
-    let mut rf_choice = vec![0usize; reads.len()];
-    loop {
-        // co permutations per loc.
-        let locs: Vec<u8> = {
-            let mut l: Vec<u8> = base.events().iter().filter_map(|e| e.loc).collect();
-            l.sort_unstable();
-            l.dedup();
-            l
-        };
-        let co_perms: Vec<Vec<Vec<usize>>> = locs
-            .iter()
-            .map(|&l| {
-                let ws: Vec<usize> = writes
-                    .iter()
-                    .copied()
-                    .filter(|&w| base.event(w).loc == Some(l))
-                    .collect();
-                perms(&ws)
-            })
-            .collect();
-        let mut idx = vec![0usize; co_perms.len()];
-        loop {
-            let mut x = base.clone();
-            let n = x.len();
-            let mut rf = Rel::empty(n);
-            for (i, &r) in reads.iter().enumerate() {
-                if let Some(w) = rf_opts[i][rf_choice[i]] {
-                    rf.add(w, r);
-                }
-            }
-            let mut co = Rel::empty(n);
-            for (li, perm) in idx.iter().enumerate() {
-                let p = &co_perms[li][*perm];
-                for i in 0..p.len() {
-                    for j in (i + 1)..p.len() {
-                        co.add(p[i], p[j]);
-                    }
-                }
-            }
-            x = Execution::from_parts(
-                x.events().to_vec(),
-                *x.po(),
-                *x.addr(),
-                *x.ctrl(),
-                *x.data(),
-                *x.rmw(),
-                rf,
-                co,
-                vec![],
-            );
-            if x.check_wf().is_ok() {
-                visit(&x);
-            }
-            // Advance co odometer.
-            let mut i = 0;
-            loop {
-                if i == idx.len() {
-                    break;
-                }
-                idx[i] += 1;
-                if idx[i] < co_perms[i].len() {
-                    break;
-                }
-                idx[i] = 0;
-                i += 1;
-            }
-            if idx.iter().all(|&v| v == 0) {
-                break;
-            }
-        }
-        // Advance rf odometer.
-        let mut i = 0;
-        loop {
-            if i == rf_choice.len() {
-                return;
-            }
-            rf_choice[i] += 1;
-            if rf_choice[i] < rf_opts[i].len() {
-                break;
-            }
-            rf_choice[i] = 0;
-            i += 1;
-        }
-    }
+    let locs: Vec<Loc> = base.locations().collect();
+    stages.extend(locs.into_iter().rev().map(|l| Stage::Co {
+        writes: writes_at(Some(l)),
+    }));
+    completions(base, &stages, visit);
 }
 
-fn perms(items: &[usize]) -> Vec<Vec<usize>> {
-    if items.is_empty() {
-        return vec![vec![]];
-    }
-    let mut out = Vec::new();
-    for (i, &f) in items.iter().enumerate() {
-        let mut rest = items.to_vec();
-        rest.remove(i);
-        for mut p in perms(&rest) {
-            p.insert(0, f);
-            out.push(p);
-        }
-    }
-    out
+/// Every rf/co completion of `base` over `stages`, in stage order and
+/// unpruned. The edges already in `base` stay fixed.
+fn completions(base: Execution, stages: &[Stage], visit: &mut dyn FnMut(&Execution)) {
+    let mut pc = PartialCandidate::with_oracle(base, &NoPrune);
+    let search = RfCoSearch::new(&NoPrune, stages, 1);
+    search.run(&mut pc, &mut PruneStats::default(), &mut |x| {
+        debug_assert!(x.check_wf().is_ok(), "completions are well formed");
+        visit(x);
+    });
 }
 
 /// The lock variable gets the first location index after the data
@@ -310,307 +220,172 @@ fn lock_loc(x: &Execution) -> u8 {
 /// against the architecture model.
 pub fn expand(x: &Execution, target: ElisionTarget) -> Vec<Execution> {
     let m = lock_loc(x);
-    let mut events: Vec<Event> = Vec::new();
+    let armv8 = matches!(target, ElisionTarget::Armv8 | ElisionTarget::Armv8Fixed);
+    let mut b = ExecBuilder::new();
     let mut map_main = vec![usize::MAX; x.len()];
-    let mut ctrl_pairs: Vec<(usize, usize)> = Vec::new();
-    let mut rmw_pairs: Vec<(usize, usize)> = Vec::new();
-    let mut data_pairs: Vec<(usize, usize)> = Vec::new();
-    let mut addr_pairs: Vec<(usize, usize)> = Vec::new();
-    let mut txn_classes: Vec<Vec<usize>> = Vec::new();
     // Lock-variable reads needing rf enumeration, and whether they are
-    // `Lt` reads (TxnReadsLockFree) — plus writes to m with a tag for
-    // whether they came from `L` (lock-taken) or `U` (lock-free).
-    let mut m_reads: Vec<(usize, bool)> = Vec::new();
-    let mut m_lock_writes: Vec<usize> = Vec::new();
-    let mut m_unlock_writes: Vec<usize> = Vec::new();
+    // `Lt` reads (TxnReadsLockFree) — plus writes to m from `L`
+    // (lock-taken) and from `U` (lock-free).
+    let mut m_reads: Vec<(EventId, bool)> = Vec::new();
+    let mut m_lock_writes: Vec<EventId> = Vec::new();
+    let mut m_unlock_writes: Vec<EventId> = Vec::new();
 
     for t in 0..x.num_threads() {
-        let mut cur_txn: Option<Vec<usize>> = None;
-        // ctrl sources pending: (source new id) — extends to all later
-        // events of the thread.
-        let mut ctrl_sources: Vec<usize> = Vec::new();
+        // The open transaction's first event.
+        let mut txn_start: Option<EventId> = None;
+        // ctrl sources pending: extends to all later events of the
+        // thread.
+        let mut ctrl_sources: Vec<EventId> = Vec::new();
         for e in x.thread_events(t as u8) {
-            let ev = x.event(e);
-            let push = |events: &mut Vec<Event>, ev2: Event, txn: &mut Option<Vec<usize>>| {
-                let id = events.len();
-                events.push(ev2);
-                if let Some(txn) = txn.as_mut() {
-                    txn.push(id);
-                }
-                id
-            };
+            let ev = *x.event(e);
+            let tid = ev.tid;
             match ev.kind {
                 EventKind::Call(Call::Lock) => {
+                    if target == ElisionTarget::X86 {
+                        // Test-and-test-and-set: a plain test read first.
+                        m_reads.push((b.read(tid, m), false));
+                    }
+                    let r = if armv8 {
+                        b.read_acq(tid, m)
+                    } else {
+                        b.read(tid, m)
+                    };
+                    m_reads.push((r, false));
+                    let w = b.write(tid, m);
+                    b.rmw(r, w).ctrl(r, w);
+                    m_lock_writes.push(w);
                     match target {
-                        ElisionTarget::X86 => {
-                            let tst = push(&mut events, Event::read(ev.tid, m), &mut cur_txn);
-                            m_reads.push((tst, false));
-                            let r = push(&mut events, Event::read(ev.tid, m), &mut cur_txn);
-                            m_reads.push((r, false));
-                            let w = push(&mut events, Event::write(ev.tid, m), &mut cur_txn);
-                            rmw_pairs.push((r, w));
-                            ctrl_pairs.push((r, w));
-                            m_lock_writes.push(w);
-                        }
                         ElisionTarget::Power => {
-                            let r = push(&mut events, Event::read(ev.tid, m), &mut cur_txn);
-                            m_reads.push((r, false));
-                            let w = push(&mut events, Event::write(ev.tid, m), &mut cur_txn);
-                            rmw_pairs.push((r, w));
-                            // ctrl from the load to the store-exclusive,
-                            // then ctrl from the store-exclusive to the
+                            // ctrl from the store-exclusive to the
                             // critical region (footnote 3), via isync.
-                            ctrl_pairs.push((r, w));
                             ctrl_sources.push(w);
-                            push(
-                                &mut events,
-                                Event::fence(ev.tid, Fence::Isync),
-                                &mut cur_txn,
-                            );
-                            m_lock_writes.push(w);
+                            b.fence(tid, Fence::Isync);
                         }
-                        ElisionTarget::Armv8 | ElisionTarget::Armv8Fixed => {
-                            let r = push(
-                                &mut events,
-                                Event::read(ev.tid, m).with_attrs(Attrs::ACQ),
-                                &mut cur_txn,
-                            );
-                            m_reads.push((r, false));
-                            let w = push(&mut events, Event::write(ev.tid, m), &mut cur_txn);
-                            rmw_pairs.push((r, w));
-                            ctrl_pairs.push((r, w));
-                            if target == ElisionTarget::Armv8Fixed {
-                                push(&mut events, Event::fence(ev.tid, Fence::Dmb), &mut cur_txn);
-                            }
-                            m_lock_writes.push(w);
+                        ElisionTarget::Armv8Fixed => {
+                            b.fence(tid, Fence::Dmb);
                         }
+                        ElisionTarget::X86 | ElisionTarget::Armv8 => {}
                     }
                 }
-                EventKind::Call(Call::Unlock) => match target {
-                    ElisionTarget::X86 => {
-                        let w = push(&mut events, Event::write(ev.tid, m), &mut cur_txn);
-                        m_unlock_writes.push(w);
+                EventKind::Call(Call::Unlock) => {
+                    if target == ElisionTarget::Power {
+                        b.fence(tid, Fence::Sync);
                     }
-                    ElisionTarget::Power => {
-                        push(&mut events, Event::fence(ev.tid, Fence::Sync), &mut cur_txn);
-                        let w = push(&mut events, Event::write(ev.tid, m), &mut cur_txn);
-                        m_unlock_writes.push(w);
-                    }
-                    ElisionTarget::Armv8 | ElisionTarget::Armv8Fixed => {
-                        let w = push(
-                            &mut events,
-                            Event::write(ev.tid, m).with_attrs(Attrs::REL),
-                            &mut cur_txn,
-                        );
-                        m_unlock_writes.push(w);
-                    }
-                },
+                    let w = if armv8 {
+                        b.write_rel(tid, m)
+                    } else {
+                        b.write(tid, m)
+                    };
+                    m_unlock_writes.push(w);
+                }
                 EventKind::Call(Call::TLock) => {
                     // The transaction opens; its first action reads the
                     // lock variable.
-                    cur_txn = Some(Vec::new());
-                    let r = push(&mut events, Event::read(ev.tid, m), &mut cur_txn);
+                    let r = b.read(tid, m);
                     m_reads.push((r, true));
                     ctrl_sources.push(r);
+                    txn_start = Some(r);
                 }
                 EventKind::Call(Call::TUnlock) => {
                     // Ut vanishes; the transaction closes.
-                    if let Some(evs) = cur_txn.take() {
-                        txn_classes.push(evs);
+                    if let Some(start) = txn_start.take() {
+                        b.txn(&(start..b.next_id()).collect::<Vec<_>>());
                     }
                     ctrl_sources.clear();
                 }
                 _ => {
-                    let id = push(&mut events, *ev, &mut cur_txn);
+                    let id = b.push(ev);
                     map_main[e] = id;
                     for &src in &ctrl_sources {
-                        ctrl_pairs.push((src, id));
+                        b.ctrl(src, id);
                     }
                 }
             }
         }
     }
 
-    // Dependencies between data accesses carry over.
-    for (a, b2) in x.data().pairs() {
-        data_pairs.push((map_main[a], map_main[b2]));
+    // Dependencies between data accesses, and their rf/co, carry over.
+    for (a, c) in x.data().pairs() {
+        b.data(map_main[a], map_main[c]);
     }
-    for (a, b2) in x.addr().pairs() {
-        addr_pairs.push((map_main[a], map_main[b2]));
+    for (a, c) in x.addr().pairs() {
+        b.addr(map_main[a], map_main[c]);
+    }
+    for (w, r) in x.rf().pairs() {
+        b.rf(map_main[w], map_main[r]);
+    }
+    for (a, c) in x.co().pairs() {
+        b.co(map_main[a], map_main[c]);
     }
 
-    let n = events.len();
-    let mut po = Rel::empty(n);
-    for a in 0..n {
-        for b2 in (a + 1)..n {
-            if events[a].tid == events[b2].tid {
-                po.add(a, b2);
-            }
-        }
-    }
-    let base_co = {
-        let mut co = Rel::empty(n);
-        for (a, b2) in x.co().pairs() {
-            co.add(map_main[a], map_main[b2]);
-        }
-        co
-    };
-    let base_rf = {
-        let mut rf = Rel::empty(n);
-        for (a, b2) in x.rf().pairs() {
-            rf.add(map_main[a], map_main[b2]);
-        }
-        rf
-    };
-
-    // Existential completion on the lock variable: rf per m-read
-    // (TxnReadsLockFree: Lt reads never observe an L write) and co over
-    // the m-writes.
-    let m_writes: Vec<usize> = m_lock_writes
+    // Existential completion on the lock variable: rf per m-read, last
+    // read first (TxnReadsLockFree: Lt reads never observe an L write),
+    // then co over the m-writes.
+    let m_writes: Vec<EventId> = m_lock_writes
         .iter()
-        .chain(m_unlock_writes.iter())
+        .chain(&m_unlock_writes)
         .copied()
         .collect();
-    let rf_opts: Vec<Vec<Option<usize>>> = m_reads
+    let mut stages: Vec<Stage> = m_reads
         .iter()
-        .map(|&(_, is_lt)| {
-            let mut o: Vec<Option<usize>> = vec![None];
-            for &w in &m_writes {
-                if is_lt && m_lock_writes.contains(&w) {
-                    continue; // TxnReadsLockFree
-                }
-                o.push(Some(w));
-            }
-            o
+        .rev()
+        .map(|&(r, is_lt)| Stage::Rf {
+            read: r,
+            sources: once(None)
+                .chain(
+                    if is_lt { &m_unlock_writes } else { &m_writes }
+                        .iter()
+                        .map(|&w| Some(w)),
+                )
+                .collect(),
+            loc_writes: m_writes.iter().copied().collect(),
         })
         .collect();
-
+    stages.push(Stage::Co { writes: m_writes });
     let mut out = Vec::new();
-    let co_options = perms(&m_writes);
-    let mut rf_choice = vec![0usize; m_reads.len()];
-    loop {
-        for co_perm in &co_options {
-            let mut rf = base_rf;
-            for (i, &(r, _)) in m_reads.iter().enumerate() {
-                if let Some(w) = rf_opts[i][rf_choice[i]] {
-                    rf.add(w, r);
-                }
-            }
-            let mut co = base_co;
-            for i in 0..co_perm.len() {
-                for j in (i + 1)..co_perm.len() {
-                    co.add(co_perm[i], co_perm[j]);
-                }
-            }
-            let mut ctrl = Rel::empty(n);
-            for &(a, b2) in &ctrl_pairs {
-                ctrl.add(a, b2);
-            }
-            let mut data = Rel::empty(n);
-            for &(a, b2) in &data_pairs {
-                data.add(a, b2);
-            }
-            let mut addr = Rel::empty(n);
-            for &(a, b2) in &addr_pairs {
-                addr.add(a, b2);
-            }
-            let mut rmw = Rel::empty(n);
-            for &(a, b2) in &rmw_pairs {
-                rmw.add(a, b2);
-            }
-            let y = Execution::from_parts(
-                events.clone(),
-                po,
-                addr,
-                ctrl,
-                data,
-                rmw,
-                rf,
-                co,
-                txn_classes
-                    .iter()
-                    .map(|evs| TxnClass {
-                        events: evs.clone(),
-                        atomic: false,
-                    })
-                    .collect(),
-            );
-            if y.check_wf().is_ok() {
-                out.push(y);
-            }
-        }
-        let mut i = 0;
-        loop {
-            if i == rf_choice.len() {
-                return out;
-            }
-            rf_choice[i] += 1;
-            if rf_choice[i] < rf_opts[i].len() {
-                break;
-            }
-            rf_choice[i] = 0;
-            i += 1;
-        }
-    }
+    completions(b.build_unchecked(), &stages, &mut |y| out.push(y.clone()));
+    out
 }
 
-/// The outcome of a lock-elision soundness check.
-pub struct ElisionResult {
-    /// A violating pair: abstract execution (CROrder-inconsistent) and
-    /// its consistent concrete expansion.
-    pub counterexample: Option<(Execution, Execution)>,
-    /// Abstract candidates examined.
-    pub abstract_candidates: usize,
-    /// Concrete expansions checked.
-    pub concrete_checked: usize,
-    /// Wall-clock time.
-    pub elapsed: Duration,
-    /// Whole (bounded) space covered?
-    pub complete: bool,
-}
+/// The outcome of a lock-elision soundness check: a violating pair is
+/// an abstract execution (CROrder-inconsistent) and its consistent
+/// concrete expansion, and `checked` counts the abstract candidates
+/// that met the hypotheses (they violate `CROrder` and are consistent
+/// on the target).
+pub type ElisionResult = CheckResult<(Execution, Execution)>;
 
 /// Check lock elision on one target (the §8.3 experiment).
 pub fn check_lock_elision(target: ElisionTarget, budget: Option<Duration>) -> ElisionResult {
     let model = target.model();
     let start = Instant::now();
-    let mut examined = 0usize;
-    let mut concrete_checked = 0usize;
+    let mut checked = 0usize;
     let mut counterexample = None;
     let mut complete = true;
 
     abstract_candidates(&mut |x| {
-        if counterexample.is_some() {
+        if counterexample.is_some() || !complete {
             return;
         }
-        if let Some(b) = budget {
-            if start.elapsed() > b {
-                complete = false;
-                return;
-            }
+        if budget.is_some_and(|b| start.elapsed() >= b) {
+            complete = false;
+            return;
         }
-        examined += 1;
         // The abstract execution must break mutual exclusion (CROrder)
         // while being architecture-consistent on its own accesses.
         let a = x.analysis();
-        if !violates_cr_order_analysis(&a) {
+        if !violates_cr_order_analysis(&a) || !model.consistent_analysis(&a) {
             return;
         }
-        if !model.consistent_analysis(&a) {
-            return;
-        }
-        for y in expand(x, target) {
-            concrete_checked += 1;
-            if model.consistent(&y) {
-                counterexample = Some((x.clone(), y));
-                return;
-            }
-        }
+        checked += 1;
+        counterexample = expand(x, target)
+            .into_iter()
+            .find(|y| model.consistent(y))
+            .map(|y| (x.clone(), y));
     });
 
-    ElisionResult {
+    CheckResult {
         counterexample,
-        abstract_candidates: examined,
-        concrete_checked,
+        checked,
         elapsed: start.elapsed(),
         complete,
     }
@@ -620,15 +395,72 @@ pub fn check_lock_elision(target: ElisionTarget, budget: Option<Duration>) -> El
 mod tests {
     use super::*;
     use txmm_models::catalog;
+    use txmm_synth::canon_key;
+
+    /// FNV-1a over canonical keys in order, each length-prefixed.
+    fn digest(keys: impl Iterator<Item = Vec<u8>>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for key in keys {
+            for b in (key.len() as u32).to_le_bytes().into_iter().chain(key) {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
 
     #[test]
     fn abstract_space_nonempty() {
-        let mut n = 0;
+        let mut keys = Vec::new();
         abstract_candidates(&mut |x| {
             assert!(x.check_wf().is_ok());
-            n += 1;
+            keys.push(canon_key(x));
         });
+        let n = keys.len();
         assert!(n > 100, "got {n}");
+        assert_eq!((n, digest(keys.into_iter())), (851, 0x1b5b_6c75_ed1e_79e8));
+    }
+
+    /// Per target: the expansions of the whole abstract space (count and
+    /// digest, in order), and `check_lock_elision`'s `checked` count and
+    /// counterexample (the digest of its abstract and concrete keys).
+    #[test]
+    fn expansions_and_counterexamples_are_pinned() {
+        for (target, expansions, expansion_digest, checked, cex) in [
+            (ElisionTarget::X86, 30_636, 0x1e46_dd76_d7ab_a473, 128, None),
+            (
+                ElisionTarget::Power,
+                10_212,
+                0xaad5_2981_a37c_19d7,
+                7,
+                Some(0x3f34_1d65_cb7c_7f5a),
+            ),
+            (
+                ElisionTarget::Armv8,
+                10_212,
+                0x2d8c_134a_2ea4_5fa7,
+                7,
+                Some(0xb6a6_79d4_7cf9_21a3),
+            ),
+            (
+                ElisionTarget::Armv8Fixed,
+                10_212,
+                0x3c25_4a82_c714_8af1,
+                128,
+                None,
+            ),
+        ] {
+            let mut keys = Vec::new();
+            abstract_candidates(&mut |x| keys.extend(expand(x, target).iter().map(canon_key)));
+            let got = (keys.len(), digest(keys.into_iter()));
+            assert_eq!(got, (expansions, expansion_digest), "{}", target.name());
+            let r = check_lock_elision(target, None);
+            let got_cex = r
+                .counterexample
+                .map(|(x, y)| digest([canon_key(&x), canon_key(&y)].into_iter()));
+            assert_eq!((r.checked, got_cex), (checked, cex), "{}", target.name());
+            assert!(r.complete);
+        }
     }
 
     #[test]
@@ -672,7 +504,7 @@ mod tests {
         let r = check_lock_elision(ElisionTarget::Armv8Fixed, None);
         assert!(r.counterexample.is_none(), "DMB repair restores soundness");
         assert!(r.complete);
-        assert!(r.concrete_checked > 0);
+        assert!(r.checked > 0);
     }
 
     #[test]

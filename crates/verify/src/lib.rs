@@ -13,11 +13,16 @@
 //! * [`check_theorem_7_2`] / [`check_theorem_7_3`] — bounded validation
 //!   of Theorems 7.2 and 7.3.
 //!
-//! Every bounded check takes a [`Walk`](txmm_synth::Walk) — the space,
-//! the worker count and an optional prune oracle — and is one
-//! [`Walk::search`](txmm_synth::Walk::search): the earliest
-//! counterexample in emission order is reported at any worker count,
-//! and a budget that runs out leaves `complete == false`.
+//! Every check returns a [`CheckResult`]: the earliest counterexample
+//! in emission order, the candidates checked up to it, and
+//! `complete == false` when a budget ran out. Monotonicity, compilation
+//! and the theorems take a [`Walk`](txmm_synth::Walk) — the space, the
+//! worker count and an optional prune oracle — and are one
+//! [`Walk::search`](txmm_synth::Walk::search), so they report the same
+//! counterexample at any worker count. Lock elision walks Table 3's
+//! fixed call structure, which an `EnumConfig` does not describe, and
+//! takes the rf/co of its abstract executions and of their expansions
+//! from [`RfCoSearch`](txmm_core::incr::RfCoSearch).
 //!
 //! ```
 //! use txmm_verify::elision::{check_lock_elision, ElisionTarget};

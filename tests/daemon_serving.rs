@@ -356,6 +356,16 @@ fn reload_swaps_cat_models_without_restart() {
         "SC-strength probe forbids SB: {}",
         before[0]
     );
+    // The model's compile time is a counter series in the registry.
+    let compile_nanos = |stream: &mut BufReader<TcpStream>| -> u64 {
+        let page = roundtrip(stream, &Request::Metrics { prom: true });
+        page.iter()
+            .find_map(|l| l.strip_prefix("txmm_cat_compile_nanoseconds_total{model=\"probe\"} "))
+            .expect("the probe model's compile-time series")
+            .parse()
+            .expect("a count")
+    };
+    let compiled_before = compile_nanos(&mut stream);
 
     // Weaken the model on disk and hot-reload.
     std::fs::write(&cat, "acyclic poloc | com as Coherence\n").expect("rewrite cat");
@@ -371,6 +381,13 @@ fn reload_swaps_cat_models_without_restart() {
         after[0].contains("\"probe\":{\"post\":\"allowed\""),
         "coherence-only probe allows SB: {}",
         after[0]
+    );
+    // The reload adds the new models' compile time, and the replaced
+    // models' time stays in the series: a counter never falls.
+    let compiled_after = compile_nanos(&mut stream);
+    assert!(
+        compiled_after > compiled_before,
+        "compile-time series fell across reload: {compiled_before} -> {compiled_after}"
     );
 
     // A parse error aborts the reload with a structured frame...
