@@ -12,11 +12,16 @@
 //!   or `outcomes` request never changes threads on its way through.
 //! * **Key routing**: a request's litmus text is parsed and converted
 //!   on its connection thread, then routed by a hash of the execution's
-//!   canonical (symmetry-reduced) key. Repeats of a test — and all its
-//!   thread/location-symmetric variants — always land on the same shard,
-//!   so the pool's caches collectively behave like one warm cache even
-//!   though no cache is shared between shards, and none needs a lock of
-//!   its own.
+//!   canonical (symmetry-reduced) key, or for `outcomes` of the program
+//!   key. Repeats of a test — and all its thread/location-symmetric
+//!   variants — always land on the same shard, so the pool's caches
+//!   collectively behave like one warm cache even though no cache is
+//!   shared between shards, and none needs a lock of its own. The key
+//!   travels with the request into its Session call: a `check` interns
+//!   under it without computing it again, and an `outcomes` request
+//!   looks its program's stored answers up by it, so a warm `outcomes`
+//!   answer is one lookup under the lock and a splice of pre-rendered
+//!   arrays after it.
 //! * **JSONL wire protocol** ([`crate::protocol`]): `check`, `batch`,
 //!   `models`, `stats` and graceful `shutdown` requests, each answered
 //!   by JSONL lines and a blank-line terminator. Payload lines reuse
@@ -50,7 +55,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use txmm_litmus::LitmusTest;
+use txmm_litmus::{program_key, LitmusTest};
 use txmm_synth::canon_key;
 
 use crate::protocol::{error_line, Request};
@@ -268,6 +273,12 @@ impl PoolObs {
     }
 }
 
+/// A parsed `outcomes` request and the program key it was routed by.
+struct Program {
+    test: LitmusTest,
+    key: Vec<u8>,
+}
+
 /// The sharded Session pool. See the module docs for the routing
 /// rules; all methods take `&self` and are safe to call from many
 /// connection threads at once.
@@ -388,9 +399,14 @@ impl SessionPool {
     }
 
     /// Parse and convert on this thread, and route by the execution's
-    /// canonical key.
+    /// canonical key, which the parsed test carries on to its Session
+    /// call.
     fn route_check(&self, file: &str, src: &str) -> Result<(usize, ParsedTest), String> {
-        self.routed(parse_request(file, src), |parsed| canon_key(&parsed.exec))
+        let parsed = parse_request(file, src).map(|mut p| {
+            p.key = Some(canon_key(&p.exec));
+            p
+        });
+        self.routed(parsed, |p| p.key.as_deref().unwrap_or_default())
     }
 
     /// Route a parsed request by `key`; a source that failed to parse is
@@ -398,10 +414,10 @@ impl SessionPool {
     fn routed<P>(
         &self,
         parsed: Result<P, TestFailure>,
-        key: impl FnOnce(&P) -> Vec<u8>,
+        key: impl FnOnce(&P) -> &[u8],
     ) -> Result<(usize, P), String> {
         match parsed {
-            Ok(p) => Ok((self.route(&key(&p)), p)),
+            Ok(p) => Ok((self.route(key(&p)), p)),
             Err(f) => {
                 self.failures.inc();
                 Err(f.jsonl_line())
@@ -443,8 +459,8 @@ impl SessionPool {
         max_candidates: Option<u128>,
     ) -> String {
         match self.route_outcomes(file, src) {
-            Ok((shard, test)) => {
-                self.serve_outcomes(shard, file, &test, models.as_deref(), max_candidates)
+            Ok((shard, program)) => {
+                self.serve_outcomes(shard, file, &program, models.as_deref(), max_candidates)
             }
             Err(line) => line,
         }
@@ -453,25 +469,32 @@ impl SessionPool {
     /// Parse on this thread and route by the *program* key
     /// ([`txmm_litmus::program_key`]) — there is no pinned execution to
     /// key by — so repeats of a program (under any postcondition) land
-    /// on the shard holding its warm outcome table.
-    fn route_outcomes(&self, file: &str, src: &str) -> Result<(usize, LitmusTest), String> {
-        self.routed(parse_outcomes_request(file, src), txmm_litmus::program_key)
+    /// on the shard holding its stored outcome answers, which the key
+    /// is carried on to look up.
+    fn route_outcomes(&self, file: &str, src: &str) -> Result<(usize, Program), String> {
+        let parsed = parse_outcomes_request(file, src).map(|test| Program {
+            key: program_key(&test),
+            test,
+        });
+        self.routed(parsed, |p| &p.key)
     }
 
-    /// Walk under `shard`'s lock, and render after releasing it.
+    /// Walk (or look up) under `shard`'s lock, and render after
+    /// releasing it.
     fn serve_outcomes(
         &self,
         shard: usize,
         file: &str,
-        test: &LitmusTest,
+        program: &Program,
         models: Option<&[String]>,
         max_candidates: Option<u128>,
     ) -> String {
         let shard = &self.shards[shard];
+        let Program { test, key } = program;
         let (result, wait) = shard.lock(|s| {
             resolve_filter(s, models).map(|filter| {
                 let _span = txmm_obs::span!("serve.outcomes");
-                s.outcomes_capped(file, test, filter.as_deref(), max_candidates)
+                s.outcomes_capped(file, test, key, filter.as_deref(), max_candidates)
             })
         });
         let stages = StageMicros {
@@ -1063,11 +1086,11 @@ fn answer(pool: &SessionPool, req: Request) -> (Vec<String>, bool) {
             pool,
             &dir,
             |file, src| {
-                let (shard, test) = pool.route_outcomes(&file, &src)?;
-                Ok((shard, (file, test)))
+                let (shard, program) = pool.route_outcomes(&file, &src)?;
+                Ok((shard, (file, program)))
             },
-            |shard, (file, test)| {
-                pool.serve_outcomes(shard, &file, &test, models.as_deref(), max_candidates)
+            |shard, (file, program)| {
+                pool.serve_outcomes(shard, &file, &program, models.as_deref(), max_candidates)
             },
         ),
         Request::Reload => vec![pool.reload_line()],

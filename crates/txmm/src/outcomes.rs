@@ -9,8 +9,9 @@
 //! * each `(program, model)` pair walks the candidates once, on the
 //!   calling thread, with the model's txns-known prune oracle cutting
 //!   doomed subtrees and whole abort splits, or under [`NoPrune`] when
-//!   the model has none; the program skeleton and its candidate count
-//!   are built once per request and shared by every model's walk;
+//!   the model has none; a request that walks builds the program
+//!   skeleton once and shares it, and the candidate count, with every
+//!   model it walks;
 //! * the surviving candidates are grouped into **canonical classes**
 //!   through the Session arena (thread/location-symmetric candidates
 //!   share one interned representative), so each model checks one
@@ -18,10 +19,15 @@
 //!   symmetry machinery `txmm_core::canon` gives the enumerator, reused
 //!   as a pruning stage — and the verdicts land in the Session's
 //!   verdict cache;
-//! * the resulting allowed outcome set per `(program, model)` is cached
-//!   under the program's canonical key ([`txmm_litmus::program_key`]),
-//!   so re-serving a test — or the same program under a different
-//!   postcondition — is a lookup;
+//! * the Session stores one [`ProgramOutcomes`] per program, under the
+//!   program's canonical key ([`txmm_litmus::program_key`]): its event,
+//!   transaction and candidate counts, and per model slot the classes
+//!   visited and an `Arc` to an [`AllowedSet`], the set plus its JSON
+//!   array rendered once when stored. Slots of one program with equal
+//!   sets (the native and `.cat` twins, mostly) share one `Arc`. So
+//!   re-serving a test — or the same program under a different
+//!   postcondition — is one lookup that clones `Arc`s, and its line is
+//!   spliced from the stored arrays;
 //! * each model's verdict on the test's postcondition (`Allowed` /
 //!   `Forbidden`) is derived from the allowed set, which is the
 //!   program-level answer the paper's modified-herd evaluation gives,
@@ -32,12 +38,15 @@
 //! model's allowed set ([`unsound_sim_outcomes`]).
 
 use std::collections::HashSet;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use txmm_core::arena::ExecId;
 use txmm_core::{NoPrune, PruneStats};
 use txmm_hwsim::{Outcome, OutcomeSet, MAX_LOCS};
 use txmm_litmus::{program_key, LitmusTest, Op, ProgramSkeleton};
-use txmm_models::Arch;
+use txmm_models::{Arch, Model};
+use txmm_synth::canon_key;
 
 use crate::session::{intern_into, ModelRef, Session};
 
@@ -49,22 +58,143 @@ use crate::session::{intern_into, ModelRef, Session};
 /// which consistency-guided pruning keeps affordable.
 pub(crate) const MAX_CANDIDATES: u128 = 1 << 16;
 
-/// What one `(program, model)` outcome walk actually visited: the
-/// subset of the candidate space the model's oracle could not refute
-/// (all of it for a model without one). Cached alongside the allowed
-/// set so repeat requests can report class counts without re-walking.
-pub(crate) struct OutcomeVisit {
-    /// Distinct canonical classes visited, in first-visit order.
-    pub(crate) classes: Vec<ExecId>,
+/// An allowed final-state set as the Session stores it: the set, and
+/// its JSON array (`[...]`), rendered once when the set is stored.
+/// Dereferences to the set.
+#[derive(Debug, PartialEq, Eq)]
+pub struct AllowedSet {
+    outcomes: OutcomeSet,
+    json: String,
+}
+
+impl AllowedSet {
+    fn new(outcomes: OutcomeSet) -> AllowedSet {
+        let json = crate::serve::outcome_set_json(&outcomes);
+        AllowedSet { outcomes, json }
+    }
+
+    /// The set as the JSON array an `outcomes` line carries.
+    pub(crate) fn json(&self) -> &str {
+        &self.json
+    }
+}
+
+impl Deref for AllowedSet {
+    type Target = OutcomeSet;
+
+    fn deref(&self) -> &OutcomeSet {
+        &self.outcomes
+    }
+}
+
+/// One program's stored outcome answers: what every report for the
+/// program carries besides its per-model sets, and one answer per model
+/// slot that has walked it.
+pub(crate) struct ProgramOutcomes {
+    /// Events in the fully-committed program.
+    events: usize,
+    /// Transactions in the program.
+    txns: usize,
+    /// Candidate executions (closed form), which each request's cap is
+    /// checked against.
+    candidates: u128,
+    /// By registry slot: `None` until the slot's model walks the
+    /// program, and again once a reload replaces that model.
+    slots: Vec<Option<SlotOutcomes>>,
+}
+
+/// What one model's walk of one program found.
+struct SlotOutcomes {
+    /// The canonical classes the walk visited, sorted.
+    classes: Box<[ExecId]>,
+    /// The allowed final states, shared with every slot of the program
+    /// that allows the same ones.
+    allowed: Arc<AllowedSet>,
+}
+
+impl ProgramOutcomes {
+    fn answer(&self, slot: usize) -> Option<&SlotOutcomes> {
+        self.slots.get(slot)?.as_ref()
+    }
+
+    /// Store `slot`'s answer. An equal set already stored for this
+    /// program is shared rather than stored (and rendered) again.
+    fn store(&mut self, slot: usize, mut classes: Vec<ExecId>, allowed: OutcomeSet) {
+        classes.sort_unstable();
+        let allowed = match self
+            .slots
+            .iter()
+            .flatten()
+            .find(|s| s.allowed.outcomes == allowed)
+        {
+            Some(twin) => Arc::clone(&twin.allowed),
+            None => Arc::new(AllowedSet::new(allowed)),
+        };
+        if self.slots.len() <= slot {
+            self.slots.resize_with(slot + 1, || None);
+        }
+        self.slots[slot] = Some(SlotOutcomes {
+            classes: classes.into_boxed_slice(),
+            allowed,
+        });
+    }
+
+    /// Drop `slot`'s answer; true if it had one.
+    pub(crate) fn forget(&mut self, slot: usize) -> bool {
+        self.slots.get_mut(slot).and_then(Option::take).is_some()
+    }
+
+    /// The report for `requested`, every one of which has an answer
+    /// here; `registry` names them.
+    fn report(
+        &self,
+        file: &str,
+        t: &LitmusTest,
+        requested: &[ModelRef],
+        registry: &[Box<dyn Model>],
+        cached: bool,
+    ) -> OutcomeReport {
+        let mut classes: Vec<ExecId> = Vec::new();
+        let per_model = requested
+            .iter()
+            .map(|&m| {
+                let answer = self
+                    .answer(m.index())
+                    .expect("every requested model has walked");
+                classes.extend_from_slice(&answer.classes);
+                let post_allowed =
+                    (!t.post.is_empty()).then(|| answer.allowed.iter().any(|o| o.passes(t)));
+                ModelOutcomes {
+                    model: registry[m.index()].name(),
+                    allowed: Arc::clone(&answer.allowed),
+                    post_allowed,
+                }
+            })
+            .collect();
+        classes.sort_unstable();
+        classes.dedup();
+        OutcomeReport {
+            file: file.to_string(),
+            name: t.name.clone(),
+            arch: t.arch,
+            events: self.events,
+            txns: self.txns,
+            candidates: self.candidates.min(usize::MAX as u128) as usize,
+            classes: classes.len(),
+            per_model,
+            cached,
+        }
+    }
 }
 
 /// A model's program-level answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelOutcomes {
     /// The model's registry name.
-    pub model: String,
-    /// Every final state some consistent candidate produces.
-    pub allowed: OutcomeSet,
+    pub model: &'static str,
+    /// Every final state some consistent candidate produces, as stored
+    /// in (and shared with) the Session.
+    pub allowed: Arc<AllowedSet>,
     /// Does the model allow the test's postcondition — i.e. does some
     /// allowed final state pass it? `None` when the test has no
     /// postcondition.
@@ -135,6 +265,24 @@ impl Drop for WalkUnit<'_> {
     }
 }
 
+/// The program's skeleton, once its locations fit the outcome layout.
+fn skeleton(t: &LitmusTest) -> Result<ProgramSkeleton, String> {
+    // Outcomes are exchanged with the operational simulators in their
+    // fixed-width memory layout; a location past that width would be
+    // silently truncated, so refuse it up front (the `check` path has
+    // no such limit, which is why this is enforced here and not in the
+    // parser).
+    if let Some(max_loc) = t.locations().last().copied() {
+        if max_loc as usize >= MAX_LOCS {
+            return Err(format!(
+                "program uses location {max_loc}; the outcome engine models \
+                 locations 0..{MAX_LOCS}"
+            ));
+        }
+    }
+    ProgramSkeleton::from_litmus(t).map_err(|e| e.to_string())
+}
+
 impl Session {
     /// Program-level outcome enumeration: walk (or fetch) the
     /// program's candidates under each requested model (all registered
@@ -147,10 +295,11 @@ impl Session {
         t: &LitmusTest,
         models: Option<&[ModelRef]>,
     ) -> Result<OutcomeReport, String> {
-        self.outcomes_capped(file, t, models, None)
+        self.outcomes_capped(file, t, &program_key(t), models, None)
     }
 
-    /// [`Session::outcomes`] with a per-request candidate cap
+    /// [`Session::outcomes`] for a program whose key the caller already
+    /// has (the daemon routes by it), with a per-request candidate cap
     /// overriding the session default — how the daemon honours a
     /// request's `max_candidates` field without perturbing the
     /// session-wide setting.
@@ -158,87 +307,73 @@ impl Session {
         &mut self,
         file: &str,
         t: &LitmusTest,
+        key: &[u8],
         models: Option<&[ModelRef]>,
         cap: Option<u128>,
     ) -> Result<OutcomeReport, String> {
-        // Outcomes are exchanged with the operational simulators in
-        // their fixed-width memory layout; a location past that width
-        // would be silently truncated, so refuse it up front (the
-        // `check` path has no such limit, which is why this is enforced
-        // here and not in the parser).
-        if let Some(max_loc) = t.locations().last().copied() {
-            if max_loc as usize >= MAX_LOCS {
-                return Err(format!(
-                    "program uses location {max_loc}; the outcome engine models \
-                     locations 0..{MAX_LOCS}"
-                ));
-            }
-        }
         let cap = cap.unwrap_or(self.max_candidates);
-        // One skeleton and one count serve every model's walk.
-        let sk = ProgramSkeleton::from_litmus(t).map_err(|e| e.to_string())?;
-        let count = sk.candidate_count();
+        let all: Vec<ModelRef>;
+        let requested = match models {
+            Some(ms) => ms,
+            None => {
+                all = self.models().collect();
+                &all
+            }
+        };
+        let mut sk = None;
+        let program = match self.programs.get(key) {
+            Some(p) => p,
+            None => {
+                let s = sk.insert(skeleton(t)?);
+                let p = ProgramOutcomes {
+                    events: s.len(),
+                    txns: t.num_txns(),
+                    candidates: s.candidate_count(),
+                    slots: Vec::new(),
+                };
+                self.programs.entry(key.to_vec()).or_insert(p)
+            }
+        };
+        let count = program.candidates;
         if count > cap {
             return Err(format!(
                 "program has {count} candidate executions (limit {cap})"
             ));
         }
-
-        let key = program_key(t);
-        let requested: Vec<ModelRef> = match models {
-            Some(ms) => ms.to_vec(),
-            None => self.models().collect(),
-        };
-        let mut per_model = Vec::with_capacity(requested.len());
-        let mut cached = true;
-        let mut class_union: HashSet<ExecId> = HashSet::new();
-        for m in requested {
-            let slot = m.index();
-            let ck = (key.clone(), slot);
-            if self.outcome_sets.contains_key(&ck) {
-                self.stats.outcome_hits.inc();
-            } else {
-                self.stats.outcome_misses.inc();
-                cached = false;
-                self.model_outcomes(&key, &sk, count, m);
-                self.stats
-                    .outcome_entries
-                    .set(self.outcome_sets.len() as i64);
+        // The warm path: one lookup, and no skeleton.
+        let mut missing: Vec<ModelRef> = Vec::new();
+        for &m in requested {
+            if program.answer(m.index()).is_none() && !missing.contains(&m) {
+                missing.push(m);
             }
-            let allowed = self.outcome_sets[&ck].clone();
-            class_union.extend(self.outcome_visits[&ck].classes.iter().copied());
-            let post_allowed = if t.post.is_empty() {
-                None
-            } else {
-                Some(allowed.iter().any(|o| o.passes(t)))
-            };
-            per_model.push(ModelOutcomes {
-                model: self.model(m).name().to_string(),
-                allowed,
-                post_allowed,
-            });
         }
-        Ok(OutcomeReport {
-            file: file.to_string(),
-            name: t.name.clone(),
-            arch: t.arch,
-            events: sk.len(),
-            txns: t.num_txns(),
-            candidates: count.min(usize::MAX as u128) as usize,
-            classes: class_union.len(),
-            per_model,
-            cached,
-        })
+        let hits = requested.len() - missing.len();
+        self.stats.outcome_hits.add(hits as u64);
+        if missing.is_empty() {
+            return Ok(program.report(file, t, requested, &self.models, true));
+        }
+        // One skeleton serves every model this request walks.
+        let sk = match sk {
+            Some(sk) => sk,
+            None => skeleton(t)?,
+        };
+        for &m in &missing {
+            self.stats.outcome_misses.inc();
+            self.model_outcomes(key, &sk, m);
+            let entries = &self.stats.outcome_entries;
+            entries.set(entries.get() + 1);
+        }
+        Ok(self.programs[key].report(file, t, requested, &self.models, false))
     }
 
     /// One model's allowed set via the pruned candidate walk: the
     /// model's oracle kills doomed subtrees (and whole abort splits)
     /// during construction, surviving candidates are interned and
     /// verdict-checked class by class, and the allowed set plus the
-    /// visit record land in the per-`(program, model)` caches. A model
+    /// classes visited land in the program's stored answers. A model
     /// without an oracle walks every candidate under [`NoPrune`] and
     /// adds nothing to the prune counters.
-    fn model_outcomes(&mut self, key: &[u8], sk: &ProgramSkeleton, count: u128, m: ModelRef) {
+    fn model_outcomes(&mut self, key: &[u8], sk: &ProgramSkeleton, m: ModelRef) {
         let slot = m.index();
         // The oracle borrows the model registry for the whole walk;
         // split the borrows so candidates can still be interned and
@@ -248,12 +383,13 @@ impl Session {
             arena,
             canon_ids,
             verdicts,
+            programs,
             stats,
             walk_progress,
             ..
         } = self;
-        let progress = walk_progress.clone();
-        let progress = progress.as_deref();
+        let program = programs.get_mut(key).expect("the program is stored");
+        let progress = walk_progress.as_deref();
         let model = models[slot].as_ref();
         let pruned = model.prune_oracle(true);
         let oracle = pruned.unwrap_or(&NoPrune);
@@ -262,9 +398,10 @@ impl Session {
         let mut seen: HashSet<ExecId> = HashSet::new();
         // The walk has no per-split granularity to report against, so
         // the whole program is one work unit.
-        let mut unit = WalkUnit::start(progress, count.min(u64::MAX as u128) as u64);
+        let total = program.candidates.min(u64::MAX as u128) as u64;
+        let mut unit = WalkUnit::start(progress, total);
         let (visited, pstats) = txmm_litmus::enumerate_candidates_pruned(sk, oracle, &mut |c| {
-            let id = intern_into(arena, canon_ids, &c.exec);
+            let id = intern_into(arena, canon_ids, &canon_key(&c.exec), &c.exec);
             if seen.insert(id) {
                 classes.push(id);
                 if let Some(p) = progress {
@@ -299,13 +436,11 @@ impl Session {
         } else {
             PruneStats::default()
         };
-        self.stats.interned.set(self.arena.len() as i64);
-        self.stats.outcome_candidates.add(visited as u64);
-        self.stats.outcome_classes.add(classes.len() as u64);
-        self.stats.prune.add(&pstats);
-        self.outcome_sets.insert((key.to_vec(), slot), allowed);
-        self.outcome_visits
-            .insert((key.to_vec(), slot), OutcomeVisit { classes });
+        stats.interned.set(arena.len() as i64);
+        stats.outcome_candidates.add(visited as u64);
+        stats.outcome_classes.add(classes.len() as u64);
+        stats.prune.add(&pstats);
+        program.store(slot, classes, allowed);
     }
 }
 
@@ -696,19 +831,73 @@ mod tests {
         let m = s
             .register_cat_source("probe", "acyclic po | com as Order")
             .unwrap();
-        let r = s.outcomes("sb", &sb(), Some(&[m])).unwrap();
+        let sc = s.resolve("SC").unwrap();
+        let r = s.outcomes("sb", &sb(), Some(&[m, sc])).unwrap();
         assert_eq!(r.per_model[0].post_allowed, Some(false), "SC forbids SB");
+        assert!(
+            Arc::ptr_eq(&r.per_model[0].allowed, &r.per_model[1].allowed),
+            "the SC-strength probe shares SC's stored set"
+        );
+        assert_eq!(s.stats().outcome_entries, 2);
         // Reload the same name with a weaker model: the cached outcome
         // set must not survive.
         let m2 = s
             .reload_cat_source("probe", "acyclic poloc | com as Coherence")
             .unwrap();
         assert_eq!(m, m2, "reload keeps the registry slot");
-        let r2 = s.outcomes("sb", &sb(), Some(&[m2])).unwrap();
+        assert_eq!(s.stats().outcome_entries, 1, "only the probe's answer goes");
+        let r2 = s.outcomes("sb", &sb(), Some(&[m2, sc])).unwrap();
         assert_eq!(
             r2.per_model[0].post_allowed,
             Some(true),
             "coherence-only model allows SB"
         );
+        // SC's answer, and the set it stored, are untouched.
+        assert_eq!(r2.per_model[1], r.per_model[1]);
+        assert!(Arc::ptr_eq(
+            &r2.per_model[1].allowed,
+            &r.per_model[1].allowed
+        ));
+        assert_eq!((s.stats().outcome_hits, s.stats().outcome_misses), (1, 3));
+        assert_eq!(s.stats().outcome_entries, 2);
+    }
+
+    #[test]
+    fn twins_share_one_stored_set() {
+        let mut s = Session::with_shipped_cat();
+        let slots: Vec<ModelRef> = s.models().collect();
+        for (name, src) in crate::corpus::generate(3) {
+            let t = txmm_litmus::parse_litmus(&src).expect("corpus parses");
+            let r = s.outcomes(&name, &t, None).expect("corpus serves");
+            // Every native model shares its set with its `.cat` twin.
+            let mut twins = 0;
+            for native in &r.per_model {
+                let twin = format!("{}.cat", native.model);
+                let Some(cat) = r.per_model.iter().find(|m| m.model == twin) else {
+                    continue;
+                };
+                assert!(
+                    Arc::ptr_eq(&native.allowed, &cat.allowed),
+                    "{name}: {} and its twin",
+                    native.model
+                );
+                twins += 1;
+            }
+            assert_eq!(twins, txmm_cat::SOURCES.len(), "{name}");
+            // A program stores one set per distinct answer.
+            let program = &s.programs[&program_key(&t)];
+            let stored: Vec<&Arc<AllowedSet>> = slots
+                .iter()
+                .map(|m| &program.answer(m.index()).expect("walked").allowed)
+                .collect();
+            let mut distinct: Vec<&OutcomeSet> = stored.iter().map(|a| &a.outcomes).collect();
+            distinct.sort();
+            distinct.dedup();
+            let mut shared: Vec<*const AllowedSet> =
+                stored.iter().map(|a| Arc::as_ptr(a)).collect();
+            shared.sort();
+            shared.dedup();
+            assert_eq!(shared.len(), distinct.len(), "{name}");
+        }
     }
 }

@@ -31,11 +31,12 @@
 //! the daemon books its wait for the shard lock under
 //! [`StageMicros::other`].
 
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use txmm_core::Execution;
-use txmm_hwsim::Outcome;
+use txmm_hwsim::{Outcome, OutcomeSet};
 use txmm_litmus::{execution_from_litmus, parse_litmus, LitmusTest};
 use txmm_models::{Arch, Verdict};
 use txmm_obs::json_escape;
@@ -80,6 +81,9 @@ impl StageMicros {
 /// The daemon builds it before it locks a Session shard, and routes by
 /// its execution's canonical key.
 pub(crate) struct ParsedTest {
+    /// The execution's canonical key, once the daemon has routed by it;
+    /// [`check_parsed`] computes it when it is `None`.
+    pub key: Option<Vec<u8>>,
     /// File name (as given).
     pub file: String,
     /// Test name from the header line.
@@ -189,6 +193,7 @@ pub(crate) fn parse_request(file: &str, src: &str) -> Result<ParsedTest, TestFai
     };
     let convert_micros = span.finish();
     Ok(ParsedTest {
+        key: None,
         file: file.to_string(),
         name: t.name,
         arch: t.arch,
@@ -201,9 +206,11 @@ pub(crate) fn parse_request(file: &str, src: &str) -> Result<ParsedTest, TestFai
 }
 
 /// The verdict and observe stages against one [`Session`] (or Session
-/// shard). `cached` is derived from the verdict-miss delta of exactly
-/// this call, so it stays accurate when many tests interleave on a
-/// shared pool.
+/// shard). The execution is interned once, under the key the test
+/// carries or one computed here, and both stages look it up by id.
+/// `cached` is derived from the verdict-miss delta of exactly this
+/// call, so it stays accurate when many tests interleave on a shared
+/// pool.
 pub(crate) fn check_parsed(
     session: &mut Session,
     t: &ParsedTest,
@@ -212,19 +219,29 @@ pub(crate) fn check_parsed(
     let whole = Instant::now();
     let misses_before = session.stats().verdict_misses;
     let span = txmm_obs::span!("serve.verdict");
+    let id = match &t.key {
+        Some(key) => session.intern_keyed(key, &t.exec),
+        None => session.intern(&t.exec),
+    };
+    let all: Vec<ModelRef>;
+    let models = match models {
+        Some(ms) => ms,
+        None => {
+            all = session.models().collect();
+            &all
+        }
+    };
     // Selected (or all) models share one analysis for their cache
-    // misses inside verdicts_for.
-    let verdicts: Vec<(String, Verdict)> = match models {
-        Some(ms) => session.verdicts_for(&t.exec, ms),
-        None => session.verdicts(&t.exec),
-    }
-    .into_iter()
-    .map(|(m, v)| (session.model(m).name().to_string(), v))
-    .collect();
+    // misses inside verdicts_interned.
+    let verdicts: Vec<(String, Verdict)> = session
+        .verdicts_interned(id, models)
+        .into_iter()
+        .map(|(m, v)| (session.model(m).name().to_string(), v))
+        .collect();
     let cached = session.stats().verdict_misses == misses_before;
     let verdict_micros = span.finish();
     let span = txmm_obs::span!("serve.observe");
-    let observable = session.observable(&t.exec, t.arch);
+    let observable = session.observable_interned(id, t.arch);
     let observe_micros = span.finish();
     let mut stages = StageMicros {
         parse: t.parse_micros,
@@ -444,47 +461,54 @@ fn outcome_json(o: &Outcome) -> String {
     out
 }
 
+/// An allowed set as the JSON array an `outcomes` line carries; the
+/// Session renders each set it stores once, with this.
+pub(crate) fn outcome_set_json(set: &OutcomeSet) -> String {
+    let outcomes = set.iter().map(outcome_json).collect::<Vec<_>>().join(",");
+    format!("[{outcomes}]")
+}
+
 /// Render one outcome-engine result as a JSONL line (no trailing
 /// newline) — deterministic, so daemon `outcomes` answers are
 /// byte-identical to one-shot `txmm outcomes` over the same tests.
+/// Each model's outcomes are its stored set's pre-rendered array,
+/// spliced into one string sized up front.
 pub fn outcomes_jsonl_line(served: &Result<OutcomeReport, TestFailure>) -> String {
     let r = match served {
         Ok(r) => r,
         Err(f) => return f.jsonl_line(),
     };
-    let models = r
+    let (file, name) = (json_escape(&r.file), json_escape(&r.name));
+    let models: usize = r
         .per_model
         .iter()
-        .map(|m| {
-            let post = match m.post_allowed {
-                Some(true) => "\"allowed\"",
-                Some(false) => "\"forbidden\"",
-                None => "null",
-            };
-            let outcomes = m
-                .allowed
-                .iter()
-                .map(outcome_json)
-                .collect::<Vec<_>>()
-                .join(",");
-            format!(
-                "\"{}\":{{\"post\":{post},\"outcomes\":[{outcomes}]}}",
-                json_escape(&m.model)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"file\":\"{}\",\"name\":\"{}\",\"arch\":\"{}\",\"events\":{},\
-         \"txns\":{},\"candidates\":{},\"classes\":{},\"models\":{{{models}}}}}",
-        json_escape(&r.file),
-        json_escape(&r.name),
+        .map(|m| m.model.len() + m.allowed.json().len() + 40)
+        .sum();
+    let mut out = String::with_capacity(160 + file.len() + name.len() + models);
+    let _ = write!(
+        out,
+        "{{\"file\":\"{file}\",\"name\":\"{name}\",\"arch\":\"{}\",\"events\":{},\
+         \"txns\":{},\"candidates\":{},\"classes\":{},\"models\":{{",
         json_escape(r.arch.name()),
         r.events,
         r.txns,
         r.candidates,
         r.classes,
-    )
+    );
+    for (i, m) in r.per_model.iter().enumerate() {
+        let post = match m.post_allowed {
+            Some(true) => "\"allowed\"",
+            Some(false) => "\"forbidden\"",
+            None => "null",
+        };
+        let comma = if i > 0 { "," } else { "" };
+        let model = json_escape(m.model);
+        let _ = write!(out, "{comma}\"{model}\":{{\"post\":{post},\"outcomes\":");
+        out.push_str(m.allowed.json());
+        out.push('}');
+    }
+    out.push_str("}}");
+    out
 }
 
 #[cfg(test)]

@@ -336,11 +336,9 @@ pub struct Session {
     pub(crate) canon_ids: HashMap<Vec<u8>, ExecId>,
     pub(crate) verdicts: HashMap<(ExecId, usize), Verdict>,
     pub(crate) observability: HashMap<(ExecId, Arch), Option<bool>>,
-    /// (program key, model slot) → allowed final states.
-    pub(crate) outcome_sets: HashMap<(Vec<u8>, usize), txmm_hwsim::OutcomeSet>,
-    /// (program key, model slot) → what that model's outcome walk
-    /// actually visited (see `crate::outcomes`).
-    pub(crate) outcome_visits: HashMap<(Vec<u8>, usize), crate::outcomes::OutcomeVisit>,
+    /// Program key → that program's stored outcome answers, one per
+    /// model slot that has walked it (see `crate::outcomes`).
+    pub(crate) programs: HashMap<Vec<u8>, crate::outcomes::ProgramOutcomes>,
     /// Refuse programs with more candidate executions than this.
     pub(crate) max_candidates: u128,
     pub(crate) stats: Arc<SessionTelemetry>,
@@ -359,20 +357,20 @@ const _: fn() = || {
     requires_send::<Session>();
 };
 
-/// [`Session::intern`] with the arena and canonical-key map borrowed
-/// apart, so the outcome engine can intern candidates while a model
-/// borrowed from the registry (its prune oracle) is live.
+/// [`Session::intern_keyed`] with the arena and canonical-key map
+/// borrowed apart, so the outcome engine can intern candidates while a
+/// model borrowed from the registry (its prune oracle) is live.
 pub(crate) fn intern_into(
     arena: &mut ExecArena,
     canon_ids: &mut HashMap<Vec<u8>, ExecId>,
+    key: &[u8],
     x: &Execution,
 ) -> ExecId {
-    let key = canon_key(x);
-    if let Some(&id) = canon_ids.get(&key) {
+    if let Some(&id) = canon_ids.get(key) {
         return id;
     }
     let (id, _fresh) = arena.intern(x);
-    canon_ids.insert(key, id);
+    canon_ids.insert(key.to_vec(), id);
     id
 }
 
@@ -391,8 +389,7 @@ impl Session {
             canon_ids: HashMap::new(),
             verdicts: HashMap::new(),
             observability: HashMap::new(),
-            outcome_sets: HashMap::new(),
-            outcome_visits: HashMap::new(),
+            programs: HashMap::new(),
             max_candidates: crate::outcomes::MAX_CANDIDATES,
             stats: Arc::new(SessionTelemetry::new()),
             walk_progress: None,
@@ -484,12 +481,15 @@ impl Session {
             oracles: Default::default(),
         });
         // The replaced model may answer differently: drop its caches.
+        // Other slots keep their outcome answers, and their shared sets.
         self.verdicts.retain(|&(_, m), _| m != slot);
-        self.outcome_sets.retain(|(_, m), _| *m != slot);
-        self.outcome_visits.retain(|(_, m), _| *m != slot);
-        self.stats
-            .outcome_entries
-            .set(self.outcome_sets.len() as i64);
+        let dropped: usize = self
+            .programs
+            .values_mut()
+            .map(|p| usize::from(p.forget(slot)))
+            .sum();
+        let entries = &self.stats.outcome_entries;
+        entries.set(entries.get() - dropped as i64);
         Ok(ModelRef(slot))
     }
 
@@ -539,7 +539,13 @@ impl Session {
     /// observability are symmetric under those permutations, so
     /// symmetric variants share every cache entry.
     pub(crate) fn intern(&mut self, x: &Execution) -> ExecId {
-        let id = intern_into(&mut self.arena, &mut self.canon_ids, x);
+        self.intern_keyed(&canon_key(x), x)
+    }
+
+    /// [`Session::intern`] for an execution whose canonical key the
+    /// caller already has (the daemon routes a `check` by it).
+    pub(crate) fn intern_keyed(&mut self, key: &[u8], x: &Execution) -> ExecId {
+        let id = intern_into(&mut self.arena, &mut self.canon_ids, key, x);
         self.stats.interned.set(self.arena.len() as i64);
         id
     }
@@ -571,19 +577,21 @@ impl Session {
         self.verdict(x, m).is_consistent()
     }
 
-    /// Verdicts of every registered model on one execution; see
-    /// [`Session::verdicts_for`].
-    pub(crate) fn verdicts(&mut self, x: &Execution) -> Vec<(ModelRef, Verdict)> {
-        let all: Vec<ModelRef> = self.models().collect();
-        self.verdicts_for(x, &all)
-    }
-
     /// Verdicts of the given models on one execution. Uncached models
     /// share a single analysis built here — the only place the serving
     /// path constructs one — so derived relations are computed once per
     /// execution regardless of how many models look at it.
     pub fn verdicts_for(&mut self, x: &Execution, models: &[ModelRef]) -> Vec<(ModelRef, Verdict)> {
         let id = self.intern(x);
+        self.verdicts_interned(id, models)
+    }
+
+    /// [`Session::verdicts_for`] for an already-interned execution.
+    pub(crate) fn verdicts_interned(
+        &mut self,
+        id: ExecId,
+        models: &[ModelRef],
+    ) -> Vec<(ModelRef, Verdict)> {
         let missing: Vec<usize> = models
             .iter()
             .map(|m| m.0)
@@ -613,6 +621,11 @@ impl Session {
     /// test) and are cached per (execution, architecture).
     pub fn observable(&mut self, x: &Execution, arch: Arch) -> Option<bool> {
         let id = self.intern(x);
+        self.observable_interned(id, arch)
+    }
+
+    /// [`Session::observable`] for an already-interned execution.
+    pub(crate) fn observable_interned(&mut self, id: ExecId, arch: Arch) -> Option<bool> {
         if let Some(&seen) = self.observability.get(&(id, arch)) {
             self.stats.observability_hits.inc();
             return seen;
@@ -761,10 +774,11 @@ mod tests {
     fn verdicts_cached_per_interned_execution() {
         let mut s = Session::new();
         let x = catalog::sb(None, false, false);
-        let cold: Vec<_> = s.verdicts(&x);
+        let all: Vec<ModelRef> = s.models().collect();
+        let cold: Vec<_> = s.verdicts_for(&x, &all);
         let misses = s.stats().verdict_misses;
         assert_eq!(misses, cold.len() as u64);
-        let warm: Vec<_> = s.verdicts(&x);
+        let warm: Vec<_> = s.verdicts_for(&x, &all);
         assert_eq!(s.stats().verdict_misses, misses, "no recomputation");
         assert_eq!(s.stats().verdict_hits, cold.len() as u64);
         assert_eq!(cold, warm);

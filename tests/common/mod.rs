@@ -42,11 +42,15 @@ pub fn roundtrip<S: Read + Write>(stream: &mut BufReader<S>, req: &Request) -> V
 /// A daemon of `shards` shards on an ephemeral local TCP port: its
 /// address and the thread that runs it until `shutdown`.
 pub fn start_daemon(shards: usize) -> (String, thread::JoinHandle<()>) {
-    let pool = SessionPool::new(&PoolConfig {
+    start_pool_daemon(&PoolConfig {
         shards,
         ..PoolConfig::default()
     })
-    .expect("pool builds");
+}
+
+/// [`start_daemon`] over a pool built from `cfg`.
+pub fn start_pool_daemon(cfg: &PoolConfig) -> (String, thread::JoinHandle<()>) {
+    let pool = SessionPool::new(cfg).expect("pool builds");
     let daemon = Daemon::bind(&ListenAddr::Tcp("127.0.0.1:0".into()), pool).expect("binds");
     let addr = daemon.local_addr().to_string();
     let server = thread::spawn(move || daemon.run().expect("daemon runs"));

@@ -9,7 +9,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::thread;
 
-use common::{corpus, roundtrip, start_daemon};
+use common::{corpus, roundtrip, start_daemon, start_pool_daemon};
 use txmm::daemon::{Daemon, ListenAddr, PoolConfig, SessionPool};
 use txmm::protocol::Request;
 use txmm::serve::{
@@ -115,72 +115,90 @@ fn batch_request_matches_one_shot_directory_serve() {
 #[test]
 fn outcomes_requests_byte_identical_to_one_shot() {
     // The daemon's `outcomes` answers must be byte-identical to the
-    // one-shot engine over the same sources, including the stats the
-    // outcome-set cache accumulates along the way.
+    // one-shot engine over the same sources, with the shipped `.cat`
+    // twins registered (so twins share stored sets) and at one and four
+    // shards, on the pass that walks and on the pass the stored answers
+    // serve, including the stats the outcome-set cache accumulates
+    // along the way.
     let corpus: Vec<(String, String)> = corpus().into_iter().take(16).collect();
-    let mut session = Session::new();
+    let mut session = Session::with_shipped_cat();
     let expect: Vec<String> = corpus
         .iter()
         .map(|(f, s)| outcomes_jsonl_line(&serve_outcomes_source(&mut session, f, s, None)))
         .collect();
 
-    let (addr, server) = start_daemon(3);
-    let mut stream = BufReader::new(TcpStream::connect(&addr).expect("connect"));
-    for pass in 0..2 {
-        for ((file, src), want) in corpus.iter().zip(&expect) {
-            let got = roundtrip(
-                &mut stream,
-                &Request::Outcomes {
-                    file: file.clone(),
-                    src: src.clone(),
-                    models: None,
-                    max_candidates: None,
-                    trace: None,
-                },
-            );
-            assert_eq!(got, vec![want.clone()], "pass {pass}: {file}");
+    for shards in [1, 4] {
+        let (addr, server) = start_pool_daemon(&PoolConfig {
+            shards,
+            with_cat: true,
+            ..PoolConfig::default()
+        });
+        let mut stream = BufReader::new(TcpStream::connect(&addr).expect("connect"));
+        for pass in 0..2 {
+            for ((file, src), want) in corpus.iter().zip(&expect) {
+                let got = roundtrip(
+                    &mut stream,
+                    &Request::Outcomes {
+                        file: file.clone(),
+                        src: src.clone(),
+                        models: None,
+                        max_candidates: None,
+                        trace: None,
+                    },
+                );
+                assert_eq!(
+                    got,
+                    vec![want.clone()],
+                    "{shards} shards, pass {pass}: {file}"
+                );
+            }
         }
-    }
-    // The second pass served every table from the outcome-set cache.
-    let stats = roundtrip(&mut stream, &Request::Stats);
-    let v = txmm::protocol::parse_json(&stats[0]).expect("stats is JSON");
-    let num = |k: &str| match v.get(k) {
-        Some(txmm::protocol::Json::Num(n)) => *n,
-        other => panic!("stats[{k}] = {other:?}"),
-    };
-    assert!(num("outcome_entries") > 0.0, "{}", stats[0]);
-    assert!(
-        num("outcome_hits") >= num("outcome_misses"),
-        "warm pass must hit: {}",
-        stats[0]
-    );
-    assert!(
-        num("outcome_candidates") >= num("outcome_classes"),
-        "{}",
-        stats[0]
-    );
-    assert!(stats[0].contains("\"outcome_hit_rate\":0."), "{}", stats[0]);
-    // The oracle-backed models served their tables through the pruned
-    // walk, so the prune counters tick and every shard reports them
-    // (aggregate + 3 shards).
-    assert!(num("prune_oracle_calls") > 0.0, "{}", stats[0]);
-    assert!(num("prune_oracle_micros") > 0.0, "{}", stats[0]);
-    for key in [
-        "\"prune_subtrees_cut\"",
-        "\"prune_candidates_skipped\"",
-        "\"prune_oracle_calls\"",
-        "\"prune_oracle_micros\"",
-        "\"prune_delta_answers\"",
-        "\"prune_fallbacks\"",
-        "\"prune_batches\"",
-        "\"prune_batched_placements\"",
-    ] {
-        assert_eq!(stats[0].matches(key).count(), 4, "{key}: {}", stats[0]);
-    }
+        // The second pass served every table from the outcome-set cache.
+        let stats = roundtrip(&mut stream, &Request::Stats);
+        let v = txmm::protocol::parse_json(&stats[0]).expect("stats is JSON");
+        let num = |k: &str| match v.get(k) {
+            Some(txmm::protocol::Json::Num(n)) => *n,
+            other => panic!("stats[{k}] = {other:?}"),
+        };
+        assert!(num("outcome_entries") > 0.0, "{}", stats[0]);
+        assert!(
+            num("outcome_hits") >= num("outcome_misses"),
+            "warm pass must hit: {}",
+            stats[0]
+        );
+        assert!(
+            num("outcome_candidates") >= num("outcome_classes"),
+            "{}",
+            stats[0]
+        );
+        assert!(stats[0].contains("\"outcome_hit_rate\":0."), "{}", stats[0]);
+        // The oracle-backed models served their tables through the
+        // pruned walk, so the prune counters tick and every shard
+        // reports them (aggregate + one per shard).
+        assert!(num("prune_oracle_calls") > 0.0, "{}", stats[0]);
+        assert!(num("prune_oracle_micros") > 0.0, "{}", stats[0]);
+        for key in [
+            "\"prune_subtrees_cut\"",
+            "\"prune_candidates_skipped\"",
+            "\"prune_oracle_calls\"",
+            "\"prune_oracle_micros\"",
+            "\"prune_delta_answers\"",
+            "\"prune_fallbacks\"",
+            "\"prune_batches\"",
+            "\"prune_batched_placements\"",
+        ] {
+            assert_eq!(
+                stats[0].matches(key).count(),
+                shards + 1,
+                "{key}: {}",
+                stats[0]
+            );
+        }
 
-    let bye = roundtrip(&mut stream, &Request::Shutdown);
-    assert_eq!(bye, vec!["{\"ok\":\"shutdown\"}".to_string()]);
-    server.join().expect("clean shutdown");
+        let bye = roundtrip(&mut stream, &Request::Shutdown);
+        assert_eq!(bye, vec!["{\"ok\":\"shutdown\"}".to_string()]);
+        server.join().expect("clean shutdown");
+    }
 }
 
 /// Four competing writes to one location plus five reads: 4! coherence

@@ -192,7 +192,7 @@ fn outcome_tables_agree_with_unpruned_session() {
         for (i, mo) in got.per_model.iter().enumerate() {
             let model = session.model(models[i]).name();
             assert_eq!(mo.model, model);
-            assert_eq!(mo.allowed, want[i], "{name}: {model} allowed set");
+            assert_eq!(**mo.allowed, want[i], "{name}: {model} allowed set");
             let post = (!t.post.is_empty()).then(|| want[i].iter().any(|o| o.passes(&t)));
             assert_eq!(mo.post_allowed, post, "{name}: {model} postcondition");
             allowed_somewhere[i] |= !want[i].is_empty();
